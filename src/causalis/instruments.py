@@ -4,7 +4,9 @@ An instrument holds one Choi operator per (setting, outcome); summed over
 outcomes each setting is trace-preserving. Probabilities come from
 P = Tr[W (C_1 (x) ... (x) C_n)^T], the transpose convention under which
 ordered processes reproduce sequential circuit composition; the circuit
-oracle below is the arbiter of that choice.
+oracle below is the arbiter of that choice. The whole table is one
+contraction of W against the per-party Choi stacks (`process._contract`);
+no tensor product of Chois is formed.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, make_quantum_switch, validate_process
+from .process import Party, ProcessMatrix, _contract, make_quantum_switch, validate_process
 from .tensor_core import (
     HermitianOperator,
     choi_of_kraus,
@@ -78,6 +80,8 @@ class ProbabilityTable:
             raise ValueError(
                 f"values shape {vals.shape} does not match {self.settings + self.outcomes}"
             )
+        if not np.isfinite(vals).all():
+            raise ValueError("probabilities must be finite")
         if vals.min(initial=0.0) < -PROB_TOL:
             raise ValueError(f"negative probability {vals.min():.3e}")
         n = len(self.settings)
@@ -229,12 +233,12 @@ def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTabl
             raise ValueError(f"instrument for {party.name!r} has mismatched spaces")
     settings = tuple(i.settings for i in ins)
     outcomes = tuple(i.outcomes for i in ins)
-    vals = np.empty(settings + outcomes, dtype=float)
-    w = p.w.mat
-    for xs in np.ndindex(*settings):
-        for os_ in np.ndindex(*outcomes):
-            m = tensor(*[i.choi(x, o) for i, x, o in zip(ins, xs, os_)])
-            vals[xs + os_] = np.einsum("ij,ij->", w, m.mat).real
+    # P[x.., a..] = sum_ij w_ij (M_1[x_1, a_1] (x) ... (x) M_n[x_n, a_n])_ij,
+    # i.e. Tr[w M^T]; the contraction returns axes (x_1, a_1, x_2, a_2, ...)
+    stacks = [np.array([[c.mat for c in row] for row in i.chois]) for i in ins]
+    t = _contract(p.w, p.parties, stacks).real
+    n = len(ins)
+    vals = t.transpose([2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
     return ProbabilityTable(tuple(party.name for party in p.parties), settings, outcomes, vals)
 
 

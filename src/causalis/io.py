@@ -23,6 +23,30 @@ HERM_DETECT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
+# schema checks: mis-shaped JSON raises ValueError, never TypeError
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _require(node, what: str, kind):
+    """Raise ValueError unless node has the JSON type kind (or one of kinds)."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    # bool is an int in Python, but never a valid count or dimension
+    if isinstance(node, bool) or not isinstance(node, kinds):
+        want = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise ValueError(f"{what} must be {want}, got {type(node).__name__}")
+    return node
+
+
+def _field(d, key: str, kind, what: str):
+    """d[key], checked to be a JSON object member of the given type."""
+    _require(d, what, dict)
+    if key not in d:
+        raise ValueError(f"{what} has no {key!r} field")
+    return _require(d[key], f"{what} field {key!r}", kind)
+
+
+# ---------------------------------------------------------------------------
 # operators
 
 def operator_to_json(op: Operator) -> dict:
@@ -33,11 +57,16 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(d: dict) -> Operator:
-    factors = [LabeledSpace(f["label"], f["dim"]) for f in d["factors"]]
+    factors = _factors_from_json(_field(d, "factors", list, "operator"), "operator factors")
     dim = 1
     for f in factors:
         dim *= f.dim
-    entries = np.asarray(d["entries"], dtype=float)
+    entries = np.asarray(_field(d, "entries", list, "operator"))
+    if entries.dtype.kind not in "iuf":
+        raise ValueError("operator entries must be numbers")
+    entries = entries.astype(float)
+    if not np.isfinite(entries).all():
+        raise ValueError("operator entries must be finite, not NaN or inf")
     if entries.shape != (dim * dim, 2):
         raise ValueError(
             f"expected {dim * dim} [re, im] entries, got shape {entries.shape}"
@@ -56,10 +85,15 @@ def _factors_to_json(factors: tuple[LabeledSpace, ...]):
     return items[0] if len(items) == 1 else items
 
 
-def _factors_from_json(node) -> tuple[LabeledSpace, ...]:
+def _factors_from_json(node, what: str) -> tuple[LabeledSpace, ...]:
+    """A factor object {"label", "dim"} or a list of them."""
     if isinstance(node, dict):
         node = [node]
-    return tuple(LabeledSpace(f["label"], f["dim"]) for f in node)
+    _require(node, what, list)
+    return tuple(
+        LabeledSpace(_field(f, "label", str, what), _field(f, "dim", int, what))
+        for f in node
+    )
 
 
 def process_to_json(p: ProcessMatrix) -> dict:
@@ -77,14 +111,19 @@ def process_to_json(p: ProcessMatrix) -> dict:
 
 
 def process_from_json(d: dict) -> ProcessMatrix:
-    parties = tuple(
-        Party(q["name"], _factors_from_json(q["input"]), _factors_from_json(q["output"]))
-        for q in d["parties"]
-    )
-    w = operator_from_json(d["w"])
+    parties = []
+    for q in _field(d, "parties", list, "process"):
+        name = _field(q, "name", str, "party")
+        where = f"party {name!r}"
+        parties.append(Party(
+            name,
+            _factors_from_json(_field(q, "input", (dict, list), where), f"{where} input"),
+            _factors_from_json(_field(q, "output", (dict, list), where), f"{where} output"),
+        ))
+    w = operator_from_json(_field(d, "w", dict, "process"))
     if not isinstance(w, HermitianOperator):
         w = HermitianOperator(w.space, w.mat)  # raises with the deviation
-    return ProcessMatrix(parties, w)
+    return ProcessMatrix(tuple(parties), w)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +147,17 @@ def instrument_from_json(d: dict, parties) -> Instrument:
     JSON stores only the party's name, not its spaces)."""
     if not isinstance(parties, dict):
         parties = {p.name: p for p in parties}
-    party = parties[d["party"]]
-    settings, outcomes = int(d["settings"]), int(d["outcomes"])
+    party = parties[_field(d, "party", str, "instrument")]
+    settings = _field(d, "settings", int, "instrument")
+    outcomes = _field(d, "outcomes", int, "instrument")
+    if settings < 1 or outcomes < 1:
+        raise ValueError("instrument settings and outcomes must be positive")
+    chois = _field(d, "chois", dict, "instrument")
     rows = []
     for x in range(settings):
         row = []
         for a in range(outcomes):
-            op = operator_from_json(d["chois"][f"{x},{a}"])
+            op = operator_from_json(_field(chois, f"{x},{a}", dict, "instrument chois"))
             row.append(HermitianOperator(op.space, op.mat))
         rows.append(tuple(row))
     return Instrument(party, settings, outcomes, tuple(rows))

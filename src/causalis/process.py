@@ -5,11 +5,17 @@ A process matrix W is a Hermitian operator over all parties' input and
 output factors. It is valid when it is positive semidefinite and yields
 unit total probability for every choice of local CPTP instruments, which
 is certified here against a finite spanning set of channel Chois.
+
+Validity and the Born rule evaluate the same multilinear functional,
+T[k_1, ..., k_n] = sum_ij W_ij (X_1[k_1] (x) ... (x) X_n[k_n])_ij, on
+per-party stacks X_k: spanning-set elements here, instrument Chois in
+`instruments.born`. `_contract` evaluates it as a single einsum whose
+subscripts follow the factor labels, so no tensor product is ever formed.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,6 +130,12 @@ class ProcessMatrix:
     w: HermitianOperator
     validity: str = "unchecked"
     reason: str | None = None
+    # (eigenvalues of w, normalization table) from _validity_sweep, kept so
+    # that validity_report after validate_process does not sweep again;
+    # replace() leaves it unset, so it never outlives the w it describes
+    _sweep: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "parties", tuple(self.parties))
@@ -189,30 +201,93 @@ def _spanning_set(party: Party) -> list[HermitianOperator]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _spanning_stack(party: Party) -> np.ndarray:
+    """The party's spanning set as one (n, d, d) array, conjugated so that
+    sum_ij w_ij X[k]_ij = Tr[w C_k] for the Hermitian elements C_k."""
+    x = np.stack([c.mat.conj() for c in _spanning_set(party)])
+    x.setflags(write=False)
+    return x
+
+
+# np.einsum names axes by the letters a-z, A-Z, integer subscripts included
+_EINSUM_SUBSCRIPTS = 52
+
+
+def _contract(w: Operator, parties: Sequence[Party], stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """T[k_1, ..., k_n] = sum_ij w_ij (X_1[k_1] (x) ... (x) X_n[k_n])_ij.
+
+    stacks[k] has shape batch_k + (d_k, d_k) over parties[k].space, in that
+    party's own label order; the result has shape batch_1 + ... + batch_n.
+    One einsum does the whole sum. Each factor of w gets a row and a column
+    subscript by label, so parties whose factors interleave in w's canonical
+    order need no permutation. Axes of length 1 (trivial factors, single
+    settings) get no subscript. Every subscript then names an axis of length
+    >= 2 on w or on the result, so past einsum's 52 one of the two would
+    hold at least 2**27 entries; that case raises instead of contracting.
+    """
+    labels = [f.label for f in w.space.factors if f.dim > 1]
+    dims = [f.dim for f in w.space.factors if f.dim > 1]
+    row = {lab: 2 * k for k, lab in enumerate(labels)}  # column subscript: row + 1
+    operands = [
+        w.mat.reshape(dims + dims),
+        [row[lab] for lab in labels] + [row[lab] + 1 for lab in labels],
+    ]
+    n_sub = 2 * len(labels)
+    out, shape = [], []
+    for party, x in zip(parties, stacks):
+        batch = [n for n in x.shape[:-2] if n > 1]
+        shape.extend(x.shape[:-2])
+        axes = list(range(n_sub, n_sub + len(batch)))
+        n_sub += len(batch)
+        out.extend(axes)
+        facs = [f for f in party.space.factors if f.dim > 1]
+        operands.append(x.reshape(batch + [f.dim for f in facs] * 2))
+        operands.append(axes + [row[f.label] for f in facs] + [row[f.label] + 1 for f in facs])
+    if n_sub > _EINSUM_SUBSCRIPTS:
+        raise ValueError(
+            f"contraction needs {n_sub} einsum subscripts (one per nontrivial "
+            f"factor index and stack axis); np.einsum allows at most {_EINSUM_SUBSCRIPTS}"
+        )
+    return np.einsum(*operands, out, optimize="greedy").reshape(shape)
+
+
+def _validity_sweep(p: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of w and the table Tr[w C] over every tuple C of the
+    parties' spanning-set elements, computed once per ProcessMatrix."""
+    if p._sweep is None:
+        evals = np.linalg.eigvalsh(p.w.mat)
+        table = _contract(p.w, p.parties, [_spanning_stack(q) for q in p.parties]).real
+        object.__setattr__(p, "_sweep", (evals, table))
+    return p._sweep
+
+
 def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float = LIN_TOL) -> ProcessMatrix:
     """Fill in the validity verdict of a process matrix.
 
     Valid means PSD (eigenvalues >= -psd_tol) and Tr[w C] = 1 within lin_tol
     for every tensor combination C of the parties' spanning-set elements.
-    The first violated condition is recorded with its residual.
+    The first violated condition is recorded with its residual; for
+    normalization, the first violating tuple of element indices in
+    row-major order, i.e. itertools.product order over the parties.
     """
-    evals = np.linalg.eigvalsh(p.w.mat)
+    evals, table = _validity_sweep(p)
+    residual = np.abs(table - 1.0)
+    bad = residual > lin_tol
     if evals[0] < -psd_tol:
-        return replace(
-            p, validity="invalid", reason=f"positivity: min eigenvalue {evals[0]:.6e}"
+        validity, reason = "invalid", f"positivity: min eigenvalue {evals[0]:.6e}"
+    elif bad.any():
+        idx = np.unravel_index(np.argmax(bad), bad.shape)
+        validity = "invalid"
+        reason = (
+            f"normalization: Tr[w C] = {table[idx]:.12g} on CPTP spanning tuple "
+            f"{tuple(int(i) for i in idx)} (residual {residual[idx]:.6e})"
         )
-    spans = [_spanning_set(party) for party in p.parties]
-    for combo in itertools.product(*spans):
-        c = tensor(*combo)
-        val = np.einsum("ij,ji->", p.w.mat, c.mat).real
-        if abs(val - 1.0) > lin_tol:
-            return replace(
-                p,
-                validity="invalid",
-                reason=f"normalization: Tr[w C] = {val:.12g} on a CPTP spanning tuple "
-                f"(residual {abs(val - 1.0):.6e})",
-            )
-    return replace(p, validity="valid", reason=None)
+    else:
+        validity, reason = "valid", None
+    out = replace(p, validity=validity, reason=reason)
+    object.__setattr__(out, "_sweep", p._sweep)
+    return out
 
 
 def validity_report(p: ProcessMatrix) -> dict:
@@ -221,16 +296,10 @@ def validity_report(p: ProcessMatrix) -> dict:
     Returns the smallest eigenvalue and the worst |Tr[w C] - 1| over the
     full spanning sweep, for reporting alongside the verdict.
     """
-    evals = np.linalg.eigvalsh(p.w.mat)
-    worst = 0.0
-    spans = [_spanning_set(party) for party in p.parties]
-    for combo in itertools.product(*spans):
-        c = tensor(*combo)
-        val = np.einsum("ij,ji->", p.w.mat, c.mat).real
-        worst = max(worst, abs(val - 1.0))
+    evals, table = _validity_sweep(p)
     return {
         "min_eigenvalue": float(evals[0]),
-        "max_normalization_residual": float(worst),
+        "max_normalization_residual": float(np.abs(table - 1.0).max()),
         "trace": float(p.w.trace().real),
         "expected_trace": p.expected_trace,
     }

@@ -85,16 +85,28 @@ def _as_space(space) -> SpaceProduct:
     return SpaceProduct(space)
 
 
+def _checked_matrix(space, mat) -> tuple[SpaceProduct, np.ndarray]:
+    """A complex copy of mat, square over space and free of NaN and inf.
+
+    Non-finite entries are rejected here because NaN fails every `> tol`
+    test downstream and would pass validity and Hermiticity checks.
+    """
+    space = _as_space(space)
+    m = np.array(mat, dtype=complex)
+    if m.shape != (space.dim, space.dim):
+        raise ValueError(
+            f"matrix shape {m.shape} does not match space dim {space.dim}"
+        )
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite (NaN or inf) entries")
+    return space, m
+
+
 class Operator:
     """Dense complex matrix over a SpaceProduct. Not necessarily Hermitian."""
 
     def __init__(self, space, mat):
-        space = _as_space(space)
-        m = np.array(mat, dtype=complex)
-        if m.shape != (space.dim, space.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match space dim {space.dim}"
-            )
+        space, m = _checked_matrix(space, mat)
         m.setflags(write=False)
         self.space = space
         self.mat = m
@@ -156,12 +168,7 @@ class HermitianOperator(Operator):
     """
 
     def __init__(self, space, mat):
-        space = _as_space(space)
-        m = np.array(mat, dtype=complex)
-        if m.shape != (space.dim, space.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match space dim {space.dim}"
-            )
+        space, m = _checked_matrix(space, mat)
         dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if dev > HERM_TOL:
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
@@ -188,6 +195,8 @@ class PureVector:
         v = np.array(vec, dtype=complex).reshape(-1)
         if v.size != space.dim:
             raise ValueError(f"vector length {v.size} does not match space dim {space.dim}")
+        if not np.isfinite(v).all():
+            raise ValueError("vector has non-finite (NaN or inf) entries")
         v.setflags(write=False)
         self.space = space
         self.vec = v

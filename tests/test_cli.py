@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import causalis as cs
 from causalis import io as cio
 from causalis.cli import main
+from causalis.process import validity_report
+from conftest import mis_shaped_processes
 
 
 def run(capsys, *argv):
@@ -92,6 +95,41 @@ def test_tol_range_enforced(tmp_path, capsys):
     )
     assert code == 2 and report is None
     assert "tolerance must lie in" in err
+
+
+def test_validate_rejects_mis_shaped_or_non_finite_files(tmp_path, switch, capsys):
+    for k, (label, d, match) in enumerate(mis_shaped_processes(switch)):
+        path = tmp_path / f"bad{k}.json"
+        cio.save_json(d, str(path))
+        code, report, err = run(capsys, "validate", "--in", str(path))
+        assert code == 2 and report is None, label
+        assert err.startswith("error:") and re.search(match, err), (label, err)
+
+
+def test_validate_report_matches_library(tmp_path, qubit_parties, capsys):
+    rng = np.random.default_rng(3)
+    p = cs.random_ordered_process(list(qubit_parties), rng)
+    p = cs.ProcessMatrix(p.parties, p.w * 1.01)
+    path = tmp_path / "p.json"
+    save_process(path, p)
+    code, report, _ = run(capsys, "validate", "--in", str(path))
+    assert code == 1
+    want = cs.validate_process(p)
+    assert report["results"]["reason"] == want.reason
+    assert report["results"]["max_normalization_residual"] == pytest.approx(
+        validity_report(p)["max_normalization_residual"], abs=1e-15)
+
+
+def test_born_rejects_mis_shaped_instrument(tmp_path, ordered_setup, capsys):
+    d = cio.load_json(str(ordered_setup["A"]))
+    d["settings"] = "2"
+    bad = tmp_path / "bad_A.json"
+    cio.save_json(d, str(bad))
+    code, report, err = run(
+        capsys, "born", "--process", str(ordered_setup["process"]),
+        "--instruments", str(bad), str(ordered_setup["B"]), "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 2 and report is None and "'settings' must be an integer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalis as cs
 from causalis.instruments import circuit_oracle
+from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties, trivial_parties
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0 + 0j, -1.0])
@@ -93,6 +96,9 @@ def test_table_validation():
         cs.ProbabilityTable(("A",), (1,), (2,), np.array([[0.7, 0.7]]))
     with pytest.raises(ValueError, match="negative"):
         cs.ProbabilityTable(("A",), (1,), (2,), np.array([[1.2, -0.2]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            cs.ProbabilityTable(("A",), (1,), (2,), np.array([[bad, 0.0]]))
 
 
 def test_marginalize_drops_single_setting_party():
@@ -179,3 +185,127 @@ def test_switch_discrimination(u, v, want):
 def test_switch_discrimination_rejects_nonunitary():
     with pytest.raises(ValueError, match="unitary"):
         cs.switch_discrimination_demo(np.eye(2) * 0.5, SZ)
+
+
+# ---------------------------------------------------------------------------
+# Born contraction against the explicit tensor-product loop
+
+def reference_born(p, instruments):
+    """P[xs + os] = sum_ij w_ij (M_1 (x) ... (x) M_n)_ij with every product
+    built by tensor(), one (settings, outcomes) tuple at a time."""
+    by_name = {i.party.name: i for i in instruments}
+    ins = [by_name[party.name] for party in p.parties]
+    n_settings = tuple(i.settings for i in ins)
+    n_outcomes = tuple(i.outcomes for i in ins)
+    vals = np.empty(n_settings + n_outcomes)
+    for xs in np.ndindex(*n_settings):
+        for os_ in np.ndindex(*n_outcomes):
+            m = cs.tensor(*[i.choi(x, o) for i, x, o in zip(ins, xs, os_)])
+            vals[xs + os_] = np.einsum("ij,ij->", p.w.mat, m.mat).real
+    return vals
+
+
+def random_instruments(parties, rng, settings=2, outcomes=2):
+    return [cs.random_instrument(q, 1 if q.trivial_output else settings, outcomes, rng)
+            for q in parties]
+
+
+def born_cases():
+    rng = np.random.default_rng(11)
+    cases = {}
+    for names in ("AB", "BA", "ABC", "CAB"):
+        parties = dict(zip(sorted(names), qubit_chain(sorted(names))))
+        order = [parties[n] for n in names]
+        p = cs.random_ordered_process(order, rng, validate=True)
+        cases[f"ordered_{names}"] = p, random_instruments(order, rng)
+    switch = cs.validate_process(
+        cs.make_quantum_switch([0.6, 0.8j], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix())
+    cases["switch"] = switch, random_instruments(switch.parties, rng)
+    for order in (interleaved_parties(), interleaved_parties()[::-1]):
+        p = cs.random_ordered_process(order, rng, validate=True)
+        cases["interleaved_" + "".join(q.name for q in order)] = (
+            p, random_instruments(order, rng, settings=3, outcomes=2))
+    return cases
+
+
+BORN_CASES = born_cases()
+
+
+@pytest.mark.parametrize("label", list(BORN_CASES))
+def test_born_matches_tensor_loop(label):
+    p, ins = BORN_CASES[label]
+    assert p.validity == "valid", p.reason
+    got = cs.born(p, ins)
+    assert got.parties == tuple(q.name for q in p.parties)
+    assert np.max(np.abs(got.values - reference_born(p, ins))) < 1e-12
+
+
+def test_born_with_many_trivial_factors(rng):
+    # 30 trivial parties put 62 factors on w: more than 52 einsum subscripts
+    # if trivial factors took any
+    p = cs.validate_process(qubit_with_trivial_parties(30, rng))
+    assert p.validity == "valid", p.reason
+    a, *trivial = p.parties
+    ins = [cs.random_instrument(a, 2, 3, rng)] + [
+        cs.Instrument(q, 1, 1, ((cs.identity(q.space),),)) for q in trivial]
+    got = cs.born(p, ins)
+    assert got.values.shape == (2,) + (1,) * 30 + (3,) + (1,) * 30
+    assert np.max(np.abs(got.values - reference_born(p, ins))) < 1e-12
+
+
+def test_born_past_the_subscript_limit_raises():
+    # 27 trivial parties with 2 settings and 2 outcomes: 54 stack axes of
+    # length 2, a table of 2**54 entries
+    parties = trivial_parties(27)
+    p = cs.ProcessMatrix(parties, cs.identity(cs.parties_space(parties)))
+    half = cs.identity(parties[0].space) * 0.5
+    ins = [cs.Instrument(q, 2, 2, ((cs.HermitianOperator(q.space, half.mat),) * 2,) * 2)
+           for q in parties]
+    with pytest.raises(ValueError, match="einsum allows at most 52"):
+        cs.born(p, ins)
+
+
+# ---------------------------------------------------------------------------
+# Born properties
+
+def random_valid_process(kind, rng):
+    if kind == "switch":
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        theta = rng.uniform(0.1, 1.4)
+        return cs.validate_process(cs.make_quantum_switch(
+            psi / np.linalg.norm(psi), np.cos(theta), np.sin(theta)).to_matrix())
+    if kind == "interleaved":
+        parties = interleaved_parties()
+    else:
+        parties = qubit_chain("ABC"[: int(kind)])
+    order = [parties[i] for i in rng.permutation(len(parties))]
+    return cs.random_ordered_process(order, rng, validate=True)
+
+
+PROCESS_KINDS = st.sampled_from(["2", "3", "switch", "interleaved"])
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(kind=PROCESS_KINDS, seed=st.integers(0, 2**32 - 1),
+       settings_=st.integers(1, 3), outcomes=st.integers(1, 3))
+def test_born_tables_are_normalized(kind, seed, settings_, outcomes):
+    rng = np.random.default_rng(seed)
+    p = random_valid_process(kind, rng)
+    table = cs.born(p, random_instruments(p.parties, rng, settings_, outcomes))
+    n = len(p.parties)
+    assert table.values.min() > -1e-12
+    sums = table.values.sum(axis=tuple(range(n, 2 * n)))
+    assert np.max(np.abs(sums - 1.0)) < 1e-10
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(kind=PROCESS_KINDS, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_born_ignores_instrument_order(kind, seed, data):
+    rng = np.random.default_rng(seed)
+    p = random_valid_process(kind, rng)
+    ins = random_instruments(p.parties, rng)
+    perm = data.draw(st.permutations(range(len(ins))))
+    want = cs.born(p, ins)
+    got = cs.born(p, [ins[i] for i in perm])
+    assert got.parties == want.parties
+    assert np.array_equal(got.values, want.values)

@@ -5,6 +5,7 @@ import pytest
 
 import causalis as cs
 from causalis import io as cio
+from conftest import mis_shaped_processes
 
 
 def two_factor_space():
@@ -71,6 +72,44 @@ def test_process_requires_hermitian_w(switch):
     d["w"]["entries"][1] = [5.0, 0.0]  # break W_01 without touching W_10
     with pytest.raises(ValueError, match="not Hermitian"):
         cio.process_from_json(d)
+
+
+def test_process_schema_errors_are_value_errors(switch):
+    for label, d, match in mis_shaped_processes(switch):
+        with pytest.raises(ValueError, match=match):
+            cio.process_from_json(d)
+
+
+def test_operator_schema_errors_are_value_errors():
+    good = {"factors": [{"label": "A", "dim": 2}], "entries": [[1.0, 0.0]] * 4}
+    for bad, match in [
+        ({"factors": {"label": "A", "dim": 2}, "entries": good["entries"]}, "must be a list"),
+        ({"factors": [{"label": "A", "dim": True}], "entries": good["entries"]}, "integer"),
+        ({"factors": [{"label": 7, "dim": 2}], "entries": good["entries"]}, "string"),
+        ({"factors": good["factors"], "entries": "1,0"}, "must be a list"),
+        ({"factors": good["factors"], "entries": [[None, 0.0]] * 4}, "numbers"),
+        ({"factors": good["factors"], "entries": [[1.0, 0.0]] * 3 + [[1.0]]}, "."),
+        ({"entries": good["entries"]}, "no 'factors' field"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            cio.operator_from_json(bad)
+
+
+def test_instrument_schema_errors_are_value_errors(qubit_parties):
+    a, _ = qubit_parties
+    good = cio.instrument_to_json(cs.standard_instruments("measure_reprepare", a))
+    for edit, match in [
+        (lambda d: d.update(settings="1"), "'settings' must be an integer"),
+        (lambda d: d.update(outcomes=2.0), "'outcomes' must be an integer"),
+        (lambda d: d.update(outcomes=0), "positive"),
+        (lambda d: d.update(chois=[]), "'chois' must be an object"),
+        (lambda d: d["chois"].pop("0,1"), "no '0,1' field"),
+        (lambda d: d.update(party=["A"]), "'party' must be a string"),
+    ]:
+        d = json.loads(json.dumps(good))
+        edit(d)
+        with pytest.raises(ValueError, match=match):
+            cio.instrument_from_json(d, qubit_parties)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import itertools
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalis as cs
+from causalis import process as cp
 from causalis.process import validity_report
+from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties
 
 
 def white_noise(parties):
@@ -219,3 +227,156 @@ def test_reduce_to_state(rng):
 def test_reduce_to_state_requires_trivial_outputs(switch):
     with pytest.raises(ValueError, match="nontrivial output"):
         cs.reduce_to_state(switch)
+
+
+# ---------------------------------------------------------------------------
+# validity contraction against the explicit spanning-tuple loop
+
+def reference_sweep(p):
+    """Tr[w C] for every tuple C of spanning-set elements, in
+    itertools.product order, with every C built by tensor()."""
+    spans = [cp._spanning_set(party) for party in p.parties]
+    for combo in itertools.product(*[range(len(s)) for s in spans]):
+        c = cs.tensor(*[s[k] for s, k in zip(spans, combo)])
+        yield combo, np.einsum("ij,ji->", p.w.mat, c.mat).real
+
+
+def reference_first_violation(p, lin_tol=cp.LIN_TOL):
+    for combo, val in reference_sweep(p):
+        if abs(val - 1.0) > lin_tol:
+            return combo, val
+    return None
+
+
+def reason_tuple(reason):
+    m = re.search(r"Tr\[w C\] = (\S+) on CPTP spanning tuple \(([\d, ]*)\)", reason)
+    assert m, reason
+    return tuple(int(k) for k in m.group(2).split(",") if k.strip()), float(m.group(1))
+
+
+def off_subspace(base, rng):
+    """base.w mixed half/half with white noise (smallest eigenvalue
+    1/(2 d_in)), plus traceless Hermitian noise of spectral norm 1/(4 d_in):
+    positive and of the right trace, but off the valid subspace."""
+    d = base.w.dim
+    d_in = d // base.expected_trace
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = (g + g.conj().T) / 2
+    g -= np.trace(g) / d * np.eye(d)
+    g /= 4 * d_in * np.abs(np.linalg.eigvalsh(g)).max()
+    return (base.w.mat + np.eye(d) / d_in) / 2 + g
+
+
+def corrupted_cases():
+    rng = np.random.default_rng(21)
+    switch = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+    bases = {
+        "bipartite": cs.random_ordered_process(qubit_chain("AB")[::-1], rng),
+        "tripartite": cs.random_ordered_process(qubit_chain("ABC")[::-1], rng),
+        "switch": switch,
+        "interleaved": cs.random_ordered_process(interleaved_parties(), rng),
+    }
+    cases = {}
+    for name, base in bases.items():
+        negative = base.w.mat.copy()
+        negative[0, 0] -= 0.5
+        for kind, w in (("valid", base.w.mat), ("scaled", base.w.mat * 1.3),
+                        ("noisy", off_subspace(base, rng)), ("negative", negative)):
+            cases[f"{name}_{kind}"] = cs.ProcessMatrix(
+                base.parties, cs.HermitianOperator(base.w.space, w))
+    return cases
+
+
+CORRUPTED = corrupted_cases()
+
+
+@pytest.mark.parametrize("label", list(CORRUPTED))
+def test_validity_matches_spanning_loop(label):
+    p = CORRUPTED[label]
+    v = cs.validate_process(p)
+    rep = validity_report(p)
+    want_first = reference_first_violation(p)
+    worst = max(abs(val - 1.0) for _, val in reference_sweep(p))
+    assert abs(rep["max_normalization_residual"] - worst) < 1e-12
+    if v.reason is not None and v.reason.startswith("positivity"):
+        assert np.linalg.eigvalsh(p.w.mat)[0] < -cp.PSD_TOL
+    elif want_first is None:
+        assert v.validity == "valid", v.reason
+    else:
+        assert v.validity == "invalid"
+        combo, val = reason_tuple(v.reason)
+        assert combo == want_first[0]
+        assert abs(val - want_first[1]) < 1e-9
+
+
+def test_corrupted_cases_reach_normalization():
+    # the comparison above is only worth something if the corrupted cases
+    # fail where intended, noise at a tuple past the first
+    for label, p in CORRUPTED.items():
+        reason = cs.validate_process(p).reason or ""
+        kind = label.rsplit("_", 1)[1]
+        want = {"valid": "", "negative": "positivity"}.get(kind, "normalization")
+        assert reason.startswith(want), (label, reason)
+        if kind == "noisy":
+            assert reason_tuple(reason)[0] != (0,) * len(p.parties), label
+
+
+def test_validity_with_many_trivial_factors(rng):
+    p = qubit_with_trivial_parties(30, rng)
+    assert cs.validate_process(p).validity == "valid"
+    bad = cs.validate_process(cs.ProcessMatrix(p.parties, p.w * 1.5))
+    assert reason_tuple(bad.reason)[0] == (0,) * 31
+
+
+def test_validate_then_report_sweeps_once(qubit_parties, monkeypatch):
+    calls = []
+    original = cp._contract
+    monkeypatch.setattr(cp, "_contract", lambda *a: calls.append(1) or original(*a))
+    p = cp.validate_process(white_noise(qubit_parties))
+    rep = validity_report(p)
+    assert len(calls) == 1
+    assert rep["max_normalization_residual"] < 1e-12
+    # a replaced process sweeps its own w
+    scaled = replace(p, w=p.w * 2.0)
+    assert validity_report(scaled)["max_normalization_residual"] == pytest.approx(1.0)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# validity is a property of the process, not of the local frame
+
+def local_unitary(space, rng):
+    """U = u_1 (x) ... (x) u_m, one Haar unitary per factor."""
+    return cs.tensor(*[cs.Operator(cs.SpaceProduct(f), cs.random_unitary(f.dim, rng))
+                       for f in space.factors])
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["valid", "scaled", "noisy", "negative"]),
+       layout=st.sampled_from(["bipartite", "interleaved", "switch"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_validity_invariant_under_local_unitaries(kind, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "switch":
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        theta = rng.uniform(0.1, 1.4)
+        base = cs.make_quantum_switch(psi / np.linalg.norm(psi), np.cos(theta),
+                                      np.sin(theta)).to_matrix()
+    else:
+        parties = qubit_chain("AB") if layout == "bipartite" else interleaved_parties()
+        base = cs.random_ordered_process([parties[i] for i in rng.permutation(2)], rng)
+    w = base.w.mat
+    if kind == "scaled":
+        w = w * rng.uniform(1.1, 2.0)
+    elif kind == "noisy":
+        w = off_subspace(base, rng)
+    elif kind == "negative":
+        w = w.copy()
+        w[0, 0] -= 0.5
+    p = cs.ProcessMatrix(base.parties, cs.HermitianOperator(base.w.space, w))
+    u = local_unitary(p.w.space, rng).mat
+    m = u @ w @ u.conj().T
+    framed = cs.ProcessMatrix(p.parties, cs.HermitianOperator(p.w.space, (m + m.conj().T) / 2))
+    v, vf = cs.validate_process(p), cs.validate_process(framed)
+    assert vf.validity == v.validity == ("valid" if kind == "valid" else "invalid")
+    assert (vf.reason or "").split(":")[0] == (v.reason or "").split(":")[0]

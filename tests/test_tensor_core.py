@@ -77,6 +77,18 @@ def test_hermitian_rejects_nonhermitian():
         HermitianOperator(LabeledSpace("Q", 2), m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_constructors_reject_non_finite(bad):
+    q = LabeledSpace("Q", 2)
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = bad
+    for cls in (Operator, HermitianOperator):
+        with pytest.raises(ValueError, match="non-finite"):
+            cls(q, m)
+    with pytest.raises(ValueError, match="non-finite"):
+        PureVector(q, [bad, 0.0])
+
+
 def test_arithmetic_class_promotion(rng):
     sp = SpaceProduct(LabeledSpace("Q", 2))
     h = HermitianOperator(sp, herm(sp, rng))
