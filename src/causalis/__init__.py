@@ -24,10 +24,8 @@ from .tensor_core import (
     choi_vector,
     depolarize,
     hermitian_basis,
-    hs_basis,
     identity,
     partial_trace,
-    project_psd,
     random_density,
     random_isometry,
     random_kraus,
@@ -88,7 +86,7 @@ from . import io
 __all__ = [
     "LabeledSpace", "SpaceProduct", "Operator", "HermitianOperator", "PureVector",
     "tensor", "tensor_vectors", "identity", "partial_trace", "depolarize",
-    "choi_of_kraus", "choi_vector", "project_psd", "hermitian_basis", "hs_basis",
+    "choi_of_kraus", "choi_vector", "hermitian_basis",
     "random_density", "random_isometry", "random_unitary", "random_kraus",
     "Party", "ProcessMatrix", "ProcessVector", "parties_space",
     "validate_process", "validity_report", "validate_bipartite_closed_form",

@@ -219,12 +219,29 @@ def game_to_json(g: CausalGame) -> dict:
 
 
 def game_from_json(d: dict) -> CausalGame:
-    settings = tuple(int(s) for s in d["settings"])
-    outcomes = tuple(int(o) for o in d["outcomes"])
-    win = np.zeros(settings + outcomes)
-    for idx in d["wins"]:
-        win[tuple(int(i) for i in idx)] = 1.0
-    return CausalGame(settings, outcomes, np.asarray(d["input_dist"], dtype=float), win)
+    settings = _counts(_field(d, "settings", list, "game"), "game settings")
+    outcomes = _counts(_field(d, "outcomes", list, "game"), "game outcomes")
+    if len(settings) != len(outcomes):
+        raise ValueError("game settings and outcomes must list one count per party each")
+    shape = settings + outcomes
+    dist = np.asarray(_field(d, "input_dist", list, "game"))
+    if dist.dtype.kind not in "iuf" or not np.isfinite(dist).all():
+        raise ValueError("game input_dist must hold finite numbers")
+    win = np.zeros(shape)
+    for entry in _field(d, "wins", list, "game"):
+        idx = tuple(_require(i, "game wins index", int)
+                    for i in _require(entry, "game wins entry", list))
+        if len(idx) != len(shape) or not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise ValueError(f"game wins entry {entry} is not an index into shape {shape}")
+        win[idx] = 1.0
+    return CausalGame(settings, outcomes, dist.astype(float), win)
+
+
+def _counts(node, what: str) -> tuple[int, ...]:
+    counts = tuple(_require(n, f"{what} entry", int) for n in node)
+    if not counts or min(counts) < 1:
+        raise ValueError(f"{what} must be a non-empty list of positive counts")
+    return counts
 
 
 def verdict_to_json(v: CausalityVerdict) -> dict:

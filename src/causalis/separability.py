@@ -7,19 +7,25 @@ Feasibility is decided by Dykstra's alternating projections on the pair
 (W_1, W_2); a stalled run is upgraded to a nonseparability certificate only
 when a separating witness survives a sampled battery of ordered processes.
 
-All projections run in coefficient space: operators are expanded over a
-per-factor orthonormal Hermitian basis (identity direction first), where
-every depolarize-type projector acts as a 0/1 mask and the affine projection
-has a closed form.
+All projections run in coefficient space: operators are expanded over the
+product of per-factor orthonormal Hermitian bases (identity direction
+first), where every depolarize-type projector acts as a 0/1 mask, the affine
+projection has a closed form, and an order cone's residual is the norm of
+the coefficients a mask removes. The basis change is one GEMM per group of
+adjacent factors (two for balanced spaces), and Dykstra carries the summand
+pair as one (2, ...) stack, so an iteration costs one basis change each way
+and one batched eigh.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .process import Party, ProcessMatrix, random_ordered_process, validate_process
-from .tensor_core import HermitianOperator, Operator, depolarize, hermitian_basis
+from .tensor_core import HermitianOperator, Operator, hermitian_basis
 
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
@@ -73,69 +79,157 @@ class OrderCone:
 
 
 def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
-    """Largest Frobenius violation of the cone's linear conditions."""
+    """Largest Frobenius violation of the cone's linear conditions.
+
+    A condition (S, S+o) asks D_S(W) = D_{S+o}(W). Their difference keeps
+    exactly the coefficients whose S indices are all identity while their o
+    indices are not, so its norm is the norm of those coefficients (the
+    basis is orthonormal).
+    """
+    basis = _coeff_basis(p.w.space)
+    c = basis.coeffs(p.w.mat)
     worst = 0.0
     for s, so in cone.conditions(p.parties):
-        left = depolarize(p.w, sorted(s)) if s else p.w
-        right = depolarize(p.w, sorted(so))
-        worst = max(worst, (left - right).norm())
+        worst = max(worst, float(np.linalg.norm(c[basis.violation(s, so)])))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # coefficient-space engine
 
+def _group_dims(dims) -> list[list[int]]:
+    """Adjacent runs of factor dims whose product g keeps g*g <= D; a factor
+    with d*d > D forms its own group."""
+    total = math.prod(dims)
+    groups = [[]]
+    g = 1
+    for d in dims:
+        if groups[-1] and (g * d) ** 2 > total:
+            groups.append([])
+            g = 1
+        groups[-1].append(d)
+        g *= d
+    return groups
+
+
+def _group_basis(dims) -> np.ndarray:
+    """(g^2, g^2) matrix U of the product Hermitian basis of one group:
+    row k holds the element B_k = B_{k_1} x B_{k_2} x ..., flattened
+    row-major as a g x g matrix."""
+    b = np.ones((1, 1, 1), dtype=complex)
+    for d in dims:
+        h = hermitian_basis(d)
+        k, g = b.shape[0], b.shape[1]
+        b = np.einsum("kij,lmn->klimjn", b, h).reshape(k * d * d, g * d, g * d)
+    return b.reshape(b.shape[0], -1)
+
+
 class _CoeffBasis:
-    """Real coefficients of Hermitian operators over per-factor Hermitian
-    bases; depolarize-type projectors become elementwise 0/1 masks here."""
+    """Real coefficients c_k = Tr[B_k m] of Hermitian operators over the
+    product of per-factor Hermitian bases; depolarize-type projectors become
+    elementwise 0/1 masks here.
+
+    The label-sorted factors are split into adjacent groups of dimension
+    g <= sqrt(D) (a larger factor is a group of its own), and each group
+    keeps a dense (g^2, g^2) transform, so a basis change is one GEMM per
+    group (two for balanced spaces) on any leading batch axis. A group
+    matrix holds at most max(D^2, d_max^4) entries. Coefficient arrays have
+    shape (..., d_1^2, ..., d_n^2), identity index 0 on every factor.
+    """
 
     def __init__(self, space):
-        self.space = space
         self.labels = list(space.labels)
-        self.dims = list(space.dims)
-        self.bases = [hermitian_basis(d) for d in self.dims]
         self.dim = space.dim
+        self.shape = tuple(d * d for d in space.dims)
+        groups = _group_dims(space.dims)
+        self.group_dims = [math.prod(g) for g in groups]
+        self._sizes = tuple(g * g for g in self.group_dims)
+        us = [_group_basis(g) for g in groups]
+        # coeffs applies conj(U) per group, from_coeffs applies U^T
+        self._fwd = [np.ascontiguousarray(u.conj()) for u in us]
+        self._inv = [np.ascontiguousarray(u.T) for u in us]
+
+    def _apply(self, x: np.ndarray, mats) -> np.ndarray:
+        """Multiply axis a of x (..., G_1, ..., G_n) by mats[a], one GEMM each."""
+        lead = x.shape[:x.ndim - len(self._sizes)]
+        pre = math.prod(lead)
+        post = math.prod(self._sizes)
+        for t, size in zip(mats, self._sizes):
+            post //= size
+            if post == 1:
+                x = x.reshape(-1, size) @ t.T
+            else:
+                x = np.matmul(t, x.reshape(pre, size, post))
+            pre *= size
+        return x.reshape(lead + self._sizes)
+
+    def _blocks(self, m: np.ndarray) -> np.ndarray:
+        """(..., D, D) -> (..., G_1, ..., G_n), each group's (row, col) pair
+        adjacent."""
+        n = len(self.group_dims)
+        lead = m.shape[:-2]
+        k = len(lead)
+        t = m.reshape(lead + tuple(self.group_dims) * 2)
+        order = list(range(k))
+        for a in range(n):
+            order += [k + a, k + n + a]
+        return t.transpose(order).reshape(lead + self._sizes)
+
+    def coeffs(self, m: np.ndarray) -> np.ndarray:
+        """Complex coefficients Tr[B_k m] of any (..., D, D) stack."""
+        c = self._apply(self._blocks(m), self._fwd)
+        return c.reshape(m.shape[:-2] + self.shape)
 
     def to_coeffs(self, m: np.ndarray) -> np.ndarray:
-        n = len(self.dims)
-        t = m.reshape(self.dims + self.dims)
-        for i in range(n):
-            # contract factor i's (row, col) pair: c_k = Tr[B_k m_i]
-            t = np.tensordot(self.bases[i].conj(), t, axes=([1, 2], [i, n]))
-            t = np.moveaxis(t, 0, i)
-        return t.real
+        """Real coefficients of a Hermitian (..., D, D) stack."""
+        return self.coeffs(m).real
 
     def from_coeffs(self, c: np.ndarray) -> np.ndarray:
-        n = len(self.dims)
-        t = c.astype(complex)
-        for i in reversed(range(n)):
-            t = np.tensordot(t, self.bases[i], axes=([i], [0]))
-        # appended (row, col) pairs run i = n-1 .. 0; restore row-major order
-        perm_rows = [2 * (n - 1 - i) for i in range(n)]
-        perm_cols = [2 * (n - 1 - i) + 1 for i in range(n)]
-        return t.transpose(perm_rows + perm_cols).reshape(self.dim, self.dim)
+        n = len(self.group_dims)
+        lead = c.shape[:c.ndim - len(self.shape)]
+        k = len(lead)
+        t = self._apply(c.reshape(lead + self._sizes), self._inv)
+        t = t.reshape(lead + tuple(d for g in self.group_dims for d in (g, g)))
+        order = list(range(k)) + [k + 2 * a for a in range(n)] + [k + 2 * a + 1 for a in range(n)]
+        return t.transpose(order).reshape(lead + (self.dim, self.dim))
+
+    def _identity_on(self, labels) -> np.ndarray:
+        """Boolean array, broadcastable to the coefficient shape: true where
+        every named factor carries the identity index."""
+        out = np.ones((1,) * len(self.shape), dtype=bool)
+        for lab in labels:
+            i = self.labels.index(lab)
+            axis = [1] * len(self.shape)
+            axis[i] = self.shape[i]
+            out = out & (np.arange(self.shape[i]) == 0).reshape(axis)
+        return out
+
+    def violation(self, s, so) -> np.ndarray:
+        """Coefficients that D_S - D_{S+o} keeps: the S indices are all
+        identity while the o indices are not all identity."""
+        hit = self._identity_on(s) & ~self._identity_on(so - s)
+        return np.broadcast_to(hit, self.shape)
 
     def mask_for_conditions(self, conds) -> np.ndarray:
-        """Product of (Id - (D_S - D_{S+o})): zero a coefficient iff its S
-        indices are all identity while its o indices are not all identity."""
-        shape = [d * d for d in self.dims]
-        mask = np.ones(shape)
-        grids = np.meshgrid(*[np.arange(s) for s in shape], indexing="ij")
+        """Product of (Id - (D_S - D_{S+o})): zero every coefficient that
+        some condition's D_S - D_{S+o} keeps."""
+        mask = np.ones(self.shape)
         for s, so in conds:
-            s_id = np.ones(shape, dtype=bool)
-            for lab in s:
-                s_id &= grids[self.labels.index(lab)] == 0
-            o_id = np.ones(shape, dtype=bool)
-            for lab in so - s:
-                o_id &= grids[self.labels.index(lab)] == 0
-            mask[s_id & ~o_id] = 0.0
+            mask[self.violation(s, so)] = 0.0
         return mask
 
     def project_psd_coeffs(self, c: np.ndarray) -> np.ndarray:
+        """Nearest PSD operator of each item of a coefficient stack, by one
+        batched eigh."""
         m = self.from_coeffs(c)
         e, v = np.linalg.eigh(m)
         np.clip(e, 0, None, out=e)
-        return self.to_coeffs((v * e) @ v.conj().T)
+        return self.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+@functools.lru_cache(maxsize=64)
+def _coeff_basis(space) -> _CoeffBasis:
+    return _CoeffBasis(space)
 
 
 # ---------------------------------------------------------------------------
@@ -206,45 +300,38 @@ def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
 
 def _dykstra(basis: _CoeffBasis, w: np.ndarray, masks, tol, max_iters,
              stall_window, stall_rel):
-    """Alternating projections on (x1, x2) between the affine set
-    {x_i in L_i, x1 + x2 = W_par} and the PSD product cone. The reported
-    residual sqrt(gap^2 + perp^2) also charges the part of W outside the
-    union of the two subspaces, which no feasible pair can reproduce."""
-    m1, m2 = masks
-    mu = 1 - (1 - m1) * (1 - m2)
+    """Alternating projections on the pair x = (x1, x2), held as one (2, ...)
+    coefficient stack, between the affine set {x_i in L_i, x1 + x2 = W_par}
+    and the PSD product cone. The reported residual sqrt(gap^2 + perp^2)
+    also charges the part of W outside the union of the two subspaces,
+    which no feasible pair can reproduce."""
+    m = np.stack(masks)
+    m12 = masks[0] * masks[1]
     wc = basis.to_coeffs(w)
-    wpar = wc * mu
+    wpar = wc * (1 - (1 - masks[0]) * (1 - masks[1]))
     perp = float(np.linalg.norm(wc - wpar))
 
-    def proj_affine(y1, y2):
-        t1 = y1 * m1
-        t2 = y2 * m2
-        rhs = t1 + t2 - wpar
-        v12 = rhs * m1 * m2
-        return t1 - rhs * m1 + 0.5 * v12, t2 - rhs * m2 + 0.5 * v12
+    def proj_affine(y):
+        t = y * m
+        rhs = t[0] + t[1] - wpar
+        return t - rhs * m + 0.5 * (rhs * m12)
 
-    b1 = wpar / 2
-    b2 = wpar / 2
-    p1 = np.zeros_like(b1)
-    p2 = np.zeros_like(b1)
-    q1 = np.zeros_like(b1)
-    q2 = np.zeros_like(b1)
+    b = np.stack([wpar / 2, wpar / 2])
+    p = np.zeros_like(b)
+    q = np.zeros_like(b)
     hist = []
     res = np.inf
     stalled = False
     it = 0
     for it in range(1, max_iters + 1):
-        a1, a2 = proj_affine(b1 + p1, b2 + p2)
-        p1 = b1 + p1 - a1
-        p2 = b2 + p2 - a2
-        nb1 = basis.project_psd_coeffs(a1 + q1)
-        nb2 = basis.project_psd_coeffs(a2 + q2)
-        q1 = a1 + q1 - nb1
-        q2 = a2 + q2 - nb2
-        gap2 = np.linalg.norm(a1 - nb1) ** 2 + np.linalg.norm(a2 - nb2) ** 2
-        res = float(np.sqrt(gap2 + perp**2))
+        a = proj_affine(b + p)
+        p = b + p - a
+        nb = basis.project_psd_coeffs(a + q)
+        q = a + q - nb
+        gap = np.linalg.norm(a - nb)
+        res = float(np.sqrt(gap**2 + perp**2))
         hist.append(res)
-        b1, b2 = nb1, nb2
+        b = nb
         if res < tol:
             break
         if it >= stall_window and it % STALL_CHECK_EVERY == 0:
@@ -252,7 +339,7 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, masks, tol, max_iters,
             if (old - res) / max(old, 1e-300) < stall_rel:
                 stalled = True
                 break
-    return b1, b2, res, it, np.asarray(hist), perp, stalled
+    return b, res, it, np.asarray(hist), perp, stalled
 
 
 def check_separability(
@@ -283,9 +370,9 @@ def check_separability(
     if len(cones) != 2 or cones[0].order == cones[1].order:
         raise ValueError("separability is decided against exactly two distinct orders")
 
-    basis = _CoeffBasis(p.w.space)
+    basis = _coeff_basis(p.w.space)
     masks = tuple(basis.mask_for_conditions(c.conditions(p.parties)) for c in cones)
-    b1, b2, res, it, hist, perp, stalled = _dykstra(
+    b, res, it, hist, perp, stalled = _dykstra(
         basis, p.w.mat, masks, tol, max_iters, stall_window, stall_rel
     )
     trace = FeasibilityTrace(
@@ -295,9 +382,7 @@ def check_separability(
         iterations=it,
         residual=res,
         residual_history=hist,
-        components=tuple(
-            Operator(p.w.space, basis.from_coeffs(b)) for b in (b1, b2)
-        ),
+        components=tuple(Operator(p.w.space, m) for m in basis.from_coeffs(b)),
         perp=perp,
     )
     diagnostics = {
@@ -309,8 +394,8 @@ def check_separability(
     if trace.converged:
         # mask once more so each summand sits exactly in its subspace
         comps = tuple(
-            HermitianOperator(p.w.space, basis.from_coeffs(b * m))
-            for b, m in zip((b1, b2), masks)
+            HermitianOperator(p.w.space, m)
+            for m in basis.from_coeffs(b * np.stack(masks))
         )
         q = float(np.clip(comps[0].trace().real / p.w.trace().real, 0.0, 1.0))
         diagnostics["reconstruction"] = float(
@@ -391,7 +476,7 @@ def extract_witness(
     """
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
-    basis = _CoeffBasis(p.w.space)
+    basis = _coeff_basis(p.w.space)
     masks = tuple(basis.mask_for_conditions(c.conditions(p.parties))
                   for c in trace.orders)
     w = p.w.mat

@@ -8,7 +8,6 @@ pure function over immutable values; arrays are frozen after construction.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,7 +26,10 @@ class LabeledSpace:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("space label must be a non-empty string")
-        if int(self.dim) < 1:
+        # numpy integers are not int subclasses; int() alone would truncate 2.5
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise ValueError(f"space {self.label!r}: dim must be an integer, got {self.dim!r}")
+        if self.dim < 1:
             raise ValueError(f"space {self.label!r}: dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
 
@@ -369,14 +371,6 @@ def choi_vector(k: np.ndarray, in_space, out_space) -> PureVector:
     return PureVector(space, vec)
 
 
-def project_psd(op: Operator) -> HermitianOperator:
-    """Frobenius-nearest PSD matrix: eigendecompose and clip negative values."""
-    m = (op.mat + op.mat.conj().T) / 2
-    evals, evecs = np.linalg.eigh(m)
-    np.clip(evals, 0.0, None, out=evals)
-    return HermitianOperator(op.space, (evecs * evals) @ evecs.conj().T)
-
-
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal Hermitian basis of dim x dim matrices, identity first.
 
@@ -403,24 +397,6 @@ def hermitian_basis(dim: int) -> np.ndarray:
             mats.append(m / np.sqrt(2))
     out = np.array(mats)
     out.setflags(write=False)
-    return out
-
-
-def hs_basis(space) -> list[HermitianOperator]:
-    """Hilbert-Schmidt-orthogonal Hermitian product basis of the space.
-
-    Per factor, d^2 elements with the identity as the only non-traceless one;
-    the full list is every tensor combination. Intended for small spaces.
-    """
-    space = _as_space(space)
-    per_factor = [hermitian_basis(f.dim) for f in space.factors]
-    out = []
-    for combo in itertools.product(*[range(len(b)) for b in per_factor]):
-        ops = [
-            HermitianOperator(SpaceProduct(f), per_factor[i][combo[i]])
-            for i, f in enumerate(space.factors)
-        ]
-        out.append(tensor(*ops) if ops else identity(space))
     return out
 
 

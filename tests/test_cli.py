@@ -218,6 +218,15 @@ def test_ineq_requires_one_input_path(tmp_path, ordered_setup, capsys):
     assert code == 2 and "either --table or --process" in err
 
 
+def test_ineq_rejects_mis_shaped_game_file(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(cio.table_to_csv(cs.born(cs.ocb_process(), list(cs.ocb_instruments()))))
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"settings": 5}))
+    code, _, err = run(capsys, "ineq", "--game-file", str(game), "--table", str(table))
+    assert code == 2 and "'settings' must be a list" in err
+
+
 # ---------------------------------------------------------------------------
 # sep / demo
 

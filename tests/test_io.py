@@ -170,6 +170,28 @@ def test_game_round_trip():
     assert np.array_equal(back.input_dist, g.input_dist)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(settings=5), "'settings' must be a list"),
+    (lambda d: d.pop("wins"), "no 'wins' field"),
+    (lambda d: d.update(outcomes=[2, "2"]), "outcomes entry must be an integer"),
+    (lambda d: d.update(settings=[2, 0]), "positive counts"),
+    (lambda d: d.update(outcomes=[2]), "one count per party"),
+    (lambda d: d.update(input_dist=[[0.5, "x"], [0.25, 0.25]]), "finite numbers"),
+    (lambda d: d.update(input_dist=[[float("nan"), 0.5], [0.25, 0.25]]), "finite numbers"),
+    (lambda d: d["wins"].append(3), "wins entry must be a list"),
+    (lambda d: d["wins"].append([0, 0, 2, 0]), "not an index"),
+    (lambda d: d["wins"].append([0, 0, -1, 0]), "not an index"),
+    (lambda d: d["wins"].append([0, 0, 0]), "not an index"),
+])
+def test_game_schema_errors_are_value_errors(edit, match):
+    d = json.loads(json.dumps(cio.game_to_json(cs.gyni_game())))
+    edit(d)
+    with pytest.raises(ValueError, match=match):
+        cio.game_from_json(d)
+    with pytest.raises(ValueError, match="game must be an object"):
+        cio.game_from_json([d])
+
+
 def test_verdict_json_shapes():
     causal = cs.is_causal(np.full((2, 2, 2, 2), 0.25))
     d = cio.verdict_to_json(causal)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import causalis as cs
+from causalis import separability
 from causalis.separability import _CoeffBasis, _default_orders
-from conftest import unitary_channel_mixture
+from conftest import interleaved_parties, qubit_chain, unitary_channel_mixture
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +64,80 @@ def test_white_noise_sits_in_both_cones(qubit_parties):
 # ---------------------------------------------------------------------------
 # coefficient engine
 
+def labeled(dims):
+    return cs.SpaceProduct(cs.LabeledSpace(f"X{k}", d) for k, d in enumerate(dims))
+
+
+def random_hermitian(d, rng, lead=()):
+    g = rng.normal(size=lead + (d, d)) + 1j * rng.normal(size=lead + (d, d))
+    return g + g.conj().swapaxes(-1, -2)
+
+
+UNBALANCED = [[2, 3], [1, 2, 2], [3, 3, 3], [2] * 5, [5, 2]]
+
+
 def test_coeff_round_trip(qubit_parties, rng):
     space = cs.parties_space(qubit_parties)
     basis = _CoeffBasis(space)
-    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    m = g + g.conj().T
+    m = random_hermitian(16, rng)
     c = basis.to_coeffs(m)
     assert c.shape == (4, 4, 4, 4)
     assert np.max(np.abs(basis.from_coeffs(c) - m)) < 1e-12
     # the per-factor bases are orthonormal, so the map is an isometry
     assert abs(np.linalg.norm(c) - np.linalg.norm(m)) < 1e-10
+
+
+@pytest.mark.parametrize("dims", UNBALANCED, ids=lambda d: "x".join(map(str, d)))
+def test_coeff_round_trip_and_isometry_unbalanced(dims, rng):
+    space = labeled(dims)
+    basis = _CoeffBasis(space)
+    m = random_hermitian(space.dim, rng)
+    c = basis.to_coeffs(m)
+    assert c.shape == tuple(d * d for d in dims)
+    assert np.max(np.abs(basis.from_coeffs(c) - m)) < 1e-12
+    assert abs(np.linalg.norm(c) - np.linalg.norm(m)) < 1e-10
+    # every coefficient is Tr[B_k m] for the product of per-factor elements
+    for k in rng.integers(0, c.size, size=8):
+        idx = np.unravel_index(k, c.shape)
+        b = np.ones((1, 1))
+        for d, i in zip(dims, idx):
+            b = np.kron(b, cs.hermitian_basis(d)[i])
+        assert abs(c[idx] - np.einsum("ij,ji->", b, m).real) < 1e-12
+
+
+@pytest.mark.parametrize("dims", UNBALANCED + [[2] * 4, [2, 2, 2, 2, 1, 2, 2]],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_group_matrices_stay_within_bound(dims):
+    basis = _CoeffBasis(labeled(dims))
+    d_total = int(np.prod(dims))
+    bound = max(d_total**2, max(dims) ** 4)
+    assert int(np.prod(basis.group_dims)) == d_total
+    for t in basis._fwd + basis._inv:
+        assert t.size <= bound
+
+
+def test_balanced_spaces_take_two_gemms(qubit_parties):
+    # two groups means two GEMMs per basis change
+    assert len(_CoeffBasis(cs.parties_space(qubit_parties)).group_dims) == 2
+    assert len(_CoeffBasis(cs.parties_space(cs.switch_parties())).group_dims) == 2
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2, 2], [5, 2], [2] * 5],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_batched_basis_change_matches_per_item(dims, rng):
+    space = labeled(dims)
+    basis = _CoeffBasis(space)
+    ms = random_hermitian(space.dim, rng, lead=(2, 3))
+    cs_batched = basis.to_coeffs(ms)
+    assert cs_batched.shape == (2, 3) + tuple(d * d for d in dims)
+    back = basis.from_coeffs(cs_batched)
+    psd = basis.project_psd_coeffs(cs_batched)
+    for i in range(2):
+        for j in range(3):
+            c = basis.to_coeffs(ms[i, j])
+            assert np.max(np.abs(cs_batched[i, j] - c)) < 1e-13
+            assert np.max(np.abs(back[i, j] - basis.from_coeffs(c))) < 1e-13
+            assert np.max(np.abs(psd[i, j] - basis.project_psd_coeffs(c))) < 1e-12
 
 
 def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
@@ -88,6 +153,54 @@ def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
         step = cs.depolarize(direct, sorted(s)) - cs.depolarize(direct, sorted(so))
         direct = direct - step
     assert np.max(np.abs(masked - direct.mat)) < 1e-12
+
+
+def depolarize_cone_residual(p, cone):
+    """The cone residual as depolarize chains, kept as the reference."""
+    worst = 0.0
+    for s, so in cone.conditions(p.parties):
+        left = cs.depolarize(p.w, sorted(s)) if s else p.w
+        right = cs.depolarize(p.w, sorted(so))
+        worst = max(worst, (left - right).norm())
+    return worst
+
+
+def cone_cases(rng):
+    """(process, orders) pairs: random valid ordered processes on qubit,
+    interleaved 2/3-dim and switch parties, then corrupted copies."""
+    cases = []
+    for parties, orders in (
+        (qubit_chain("AB"), [("A", "B"), ("B", "A")]),
+        (interleaved_parties(), [("P", "Q"), ("Q", "P")]),
+        (qubit_chain("ABC"), [("A", "B", "C"), ("C", "A", "B")]),
+    ):
+        by_name = {q.name: q for q in parties}
+        for order in orders:
+            p = cs.random_ordered_process([by_name[n] for n in order], rng)
+            cases.append((p, orders))
+            noise = random_hermitian(p.w.dim, rng) * 0.1
+            cases.append((cs.ProcessMatrix(p.parties, p.w + cs.HermitianOperator(
+                p.w.space, noise)), orders))
+    switch = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+    cases.append((switch, [("A", "B", "F"), ("B", "A", "F")]))
+    return cases
+
+
+def test_cone_residual_matches_depolarize_reference(rng):
+    for p, orders in cone_cases(rng):
+        for order in orders:
+            cone = cs.OrderCone(order)
+            got = cs.order_cone_residual(p, cone)
+            want = depolarize_cone_residual(p, cone)
+            assert abs(got - want) < 1e-12, (order, got, want)
+
+
+def test_cone_residual_of_non_hermitian_operator(qubit_parties, rng):
+    space = cs.parties_space(qubit_parties)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    p = cs.ProcessMatrix(qubit_parties, cs.Operator(space, g))
+    cone = cs.OrderCone(("A", "B"))
+    assert abs(cs.order_cone_residual(p, cone) - depolarize_cone_residual(p, cone)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +226,30 @@ def test_certificate_invariants(traced_switch_cert):
     assert abs(cert.q - c0.trace().real / p.w.trace().real) < 1e-12
     for c, cone in zip(cert.components, cert.trace.orders):
         assert cs.order_cone_residual(cs.ProcessMatrix(p.parties, c), cone) < 1e-6
+
+
+def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
+    qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))
+    w_ab = cs.partial_trace(qs.to_matrix().w, ("F_c", "F_t", "F_O"))
+    p = cs.validate_process(cs.ProcessMatrix(qubit_parties, w_ab))
+    calls = []
+    eigh = separability.np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
+    cert = cs.check_separability(p)
+    assert cert.separable and cert.iterations == 43
+    assert len(calls) == 43
+    assert set(calls) == {(2, 16, 16)}
+
+
+def test_ocb_stalls_at_500_iterations():
+    cert = cs.check_separability(cs.ocb_process(), attempt_witness=False)
+    assert not cert.separable and cert.trace.stalled
+    assert cert.iterations == 500
 
 
 def test_residual_history_decreases(traced_switch_cert):
