@@ -34,6 +34,7 @@ from .tensor_core import (
     tensor_vectors,
 )
 from .process import (
+    OrderedBatch,
     Party,
     ProcessMatrix,
     ProcessVector,
@@ -41,6 +42,7 @@ from .process import (
     make_ordered_process,
     make_quantum_switch,
     parties_space,
+    random_ordered_batch,
     random_ordered_process,
     reduce_to_state,
     switch_parties,
@@ -92,7 +94,7 @@ __all__ = [
     "validate_process", "validity_report", "validate_bipartite_closed_form",
     "make_ordered_process", "switch_spaces", "switch_parties",
     "make_quantum_switch", "interference_decomposition", "reduce_to_state",
-    "random_ordered_process",
+    "random_ordered_process", "random_ordered_batch", "OrderedBatch",
     "Instrument", "ProbabilityTable", "standard_instruments",
     "random_instrument", "random_instrument_kraus", "born", "circuit_oracle",
     "switch_discrimination_demo",

@@ -38,6 +38,9 @@ class CausalGame:
             raise ValueError("input distribution shape must match the settings")
         if win.shape != self.settings + self.outcomes:
             raise ValueError("win table shape must match settings + outcomes")
+        # NaN fails every comparison below, so it would pass them silently
+        if not (np.isfinite(dist).all() and np.isfinite(win).all()):
+            raise ValueError("input distribution and win table must be finite")
         if dist.min() < 0 or abs(dist.sum() - 1.0) > 1e-9:
             raise ValueError("input distribution must be normalized")
         if not np.all((win == 0) | (win == 1)):

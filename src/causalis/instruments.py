@@ -236,7 +236,7 @@ def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTabl
     # P[x.., a..] = sum_ij w_ij (M_1[x_1, a_1] (x) ... (x) M_n[x_n, a_n])_ij,
     # i.e. Tr[w M^T]; the contraction returns axes (x_1, a_1, x_2, a_2, ...)
     stacks = [np.array([[c.mat for c in row] for row in i.chois]) for i in ins]
-    t = _contract(p.w, p.parties, stacks).real
+    t = _contract(p.w, [q.space for q in p.parties], stacks).real
     n = len(ins)
     vals = t.transpose([2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
     return ProbabilityTable(tuple(party.name for party in p.parties), settings, outcomes, vals)

@@ -11,10 +11,17 @@ T[k_1, ..., k_n] = sum_ij W_ij (X_1[k_1] (x) ... (x) X_n[k_n])_ij, on
 per-party stacks X_k: spanning-set elements here, instrument Chois in
 `instruments.born`. `_contract` evaluates it as a single einsum whose
 subscripts follow the factor labels, so no tensor product is ever formed.
+
+Random ordered processes are drawn in batches (`random_ordered_batch`; the
+single draw `random_ordered_process` is its n = 1 case) and kept as their
+pieces, a state stack and one Choi stack per link. `OrderedBatch.traces`
+pairs an operator with every sample through the same contraction, the
+sample axis shared by all pieces.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -26,14 +33,14 @@ from .tensor_core import (
     Operator,
     PureVector,
     SpaceProduct,
-    choi_of_kraus,
+    _choi_stack,
+    _ginibre_density,
+    _haar_isometry,
     choi_vector,
     depolarize,
     hermitian_basis,
     identity,
     partial_trace,
-    random_density,
-    random_kraus,
     tensor,
     tensor_vectors,
 )
@@ -214,13 +221,18 @@ def _spanning_stack(party: Party) -> np.ndarray:
 _EINSUM_SUBSCRIPTS = 52
 
 
-def _contract(w: Operator, parties: Sequence[Party], stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """T[k_1, ..., k_n] = sum_ij w_ij (X_1[k_1] (x) ... (x) X_n[k_n])_ij.
+def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.ndarray],
+              shared: bool = False) -> np.ndarray:
+    """T[k_1, ..., k_n] = sum_ij w_ij (X_1[k_1] (x) ... (x) X_n[k_n] (x) 1)_ij.
 
-    stacks[k] has shape batch_k + (d_k, d_k) over parties[k].space, in that
-    party's own label order; the result has shape batch_1 + ... + batch_n.
-    One einsum does the whole sum. Each factor of w gets a row and a column
-    subscript by label, so parties whose factors interleave in w's canonical
+    stacks[k] has shape batch_k + (d_k, d_k) over spaces[k], in its
+    canonical label order; factors of w that no space covers meet the
+    identity. By default the batches are independent and the result has
+    shape batch_1 + ... + batch_n; with shared=True every stack carries the
+    same batch shape, whose axes share subscripts, and that is the result's
+    shape. One einsum does the whole sum. Each factor of w gets a row and a
+    column subscript by label (the same one for an uncovered factor, which
+    traces it out), so pieces whose factors interleave in w's canonical
     order need no permutation. Axes of length 1 (trivial factors, single
     settings) get no subscript. Every subscript then names an axis of length
     >= 2 on w or on the result, so past einsum's 52 one of the two would
@@ -229,19 +241,28 @@ def _contract(w: Operator, parties: Sequence[Party], stacks: Sequence[np.ndarray
     labels = [f.label for f in w.space.factors if f.dim > 1]
     dims = [f.dim for f in w.space.factors if f.dim > 1]
     row = {lab: 2 * k for k, lab in enumerate(labels)}  # column subscript: row + 1
+    covered = {f.label for space in spaces for f in space.factors}
     operands = [
         w.mat.reshape(dims + dims),
-        [row[lab] for lab in labels] + [row[lab] + 1 for lab in labels],
+        [row[lab] for lab in labels] + [row[lab] + (lab in covered) for lab in labels],
     ]
     n_sub = 2 * len(labels)
     out, shape = [], []
-    for party, x in zip(parties, stacks):
-        batch = [n for n in x.shape[:-2] if n > 1]
-        shape.extend(x.shape[:-2])
-        axes = list(range(n_sub, n_sub + len(batch)))
+    if shared:
+        shape = list(stacks[0].shape[:-2])
+        batch = [n for n in shape if n > 1]
+        out = list(range(n_sub, n_sub + len(batch)))
         n_sub += len(batch)
-        out.extend(axes)
-        facs = [f for f in party.space.factors if f.dim > 1]
+    for space, x in zip(spaces, stacks):
+        if shared:
+            axes = out
+        else:
+            batch = [n for n in x.shape[:-2] if n > 1]
+            shape.extend(x.shape[:-2])
+            axes = list(range(n_sub, n_sub + len(batch)))
+            n_sub += len(batch)
+            out.extend(axes)
+        facs = [f for f in space.factors if f.dim > 1]
         operands.append(x.reshape(batch + [f.dim for f in facs] * 2))
         operands.append(axes + [row[f.label] for f in facs] + [row[f.label] + 1 for f in facs])
     if n_sub > _EINSUM_SUBSCRIPTS:
@@ -257,7 +278,8 @@ def _validity_sweep(p: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
     parties' spanning-set elements, computed once per ProcessMatrix."""
     if p._sweep is None:
         evals = np.linalg.eigvalsh(p.w.mat)
-        table = _contract(p.w, p.parties, [_spanning_stack(q) for q in p.parties]).real
+        table = _contract(p.w, [q.space for q in p.parties],
+                          [_spanning_stack(q) for q in p.parties]).real
         object.__setattr__(p, "_sweep", (evals, table))
     return p._sweep
 
@@ -350,34 +372,64 @@ def make_ordered_process(
     order = list(order)
     if len(channels) != len(order) - 1:
         raise ValueError(f"expected {len(order) - 1} channels for {len(order)} parties")
-    first = order[0]
-    if initial_state.space != first.input_space:
+    if initial_state.space != order[0].input_space:
         raise ValueError("initial state must live on the first party's input space")
-    if abs(initial_state.trace().real - 1.0) > LIN_TOL:
-        raise ValueError(f"initial state trace {initial_state.trace().real:.12g} != 1")
-    if np.linalg.eigvalsh(initial_state.mat)[0] < -PSD_TOL:
-        raise ValueError("initial state is not positive semidefinite")
-    pieces: list[HermitianOperator] = [initial_state]
     for k, ch in enumerate(channels):
-        src, dst = order[k], order[k + 1]
-        want = SpaceProduct(src.outputs + dst.inputs)
+        want = _link_space(order[k], order[k + 1])
         if ch.space != want:
             raise ValueError(
                 f"channel {k} labels {ch.space.labels} do not match {want.labels}"
             )
-        if np.linalg.eigvalsh(ch.mat)[0] < -PSD_TOL:
-            raise ValueError(f"channel {k} is not completely positive")
-        marginal = partial_trace(ch, dst.input_labels)
-        dev = (marginal - identity(src.output_space)).norm()
-        if dev > LIN_TOL:
-            raise ValueError(
-                f"channel {k} is not trace-preserving: |Tr_out C - 1| = {dev:.3e}"
-            )
-        pieces.append(ch)
-    pieces.append(identity(order[-1].output_space))
-    w = tensor(*pieces)
+    _check_pieces(order, initial_state.mat[None], [ch.mat[None] for ch in channels])
+    w = tensor(initial_state, *channels, identity(order[-1].output_space))
     pm = ProcessMatrix(tuple(order), w)
     return validate_process(pm) if validate else pm
+
+
+def _link_space(src: Party, dst: Party) -> SpaceProduct:
+    """Space of the channel Choi from src's output to dst's input."""
+    return SpaceProduct(src.outputs + dst.inputs)
+
+
+def _check_pieces(order: Sequence[Party], states: np.ndarray, channels: Sequence[np.ndarray]):
+    """make_ordered_process's conditions on (n, ...) stacks of pieces: unit
+    trace and PSD states, CP channels (one stacked eigvalsh per link) and TP
+    channels (one partial-trace einsum per link). Raises on the first
+    violated condition, naming the worst sample when n > 1."""
+    n = states.shape[0]
+
+    def at(i):
+        return f" (sample {i})" if n > 1 else ""
+
+    tr = np.trace(states, axis1=-2, axis2=-1).real
+    i = int(np.argmax(np.abs(tr - 1.0)))
+    if abs(tr[i] - 1.0) > LIN_TOL:
+        raise ValueError(f"initial state trace {tr[i]:.12g} != 1{at(i)}")
+    low = np.linalg.eigvalsh(states)[:, 0]
+    i = int(np.argmin(low))
+    if low[i] < -PSD_TOL:
+        raise ValueError(f"initial state is not positive semidefinite{at(i)}")
+    for k, c in enumerate(channels):
+        src, dst = order[k], order[k + 1]
+        low = np.linalg.eigvalsh(c)[:, 0]
+        i = int(np.argmin(low))
+        if low[i] < -PSD_TOL:
+            raise ValueError(f"channel {k} is not completely positive{at(i)}")
+        # Tr_out C over dst's input factors: their row and column share a subscript
+        facs = _link_space(src, dst).factors
+        out = set(dst.input_labels)
+        rows = list(range(1, len(facs) + 1))
+        cols = [r if f.label in out else r + len(facs) for r, f in zip(rows, facs)]
+        keep = [j for j, f in enumerate(facs) if f.label not in out]
+        marginal = np.einsum(c.reshape((n,) + tuple(f.dim for f in facs) * 2), [0] + rows + cols,
+                             [0] + [rows[j] for j in keep] + [cols[j] for j in keep])
+        d = src.output_dim
+        dev = np.linalg.norm(marginal.reshape(n, d, d) - np.eye(d), axis=(1, 2))
+        i = int(np.argmax(dev))
+        if dev[i] > LIN_TOL:
+            raise ValueError(
+                f"channel {k} is not trace-preserving: |Tr_out C - 1| = {dev[i]:.3e}{at(i)}"
+            )
 
 
 def switch_spaces(target_dim: int = 2) -> dict[str, LabeledSpace]:
@@ -486,18 +538,92 @@ def reduce_to_state(p: ProcessMatrix) -> HermitianOperator:
     return partial_trace(p.w, out_labels)
 
 
+@dataclass(frozen=True, eq=False)
+class OrderedBatch:
+    """n processes with the definite order order[0] < order[1] < ..., kept
+    as their pieces: W_k = states[k] (x) channels[0][k] (x) ... (x) 1, the
+    identity on the last party's output. No (n, D, D) stack is formed.
+
+    states has shape (n, d, d) over the first party's input space and
+    channels[j] shape (n, e, e) over the Choi space of link j (party j's
+    output (x) party j+1's input), each in canonical label order.
+    """
+
+    order: tuple[Party, ...]
+    states: np.ndarray
+    channels: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    @property
+    def spaces(self) -> list[SpaceProduct]:
+        """The pieces' spaces: the first input, then each link's Choi space."""
+        links = [_link_space(a, b) for a, b in zip(self.order, self.order[1:])]
+        return [self.order[0].input_space] + links
+
+    def process(self, k: int, validate: bool = False) -> ProcessMatrix:
+        """Sample k as a ProcessMatrix, through make_ordered_process."""
+        spaces = self.spaces
+        state = HermitianOperator(spaces[0], self.states[k])
+        links = [HermitianOperator(s, c[k]) for s, c in zip(spaces[1:], self.channels)]
+        return make_ordered_process(self.order, state, links, validate=validate)
+
+    def traces(self, op: Operator) -> np.ndarray:
+        """Tr[op W_k] for every sample k, as one einsum of op^T with the
+        pieces; the last party's output identity is a trace subscript."""
+        pieces = [self.states, *self.channels]
+        return _contract(Operator(op.space, op.mat.T), self.spaces, pieces, shared=True)
+
+
+def random_ordered_batch(
+    order: Sequence[Party],
+    rng: np.random.Generator,
+    n: int,
+    n_kraus: int = 2,
+) -> OrderedBatch:
+    """n ordered processes with Haar-random states and random CPTP links.
+
+    One rng.normal call draws all of them and consumes the generator exactly
+    as n sequential random_ordered_process calls do: per sample, the real
+    then imaginary Ginibre parts of the state, then of each link's isometry.
+    QR with its phase fix, the Kraus -> Choi map and make_ordered_process's
+    checks then run once on the whole (n, ...) stacks.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    order = tuple(order)
+    links = list(zip(order, order[1:]))
+    d0 = order[0].input_dim
+    shapes = [(d0, d0)]
+    for src, dst in links:
+        if dst.input_dim * n_kraus < src.output_dim:
+            raise ValueError("isometry needs d_to >= d_from")
+        shapes.append((dst.input_dim * n_kraus, src.output_dim))
+    sizes = [math.prod(sh) for sh in shapes]
+    x = rng.normal(size=(n, 2 * sum(sizes)))
+    g, at = [], 0
+    for sh, size in zip(shapes, sizes):
+        g.append((x[:, at:at + size] + 1j * x[:, at + size:at + 2 * size]).reshape((n,) + sh))
+        at += 2 * size
+    states = _ginibre_density(g[0])
+    channels = tuple(
+        _choi_stack(
+            _haar_isometry(gk).reshape(n, n_kraus, dst.input_dim, src.output_dim),
+            src.output_space, dst.input_space,
+        )
+        for gk, (src, dst) in zip(g[1:], links)
+    )
+    _check_pieces(order, states, channels)
+    return OrderedBatch(order, states, channels)
+
+
 def random_ordered_process(
     order: Sequence[Party],
     rng: np.random.Generator,
     n_kraus: int = 2,
     validate: bool = False,
 ) -> ProcessMatrix:
-    """Ordered process with a Haar-random state and random CPTP links."""
-    order = list(order)
-    state = HermitianOperator(order[0].input_space, random_density(order[0].input_dim, rng))
-    channels = []
-    for k in range(len(order) - 1):
-        src, dst = order[k], order[k + 1]
-        ks = random_kraus(src.output_dim, dst.input_dim, n_kraus, rng)
-        channels.append(choi_of_kraus(ks, src.output_space, dst.input_space))
-    return make_ordered_process(order, state, channels, validate=validate)
+    """Ordered process with a Haar-random state and random CPTP links: the
+    n = 1 case of random_ordered_batch."""
+    return random_ordered_batch(order, rng, 1, n_kraus).process(0, validate=validate)

@@ -15,6 +15,14 @@ the coefficients a mask removes. The basis change is one GEMM per group of
 adjacent factors (two for balanced spaces), and Dykstra carries the summand
 pair as one (2, ...) stack, so an iteration costs one basis change each way
 and one batched eigh.
+
+The witness battery draws each order's samples in one batch
+(`process.random_ordered_batch`, consuming the generator exactly as
+sequential `random_ordered_process` calls do) and scores all of them with
+one contraction of S against the samples' pieces (state and link Chois),
+so no per-sample process matrix is formed; a mixture t W_a + (1 - t) W_b
+scores t s_a + (1 - t) s_b by linearity. The battery keeps its seed, sizes
+and acceptance margin, and it remains sampled evidence, not a proof.
 """
 from __future__ import annotations
 
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, random_ordered_process, validate_process
+from .process import Party, ProcessMatrix, random_ordered_batch, validate_process
 from .tensor_core import HermitianOperator, Operator, hermitian_basis
 
 SEP_TOL = 1e-7
@@ -258,8 +266,11 @@ class SeparabilityCertificate:
     q = Tr components[0] / Tr W. When nonseparable, the verdict is "residual
     stalled above threshold"; it is certified only if ``witness`` is present,
     meaning a Hermitian S with Tr[S W] < 0 that stayed nonnegative on a
-    seeded battery of ordered processes and their mixtures. The battery is
-    sampled, not exhaustive; diagnostics carry its parameters and margins.
+    seeded battery of ordered processes and their mixtures (drawn as one
+    batch per order and scored by one contraction each; mixtures scored by
+    linearity). The battery is sampled, not exhaustive; diagnostics carry
+    its parameters (battery_per_order >= 1 samples per order and
+    battery_mixtures >= 0 mixtures, both checked) and margins.
 
     The decomposition, when it exists, identifies W with a probabilistic
     mixture of ordered processes; whether the mixture is proper (classical
@@ -284,6 +295,13 @@ def _require_valid(p: ProcessMatrix) -> ProcessMatrix:
     if p.validity != "valid":
         raise ValueError(f"process is not valid: {p.reason}")
     return p
+
+
+def _check_count(name, value, least):
+    """Battery sizes: an integer, at least `least` (a witness is verified by
+    at least one sample per order; mixtures are optional)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
@@ -363,6 +381,8 @@ def check_separability(
     the run is reported nonseparable, and a witness is extracted and battery
     tested unless attempt_witness is false.
     """
+    _check_count("battery_per_order", battery_per_order, 1)
+    _check_count("battery_mixtures", battery_mixtures, 0)
     p = _require_valid(p)
     if orders is None:
         orders = _default_orders(p.parties)
@@ -473,7 +493,16 @@ def extract_witness(
     Tr[S W] < -10 eps and the battery minimum over sampled ordered processes
     (per order, plus mixtures) stays >= -eps. Returns (witness or None,
     diagnostics); the battery is sampled evidence, not a proof.
+
+    The samples_per_order (>= 1) samples of each order are drawn as one
+    `random_ordered_batch` and scored Tr[S W_k] by one einsum over their
+    pieces; each of the n_mixtures (>= 0) mixtures draws two sample indices
+    and a weight t, in that order, and scores t s_a + (1 - t) s_b. The
+    generator is consumed as by per-sample draws, so the numbers match a
+    battery of dense matrices to rounding.
     """
+    _check_count("samples_per_order", samples_per_order, 1)
+    _check_count("n_mixtures", n_mixtures, 0)
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _coeff_basis(p.w.space)
@@ -491,27 +520,22 @@ def extract_witness(
     s = (s + s.conj().T) / 2
     s /= np.linalg.norm(s)
     overlap = float(np.einsum("ij,ij->", s.conj(), w).real)
+    witness = HermitianOperator(p.w.space, s)
 
     rng = np.random.default_rng(seed)
     by_name = {q.name: q for q in p.parties}
-    battery_min = np.inf
-    samples = []
-    for cone in trace.orders:
-        ordered_parties = [by_name[n] for n in cone.order]
-        batch = []
-        for _ in range(samples_per_order):
-            wo = random_ordered_process(ordered_parties, rng).w.mat
-            batch.append(wo)
-            battery_min = min(battery_min,
-                              float(np.einsum("ij,ij->", s.conj(), wo).real))
-        samples.append(batch)
-    for _ in range(n_mixtures):
-        wa = samples[0][rng.integers(0, samples_per_order)]
-        wb = samples[1][rng.integers(0, samples_per_order)]
+    scores = [
+        random_ordered_batch([by_name[n] for n in cone.order], rng, samples_per_order)
+        .traces(witness).real
+        for cone in trace.orders
+    ]
+    mixed = np.empty(n_mixtures)
+    for k in range(n_mixtures):
+        sa = scores[0][rng.integers(0, samples_per_order)]
+        sb = scores[1][rng.integers(0, samples_per_order)]
         t = rng.uniform()
-        wm = t * wa + (1 - t) * wb
-        battery_min = min(battery_min,
-                          float(np.einsum("ij,ij->", s.conj(), wm).real))
+        mixed[k] = t * sa + (1 - t) * sb
+    battery_min = float(min(scores[0].min(), scores[1].min(), mixed.min(initial=np.inf)))
 
     diagnostics = {
         "witness_overlap": overlap,
@@ -529,4 +553,4 @@ def extract_witness(
             f"battery min {battery_min:.3e} vs >= {-eps:.1e}"
         )
         return None, diagnostics
-    return HermitianOperator(p.w.space, s), diagnostics
+    return witness, diagnostics

@@ -346,15 +346,34 @@ def choi_of_kraus(kraus: Sequence[np.ndarray], in_space, out_space) -> Hermitian
     out_space = _as_space(out_space)
     _check_disjoint([in_space.factors, out_space.factors])
     din, dout = in_space.dim, out_space.dim
-    c = np.zeros((din * dout, din * dout), dtype=complex)
     for k in kraus:
-        k = np.asarray(k, dtype=complex)
-        if k.shape != (dout, din):
-            raise ValueError(f"Kraus shape {k.shape} does not map dim {din} -> {dout}")
-        v = np.ascontiguousarray(k.T).reshape(-1)  # v[(i,o)] = K[o,i]
-        c += np.outer(v, v.conj())
-    space, mat = _canonicalize(list(in_space.factors) + list(out_space.factors), c)
-    return HermitianOperator(space, mat)
+        if np.shape(k) != (dout, din):
+            raise ValueError(f"Kraus shape {np.shape(k)} does not map dim {din} -> {dout}")
+    ks = np.array(kraus, dtype=complex).reshape(len(kraus), dout, din)
+    return HermitianOperator(SpaceProduct(in_space.factors + out_space.factors),
+                             _choi_stack(ks, in_space, out_space))
+
+
+def _choi_stack(kraus: np.ndarray, in_space: SpaceProduct, out_space: SpaceProduct) -> np.ndarray:
+    """Chois sum_k |K_k>><<K_k| of a (..., n_kraus, d_out, d_in) Kraus stack.
+
+    One einsum, C[(i, o), (i', o')] = sum_k K_k[o, i] conj(K_k[o', i']),
+    whose output subscripts put rows and columns straight into the
+    canonical label order of in (x) out; the result is (..., D, D).
+    """
+    factors = in_space.factors + out_space.factors
+    n_in, nf = len(in_space.factors), len(factors)
+    lead = kraus.shape[:-3]
+    batch = list(range(len(lead) + 1))  # leading axes, then the Kraus index
+    rows = [len(batch) + r for r in range(nf)]
+    cols = [r + nf for r in rows]
+    t = kraus.reshape(kraus.shape[:-2] + out_space.dims + in_space.dims)
+    canon = sorted(range(nf), key=lambda i: factors[i].label)
+    c = np.einsum(t, batch + rows[n_in:] + rows[:n_in],
+                  t.conj(), batch + cols[n_in:] + cols[:n_in],
+                  batch[:-1] + [rows[i] for i in canon] + [cols[i] for i in canon])
+    d = in_space.dim * out_space.dim
+    return c.reshape(lead + (d, d))
 
 
 def choi_vector(k: np.ndarray, in_space, out_space) -> PureVector:
@@ -403,11 +422,24 @@ def hermitian_basis(dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # random ensembles (deterministic given the generator state)
 
+def _ginibre_density(g: np.ndarray) -> np.ndarray:
+    """g g^dag / Tr[g g^dag] for each matrix of a (..., d, d) stack."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _haar_isometry(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR for each matrix of a (..., d_to, d_from) stack, with the
+    phases of diag(R) moved into Q so that Ginibre g gives Haar Q."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d)).conj()[..., None, :]
+
+
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-trace PSD matrix from the Ginibre ensemble."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+    return _ginibre_density(g)
 
 
 def random_isometry(d_from: int, d_to: int, rng: np.random.Generator) -> np.ndarray:
@@ -415,9 +447,7 @@ def random_isometry(d_from: int, d_to: int, rng: np.random.Generator) -> np.ndar
     if d_to < d_from:
         raise ValueError("isometry needs d_to >= d_from")
     g = rng.normal(size=(d_to, d_from)) + 1j * rng.normal(size=(d_to, d_from))
-    q, r = np.linalg.qr(g)
-    ph = np.diag(r) / np.abs(np.diag(r))
-    return q * ph.conj()
+    return _haar_isometry(g)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -45,6 +45,31 @@ def unitary_channel_mixture(parties, rng, weight=0.5):
     return cs.ProcessMatrix((a, b), w)
 
 
+def sequential_ordered_process(order, rng, n_kraus=2):
+    """An ordered process drawn one piece at a time from the tensor_core
+    samplers, with each link's Choi summed from pure Choi vectors: the
+    reference for random_ordered_batch, which must consume the generator
+    in the same order."""
+    order = list(order)
+    state = cs.HermitianOperator(order[0].input_space,
+                                 cs.random_density(order[0].input_dim, rng))
+    links = []
+    for src, dst in zip(order, order[1:]):
+        kraus = cs.random_kraus(src.output_dim, dst.input_dim, n_kraus, rng)
+        vecs = [cs.choi_vector(k, src.output_space, dst.input_space) for k in kraus]
+        link = vecs[0].density()
+        for v in vecs[1:]:
+            link = link + v.density()
+        links.append(link)
+    return cs.make_ordered_process(order, state, links, validate=False)
+
+
+def local_unitary(space, rng):
+    """U = u_1 (x) ... (x) u_m, one Haar unitary per factor."""
+    return cs.tensor(*[cs.Operator(cs.SpaceProduct(f), cs.random_unitary(f.dim, rng))
+                       for f in space.factors])
+
+
 def mis_shaped_processes(switch):
     """(label, JSON, message) for parseable process files of the wrong shape."""
     good = cio.process_to_json(switch)

@@ -24,6 +24,26 @@ def test_game_validation():
         cs.CausalGame((2, 2), (2, 2), np.full((2, 2), 0.25), np.full((2, 2, 2, 2), 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_game_rejects_non_finite_input_dist(bad):
+    ocb = cs.ocb_game()
+    with pytest.raises(ValueError, match="finite"):
+        cs.CausalGame(ocb.settings, ocb.outcomes, np.full(ocb.settings, bad), ocb.win)
+    # one bad entry among otherwise normalized weights
+    dist = np.full(ocb.settings, 1 / 8)
+    dist[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cs.CausalGame(ocb.settings, ocb.outcomes, dist, ocb.win)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_game_rejects_non_finite_win(bad):
+    win = GYNI.win.copy()
+    win[0, 0, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cs.CausalGame(GYNI.settings, GYNI.outcomes, GYNI.input_dist, win)
+
+
 def test_from_predicate_matches_manual_table():
     want = np.zeros((2, 2, 2, 2))
     for x, y, a, b in np.ndindex(2, 2, 2, 2):

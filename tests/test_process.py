@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import causalis as cs
 from causalis import process as cp
 from causalis.process import validity_report
-from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties
+from conftest import (
+    interleaved_parties,
+    local_unitary,
+    qubit_chain,
+    qubit_with_trivial_parties,
+    sequential_ordered_process,
+)
 
 
 def white_noise(parties):
@@ -158,6 +164,89 @@ def test_mixtures_of_valid_are_valid(qubit_parties, rng):
              + cs.random_ordered_process([qubit_parties[1], qubit_parties[0]], rng).w * (1 - t))
         p = cs.validate_process(cs.ProcessMatrix(qubit_parties, w))
         assert p.validity == "valid"
+
+
+# ---------------------------------------------------------------------------
+# the batched ordered draw
+
+def qubit_qutrit_pair():
+    """P: qubit in and out; Q: qutrit in and out, so the links are 2 -> 3
+    and 3 -> 2."""
+    return [cs.Party("P", cs.LabeledSpace("P_I", 2), cs.LabeledSpace("P_O", 2)),
+            cs.Party("Q", cs.LabeledSpace("Q_I", 3), cs.LabeledSpace("Q_O", 3))]
+
+
+DRAW_ORDERS = {
+    "A<B": (qubit_chain("AB"), (0, 1)),
+    "B<A": (qubit_chain("AB"), (1, 0)),
+    "A<B<F": (cs.switch_parties(), (0, 1, 2)),
+    "B<A<F": (cs.switch_parties(), (1, 0, 2)),
+    "P<Q (2->3)": (qubit_qutrit_pair(), (0, 1)),
+    "Q<P (3->2)": (qubit_qutrit_pair(), (1, 0)),
+    "interleaved": (interleaved_parties(), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("key", list(DRAW_ORDERS))
+@pytest.mark.parametrize("n_kraus", [2, 3])
+def test_batched_draw_matches_sequential_calls(key, n_kraus):
+    parties, perm = DRAW_ORDERS[key]
+    order = [parties[i] for i in perm]
+    n = 6
+    r_batch, r_ref, r_one = (np.random.default_rng(11) for _ in range(3))
+    batch = cs.random_ordered_batch(order, r_batch, n, n_kraus)
+    assert len(batch) == n
+    for k in range(n):
+        want = sequential_ordered_process(order, r_ref, n_kraus).w.mat
+        got = batch.process(k).w.mat
+        one = cs.random_ordered_process(order, r_one, n_kraus).w.mat
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert np.max(np.abs(one - want)) < 1e-14
+    # all three leave the generator in the same state
+    assert r_batch.normal() == r_ref.normal() == r_one.normal()
+
+
+@pytest.mark.parametrize("key", list(DRAW_ORDERS))
+def test_batch_traces_match_dense(key, rng):
+    parties, perm = DRAW_ORDERS[key]
+    batch = cs.random_ordered_batch([parties[i] for i in perm], rng, 5)
+    space = cs.parties_space(batch.order)
+    g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    g /= np.linalg.norm(g)
+    dense = [batch.process(k).w.mat for k in range(5)]
+    for op in (cs.HermitianOperator(space, (g + g.conj().T) / 2), cs.Operator(space, g)):
+        got = batch.traces(op)
+        assert got.shape == (5,)
+        want = [np.trace(op.mat @ w) for w in dense]
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_batched_checks_name_the_bad_sample(qubit_parties, rng):
+    batch = cs.random_ordered_batch(qubit_parties, rng, 4)
+    states, chois = batch.states.copy(), batch.channels[0].copy()
+    states[3] *= 1.5
+    with pytest.raises(ValueError, match=r"trace 1\.5 != 1 \(sample 3\)"):
+        cp._check_pieces(batch.order, states, [chois])
+    states[3] = np.diag([1.5, -0.5])
+    with pytest.raises(ValueError, match=r"not positive semidefinite \(sample 3\)"):
+        cp._check_pieces(batch.order, states, [chois])
+    # the transpose map: trace-preserving, but its Choi is the swap
+    chois[1] = np.eye(4)[[0, 2, 1, 3]]
+    with pytest.raises(ValueError, match=r"channel 0 is not completely positive \(sample 1\)"):
+        cp._check_pieces(batch.order, batch.states, [chois])
+    chois[1] = batch.channels[0][1] * 0.5
+    with pytest.raises(ValueError, match=r"channel 0 is not trace-preserving.*\(sample 1\)"):
+        cp._check_pieces(batch.order, batch.states, [chois])
+    cp._check_pieces(batch.order, batch.states, batch.channels)
+
+
+def test_batched_draw_rejects_bad_sizes(rng):
+    wide = cs.Party("W", cs.LabeledSpace("W_I", 2), cs.LabeledSpace("W_O", 4))
+    end = cs.Party("E", cs.LabeledSpace("E_I", 1), cs.LabeledSpace("E_O", 1))
+    with pytest.raises(ValueError, match="isometry"):
+        cs.random_ordered_batch([wide, end], rng, 3)
+    with pytest.raises(ValueError, match="n must be"):
+        cs.random_ordered_batch(qubit_chain("AB"), rng, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +433,6 @@ def test_validate_then_report_sweeps_once(qubit_parties, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # validity is a property of the process, not of the local frame
-
-def local_unitary(space, rng):
-    """U = u_1 (x) ... (x) u_m, one Haar unitary per factor."""
-    return cs.tensor(*[cs.Operator(cs.SpaceProduct(f), cs.random_unitary(f.dim, rng))
-                       for f in space.factors])
-
 
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(kind=st.sampled_from(["valid", "scaled", "noisy", "negative"]),

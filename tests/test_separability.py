@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalis as cs
-from causalis import separability
+from causalis import process, separability
 from causalis.separability import _CoeffBasis, _default_orders
-from conftest import interleaved_parties, qubit_chain, unitary_channel_mixture
+from conftest import (
+    interleaved_parties,
+    local_unitary,
+    qubit_chain,
+    sequential_ordered_process,
+    unitary_channel_mixture,
+)
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +292,31 @@ def test_degenerate_switch_is_fully_ordered():
     assert abs(cert.q - 1.0) < 1e-6
 
 
+@pytest.fixture(scope="module")
+def frame_bases(traced_switch_cert):
+    """Separable processes whose verdict, q and iteration count must not
+    depend on the local frame."""
+    mixture = unitary_channel_mixture(qubit_chain("AB"), np.random.default_rng(0), weight=0.3)
+    return {"traced_switch": traced_switch_cert,
+            "unitary_mixture": (mixture, cs.check_separability(mixture))}
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["traced_switch", "unitary_mixture"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
+    # the order-cone masks only ask whether a factor carries the identity,
+    # so a frame U = u_1 (x) ... (x) u_n commutes with every projection
+    p, want = frame_bases[kind]
+    u = local_unitary(p.w.space, np.random.default_rng(seed)).mat
+    m = u @ p.w.mat @ u.conj().T
+    framed = cs.ProcessMatrix(p.parties, cs.HermitianOperator(p.w.space, (m + m.conj().T) / 2))
+    got = cs.check_separability(framed)
+    assert got.separable and want.separable
+    assert abs(got.q - want.q) < 1e-9
+    assert got.iterations == want.iterations
+
+
 # ---------------------------------------------------------------------------
 # feasibility: nonseparable case
 
@@ -319,6 +352,109 @@ def test_witness_requires_failed_run(traced_switch_cert):
     p, cert = traced_switch_cert
     with pytest.raises(ValueError, match="failed feasibility"):
         cs.extract_witness(p, cert.trace, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# witness battery
+
+def reference_battery_min(p, cert):
+    """The battery as it ran before the batched draw: one dense W per sample
+    from sequential draws, Tr[S W] per sample, and every mixture formed as a
+    matrix. Kept as the reference for the batched scores."""
+    d = cert.diagnostics
+    s = cert.witness.mat
+    n = d["samples_per_order"]
+    rng = np.random.default_rng(d["witness_seed"])
+    by_name = {q.name: q for q in p.parties}
+    battery_min = np.inf
+    samples = []
+    for cone in cert.trace.orders:
+        batch = []
+        for _ in range(n):
+            wo = sequential_ordered_process([by_name[x] for x in cone.order], rng).w.mat
+            batch.append(wo)
+            battery_min = min(battery_min, float(np.einsum("ij,ij->", s.conj(), wo).real))
+        samples.append(batch)
+    for _ in range(d["n_mixtures"]):
+        wa = samples[0][rng.integers(0, n)]
+        wb = samples[1][rng.integers(0, n)]
+        t = rng.uniform()
+        wm = t * wa + (1 - t) * wb
+        battery_min = min(battery_min, float(np.einsum("ij,ij->", s.conj(), wm).real))
+    return battery_min
+
+
+def noisy_ocb():
+    ocb = cs.ocb_process()
+    return cs.ProcessMatrix(ocb.parties, ocb.w * 0.9 + cs.identity(ocb.w.space) * (0.1 / 4))
+
+
+@pytest.mark.parametrize("make", [cs.ocb_process, noisy_ocb], ids=["ocb", "ocb_noisy"])
+def test_battery_matches_per_sample_reference(make):
+    p = make()
+    cert = cs.check_separability(p)
+    assert cert.witness_verified
+    assert cert.diagnostics["samples_per_order"] == 500
+    assert cert.diagnostics["n_mixtures"] == 500
+    assert abs(cert.diagnostics["battery_min"] - reference_battery_min(p, cert)) < 1e-12
+
+
+def test_battery_draws_no_process_per_sample(monkeypatch):
+    ocb = cs.ocb_process()
+    calls = {"random_ordered_process": 0, "make_ordered_process": 0, "kron": 0}
+    for name in ("random_ordered_process", "make_ordered_process"):
+        def counting(*args, _name=name, _original=getattr(process, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(process, name, counting)
+        monkeypatch.setattr(cs, name, counting)
+    kron, einsum, traces = np.kron, np.einsum, process.OrderedBatch.traces
+    einsums, scored = [0], []
+
+    def counting_kron(*args, **kwargs):
+        calls["kron"] += 1
+        return kron(*args, **kwargs)
+
+    def counting_einsum(*args, **kwargs):
+        einsums[0] += 1
+        return einsum(*args, **kwargs)
+
+    def counting_traces(self, op):
+        before = einsums[0]
+        out = traces(self, op)
+        scored.append((len(self), einsums[0] - before))
+        return out
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(process.OrderedBatch, "traces", counting_traces)
+    cert = cs.check_separability(ocb)
+    assert cert.witness_verified
+    # no ordered process, and no tensor product, is built per sample
+    assert calls == {"random_ordered_process": 0, "make_ordered_process": 0, "kron": 0}
+    # one scoring einsum per order, over all of its samples
+    assert scored == [(500, 1), (500, 1)]
+
+
+@pytest.mark.parametrize("per_order, mixtures", [
+    (0, 0), (-3, 0), (0, 5), (-1, 5), (10, -1), (2.5, 0), (10, 1.0), (True, 0),
+])
+def test_rejects_empty_or_negative_battery(per_order, mixtures):
+    with pytest.raises(ValueError, match="battery_(per_order|mixtures) must be an integer"):
+        cs.check_separability(cs.ocb_process(), battery_per_order=per_order,
+                              battery_mixtures=mixtures)
+
+
+def test_extract_witness_rejects_empty_battery(ocb_cert):
+    p, cert = ocb_cert
+    with pytest.raises(ValueError, match="samples_per_order must be an integer >= 1"):
+        cs.extract_witness(p, cert.trace, seed=7, samples_per_order=0)
+    with pytest.raises(ValueError, match="n_mixtures must be an integer >= 0"):
+        cs.extract_witness(p, cert.trace, seed=7, n_mixtures=-1)
+    # no mixtures is allowed: the per-order samples alone decide
+    witness, diag = cs.extract_witness(p, cert.trace, seed=7, samples_per_order=20,
+                                       n_mixtures=0)
+    assert witness is not None and 0 <= diag["battery_min"] < np.inf
 
 
 # ---------------------------------------------------------------------------
