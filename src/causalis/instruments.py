@@ -184,8 +184,11 @@ def random_instrument_kraus(
     """Kraus families of a random instrument, one list per outcome.
 
     Built from a Haar Stinespring isometry by partitioning the environment,
-    so the outcome sum is exactly trace-preserving.
+    so the outcome sum is exactly trace-preserving. The isometry needs
+    d_out * n_outcomes * kraus_per_outcome >= d_in rows, so a smaller
+    kraus_per_outcome is raised to ceil(d_in / (d_out * n_outcomes)).
     """
+    kraus_per_outcome = max(kraus_per_outcome, -(-d_in // (d_out * n_outcomes)))
     env = n_outcomes * kraus_per_outcome
     v = random_isometry(d_in, d_out * env, rng)
     families: list[list[np.ndarray]] = [[] for _ in range(n_outcomes)]

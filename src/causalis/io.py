@@ -254,6 +254,8 @@ def verdict_to_json(v: CausalityVerdict) -> dict:
 
 
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
+    """The verdict with its diagnostics block (perp, stalled, verification,
+    and the decomposition or witness fields), which holds no timings."""
     return {
         "separable": c.separable,
         "q": c.q,
@@ -261,6 +263,7 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
         "iterations": c.iterations,
         "witness": None if c.witness is None else operator_to_json(c.witness),
         "witness_verified": c.witness_verified,
+        "diagnostics": dict(c.diagnostics),
     }
 
 

@@ -4,8 +4,10 @@ A process is causally separable (for a pair of orders) when it splits as
 W = W_1 + W_2 with each summand PSD and inside its order's linear subspace
 (the depolarize conditions that forbid signalling to earlier parties).
 Feasibility is decided by Dykstra's alternating projections on the pair
-(W_1, W_2); a stalled run is upgraded to a nonseparability certificate only
-when a separating witness survives a sampled battery of ordered processes.
+(W_1, W_2). A stalled run is upgraded to a nonseparability certificate only
+when a witness S read off the run's dual variable lies in the dual cones of
+both orders, checked exactly by one eigvalsh of its two order projections,
+and Tr[S W] < 0; a seeded battery of ordered processes cross-checks it.
 
 All projections run in coefficient space: operators are expanded over the
 product of per-factor orthonormal Hermitian bases (identity direction
@@ -19,10 +21,8 @@ and one batched eigh.
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
 sequential `random_ordered_process` calls do) and scores all of them with
-one contraction of S against the samples' pieces (state and link Chois),
-so no per-sample process matrix is formed; a mixture t W_a + (1 - t) W_b
-scores t s_a + (1 - t) s_b by linearity. The battery keeps its seed, sizes
-and acceptance margin, and it remains sampled evidence, not a proof.
+one contraction of S against the samples' pieces, so no per-sample process
+matrix is formed; mixtures are scored by linearity.
 """
 from __future__ import annotations
 
@@ -245,7 +245,11 @@ def _coeff_basis(space) -> _CoeffBasis:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityTrace:
-    """Raw outcome of one Dykstra run (components unpolished)."""
+    """Raw outcome of one Dykstra run (components unpolished). ``dual`` is
+    the PSD-side correction with its sign flipped, y_i = -q_i ⪰ 0, the dual
+    variable that `extract_witness` builds its witness from, as a (2, ...)
+    stack of real coefficients over the product Hermitian basis of W's
+    space (`hermitian_basis` per label-sorted factor, identity first)."""
 
     orders: tuple[OrderCone, OrderCone]
     converged: bool
@@ -255,6 +259,7 @@ class FeasibilityTrace:
     residual_history: np.ndarray
     components: tuple[Operator, Operator]
     perp: float
+    dual: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +270,13 @@ class SeparabilityCertificate:
     normalized order-cone members are components[i] scaled by 1/q_i) and
     q = Tr components[0] / Tr W. When nonseparable, the verdict is "residual
     stalled above threshold"; it is certified only if ``witness`` is present,
-    meaning a Hermitian S with Tr[S W] < 0 that stayed nonnegative on a
-    seeded battery of ordered processes and their mixtures (drawn as one
-    batch per order and scored by one contraction each; mixtures scored by
-    linearity). The battery is sampled, not exhaustive; diagnostics carry
-    its parameters (battery_per_order >= 1 samples per order and
-    battery_mixtures >= 0 mixtures, both checked) and margins.
+    meaning a unit-norm Hermitian S with Tr[S W] < 0 whose projection onto
+    each order's subspace is PSD (diagnostics["certificate_margins"], the two
+    smallest eigenvalues, checked >= -tol), so Tr[S X] >= 0 for every
+    process X of either order and every mixture of them. A seeded battery
+    of ordered processes and their mixtures cross-checks S; diagnostics
+    carry its parameters (battery_per_order >= 1 samples per order and
+    battery_mixtures >= 0 mixtures, both checked) and minimum.
 
     The decomposition, when it exists, identifies W with a probabilistic
     mixture of ordered processes; whether the mixture is proper (classical
@@ -298,8 +304,8 @@ def _require_valid(p: ProcessMatrix) -> ProcessMatrix:
 
 
 def _check_count(name, value, least):
-    """Battery sizes: an integer, at least `least` (a witness is verified by
-    at least one sample per order; mixtures are optional)."""
+    """Counts (iterations, stall window, battery sizes): an integer, at
+    least `least`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -357,7 +363,7 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, masks, tol, max_iters,
             if (old - res) / max(old, 1e-300) < stall_rel:
                 stalled = True
                 break
-    return b, res, it, np.asarray(hist), perp, stalled
+    return b, res, it, np.asarray(hist), perp, stalled, -q
 
 
 def check_separability(
@@ -378,9 +384,14 @@ def check_separability(
     Runs Dykstra's algorithm on the summand pair. Residual below tol means
     separable: the certificate carries the PSD summands (polished back onto
     their linear subspaces) and the weight q of the first order. Otherwise
-    the run is reported nonseparable, and a witness is extracted and battery
-    tested unless attempt_witness is false.
+    the run is reported nonseparable, and a witness is extracted and
+    certified unless attempt_witness is false. max_iters and stall_window
+    must be integers >= 1 and tol finite and > 0.
     """
+    _check_count("max_iters", max_iters, 1)
+    _check_count("stall_window", stall_window, 1)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     _check_count("battery_per_order", battery_per_order, 1)
     _check_count("battery_mixtures", battery_mixtures, 0)
     p = _require_valid(p)
@@ -392,7 +403,7 @@ def check_separability(
 
     basis = _coeff_basis(p.w.space)
     masks = tuple(basis.mask_for_conditions(c.conditions(p.parties)) for c in cones)
-    b, res, it, hist, perp, stalled = _dykstra(
+    b, res, it, hist, perp, stalled, dual = _dykstra(
         basis, p.w.mat, masks, tol, max_iters, stall_window, stall_rel
     )
     trace = FeasibilityTrace(
@@ -404,12 +415,9 @@ def check_separability(
         residual_history=hist,
         components=tuple(Operator(p.w.space, m) for m in basis.from_coeffs(b)),
         perp=perp,
+        dual=dual,
     )
-    diagnostics = {
-        "perp": perp,
-        "stalled": stalled,
-        "verification": "sampled battery, not exhaustive",
-    }
+    diagnostics = {"perp": perp, "stalled": stalled}
 
     if trace.converged:
         # mask once more so each summand sits exactly in its subspace
@@ -418,6 +426,7 @@ def check_separability(
             for m in basis.from_coeffs(b * np.stack(masks))
         )
         q = float(np.clip(comps[0].trace().real / p.w.trace().real, 0.0, 1.0))
+        diagnostics["verification"] = "decomposition: reconstruction and order-cone residuals"
         diagnostics["reconstruction"] = float(
             (comps[0] + comps[1] - p.w).norm()
         )
@@ -431,6 +440,11 @@ def check_separability(
             trace=trace,
         )
 
+    diagnostics["verification"] = (
+        "witness: exact dual-cone check (eigvalsh margins on both order "
+        "subspaces), seeded battery as cross-check"
+        if attempt_witness else "none: witness search skipped"
+    )
     witness = None
     if attempt_witness:
         witness, wdiag = extract_witness(
@@ -448,33 +462,6 @@ def check_separability(
 # ---------------------------------------------------------------------------
 # witness extraction
 
-def _project_cone_psd(basis, mask, z, iters=300, tol=1e-9):
-    """Nearest point of PSD ∩ L (inner Dykstra between mask and eigenclip)."""
-    x = basis.to_coeffs(z)
-    p = np.zeros_like(x)
-    gap = np.inf
-    for _ in range(iters):
-        y = (x + p) * mask
-        p = x + p - y
-        x = basis.project_psd_coeffs(y)
-        gap = np.linalg.norm(x - y)
-        if gap < tol:
-            break
-    return basis.from_coeffs(x)
-
-
-def _nearest_separable(basis, masks, w, x1, x2, outer=60, tol=1e-8):
-    """Two-block alternating minimization of |W - x1 - x2| over K1 x K2."""
-    hist = []
-    for k in range(outer):
-        x1 = _project_cone_psd(basis, masks[0], w - x2)
-        x2 = _project_cone_psd(basis, masks[1], w - x1)
-        hist.append(float(np.linalg.norm(w - x1 - x2)))
-        if k > 3 and abs(hist[-2] - hist[-1]) < tol:
-            break
-    return x1, x2, hist
-
-
 def extract_witness(
     p: ProcessMatrix,
     trace: FeasibilityTrace,
@@ -484,43 +471,47 @@ def extract_witness(
     n_mixtures: int = 500,
     eps: float = SEP_TOL,
 ):
-    """Separating direction from a failed feasibility run, battery tested.
+    """Witness S in K_1* ∩ K_2* from a failed feasibility run, certified
+    exactly and cross-checked by a seeded battery.
 
-    Refines the Dykstra components by alternating minimization to the
-    nearest sum V of cone members, takes D = W - V, and shifts along the
-    identity so separable processes score nonnegative:
-    S ∝ -D + ((<D,V> + 0.01 |D|^2) / Tr W) 1. Accepted only if
-    Tr[S W] < -10 eps and the battery minimum over sampled ordered processes
-    (per order, plus mixtures) stays >= -eps. Returns (witness or None,
-    diagnostics); the battery is sampled evidence, not a proof.
+    K_i = PSD ∩ L_i is order i's cone and K_i* = PSD + L_i^⊥ its dual
+    (Araújo et al., NJP 17, 102001 (2015)). In coefficient space S takes
+    y_1 = trace.dual[0] on L_1, y_2 on L_2 outside L_1, and -W outside
+    L_1 + L_2, which both dual cones leave free. X in K_i has
+    Tr[S X] = Tr[P_i(S) X] >= λ_min(P_i S) Tr X (P_i the mask projection
+    onto L_i), and the identity lies in both L_i, so S is shifted by
+    min_i λ_min(P_i S) 1 and normalised. It is accepted only if
+    Tr[S W] < -10 eps and the recomputed margins λ_min(P_i S) and the
+    battery minimum are >= -eps; an all-zero S is rejected. Returns
+    (witness or None, diagnostics).
 
-    The samples_per_order (>= 1) samples of each order are drawn as one
-    `random_ordered_batch` and scored Tr[S W_k] by one einsum over their
-    pieces; each of the n_mixtures (>= 0) mixtures draws two sample indices
-    and a weight t, in that order, and scores t s_a + (1 - t) s_b. The
-    generator is consumed as by per-sample draws, so the numbers match a
-    battery of dense matrices to rounding.
+    The battery scores samples_per_order (>= 1) ordered processes per order,
+    drawn as one `random_ordered_batch`, and n_mixtures (>= 0) mixtures,
+    each drawing two sample indices and a weight t, in that order, as
+    per-sample draws of dense matrices would.
     """
     _check_count("samples_per_order", samples_per_order, 1)
     _check_count("n_mixtures", n_mixtures, 0)
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _coeff_basis(p.w.space)
-    masks = tuple(basis.mask_for_conditions(c.conditions(p.parties))
-                  for c in trace.orders)
-    w = p.w.mat
-    x1, x2, hist = _nearest_separable(
-        basis, masks, w, trace.components[0].mat, trace.components[1].mat
-    )
-    v = x1 + x2
-    d = w - v
-    c1 = np.einsum("ij,ij->", d.conj(), v).real
-    shift = (c1 + 0.01 * np.linalg.norm(d) ** 2) / p.w.trace().real
-    s = -d + shift * np.eye(w.shape[0])
-    s = (s + s.conj().T) / 2
-    s /= np.linalg.norm(s)
-    overlap = float(np.einsum("ij,ij->", s.conj(), w).real)
-    witness = HermitianOperator(p.w.space, s)
+    masks = np.stack([basis.mask_for_conditions(c.conditions(p.parties))
+                      for c in trace.orders])
+
+    def margins(c):
+        return np.linalg.eigvalsh(basis.from_coeffs(masks * c))[:, 0]
+
+    m1, m2 = masks
+    y1, y2 = trace.dual
+    wc = basis.to_coeffs(p.w.mat)
+    sc = m1 * y1 + (1 - m1) * (m2 * y2 - (1 - m2) * wc)
+    sc = sc - margins(sc).min() * basis.to_coeffs(np.eye(p.w.dim))
+    norm = np.linalg.norm(sc)
+    if norm > 0:
+        sc = sc / norm
+    margin = margins(sc)
+    overlap = float(np.sum(sc * wc))
+    witness = HermitianOperator(p.w.space, basis.from_coeffs(sc))
 
     rng = np.random.default_rng(seed)
     by_name = {q.name: q for q in p.parties}
@@ -539,17 +530,17 @@ def extract_witness(
 
     diagnostics = {
         "witness_overlap": overlap,
+        "certificate_margins": [float(m) for m in margin],
         "battery_min": battery_min,
-        "separable_distance": hist[-1],
-        "refinement_steps": len(hist),
-        "samples_per_order": samples_per_order,
-        "n_mixtures": n_mixtures,
+        "samples_per_order": int(samples_per_order),
+        "n_mixtures": int(n_mixtures),
         "witness_seed": seed,
     }
-    accepted = overlap < -10 * eps and battery_min >= -eps
+    accepted = overlap < -10 * eps and margin.min() >= -eps and battery_min >= -eps
     if not accepted:
         diagnostics["rejected"] = (
             f"overlap {overlap:.3e} vs < {-10 * eps:.1e}, "
+            f"margin {margin.min():.3e} vs >= {-eps:.1e}, "
             f"battery min {battery_min:.3e} vs >= {-eps:.1e}"
         )
         return None, diagnostics

@@ -213,7 +213,23 @@ def test_certificate_json_shapes(qubit_parties):
     assert d["separable"] is True
     assert abs(d["q"] - 0.5) < 1e-9
     assert d["witness"] is None and d["witness_verified"] is False
+    assert d["diagnostics"]["stalled"] is False
+    assert d["diagnostics"]["reconstruction"] < 1e-6
     json.dumps(d)  # everything must be plain JSON types
+
+    ocb = cs.check_separability(cs.ocb_process(), battery_per_order=20, battery_mixtures=0)
+    d = cio.certificate_to_json(ocb)
+    assert d["separable"] is False and d["witness_verified"] is True
+    diag = d["diagnostics"]
+    for key in ("perp", "stalled", "verification", "witness_overlap", "battery_min"):
+        assert key in diag
+    assert "dual-cone" in diag["verification"]
+    assert len(diag["certificate_margins"]) == 2
+    text = json.dumps(d)
+    assert json.loads(text)["diagnostics"] == diag
+    # deterministic: a second run gives the same JSON
+    again = cs.check_separability(cs.ocb_process(), battery_per_order=20, battery_mixtures=0)
+    assert json.dumps(cio.certificate_to_json(again)) == text
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,6 +356,95 @@ def test_witness_requires_failed_run(traced_switch_cert):
         cs.extract_witness(p, cert.trace, seed=0)
 
 
+def seed_state_mixtures():
+    """q W(A<B) + (1 - q) W(B<A) with random CPTP links from default_rng(1),
+    separable by construction; mixtures 1 and 2 do not converge within 500
+    iterations."""
+    a, b = qubit_chain("AB")
+    rng = np.random.default_rng(1)
+    out = []
+    for _ in range(5):
+        q = rng.uniform()
+        w_ab = cs.random_ordered_process([a, b], rng).w
+        w_ba = cs.random_ordered_process([b, a], rng).w
+        out.append(cs.ProcessMatrix((a, b), w_ab * q + w_ba * (1 - q)))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_separable_mixture_gets_no_witness(k):
+    # a run cut short is reported nonseparable, but no S in both dual cones
+    # can score a separable W negative, so the exact check must refuse
+    cert = cs.check_separability(seed_state_mixtures()[k], max_iters=500)
+    assert not cert.separable and cert.iterations == 500
+    assert cert.witness is None
+    assert cert.witness_verified is False
+    assert "rejected" in cert.diagnostics
+    assert cert.diagnostics["witness_overlap"] > 0
+
+
+def order_projection(op, cone, parties):
+    """P_i(S) as a depolarize chain, the reference for the coefficient
+    masks."""
+    for s, so in cone.conditions(parties):
+        op = op - (cs.depolarize(op, sorted(s)) - cs.depolarize(op, sorted(so)))
+    return op
+
+
+@pytest.fixture(scope="module")
+def witness_certs(ocb_cert):
+    return {"ocb": (cs.ocb_process(), cs.check_separability(cs.ocb_process())),
+            "ocb_noisy": (noisy_ocb(), cs.check_separability(noisy_ocb())),
+            "ocb_cert": ocb_cert}
+
+
+@pytest.mark.parametrize("kind", ["ocb", "ocb_noisy", "ocb_cert"])
+def test_witness_lies_in_both_dual_cones(witness_certs, kind):
+    p, cert = witness_certs[kind]
+    assert cert.witness_verified
+    s = cert.witness
+    margins = cert.diagnostics["certificate_margins"]
+    assert len(margins) == 2
+    for cone, margin in zip(cert.trace.orders, margins):
+        low = np.linalg.eigvalsh(order_projection(s, cone, p.parties).mat)[0]
+        assert low >= -1e-12
+        assert abs(low - margin) < 1e-12
+    overlap = np.einsum("ij,ji->", s.mat, p.w.mat).real
+    assert abs(overlap - cert.diagnostics["witness_overlap"]) < 1e-12
+    assert overlap < -1e-6
+
+
+def test_witness_takes_no_eigh(monkeypatch, ocb_cert):
+    p, cert = ocb_cert
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    witness, _ = cs.extract_witness(p, cert.trace, seed=7)
+    assert witness is not None
+    assert calls == []
+
+
+def test_zero_dual_gives_no_witness(qubit_parties):
+    # white noise has no part outside both subspaces, so with no dual the
+    # witness is zero up to basis-change rounding and must be rejected
+    # without a NaN
+    p = cs.ProcessMatrix(qubit_parties, cs.identity(cs.parties_space(qubit_parties)) / 4)
+    cert = cs.check_separability(p)
+    trace = dataclasses.replace(cert.trace, converged=False,
+                                dual=np.zeros_like(cert.trace.dual))
+    witness, diag = cs.extract_witness(p, trace, seed=7, samples_per_order=5,
+                                       n_mixtures=5)
+    assert witness is None and "rejected" in diag
+    assert abs(diag["witness_overlap"]) < 1e-12
+    assert np.all(np.abs(diag["certificate_margins"]) < 1e-12)
+    assert np.isfinite(diag["battery_min"])
+
+
 # ---------------------------------------------------------------------------
 # witness battery
 
@@ -443,6 +534,28 @@ def test_rejects_empty_or_negative_battery(per_order, mixtures):
     with pytest.raises(ValueError, match="battery_(per_order|mixtures) must be an integer"):
         cs.check_separability(cs.ocb_process(), battery_per_order=per_order,
                               battery_mixtures=mixtures)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"max_iters": 0}, "max_iters must be an integer >= 1"),
+    ({"max_iters": -3}, "max_iters must be an integer >= 1"),
+    ({"max_iters": 2.5}, "max_iters must be an integer >= 1"),
+    ({"max_iters": True}, "max_iters must be an integer >= 1"),
+    ({"stall_window": 0}, "stall_window must be an integer >= 1"),
+    ({"stall_window": -5}, "stall_window must be an integer >= 1"),
+    ({"tol": -1.0}, "tol must be finite and > 0"),
+    ({"tol": 0.0}, "tol must be finite and > 0"),
+    ({"tol": np.nan}, "tol must be finite and > 0"),
+    ({"tol": np.inf}, "tol must be finite and > 0"),
+])
+@pytest.mark.parametrize("kind", ["ocb", "white_noise"])
+def test_rejects_out_of_range_run_parameters(kind, kwargs, match, qubit_parties):
+    if kind == "ocb":
+        p = cs.ocb_process()
+    else:
+        p = cs.ProcessMatrix(qubit_parties, cs.identity(cs.parties_space(qubit_parties)) / 4)
+    with pytest.raises(ValueError, match=match):
+        cs.check_separability(p, **kwargs)
 
 
 def test_extract_witness_rejects_empty_battery(ocb_cert):
