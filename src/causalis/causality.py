@@ -5,6 +5,10 @@ strategies. Bounds of causal inequalities are computed exactly by complete
 enumeration of those strategies (the objective is linear, so the optimum
 sits at a vertex); membership is a simplex-constrained least-squares fit
 over the same vertices.
+
+scipy.optimize is imported inside `is_causal`, the one place that calls
+it: loading it takes longer than importing the rest of causalis, and most
+commands never need it.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .instruments import ProbabilityTable
 
@@ -140,6 +143,20 @@ def _vertices(settings: tuple[int, int], outcomes: tuple[int, int], cap: int):
     return tuple(seen.values())
 
 
+_SIMPLEX_SCALE = 1e3  # dominates the fit so sum(lambda) = 1 holds to ~1e-10
+
+
+@functools.lru_cache(maxsize=32)
+def _vertex_matrix(settings: tuple[int, int], outcomes: tuple[int, int], cap: int):
+    """Read-only (v, a): the vertices of `_vertices` as the columns of v, in
+    the same order, and a = v with the weighted simplex row appended."""
+    v = np.stack([t.reshape(-1) for _, t in _vertices(settings, outcomes, cap)], axis=1)
+    a = np.vstack([v, _SIMPLEX_SCALE * np.ones((1, v.shape[1]))])
+    v.setflags(write=False)
+    a.setflags(write=False)
+    return v, a
+
+
 def enumerate_strategies(game: CausalGame, cap: int = ENUM_CAP):
     """All deterministic one-way strategies for the game's alphabets,
     with their probability tables (duplicates collapsed)."""
@@ -183,12 +200,12 @@ def is_causal(table, tol: float = CAUSAL_TOL, cap: int = ENUM_CAP) -> CausalityV
     weights and the aggregate weight q on the A<B order (vertices shared by
     both orders count toward q).
     """
+    import scipy.optimize  # looked up per call, so a wrapped nnls is seen
+
     vals, settings, outcomes = _table_values(table)
     verts = _vertices(settings, outcomes, cap)
-    v = np.stack([t.reshape(-1) for _, t in verts], axis=1)
-    scale = 1e3  # dominates the fit so sum(lambda) = 1 holds to ~1e-10
-    a = np.vstack([v, scale * np.ones((1, v.shape[1]))])
-    b = np.concatenate([vals.reshape(-1), [scale]])
+    v, a = _vertex_matrix(settings, outcomes, cap)
+    b = np.concatenate([vals.reshape(-1), [_SIMPLEX_SCALE]])
     lam, _ = scipy.optimize.nnls(a, b, maxiter=30 * v.shape[1])
     total = lam.sum()
     if total > 0:

@@ -3,12 +3,18 @@
 Each subcommand reads JSON/CSV files, dispatches to the library, and prints
 a versioned JSON report to stdout. Exit codes: 0 verdict-positive (valid /
 separable / causal / computed), 1 verdict-negative (invalid process,
-nonseparable, violated inequality), 2 usage or input errors. Reports are
-byte-identical across identical invocations apart from wall_time_s.
+nonseparable, violated inequality), 2 usage or input errors, 3 undecided
+(`sep` hit its iteration cap without a verdict). Reports are byte-identical
+across identical invocations apart from wall_time_s.
+
+`main` parses with one argparse tree per process (`_parser`), since building
+it costs more than most subcommands; `build_parser` returns a fresh tree.
+scipy is loaded only when a subcommand reaches `is_causal` (`ineq`).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -121,7 +127,8 @@ def cmd_sep(args):
         battery_per_order=args.battery,
         battery_mixtures=args.battery,
     )
-    return (0 if cert.separable else 1), certificate_to_json(cert)
+    code = {"separable": 0, "nonseparable": 1, "undecided": 3}[cert.verdict]
+    return code, certificate_to_json(cert)
 
 
 def cmd_ineq(args):
@@ -196,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="where to write the CSV table")
     b.set_defaults(func=cmd_born)
 
-    p = sub.add_parser("sep", help="certify causal (non)separability (exit 1 if nonseparable)")
+    p = sub.add_parser("sep", help="certify causal (non)separability "
+                       "(exit 1 if nonseparable, 3 if undecided)")
     p.add_argument("--in", dest="infile", required=True, help="process JSON path")
     p.add_argument("--seed", type=int, required=True, help="witness-battery RNG seed")
     p.add_argument("--tol", type=_tol_arg, default=1e-7, help="feasibility tolerance")
@@ -222,10 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses; parse_args builds a new Namespace per call,
+    so nothing carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     t0 = time.perf_counter()

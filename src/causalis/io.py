@@ -52,7 +52,7 @@ def _field(d, key: str, kind, what: str):
 def operator_to_json(op: Operator) -> dict:
     return {
         "factors": [{"label": f.label, "dim": f.dim} for f in op.space.factors],
-        "entries": [[float(z.real), float(z.imag)] for z in op.mat.ravel()],
+        "entries": np.stack([op.mat.real.ravel(), op.mat.imag.ravel()], 1).tolist(),
     }
 
 
@@ -258,6 +258,7 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
     and the decomposition or witness fields), which holds no timings."""
     return {
         "separable": c.separable,
+        "verdict": c.verdict,
         "q": c.q,
         "residual": c.residual,
         "iterations": c.iterations,

@@ -294,6 +294,18 @@ class SeparabilityCertificate:
     diagnostics: dict
     trace: FeasibilityTrace
 
+    @property
+    def verdict(self) -> str:
+        """One of "separable" (converged), "nonseparable" (stalled above tol,
+        or a certified witness) and "undecided": the run hit max_iters
+        without converging or stalling and no witness was certified, so it
+        shows neither answer. ``separable`` is False for the last two."""
+        if self.separable:
+            return "separable"
+        if self.trace.stalled or self.witness_verified:
+            return "nonseparable"
+        return "undecided"
+
 
 def _require_valid(p: ProcessMatrix) -> ProcessMatrix:
     if p.validity == "unchecked":
@@ -384,9 +396,10 @@ def check_separability(
     Runs Dykstra's algorithm on the summand pair. Residual below tol means
     separable: the certificate carries the PSD summands (polished back onto
     their linear subspaces) and the weight q of the first order. Otherwise
-    the run is reported nonseparable, and a witness is extracted and
-    certified unless attempt_witness is false. max_iters and stall_window
-    must be integers >= 1 and tol finite and > 0.
+    a witness is extracted and certified unless attempt_witness is false,
+    and ``verdict`` tells a stall or a certified witness (nonseparable) from
+    a run cut off by max_iters (undecided). max_iters and stall_window must
+    be integers >= 1 and tol finite and > 0.
     """
     _check_count("max_iters", max_iters, 1)
     _check_count("stall_window", stall_window, 1)

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 import causalis as cs
+from causalis import causality
 
 GYNI = cs.gyni_game()
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def vertex_table(order, first, second):
@@ -187,3 +195,82 @@ def test_table_input_validation():
         cs.is_causal(np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="normalized"):
         cs.is_causal(np.full((2, 2, 2, 2), 0.3))
+
+
+# ---------------------------------------------------------------------------
+# vertex-matrix cache and the deferred scipy import
+
+def is_causal_reference(table, tol=causality.CAUSAL_TOL, cap=causality.ENUM_CAP):
+    """is_causal with the vertex matrix stacked afresh on every call."""
+    vals, settings, outcomes = causality._table_values(table)
+    verts = causality._vertices(settings, outcomes, cap)
+    v = np.stack([t.reshape(-1) for _, t in verts], axis=1)
+    a = np.vstack([v, 1e3 * np.ones((1, v.shape[1]))])
+    b = np.concatenate([vals.reshape(-1), [1e3]])
+    lam, _ = scipy.optimize.nnls(a, b, maxiter=30 * v.shape[1])
+    total = lam.sum()
+    if total > 0:
+        lam = lam / total
+    residual = float(np.linalg.norm(v @ lam - vals.reshape(-1)))
+    if residual >= tol:
+        return cs.CausalityVerdict(False, residual, None, None)
+    q = float(sum(w for (s, _), w in zip(verts, lam) if s.order == "A<B"))
+    return cs.CausalityVerdict(True, residual, q, lam)
+
+
+def switch_table(seed):
+    """A bipartite Born table of the equal switch, Fiona marginalized."""
+    p = cs.validate_process(cs.make_quantum_switch(
+        [1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix())
+    a, b, f = p.parties
+    rng = np.random.default_rng(seed)
+    ins = [cs.random_instrument(a, 2, 2, rng), cs.random_instrument(b, 2, 2, rng),
+           cs.random_instrument(f, 1, 2, rng)]
+    return cs.born(p, ins).marginalize("F")
+
+
+@pytest.mark.parametrize("make, game", [
+    (lambda: switch_table(1), cs.gyni_game),
+    (lambda: switch_table(2), cs.lgyni_game),
+    (lambda: cs.born(cs.ocb_process(), list(cs.ocb_instruments())), cs.ocb_game),
+], ids=["gyni-switch", "lgyni-switch", "ocb"])
+def test_cached_vertex_matrix_matches_per_call_stack(make, game):
+    table = make()
+    got, want = cs.is_causal(table), is_causal_reference(table)
+    assert got.causal == want.causal
+    assert got.residual == want.residual
+    assert cs.score_inequality(table, game()).violated == (not want.causal)
+    if want.causal:
+        assert np.array_equal(got.weights, want.weights)
+        assert abs(got.q_A_before_B - want.q_A_before_B) <= 1e-15
+    else:
+        assert got.weights is None and got.q_A_before_B is None
+    key = (table.settings, table.outcomes, causality.ENUM_CAP)
+    v, a = causality._vertex_matrix(*key)
+    assert not v.flags.writeable and not a.flags.writeable
+    assert causality._vertex_matrix(*key)[0] is v
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this one already loaded scipy.optimize above
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import causalis, causalis.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded on import'\n"
+        "p = causalis.make_quantum_switch([1.0, 0.0], 2 ** -0.5, 2 ** -0.5).to_matrix()\n"
+        "p = causalis.validate_process(p)\n"
+        "a, b, f = p.parties\n"
+        "rng = np.random.default_rng(3)\n"
+        "ins = [causalis.random_instrument(a, 2, 2, rng),\n"
+        "       causalis.random_instrument(b, 2, 2, rng),\n"
+        "       causalis.random_instrument(f, 1, 2, rng)]\n"
+        "table = causalis.born(p, ins).marginalize('F')\n"
+        "print(causalis.score_inequality(table, causalis.gyni_game()).violated,\n"
+        "      causalis.is_causal(table).causal)\n"
+    )
+    path = os.pathsep.join([str(SRC)] + [x for x in [os.environ.get("PYTHONPATH")] if x])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

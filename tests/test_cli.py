@@ -236,9 +236,27 @@ def test_sep_on_even_noise(tmp_path, qubit_parties, capsys):
     code, report, _ = run(capsys, "sep", "--in", str(path), "--seed", "3")
     assert code == 0
     res = report["results"]
-    assert res["separable"] is True
+    assert res["separable"] is True and res["verdict"] == "separable"
     assert abs(res["q"] - 0.5) < 1e-9
     assert res["witness"] is None
+
+
+def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
+    traced = cs.ProcessMatrix(switch.parties[:2],
+                              cs.partial_trace(switch.w, ("F_c", "F_t", "F_O")))
+    save_process(tmp_path / "traced.json", traced)
+    save_process(tmp_path / "ocb.json", cs.ocb_process())
+    code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
+                          "--seed", "3", "--max-iters", "10")
+    assert code == 3
+    res = report["results"]
+    assert res["verdict"] == "undecided" and res["separable"] is False
+    assert res["iterations"] == 10 and res["diagnostics"]["stalled"] is False
+    code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "ocb.json"),
+                          "--seed", "3", "--battery", "20")
+    assert code == 1
+    assert report["results"]["verdict"] == "nonseparable"
+    assert report["results"]["witness_verified"] is True
 
 
 def test_sep_requires_seed(tmp_path, qubit_parties, capsys):
@@ -289,3 +307,27 @@ def test_unknown_subcommand(capsys):
     code = main(["frobnicate"])
     err = capsys.readouterr().err
     assert code == 2 and "invalid choice" in err
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process: no state may carry between calls
+
+def test_reused_parser_resets_defaults(tmp_path, switch, capsys):
+    path = tmp_path / "switch.json"
+    save_process(path, switch)
+    _, rep1, _ = run(capsys, "validate", "--in", str(path), "--tol", "1e-3")
+    _, rep2, _ = run(capsys, "validate", "--in", str(path))
+    assert rep1["config"]["tol"] == 1e-3
+    assert rep2["config"] == {"infile": str(path), "psd_tol": 1e-10, "tol": 1e-9}
+
+
+def test_reused_parser_recovers_from_usage_error_and_version(capsys):
+    good = ("demo", "--u", "X", "--v", "Z")
+    _, want, _ = run(capsys, *good)
+    for bad, code in ((["demo", "--u", "X"], 2), (["--version"], 0)):
+        assert main(bad) == code
+        capsys.readouterr()
+        got_code, got, err = run(capsys, *good)
+        assert got_code == 0 and err == ""
+        del got["wall_time_s"]
+        assert got == {k: v for k, v in want.items() if k != "wall_time_s"}

@@ -25,6 +25,21 @@ def test_operator_round_trip_bit_exact(rng):
     assert type(back) is cs.Operator
 
 
+def test_operator_entries_match_per_entry_floats(switch, rng):
+    # the per-entry loop operator_to_json replaced, kept as the reference
+    def per_entry(op):
+        return [[float(z.real), float(z.imag)] for z in op.mat.ravel()]
+
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    m[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for op in (cs.Operator(two_factor_space(), m), switch.w):
+        got = cio.operator_to_json(op)["entries"]
+        want = per_entry(op)
+        assert all(type(x) is float for row in got for x in row)
+        assert np.array(got).tobytes() == np.array(want).tobytes()  # keeps -0.0
+        assert json.dumps(got) == json.dumps(want)
+
+
 def test_hermitian_operators_detected(rng):
     space = two_factor_space()
     g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -210,7 +225,7 @@ def test_certificate_json_shapes(qubit_parties):
     noise = cs.ProcessMatrix(qubit_parties, cs.identity(space) / 4)
     cert = cs.check_separability(noise)
     d = cio.certificate_to_json(cert)
-    assert d["separable"] is True
+    assert d["separable"] is True and d["verdict"] == "separable"
     assert abs(d["q"] - 0.5) < 1e-9
     assert d["witness"] is None and d["witness_verified"] is False
     assert d["diagnostics"]["stalled"] is False
@@ -220,6 +235,7 @@ def test_certificate_json_shapes(qubit_parties):
     ocb = cs.check_separability(cs.ocb_process(), battery_per_order=20, battery_mixtures=0)
     d = cio.certificate_to_json(ocb)
     assert d["separable"] is False and d["witness_verified"] is True
+    assert d["verdict"] == "nonseparable"
     diag = d["diagnostics"]
     for key in ("perp", "stalled", "verification", "witness_overlap", "battery_min"):
         assert key in diag

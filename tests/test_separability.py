@@ -338,6 +338,26 @@ def test_two_way_process_is_nonseparable(ocb_cert):
     assert cert.q is None and cert.components is None
 
 
+def test_verdict_has_three_values(traced_switch_cert, ocb_cert, qubit_parties):
+    p, cert = traced_switch_cert
+    assert cert.verdict == "separable"
+    noise = cs.ProcessMatrix(qubit_parties, cs.identity(cs.parties_space(qubit_parties)) / 4)
+    assert cs.check_separability(noise).verdict == "separable"
+    assert ocb_cert[1].verdict == "nonseparable" and ocb_cert[1].trace.stalled
+    # cut off before converging: neither verdict is shown, so not "nonseparable"
+    cut = cs.check_separability(p, max_iters=10)
+    assert cut.iterations == 10 and not (cut.trace.converged or cut.trace.stalled)
+    assert not cut.separable and not cut.witness_verified
+    assert cut.verdict == "undecided"
+
+
+def test_certified_witness_decides_a_cut_off_run():
+    cert = cs.check_separability(cs.ocb_process(), max_iters=10,
+                                 battery_per_order=20, battery_mixtures=0)
+    assert cert.iterations == 10 and not cert.trace.stalled
+    assert cert.witness_verified and cert.verdict == "nonseparable"
+
+
 def test_nonseparable_witness_verified(ocb_cert):
     p, cert = ocb_cert
     assert cert.witness_verified and cert.witness is not None
