@@ -182,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check a process JSON file (exit 1 if invalid)")
     v.add_argument("--in", dest="infile", required=True, help="process JSON path")
-    v.add_argument("--tol", type=_tol_arg, default=1e-9, help="normalization tolerance")
+    v.add_argument("--tol", type=_tol_arg, default=1e-9,
+                   help="normalization tolerance: bound on |Tr W / prod d_O - 1| and on "
+                        "each forbidden term pattern's weighted coefficient norm r_U")
     v.add_argument("--psd-tol", type=_tol_arg, default=1e-10, help="positivity tolerance")
     v.set_defaults(func=cmd_validate)
 

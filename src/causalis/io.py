@@ -187,15 +187,21 @@ def table_from_csv(text: str) -> ProbabilityTable:
     parties = tuple(h[2:] for h in header[:n])
     if [f"x_{q}" for q in parties] != header[:n] or [f"a_{q}" for q in parties] != header[n:-1]:
         raise ValueError(f"header {header} is not x_<party>.., a_<party>.., p")
-    rows = []
+    rows = {}
     for ln in lines[1:]:
         cells = ln.split(",")
-        rows.append(([int(c) for c in cells[:-1]], float(cells[-1])))
-    idxmax = np.max([idx for idx, _ in rows], axis=0)
-    shape = tuple(int(m) + 1 for m in idxmax)
+        if len(cells) != 2 * n + 1:
+            raise ValueError(f"table row {ln!r} has {len(cells)} cells; the header has {2 * n + 1}")
+        idx = tuple(int(c) for c in cells[:-1])
+        if any(i < 0 for i in idx):
+            raise ValueError(f"table row {ln!r} has a negative index")
+        if idx in rows:
+            raise ValueError(f"table row {ln!r} repeats the index of an earlier row")
+        rows[idx] = float(cells[-1])
+    shape = tuple(int(m) + 1 for m in np.max(list(rows), axis=0))
     vals = np.full(shape, np.nan)
-    for idx, pr in rows:
-        vals[tuple(idx)] = pr
+    for idx, pr in rows.items():
+        vals[idx] = pr
     if np.isnan(vals).any():
         raise ValueError("table rows do not cover the full settings/outcomes grid")
     return ProbabilityTable(parties, shape[:n], shape[n:], vals)

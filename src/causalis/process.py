@@ -3,14 +3,39 @@ the quantum switch, interference decomposition, density-matrix reduction.
 
 A process matrix W is a Hermitian operator over all parties' input and
 output factors. It is valid when it is positive semidefinite and yields
-unit total probability for every choice of local CPTP instruments, which
-is certified here against a finite spanning set of channel Chois.
+unit total probability for every choice of local CPTP instruments
+(Oreshkov, Costa & Brukner, Nat. Commun. 3, 1092 (2012)).
 
-Validity and the Born rule evaluate the same multilinear functional,
-T[k_1, ..., k_n] = sum_ij W_ij (X_1[k_1] (x) ... (x) X_n[k_n])_ij, on
-per-party stacks X_k: spanning-set elements here, instrument Chois in
-`instruments.born`. `_contract` evaluates it as a single einsum whose
-subscripts follow the factor labels, so no tensor product is ever formed.
+The linear half is one mask over W's coefficients c in the product
+Hermitian basis (`tensor_core._CoeffBasis`, identity first on every
+factor). A term's pattern U is the set of parties with a nontrivial output
+whose output index is not the identity. The term is forbidden iff U is
+nonempty and every party with a non-identity input index lies in U. W lies
+in the valid subspace (the projector L_V of Araujo et al., NJP 17, 102001
+(2015)) iff Tr W = prod_k d_Ok and every forbidden coefficient is zero.
+The check reads one residual per condition,
+
+    r_0 = |Tr W / prod_k d_Ok - 1|,    r_U = w_U ||c_U||_2,
+    w_U = prod_{k not in U} sqrt(d_Ik / d_Ok)  (over all parties),
+
+and asks each to be <= lin_tol. The weight ties them to the spanning-set
+form of the same condition: Tr[W C] = 1 for every tuple C = C_1 (x) ... (x) C_n of
+elements C_k in {1_k / d_Ok, 1_k / d_Ok + g_Ik (x) g_Ok} (g_Ik and the
+traceless g_Ok from orthonormal Hermitian bases). Expanding the product,
+
+    Tr[W C] - 1 = (Tr W / prod_k d_Ok - 1) + sum_{V subset of S, V != {}} w_V <c_V, g_V>,
+
+with S the parties holding a g term and g_V the unit-norm product of their
+g's: every tuple residual is a signed sum of weighted pattern-V
+coefficients, one direction per pattern. So |Tr[W C] - 1| <= r_0 + sum_V
+r_V for every tuple, and a single forbidden term moves r_U exactly as much
+as it moves the worst tuple residual.
+
+The Born rule evaluates the multilinear functional T[k_1, ..., k_n] =
+sum_ij W_ij (X_1[k_1] (x) ... (x) X_n[k_n])_ij on the per-party instrument
+Choi stacks X_k (`instruments.born`). `_contract` evaluates it as a single
+einsum whose subscripts follow the factor labels, so no tensor product is
+ever formed.
 
 Random ordered processes are drawn in batches (`random_ordered_batch`; the
 single draw `random_ordered_process` is its n = 1 case) and kept as their
@@ -34,11 +59,11 @@ from .tensor_core import (
     PureVector,
     SpaceProduct,
     _choi_stack,
+    _coeff_basis,
     _ginibre_density,
     _haar_isometry,
     choi_vector,
     depolarize,
-    hermitian_basis,
     identity,
     partial_trace,
     tensor,
@@ -137,7 +162,7 @@ class ProcessMatrix:
     w: HermitianOperator
     validity: str = "unchecked"
     reason: str | None = None
-    # (eigenvalues of w, normalization table) from _validity_sweep, kept so
+    # (eigenvalues of w, residuals by pattern) from _validity_sweep, kept so
     # that validity_report after validate_process does not sweep again;
     # replace() leaves it unset, so it never outlives the w it describes
     _sweep: tuple[np.ndarray, np.ndarray] | None = field(
@@ -182,40 +207,7 @@ class ProcessVector:
 
 
 # ---------------------------------------------------------------------------
-# validity
-
-def _spanning_set(party: Party) -> list[HermitianOperator]:
-    """Spanning set of the affine space {Hermitian C on I(x)O : Tr_O C = 1_I}.
-
-    Elements are 1/d_O and 1/d_O + g_I (x) g_O with g_O traceless, so unit
-    trace against every element certifies unit probability for all CPTP
-    instruments by multilinearity. A trivial output yields the single
-    element 1_I.
-    """
-    base = identity(party.space) / party.output_dim
-    out = [base]
-    if party.output_dim == 1:
-        return out
-    in_basis = hermitian_basis(party.input_dim)
-    out_basis = hermitian_basis(party.output_dim)[1:]  # traceless part
-    in_space = party.input_space
-    out_space = party.output_space
-    for g_in in in_basis:
-        a = HermitianOperator(in_space, g_in)
-        for g_out in out_basis:
-            b = HermitianOperator(out_space, g_out)
-            out.append(base + tensor(a, b))
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _spanning_stack(party: Party) -> np.ndarray:
-    """The party's spanning set as one (n, d, d) array, conjugated so that
-    sum_ij w_ij X[k]_ij = Tr[w C_k] for the Hermitian elements C_k."""
-    x = np.stack([c.mat.conj() for c in _spanning_set(party)])
-    x.setflags(write=False)
-    return x
-
+# the Born and battery contraction
 
 # np.einsum names axes by the letters a-z, A-Z, integer subscripts included
 _EINSUM_SUBSCRIPTS = 52
@@ -224,6 +216,10 @@ _EINSUM_SUBSCRIPTS = 52
 def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.ndarray],
               shared: bool = False) -> np.ndarray:
     """T[k_1, ..., k_n] = sum_ij w_ij (X_1[k_1] (x) ... (x) X_n[k_n] (x) 1)_ij.
+
+    Serves `instruments.born` (instrument Chois) and `OrderedBatch.traces`
+    (the pieces of ordered samples, for the witness battery); validity
+    reads coefficients instead.
 
     stacks[k] has shape batch_k + (d_k, d_k) over spaces[k], in its
     canonical label order; factors of w that no space covers meet the
@@ -273,38 +269,87 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
     return np.einsum(*operands, out, optimize="greedy").reshape(shape)
 
 
+# ---------------------------------------------------------------------------
+# validity
+
+@functools.lru_cache(maxsize=64)
+def _validity_patterns(parties: tuple[Party, ...]):
+    """The valid subspace of a party structure as one pattern id per
+    product-basis coefficient: (basis, ids, weights, names).
+
+    The basis is `_coeff_basis` of W's factors of dim > 1; dropping the
+    trivial ones leaves the D x D matrix as it is and keeps the coefficient
+    array to one axis per nontrivial factor. Number the parties with a
+    nontrivial output 0, 1, ... A term's pattern U is the set of those whose
+    output index is not the identity. The term is forbidden iff U is
+    nonempty and every party with a non-identity input index lies in U; its
+    id is then sum_{k in U} 2**k, and every other term's id is 0. ids is
+    that read-only array, flattened; weights[U] = prod_{k not in U}
+    sqrt(d_Ik / d_Ok) over all parties; names[U] joins U's output labels,
+    sorted, with " (x) ".
+    """
+    space = SpaceProduct(f for f in parties_space(parties).factors if f.dim > 1)
+    basis = _coeff_basis(space)
+    kept = set(space.labels)
+
+    def moved(labels):
+        return ~basis._identity_on([lab for lab in labels if lab in kept])
+
+    movers = [q for q in parties if not q.trivial_output]
+    pattern = np.zeros(basis.shape, dtype=np.intp)
+    closed = np.ones(basis.shape, dtype=bool)
+    for k, q in enumerate(movers):
+        pattern += moved(q.output_labels) * (1 << k)
+    for q in parties:
+        closed &= moved(q.output_labels) | ~moved(q.input_labels)
+    ids = np.where(closed, pattern, 0).ravel()
+    ids.setflags(write=False)
+    rates = [math.sqrt(q.input_dim / q.output_dim) for q in movers]
+    full = math.prod(math.sqrt(q.input_dim / q.output_dim) for q in parties)
+    patterns = range(1 << len(movers))
+    weights = np.array([full / math.prod(r for k, r in enumerate(rates) if u >> k & 1)
+                        for u in patterns])
+    names = tuple(" (x) ".join(sorted(lab for k, q in enumerate(movers) if u >> k & 1
+                                      for lab in q.output_labels if lab in kept))
+                  for u in patterns)
+    return basis, ids, weights, names
+
+
 def _validity_sweep(p: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of w and the table Tr[w C] over every tuple C of the
-    parties' spanning-set elements, computed once per ProcessMatrix."""
+    """Eigenvalues of w and the residuals r[U] of `_validity_patterns`,
+    computed once per ProcessMatrix: r[0] = |Tr w / prod d_O - 1| and, for
+    each forbidden pattern U, r[U] = w_U * ||c_U||_2 over its coefficients
+    c_U. One eigvalsh, one basis change and one bincount."""
     if p._sweep is None:
+        basis, ids, weights, _ = _validity_patterns(p.parties)
         evals = np.linalg.eigvalsh(p.w.mat)
-        table = _contract(p.w, [q.space for q in p.parties],
-                          [_spanning_stack(q) for q in p.parties]).real
-        object.__setattr__(p, "_sweep", (evals, table))
+        c = basis.to_coeffs(p.w.mat).ravel()
+        r = weights * np.sqrt(np.bincount(ids, weights=c * c, minlength=weights.size))
+        r[0] = abs(p.w.trace().real / p.expected_trace - 1.0)
+        object.__setattr__(p, "_sweep", (evals, r))
     return p._sweep
 
 
 def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float = LIN_TOL) -> ProcessMatrix:
     """Fill in the validity verdict of a process matrix.
 
-    Valid means PSD (eigenvalues >= -psd_tol) and Tr[w C] = 1 within lin_tol
-    for every tensor combination C of the parties' spanning-set elements.
-    The first violated condition is recorded with its residual; for
-    normalization, the first violating tuple of element indices in
-    row-major order, i.e. itertools.product order over the parties.
+    Valid means PSD (eigenvalues >= -psd_tol), then |Tr w / prod d_O - 1|
+    <= lin_tol, then r_U = w_U * ||c_U||_2 <= lin_tol for every forbidden
+    pattern U (see the module docstring). The first violated condition is
+    recorded with its residual: the smallest eigenvalue, the trace, or the
+    pattern with the largest residual, e.g. "normalization: signalling term
+    on A_O (x) B_O (residual 2.0e-09)".
     """
-    evals, table = _validity_sweep(p)
-    residual = np.abs(table - 1.0)
-    bad = residual > lin_tol
+    evals, r = _validity_sweep(p)
+    *_, names = _validity_patterns(p.parties)
+    u = 0 if r[0] > lin_tol else int(np.argmax(r))
     if evals[0] < -psd_tol:
         validity, reason = "invalid", f"positivity: min eigenvalue {evals[0]:.6e}"
-    elif bad.any():
-        idx = np.unravel_index(np.argmax(bad), bad.shape)
+    elif r[u] > lin_tol:
         validity = "invalid"
-        reason = (
-            f"normalization: Tr[w C] = {table[idx]:.12g} on CPTP spanning tuple "
-            f"{tuple(int(i) for i in idx)} (residual {residual[idx]:.6e})"
-        )
+        what = (f"trace {p.w.trace().real:.12g} != {p.expected_trace}" if u == 0
+                else f"signalling term on {names[u]}")
+        reason = f"normalization: {what} (residual {r[u]:.6e})"
     else:
         validity, reason = "valid", None
     out = replace(p, validity=validity, reason=reason)
@@ -315,13 +360,17 @@ def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float 
 def validity_report(p: ProcessMatrix) -> dict:
     """Residuals of both validity conditions, without short-circuiting.
 
-    Returns the smallest eigenvalue and the worst |Tr[w C] - 1| over the
-    full spanning sweep, for reporting alongside the verdict.
+    Returns the smallest eigenvalue; max_normalization_residual, the largest
+    of the trace residual and every pattern residual r_U; pattern_residuals,
+    r_U by pattern name (the output labels of U); and the trace with its
+    expected value prod d_O.
     """
-    evals, table = _validity_sweep(p)
+    evals, r = _validity_sweep(p)
+    *_, names = _validity_patterns(p.parties)
     return {
         "min_eigenvalue": float(evals[0]),
-        "max_normalization_residual": float(np.abs(table - 1.0).max()),
+        "max_normalization_residual": float(r.max()),
+        "pattern_residuals": {names[u]: float(r[u]) for u in range(1, r.size)},
         "trace": float(p.w.trace().real),
         "expected_trace": p.expected_trace,
     }

@@ -9,11 +9,12 @@ when a witness S read off the run's dual variable lies in the dual cones of
 both orders, checked exactly by one eigvalsh of its two order projections,
 and Tr[S W] < 0; a seeded battery of ordered processes cross-checks it.
 
-All projections run in coefficient space: operators are expanded over the
-product of per-factor orthonormal Hermitian bases (identity direction
-first), where every depolarize-type projector acts as a 0/1 mask, the affine
-projection has a closed form, and an order cone's residual is the norm of
-the coefficients a mask removes. The basis change is one GEMM per group of
+All projections run in coefficient space (`tensor_core._CoeffBasis`, the
+engine validity also reads): operators are expanded over the product of
+per-factor orthonormal Hermitian bases (identity direction first), where
+every depolarize-type projector acts as a 0/1 mask, the affine projection
+has a closed form, and an order cone's residual is the norm of the
+coefficients a mask removes. The basis change is one GEMM per group of
 adjacent factors (two for balanced spaces), and Dykstra carries the summand
 pair as one (2, ...) stack, so an iteration costs one basis change each way
 and one batched eigh.
@@ -26,14 +27,12 @@ matrix is formed; mixtures are scored by linearity.
 """
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .process import Party, ProcessMatrix, random_ordered_batch, validate_process
-from .tensor_core import HermitianOperator, Operator, hermitian_basis
+from .tensor_core import HermitianOperator, Operator, _CoeffBasis, _coeff_basis
 
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
@@ -100,144 +99,6 @@ def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
     for s, so in cone.conditions(p.parties):
         worst = max(worst, float(np.linalg.norm(c[basis.violation(s, so)])))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# coefficient-space engine
-
-def _group_dims(dims) -> list[list[int]]:
-    """Adjacent runs of factor dims whose product g keeps g*g <= D; a factor
-    with d*d > D forms its own group."""
-    total = math.prod(dims)
-    groups = [[]]
-    g = 1
-    for d in dims:
-        if groups[-1] and (g * d) ** 2 > total:
-            groups.append([])
-            g = 1
-        groups[-1].append(d)
-        g *= d
-    return groups
-
-
-def _group_basis(dims) -> np.ndarray:
-    """(g^2, g^2) matrix U of the product Hermitian basis of one group:
-    row k holds the element B_k = B_{k_1} x B_{k_2} x ..., flattened
-    row-major as a g x g matrix."""
-    b = np.ones((1, 1, 1), dtype=complex)
-    for d in dims:
-        h = hermitian_basis(d)
-        k, g = b.shape[0], b.shape[1]
-        b = np.einsum("kij,lmn->klimjn", b, h).reshape(k * d * d, g * d, g * d)
-    return b.reshape(b.shape[0], -1)
-
-
-class _CoeffBasis:
-    """Real coefficients c_k = Tr[B_k m] of Hermitian operators over the
-    product of per-factor Hermitian bases; depolarize-type projectors become
-    elementwise 0/1 masks here.
-
-    The label-sorted factors are split into adjacent groups of dimension
-    g <= sqrt(D) (a larger factor is a group of its own), and each group
-    keeps a dense (g^2, g^2) transform, so a basis change is one GEMM per
-    group (two for balanced spaces) on any leading batch axis. A group
-    matrix holds at most max(D^2, d_max^4) entries. Coefficient arrays have
-    shape (..., d_1^2, ..., d_n^2), identity index 0 on every factor.
-    """
-
-    def __init__(self, space):
-        self.labels = list(space.labels)
-        self.dim = space.dim
-        self.shape = tuple(d * d for d in space.dims)
-        groups = _group_dims(space.dims)
-        self.group_dims = [math.prod(g) for g in groups]
-        self._sizes = tuple(g * g for g in self.group_dims)
-        us = [_group_basis(g) for g in groups]
-        # coeffs applies conj(U) per group, from_coeffs applies U^T
-        self._fwd = [np.ascontiguousarray(u.conj()) for u in us]
-        self._inv = [np.ascontiguousarray(u.T) for u in us]
-
-    def _apply(self, x: np.ndarray, mats) -> np.ndarray:
-        """Multiply axis a of x (..., G_1, ..., G_n) by mats[a], one GEMM each."""
-        lead = x.shape[:x.ndim - len(self._sizes)]
-        pre = math.prod(lead)
-        post = math.prod(self._sizes)
-        for t, size in zip(mats, self._sizes):
-            post //= size
-            if post == 1:
-                x = x.reshape(-1, size) @ t.T
-            else:
-                x = np.matmul(t, x.reshape(pre, size, post))
-            pre *= size
-        return x.reshape(lead + self._sizes)
-
-    def _blocks(self, m: np.ndarray) -> np.ndarray:
-        """(..., D, D) -> (..., G_1, ..., G_n), each group's (row, col) pair
-        adjacent."""
-        n = len(self.group_dims)
-        lead = m.shape[:-2]
-        k = len(lead)
-        t = m.reshape(lead + tuple(self.group_dims) * 2)
-        order = list(range(k))
-        for a in range(n):
-            order += [k + a, k + n + a]
-        return t.transpose(order).reshape(lead + self._sizes)
-
-    def coeffs(self, m: np.ndarray) -> np.ndarray:
-        """Complex coefficients Tr[B_k m] of any (..., D, D) stack."""
-        c = self._apply(self._blocks(m), self._fwd)
-        return c.reshape(m.shape[:-2] + self.shape)
-
-    def to_coeffs(self, m: np.ndarray) -> np.ndarray:
-        """Real coefficients of a Hermitian (..., D, D) stack."""
-        return self.coeffs(m).real
-
-    def from_coeffs(self, c: np.ndarray) -> np.ndarray:
-        n = len(self.group_dims)
-        lead = c.shape[:c.ndim - len(self.shape)]
-        k = len(lead)
-        t = self._apply(c.reshape(lead + self._sizes), self._inv)
-        t = t.reshape(lead + tuple(d for g in self.group_dims for d in (g, g)))
-        order = list(range(k)) + [k + 2 * a for a in range(n)] + [k + 2 * a + 1 for a in range(n)]
-        return t.transpose(order).reshape(lead + (self.dim, self.dim))
-
-    def _identity_on(self, labels) -> np.ndarray:
-        """Boolean array, broadcastable to the coefficient shape: true where
-        every named factor carries the identity index."""
-        out = np.ones((1,) * len(self.shape), dtype=bool)
-        for lab in labels:
-            i = self.labels.index(lab)
-            axis = [1] * len(self.shape)
-            axis[i] = self.shape[i]
-            out = out & (np.arange(self.shape[i]) == 0).reshape(axis)
-        return out
-
-    def violation(self, s, so) -> np.ndarray:
-        """Coefficients that D_S - D_{S+o} keeps: the S indices are all
-        identity while the o indices are not all identity."""
-        hit = self._identity_on(s) & ~self._identity_on(so - s)
-        return np.broadcast_to(hit, self.shape)
-
-    def mask_for_conditions(self, conds) -> np.ndarray:
-        """Product of (Id - (D_S - D_{S+o})): zero every coefficient that
-        some condition's D_S - D_{S+o} keeps."""
-        mask = np.ones(self.shape)
-        for s, so in conds:
-            mask[self.violation(s, so)] = 0.0
-        return mask
-
-    def project_psd_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Nearest PSD operator of each item of a coefficient stack, by one
-        batched eigh."""
-        m = self.from_coeffs(c)
-        e, v = np.linalg.eigh(m)
-        np.clip(e, 0, None, out=e)
-        return self.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
-
-
-@functools.lru_cache(maxsize=64)
-def _coeff_basis(space) -> _CoeffBasis:
-    return _CoeffBasis(space)
 
 
 # ---------------------------------------------------------------------------

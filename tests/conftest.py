@@ -98,6 +98,19 @@ def mis_shaped_processes(switch):
     return cases
 
 
+def malformed_tables():
+    """{label: (CSV text, message)} for tables whose rows index outside the
+    grid, overwrite one another, or disagree with the header's width."""
+    text = cio.table_to_csv(cs.ProbabilityTable(("A", "B"), (2, 2), (2, 2), np.full((2,) * 4, 0.25)))
+    lines = text.splitlines()
+    last = lines[-1].rsplit(",", 1)[1]
+    return {
+        "negative index": ("\n".join(lines[:-1] + [f"-1,-1,-1,-1,{last}"]), "negative index"),
+        "duplicate row": ("\n".join(lines + [lines[1]]), "repeats the index"),
+        "wrong cell count": ("x_A,a_A,p\n0,0,0,1.0\n0,0,1,0.0", "has 4 cells; the header has 3"),
+    }
+
+
 def qubit_chain(names):
     """One party per name, with qubit input <name>_I and output <name>_O."""
     return [cs.Party(n, cs.LabeledSpace(f"{n}_I", 2), cs.LabeledSpace(f"{n}_O", 2))

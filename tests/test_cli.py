@@ -8,7 +8,7 @@ import causalis as cs
 from causalis import io as cio
 from causalis.cli import main
 from causalis.process import validity_report
-from conftest import mis_shaped_processes
+from conftest import malformed_tables, mis_shaped_processes
 
 
 def run(capsys, *argv):
@@ -216,6 +216,16 @@ def test_ineq_requires_one_input_path(tmp_path, ordered_setup, capsys):
     assert code == 2 and "either --table or --process" in err
     code, _, err = run(capsys, "ineq", "--game", "gyni")
     assert code == 2 and "either --table or --process" in err
+
+
+@pytest.mark.parametrize("label", list(malformed_tables()))
+def test_ineq_rejects_malformed_table(tmp_path, capsys, label):
+    text, match = malformed_tables()[label]
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    code, report, err = run(capsys, "ineq", "--game", "gyni", "--table", str(path))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and match in err
 
 
 def test_ineq_rejects_mis_shaped_game_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import causalis as cs
 from causalis import io as cio
-from conftest import mis_shaped_processes
+from conftest import malformed_tables, mis_shaped_processes
 
 
 def two_factor_space():
@@ -172,6 +172,13 @@ def test_table_csv_errors(rng):
         cio.table_from_csv("\n".join([lines[0].replace("a_A", "b_A")] + lines[1:]))
     with pytest.raises(ValueError, match="full settings/outcomes grid"):
         cio.table_from_csv("\n".join(lines[:5] + lines[6:]))
+
+
+@pytest.mark.parametrize("label", list(malformed_tables()))
+def test_table_csv_rejects_malformed_rows(label):
+    text, match = malformed_tables()[label]
+    with pytest.raises(ValueError, match=match):
+        cio.table_from_csv(text)
 
 
 # ---------------------------------------------------------------------------

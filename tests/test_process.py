@@ -1,5 +1,5 @@
+import functools
 import itertools
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import causalis as cs
 from causalis import process as cp
 from causalis.process import validity_report
+from causalis.tensor_core import _CoeffBasis
 from conftest import (
     interleaved_parties,
     local_unitary,
@@ -120,11 +121,22 @@ def _random_invalid(parties, rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_agrees_with_spanning(qubit_parties, seed):
     rng = np.random.default_rng(seed)
+    ai, ao, bi, bo = "A_I", "A_O", "B_I", "B_O"
     for _ in range(25):
         p = _random_valid(qubit_parties, rng) if rng.uniform() < 0.5 else _random_invalid(qubit_parties, rng)
         spanning = cs.validate_process(p).validity == "valid"
         closed = cs.validate_bipartite_closed_form(p)
         assert spanning == closed
+        # the depolarize identities keep exactly the coefficients of one
+        # pattern each, and every weight w_U is 1 for qubit parties
+        w = p.w
+        c1 = cs.depolarize(w, {bi, bo}) - cs.depolarize(w, {ao, bi, bo})
+        c2 = cs.depolarize(w, {ai, ao}) - cs.depolarize(w, {ai, ao, bo})
+        c3 = w - (cs.depolarize(w, {bo}) + cs.depolarize(w, {ao}) - cs.depolarize(w, {ao, bo}))
+        got = validity_report(p)["pattern_residuals"]
+        assert set(got) == {"A_O", "B_O", "A_O (x) B_O"}
+        for name, c in (("A_O", c1), ("B_O", c2), ("A_O (x) B_O", c3)):
+            assert abs(got[name] - c.norm()) <= 1e-12
 
 
 def test_closed_form_rejects_wrong_structure(switch):
@@ -319,28 +331,47 @@ def test_reduce_to_state_requires_trivial_outputs(switch):
 
 
 # ---------------------------------------------------------------------------
-# validity contraction against the explicit spanning-tuple loop
+# the coefficient mask against the explicit spanning-tuple loop
 
-def reference_sweep(p):
-    """Tr[w C] for every tuple C of spanning-set elements, in
-    itertools.product order, with every C built by tensor()."""
-    spans = [cp._spanning_set(party) for party in p.parties]
-    for combo in itertools.product(*[range(len(s)) for s in spans]):
-        c = cs.tensor(*[s[k] for s, k in zip(spans, combo)])
-        yield combo, np.einsum("ij,ji->", p.w.mat, c.mat).real
+def spanning_set(party):
+    """Spanning set of the affine space {Hermitian C on I(x)O : Tr_O C = 1_I}.
+
+    Elements are 1/d_O and 1/d_O + g_I (x) g_O with g_O traceless, so unit
+    trace against every element certifies unit probability for all CPTP
+    instruments by multilinearity. A trivial output yields the single
+    element 1_I.
+    """
+    base = cs.identity(party.space) / party.output_dim
+    out = [base]
+    if party.output_dim == 1:
+        return out
+    for g_in in cs.hermitian_basis(party.input_dim):
+        a = cs.HermitianOperator(party.input_space, g_in)
+        for g_out in cs.hermitian_basis(party.output_dim)[1:]:
+            out.append(base + cs.tensor(a, cs.HermitianOperator(party.output_space, g_out)))
+    return out
 
 
-def reference_first_violation(p, lin_tol=cp.LIN_TOL):
-    for combo, val in reference_sweep(p):
-        if abs(val - 1.0) > lin_tol:
-            return combo, val
-    return None
+def reference_table(p):
+    """Tr[w C] for every tuple C of the parties' spanning-set elements, in
+    itertools.product order. w is permuted to party-contiguous factor order
+    (dim-1 factors dropped), where every C is a plain kron."""
+    labels = [f.label for f in p.w.space.factors if f.dim > 1]
+    dims = [f.dim for f in p.w.space.factors if f.dim > 1]
+    perm = [labels.index(f.label) for q in p.parties for f in q.space.factors if f.dim > 1]
+    n = len(perm)
+    w = p.w.mat.reshape(dims * 2).transpose(perm + [n + i for i in perm])
+    w = w.reshape(p.w.dim, p.w.dim)
+    spans = [[c.mat for c in spanning_set(q)] for q in p.parties]
+    return np.array([np.sum(w.T * functools.reduce(np.kron, combo)).real
+                     for combo in itertools.product(*spans)])
 
 
-def reason_tuple(reason):
-    m = re.search(r"Tr\[w C\] = (\S+) on CPTP spanning tuple \(([\d, ]*)\)", reason)
-    assert m, reason
-    return tuple(int(k) for k in m.group(2).split(",") if k.strip()), float(m.group(1))
+def reference_verdict(p, lin_tol=cp.LIN_TOL):
+    """(validity, worst |Tr[w C] - 1|) from the explicit spanning sweep."""
+    worst = float(np.abs(reference_table(p) - 1.0).max())
+    psd = np.linalg.eigvalsh(p.w.mat)[0] >= -cp.PSD_TOL
+    return ("valid" if psd and worst <= lin_tol else "invalid"), worst
 
 
 def off_subspace(base, rng):
@@ -384,51 +415,145 @@ def test_validity_matches_spanning_loop(label):
     p = CORRUPTED[label]
     v = cs.validate_process(p)
     rep = validity_report(p)
-    want_first = reference_first_violation(p)
-    worst = max(abs(val - 1.0) for _, val in reference_sweep(p))
-    assert abs(rep["max_normalization_residual"] - worst) < 1e-12
-    if v.reason is not None and v.reason.startswith("positivity"):
-        assert np.linalg.eigvalsh(p.w.mat)[0] < -cp.PSD_TOL
-    elif want_first is None:
-        assert v.validity == "valid", v.reason
-    else:
-        assert v.validity == "invalid"
-        combo, val = reason_tuple(v.reason)
-        assert combo == want_first[0]
-        assert abs(val - want_first[1]) < 1e-9
+    want, worst = reference_verdict(p)
+    assert v.validity == want, v.reason
+    # each tuple residual is a signed sum of the trace residual and weighted
+    # pattern coefficients, one unit-norm direction per pattern
+    total = abs(rep["trace"] / rep["expected_trace"] - 1) + sum(rep["pattern_residuals"].values())
+    assert worst <= total + 1e-12
+    assert rep["max_normalization_residual"] <= total
+    if label.endswith("_valid"):
+        assert rep["max_normalization_residual"] < 1e-12
 
 
 def test_corrupted_cases_reach_normalization():
     # the comparison above is only worth something if the corrupted cases
-    # fail where intended, noise at a tuple past the first
+    # fail where intended: scaling moves only the trace, off-subspace noise
+    # only the forbidden patterns
     for label, p in CORRUPTED.items():
         reason = cs.validate_process(p).reason or ""
         kind = label.rsplit("_", 1)[1]
-        want = {"valid": "", "negative": "positivity"}.get(kind, "normalization")
+        want = {"valid": "", "negative": "positivity:", "scaled": "normalization: trace ",
+                "noisy": "normalization: signalling term on "}[kind]
         assert reason.startswith(want), (label, reason)
-        if kind == "noisy":
-            assert reason_tuple(reason)[0] != (0,) * len(p.parties), label
 
 
-def test_validity_with_many_trivial_factors(rng):
-    p = qubit_with_trivial_parties(30, rng)
-    assert cs.validate_process(p).validity == "valid"
-    bad = cs.validate_process(cs.ProcessMatrix(p.parties, p.w * 1.5))
-    assert reason_tuple(bad.reason)[0] == (0,) * 31
+@pytest.mark.parametrize("n", [30, 40])
+def test_validity_with_many_trivial_factors(n, rng):
+    # 40 trivial parties put 2 + 80 factors on w, past numpy's 64-axis cap
+    # for any array with an axis per factor
+    p = qubit_with_trivial_parties(n, rng)
+    v = cs.validate_process(p)
+    assert v.validity == reference_verdict(p)[0] == "valid", v.reason
+    bad = cs.ProcessMatrix(p.parties, p.w * 1.5)
+    v = cs.validate_process(bad)
+    assert v.validity == reference_verdict(bad)[0] == "invalid"
+    assert v.reason.startswith("normalization: trace 3 != 2 (residual 5.0")
+    assert validity_report(bad)["pattern_residuals"] == {"A_O": pytest.approx(0, abs=1e-15)}
 
 
 def test_validate_then_report_sweeps_once(qubit_parties, monkeypatch):
-    calls = []
-    original = cp._contract
-    monkeypatch.setattr(cp, "_contract", lambda *a: calls.append(1) or original(*a))
+    cp.validate_process(white_noise(qubit_parties))  # builds the per-structure mask
+    calls = {"eigvalsh": 0, "to_coeffs": 0, "einsum": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
+    monkeypatch.setattr(_CoeffBasis, "to_coeffs", counted("to_coeffs", _CoeffBasis.to_coeffs))
     p = cp.validate_process(white_noise(qubit_parties))
     rep = validity_report(p)
-    assert len(calls) == 1
+    assert calls == {"eigvalsh": 1, "to_coeffs": 1, "einsum": 0}
     assert rep["max_normalization_residual"] < 1e-12
     # a replaced process sweeps its own w
     scaled = replace(p, w=p.w * 2.0)
     assert validity_report(scaled)["max_normalization_residual"] == pytest.approx(1.0)
-    assert len(calls) == 2
+    assert calls == {"eigvalsh": 2, "to_coeffs": 2, "einsum": 0}
+
+
+# ---------------------------------------------------------------------------
+# one forbidden term on either side of lin_tol
+
+EDGE_BASES = {
+    "bipartite": qubit_chain("AB"),
+    "tripartite": qubit_chain("ABC"),
+    "switch": list(cs.switch_parties()),
+    "P(2->3) Q(3->2)": interleaved_parties(),
+}
+
+
+def edge_base(key):
+    """A valid process with eigenvalues >= 1/(2 d_in): an ordered process
+    (the equal switch) mixed half/half with white noise."""
+    parties = EDGE_BASES[key]
+    if key == "switch":
+        base = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+    else:
+        base = cs.random_ordered_process(parties, np.random.default_rng(8))
+    return cs.ProcessMatrix(base.parties, (base.w + white_noise(base.parties).w) * 0.5)
+
+
+def forbidden_term(parties, movers):
+    """The product-basis element with the first traceless output element on
+    every party in movers, an input element alternating between the
+    identity and the first traceless one, and the identity elsewhere."""
+    picks = {}
+    for k, q in enumerate(movers):
+        for f in q.inputs:
+            picks[f.label] = k % 2
+        for f in q.outputs:
+            picks[f.label] = 1
+    space = cs.parties_space(parties)
+    mats = [cs.hermitian_basis(f.dim)[picks.get(f.label, 0)] for f in space.factors]
+    return cs.HermitianOperator(space, functools.reduce(np.kron, mats))
+
+
+def edge_cases():
+    for key in EDGE_BASES:
+        base = edge_base(key)
+        movers = [q for q in base.parties if not q.trivial_output]
+        for size in range(1, len(movers) + 1):
+            for u in itertools.combinations(movers, size):
+                yield key, base, u
+
+
+@pytest.mark.parametrize("key,base,u", [pytest.param(*c, id=f"{c[0]}:{'+'.join(q.name for q in c[2])}")
+                                        for c in edge_cases()])
+@pytest.mark.parametrize("side", [0.5, 2.0])
+def test_forbidden_term_near_lin_tol(key, base, u, side):
+    assert cs.validate_process(base).validity == "valid"
+    # w_U: prod over parties outside U of sqrt(d_I / d_O)
+    weight = np.prod([np.sqrt(q.input_dim / q.output_dim) for q in base.parties if q not in u])
+    eps = side * cp.LIN_TOL / weight
+    p = cs.ProcessMatrix(base.parties, base.w + forbidden_term(base.parties, u) * eps)
+    name = " (x) ".join(sorted(lab for q in u for lab in q.output_labels))
+    v = cs.validate_process(p)
+    rep = validity_report(p)
+    want, worst = reference_verdict(p)
+    assert v.validity == want == ("valid" if side < 1 else "invalid"), v.reason
+    # one forbidden term moves its pattern residual exactly as much as the
+    # worst spanning-tuple residual
+    assert rep["pattern_residuals"][name] == pytest.approx(side * cp.LIN_TOL, rel=1e-5)
+    assert worst == pytest.approx(side * cp.LIN_TOL, rel=1e-5)
+    if side > 1:
+        assert v.reason.startswith(f"normalization: signalling term on {name} (residual 2.0")
+
+
+@pytest.mark.parametrize("key", list(EDGE_BASES))
+@pytest.mark.parametrize("side", [0.5, 2.0])
+def test_trace_near_lin_tol(key, side):
+    base = edge_base(key)
+    p = cs.ProcessMatrix(base.parties, base.w * (1 + side * cp.LIN_TOL))
+    v = cs.validate_process(p)
+    want, worst = reference_verdict(p)
+    assert v.validity == want == ("valid" if side < 1 else "invalid"), v.reason
+    assert worst == pytest.approx(side * cp.LIN_TOL, rel=1e-5)
+    if side > 1:
+        assert v.reason.startswith("normalization: trace ")
 
 
 # ---------------------------------------------------------------------------
