@@ -116,7 +116,7 @@ def _vertices(settings: tuple[int, int], outcomes: tuple[int, int], cap: int):
     """
     nx, ny = settings
     na, nb = outcomes
-    for n_first, n_sec in ((na**nx * nb ** (nx * ny), None), (nb**ny * na ** (nx * ny), None)):
+    for n_first in (na**nx * nb ** (nx * ny), nb**ny * na ** (nx * ny)):
         if n_first > cap:
             raise ValueError(
                 f"{n_first} deterministic strategies per order exceeds the cap {cap}; "
@@ -149,12 +149,12 @@ _SIMPLEX_SCALE = 1e3  # dominates the fit so sum(lambda) = 1 holds to ~1e-10
 @functools.lru_cache(maxsize=32)
 def _vertex_matrix(settings: tuple[int, int], outcomes: tuple[int, int], cap: int):
     """Read-only (v, a): the vertices of `_vertices` as the columns of v, in
-    the same order, and a = v with the weighted simplex row appended."""
+    the same order, and a = v with the weighted simplex row appended; v is
+    a view of a, so the two share one buffer."""
     v = np.stack([t.reshape(-1) for _, t in _vertices(settings, outcomes, cap)], axis=1)
     a = np.vstack([v, _SIMPLEX_SCALE * np.ones((1, v.shape[1]))])
-    v.setflags(write=False)
     a.setflags(write=False)
-    return v, a
+    return a[:-1], a
 
 
 def enumerate_strategies(game: CausalGame, cap: int = ENUM_CAP):
@@ -164,12 +164,11 @@ def enumerate_strategies(game: CausalGame, cap: int = ENUM_CAP):
 
 
 def causal_bound(game: CausalGame, cap: int = ENUM_CAP) -> float:
-    """Exact optimum of the game over causal correlations (vertex maximum)."""
-    best = -np.inf
+    """Exact optimum of the game over causal correlations (vertex maximum,
+    one product with the vertex matrix)."""
+    v, _ = _vertex_matrix(game.settings, game.outcomes, cap)
     weight = game.input_dist.reshape(game.settings + (1, 1)) * game.win
-    for _, t in _vertices(game.settings, game.outcomes, cap):
-        best = max(best, float((weight * t).sum()))
-    return best
+    return float((weight.reshape(-1) @ v).max())
 
 
 # ---------------------------------------------------------------------------

@@ -191,13 +191,9 @@ def random_instrument_kraus(
     kraus_per_outcome = max(kraus_per_outcome, -(-d_in // (d_out * n_outcomes)))
     env = n_outcomes * kraus_per_outcome
     v = random_isometry(d_in, d_out * env, rng)
-    families: list[list[np.ndarray]] = [[] for _ in range(n_outcomes)]
-    for e in range(env):
-        k = np.zeros((d_out, d_in), dtype=complex)
-        for o in range(d_out):
-            k[o, :] = v[o * env + e, :]
-        families[e // kraus_per_outcome].append(k)
-    return families
+    # row o * env + e of v is row o of Kraus operator e
+    kraus = v.reshape(d_out, env, d_in).transpose(1, 0, 2)
+    return [list(f) for f in kraus.reshape(n_outcomes, kraus_per_outcome, d_out, d_in)]
 
 
 def random_instrument(

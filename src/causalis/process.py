@@ -8,9 +8,11 @@ unit total probability for every choice of local CPTP instruments
 
 The linear half is one mask over W's coefficients c in the product
 Hermitian basis (`tensor_core._CoeffBasis`, identity first on every
-factor). A term's pattern U is the set of parties with a nontrivial output
-whose output index is not the identity. The term is forbidden iff U is
-nonempty and every party with a non-identity input index lies in U. W lies
+factor), read off one per-party table of non-identity indices
+(`_party_moves`, which also gives the order cones in `separability`). A
+term's pattern U is the set of parties with a nontrivial output whose
+output index is not the identity. The term is forbidden iff U is nonempty
+and every party with a non-identity input index lies in U. W lies
 in the valid subspace (the projector L_V of Araujo et al., NJP 17, 102001
 (2015)) iff Tr W = prod_k d_Ok and every forbidden coefficient is zero.
 The check reads one residual per condition,
@@ -273,35 +275,49 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
 # validity
 
 @functools.lru_cache(maxsize=64)
-def _validity_patterns(parties: tuple[Party, ...]):
-    """The valid subspace of a party structure as one pattern id per
-    product-basis coefficient: (basis, ids, weights, names).
-
-    The basis is `_coeff_basis` of W's factors of dim > 1; dropping the
-    trivial ones leaves the D x D matrix as it is and keeps the coefficient
-    array to one axis per nontrivial factor. Number the parties with a
-    nontrivial output 0, 1, ... A term's pattern U is the set of those whose
-    output index is not the identity. The term is forbidden iff U is
-    nonempty and every party with a non-identity input index lies in U; its
-    id is then sum_{k in U} 2**k, and every other term's id is 0. ids is
-    that read-only array, flattened; weights[U] = prod_{k not in U}
-    sqrt(d_Ik / d_Ok) over all parties; names[U] joins U's output labels,
-    sorted, with " (x) ".
+def _party_moves(parties: tuple[Party, ...]):
+    """(basis, moves): the basis is `_coeff_basis` of W's factors of dim > 1;
+    dropping the trivial ones leaves the D x D matrix as it is and keeps the
+    coefficient array to one axis per nontrivial factor. moves[k] = (inp,
+    out) are read-only boolean arrays of the coefficient shape, true where
+    an input (inp) or output (out) factor of parties[k] carries a
+    non-identity index. Validity and the order cones read this table.
     """
     space = SpaceProduct(f for f in parties_space(parties).factors if f.dim > 1)
     basis = _coeff_basis(space)
     kept = set(space.labels)
 
     def moved(labels):
-        return ~basis._identity_on([lab for lab in labels if lab in kept])
+        return np.broadcast_to(~basis._identity_on([lab for lab in labels if lab in kept]),
+                               basis.shape)
 
+    return basis, tuple((moved(q.input_labels), moved(q.output_labels)) for q in parties)
+
+
+@functools.lru_cache(maxsize=64)
+def _validity_patterns(parties: tuple[Party, ...]):
+    """The valid subspace of a party structure as one pattern id per
+    product-basis coefficient: (basis, ids, weights, names), over the basis
+    of `_party_moves`.
+
+    Number the parties with a nontrivial output 0, 1, ... A term's pattern U
+    is the set of those whose output index is not the identity. The term is
+    forbidden iff U is nonempty and every party with a non-identity input
+    index lies in U; its id is then sum_{k in U} 2**k, and every other
+    term's id is 0. ids is that read-only array, flattened; weights[U] =
+    prod_{k not in U} sqrt(d_Ik / d_Ok) over all parties; names[U] joins U's
+    output labels, sorted, with " (x) ".
+    """
+    basis, moves = _party_moves(parties)
+    kept = set(basis.labels)
     movers = [q for q in parties if not q.trivial_output]
     pattern = np.zeros(basis.shape, dtype=np.intp)
     closed = np.ones(basis.shape, dtype=bool)
-    for k, q in enumerate(movers):
-        pattern += moved(q.output_labels) * (1 << k)
-    for q in parties:
-        closed &= moved(q.output_labels) | ~moved(q.input_labels)
+    mover_outs = [out for q, (_, out) in zip(parties, moves) if not q.trivial_output]
+    for k, out in enumerate(mover_outs):
+        pattern += out * (1 << k)
+    for inp, out in moves:
+        closed &= out | ~inp
     ids = np.where(closed, pattern, 0).ravel()
     ids.setflags(write=False)
     rates = [math.sqrt(q.input_dim / q.output_dim) for q in movers]
@@ -379,9 +395,9 @@ def validity_report(p: ProcessMatrix) -> dict:
 def validate_bipartite_closed_form(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float = LIN_TOL) -> bool:
     """Closed-form validity for two parties with nontrivial outputs.
 
-    Checks PSD, trace d_AO*d_BO, and the three depolarize identities that
-    characterize the bipartite valid subspace. Must agree with
-    validate_process on every input.
+    Checks PSD, |Tr W / (d_AO*d_BO) - 1| <= lin_tol, and the three depolarize
+    identities that characterize the bipartite valid subspace. Must agree
+    with validate_process on every input.
     """
     if len(p.parties) != 2:
         raise ValueError("closed form is defined for exactly two parties")
@@ -392,7 +408,7 @@ def validate_bipartite_closed_form(p: ProcessMatrix, psd_tol: float = PSD_TOL, l
     evals = np.linalg.eigvalsh(w.mat)
     if evals[0] < -psd_tol:
         return False
-    if abs(w.trace().real - a.output_dim * b.output_dim) > lin_tol:
+    if abs(w.trace().real / (a.output_dim * b.output_dim) - 1.0) > lin_tol:
         return False
     ai, ao = set(a.input_labels), set(a.output_labels)
     bi, bo = set(b.input_labels), set(b.output_labels)

@@ -2,19 +2,19 @@
 
 A process is causally separable (for a pair of orders) when it splits as
 W = W_1 + W_2 with each summand PSD and inside its order's linear subspace
-(the depolarize conditions that forbid signalling to earlier parties).
-Feasibility is decided by Dykstra's alternating projections on the pair
-(W_1, W_2). A stalled run is upgraded to a nonseparability certificate only
+(no signalling to earlier parties). Feasibility is decided by Dykstra's
+alternating projections on the pair (W_1, W_2). A stalled run is upgraded to a nonseparability certificate only
 when a witness S read off the run's dual variable lies in the dual cones of
 both orders, checked exactly by one eigvalsh of its two order projections,
 and Tr[S W] < 0; a seeded battery of ordered processes cross-checks it.
 
 All projections run in coefficient space (`tensor_core._CoeffBasis`, the
 engine validity also reads): operators are expanded over the product of
-per-factor orthonormal Hermitian bases (identity direction first), where
-every depolarize-type projector acts as a 0/1 mask, the affine projection
-has a closed form, and an order cone's residual is the norm of the
-coefficients a mask removes. The basis change is one GEMM per group of
+per-factor orthonormal Hermitian bases (identity direction first). An
+order gives each coefficient a pattern id (`_cone_ids`, read off the
+per-party table validity uses), its projector is the mask ids == 0, the
+affine projection has a closed form, and an order cone's residual is the
+largest per-id norm, one bincount. The basis change is one GEMM per group of
 adjacent factors (two for balanced spaces), and Dykstra carries the summand
 pair as one (2, ...) stack, so an iteration costs one basis change each way
 and one batched eigh.
@@ -27,11 +27,12 @@ matrix is formed; mixtures are scored by linearity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, random_ordered_batch, validate_process
+from .process import Party, ProcessMatrix, _party_moves, random_ordered_batch, validate_process
 from .tensor_core import HermitianOperator, Operator, _CoeffBasis, _coeff_basis
 
 SEP_TOL = 1e-7
@@ -48,11 +49,11 @@ STALL_CHECK_EVERY = 50
 class OrderCone:
     """Processes compatible with one total order of the parties.
 
-    Membership means: valid, and for every party the spaces of the parties
-    strictly after it cannot carry information back, i.e. depolarizing those
-    later spaces equals depolarizing them together with the party's own
-    output. The condition for the final party reduces to an identity output
-    factor; for a trivial (one-dimensional) output it is vacuous.
+    Membership means: valid, and no party signals to the parties before it.
+    In W's product Hermitian basis a term is forbidden iff the last party
+    (in this order) with a non-identity index has a non-identity output
+    index; see `_cone_ids`. A party with a trivial (one-dimensional) output
+    forbids nothing of its own.
     """
 
     order: tuple[str, ...]
@@ -60,45 +61,46 @@ class OrderCone:
     def __init__(self, order):
         object.__setattr__(self, "order", tuple(order))
 
-    def conditions(self, parties: tuple[Party, ...]):
-        """(later-spaces, later-spaces + own output) label pairs, one per
-        party with a nontrivial output; one-dimensional labels dropped."""
-        by_name = {p.name: p for p in parties}
-        if sorted(self.order) != sorted(by_name):
-            raise ValueError(f"order {self.order} does not cover the parties "
-                             f"{tuple(sorted(by_name))}")
-        dims = {}
-        for p in parties:
-            for s in p.inputs + p.outputs:
-                dims[s.label] = s.dim
-        conds = []
-        for k, name in enumerate(self.order):
-            after = set()
-            for later in self.order[k + 1:]:
-                q = by_name[later]
-                after |= set(q.input_labels) | set(q.output_labels)
-            after = frozenset(l for l in after if dims[l] > 1)
-            out = frozenset(l for l in by_name[name].output_labels if dims[l] > 1)
-            if not out:
-                continue
-            conds.append((after, after | out))
-        return conds
+
+@functools.lru_cache(maxsize=64)
+def _cone_ids(parties: tuple[Party, ...], order: tuple[str, ...]) -> np.ndarray:
+    """One pattern id per coefficient of W (flattened, read-only): k + 1
+    when order[k] is the last party with a non-identity index and that
+    index includes its output, else 0. Class k + 1 is what D_S - D_{S+o}
+    keeps, S the factors after order[k] and o its output (Araujo et al.,
+    NJP 17, 102001 (2015)), so the order subspace spans the id-0 terms.
+    dim-1 factors add only length-1 axes to `_coeff_basis(W.space).shape`.
+    """
+    by_name = {q.name: k for k, q in enumerate(parties)}
+    if sorted(order) != sorted(by_name):
+        raise ValueError(f"order {order} does not cover the parties "
+                         f"{tuple(sorted(by_name))}")
+    basis, moves = _party_moves(parties)
+    ids = np.zeros(basis.shape, dtype=np.intp)
+    later_identity = np.ones(basis.shape, dtype=bool)
+    for k in reversed(range(len(order))):
+        inp, out = moves[by_name[order[k]]]
+        ids[later_identity & out] = k + 1
+        later_identity &= ~(inp | out)
+    ids = ids.ravel()
+    ids.setflags(write=False)
+    return ids
+
+
+def _cone_masks(parties: tuple[Party, ...], cones, shape) -> np.ndarray:
+    """(len(cones), *shape) float masks of the order subspaces: ids == 0."""
+    return np.stack([(_cone_ids(parties, c.order) == 0).reshape(shape)
+                     for c in cones]).astype(float)
 
 
 def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
-    """Largest Frobenius violation of the cone's linear conditions.
-
-    A condition (S, S+o) asks D_S(W) = D_{S+o}(W). Their difference keeps
-    exactly the coefficients whose S indices are all identity while their o
-    indices are not, so its norm is the norm of those coefficients (the
-    basis is orthonormal).
-    """
-    basis = _coeff_basis(p.w.space)
-    c = basis.coeffs(p.w.mat)
-    worst = 0.0
-    for s, so in cone.conditions(p.parties):
-        worst = max(worst, float(np.linalg.norm(c[basis.violation(s, so)])))
-    return worst
+    """Largest Frobenius violation of the cone's linear conditions: the
+    largest norm of W's complex coefficients over one nonzero id, i.e. of
+    D_S(W) - D_{S+o}(W), as the basis is orthonormal. W may be non-Hermitian."""
+    ids = _cone_ids(p.parties, cone.order)
+    c = _coeff_basis(p.w.space).coeffs(p.w.mat).ravel()
+    bins = np.bincount(ids, weights=np.abs(c) ** 2, minlength=len(cone.order) + 1)
+    return float(np.sqrt(bins[1:].max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +197,16 @@ def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
                      "two total orders explicitly")
 
 
-def _dykstra(basis: _CoeffBasis, w: np.ndarray, masks, tol, max_iters,
+def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, tol, max_iters,
              stall_window, stall_rel):
     """Alternating projections on the pair x = (x1, x2), held as one (2, ...)
     coefficient stack, between the affine set {x_i in L_i, x1 + x2 = W_par}
-    and the PSD product cone. The reported residual sqrt(gap^2 + perp^2)
-    also charges the part of W outside the union of the two subspaces,
-    which no feasible pair can reproduce."""
-    m = np.stack(masks)
-    m12 = masks[0] * masks[1]
+    and the PSD product cone (m stacks the L_i masks). The reported residual
+    sqrt(gap^2 + perp^2) also charges the part of W outside the union of the
+    two subspaces, which no feasible pair can reproduce."""
+    m12 = m[0] * m[1]
     wc = basis.to_coeffs(w)
-    wpar = wc * (1 - (1 - masks[0]) * (1 - masks[1]))
+    wpar = wc * (1 - (1 - m[0]) * (1 - m[1]))
     perp = float(np.linalg.norm(wc - wpar))
 
     def proj_affine(y):
@@ -276,7 +277,7 @@ def check_separability(
         raise ValueError("separability is decided against exactly two distinct orders")
 
     basis = _coeff_basis(p.w.space)
-    masks = tuple(basis.mask_for_conditions(c.conditions(p.parties)) for c in cones)
+    masks = _cone_masks(p.parties, cones, basis.shape)
     b, res, it, hist, perp, stalled, dual = _dykstra(
         basis, p.w.mat, masks, tol, max_iters, stall_window, stall_rel
     )
@@ -297,7 +298,7 @@ def check_separability(
         # mask once more so each summand sits exactly in its subspace
         comps = tuple(
             HermitianOperator(p.w.space, m)
-            for m in basis.from_coeffs(b * np.stack(masks))
+            for m in basis.from_coeffs(b * masks)
         )
         q = float(np.clip(comps[0].trace().real / p.w.trace().real, 0.0, 1.0))
         diagnostics["verification"] = "decomposition: reconstruction and order-cone residuals"
@@ -369,8 +370,7 @@ def extract_witness(
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _coeff_basis(p.w.space)
-    masks = np.stack([basis.mask_for_conditions(c.conditions(p.parties))
-                      for c in trace.orders])
+    masks = _cone_masks(p.parties, trace.orders, basis.shape)
 
     def margins(c):
         return np.linalg.eigvalsh(basis.from_coeffs(masks * c))[:, 0]

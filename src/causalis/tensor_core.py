@@ -9,7 +9,9 @@ pure function over immutable values; arrays are frozen after construction.
 `_CoeffBasis` expands Hermitian operators over the product of per-factor
 orthonormal Hermitian bases (identity first). Validity (`process`), order
 cones and the separability projections (`separability`) all read
-coefficients there, where each of their linear conditions is a 0/1 mask.
+coefficients there, where their linear conditions are integer pattern ids
+set by which factors carry a non-identity index (`_identity_on`): a mask is
+ids == 0 and a residual one bincount of squared coefficients by id.
 """
 from __future__ import annotations
 
@@ -535,20 +537,6 @@ class _CoeffBasis:
             axis[i] = self.shape[i]
             out = out & (np.arange(self.shape[i]) == 0).reshape(axis)
         return out
-
-    def violation(self, s, so) -> np.ndarray:
-        """Coefficients that D_S - D_{S+o} keeps: the S indices are all
-        identity while the o indices are not all identity."""
-        hit = self._identity_on(s) & ~self._identity_on(so - s)
-        return np.broadcast_to(hit, self.shape)
-
-    def mask_for_conditions(self, conds) -> np.ndarray:
-        """Product of (Id - (D_S - D_{S+o})): zero every coefficient that
-        some condition's D_S - D_{S+o} keeps."""
-        mask = np.ones(self.shape)
-        for s, so in conds:
-            mask[self.violation(s, so)] = 0.0
-        return mask
 
     def project_psd_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Nearest PSD operator of each item of a coefficient stack, by one

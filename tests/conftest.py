@@ -139,3 +139,24 @@ def qubit_with_trivial_parties(n, rng):
     w = cs.tensor(rho, cs.identity(a.output_space),
                   *[cs.identity(q.space) for q in parties[1:]])
     return cs.ProcessMatrix(parties, w)
+
+
+def order_conditions(order, parties):
+    """(later-spaces, later-spaces + own output) label pairs of an order
+    cone, one per party with a nontrivial output, one-dimensional labels
+    dropped: the depolarize-chain form of the order's linear subspace,
+    D_S(W) = D_{S+o}(W) for each pair. Kept as the reference for the
+    pattern ids of `separability._cone_ids`."""
+    by_name = {p.name: p for p in parties}
+    dims = {s.label: s.dim for p in parties for s in p.inputs + p.outputs}
+    conds = []
+    for k, name in enumerate(order):
+        after = set()
+        for later in order[k + 1:]:
+            q = by_name[later]
+            after |= set(q.input_labels) | set(q.output_labels)
+        after = frozenset(lab for lab in after if dims[lab] > 1)
+        out = frozenset(lab for lab in by_name[name].output_labels if dims[lab] > 1)
+        if out:
+            conds.append((after, after | out))
+    return conds

@@ -105,6 +105,42 @@ def test_causal_bounds_exact():
     assert cs.causal_bound(cs.ocb_game()) == 0.75
 
 
+def loop_causal_bound(game):
+    """The vertex maximum as a loop over the enumerated tables, kept as the
+    reference for the single product with the vertex matrix."""
+    weight = game.input_dist.reshape(game.settings + (1, 1)) * game.win
+    return max(float((weight * t).sum()) for _, t in cs.enumerate_strategies(game))
+
+
+def random_game(rng, input_dist=None):
+    settings, outcomes = (2, 4), (2, 2)
+    if input_dist is None:
+        input_dist = np.full(settings, 1 / 8)
+    return cs.CausalGame(settings, outcomes, input_dist,
+                         (rng.uniform(size=settings + outcomes) < 0.5).astype(float))
+
+
+@pytest.mark.parametrize("make", [
+    cs.gyni_game, cs.lgyni_game, cs.ocb_game,
+    lambda: cs.CausalGame.from_predicate((2, 2), (2, 2), np.full((2, 2), 0.25),
+                                         lambda x, y, a, b: True),
+    lambda: random_game(np.random.default_rng(0)),
+], ids=["gyni", "lgyni", "ocb", "all-win", "random"])
+def test_causal_bound_equals_vertex_loop(make):
+    game = make()
+    assert cs.causal_bound(game) == loop_causal_bound(game)
+
+
+def test_causal_bound_with_generic_weights_matches_loop_to_rounding():
+    # sums of non-dyadic weights depend on the summation order, so the
+    # product and the loop agree to an ulp, not bit for bit
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        dist = rng.uniform(size=(2, 4))
+        game = random_game(rng, dist / dist.sum())
+        assert abs(cs.causal_bound(game) - loop_causal_bound(game)) <= 1e-15
+
+
 def test_trivial_game_bound():
     always = cs.CausalGame.from_predicate(
         (2, 2), (2, 2), np.full((2, 2), 0.25), lambda x, y, a, b: True

@@ -86,6 +86,33 @@ def test_random_instrument_is_complete(qubit_parties, seed):
         assert np.allclose(marg.mat, np.eye(2), atol=1e-12)
 
 
+def loop_instrument_kraus(d_in, d_out, n_outcomes, rng, kraus_per_outcome=2):
+    """random_instrument_kraus as an element loop over the Stinespring
+    isometry, kept as the reference for its reshape."""
+    kraus_per_outcome = max(kraus_per_outcome, -(-d_in // (d_out * n_outcomes)))
+    env = n_outcomes * kraus_per_outcome
+    v = cs.random_isometry(d_in, d_out * env, rng)
+    families = [[] for _ in range(n_outcomes)]
+    for e in range(env):
+        k = np.zeros((d_out, d_in), dtype=complex)
+        for o in range(d_out):
+            k[o, :] = v[o * env + e, :]
+        families[e // kraus_per_outcome].append(k)
+    return families
+
+
+@pytest.mark.parametrize("d_in, d_out, n_outcomes, per", [
+    (2, 2, 2, 2), (2, 3, 2, 1), (4, 2, 3, 2), (3, 3, 1, 1), (6, 1, 2, 1),
+])
+def test_random_instrument_kraus_matches_loop(d_in, d_out, n_outcomes, per):
+    got = cs.random_instrument_kraus(d_in, d_out, n_outcomes, np.random.default_rng(5), per)
+    want = loop_instrument_kraus(d_in, d_out, n_outcomes, np.random.default_rng(5), per)
+    assert [len(f) for f in got] == [len(f) for f in want]
+    for fg, fw in zip(got, want):
+        for kg, kw in zip(fg, fw):
+            assert kg.shape == (d_out, d_in) and np.array_equal(kg, kw)
+
+
 # ---------------------------------------------------------------------------
 # probability tables
 

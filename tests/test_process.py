@@ -139,6 +139,16 @@ def test_closed_form_agrees_with_spanning(qubit_parties, seed):
             assert abs(got[name] - c.norm()) <= 1e-12
 
 
+@pytest.mark.parametrize("scale, valid", [(1 + 5e-10, True), (1 + 2e-9, False)])
+def test_closed_form_trace_test_is_relative(scale, valid):
+    # Tr W = 4 here, so 1 + 5e-10 moves the trace by 2e-9: inside lin_tol
+    # relative to prod d_O, as validate_process reads it
+    p = cs.random_ordered_process(qubit_chain("AB"), np.random.default_rng(0))
+    scaled = cs.ProcessMatrix(p.parties, p.w * scale)
+    assert (cs.validate_process(scaled).validity == "valid") is valid
+    assert cs.validate_bipartite_closed_form(scaled) is valid
+
+
 def test_closed_form_rejects_wrong_structure(switch):
     with pytest.raises(ValueError, match="two parties"):
         cs.validate_bipartite_closed_form(switch)

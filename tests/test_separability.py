@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import process, separability
-from causalis.separability import _CoeffBasis, _default_orders
+from causalis.separability import _CoeffBasis, _coeff_basis, _default_orders
 from conftest import (
     interleaved_parties,
     local_unitary,
+    order_conditions,
     qubit_chain,
     sequential_ordered_process,
     unitary_channel_mixture,
@@ -33,7 +35,7 @@ def traced_switch_cert():
 # order cones
 
 def test_cone_conditions_bipartite(qubit_parties):
-    conds = cs.OrderCone(("A", "B")).conditions(qubit_parties)
+    conds = order_conditions(("A", "B"), qubit_parties)
     assert conds == [
         (frozenset({"B_I", "B_O"}), frozenset({"B_I", "B_O", "A_O"})),
         (frozenset(), frozenset({"B_O"})),
@@ -42,7 +44,7 @@ def test_cone_conditions_bipartite(qubit_parties):
 
 def test_cone_conditions_skip_trivial_output():
     parties = cs.switch_parties()
-    conds = cs.OrderCone(("A", "B", "F")).conditions(parties)
+    conds = order_conditions(("A", "B", "F"), parties)
     # F has a trivial output: no condition of its own, and its input spaces
     # show up in the earlier parties' "later" sets
     assert len(conds) == 2
@@ -51,10 +53,65 @@ def test_cone_conditions_skip_trivial_output():
 
 
 def test_cone_must_cover_parties(qubit_parties):
-    with pytest.raises(ValueError, match="does not cover"):
-        cs.OrderCone(("A", "C")).conditions(qubit_parties)
-    with pytest.raises(ValueError, match="does not cover"):
-        cs.OrderCone(("A",)).conditions(qubit_parties)
+    p = cs.ProcessMatrix(qubit_parties, cs.identity(cs.parties_space(qubit_parties)) / 4)
+    for order in [("A", "C"), ("A",), ("A", "A"), ("A", "B", "C")]:
+        with pytest.raises(ValueError, match="does not cover"):
+            cs.order_cone_residual(p, cs.OrderCone(order))
+        with pytest.raises(ValueError, match="does not cover"):
+            cs.check_separability(p, orders=[order, ("B", "A")])
+
+
+def reference_mask(basis, conds):
+    """1 - (D_S - D_{S+o}) for every condition pair, as a 0/1 coefficient
+    mask: zero where the S indices are all identity and the o indices are
+    not. Read from explicit index grids, kept as the reference for the
+    pattern-id masks."""
+    idx = np.indices(basis.shape)
+
+    def identity_on(labels):
+        return np.all([idx[basis.labels.index(lab)] == 0 for lab in labels]
+                      + [np.ones(basis.shape, dtype=bool)], axis=0)
+
+    mask = np.ones(basis.shape)
+    for s, so in conds:
+        mask[identity_on(s) & ~identity_on(so - s)] = 0.0
+    return mask
+
+
+def every_order(kind, parties):
+    return [pytest.param(parties, order, id=f"{kind}-{''.join(order)}")
+            for order in itertools.permutations(q.name for q in parties)]
+
+
+@pytest.mark.parametrize("parties, order", [
+    *every_order("qubit", qubit_chain("ABC")),
+    *every_order("switch2", cs.switch_parties(2)),
+    *every_order("switch3", cs.switch_parties(3)),
+    *every_order("interleaved", interleaved_parties()),
+])
+def test_cone_masks_match_reference_conditions(parties, order):
+    parties = tuple(parties)
+    basis = _coeff_basis(cs.parties_space(parties))
+    got = separability._cone_masks(parties, [cs.OrderCone(order)], basis.shape)[0]
+    want = reference_mask(basis, order_conditions(order, parties))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_dykstra_runs_on_the_reference_masks(monkeypatch, traced_switch_cert):
+    p, want = traced_switch_cert
+    seen = []
+    dykstra = separability._dykstra
+
+    def recording(basis, w, m, *args):
+        seen.append((basis, m))
+        return dykstra(basis, w, m, *args)
+
+    monkeypatch.setattr(separability, "_dykstra", recording)
+    got = cs.check_separability(p)
+    (basis, m), = seen
+    for mask, cone in zip(m, got.trace.orders):
+        assert np.array_equal(mask, reference_mask(basis, order_conditions(cone.order, p.parties)))
+    assert got.iterations == want.iterations
 
 
 def test_ordered_process_sits_in_its_cone(qubit_parties, rng):
@@ -153,8 +210,8 @@ def test_batched_basis_change_matches_per_item(dims, rng):
 def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
     space = cs.parties_space(qubit_parties)
     basis = _CoeffBasis(space)
-    conds = cs.OrderCone(("A", "B")).conditions(qubit_parties)
-    mask = basis.mask_for_conditions(conds)
+    conds = order_conditions(("A", "B"), qubit_parties)
+    mask = separability._cone_masks(qubit_parties, [cs.OrderCone(("A", "B"))], basis.shape)[0]
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     op = cs.HermitianOperator(space, g + g.conj().T)
     masked = basis.from_coeffs(mask * basis.to_coeffs(op.mat))
@@ -168,7 +225,7 @@ def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
 def depolarize_cone_residual(p, cone):
     """The cone residual as depolarize chains, kept as the reference."""
     worst = 0.0
-    for s, so in cone.conditions(p.parties):
+    for s, so in order_conditions(cone.order, p.parties):
         left = cs.depolarize(p.w, sorted(s)) if s else p.w
         right = cs.depolarize(p.w, sorted(so))
         worst = max(worst, (left - right).norm())
@@ -406,7 +463,7 @@ def test_separable_mixture_gets_no_witness(k):
 def order_projection(op, cone, parties):
     """P_i(S) as a depolarize chain, the reference for the coefficient
     masks."""
-    for s, so in cone.conditions(parties):
+    for s, so in order_conditions(cone.order, parties):
         op = op - (cs.depolarize(op, sorted(s)) - cs.depolarize(op, sorted(so)))
     return op
 
