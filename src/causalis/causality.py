@@ -4,7 +4,10 @@ A bipartite table is causal when it mixes deterministic one-way-signalling
 strategies. Bounds of causal inequalities are computed exactly by complete
 enumeration of those strategies (the objective is linear, so the optimum
 sits at a vertex); membership is a simplex-constrained least-squares fit
-over the same vertices.
+over the same vertices: every A<B strategy and the B<A ones whose answer
+a = g(x, y) depends on y, na^nx nb^(nx ny) + nb^ny (na^(nx ny) - na^nx) in
+all, built by index arithmetic as the columns of one cached matrix per
+alphabet; the tables `enumerate_strategies` returns are views of them.
 
 scipy.optimize is imported inside `is_causal`, the one place that calls
 it: loading it takes longer than importing the rest of causalis, and most
@@ -13,7 +16,6 @@ commands never need it.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -107,66 +109,60 @@ class InequalityScore(NamedTuple):
 # ---------------------------------------------------------------------------
 # strategy enumeration
 
-@functools.lru_cache(maxsize=32)
-def _vertices(settings: tuple[int, int], outcomes: tuple[int, int], cap: int):
-    """Deduplicated deterministic one-way tables for both orders.
-
-    Tables shared by the two orders (the no-signalling ones) are kept once,
-    tagged with the A<B order seen first.
-    """
-    nx, ny = settings
-    na, nb = outcomes
-    for n_first in (na**nx * nb ** (nx * ny), nb**ny * na ** (nx * ny)):
-        if n_first > cap:
-            raise ValueError(
-                f"{n_first} deterministic strategies per order exceeds the cap {cap}; "
-                "enumeration-based membership is infeasible here and an LP formulation "
-                "over the causal polytope would be required"
-            )
-    seen: dict[bytes, tuple[DeterministicStrategy, np.ndarray]] = {}
-    for f in itertools.product(range(na), repeat=nx):
-        for g in itertools.product(range(nb), repeat=nx * ny):
-            s = DeterministicStrategy("A<B", f, g)
-            t = s.table(settings, outcomes)
-            key = t.tobytes()
-            if key not in seen:
-                t.setflags(write=False)
-                seen[key] = (s, t)
-    for f in itertools.product(range(nb), repeat=ny):
-        for g in itertools.product(range(na), repeat=nx * ny):
-            s = DeterministicStrategy("B<A", f, g)
-            t = s.table(settings, outcomes)
-            key = t.tobytes()
-            if key not in seen:
-                t.setflags(write=False)
-                seen[key] = (s, t)
-    return tuple(seen.values())
-
-
 _SIMPLEX_SCALE = 1e3  # dominates the fit so sum(lambda) = 1 holds to ~1e-10
 
 
 @functools.lru_cache(maxsize=32)
-def _vertex_matrix(settings: tuple[int, int], outcomes: tuple[int, int], cap: int):
-    """Read-only (v, a): the vertices of `_vertices` as the columns of v, in
-    the same order, and a = v with the weighted simplex row appended; v is
-    a view of a, so the two share one buffer."""
-    v = np.stack([t.reshape(-1) for _, t in _vertices(settings, outcomes, cap)], axis=1)
-    a = np.vstack([v, _SIMPLEX_SCALE * np.ones((1, v.shape[1]))])
-    a.setflags(write=False)
-    return a[:-1], a
+def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
+    """Read-only (v, a, a_first): the flattened vertex tables as the columns of v
+    (A<B first, each order over (f, g) in itertools.product order), a = v with the
+    weighted simplex row appended (v is a view of a), and which columns are A<B."""
+    (nx, ny), (na, nb) = settings, outcomes
+    for n_first in (na**nx * nb ** (nx * ny), nb**ny * na ** (nx * ny)):
+        if n_first > ENUM_CAP:
+            raise ValueError(
+                f"{n_first} deterministic strategies per order exceeds the cap {ENUM_CAP}; "
+                "enumeration-based membership is infeasible here and an LP formulation "
+                "over the causal polytope would be required"
+            )
+    xy = np.arange(nx * ny).reshape(nx, ny, 1) * na
+    # A<B: a = f[x], b = g[x, y]
+    fg = np.indices((na,) * nx + (nb,) * (nx * ny)).reshape(nx + nx * ny, -1)
+    rows_ab = (xy + fg[:nx, None]) * nb + fg[nx:].reshape(nx, ny, -1)
+    # B<A: b = f[y], a = g[x, y]; a g that ignores y gives an A<B table
+    fg = np.indices((nb,) * ny + (na,) * (nx * ny)).reshape(ny + nx * ny, -1)
+    g = fg[ny:].reshape(nx, ny, -1)
+    rows_ba = ((xy + g) * nb + fg[:ny])[..., (g != g[:, :1]).any(axis=(0, 1))]
+    # rows[x * ny + y, k]: where column k has its entry for (x, y)
+    rows = np.concatenate([rows_ab, rows_ba], axis=2).reshape(nx * ny, -1)
+    k = np.arange(rows.shape[1])
+    a = np.zeros((nx * ny * na * nb + 1, len(k)))
+    a[rows, k] = 1.0
+    a[-1] = _SIMPLEX_SCALE
+    a_first = k < rows_ab.shape[2]
+    for m in (a, a_first):
+        m.setflags(write=False)
+    return a[:-1], a, a_first
 
 
-def enumerate_strategies(game: CausalGame, cap: int = ENUM_CAP):
-    """All deterministic one-way strategies for the game's alphabets,
-    with their probability tables (duplicates collapsed)."""
-    return list(_vertices(game.settings, game.outcomes, cap))
+def enumerate_strategies(game: CausalGame):
+    """All deterministic one-way strategies for the game's alphabets, with their
+    tables (duplicates collapsed) as read-only views of the vertex matrix's columns."""
+    v, _, a_first = _polytope(game.settings, game.outcomes)
+    (nx, ny), (na, nb) = game.settings, game.outcomes
+    # each column's entries, one per (x, y), come out in (x, y) order
+    rows = np.nonzero(v.T)[1].reshape(-1, nx, ny)
+    a, b = (rows // nb % na).tolist(), (rows % nb).tolist()
+    tables = v.T.reshape((-1,) + game.settings + game.outcomes)  # views of v
+    return [(DeterministicStrategy("A<B", tuple(r[0] for r in a[k]), tuple(sum(b[k], [])))
+             if is_ab else DeterministicStrategy("B<A", tuple(b[k][0]), tuple(sum(a[k], []))),
+             tables[k]) for k, is_ab in enumerate(a_first.tolist())]
 
 
-def causal_bound(game: CausalGame, cap: int = ENUM_CAP) -> float:
+def causal_bound(game: CausalGame) -> float:
     """Exact optimum of the game over causal correlations (vertex maximum,
     one product with the vertex matrix)."""
-    v, _ = _vertex_matrix(game.settings, game.outcomes, cap)
+    v, _, _ = _polytope(game.settings, game.outcomes)
     weight = game.input_dist.reshape(game.settings + (1, 1)) * game.win
     return float((weight.reshape(-1) @ v).max())
 
@@ -182,6 +178,8 @@ def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
     vals = np.asarray(table, dtype=float)
     if vals.ndim != 4:
         raise ValueError("expected a (x, y, a, b) probability array")
+    if not np.isfinite(vals).all():  # NaN would pass every comparison below
+        raise ValueError("probabilities must be finite")
     nx, ny, na, nb = vals.shape
     sums = vals.sum(axis=(2, 3))
     if vals.min() < -1e-9 or np.max(np.abs(sums - 1.0)) > 1e-9:
@@ -189,7 +187,7 @@ def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
     return vals, (nx, ny), (na, nb)
 
 
-def is_causal(table, tol: float = CAUSAL_TOL, cap: int = ENUM_CAP) -> CausalityVerdict:
+def is_causal(table, tol: float = CAUSAL_TOL) -> CausalityVerdict:
     """Membership of a bipartite table in the causal polytope.
 
     Solves min |p - sum_i lambda_i v_i| with lambda >= 0, sum lambda = 1
@@ -197,13 +195,14 @@ def is_causal(table, tol: float = CAUSAL_TOL, cap: int = ENUM_CAP) -> CausalityV
     with the simplex constraint appended as a heavily weighted row). Causal
     iff the residual is below tol; the verdict then carries the vertex
     weights and the aggregate weight q on the A<B order (vertices shared by
-    both orders count toward q).
+    both orders count toward q). tol must be finite and > 0.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     import scipy.optimize  # looked up per call, so a wrapped nnls is seen
 
     vals, settings, outcomes = _table_values(table)
-    verts = _vertices(settings, outcomes, cap)
-    v, a = _vertex_matrix(settings, outcomes, cap)
+    v, a, a_first = _polytope(settings, outcomes)
     b = np.concatenate([vals.reshape(-1), [_SIMPLEX_SCALE]])
     lam, _ = scipy.optimize.nnls(a, b, maxiter=30 * v.shape[1])
     total = lam.sum()
@@ -213,19 +212,19 @@ def is_causal(table, tol: float = CAUSAL_TOL, cap: int = ENUM_CAP) -> CausalityV
     causal = residual < tol
     if not causal:
         return CausalityVerdict(False, residual, None, None)
-    q = float(sum(w for (s, _), w in zip(verts, lam) if s.order == "A<B"))
+    q = float(lam[a_first].sum())
     lam.setflags(write=False)
     return CausalityVerdict(True, residual, q, lam)
 
 
-def score_inequality(table, game: CausalGame, cap: int = ENUM_CAP) -> InequalityScore:
+def score_inequality(table, game: CausalGame) -> InequalityScore:
     """Expected win value of a table, the causal bound, and the verdict."""
     vals, settings, outcomes = _table_values(table)
     if settings != game.settings or outcomes != game.outcomes:
         raise ValueError("table alphabets do not match the game")
     weight = game.input_dist.reshape(settings + (1, 1)) * game.win
     value = float((weight * vals).sum())
-    bound = causal_bound(game, cap)
+    bound = causal_bound(game)
     return InequalityScore(value, bound, value > bound + 1e-9)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -91,9 +92,54 @@ def test_vertices_are_one_way_signalling():
             assert np.max(np.abs(marg - marg[:1])) == 0
 
 
-def test_enumeration_cap():
+def reference_vertices(settings, outcomes):
+    """Deterministic one-way (strategy, table) pairs built one table at a
+    time over both orders, the tables shared by the two orders kept once
+    under the A<B strategy seen first: the reference for the cached
+    vertex matrix."""
+    nx, ny = settings
+    na, nb = outcomes
+    seen = {}
+    for order, n_first, n_second, repeat in (("A<B", na, nb, nx), ("B<A", nb, na, ny)):
+        for f in itertools.product(range(n_first), repeat=repeat):
+            for g in itertools.product(range(n_second), repeat=nx * ny):
+                s = cs.DeterministicStrategy(order, f, g)
+                t = s.table(settings, outcomes)
+                seen.setdefault(t.tobytes(), (s, t))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("settings, outcomes", [
+    ((2, 2), (2, 2)), ((2, 4), (2, 2)), ((2, 2), (3, 3)), ((3, 2), (2, 3)),
+    ((2, 3), (3, 2)), ((1, 1), (1, 1)), ((1, 2), (3, 1)), ((2, 1), (1, 2)),
+])
+def test_polytope_matches_reference_loop(settings, outcomes):
+    want = reference_vertices(settings, outcomes)
+    v, a, a_first = causality._polytope(settings, outcomes)
+    assert np.array_equal(v, np.stack([t.reshape(-1) for _, t in want], axis=1))
+    assert np.array_equal(a_first, [s.order == "A<B" for s, _ in want])
+    assert np.array_equal(a[-1], np.full(v.shape[1], 1e3))
+    (nx, ny), (na, nb) = settings, outcomes
+    assert v.shape[1] == na**nx * nb ** (nx * ny) + nb**ny * (na ** (nx * ny) - na**nx)
+    game = cs.CausalGame(settings, outcomes, np.full(settings, 1 / (nx * ny)),
+                         np.zeros(settings + outcomes))
+    got = cs.enumerate_strategies(game)
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for s, t in got:
+        assert not t.flags.writeable
+        assert np.array_equal(t, s.table(settings, outcomes))
+
+
+def test_enumeration_cap(monkeypatch):
+    # the cap is checked inside the cached builder, so drop what it holds
+    monkeypatch.setattr(causality, "ENUM_CAP", 50)
+    causality._polytope.cache_clear()
     with pytest.raises(ValueError, match="LP formulation"):
-        cs.causal_bound(GYNI, cap=50)
+        cs.causal_bound(GYNI)
+    with pytest.raises(ValueError, match="LP formulation"):
+        cs.is_causal(np.full((2, 2, 2, 2), 0.25))
+    with pytest.raises(ValueError, match="LP formulation"):
+        cs.enumerate_strategies(GYNI)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +279,31 @@ def test_table_input_validation():
         cs.is_causal(np.full((2, 2, 2, 2), 0.3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_rejects_non_finite_entries(bad):
+    # NaN passed the normalization checks and scored as not violated
+    table = np.full((2, 2, 2, 2), 0.25)
+    table[0, 0, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cs.score_inequality(table, GYNI)
+    with pytest.raises(ValueError, match="finite"):
+        cs.is_causal(table)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf, -np.inf])
+def test_is_causal_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        cs.is_causal(np.full((2, 2, 2, 2), 0.25), tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # vertex-matrix cache and the deferred scipy import
 
-def is_causal_reference(table, tol=causality.CAUSAL_TOL, cap=causality.ENUM_CAP):
-    """is_causal with the vertex matrix stacked afresh on every call."""
+def is_causal_reference(table, tol=causality.CAUSAL_TOL):
+    """is_causal with the vertex matrix stacked afresh on every call from
+    the reference loop, and q summed vertex by vertex."""
     vals, settings, outcomes = causality._table_values(table)
-    verts = causality._vertices(settings, outcomes, cap)
+    verts = reference_vertices(settings, outcomes)
     v = np.stack([t.reshape(-1) for _, t in verts], axis=1)
     a = np.vstack([v, 1e3 * np.ones((1, v.shape[1]))])
     b = np.concatenate([vals.reshape(-1), [1e3]])
@@ -281,10 +345,10 @@ def test_cached_vertex_matrix_matches_per_call_stack(make, game):
         assert abs(got.q_A_before_B - want.q_A_before_B) <= 1e-15
     else:
         assert got.weights is None and got.q_A_before_B is None
-    key = (table.settings, table.outcomes, causality.ENUM_CAP)
-    v, a = causality._vertex_matrix(*key)
+    v, a, a_first = causality._polytope(table.settings, table.outcomes)
     assert not v.flags.writeable and not a.flags.writeable
-    assert causality._vertex_matrix(*key)[0] is v
+    assert not a_first.flags.writeable
+    assert causality._polytope(table.settings, table.outcomes)[0] is v
 
 
 def test_import_leaves_scipy_optimize_unloaded():
