@@ -37,6 +37,9 @@ class CausalGame:
     win: np.ndarray
 
     def __post_init__(self):
+        if len(self.settings) != 2 or len(self.outcomes) != 2:
+            raise ValueError(f"a causal game has two parties, A and B: settings {self.settings} "
+                             f"and outcomes {self.outcomes} need one count per party")
         dist = np.asarray(self.input_dist, dtype=float)
         win = np.asarray(self.win, dtype=float)
         if dist.shape != self.settings:

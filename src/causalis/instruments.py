@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, _contract, make_quantum_switch, validate_process
+from .process import Party, ProcessMatrix, _contract, _require_valid, make_quantum_switch
 from .tensor_core import (
     HermitianOperator,
     choi_of_kraus,
@@ -40,6 +40,8 @@ class Instrument:
     chois: tuple[tuple[HermitianOperator, ...], ...]  # [setting][outcome]
 
     def __post_init__(self):
+        if self.settings < 1 or self.outcomes < 1:
+            raise ValueError("instrument settings and outcomes must be positive")
         if len(self.chois) != self.settings:
             raise ValueError("one row of Chois per setting required")
         eye_in = identity(self.party.input_space)
@@ -219,10 +221,7 @@ def random_instrument(
 
 def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTable:
     """Full probability table P(outcomes | settings) of a valid process."""
-    if p.validity == "unchecked":
-        p = validate_process(p)
-    if p.validity != "valid":
-        raise ValueError(f"process is not valid: {p.reason}")
+    p = _require_valid(p)
     by_name = {ins.party.name: ins for ins in instruments}
     if set(by_name) != {party.name for party in p.parties}:
         raise ValueError("instruments must cover exactly the process parties")
@@ -293,7 +292,6 @@ def switch_discrimination_demo(u: np.ndarray, v: np.ndarray, psi=None) -> float:
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
     qs = make_quantum_switch(psi, 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
-    qs = validate_process(qs)
     pa, pb, pf = qs.parties
     ins_a = standard_instruments("unitary", pa, unitaries=[u])
     ins_b = standard_instruments("unitary", pb, unitaries=[v])

@@ -158,7 +158,9 @@ def instrument_from_json(d: dict, parties) -> Instrument:
         row = []
         for a in range(outcomes):
             op = operator_from_json(_field(chois, f"{x},{a}", dict, "instrument chois"))
-            row.append(HermitianOperator(op.space, op.mat))
+            if not isinstance(op, HermitianOperator):
+                op = HermitianOperator(op.space, op.mat)  # raises with the deviation
+            row.append(op)
         rows.append(tuple(row))
     return Instrument(party, settings, outcomes, tuple(rows))
 

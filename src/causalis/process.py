@@ -64,6 +64,7 @@ from .tensor_core import (
     _coeff_basis,
     _ginibre_density,
     _haar_isometry,
+    _partial_trace,
     choi_vector,
     depolarize,
     identity,
@@ -373,6 +374,15 @@ def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float 
     return out
 
 
+def _require_valid(p: ProcessMatrix) -> ProcessMatrix:
+    """p validated if unchecked; raises unless it is valid."""
+    if p.validity == "unchecked":
+        p = validate_process(p)
+    if p.validity != "valid":
+        raise ValueError(f"process is not valid: {p.reason}")
+    return p
+
+
 def validity_report(p: ProcessMatrix) -> dict:
     """Residuals of both validity conditions, without short-circuiting.
 
@@ -459,7 +469,7 @@ def _link_space(src: Party, dst: Party) -> SpaceProduct:
 def _check_pieces(order: Sequence[Party], states: np.ndarray, channels: Sequence[np.ndarray]):
     """make_ordered_process's conditions on (n, ...) stacks of pieces: unit
     trace and PSD states, CP channels (one stacked eigvalsh per link) and TP
-    channels (one partial-trace einsum per link). Raises on the first
+    channels (one batched partial trace per link). Raises on the first
     violated condition, naming the worst sample when n > 1."""
     n = states.shape[0]
 
@@ -480,16 +490,8 @@ def _check_pieces(order: Sequence[Party], states: np.ndarray, channels: Sequence
         i = int(np.argmin(low))
         if low[i] < -PSD_TOL:
             raise ValueError(f"channel {k} is not completely positive{at(i)}")
-        # Tr_out C over dst's input factors: their row and column share a subscript
-        facs = _link_space(src, dst).factors
-        out = set(dst.input_labels)
-        rows = list(range(1, len(facs) + 1))
-        cols = [r if f.label in out else r + len(facs) for r, f in zip(rows, facs)]
-        keep = [j for j, f in enumerate(facs) if f.label not in out]
-        marginal = np.einsum(c.reshape((n,) + tuple(f.dim for f in facs) * 2), [0] + rows + cols,
-                             [0] + [rows[j] for j in keep] + [cols[j] for j in keep])
-        d = src.output_dim
-        dev = np.linalg.norm(marginal.reshape(n, d, d) - np.eye(d), axis=(1, 2))
+        marginal = _partial_trace(c, _link_space(src, dst).factors, set(dst.input_labels))
+        dev = np.linalg.norm(marginal - np.eye(src.output_dim), axis=(1, 2))
         i = int(np.argmax(dev))
         if dev[i] > LIN_TOL:
             raise ValueError(

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, _party_moves, random_ordered_batch, validate_process
-from .tensor_core import HermitianOperator, Operator, _CoeffBasis, _coeff_basis
+from .process import Party, ProcessMatrix, _party_moves, _require_valid, random_ordered_batch
+from .tensor_core import HermitianOperator, _CoeffBasis, _coeff_basis
 
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
@@ -108,7 +108,7 @@ def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityTrace:
-    """Raw outcome of one Dykstra run (components unpolished). ``dual`` is
+    """Raw outcome of one Dykstra run; the certificate reads it. ``dual`` is
     the PSD-side correction with its sign flipped, y_i = -q_i ⪰ 0, the dual
     variable that `extract_witness` builds its witness from, as a (2, ...)
     stack of real coefficients over the product Hermitian basis of W's
@@ -120,14 +120,15 @@ class FeasibilityTrace:
     iterations: int
     residual: float
     residual_history: np.ndarray
-    components: tuple[Operator, Operator]
     perp: float
     dual: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class SeparabilityCertificate:
-    """Verdict of check_separability.
+    """Verdict of check_separability. It stores q, components, witness,
+    diagnostics and the run's ``trace``; separable (the run converged),
+    residual, iterations and witness_verified are read off them.
 
     When separable, ``components`` are the PSD summands of W (so the
     normalized order-cone members are components[i] scaled by 1/q_i) and
@@ -147,15 +148,27 @@ class SeparabilityCertificate:
     from W, and this certificate does not attempt to distinguish the two.
     """
 
-    separable: bool
     q: float | None
-    components: tuple[Operator, Operator] | None
-    residual: float
-    iterations: int
+    components: tuple[HermitianOperator, HermitianOperator] | None
     witness: HermitianOperator | None
-    witness_verified: bool
     diagnostics: dict
     trace: FeasibilityTrace
+
+    @property
+    def separable(self) -> bool:
+        return self.trace.converged
+
+    @property
+    def residual(self) -> float:
+        return self.trace.residual
+
+    @property
+    def iterations(self) -> int:
+        return self.trace.iterations
+
+    @property
+    def witness_verified(self) -> bool:
+        return self.witness is not None
 
     @property
     def verdict(self) -> str:
@@ -170,17 +183,8 @@ class SeparabilityCertificate:
         return "undecided"
 
 
-def _require_valid(p: ProcessMatrix) -> ProcessMatrix:
-    if p.validity == "unchecked":
-        p = validate_process(p)
-    if p.validity != "valid":
-        raise ValueError(f"process is not valid: {p.reason}")
-    return p
-
-
 def _check_count(name, value, least):
-    """Counts (iterations, stall window, battery sizes): an integer, at
-    least `least`."""
+    """Counts (iterations, battery sizes): an integer, at least `least`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -197,13 +201,16 @@ def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
                      "two total orders explicitly")
 
 
-def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, tol, max_iters,
-             stall_window, stall_rel):
+def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_iters):
     """Alternating projections on the pair x = (x1, x2), held as one (2, ...)
     coefficient stack, between the affine set {x_i in L_i, x1 + x2 = W_par}
-    and the PSD product cone (m stacks the L_i masks). The reported residual
-    sqrt(gap^2 + perp^2) also charges the part of W outside the union of the
-    two subspaces, which no feasible pair can reproduce."""
+    and the PSD product cone (m stacks the masks of the cones' subspaces
+    L_i); returns the last PSD pair and the run's FeasibilityTrace. The
+    reported residual sqrt(gap^2 + perp^2) also charges the part of W outside
+    the union of the two subspaces, which no feasible pair can reproduce.
+    The run stalls when, checked every STALL_CHECK_EVERY iterations, the
+    residual has fallen by less than STALL_REL relative to its value
+    STALL_WINDOW iterations back."""
     m12 = m[0] * m[1]
     wc = basis.to_coeffs(w)
     wpar = wc * (1 - (1 - m[0]) * (1 - m[1]))
@@ -232,12 +239,14 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, tol, max_iters,
         b = nb
         if res < tol:
             break
-        if it >= stall_window and it % STALL_CHECK_EVERY == 0:
-            old = hist[it - stall_window]
-            if (old - res) / max(old, 1e-300) < stall_rel:
+        if it >= STALL_WINDOW and it % STALL_CHECK_EVERY == 0:
+            old = hist[it - STALL_WINDOW]
+            if (old - res) / max(old, 1e-300) < STALL_REL:
                 stalled = True
                 break
-    return b, res, it, np.asarray(hist), perp, stalled, -q
+    return b, FeasibilityTrace(orders=cones, converged=res < tol, stalled=stalled, iterations=it,
+                               residual=res, residual_history=np.asarray(hist), perp=perp,
+                               dual=-q)
 
 
 def check_separability(
@@ -246,25 +255,22 @@ def check_separability(
     *,
     tol: float = SEP_TOL,
     max_iters: int = MAX_ITERS,
-    stall_window: int = STALL_WINDOW,
-    stall_rel: float = STALL_REL,
-    attempt_witness: bool = True,
     witness_seed: int = 7,
     battery_per_order: int = 500,
     battery_mixtures: int = 500,
 ) -> SeparabilityCertificate:
     """Decide whether W mixes processes from two order cones.
 
-    Runs Dykstra's algorithm on the summand pair. Residual below tol means
-    separable: the certificate carries the PSD summands (polished back onto
-    their linear subspaces) and the weight q of the first order. Otherwise
-    a witness is extracted and certified unless attempt_witness is false,
-    and ``verdict`` tells a stall or a certified witness (nonseparable) from
-    a run cut off by max_iters (undecided). max_iters and stall_window must
-    be integers >= 1 and tol finite and > 0.
+    Runs Dykstra's algorithm on the summand pair until the residual is below
+    tol, stalls (see `_dykstra`) or has run max_iters iterations. Residual
+    below tol means separable: the certificate carries the PSD summands
+    (polished back onto their linear subspaces) and the weight q of the
+    first order. Otherwise `extract_witness` (witness_seed and the battery
+    sizes) looks for a certified witness, and ``verdict`` tells a stall or
+    a certified witness (nonseparable) from a run cut off by max_iters
+    (undecided). max_iters must be an integer >= 1 and tol finite and > 0.
     """
     _check_count("max_iters", max_iters, 1)
-    _check_count("stall_window", stall_window, 1)
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     _check_count("battery_per_order", battery_per_order, 1)
@@ -278,21 +284,8 @@ def check_separability(
 
     basis = _coeff_basis(p.w.space)
     masks = _cone_masks(p.parties, cones, basis.shape)
-    b, res, it, hist, perp, stalled, dual = _dykstra(
-        basis, p.w.mat, masks, tol, max_iters, stall_window, stall_rel
-    )
-    trace = FeasibilityTrace(
-        orders=cones,
-        converged=res < tol,
-        stalled=stalled,
-        iterations=it,
-        residual=res,
-        residual_history=hist,
-        components=tuple(Operator(p.w.space, m) for m in basis.from_coeffs(b)),
-        perp=perp,
-        dual=dual,
-    )
-    diagnostics = {"perp": perp, "stalled": stalled}
+    b, trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters)
+    diagnostics = {"perp": trace.perp, "stalled": trace.stalled}
 
     if trace.converged:
         # mask once more so each summand sits exactly in its subspace
@@ -309,29 +302,20 @@ def check_separability(
             order_cone_residual(ProcessMatrix(p.parties, c), cone)
             for c, cone in zip(comps, cones)
         ]
-        return SeparabilityCertificate(
-            separable=True, q=q, components=comps, residual=res, iterations=it,
-            witness=None, witness_verified=False, diagnostics=diagnostics,
-            trace=trace,
-        )
+        return SeparabilityCertificate(q=q, components=comps, witness=None,
+                                       diagnostics=diagnostics, trace=trace)
 
     diagnostics["verification"] = (
         "witness: exact dual-cone check (eigvalsh margins on both order "
         "subspaces), seeded battery as cross-check"
-        if attempt_witness else "none: witness search skipped"
     )
-    witness = None
-    if attempt_witness:
-        witness, wdiag = extract_witness(
-            p, trace, seed=witness_seed, samples_per_order=battery_per_order,
-            n_mixtures=battery_mixtures, eps=tol,
-        )
-        diagnostics.update(wdiag)
-    return SeparabilityCertificate(
-        separable=False, q=None, components=None, residual=res, iterations=it,
-        witness=witness, witness_verified=witness is not None,
-        diagnostics=diagnostics, trace=trace,
+    witness, wdiag = extract_witness(
+        p, trace, seed=witness_seed, samples_per_order=battery_per_order,
+        n_mixtures=battery_mixtures, eps=tol,
     )
+    diagnostics.update(wdiag)
+    return SeparabilityCertificate(q=None, components=None, witness=witness,
+                                   diagnostics=diagnostics, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -310,24 +310,30 @@ def identity(space) -> HermitianOperator:
     return HermitianOperator(space, np.eye(space.dim, dtype=complex))
 
 
+def _partial_trace(mats: np.ndarray, factors: Sequence[LabeledSpace], labels) -> np.ndarray:
+    """Trace the factors named in labels out of a (..., D, D) stack over
+    factors (in storage order): one einsum in which a traced factor's row
+    and column share a subscript. dim-1 factors take no subscript."""
+    facs = [f for f in factors if f.dim > 1]
+    n = len(facs)
+    cols = [r if f.label in labels else r + n for r, f in enumerate(facs)]
+    keep = [r for r, f in enumerate(facs) if f.label not in labels]
+    d = math.prod(facs[r].dim for r in keep)
+    batch = mats.shape[:-2]
+    t = np.einsum(mats.reshape(batch + tuple(f.dim for f in facs) * 2),
+                  [..., *range(n), *cols], [..., *keep, *(cols[r] for r in keep)])
+    return t.reshape(batch + (d, d))
+
+
 def partial_trace(op: Operator, labels: Iterable[str]) -> Operator:
     """Trace out the named factors; the result keeps the remaining ones."""
     labels = set(labels)
     unknown = labels - set(op.space.labels)
     if unknown:
         raise KeyError(f"unknown labels {sorted(unknown)}")
-    dims = list(op.space.dims)
-    n = len(dims)
-    t = op.mat.reshape(dims + dims)
-    current = list(op.space.labels)
-    for lab in sorted(labels):
-        i = current.index(lab)
-        t = np.trace(t, axis1=i, axis2=i + len(current))
-        current.pop(i)
     keep = [f for f in op.space.factors if f.label not in labels]
-    d = int(np.prod([f.dim for f in keep])) if keep else 1
     cls = HermitianOperator if isinstance(op, HermitianOperator) else Operator
-    return cls(SpaceProduct(keep), t.reshape(d, d))
+    return cls(SpaceProduct(keep), _partial_trace(op.mat, op.space.factors, labels))
 
 
 def depolarize(op: Operator, labels: Iterable[str]) -> Operator:

@@ -33,6 +33,12 @@ def test_game_validation():
         cs.CausalGame((2, 2), (2, 2), np.full((2, 2), 0.25), np.full((2, 2, 2, 2), 0.5))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_game_must_be_bipartite(n):
+    with pytest.raises(ValueError, match="two parties, A and B"):
+        cs.CausalGame((2,) * n, (2,) * n, np.full((2,) * n, 0.5**n), np.zeros((2,) * (2 * n)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_game_rejects_non_finite_input_dist(bad):
     ocb = cs.ocb_game()

@@ -237,6 +237,17 @@ def test_ineq_rejects_mis_shaped_game_file(tmp_path, capsys):
     assert code == 2 and "'settings' must be a list" in err
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_ineq_rejects_non_bipartite_game_file(tmp_path, capsys, n):
+    table = tmp_path / "table.csv"
+    table.write_text(cio.table_to_csv(cs.born(cs.ocb_process(), list(cs.ocb_instruments()))))
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"settings": [2] * n, "outcomes": [2] * n,
+                                "input_dist": np.full((2,) * n, 0.5**n).tolist(), "wins": []}))
+    code, report, err = run(capsys, "ineq", "--game-file", str(game), "--table", str(table))
+    assert code == 2 and report is None and "two parties, A and B" in err
+
+
 # ---------------------------------------------------------------------------
 # sep / demo
 

@@ -37,6 +37,12 @@ def test_instrument_rejects_negative_choi(qubit_parties):
         cs.Instrument(a, 1, 2, ((neg, comp),))
 
 
+@pytest.mark.parametrize("settings, outcomes, chois", [(1, 0, ((),)), (0, 2, ())])
+def test_instrument_rejects_empty_alphabets(qubit_parties, settings, outcomes, chois):
+    with pytest.raises(ValueError, match="settings and outcomes must be positive"):
+        cs.Instrument(qubit_parties[0], settings, outcomes, chois)
+
+
 def test_measure_reprepare_completeness(qubit_parties):
     a, _ = qubit_parties
     ins = cs.standard_instruments("measure_reprepare", a)

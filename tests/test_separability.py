@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -295,6 +296,20 @@ def test_certificate_invariants(traced_switch_cert):
         assert cs.order_cone_residual(cs.ProcessMatrix(p.parties, c), cone) < 1e-6
 
 
+def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_cert):
+    stored = [f.name for f in dataclasses.fields(cs.SeparabilityCertificate)]
+    assert stored == ["q", "components", "witness", "diagnostics", "trace"]
+    assert "components" not in [f.name for f in dataclasses.fields(cs.FeasibilityTrace)]
+    for _, cert in (traced_switch_cert, ocb_cert):
+        t = cert.trace
+        assert (cert.separable, cert.residual, cert.iterations) == (
+            t.converged, t.residual, t.iterations)
+        assert cert.witness_verified == (cert.witness is not None)
+    assert list(inspect.signature(cs.check_separability).parameters) == [
+        "p", "orders", "tol", "max_iters", "witness_seed", "battery_per_order",
+        "battery_mixtures"]
+
+
 def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
     qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))
     w_ab = cs.partial_trace(qs.to_matrix().w, ("F_c", "F_t", "F_O"))
@@ -314,9 +329,10 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
 
 
 def test_ocb_stalls_at_500_iterations():
-    cert = cs.check_separability(cs.ocb_process(), attempt_witness=False)
+    cert = cs.check_separability(cs.ocb_process())
     assert not cert.separable and cert.trace.stalled
     assert cert.iterations == 500
+    assert cert.witness_verified and cert.verdict == "nonseparable"
 
 
 def test_residual_history_decreases(traced_switch_cert):
@@ -383,8 +399,7 @@ def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
 def ocb_cert():
     p = cs.ocb_process()
     return p, cs.check_separability(
-        p, max_iters=4000, stall_window=200,
-        battery_per_order=100, battery_mixtures=100,
+        p, max_iters=4000, battery_per_order=100, battery_mixtures=100,
     )
 
 
@@ -618,8 +633,8 @@ def test_rejects_empty_or_negative_battery(per_order, mixtures):
     ({"max_iters": -3}, "max_iters must be an integer >= 1"),
     ({"max_iters": 2.5}, "max_iters must be an integer >= 1"),
     ({"max_iters": True}, "max_iters must be an integer >= 1"),
-    ({"stall_window": 0}, "stall_window must be an integer >= 1"),
-    ({"stall_window": -5}, "stall_window must be an integer >= 1"),
+    ({"max_iters": np.int64(0)}, "max_iters must be an integer >= 1"),
+    ({"max_iters": "10"}, "max_iters must be an integer >= 1"),
     ({"tol": -1.0}, "tol must be finite and > 0"),
     ({"tol": 0.0}, "tol must be finite and > 0"),
     ({"tol": np.nan}, "tol must be finite and > 0"),

@@ -8,6 +8,7 @@ from causalis.tensor_core import (
     Operator,
     PureVector,
     SpaceProduct,
+    _partial_trace,
     choi_of_kraus,
     choi_vector,
     depolarize,
@@ -153,6 +154,40 @@ def test_partial_trace_middle_factor(rng):
     red = partial_trace(full, ["B"])
     want = tensor(ops[0], ops[2]) * np.trace(ops[1].mat)
     assert np.allclose(red.mat, want.mat)
+
+
+def partial_trace_reference(op, labels):
+    """One np.trace per traced factor, in label order: the loop the batched
+    einsum of `_partial_trace` replaced, kept as its reference."""
+    dims = list(op.space.dims)
+    t = op.mat.reshape(dims + dims)
+    current = list(op.space.labels)
+    for lab in sorted(labels):
+        i = current.index(lab)
+        t = np.trace(t, axis1=i, axis2=i + len(current))
+        current.pop(i)
+    d = int(np.prod([f.dim for f in op.space.factors if f.label not in labels]))
+    return t.reshape(d, d)
+
+
+@pytest.mark.parametrize("labels", [
+    [], ["A"], ["B"], ["C"], ["A", "D"], ["B", "C"], ["A", "C", "D"], ["A", "B", "C", "D"],
+])
+def test_partial_trace_matches_per_factor_loop(rng, labels):
+    # B is a dim-1 factor, which takes no einsum subscript; the sums run in
+    # another order than the loop's, so they agree to rounding (set from the
+    # <= 12-term sums of O(1) entries), not bitwise
+    space = SpaceProduct(LabeledSpace(l, d) for l, d in (("A", 2), ("B", 1), ("C", 3), ("D", 2)))
+    mats = rng.normal(size=(3, 12, 12)) + 1j * rng.normal(size=(3, 12, 12))
+    for m in mats:
+        got = partial_trace(Operator(space, m), labels)
+        assert got.space.labels == tuple(l for l in space.labels if l not in labels)
+        assert np.allclose(got.mat, partial_trace_reference(Operator(space, m), labels),
+                           rtol=0, atol=1e-13)
+    batched = _partial_trace(mats, space.factors, set(labels))
+    for m, t in zip(mats, batched):
+        assert np.allclose(t, partial_trace_reference(Operator(space, m), labels),
+                           rtol=0, atol=1e-13)
 
 
 def test_depolarize_projector_properties(rng):
