@@ -4,8 +4,8 @@ Each subcommand reads JSON/CSV files, dispatches to the library, and prints
 a versioned JSON report to stdout. Exit codes: 0 verdict-positive (valid /
 separable / causal / computed), 1 verdict-negative (invalid process,
 nonseparable, violated inequality), 2 usage or input errors, 3 undecided
-(`sep` hit its iteration cap without a verdict). Reports are byte-identical
-across identical invocations apart from wall_time_s.
+(`sep` found neither a decomposition nor a certified witness). Reports are
+byte-identical across identical invocations apart from wall_time_s.
 
 `main` parses with one argparse tree per process (`_parser`), since building
 it costs more than most subcommands; `build_parser` returns a fresh tree.
@@ -205,8 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="where to write the CSV table")
     b.set_defaults(func=cmd_born)
 
-    p = sub.add_parser("sep", help="certify causal (non)separability "
-                       "(exit 1 if nonseparable, 3 if undecided)")
+    p = sub.add_parser("sep", help="decide whether W mixes fixed orders of the parties with "
+                       "a nontrivial output; with two such parties this is causal "
+                       "separability (exit 1 if a witness certifies nonseparable, "
+                       "3 if undecided)")
     p.add_argument("--in", dest="infile", required=True, help="process JSON path")
     p.add_argument("--seed", type=int, required=True, help="witness-battery RNG seed")
     p.add_argument("--tol", type=_tol_arg, default=1e-7, help="feasibility tolerance")

@@ -262,8 +262,9 @@ def verdict_to_json(v: CausalityVerdict) -> dict:
 
 
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
-    """The verdict with its diagnostics block (perp, stalled, verification,
-    and the decomposition or witness fields), which holds no timings."""
+    """The verdict with its diagnostics block, which holds no timings: the
+    run's perp and stalled (read off ``c.trace``), then the certificate's
+    verification and decomposition or witness fields."""
     return {
         "separable": c.separable,
         "verdict": c.verdict,
@@ -272,7 +273,7 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
         "iterations": c.iterations,
         "witness": None if c.witness is None else operator_to_json(c.witness),
         "witness_verified": c.witness_verified,
-        "diagnostics": dict(c.diagnostics),
+        "diagnostics": {"perp": c.trace.perp, "stalled": c.trace.stalled, **c.diagnostics},
     }
 
 

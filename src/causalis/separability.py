@@ -1,23 +1,32 @@
 """Causal separability: order cones, convex feasibility, witness extraction.
 
-A process is causally separable (for a pair of orders) when it splits as
-W = W_1 + W_2 with each summand PSD and inside its order's linear subspace
-(no signalling to earlier parties). Feasibility is decided by Dykstra's
-alternating projections on the pair (W_1, W_2). A stalled run is upgraded to a nonseparability certificate only
-when a witness S read off the run's dual variable lies in the dual cones of
-both orders, checked exactly by one eigvalsh of its two order projections,
-and Tr[S W] < 0; a seeded battery of ordered processes cross-checks it.
+A process is separable against a list of K total orders when it splits as
+W = W_1 + ... + W_K with each summand PSD and inside its order's linear
+subspace (no signalling to earlier parties), i.e. when it is a mixture of
+processes with those fixed orders. Feasibility is decided by Dykstra's
+alternating projections on the K summands. A failed run is called
+nonseparable only when a witness S read off the run's dual variable lies
+in the dual cone of every order, checked exactly by one eigvalsh of its K
+order projections, and Tr[S W] < 0; a seeded battery of ordered processes
+cross-checks it.
+
+What the verdict means depends on the parties. With two parties that have
+a nontrivial output (the switch included, F last), a mixture of fixed
+orders is exactly causal separability. With three or more, "separable"
+still implies causal separability, but "nonseparable" only excludes
+mixtures of fixed orders: orders that depend on earlier outcomes (dynamical
+orders) are not tested (Wechs, Abbott & Branciard, NJP 21, 013027 (2019)).
 
 All projections run in coefficient space (`tensor_core._CoeffBasis`, the
 engine validity also reads): operators are expanded over the product of
 per-factor orthonormal Hermitian bases (identity direction first). An
 order gives each coefficient a pattern id (`_cone_ids`, read off the
 per-party table validity uses), its projector is the mask ids == 0, the
-affine projection has a closed form, and an order cone's residual is the
-largest per-id norm, one bincount. The basis change is one GEMM per group of
-adjacent factors (two for balanced spaces), and Dykstra carries the summand
-pair as one (2, ...) stack, so an iteration costs one basis change each way
-and one batched eigh.
+affine projection has a closed form on each coefficient, and an order
+cone's residual is the largest per-id norm, one bincount. The basis change
+is one GEMM per group of adjacent factors (two for balanced spaces), and
+Dykstra carries the summands as one (K, ...) stack, so an iteration costs
+one basis change each way and one batched eigh.
 
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
@@ -28,6 +37,7 @@ matrix is formed; mixtures are scored by linearity.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,18 +120,26 @@ def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
 class FeasibilityTrace:
     """Raw outcome of one Dykstra run; the certificate reads it. ``dual`` is
     the PSD-side correction with its sign flipped, y_i = -q_i ⪰ 0, the dual
-    variable that `extract_witness` builds its witness from, as a (2, ...)
+    variable that `extract_witness` builds its witness from, as a (K, ...)
     stack of real coefficients over the product Hermitian basis of W's
-    space (`hermitian_basis` per label-sorted factor, identity first)."""
+    space (`hermitian_basis` per label-sorted factor, identity first), one
+    entry per order. ``residual`` and ``iterations`` are the last entry and
+    the length of ``residual_history``."""
 
-    orders: tuple[OrderCone, OrderCone]
+    orders: tuple[OrderCone, ...]
     converged: bool
     stalled: bool
-    iterations: int
-    residual: float
     residual_history: np.ndarray
     perp: float
     dual: np.ndarray
+
+    @property
+    def residual(self) -> float:
+        return float(self.residual_history[-1])
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,16 +148,17 @@ class SeparabilityCertificate:
     diagnostics and the run's ``trace``; separable (the run converged),
     residual, iterations and witness_verified are read off them.
 
-    When separable, ``components`` are the PSD summands of W (so the
-    normalized order-cone members are components[i] scaled by 1/q_i) and
-    q = Tr components[0] / Tr W. When nonseparable, the verdict is "residual
-    stalled above threshold"; it is certified only if ``witness`` is present,
-    meaning a unit-norm Hermitian S with Tr[S W] < 0 whose projection onto
-    each order's subspace is PSD (diagnostics["certificate_margins"], the two
-    smallest eigenvalues, checked >= -tol), so Tr[S X] >= 0 for every
-    process X of either order and every mixture of them. A seeded battery
-    of ordered processes and their mixtures cross-checks S; diagnostics
-    carry its parameters (battery_per_order >= 1 samples per order and
+    When separable, ``components`` are the PSD summands of W, one per order
+    (so the normalized order-cone members are components[i] scaled by 1/q_i,
+    q_i = Tr components[i] / Tr W), and q = q_0 is the first order's
+    weight. When nonseparable, ``witness`` is a unit-norm Hermitian S with
+    Tr[S W] < 0 whose projection onto each order's subspace is PSD
+    (diagnostics["certificate_margins"], one smallest eigenvalue per order,
+    checked >= -tol), so Tr[S X] >= 0 for every process X of any of the
+    orders and every mixture of them. Without a converged run or a
+    certified witness the verdict is "undecided". A seeded battery of
+    ordered processes and their mixtures cross-checks S; diagnostics carry
+    its parameters (battery_per_order >= 1 samples per order and
     battery_mixtures >= 0 mixtures, both checked) and minimum.
 
     The decomposition, when it exists, identifies W with a probabilistic
@@ -149,7 +168,7 @@ class SeparabilityCertificate:
     """
 
     q: float | None
-    components: tuple[HermitianOperator, HermitianOperator] | None
+    components: tuple[HermitianOperator, ...] | None
     witness: HermitianOperator | None
     diagnostics: dict
     trace: FeasibilityTrace
@@ -172,15 +191,14 @@ class SeparabilityCertificate:
 
     @property
     def verdict(self) -> str:
-        """One of "separable" (converged), "nonseparable" (stalled above tol,
-        or a certified witness) and "undecided": the run hit max_iters
-        without converging or stalling and no witness was certified, so it
-        shows neither answer. ``separable`` is False for the last two."""
+        """Each verdict rests on its evidence: "separable" on a converged
+        decomposition, "nonseparable" on a certified witness, and
+        "undecided" otherwise (the run stalled or hit max_iters, and no
+        witness was certified), so it shows neither answer. ``separable``
+        is False for the last two."""
         if self.separable:
             return "separable"
-        if self.trace.stalled or self.witness_verified:
-            return "nonseparable"
-        return "undecided"
+        return "nonseparable" if self.witness_verified else "undecided"
 
 
 def _check_count(name, value, least):
@@ -190,38 +208,37 @@ def _check_count(name, value, least):
 
 
 def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
-    names = sorted(p.name for p in parties)
-    if len(parties) == 2:
-        return [(names[0], names[1]), (names[1], names[0])]
-    trivial = [p.name for p in parties if p.trivial_output]
-    if len(parties) == 3 and len(trivial) == 1:
-        a, b = sorted(n for n in names if n != trivial[0])
-        return [(a, b, trivial[0]), (b, a, trivial[0])]
-    raise ValueError("no default order pair for this party structure; pass "
-                     "two total orders explicitly")
+    """Every order of the sorted parties with a nontrivial output, followed
+    by the trivial-output parties, which signal to no one."""
+    last = tuple(sorted(p.name for p in parties if p.trivial_output))
+    movers = sorted(p.name for p in parties if not p.trivial_output)
+    return [order + last for order in itertools.permutations(movers)]
 
 
 def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_iters):
-    """Alternating projections on the pair x = (x1, x2), held as one (2, ...)
-    coefficient stack, between the affine set {x_i in L_i, x1 + x2 = W_par}
-    and the PSD product cone (m stacks the masks of the cones' subspaces
-    L_i); returns the last PSD pair and the run's FeasibilityTrace. The
-    reported residual sqrt(gap^2 + perp^2) also charges the part of W outside
-    the union of the two subspaces, which no feasible pair can reproduce.
-    The run stalls when, checked every STALL_CHECK_EVERY iterations, the
-    residual has fallen by less than STALL_REL relative to its value
-    STALL_WINDOW iterations back."""
-    m12 = m[0] * m[1]
+    """Alternating projections on the summands x = (x_1, ..., x_K), held as
+    one (K, ...) coefficient stack, between the affine set {x_i in L_i,
+    sum_i x_i = W_par} and the PSD product cone (m stacks the masks of the
+    cones' subspaces L_i); returns the last PSD stack and the run's
+    FeasibilityTrace. On a coefficient that n > 0 of the L_i allow, the
+    affine step subtracts r/n from each of them, r the excess of their sum
+    over W_par. The reported residual sqrt(gap^2 + perp^2) also charges the
+    part of W outside the sum of the subspaces, which no feasible stack can
+    reproduce. The run stalls when, checked every STALL_CHECK_EVERY
+    iterations, the residual has fallen by less than STALL_REL relative to
+    its value STALL_WINDOW iterations back."""
+    n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
-    wpar = wc * (1 - (1 - m[0]) * (1 - m[1]))
+    wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
+    keep = 1 - 1 / np.maximum(n, 1)
 
     def proj_affine(y):
         t = y * m
-        rhs = t[0] + t[1] - wpar
-        return t - rhs * m + 0.5 * (rhs * m12)
+        r = (t.sum(axis=0) - wpar) * m
+        return t - r + r * keep
 
-    b = np.stack([wpar / 2, wpar / 2])
+    b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)
     q = np.zeros_like(b)
     hist = []
@@ -244,9 +261,8 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
             if (old - res) / max(old, 1e-300) < STALL_REL:
                 stalled = True
                 break
-    return b, FeasibilityTrace(orders=cones, converged=res < tol, stalled=stalled, iterations=it,
-                               residual=res, residual_history=np.asarray(hist), perp=perp,
-                               dual=-q)
+    return b, FeasibilityTrace(orders=cones, converged=res < tol, stalled=stalled,
+                               residual_history=np.asarray(hist), perp=perp, dual=-q)
 
 
 def check_separability(
@@ -259,16 +275,19 @@ def check_separability(
     battery_per_order: int = 500,
     battery_mixtures: int = 500,
 ) -> SeparabilityCertificate:
-    """Decide whether W mixes processes from two order cones.
+    """Decide whether W mixes processes from the order cones of ``orders``,
+    a non-empty list of distinct total orders of the parties (default: every
+    order of the parties with a nontrivial output, trivial-output parties
+    last; see the module docstring for what the verdict means).
 
-    Runs Dykstra's algorithm on the summand pair until the residual is below
-    tol, stalls (see `_dykstra`) or has run max_iters iterations. Residual
-    below tol means separable: the certificate carries the PSD summands
-    (polished back onto their linear subspaces) and the weight q of the
-    first order. Otherwise `extract_witness` (witness_seed and the battery
-    sizes) looks for a certified witness, and ``verdict`` tells a stall or
-    a certified witness (nonseparable) from a run cut off by max_iters
-    (undecided). max_iters must be an integer >= 1 and tol finite and > 0.
+    Runs Dykstra's algorithm on one summand per order until the residual is
+    below tol, stalls (see `_dykstra`) or has run max_iters iterations.
+    Residual below tol means separable: the certificate carries the PSD
+    summands (polished back onto their linear subspaces) and the weight q
+    of the first order. Otherwise `extract_witness` (witness_seed and the
+    battery sizes) looks for a certified witness; the verdict is
+    nonseparable with one and undecided without. max_iters must be an
+    integer >= 1 and tol finite and > 0.
     """
     _check_count("max_iters", max_iters, 1)
     if not (np.isfinite(tol) and tol > 0):
@@ -279,13 +298,12 @@ def check_separability(
     if orders is None:
         orders = _default_orders(p.parties)
     cones = tuple(o if isinstance(o, OrderCone) else OrderCone(o) for o in orders)
-    if len(cones) != 2 or cones[0].order == cones[1].order:
-        raise ValueError("separability is decided against exactly two distinct orders")
+    if not cones or len({c.order for c in cones}) != len(cones):
+        raise ValueError("separability is decided against a non-empty list of distinct orders")
 
     basis = _coeff_basis(p.w.space)
     masks = _cone_masks(p.parties, cones, basis.shape)
     b, trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters)
-    diagnostics = {"perp": trace.perp, "stalled": trace.stalled}
 
     if trace.converged:
         # mask once more so each summand sits exactly in its subspace
@@ -294,26 +312,21 @@ def check_separability(
             for m in basis.from_coeffs(b * masks)
         )
         q = float(np.clip(comps[0].trace().real / p.w.trace().real, 0.0, 1.0))
-        diagnostics["verification"] = "decomposition: reconstruction and order-cone residuals"
-        diagnostics["reconstruction"] = float(
-            (comps[0] + comps[1] - p.w).norm()
-        )
-        diagnostics["cone_residuals"] = [
-            order_cone_residual(ProcessMatrix(p.parties, c), cone)
-            for c, cone in zip(comps, cones)
-        ]
+        diagnostics = {
+            "verification": "decomposition: reconstruction and order-cone residuals",
+            "reconstruction": float((sum(comps[1:], comps[0]) - p.w).norm()),
+            "cone_residuals": [order_cone_residual(ProcessMatrix(p.parties, c), cone)
+                               for c, cone in zip(comps, cones)],
+        }
         return SeparabilityCertificate(q=q, components=comps, witness=None,
                                        diagnostics=diagnostics, trace=trace)
 
-    diagnostics["verification"] = (
-        "witness: exact dual-cone check (eigvalsh margins on both order "
-        "subspaces), seeded battery as cross-check"
-    )
     witness, wdiag = extract_witness(
         p, trace, seed=witness_seed, samples_per_order=battery_per_order,
         n_mixtures=battery_mixtures, eps=tol,
     )
-    diagnostics.update(wdiag)
+    diagnostics = {"verification": "witness: exact dual-cone check (eigvalsh margins on "
+                   "both order subspaces), seeded battery as cross-check", **wdiag}
     return SeparabilityCertificate(q=None, components=None, witness=witness,
                                    diagnostics=diagnostics, trace=trace)
 
@@ -330,24 +343,30 @@ def extract_witness(
     n_mixtures: int = 500,
     eps: float = SEP_TOL,
 ):
-    """Witness S in K_1* ∩ K_2* from a failed feasibility run, certified
-    exactly and cross-checked by a seeded battery.
+    """Witness S in every K_i* (one per order of ``trace.orders``) from a
+    failed feasibility run, certified exactly and cross-checked by a seeded
+    battery.
 
     K_i = PSD ∩ L_i is order i's cone and K_i* = PSD + L_i^⊥ its dual
-    (Araújo et al., NJP 17, 102001 (2015)). In coefficient space S takes
-    y_1 = trace.dual[0] on L_1, y_2 on L_2 outside L_1, and -W outside
-    L_1 + L_2, which both dual cones leave free. X in K_i has
-    Tr[S X] = Tr[P_i(S) X] >= λ_min(P_i S) Tr X (P_i the mask projection
-    onto L_i), and the identity lies in both L_i, so S is shifted by
-    min_i λ_min(P_i S) 1 and normalised. It is accepted only if
+    (Araújo et al., NJP 17, 102001 (2015)). In coefficient space S takes,
+    on each coefficient, y_i = trace.dual[i] for the first order i whose
+    L_i holds it, and -W where no L_i does, which every dual cone leaves
+    free. X in K_i has Tr[S X] = Tr[P_i(S) X] >= λ_min(P_i S) Tr X (P_i the
+    mask projection onto L_i), and the identity lies in every L_i, so S is
+    shifted by min_i λ_min(P_i S) 1 and normalised. It is accepted only if
     Tr[S W] < -10 eps and the recomputed margins λ_min(P_i S) and the
     battery minimum are >= -eps; an all-zero S is rejected. Returns
     (witness or None, diagnostics).
 
     The battery scores samples_per_order (>= 1) ordered processes per order,
     drawn as one `random_ordered_batch`, and n_mixtures (>= 0) mixtures,
-    each drawing two sample indices and a weight t, in that order, as
-    per-sample draws of dense matrices would.
+    each drawing one sample index per order and then one stick-breaking
+    weight per order but the last, in that order, as per-sample draws of
+    dense matrices would.
+    The mixtures add no evidence: by linearity a mixture's score is a convex
+    combination of its parts' scores, so it never falls below the smallest
+    of them by more than one rounding, and the battery minimum is the
+    per-order sample minimum. They stay as a cross-check of the scoring.
     """
     _check_count("samples_per_order", samples_per_order, 1)
     _check_count("n_mixtures", n_mixtures, 0)
@@ -359,10 +378,10 @@ def extract_witness(
     def margins(c):
         return np.linalg.eigvalsh(basis.from_coeffs(masks * c))[:, 0]
 
-    m1, m2 = masks
-    y1, y2 = trace.dual
     wc = basis.to_coeffs(p.w.mat)
-    sc = m1 * y1 + (1 - m1) * (m2 * y2 - (1 - m2) * wc)
+    sc = -wc
+    for m, y in zip(masks[::-1], trace.dual[::-1]):
+        sc = m * y + (1 - m) * sc
     sc = sc - margins(sc).min() * basis.to_coeffs(np.eye(p.w.dim))
     norm = np.linalg.norm(sc)
     if norm > 0:
@@ -380,11 +399,13 @@ def extract_witness(
     ]
     mixed = np.empty(n_mixtures)
     for k in range(n_mixtures):
-        sa = scores[0][rng.integers(0, samples_per_order)]
-        sb = scores[1][rng.integers(0, samples_per_order)]
-        t = rng.uniform()
-        mixed[k] = t * sa + (1 - t) * sb
-    battery_min = float(min(scores[0].min(), scores[1].min(), mixed.min(initial=np.inf)))
+        picks = [s[rng.integers(0, samples_per_order)] for s in scores]
+        score, rest = 0.0, 1.0
+        for s in picks[:-1]:
+            t = rng.uniform()
+            score, rest = score + rest * t * s, rest * (1 - t)
+        mixed[k] = score + rest * picks[-1]
+    battery_min = float(min(min(s.min() for s in scores), mixed.min(initial=np.inf)))
 
     diagnostics = {
         "witness_overlap": overlap,

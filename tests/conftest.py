@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -27,6 +28,16 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def unitary_ordered_process(order, rng):
+    """An ordered process on qubit parties whose links are unitary
+    channels: one Haar unitary per link, then the first party's state."""
+    us = [cs.random_unitary(2, rng) for _ in order[1:]]
+    rho = cs.HermitianOperator(order[0].input_space, cs.random_density(2, rng))
+    links = [cs.choi_of_kraus([u], src.output_space, dst.input_space)
+             for u, src, dst in zip(us, order, order[1:])]
+    return cs.make_ordered_process(list(order), rho, links, validate=False)
+
+
 def unitary_channel_mixture(parties, rng, weight=0.5):
     """Mixture of two ordered processes built from unitary links.
 
@@ -35,14 +46,9 @@ def unitary_channel_mixture(parties, rng, weight=0.5):
     tests.
     """
     a, b = parties
-    chois = {}
-    for src, dst, key in ((a, b, "ab"), (b, a, "ba")):
-        u = cs.random_unitary(2, rng)
-        rho = cs.HermitianOperator(src.input_space, cs.random_density(2, rng))
-        ch = cs.choi_of_kraus([u], src.output_space, dst.input_space)
-        chois[key] = cs.make_ordered_process([src, dst], rho, [ch], validate=False)
-    w = chois["ab"].w * weight + chois["ba"].w * (1 - weight)
-    return cs.ProcessMatrix((a, b), w)
+    w_ab = unitary_ordered_process((a, b), rng).w
+    w_ba = unitary_ordered_process((b, a), rng).w
+    return cs.ProcessMatrix((a, b), w_ab * weight + w_ba * (1 - weight))
 
 
 def sequential_ordered_process(order, rng, n_kraus=2):
@@ -139,6 +145,21 @@ def qubit_with_trivial_parties(n, rng):
     w = cs.tensor(rho, cs.identity(a.output_space),
                   *[cs.identity(q.space) for q in parties[1:]])
     return cs.ProcessMatrix(parties, w)
+
+
+def baumeler_wolf():
+    """The Baumeler-Wolf process on three qubit parties (Baumeler & Wolf,
+    NJP 18, 013036 (2016)): a classical, diagonal W in which A's input is
+    (not o_B) and o_C, B's is (not o_C) and o_A and C's is (not o_A) and
+    o_B, for outputs o. It is valid but no mixture of fixed orders."""
+    parties = qubit_chain("ABC")
+    space = cs.parties_space(parties)
+    diag = np.zeros(space.dims)
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        bits = {"A_O": a, "B_O": b, "C_O": c,
+                "A_I": (1 - b) & c, "B_I": (1 - c) & a, "C_I": (1 - a) & b}
+        diag[tuple(bits[lab] for lab in space.labels)] = 1.0
+    return cs.ProcessMatrix(parties, cs.HermitianOperator(space, np.diag(diag.ravel())))
 
 
 def order_conditions(order, parties):

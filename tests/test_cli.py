@@ -280,6 +280,22 @@ def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
     assert report["results"]["witness_verified"] is True
 
 
+def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
+    # 0.3 white noise on OCB stalls at 500 iterations with Tr[S W] = -0.051:
+    # a certificate at --tol 1e-7 but not at 1e-2, which asks for Tr[S W] < -0.1
+    ocb = cs.ocb_process()
+    w = (ocb.w + cs.identity(ocb.w.space) * (0.3 / 4)) * (1 / 1.3)
+    save_process(tmp_path / "noisy.json", cs.ProcessMatrix(ocb.parties, w))
+    args = ("sep", "--in", str(tmp_path / "noisy.json"), "--seed", "3", "--battery", "20")
+    code, report, _ = run(capsys, *args)
+    assert code == 1 and report["results"]["verdict"] == "nonseparable"
+    code, report, _ = run(capsys, *args, "--tol", "1e-2")
+    res = report["results"]
+    assert code == 3 and res["verdict"] == "undecided"
+    assert res["diagnostics"]["stalled"] is True and res["iterations"] == 500
+    assert res["witness_verified"] is False and "rejected" in res["diagnostics"]
+
+
 def test_sep_requires_seed(tmp_path, qubit_parties, capsys):
     path = tmp_path / "noise.json"
     save_process(path, white_noise(qubit_parties))

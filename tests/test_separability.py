@@ -11,12 +11,14 @@ import causalis as cs
 from causalis import process, separability
 from causalis.separability import _CoeffBasis, _coeff_basis, _default_orders
 from conftest import (
+    baumeler_wolf,
     interleaved_parties,
     local_unitary,
     order_conditions,
     qubit_chain,
     sequential_ordered_process,
     unitary_channel_mixture,
+    unitary_ordered_process,
 )
 
 
@@ -299,12 +301,17 @@ def test_certificate_invariants(traced_switch_cert):
 def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_cert):
     stored = [f.name for f in dataclasses.fields(cs.SeparabilityCertificate)]
     assert stored == ["q", "components", "witness", "diagnostics", "trace"]
-    assert "components" not in [f.name for f in dataclasses.fields(cs.FeasibilityTrace)]
+    assert [f.name for f in dataclasses.fields(cs.FeasibilityTrace)] == [
+        "orders", "converged", "stalled", "residual_history", "perp", "dual"]
     for _, cert in (traced_switch_cert, ocb_cert):
         t = cert.trace
         assert (cert.separable, cert.residual, cert.iterations) == (
             t.converged, t.residual, t.iterations)
+        assert (t.residual, t.iterations) == (t.residual_history[-1], len(t.residual_history))
+        assert type(t.residual) is float and type(t.iterations) is int
         assert cert.witness_verified == (cert.witness is not None)
+        # each fact once: the run's perp and stall live on the trace only
+        assert not {"perp", "stalled"} & set(cert.diagnostics)
     assert list(inspect.signature(cs.check_separability).parameters) == [
         "p", "orders", "tol", "max_iters", "witness_seed", "battery_per_order",
         "battery_mixtures"]
@@ -326,6 +333,12 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
     assert cert.separable and cert.iterations == 43
     assert len(calls) == 43
     assert set(calls) == {(2, 16, 16)}
+    # K orders take one (K, D, D) eigh: Baumeler-Wolf against all six orders
+    calls.clear()
+    cert = cs.check_separability(baumeler_wolf(), max_iters=20, battery_per_order=5)
+    assert cert.iterations == 20
+    assert len(calls) == 20
+    assert set(calls) == {(6, 64, 64)}
 
 
 def test_ocb_stalls_at_500_iterations():
@@ -465,12 +478,13 @@ def seed_state_mixtures():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_separable_mixture_gets_no_witness(k):
-    # a run cut short is reported nonseparable, but no S in both dual cones
-    # can score a separable W negative, so the exact check must refuse
+    # no S in both dual cones can score a separable W negative, so the
+    # exact check must refuse, and the run cut short stays undecided
     cert = cs.check_separability(seed_state_mixtures()[k], max_iters=500)
     assert not cert.separable and cert.iterations == 500
     assert cert.witness is None
     assert cert.witness_verified is False
+    assert cert.verdict == "undecided"
     assert "rejected" in cert.diagnostics
     assert cert.diagnostics["witness_overlap"] > 0
 
@@ -672,29 +686,101 @@ def test_rejects_invalid_process(qubit_parties):
         cs.check_separability(bad)
 
 
-def test_requires_two_distinct_orders(qubit_parties):
+def test_requires_distinct_non_empty_orders(qubit_parties):
     space = cs.parties_space(qubit_parties)
     p = cs.ProcessMatrix(qubit_parties, cs.identity(space) / 4)
-    with pytest.raises(ValueError, match="exactly two distinct"):
-        cs.check_separability(p, orders=[("A", "B")])
-    with pytest.raises(ValueError, match="exactly two distinct"):
-        cs.check_separability(p, orders=[("A", "B"), ("A", "B")])
+    for orders in ([], [("A", "B"), ("A", "B")], [("A", "B"), ("B", "A"), ("A", "B")]):
+        with pytest.raises(ValueError, match="non-empty list of distinct orders"):
+            cs.check_separability(p, orders=orders)
+    # one order is a cone-membership test: white noise lies in every cone
+    cert = cs.check_separability(p, orders=[("A", "B")])
+    assert cert.verdict == "separable" and len(cert.components) == 1
+    assert abs(cert.q - 1.0) < 1e-12
 
 
 def test_default_orders():
     a, b, f = cs.switch_parties()
     assert _default_orders((a, b)) == [("A", "B"), ("B", "A")]
     assert _default_orders((a, b, f)) == [("A", "B", "F"), ("B", "A", "F")]
+    assert _default_orders((f, b, a)) == [("A", "B", "F"), ("B", "A", "F")]
 
 
-def test_no_default_orders_for_three_full_parties(rng):
-    parties = [
-        cs.Party(nm, cs.LabeledSpace(f"{nm}_I", 2), cs.LabeledSpace(f"{nm}_O", 2))
-        for nm in "ABC"
-    ]
-    p = cs.random_ordered_process(parties, rng)
-    with pytest.raises(ValueError, match="no default order pair"):
-        cs.check_separability(p)
+def test_default_orders_for_three_full_parties():
+    # three parties with nontrivial outputs: all six orders
+    assert _default_orders(tuple(qubit_chain("CAB"))) == list(itertools.permutations("ABC"))
+    p = cs.random_ordered_process(qubit_chain("ABC"), np.random.default_rng(0))
+    cert = cs.check_separability(p, max_iters=1, battery_per_order=1, battery_mixtures=0)
+    assert [c.order for c in cert.trace.orders] == list(itertools.permutations("ABC"))
+
+
+# ---------------------------------------------------------------------------
+# three parties
+
+def test_baumeler_wolf_sits_in_no_order_cone():
+    p = cs.validate_process(baumeler_wolf())
+    assert p.validity == "valid"
+    for order in itertools.permutations("ABC"):
+        assert abs(cs.order_cone_residual(p, cs.OrderCone(order)) - np.sqrt(3)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def baumeler_wolf_cert():
+    p = baumeler_wolf()
+    return p, cs.check_separability(p)
+
+
+def test_baumeler_wolf_is_nonseparable(baumeler_wolf_cert):
+    p, cert = baumeler_wolf_cert
+    assert [c.order for c in cert.trace.orders] == list(itertools.permutations("ABC"))
+    assert cert.trace.stalled and cert.iterations == 600
+    assert cert.witness_verified and cert.verdict == "nonseparable"
+    assert abs(cert.diagnostics["witness_overlap"] - (-0.1808)) < 1e-4
+    margins = cert.diagnostics["certificate_margins"]
+    assert len(margins) == 6 and min(margins) >= -1e-15
+
+
+def test_baumeler_wolf_witness_in_every_dual_cone(baumeler_wolf_cert):
+    # the depolarize-chain projections, not the masks, confirm the margins
+    p, cert = baumeler_wolf_cert
+    s = cert.witness
+    for cone, margin in zip(cert.trace.orders, cert.diagnostics["certificate_margins"]):
+        low = np.linalg.eigvalsh(order_projection(s, cone, p.parties).mat)[0]
+        assert low >= -1e-12 and abs(low - margin) < 1e-12
+    overlap = np.einsum("ij,ji->", s.mat, p.w.mat).real
+    assert abs(overlap - cert.diagnostics["witness_overlap"]) < 1e-12
+
+
+def test_stall_without_witness_is_undecided():
+    # the pair (ABC, BCA) cannot certify Baumeler-Wolf: the run stalls, the
+    # witness is rejected, and a stall alone is no evidence of either verdict
+    cert = cs.check_separability(baumeler_wolf(), orders=[("A", "B", "C"), ("B", "C", "A")])
+    assert cert.trace.stalled and cert.iterations == 550
+    assert cert.witness is None and "rejected" in cert.diagnostics
+    assert cert.diagnostics["witness_overlap"] > 0
+    assert cert.verdict == "undecided" and not cert.separable
+
+
+def test_three_party_white_noise_is_separable():
+    p = baumeler_wolf()
+    noise = cs.ProcessMatrix(p.parties, cs.identity(p.w.space) / 8)
+    cert = cs.check_separability(noise)
+    assert cert.verdict == "separable" and cert.iterations == 1
+    assert len(cert.components) == 6 and abs(cert.q - 1 / 6) < 1e-12
+
+
+def test_three_party_mixture_is_separable(rng):
+    a, b, c = qubit_chain("ABC")
+    w = (unitary_ordered_process((a, b, c), rng).w * 0.5
+         + unitary_ordered_process((c, b, a), rng).w * 0.5)
+    p = cs.validate_process(cs.ProcessMatrix((a, b, c), w))
+    cert = cs.check_separability(p)
+    assert cert.verdict == "separable" and cert.iterations < 500
+    assert abs(cert.q - 0.5) < 1e-6
+    weights = [x.trace().real / 8 for x in cert.components]
+    assert np.allclose(weights, [0.5, 0, 0, 0, 0, 0.5], atol=1e-6)
+    assert cert.diagnostics["reconstruction"] < 1e-6
+    assert max(cert.diagnostics["cone_residuals"]) < 1e-7
+    assert min(np.linalg.eigvalsh(x.mat)[0] for x in cert.components) > -1e-6
 
 
 # ---------------------------------------------------------------------------
