@@ -174,20 +174,14 @@ def causal_bound(game: CausalGame) -> float:
 # membership
 
 def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
-    if isinstance(table, ProbabilityTable):
-        if len(table.parties) != 2:
-            raise ValueError("causality tests are defined for bipartite tables")
-        return table.values, table.settings, table.outcomes
-    vals = np.asarray(table, dtype=float)
-    if vals.ndim != 4:
-        raise ValueError("expected a (x, y, a, b) probability array")
-    if not np.isfinite(vals).all():  # NaN would pass every comparison below
-        raise ValueError("probabilities must be finite")
-    nx, ny, na, nb = vals.shape
-    sums = vals.sum(axis=(2, 3))
-    if vals.min() < -1e-9 or np.max(np.abs(sums - 1.0)) > 1e-9:
-        raise ValueError("table is not a normalized probability distribution")
-    return vals, (nx, ny), (na, nb)
+    if not isinstance(table, ProbabilityTable):
+        vals = np.array(table, dtype=float)
+        if vals.ndim != 4:
+            raise ValueError("expected a (x, y, a, b) probability array")
+        table = ProbabilityTable(("A", "B"), vals.shape[:2], vals.shape[2:], vals)
+    if len(table.parties) != 2:
+        raise ValueError("causality tests are defined for bipartite tables")
+    return table.values, table.settings, table.outcomes
 
 
 def is_causal(table, tol: float = CAUSAL_TOL) -> CausalityVerdict:

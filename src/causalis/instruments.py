@@ -18,9 +18,9 @@ import numpy as np
 from .process import Party, ProcessMatrix, _contract, _require_valid, make_quantum_switch
 from .tensor_core import (
     HermitianOperator,
+    _partial_trace,
     choi_of_kraus,
     identity,
-    partial_trace,
     random_isometry,
     tensor,
 )
@@ -44,23 +44,26 @@ class Instrument:
             raise ValueError("instrument settings and outcomes must be positive")
         if len(self.chois) != self.settings:
             raise ValueError("one row of Chois per setting required")
-        eye_in = identity(self.party.input_space)
-        for x, row in enumerate(self.chois):
+        for row in self.chois:
             if len(row) != self.outcomes:
                 raise ValueError("one Choi per outcome required")
-            total = None
             for c in row:
                 if c.space != self.party.space:
                     raise ValueError(
                         f"Choi labels {c.space.labels} do not match party {self.party.name!r}"
                     )
-                if np.linalg.eigvalsh(c.mat)[0] < -CHOI_PSD_TOL:
-                    raise ValueError(f"setting {x}: Choi is not completely positive")
-                total = c if total is None else total + c
-            dev = (partial_trace(total, self.party.output_labels) - eye_in).norm()
-            if dev > TP_TOL:
+        stack = np.array([[c.mat for c in row] for row in self.chois])
+        low = np.linalg.eigvalsh(stack)[..., 0]
+        marginal = _partial_trace(stack.sum(axis=1), self.party.space.factors,
+                                  set(self.party.output_labels))
+        dev = np.linalg.norm(marginal - np.eye(self.party.input_dim), axis=(1, 2))
+        for x in range(self.settings):
+            if low[x].min() < -CHOI_PSD_TOL:
+                raise ValueError(f"setting {x}: Choi is not completely positive")
+            if dev[x] > TP_TOL:
                 raise ValueError(
-                    f"setting {x}: outcome sum is not trace-preserving (|Tr_O C - 1| = {dev:.3e})"
+                    f"setting {x}: outcome sum is not trace-preserving "
+                    f"(|Tr_O C - 1| = {dev[x]:.3e})"
                 )
 
     def choi(self, setting: int, outcome: int) -> HermitianOperator:
@@ -89,7 +92,7 @@ class ProbabilityTable:
         n = len(self.settings)
         sums = vals.sum(axis=tuple(range(n, vals.ndim)))
         if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("probabilities do not sum to 1 for every setting")
+            raise ValueError("probabilities do not sum to 1 for every setting (not normalized)")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

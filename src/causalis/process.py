@@ -61,7 +61,7 @@ from .tensor_core import (
     PureVector,
     SpaceProduct,
     _choi_stack,
-    _coeff_basis,
+    _CoeffBasis,
     _ginibre_density,
     _haar_isometry,
     _partial_trace,
@@ -277,15 +277,16 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
 
 @functools.lru_cache(maxsize=64)
 def _party_moves(parties: tuple[Party, ...]):
-    """(basis, moves): the basis is `_coeff_basis` of W's factors of dim > 1;
+    """(basis, moves): the basis is the `_CoeffBasis` of W's factors of dim > 1;
     dropping the trivial ones leaves the D x D matrix as it is and keeps the
     coefficient array to one axis per nontrivial factor. moves[k] = (inp,
     out) are read-only boolean arrays of the coefficient shape, true where
     an input (inp) or output (out) factor of parties[k] carries a
-    non-identity index. Validity and the order cones read this table.
+    non-identity index. Validity and the order cones read this table, and
+    separability runs on this basis, one per party structure.
     """
     space = SpaceProduct(f for f in parties_space(parties).factors if f.dim > 1)
-    basis = _coeff_basis(space)
+    basis = _CoeffBasis(space)
     kept = set(space.labels)
 
     def moved(labels):

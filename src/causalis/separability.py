@@ -5,10 +5,11 @@ W = W_1 + ... + W_K with each summand PSD and inside its order's linear
 subspace (no signalling to earlier parties), i.e. when it is a mixture of
 processes with those fixed orders. Feasibility is decided by Dykstra's
 alternating projections on the K summands. A failed run is called
-nonseparable only when a witness S read off the run's dual variable lies
-in the dual cone of every order, checked exactly by one eigvalsh of its K
-order projections, and Tr[S W] < 0; a seeded battery of ordered processes
-cross-checks it.
+nonseparable only when a witness S read off the run's dual variable scores
+W below the bound it sets on every mixture of the orders: one eigvalsh of
+its K order projections gives their smallest eigenvalue μ, and Tr[S X] >=
+μ Tr W for every such mixture X. A seeded battery of ordered processes is
+checked against the same bound.
 
 What the verdict means depends on the parties. With two parties that have
 a nontrivial output (the switch included, F last), a mixture of fixed
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import Party, ProcessMatrix, _party_moves, _require_valid, random_ordered_batch
-from .tensor_core import HermitianOperator, _CoeffBasis, _coeff_basis
+from .tensor_core import HermitianOperator, _CoeffBasis
 
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
@@ -74,12 +75,12 @@ class OrderCone:
 
 @functools.lru_cache(maxsize=64)
 def _cone_ids(parties: tuple[Party, ...], order: tuple[str, ...]) -> np.ndarray:
-    """One pattern id per coefficient of W (flattened, read-only): k + 1
-    when order[k] is the last party with a non-identity index and that
-    index includes its output, else 0. Class k + 1 is what D_S - D_{S+o}
-    keeps, S the factors after order[k] and o its output (Araujo et al.,
-    NJP 17, 102001 (2015)), so the order subspace spans the id-0 terms.
-    dim-1 factors add only length-1 axes to `_coeff_basis(W.space).shape`.
+    """One pattern id per coefficient of W over the basis of
+    `_party_moves` (read-only, of its coefficient shape): k + 1 when
+    order[k] is the last party with a non-identity index and that index
+    includes its output, else 0. Class k + 1 is what D_S - D_{S+o} keeps, S
+    the factors after order[k] and o its output (Araujo et al., NJP 17,
+    102001 (2015)), so the order subspace spans the id-0 terms.
     """
     by_name = {q.name: k for k, q in enumerate(parties)}
     if sorted(order) != sorted(by_name):
@@ -92,23 +93,21 @@ def _cone_ids(parties: tuple[Party, ...], order: tuple[str, ...]) -> np.ndarray:
         inp, out = moves[by_name[order[k]]]
         ids[later_identity & out] = k + 1
         later_identity &= ~(inp | out)
-    ids = ids.ravel()
     ids.setflags(write=False)
     return ids
 
 
-def _cone_masks(parties: tuple[Party, ...], cones, shape) -> np.ndarray:
-    """(len(cones), *shape) float masks of the order subspaces: ids == 0."""
-    return np.stack([(_cone_ids(parties, c.order) == 0).reshape(shape)
-                     for c in cones]).astype(float)
+def _cone_masks(parties: tuple[Party, ...], cones) -> np.ndarray:
+    """(len(cones), ...) float masks of the order subspaces: ids == 0."""
+    return np.stack([_cone_ids(parties, c.order) == 0 for c in cones]).astype(float)
 
 
 def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
     """Largest Frobenius violation of the cone's linear conditions: the
     largest norm of W's complex coefficients over one nonzero id, i.e. of
     D_S(W) - D_{S+o}(W), as the basis is orthonormal. W may be non-Hermitian."""
-    ids = _cone_ids(p.parties, cone.order)
-    c = _coeff_basis(p.w.space).coeffs(p.w.mat).ravel()
+    ids = _cone_ids(p.parties, cone.order).ravel()
+    c = _party_moves(p.parties)[0].coeffs(p.w.mat).ravel()
     bins = np.bincount(ids, weights=np.abs(c) ** 2, minlength=len(cone.order) + 1)
     return float(np.sqrt(bins[1:].max(initial=0.0)))
 
@@ -152,14 +151,14 @@ class SeparabilityCertificate:
     (so the normalized order-cone members are components[i] scaled by 1/q_i,
     q_i = Tr components[i] / Tr W), and q = q_0 is the first order's
     weight. When nonseparable, ``witness`` is a unit-norm Hermitian S with
-    Tr[S W] < 0 whose projection onto each order's subspace is PSD
-    (diagnostics["certificate_margins"], one smallest eigenvalue per order,
-    checked >= -tol), so Tr[S X] >= 0 for every process X of any of the
-    orders and every mixture of them. Without a converged run or a
-    certified witness the verdict is "undecided". A seeded battery of
-    ordered processes and their mixtures cross-checks S; diagnostics carry
-    its parameters (battery_per_order >= 1 samples per order and
-    battery_mixtures >= 0 mixtures, both checked) and minimum.
+    Tr[S X] >= μ Tr W for every mixture X of processes of the orders, μ the
+    smallest of diagnostics["certificate_margins"] (one smallest eigenvalue
+    of S's projection per order), and Tr[S W] below μ Tr W less a rounding
+    allowance (the bound of `extract_witness`). Without a converged run or
+    a certified witness the verdict is "undecided". A seeded battery of
+    ordered processes and their mixtures is checked against the same
+    bound; diagnostics carry its parameters (battery_per_order >= 1 samples
+    per order and battery_mixtures >= 0 mixtures, both checked) and minimum.
 
     The decomposition, when it exists, identifies W with a probabilistic
     mixture of ordered processes; whether the mixture is proper (classical
@@ -285,9 +284,9 @@ def check_separability(
     Residual below tol means separable: the certificate carries the PSD
     summands (polished back onto their linear subspaces) and the weight q
     of the first order. Otherwise `extract_witness` (witness_seed and the
-    battery sizes) looks for a certified witness; the verdict is
-    nonseparable with one and undecided without. max_iters must be an
-    integer >= 1 and tol finite and > 0.
+    battery sizes) looks for a witness certified by its own bound, which
+    tol does not enter; the verdict is nonseparable with one and undecided
+    without. max_iters must be an integer >= 1 and tol finite and > 0.
     """
     _check_count("max_iters", max_iters, 1)
     if not (np.isfinite(tol) and tol > 0):
@@ -301,8 +300,8 @@ def check_separability(
     if not cones or len({c.order for c in cones}) != len(cones):
         raise ValueError("separability is decided against a non-empty list of distinct orders")
 
-    basis = _coeff_basis(p.w.space)
-    masks = _cone_masks(p.parties, cones, basis.shape)
+    basis = _party_moves(p.parties)[0]
+    masks = _cone_masks(p.parties, cones)
     b, trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters)
 
     if trace.converged:
@@ -323,10 +322,10 @@ def check_separability(
 
     witness, wdiag = extract_witness(
         p, trace, seed=witness_seed, samples_per_order=battery_per_order,
-        n_mixtures=battery_mixtures, eps=tol,
+        n_mixtures=battery_mixtures,
     )
     diagnostics = {"verification": "witness: exact dual-cone check (eigvalsh margins on "
-                   "both order subspaces), seeded battery as cross-check", **wdiag}
+                   "every order subspace), seeded battery as cross-check", **wdiag}
     return SeparabilityCertificate(q=None, components=None, witness=witness,
                                    diagnostics=diagnostics, trace=trace)
 
@@ -341,11 +340,10 @@ def extract_witness(
     seed: int,
     samples_per_order: int = 500,
     n_mixtures: int = 500,
-    eps: float = SEP_TOL,
 ):
     """Witness S in every K_i* (one per order of ``trace.orders``) from a
-    failed feasibility run, certified exactly and cross-checked by a seeded
-    battery.
+    failed feasibility run, certified by one bound and cross-checked by a
+    seeded battery.
 
     K_i = PSD ∩ L_i is order i's cone and K_i* = PSD + L_i^⊥ its dual
     (Araújo et al., NJP 17, 102001 (2015)). In coefficient space S takes,
@@ -353,10 +351,18 @@ def extract_witness(
     L_i holds it, and -W where no L_i does, which every dual cone leaves
     free. X in K_i has Tr[S X] = Tr[P_i(S) X] >= λ_min(P_i S) Tr X (P_i the
     mask projection onto L_i), and the identity lies in every L_i, so S is
-    shifted by min_i λ_min(P_i S) 1 and normalised. It is accepted only if
-    Tr[S W] < -10 eps and the recomputed margins λ_min(P_i S) and the
-    battery minimum are >= -eps; an all-zero S is rejected. Returns
-    (witness or None, diagnostics).
+    shifted by min_i λ_min(P_i S) 1 and normalised.
+
+    Every valid X has Tr X = Tr W, so every mixture X of processes of the
+    orders has Tr[S X] >= μ Tr W, μ the smallest recomputed margin
+    λ_min(P_i S). S is accepted iff Tr[S W] < bound and the battery minimum
+    (a fault detector) is >= bound, bound = μ Tr W - D² ε_mach Tr W. The
+    second term allows for rounding, estimated rather than verified: Tr[S W]
+    sums D² coefficient products, so it is off by at most about D² ε_mach
+    ||S||_F ||W||_F <= D² ε_mach Tr W (||S||_F = 1, W PSD), and each margin,
+    an eigvalsh of a matrix of norm <= 1, by a few D ε_mach. An all-zero S
+    scores 0 against a negative bound and is rejected. Returns (witness or
+    None, diagnostics).
 
     The battery scores samples_per_order (>= 1) ordered processes per order,
     drawn as one `random_ordered_batch`, and n_mixtures (>= 0) mixtures,
@@ -372,8 +378,8 @@ def extract_witness(
     _check_count("n_mixtures", n_mixtures, 0)
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
-    basis = _coeff_basis(p.w.space)
-    masks = _cone_masks(p.parties, trace.orders, basis.shape)
+    basis = _party_moves(p.parties)[0]
+    masks = _cone_masks(p.parties, trace.orders)
 
     def margins(c):
         return np.linalg.eigvalsh(basis.from_coeffs(masks * c))[:, 0]
@@ -415,12 +421,11 @@ def extract_witness(
         "n_mixtures": int(n_mixtures),
         "witness_seed": seed,
     }
-    accepted = overlap < -10 * eps and margin.min() >= -eps and battery_min >= -eps
-    if not accepted:
+    bound = (margin.min() - p.w.dim**2 * np.finfo(float).eps) * p.w.trace().real
+    if not (overlap < bound and battery_min >= bound):
         diagnostics["rejected"] = (
-            f"overlap {overlap:.3e} vs < {-10 * eps:.1e}, "
-            f"margin {margin.min():.3e} vs >= {-eps:.1e}, "
-            f"battery min {battery_min:.3e} vs >= {-eps:.1e}"
+            f"overlap {overlap:.3e} vs < {bound:.3e}, battery min {battery_min:.3e} "
+            f"vs >= {bound:.3e}, bound (min margin - D^2 eps_mach) Tr W"
         )
         return None, diagnostics
     return witness, diagnostics

@@ -15,7 +15,6 @@ ids == 0 and a residual one bincount of squared coefficients by id.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -242,27 +241,17 @@ class PureVector:
 # ---------------------------------------------------------------------------
 # index bookkeeping
 
-def _canonicalize(factors: Sequence[LabeledSpace], mat: np.ndarray) -> tuple[SpaceProduct, np.ndarray]:
-    """Permute a matrix built in `factors` order into canonical label order."""
+def _canonicalize(factors: Sequence[LabeledSpace], arr: np.ndarray) -> tuple[SpaceProduct, np.ndarray]:
+    """Permute a vector or matrix built in `factors` order into canonical
+    label order (a matrix's rows and columns alike)."""
     n = len(factors)
     perm = sorted(range(n), key=lambda i: factors[i].label)
     if perm == list(range(n)):
-        return SpaceProduct(factors), mat
+        return SpaceProduct(factors), arr
     dims = [f.dim for f in factors]
-    t = mat.reshape(dims + dims)
-    t = t.transpose(perm + [n + i for i in perm])
-    d = int(np.prod(dims))
-    return SpaceProduct(factors), t.reshape(d, d)
-
-
-def _canonicalize_vec(factors: Sequence[LabeledSpace], vec: np.ndarray) -> tuple[SpaceProduct, np.ndarray]:
-    n = len(factors)
-    perm = sorted(range(n), key=lambda i: factors[i].label)
-    if perm == list(range(n)):
-        return SpaceProduct(factors), vec
-    dims = [f.dim for f in factors]
-    t = vec.reshape(dims).transpose(perm)
-    return SpaceProduct(factors), t.reshape(-1)
+    t = arr.reshape(dims * arr.ndim)
+    t = t.transpose([axis * n + i for axis in range(arr.ndim) for i in perm])
+    return SpaceProduct(factors), t.reshape(arr.shape)
 
 
 def _check_disjoint(factor_lists: Sequence[Sequence[LabeledSpace]]):
@@ -301,7 +290,7 @@ def tensor_vectors(*vecs: PureVector) -> PureVector:
     for pv in vecs:
         factors.extend(pv.space.factors)
         v = np.kron(v, pv.vec)
-    space, vec = _canonicalize_vec(factors, v)
+    space, vec = _canonicalize(factors, v)
     return PureVector(space, vec)
 
 
@@ -401,7 +390,7 @@ def choi_vector(k: np.ndarray, in_space, out_space) -> PureVector:
             f"operator shape {k.shape} does not map dim {in_space.dim} -> {out_space.dim}"
         )
     v = np.ascontiguousarray(k.T).reshape(-1)
-    space, vec = _canonicalize_vec(list(in_space.factors) + list(out_space.factors), v)
+    space, vec = _canonicalize(list(in_space.factors) + list(out_space.factors), v)
     return PureVector(space, vec)
 
 
@@ -551,11 +540,6 @@ class _CoeffBasis:
         e, v = np.linalg.eigh(m)
         np.clip(e, 0, None, out=e)
         return self.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
-
-
-@functools.lru_cache(maxsize=64)
-def _coeff_basis(space) -> _CoeffBasis:
-    return _CoeffBasis(space)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,17 @@ def baumeler_wolf():
     return cs.ProcessMatrix(parties, cs.HermitianOperator(space, np.diag(diag.ravel())))
 
 
+def ocb_with_discarded_outputs():
+    """OCB with a second, discarded output qubit per party: W (x) 1 on A_X
+    and B_X, D = 64 and d_O = Tr W = 16."""
+    ocb = cs.ocb_process()
+    extra = {q.name: cs.LabeledSpace(f"{q.name}_X", 2) for q in ocb.parties}
+    parties = tuple(cs.Party(q.name, q.inputs, q.outputs + (extra[q.name],))
+                    for q in ocb.parties)
+    w = cs.tensor(ocb.w, *(cs.identity(x) for x in extra.values()))
+    return cs.ProcessMatrix(parties, w)
+
+
 def order_conditions(order, parties):
     """(later-spaces, later-spaces + own output) label pairs of an order
     cone, one per party with a nontrivial output, one-dimensional labels

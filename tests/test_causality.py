@@ -285,6 +285,23 @@ def test_table_input_validation():
         cs.is_causal(np.full((2, 2, 2, 2), 0.3))
 
 
+def test_table_arrays_follow_probability_table_policy():
+    # a deterministic table with one entry at -5e-10 was causal and scored
+    # as an array, yet ProbabilityTable rejects it
+    table = np.zeros((2, 2, 2, 2))
+    table[:, :, 0, 0] = 1.0
+    table[0, 0, 1, 1] = -5e-10
+    with pytest.raises(ValueError, match="negative probability"):
+        cs.ProbabilityTable(("A", "B"), (2, 2), (2, 2), table)
+    with pytest.raises(ValueError, match="negative probability"):
+        cs.is_causal(table)
+    with pytest.raises(ValueError, match="negative probability"):
+        cs.score_inequality(table, GYNI)
+    # the caller's array is left writable
+    table[0, 0, 1, 1] = 0.0
+    assert cs.is_causal(table).causal
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_table_rejects_non_finite_entries(bad):
     # NaN passed the normalization checks and scored as not violated

@@ -281,19 +281,30 @@ def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
 
 
 def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
-    # 0.3 white noise on OCB stalls at 500 iterations with Tr[S W] = -0.051:
-    # a certificate at --tol 1e-7 but not at 1e-2, which asks for Tr[S W] < -0.1
+    # tol sets feasibility only: 0.3 white noise on OCB stalls at 500
+    # iterations with Tr[S W] = -0.051 and is certified at either tol
     ocb = cs.ocb_process()
     w = (ocb.w + cs.identity(ocb.w.space) * (0.3 / 4)) * (1 / 1.3)
     save_process(tmp_path / "noisy.json", cs.ProcessMatrix(ocb.parties, w))
     args = ("sep", "--in", str(tmp_path / "noisy.json"), "--seed", "3", "--battery", "20")
-    code, report, _ = run(capsys, *args)
-    assert code == 1 and report["results"]["verdict"] == "nonseparable"
-    code, report, _ = run(capsys, *args, "--tol", "1e-2")
+    for tol in ("1e-7", "1e-2"):
+        code, report, _ = run(capsys, *args, "--tol", tol)
+        res = report["results"]
+        assert code == 1 and res["verdict"] == "nonseparable"
+        assert res["diagnostics"]["stalled"] is True and res["iterations"] == 500
+    # the traced switch is separable, so a run cut short at 5 iterations
+    # has no witness (Tr[S W] = +0.269) and is undecided
+    qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))
+    a, b, _ = qs.parties
+    traced = cs.partial_trace(qs.to_matrix().w, ("F_c", "F_t", "F_O"))
+    save_process(tmp_path / "traced.json", cs.ProcessMatrix((a, b), traced))
+    code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
+                          "--seed", "3", "--battery", "20", "--max-iters", "5")
     res = report["results"]
     assert code == 3 and res["verdict"] == "undecided"
-    assert res["diagnostics"]["stalled"] is True and res["iterations"] == 500
+    assert res["diagnostics"]["stalled"] is False and res["iterations"] == 5
     assert res["witness_verified"] is False and "rejected" in res["diagnostics"]
+    assert res["diagnostics"]["witness_overlap"] > 0
 
 
 def test_sep_requires_seed(tmp_path, qubit_parties, capsys):

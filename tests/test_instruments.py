@@ -37,6 +37,31 @@ def test_instrument_rejects_negative_choi(qubit_parties):
         cs.Instrument(a, 1, 2, ((neg, comp),))
 
 
+@pytest.mark.parametrize("faults, match", [
+    ({1: "not_tp"}, "setting 1: outcome sum is not trace-preserving"),
+    ({0: "not_tp", 1: "not_cp"}, "setting 0: outcome sum is not trace-preserving"),
+    ({0: "not_cp", 1: "not_tp"}, "setting 0: Choi is not completely positive"),
+    ({0: "not_cp_not_tp"}, "setting 0: Choi is not completely positive"),
+    ({0: "not_cp", 1: "labels"}, "labels"),
+])
+def test_instrument_checks_in_setting_order(qubit_parties, faults, match):
+    # labels first, then setting by setting, CP before TP
+    a, b = qubit_parties
+    half = cs.choi_of_kraus([np.eye(2) / np.sqrt(2)], a.input_space, a.output_space)
+    neg = cs.HermitianOperator(half.space, np.diag([1.0, 1.0, 1.0, -0.5]))
+    rows = {
+        "ok": (half, half),
+        "not_tp": (half, half * 0.5),
+        "not_cp": (neg, cs.HermitianOperator(half.space, np.eye(4) - neg.mat)),
+        "not_cp_not_tp": (neg, half),
+        "labels": (half, cs.choi_of_kraus([np.eye(2) / np.sqrt(2)], b.input_space,
+                                          b.output_space)),
+    }
+    chois = tuple(rows[faults.get(x, "ok")] for x in range(2))
+    with pytest.raises(ValueError, match=match):
+        cs.Instrument(a, 2, 2, chois)
+
+
 @pytest.mark.parametrize("settings, outcomes, chois", [(1, 0, ((),)), (0, 2, ())])
 def test_instrument_rejects_empty_alphabets(qubit_parties, settings, outcomes, chois):
     with pytest.raises(ValueError, match="settings and outcomes must be positive"):

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import process, separability
-from causalis.separability import _CoeffBasis, _coeff_basis, _default_orders
+from causalis.separability import _CoeffBasis, _default_orders
 from conftest import (
     baumeler_wolf,
     interleaved_parties,
     local_unitary,
+    ocb_with_discarded_outputs,
     order_conditions,
     qubit_chain,
     sequential_ordered_process,
@@ -94,8 +96,8 @@ def every_order(kind, parties):
 ])
 def test_cone_masks_match_reference_conditions(parties, order):
     parties = tuple(parties)
-    basis = _coeff_basis(cs.parties_space(parties))
-    got = separability._cone_masks(parties, [cs.OrderCone(order)], basis.shape)[0]
+    basis, _ = process._party_moves(parties)
+    got = separability._cone_masks(parties, [cs.OrderCone(order)])[0]
     want = reference_mask(basis, order_conditions(order, parties))
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -212,9 +214,9 @@ def test_batched_basis_change_matches_per_item(dims, rng):
 
 def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
     space = cs.parties_space(qubit_parties)
-    basis = _CoeffBasis(space)
+    basis, _ = process._party_moves(qubit_parties)
     conds = order_conditions(("A", "B"), qubit_parties)
-    mask = separability._cone_masks(qubit_parties, [cs.OrderCone(("A", "B"))], basis.shape)[0]
+    mask = separability._cone_masks(qubit_parties, [cs.OrderCone(("A", "B"))])[0]
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     op = cs.HermitianOperator(space, g + g.conj().T)
     masked = basis.from_coeffs(mask * basis.to_coeffs(op.mat))
@@ -315,6 +317,9 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
     assert list(inspect.signature(cs.check_separability).parameters) == [
         "p", "orders", "tol", "max_iters", "witness_seed", "battery_per_order",
         "battery_mixtures"]
+    # the witness is decided by its own bound, so no tolerance reaches it
+    assert list(inspect.signature(cs.extract_witness).parameters) == [
+        "p", "trace", "seed", "samples_per_order", "n_mixtures"]
 
 
 def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
@@ -551,6 +556,19 @@ def test_zero_dual_gives_no_witness(qubit_parties):
     assert np.isfinite(diag["battery_min"])
 
 
+def test_witness_bound_scales_with_output_dimension():
+    # every ordered X has Tr X = d_O = 16 here, so S must beat μ·Tr W, not μ
+    p = cs.validate_process(ocb_with_discarded_outputs())
+    assert p.validity == "valid" and p.w.dim == 64 and p.expected_trace == 16
+    cert = cs.check_separability(p)
+    assert cert.trace.stalled and cert.iterations == 500
+    assert cert.witness_verified and cert.verdict == "nonseparable"
+    d = cert.diagnostics
+    bound = min(d["certificate_margins"]) * 16
+    assert d["witness_overlap"] < bound and d["battery_min"] >= bound
+    assert abs(d["witness_overlap"] - (-0.4783)) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # witness battery
 
@@ -758,6 +776,9 @@ def test_stall_without_witness_is_undecided():
     assert cert.witness is None and "rejected" in cert.diagnostics
     assert cert.diagnostics["witness_overlap"] > 0
     assert cert.verdict == "undecided" and not cert.separable
+    # the overlap and the battery minimum are reported against one bound
+    bound = re.search(r"vs < (\S+),", cert.diagnostics["rejected"]).group(1)
+    assert cert.diagnostics["rejected"].count(f"vs >= {bound}") == 1
 
 
 def test_three_party_white_noise_is_separable():

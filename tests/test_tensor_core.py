@@ -8,6 +8,7 @@ from causalis.tensor_core import (
     Operator,
     PureVector,
     SpaceProduct,
+    _canonicalize,
     _partial_trace,
     choi_of_kraus,
     choi_vector,
@@ -122,6 +123,29 @@ def test_tensor_order_independence(rng):
     assert np.allclose(ab.mat, ba.mat)
     # canonical layout: labels sorted, so A (x) B is a literal kron
     assert np.allclose(ab.mat, np.kron(a.mat, b.mat))
+
+
+def reference_canonicalize(factors, arr):
+    """The separate vector and matrix permutations canonicalization used
+    before they were merged, kept as the reference."""
+    n = len(factors)
+    perm = sorted(range(n), key=lambda i: factors[i].label)
+    dims = [f.dim for f in factors]
+    if arr.ndim == 1:
+        return arr.reshape(dims).transpose(perm).reshape(-1)
+    d = int(np.prod(dims))
+    return arr.reshape(dims + dims).transpose(perm + [n + i for i in perm]).reshape(d, d)
+
+
+@pytest.mark.parametrize("labels", [("C", "A", "B"), ("B", "A"), ("A", "B", "C")])
+def test_canonicalize_matches_reference(rng, labels):
+    factors = [LabeledSpace(lab, d) for lab, d in zip(labels, (2, 3, 4))]
+    d = int(np.prod([f.dim for f in factors]))
+    for arr in (rng.normal(size=d) + 1j * rng.normal(size=d), herm(d, rng)):
+        space, got = _canonicalize(factors, arr)
+        assert space == SpaceProduct(factors)
+        assert got.shape == arr.shape
+        assert np.array_equal(got, reference_canonicalize(factors, arr))
 
 
 def test_tensor_rejects_shared_labels():
