@@ -175,7 +175,7 @@ def causal_bound(game: CausalGame) -> float:
 
 def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
     if not isinstance(table, ProbabilityTable):
-        vals = np.array(table, dtype=float)
+        vals = np.asarray(table, dtype=float)
         if vals.ndim != 4:
             raise ValueError("expected a (x, y, a, b) probability array")
         table = ProbabilityTable(("A", "B"), vals.shape[:2], vals.shape[2:], vals)

@@ -80,7 +80,8 @@ class ProbabilityTable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        # a copy, so freezing it leaves the caller's array writable
+        vals = np.array(self.values, dtype=float)
         if vals.shape != self.settings + self.outcomes:
             raise ValueError(
                 f"values shape {vals.shape} does not match {self.settings + self.outcomes}"

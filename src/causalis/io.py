@@ -264,7 +264,7 @@ def verdict_to_json(v: CausalityVerdict) -> dict:
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
     """The verdict with its diagnostics block, which holds no timings: the
     run's perp and stalled (read off ``c.trace``), then the certificate's
-    verification and decomposition or witness fields."""
+    face rank, verification and decomposition or witness fields."""
     return {
         "separable": c.separable,
         "verdict": c.verdict,

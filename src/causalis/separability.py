@@ -29,6 +29,20 @@ is one GEMM per group of adjacent factors (two for balanced spaces), and
 Dykstra carries the summands as one (K, ...) stack, so an iteration costs
 one basis change each way and one batched eigh.
 
+Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
+has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
+range(W) and X_i ⪰ 0; projecting onto that face is V P_psd(V† M V) V†, so
+the batched eigh is (K, r, r), and the feasible set, the affine step, the
+stall test and the full-space residual are those of the whole cone. Most
+processes are rank-deficient (the traced switch has rank 4 of 16, a pure
+process rank 1), and the face removes the degeneracy that slows the run
+on the whole cone (Borwein & Wolkowicz, J. Math. Anal. Appl. 83, 495
+(1981)). When r = D the run is the whole-cone run. When a face run neither
+converges nor yields a certified witness, the same run on the whole cone
+decides instead. The run record keeps one (K, ...) coefficient stack: the
+masked summands when it converged (the certificate's components are read
+off them), and the dual variable otherwise.
+
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
 sequential `random_ordered_process` calls do) and scores all of them with
@@ -117,20 +131,24 @@ def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityTrace:
-    """Raw outcome of one Dykstra run; the certificate reads it. ``dual`` is
-    the PSD-side correction with its sign flipped, y_i = -q_i ⪰ 0, the dual
-    variable that `extract_witness` builds its witness from, as a (K, ...)
-    stack of real coefficients over the product Hermitian basis of W's
+    """Raw outcome of one Dykstra run; the certificate reads it. Both stacks
+    are (K, ...) real coefficients over the product Hermitian basis of W's
     space (`hermitian_basis` per label-sorted factor, identity first), one
-    entry per order. ``residual`` and ``iterations`` are the last entry and
-    the length of ``residual_history``."""
+    entry per order, and exactly one of them is kept: ``summands``, the
+    final PSD stack masked onto the order subspaces, when the run
+    converged, and otherwise ``dual``, the PSD-side correction with its sign
+    flipped, y_i = -q_i, the dual variable that `extract_witness` builds
+    its witness from (PSD for a whole-cone run; for a run on a face
+    {V X V†}, only V† y_i V is). ``residual`` and ``iterations`` are the
+    last entry and the length of ``residual_history``."""
 
     orders: tuple[OrderCone, ...]
     converged: bool
     stalled: bool
     residual_history: np.ndarray
     perp: float
-    dual: np.ndarray
+    summands: np.ndarray | None
+    dual: np.ndarray | None
 
     @property
     def residual(self) -> float:
@@ -143,22 +161,30 @@ class FeasibilityTrace:
 
 @dataclass(frozen=True, eq=False)
 class SeparabilityCertificate:
-    """Verdict of check_separability. It stores q, components, witness,
-    diagnostics and the run's ``trace``; separable (the run converged),
-    residual, iterations and witness_verified are read off them.
+    """Verdict of check_separability on ``process``. It stores q, witness,
+    diagnostics and the deciding run's ``trace``; separable (the run
+    converged), components, residual, iterations and witness_verified are
+    read off them.
 
     When separable, ``components`` are the PSD summands of W, one per order
     (so the normalized order-cone members are components[i] scaled by 1/q_i,
-    q_i = Tr components[i] / Tr W), and q = q_0 is the first order's
-    weight. When nonseparable, ``witness`` is a unit-norm Hermitian S with
-    Tr[S X] >= μ Tr W for every mixture X of processes of the orders, μ the
-    smallest of diagnostics["certificate_margins"] (one smallest eigenvalue
-    of S's projection per order), and Tr[S W] below μ Tr W less a rounding
+    q_i = Tr components[i] / Tr W), rebuilt from ``trace.summands`` on each
+    access, and q = q_0 is the first order's weight. Diagnostics carry the
+    reconstruction error, the order-cone residuals and the smallest
+    eigenvalue of each component, all recomputed from the components, and
+    the tol the residual fell below. When nonseparable, ``witness`` is a
+    unit-norm Hermitian S with Tr[S X] >= μ Tr W for every mixture X of
+    processes of the orders, μ the smallest of
+    diagnostics["certificate_margins"] (one smallest eigenvalue of S's
+    projection per order), and Tr[S W] below μ Tr W less a rounding
     allowance (the bound of `extract_witness`). Without a converged run or
     a certified witness the verdict is "undecided". A seeded battery of
     ordered processes and their mixtures is checked against the same
     bound; diagnostics carry its parameters (battery_per_order >= 1 samples
     per order and battery_mixtures >= 0 mixtures, both checked) and minimum.
+    diagnostics["face_rank"] is the rank r of W whose face the run searched
+    (r = D: the whole cone), and "face_iterations", present only when the
+    face run was retried on the whole cone, is that face run's length.
 
     The decomposition, when it exists, identifies W with a probabilistic
     mixture of ordered processes; whether the mixture is proper (classical
@@ -167,14 +193,22 @@ class SeparabilityCertificate:
     """
 
     q: float | None
-    components: tuple[HermitianOperator, ...] | None
     witness: HermitianOperator | None
     diagnostics: dict
     trace: FeasibilityTrace
+    process: ProcessMatrix
 
     @property
     def separable(self) -> bool:
         return self.trace.converged
+
+    @property
+    def components(self) -> tuple[HermitianOperator, ...] | None:
+        if self.trace.summands is None:
+            return None
+        basis = _party_moves(self.process.parties)[0]
+        space = self.process.w.space
+        return tuple(HermitianOperator(space, m) for m in basis.from_coeffs(self.trace.summands))
 
     @property
     def residual(self) -> float:
@@ -214,16 +248,38 @@ def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
     return [order + last for order in itertools.permutations(movers)]
 
 
-def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_iters):
+def _face(w: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis V (D x r) of range(W), or None when r = D.
+
+    Every PSD summand has W_i ⪯ W, so range(W_i) ⊆ range(W) and W_i =
+    V X_i V† with X_i ⪰ 0: every decomposition lies on the face {V X V† :
+    X ⪰ 0} of the PSD cone. r counts the eigenvalues of W above D ε_mach
+    λ_max (the numerical-rank threshold of `numpy.linalg.matrix_rank`).
+    The threshold sets speed, never soundness: a kept direction only
+    enlarges the face, and a dropped one moves W off it by at most that
+    eigenvalue, which the full-space residual still charges. Convergence
+    still needs that residual below tol, a witness is still checked in the
+    full space, and a run that gives neither is repeated on the whole cone
+    (`check_separability`).
+    """
+    e, v = np.linalg.eigh(w)
+    keep = e > w.shape[0] * np.finfo(float).eps * e[-1]
+    return None if keep.all() else v[:, keep]
+
+
+def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_iters,
+             face=None):
     """Alternating projections on the summands x = (x_1, ..., x_K), held as
     one (K, ...) coefficient stack, between the affine set {x_i in L_i,
-    sum_i x_i = W_par} and the PSD product cone (m stacks the masks of the
-    cones' subspaces L_i); returns the last PSD stack and the run's
-    FeasibilityTrace. On a coefficient that n > 0 of the L_i allow, the
-    affine step subtracts r/n from each of them, r the excess of their sum
-    over W_par. The reported residual sqrt(gap^2 + perp^2) also charges the
-    part of W outside the sum of the subspaces, which no feasible stack can
-    reproduce. The run stalls when, checked every STALL_CHECK_EVERY
+    sum_i x_i = W_par} and the PSD product cone, or its face {V X V† : X ⪰
+    0} when ``face`` is V (see `_face`), where each summand's projection is
+    V P_psd(V† M V) V†, the exact Frobenius projection, one (K, r, r)
+    eigh (m stacks the masks of the cones' subspaces L_i); returns the
+    run's FeasibilityTrace. On a coefficient that n > 0 of the L_i allow,
+    the affine step subtracts r/n from each of them, r the excess of their
+    sum over W_par. The reported residual sqrt(gap^2 + perp^2) also charges
+    the part of W outside the sum of the subspaces, which no feasible stack
+    can reproduce. The run stalls when, checked every STALL_CHECK_EVERY
     iterations, the residual has fallen by less than STALL_REL relative to
     its value STALL_WINDOW iterations back."""
     n = m.sum(axis=0)
@@ -237,6 +293,13 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
         r = (t.sum(axis=0) - wpar) * m
         return t - r + r * keep
 
+    def proj_face(c):
+        e, u = np.linalg.eigh(face.conj().T @ basis.from_coeffs(c) @ face)
+        np.clip(e, 0, None, out=e)
+        x = face @ u
+        return basis.to_coeffs((x * e[..., None, :]) @ x.conj().swapaxes(-1, -2))
+
+    proj_psd = basis.project_psd_coeffs if face is None else proj_face
     b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)
     q = np.zeros_like(b)
@@ -247,7 +310,7 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
     for it in range(1, max_iters + 1):
         a = proj_affine(b + p)
         p = b + p - a
-        nb = basis.project_psd_coeffs(a + q)
+        nb = proj_psd(a + q)
         q = a + q - nb
         gap = np.linalg.norm(a - nb)
         res = float(np.sqrt(gap**2 + perp**2))
@@ -260,8 +323,11 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
             if (old - res) / max(old, 1e-300) < STALL_REL:
                 stalled = True
                 break
-    return b, FeasibilityTrace(orders=cones, converged=res < tol, stalled=stalled,
-                               residual_history=np.asarray(hist), perp=perp, dual=-q)
+    converged = res < tol
+    return FeasibilityTrace(orders=cones, converged=converged, stalled=stalled,
+                            residual_history=np.asarray(hist), perp=perp,
+                            summands=b * m if converged else None,
+                            dual=None if converged else -q)
 
 
 def check_separability(
@@ -279,14 +345,17 @@ def check_separability(
     order of the parties with a nontrivial output, trivial-output parties
     last; see the module docstring for what the verdict means).
 
-    Runs Dykstra's algorithm on one summand per order until the residual is
-    below tol, stalls (see `_dykstra`) or has run max_iters iterations.
-    Residual below tol means separable: the certificate carries the PSD
-    summands (polished back onto their linear subspaces) and the weight q
-    of the first order. Otherwise `extract_witness` (witness_seed and the
-    battery sizes) looks for a witness certified by its own bound, which
-    tol does not enter; the verdict is nonseparable with one and undecided
-    without. max_iters must be an integer >= 1 and tol finite and > 0.
+    Runs Dykstra's algorithm on one summand per order, on the face of the
+    PSD cone that W spans (`_face`), until the residual is below tol,
+    stalls (see `_dykstra`) or has run max_iters iterations. Residual below
+    tol means separable: the certificate carries the PSD summands (masked
+    back onto their linear subspaces) and the weight q of the first order.
+    Otherwise `extract_witness` (witness_seed and the battery sizes) looks
+    for a witness certified by its own bound, which tol does not enter.
+    When W is rank-deficient and the face run gives neither, the same run
+    is repeated on the whole PSD cone and decides. The verdict is
+    nonseparable with a witness and undecided without. max_iters must be an
+    integer >= 1 and tol finite and > 0.
     """
     _check_count("max_iters", max_iters, 1)
     if not (np.isfinite(tol) and tol > 0):
@@ -302,32 +371,42 @@ def check_separability(
 
     basis = _party_moves(p.parties)[0]
     masks = _cone_masks(p.parties, cones)
-    b, trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters)
+
+    def run(face):
+        trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
+        if trace.converged:
+            return trace, None, {}
+        return (trace, *extract_witness(p, trace, seed=witness_seed,
+                                        samples_per_order=battery_per_order,
+                                        n_mixtures=battery_mixtures))
+
+    face = _face(p.w.mat)
+    diagnostics = {"face_rank": p.w.dim if face is None else face.shape[1]}
+    trace, witness, wdiag = run(face)
+    if face is not None and not trace.converged and witness is None:
+        diagnostics["face_iterations"] = trace.iterations
+        trace, witness, wdiag = run(None)
 
     if trace.converged:
-        # mask once more so each summand sits exactly in its subspace
-        comps = tuple(
-            HermitianOperator(p.w.space, m)
-            for m in basis.from_coeffs(b * masks)
-        )
+        mats = basis.from_coeffs(trace.summands)
+        comps = tuple(HermitianOperator(p.w.space, m) for m in mats)
         q = float(np.clip(comps[0].trace().real / p.w.trace().real, 0.0, 1.0))
-        diagnostics = {
-            "verification": "decomposition: reconstruction and order-cone residuals",
+        diagnostics.update({
+            "verification": "decomposition: reconstruction, order-cone residuals and "
+                            "component eigenvalues",
+            "tol": tol,
             "reconstruction": float((sum(comps[1:], comps[0]) - p.w).norm()),
             "cone_residuals": [order_cone_residual(ProcessMatrix(p.parties, c), cone)
                                for c, cone in zip(comps, cones)],
-        }
-        return SeparabilityCertificate(q=q, components=comps, witness=None,
-                                       diagnostics=diagnostics, trace=trace)
+            "component_min_eigenvalues": [float(e) for e in np.linalg.eigvalsh(mats)[:, 0]],
+        })
+        return SeparabilityCertificate(q=q, witness=None, diagnostics=diagnostics,
+                                       trace=trace, process=p)
 
-    witness, wdiag = extract_witness(
-        p, trace, seed=witness_seed, samples_per_order=battery_per_order,
-        n_mixtures=battery_mixtures,
-    )
-    diagnostics = {"verification": "witness: exact dual-cone check (eigvalsh margins on "
-                   "every order subspace), seeded battery as cross-check", **wdiag}
-    return SeparabilityCertificate(q=None, components=None, witness=witness,
-                                   diagnostics=diagnostics, trace=trace)
+    diagnostics.update({"verification": "witness: exact dual-cone check (eigvalsh margins on "
+                        "every order subspace), seeded battery as cross-check", **wdiag})
+    return SeparabilityCertificate(q=None, witness=witness, diagnostics=diagnostics,
+                                   trace=trace, process=p)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,12 @@ def test_sep_on_even_noise(tmp_path, qubit_parties, capsys):
     assert res["separable"] is True and res["verdict"] == "separable"
     assert abs(res["q"] - 0.5) < 1e-9
     assert res["witness"] is None
+    # the decomposition's evidence: each component's smallest eigenvalue
+    # and the tolerance its residual fell below
+    diag = res["diagnostics"]
+    assert diag["face_rank"] == 16 and diag["tol"] == 1e-7
+    assert len(diag["component_min_eigenvalues"]) == 2
+    assert min(diag["component_min_eigenvalues"]) > 0
 
 
 def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
@@ -268,11 +274,11 @@ def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
     save_process(tmp_path / "traced.json", traced)
     save_process(tmp_path / "ocb.json", cs.ocb_process())
     code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
-                          "--seed", "3", "--max-iters", "10")
+                          "--seed", "3", "--max-iters", "5")
     assert code == 3
     res = report["results"]
     assert res["verdict"] == "undecided" and res["separable"] is False
-    assert res["iterations"] == 10 and res["diagnostics"]["stalled"] is False
+    assert res["iterations"] == 5 and res["diagnostics"]["stalled"] is False
     code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "ocb.json"),
                           "--seed", "3", "--battery", "20")
     assert code == 1

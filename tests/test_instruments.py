@@ -159,6 +159,16 @@ def test_table_validation():
             cs.ProbabilityTable(("A",), (1,), (2,), np.array([[bad, 0.0]]))
 
 
+def test_table_copies_its_input():
+    # a float64 array was frozen in place, leaving the caller's own array
+    # read-only
+    a = np.full((2, 2), 0.5)
+    t = cs.ProbabilityTable(("A",), (2,), (2,), a)
+    assert a.flags.writeable and not t.values.flags.writeable
+    a[0, 0] = 0.0
+    assert t.values[0, 0] == 0.5
+
+
 def test_marginalize_drops_single_setting_party():
     vals = np.zeros((1, 2, 2, 2))
     vals[0, :, :, 0] = 0.25

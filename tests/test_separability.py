@@ -302,9 +302,9 @@ def test_certificate_invariants(traced_switch_cert):
 
 def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_cert):
     stored = [f.name for f in dataclasses.fields(cs.SeparabilityCertificate)]
-    assert stored == ["q", "components", "witness", "diagnostics", "trace"]
+    assert stored == ["q", "witness", "diagnostics", "trace", "process"]
     assert [f.name for f in dataclasses.fields(cs.FeasibilityTrace)] == [
-        "orders", "converged", "stalled", "residual_history", "perp", "dual"]
+        "orders", "converged", "stalled", "residual_history", "perp", "summands", "dual"]
     for _, cert in (traced_switch_cert, ocb_cert):
         t = cert.trace
         assert (cert.separable, cert.residual, cert.iterations) == (
@@ -335,15 +335,17 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
 
     monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
     cert = cs.check_separability(p)
-    assert cert.separable and cert.iterations == 43
-    assert len(calls) == 43
-    assert set(calls) == {(2, 16, 16)}
-    # K orders take one (K, D, D) eigh: Baumeler-Wolf against all six orders
+    # one eigh of W finds its rank-4 face, then one (K, r, r) eigh per iteration
+    assert cert.separable and cert.iterations == 9
+    assert cert.diagnostics["face_rank"] == 4
+    assert calls == [(16, 16)] + [(2, 4, 4)] * 9
+    # K orders take one (K, r, r) eigh: Baumeler-Wolf (rank 8) against all
+    # six orders, certified on its face
     calls.clear()
     cert = cs.check_separability(baumeler_wolf(), max_iters=20, battery_per_order=5)
-    assert cert.iterations == 20
-    assert len(calls) == 20
-    assert set(calls) == {(6, 64, 64)}
+    assert cert.iterations == 20 and cert.verdict == "nonseparable"
+    assert "face_iterations" not in cert.diagnostics
+    assert calls == [(64, 64)] + [(6, 8, 8)] * 20
 
 
 def test_ocb_stalls_at_500_iterations():
@@ -379,10 +381,11 @@ def test_runs_are_deterministic(qubit_parties):
 
 
 def test_degenerate_switch_is_fully_ordered():
-    qs = cs.make_quantum_switch([1.0, 0.0], 1.0, 0.0)
-    cert = cs.check_separability(qs.to_matrix())
-    assert cert.separable
-    assert abs(cert.q - 1.0) < 1e-6
+    # a pure W: its face is one ray, and the run searches a (K, 1, 1) stack
+    p = cs.make_quantum_switch([1.0, 0.0], 1.0, 0.0).to_matrix()
+    cert = cs.check_separability(p)
+    assert cert.diagnostics["face_rank"] == 1 and cert.iterations == 163
+    assert_checked_decomposition(p, cert, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -435,8 +438,8 @@ def test_verdict_has_three_values(traced_switch_cert, ocb_cert, qubit_parties):
     assert cs.check_separability(noise).verdict == "separable"
     assert ocb_cert[1].verdict == "nonseparable" and ocb_cert[1].trace.stalled
     # cut off before converging: neither verdict is shown, so not "nonseparable"
-    cut = cs.check_separability(p, max_iters=10)
-    assert cut.iterations == 10 and not (cut.trace.converged or cut.trace.stalled)
+    cut = cs.check_separability(p, max_iters=5)
+    assert cut.iterations == 5 and not (cut.trace.converged or cut.trace.stalled)
     assert not cut.separable and not cut.witness_verified
     assert cut.verdict == "undecided"
 
@@ -467,8 +470,9 @@ def test_witness_requires_failed_run(traced_switch_cert):
 
 
 def seed_state_mixtures():
-    """q W(A<B) + (1 - q) W(B<A) with random CPTP links from default_rng(1),
-    separable by construction; mixtures 1 and 2 do not converge within 500
+    """(q, q W(A<B) + (1 - q) W(B<A)) with random CPTP links from
+    default_rng(1), separable by construction and of rank 12 of 16; on the
+    whole PSD cone mixtures 1 and 2 did not converge within 20,000
     iterations."""
     a, b = qubit_chain("AB")
     rng = np.random.default_rng(1)
@@ -477,16 +481,39 @@ def seed_state_mixtures():
         q = rng.uniform()
         w_ab = cs.random_ordered_process([a, b], rng).w
         w_ba = cs.random_ordered_process([b, a], rng).w
-        out.append(cs.ProcessMatrix((a, b), w_ab * q + w_ba * (1 - q)))
+        out.append((q, cs.ProcessMatrix((a, b), w_ab * q + w_ba * (1 - q))))
     return out
+
+
+def assert_checked_decomposition(p, cert, q):
+    """The decomposition's evidence, recomputed from the components."""
+    assert cert.verdict == "separable" and abs(cert.q - q) < 1e-6
+    comps = cert.components
+    assert (sum(comps[1:], comps[0]) - p.w).norm() <= 1e-6
+    for c, cone in zip(comps, cert.trace.orders):
+        assert np.linalg.eigvalsh(c.mat)[0] >= -1e-6
+        assert cs.order_cone_residual(cs.ProcessMatrix(p.parties, c), cone) <= 1e-9
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_seed_state_mixtures_are_separable_on_their_face(k):
+    q, p = seed_state_mixtures()[k]
+    cert = cs.check_separability(p)
+    assert_checked_decomposition(p, cert, q)
+    assert cert.diagnostics["face_rank"] == 12 and "face_iterations" not in cert.diagnostics
+    assert cert.iterations == [300, 349, 72, 57, 90][k]
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_separable_mixture_gets_no_witness(k):
+    q, p = seed_state_mixtures()[k]
+    assert cs.check_separability(p).verdict == "separable"
     # no S in both dual cones can score a separable W negative, so the
-    # exact check must refuse, and the run cut short stays undecided
-    cert = cs.check_separability(seed_state_mixtures()[k], max_iters=500)
-    assert not cert.separable and cert.iterations == 500
+    # exact check must refuse on the face and on the whole cone, and the
+    # run cut short stays undecided
+    cert = cs.check_separability(p, max_iters=50)
+    assert not cert.separable and cert.iterations == 50
+    assert cert.diagnostics["face_iterations"] == 50
     assert cert.witness is None
     assert cert.witness_verified is False
     assert cert.verdict == "undecided"
@@ -546,8 +573,8 @@ def test_zero_dual_gives_no_witness(qubit_parties):
     # without a NaN
     p = cs.ProcessMatrix(qubit_parties, cs.identity(cs.parties_space(qubit_parties)) / 4)
     cert = cs.check_separability(p)
-    trace = dataclasses.replace(cert.trace, converged=False,
-                                dual=np.zeros_like(cert.trace.dual))
+    trace = dataclasses.replace(cert.trace, converged=False, summands=None,
+                                dual=np.zeros_like(cert.trace.summands))
     witness, diag = cs.extract_witness(p, trace, seed=7, samples_per_order=5,
                                        n_mixtures=5)
     assert witness is None and "rejected" in diag
@@ -567,6 +594,105 @@ def test_witness_bound_scales_with_output_dimension():
     bound = min(d["certificate_margins"]) * 16
     assert d["witness_overlap"] < bound and d["battery_min"] >= bound
     assert abs(d["witness_overlap"] - (-0.4783)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the face of the PSD cone that W spans
+
+def retried(p, **kwargs):
+    """check_separability, with the (face, trace) of every _dykstra run."""
+    runs = []
+    dykstra = separability._dykstra
+
+    def recording(*args):
+        runs.append((args[-1], dykstra(*args)))
+        return runs[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(separability, "_dykstra", recording)
+        return cs.check_separability(p, **kwargs), runs
+
+
+def test_full_rank_run_is_the_whole_cone_run():
+    # noisy OCB has rank D, so its face is the whole cone and the run is
+    # the whole-cone run, bit for bit
+    p = cs.validate_process(noisy_ocb())
+    cert, runs = retried(p)
+    (face, trace), = runs
+    assert face is None and cert.trace is trace
+    assert cert.diagnostics["face_rank"] == 16 and "face_iterations" not in cert.diagnostics
+    basis = process._party_moves(p.parties)[0]
+    masks = separability._cone_masks(p.parties, cert.trace.orders)
+    whole = separability._dykstra(basis, p.w.mat, masks, cert.trace.orders,
+                                  separability.SEP_TOL, separability.MAX_ITERS)
+    assert np.array_equal(cert.trace.residual_history, whole.residual_history)
+    assert np.array_equal(cert.trace.dual, whole.dual)
+    # pinned at the whole-cone run's values
+    assert cert.trace.stalled and cert.iterations == 500
+    assert abs(cert.residual - 0.13639610306789507) < 1e-12
+    assert abs(cert.diagnostics["witness_overlap"] - (-0.1574966536453274)) < 1e-12
+
+
+def test_full_switch_is_certified_through_the_retry(switch):
+    # rank 1 of 64: the face run stalls at 500 iterations with a dual that
+    # certifies nothing, and the whole-cone run decides
+    cert, runs = retried(switch, max_iters=600, battery_per_order=20, battery_mixtures=0)
+    (face, on_face), (whole, trace) = runs
+    assert face.shape == (64, 1) and whole is None
+    assert on_face.stalled and on_face.iterations == 500
+    assert cert.trace is trace and cert.iterations == 600
+    assert cert.diagnostics["face_rank"] == 1
+    assert cert.diagnostics["face_iterations"] == 500
+    assert cert.verdict == "nonseparable" and cert.diagnostics["witness_overlap"] < 0
+
+
+def test_stalled_retry_is_certified(baumeler_wolf_cert):
+    # Baumeler-Wolf against (ABC, BAC): both runs stall, and only the
+    # whole-cone run's witness is certified
+    p, _ = baumeler_wolf_cert
+    cert, runs = retried(p, orders=[("A", "B", "C"), ("B", "A", "C")],
+                         battery_per_order=20, battery_mixtures=0)
+    assert [face is None for face, _ in runs] == [False, True]
+    assert all(t.stalled for _, t in runs)
+    assert cert.diagnostics["face_iterations"] == 550 and cert.iterations == 600
+    assert cert.verdict == "nonseparable"
+    assert abs(cert.diagnostics["witness_overlap"] - (-0.2868)) < 1e-4
+
+
+def test_run_keeps_one_stack(traced_switch_cert, ocb_cert):
+    p, cert = traced_switch_cert
+    assert cert.trace.dual is None
+    assert cert.trace.summands.dtype == float
+    assert cert.trace.summands.shape == (2,) + process._party_moves(p.parties)[0].shape
+    # components are rebuilt from the stack on each access, never cached
+    first, second = cert.components, cert.components
+    assert first is not second
+    for x, y in zip(first, second):
+        assert np.array_equal(x.mat, y.mat)
+    _, failed = ocb_cert
+    assert failed.trace.summands is None and failed.components is None
+    assert failed.trace.dual is not None
+
+
+def test_component_evidence_in_the_diagnostics(traced_switch_cert):
+    p, cert = traced_switch_cert
+    d = cert.diagnostics
+    assert d["tol"] == separability.SEP_TOL and cert.residual < d["tol"]
+    lows = [np.linalg.eigvalsh(c.mat)[0] for c in cert.components]
+    assert np.allclose(d["component_min_eigenvalues"], lows, rtol=0, atol=1e-14)
+    assert all(type(x) is float for x in d["component_min_eigenvalues"])
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.05, 0.95))
+def test_mixtures_of_two_orders_are_separable(seed, q):
+    a, b = qubit_chain("AB")
+    rng = np.random.default_rng(seed)
+    w = (cs.random_ordered_process([a, b], rng).w * q
+         + cs.random_ordered_process([b, a], rng).w * (1 - q))
+    p = cs.ProcessMatrix((a, b), w)
+    cert = cs.check_separability(p, battery_per_order=5, battery_mixtures=0)
+    assert_checked_decomposition(p, cert, q)
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +876,10 @@ def baumeler_wolf_cert():
 def test_baumeler_wolf_is_nonseparable(baumeler_wolf_cert):
     p, cert = baumeler_wolf_cert
     assert [c.order for c in cert.trace.orders] == list(itertools.permutations("ABC"))
-    assert cert.trace.stalled and cert.iterations == 600
+    assert cert.trace.stalled and cert.iterations == 550
+    assert cert.diagnostics["face_rank"] == 8 and "face_iterations" not in cert.diagnostics
     assert cert.witness_verified and cert.verdict == "nonseparable"
-    assert abs(cert.diagnostics["witness_overlap"] - (-0.1808)) < 1e-4
+    assert abs(cert.diagnostics["witness_overlap"] - (-0.2625)) < 1e-4
     margins = cert.diagnostics["certificate_margins"]
     assert len(margins) == 6 and min(margins) >= -1e-15
 
@@ -768,17 +895,33 @@ def test_baumeler_wolf_witness_in_every_dual_cone(baumeler_wolf_cert):
     assert abs(overlap - cert.diagnostics["witness_overlap"]) < 1e-12
 
 
-def test_stall_without_witness_is_undecided():
-    # the pair (ABC, BCA) cannot certify Baumeler-Wolf: the run stalls, the
-    # witness is rejected, and a stall alone is no evidence of either verdict
-    cert = cs.check_separability(baumeler_wolf(), orders=[("A", "B", "C"), ("B", "C", "A")])
-    assert cert.trace.stalled and cert.iterations == 550
+def test_stall_without_witness_is_undecided(traced_switch_cert):
+    # the traced switch is separable, so no witness exists; below rounding
+    # the residual cannot reach tol = 1e-20, so the face run and the
+    # whole-cone retry both stall, the witness is rejected, and a stall
+    # alone is no evidence of either verdict
+    p, separable = traced_switch_cert
+    assert separable.verdict == "separable"
+    cert = cs.check_separability(p, tol=1e-20, battery_per_order=20, battery_mixtures=0)
+    assert cert.trace.stalled and cert.iterations == 600
+    assert cert.diagnostics["face_iterations"] == 600
     assert cert.witness is None and "rejected" in cert.diagnostics
     assert cert.diagnostics["witness_overlap"] > 0
     assert cert.verdict == "undecided" and not cert.separable
     # the overlap and the battery minimum are reported against one bound
     bound = re.search(r"vs < (\S+),", cert.diagnostics["rejected"]).group(1)
     assert cert.diagnostics["rejected"].count(f"vs >= {bound}") == 1
+
+
+def test_baumeler_wolf_pair_is_certified(baumeler_wolf_cert):
+    # against (ABC, BCA) alone the witness read off the face run is
+    # certified, where the whole-cone run's was rejected (overlap +0.222)
+    p, _ = baumeler_wolf_cert
+    cert = cs.check_separability(p, orders=[("A", "B", "C"), ("B", "C", "A")],
+                                 battery_per_order=20, battery_mixtures=0)
+    assert cert.trace.stalled and cert.iterations == 550
+    assert cert.verdict == "nonseparable" and "face_iterations" not in cert.diagnostics
+    assert abs(cert.diagnostics["witness_overlap"] - (-0.1415)) < 1e-4
 
 
 def test_three_party_white_noise_is_separable():
