@@ -19,8 +19,6 @@ from .process import LabeledSpace, Party, ProcessMatrix
 from .separability import SeparabilityCertificate
 from .tensor_core import HermitianOperator, Operator, _canonicalize
 
-HERM_DETECT_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # schema checks: mis-shaped JSON raises ValueError, never TypeError
@@ -72,9 +70,8 @@ def operator_from_json(d: dict) -> Operator:
             f"expected {dim * dim} [re, im] entries, got shape {entries.shape}"
         )
     mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
-    space, mat = _canonicalize(factors, mat)
-    herm = float(np.max(np.abs(mat - mat.conj().T))) <= HERM_DETECT_TOL if dim else True
-    return HermitianOperator(space, mat) if herm else Operator(space, mat)
+    op = Operator(*_canonicalize(factors, mat))
+    return HermitianOperator(op.space, op.mat) if op.is_hermitian() else op
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,16 @@ def parties_space(parties: Sequence[Party]) -> SpaceProduct:
 
 @dataclass(frozen=True, eq=False)
 class ProcessMatrix:
-    """A Hermitian operator over all party spaces plus a validity verdict.
-
-    validity is one of "unchecked", "valid", "invalid"; reason holds the
-    first violated condition (with residual) when invalid.
+    """A Hermitian operator over the spaces of parties with distinct names,
+    plus a validity verdict that only `validate_process` writes: validity is
+    "unchecked" (also after replace()), "valid" or "invalid", and reason
+    holds the first violated condition (with residual) when invalid.
     """
 
     parties: tuple[Party, ...]
     w: HermitianOperator
-    validity: str = "unchecked"
-    reason: str | None = None
+    validity: str = field(default="unchecked", init=False)
+    reason: str | None = field(default=None, init=False)
     # (eigenvalues of w, residuals by pattern) from _validity_sweep, kept so
     # that validity_report after validate_process does not sweep again;
     # replace() leaves it unset, so it never outlives the w it describes
@@ -174,6 +174,11 @@ class ProcessMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "parties", tuple(self.parties))
+        names = [q.name for q in self.parties]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"party names must be distinct; repeated: "
+                             f"{', '.join(map(repr, repeated))}")
         if self.w.space != parties_space(self.parties):
             raise ValueError(
                 f"operator labels {self.w.space.labels} do not match the parties' spaces"
@@ -349,7 +354,7 @@ def _validity_sweep(p: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float = LIN_TOL) -> ProcessMatrix:
-    """Fill in the validity verdict of a process matrix.
+    """A copy of p with its validity verdict, which nothing else writes.
 
     Valid means PSD (eigenvalues >= -psd_tol), then |Tr w / prod d_O - 1|
     <= lin_tol, then r_U = w_U * ||c_U||_2 <= lin_tol for every forbidden
@@ -370,8 +375,9 @@ def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float 
         reason = f"normalization: {what} (residual {r[u]:.6e})"
     else:
         validity, reason = "valid", None
-    out = replace(p, validity=validity, reason=reason)
-    object.__setattr__(out, "_sweep", p._sweep)
+    out = replace(p)
+    for name, value in (("validity", validity), ("reason", reason), ("_sweep", p._sweep)):
+        object.__setattr__(out, name, value)
     return out
 
 

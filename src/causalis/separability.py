@@ -40,8 +40,8 @@ on the whole cone (Borwein & Wolkowicz, J. Math. Anal. Appl. 83, 495
 (1981)). When r = D the run is the whole-cone run. When a face run neither
 converges nor yields a certified witness, the same run on the whole cone
 decides instead. The run record keeps one (K, ...) coefficient stack: the
-masked summands when it converged (the certificate's components are read
-off them), and the dual variable otherwise.
+masked summands when it converged (the certificate's components and q are
+read off them), and the dual variable otherwise.
 
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
@@ -161,22 +161,22 @@ class FeasibilityTrace:
 
 @dataclass(frozen=True, eq=False)
 class SeparabilityCertificate:
-    """Verdict of check_separability on ``process``. It stores q, witness,
-    diagnostics and the deciding run's ``trace``; separable (the run
-    converged), components, residual, iterations and witness_verified are
-    read off them.
+    """Verdict of check_separability on ``process``. It stores witness,
+    diagnostics, the deciding run's ``trace`` and the ``process``; separable
+    (the run converged), components, q, residual, iterations and
+    witness_verified are read off them, so none can disagree with the run.
 
     When separable, ``components`` are the PSD summands of W, one per order
     (so the normalized order-cone members are components[i] scaled by 1/q_i,
     q_i = Tr components[i] / Tr W), rebuilt from ``trace.summands`` on each
-    access, and q = q_0 is the first order's weight. Diagnostics carry the
-    reconstruction error, the order-cone residuals and the smallest
-    eigenvalue of each component, all recomputed from the components, and
-    the tol the residual fell below. When nonseparable, ``witness`` is a
-    unit-norm Hermitian S with Tr[S X] >= μ Tr W for every mixture X of
-    processes of the orders, μ the smallest of
-    diagnostics["certificate_margins"] (one smallest eigenvalue of S's
-    projection per order), and Tr[S W] below μ Tr W less a rounding
+    access, and q = q_0, clipped to [0, 1], is the first order's weight
+    (None unless separable). Diagnostics carry the reconstruction error, the
+    order-cone residuals and the smallest eigenvalue of each component, all
+    recomputed from the components, and the tol the residual fell below.
+    When nonseparable, ``witness`` is a unit-norm Hermitian S with Tr[S X]
+    >= μ Tr W for every mixture X of processes of the orders, μ the
+    smallest of diagnostics["certificate_margins"] (one smallest eigenvalue
+    of S's projection per order), and Tr[S W] below μ Tr W less a rounding
     allowance (the bound of `extract_witness`). Without a converged run or
     a certified witness the verdict is "undecided". A seeded battery of
     ordered processes and their mixtures is checked against the same
@@ -192,7 +192,6 @@ class SeparabilityCertificate:
     from W, and this certificate does not attempt to distinguish the two.
     """
 
-    q: float | None
     witness: HermitianOperator | None
     diagnostics: dict
     trace: FeasibilityTrace
@@ -209,6 +208,12 @@ class SeparabilityCertificate:
         basis = _party_moves(self.process.parties)[0]
         space = self.process.w.space
         return tuple(HermitianOperator(space, m) for m in basis.from_coeffs(self.trace.summands))
+
+    @property
+    def q(self) -> float | None:
+        comps = self.components
+        return None if comps is None else float(
+            np.clip(comps[0].trace().real / self.process.w.trace().real, 0.0, 1.0))
 
     @property
     def residual(self) -> float:
@@ -267,21 +272,32 @@ def _face(w: np.ndarray) -> np.ndarray | None:
     return None if keep.all() else v[:, keep]
 
 
+def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None) -> np.ndarray:
+    """Nearest point of the PSD cone, or of its face {V X V† : X ⪰ 0} when
+    ``face`` is V (`_face`), to each operator M of a coefficient stack: one
+    batched eigh of M, or of V† M V, lifted to V P_psd(V† M V) V†, the exact
+    Frobenius projection. V = 1 would add three GEMMs to each eigh."""
+    m = basis.from_coeffs(c)
+    e, v = np.linalg.eigh(m if face is None else face.conj().T @ m @ face)
+    np.clip(e, 0, None, out=e)
+    if face is not None:
+        v = face @ v
+    return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
 def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_iters,
              face=None):
     """Alternating projections on the summands x = (x_1, ..., x_K), held as
     one (K, ...) coefficient stack, between the affine set {x_i in L_i,
-    sum_i x_i = W_par} and the PSD product cone, or its face {V X V† : X ⪰
-    0} when ``face`` is V (see `_face`), where each summand's projection is
-    V P_psd(V† M V) V†, the exact Frobenius projection, one (K, r, r)
-    eigh (m stacks the masks of the cones' subspaces L_i); returns the
-    run's FeasibilityTrace. On a coefficient that n > 0 of the L_i allow,
-    the affine step subtracts r/n from each of them, r the excess of their
-    sum over W_par. The reported residual sqrt(gap^2 + perp^2) also charges
-    the part of W outside the sum of the subspaces, which no feasible stack
-    can reproduce. The run stalls when, checked every STALL_CHECK_EVERY
-    iterations, the residual has fallen by less than STALL_REL relative to
-    its value STALL_WINDOW iterations back."""
+    sum_i x_i = W_par} (m stacks the masks of the subspaces L_i) and the PSD
+    product cone, or its face when ``face`` is V (`_project_psd`); returns
+    the run's FeasibilityTrace. On a coefficient that n > 0 of the L_i
+    allow, the affine step subtracts r/n from each of them, r the excess of
+    their sum over W_par. The reported residual sqrt(gap^2 + perp^2) also
+    charges the part of W outside the sum of the subspaces, which no
+    feasible stack can reproduce. The run stalls when, checked every
+    STALL_CHECK_EVERY iterations, the residual has fallen by less than
+    STALL_REL relative to its value STALL_WINDOW iterations back."""
     n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
@@ -293,13 +309,6 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
         r = (t.sum(axis=0) - wpar) * m
         return t - r + r * keep
 
-    def proj_face(c):
-        e, u = np.linalg.eigh(face.conj().T @ basis.from_coeffs(c) @ face)
-        np.clip(e, 0, None, out=e)
-        x = face @ u
-        return basis.to_coeffs((x * e[..., None, :]) @ x.conj().swapaxes(-1, -2))
-
-    proj_psd = basis.project_psd_coeffs if face is None else proj_face
     b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)
     q = np.zeros_like(b)
@@ -310,7 +319,7 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
     for it in range(1, max_iters + 1):
         a = proj_affine(b + p)
         p = b + p - a
-        nb = proj_psd(a + q)
+        nb = _project_psd(basis, a + q, face)
         q = a + q - nb
         gap = np.linalg.norm(a - nb)
         res = float(np.sqrt(gap**2 + perp**2))
@@ -387,10 +396,9 @@ def check_separability(
         diagnostics["face_iterations"] = trace.iterations
         trace, witness, wdiag = run(None)
 
-    if trace.converged:
-        mats = basis.from_coeffs(trace.summands)
-        comps = tuple(HermitianOperator(p.w.space, m) for m in mats)
-        q = float(np.clip(comps[0].trace().real / p.w.trace().real, 0.0, 1.0))
+    cert = SeparabilityCertificate(witness, diagnostics, trace, p)
+    if cert.separable:
+        comps = cert.components
         diagnostics.update({
             "verification": "decomposition: reconstruction, order-cone residuals and "
                             "component eigenvalues",
@@ -398,15 +406,12 @@ def check_separability(
             "reconstruction": float((sum(comps[1:], comps[0]) - p.w).norm()),
             "cone_residuals": [order_cone_residual(ProcessMatrix(p.parties, c), cone)
                                for c, cone in zip(comps, cones)],
-            "component_min_eigenvalues": [float(e) for e in np.linalg.eigvalsh(mats)[:, 0]],
+            "component_min_eigenvalues": np.linalg.eigvalsh([c.mat for c in comps])[:, 0].tolist(),
         })
-        return SeparabilityCertificate(q=q, witness=None, diagnostics=diagnostics,
-                                       trace=trace, process=p)
-
-    diagnostics.update({"verification": "witness: exact dual-cone check (eigvalsh margins on "
-                        "every order subspace), seeded battery as cross-check", **wdiag})
-    return SeparabilityCertificate(q=None, witness=witness, diagnostics=diagnostics,
-                                   trace=trace, process=p)
+    else:
+        diagnostics.update({"verification": "witness: exact dual-cone check (eigvalsh margins "
+                            "on every order subspace), seeded battery as cross-check", **wdiag})
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -533,14 +533,6 @@ class _CoeffBasis:
             out = out & (np.arange(self.shape[i]) == 0).reshape(axis)
         return out
 
-    def project_psd_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Nearest PSD operator of each item of a coefficient stack, by one
-        batched eigh."""
-        m = self.from_coeffs(c)
-        e, v = np.linalg.eigh(m)
-        np.clip(e, 0, None, out=e)
-        return self.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
-
 
 # ---------------------------------------------------------------------------
 # random ensembles (deterministic given the generator state)

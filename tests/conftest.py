@@ -94,6 +94,8 @@ def mis_shaped_processes(switch):
     variant("party not an object", lambda d: d["parties"].__setitem__(0, "A"),
             "must be an object")
     variant("missing w", lambda d: d.pop("w"), "no 'w' field")
+    variant("duplicate party name", lambda d: d["parties"][1].update(name="A"),
+            "party names must be distinct; repeated: 'A'")
     variant("entries not numbers", lambda d: d["w"]["entries"].__setitem__(0, ["x", 0]),
             "entries must be numbers")
     variant("+inf diagonal", lambda d: d["w"]["entries"].__setitem__(0, [float("inf"), 0.0]),

@@ -106,6 +106,16 @@ def test_validate_rejects_mis_shaped_or_non_finite_files(tmp_path, switch, capsy
         assert err.startswith("error:") and re.search(match, err), (label, err)
 
 
+def test_sep_rejects_duplicate_party_names(tmp_path, switch, capsys):
+    d = cio.process_to_json(switch)
+    d["parties"][1]["name"] = "A"
+    path = tmp_path / "dup.json"
+    cio.save_json(d, str(path))
+    code, report, err = run(capsys, "sep", "--in", str(path), "--seed", "1")
+    assert code == 2 and report is None
+    assert "party names must be distinct; repeated: 'A'" in err
+
+
 def test_validate_report_matches_library(tmp_path, qubit_parties, capsys):
     rng = np.random.default_rng(3)
     p = cs.random_ordered_process(list(qubit_parties), rng)

@@ -485,6 +485,36 @@ def test_validate_then_report_sweeps_once(qubit_parties, monkeypatch):
     assert calls == {"eigvalsh": 2, "to_coeffs": 2, "einsum": 0}
 
 
+def test_only_validate_process_writes_the_verdict(qubit_parties):
+    p = cp.validate_process(white_noise(qubit_parties))
+    assert p.validity == "valid"
+    # a replaced w is a new operator: its verdict is unchecked, and the
+    # checks downstream validate it again instead of trusting the old one
+    doubled = replace(p, w=p.w * 2.0)
+    assert (doubled.validity, doubled.reason) == ("unchecked", None)
+    stale = "process is not valid: normalization: trace 8 != 4"
+    with pytest.raises(ValueError, match=stale):
+        cs.check_separability(doubled)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=stale):
+        cs.born(doubled, [cs.random_instrument(q, 2, 2, rng) for q in qubit_parties])
+    # nothing else can write it
+    with pytest.raises(TypeError):
+        cs.ProcessMatrix(qubit_parties, p.w * 5.0, validity="valid")
+    with pytest.raises(TypeError):
+        cs.ProcessMatrix(qubit_parties, p.w, reason=None)
+    for name, value in (("validity", "valid"), ("reason", None)):
+        with pytest.raises(ValueError, match="init=False"):
+            replace(doubled, **{name: value})
+
+
+def test_party_names_must_be_distinct():
+    a = cs.Party("A", cs.LabeledSpace("A_I", 2), cs.LabeledSpace("A_O", 2))
+    x = cs.Party("A", cs.LabeledSpace("X_I", 2), cs.LabeledSpace("X_O", 2))
+    with pytest.raises(ValueError, match="party names must be distinct; repeated: 'A'"):
+        cs.ProcessMatrix((a, x), cs.identity(cs.parties_space((a, x))) / 4)
+
+
 # ---------------------------------------------------------------------------
 # one forbidden term on either side of lin_tol
 

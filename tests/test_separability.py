@@ -203,13 +203,34 @@ def test_batched_basis_change_matches_per_item(dims, rng):
     cs_batched = basis.to_coeffs(ms)
     assert cs_batched.shape == (2, 3) + tuple(d * d for d in dims)
     back = basis.from_coeffs(cs_batched)
-    psd = basis.project_psd_coeffs(cs_batched)
     for i in range(2):
         for j in range(3):
             c = basis.to_coeffs(ms[i, j])
             assert np.max(np.abs(cs_batched[i, j] - c)) < 1e-13
             assert np.max(np.abs(back[i, j] - basis.from_coeffs(c))) < 1e-13
-            assert np.max(np.abs(psd[i, j] - basis.project_psd_coeffs(c))) < 1e-12
+
+
+@pytest.mark.parametrize("on_face", [False, True], ids=["cone", "face"])
+@pytest.mark.parametrize("dims", [[2, 2, 2, 2], [5, 2], [2] * 5],
+                         ids=lambda d: "x".join(map(str, d)))
+def test_psd_step_matches_dense_eigh(dims, on_face, rng):
+    # the one PSD step of the Dykstra loop, on a (2, 3) stack, against a
+    # dense projection per item: eigh of M, or V P_psd(V^dag M V) V^dag
+    space = labeled(dims)
+    basis = _CoeffBasis(space)
+    ms = random_hermitian(space.dim, rng, lead=(2, 3))
+    v = np.eye(space.dim)
+    if on_face:
+        g = rng.normal(size=(space.dim, space.dim // 2)) + 1j * rng.normal(
+            size=(space.dim, space.dim // 2))
+        v = np.linalg.qr(g)[0]
+    got = separability._project_psd(basis, basis.to_coeffs(ms), v if on_face else None)
+    for i in range(2):
+        for j in range(3):
+            e, u = np.linalg.eigh(v.conj().T @ ms[i, j] @ v)
+            x = v @ u
+            want = (x * np.clip(e, 0, None)) @ x.conj().T
+            assert np.max(np.abs(basis.from_coeffs(got[i, j]) - want)) < 1e-12
 
 
 def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
@@ -302,7 +323,7 @@ def test_certificate_invariants(traced_switch_cert):
 
 def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_cert):
     stored = [f.name for f in dataclasses.fields(cs.SeparabilityCertificate)]
-    assert stored == ["q", "witness", "diagnostics", "trace", "process"]
+    assert stored == ["witness", "diagnostics", "trace", "process"]
     assert [f.name for f in dataclasses.fields(cs.FeasibilityTrace)] == [
         "orders", "converged", "stalled", "residual_history", "perp", "summands", "dual"]
     for _, cert in (traced_switch_cert, ocb_cert):
@@ -314,6 +335,11 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
         assert cert.witness_verified == (cert.witness is not None)
         # each fact once: the run's perp and stall live on the trace only
         assert not {"perp", "stalled"} & set(cert.diagnostics)
+        if cert.separable:
+            tr = cert.components[0].trace().real / cert.process.w.trace().real
+            assert cert.q == float(np.clip(tr, 0.0, 1.0))
+        else:
+            assert cert.q is None
     assert list(inspect.signature(cs.check_separability).parameters) == [
         "p", "orders", "tol", "max_iters", "witness_seed", "battery_per_order",
         "battery_mixtures"]
