@@ -178,7 +178,7 @@ def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
         vals = np.asarray(table, dtype=float)
         if vals.ndim != 4:
             raise ValueError("expected a (x, y, a, b) probability array")
-        table = ProbabilityTable(("A", "B"), vals.shape[:2], vals.shape[2:], vals)
+        table = ProbabilityTable(("A", "B"), vals)
     if len(table.parties) != 2:
         raise ValueError("causality tests are defined for bipartite tables")
     return table.values, table.settings, table.outcomes

@@ -124,8 +124,7 @@ def cmd_sep(args):
         tol=args.tol,
         max_iters=args.max_iters,
         witness_seed=args.seed,
-        battery_per_order=args.battery,
-        battery_mixtures=args.battery,
+        battery=args.battery,
     )
     code = {"separable": 0, "nonseparable": 1, "undecided": 3}[cert.verdict]
     return code, certificate_to_json(cert)

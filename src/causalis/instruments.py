@@ -72,45 +72,51 @@ class Instrument:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """P(outcomes | settings), one axis per party setting then per outcome."""
+    """P(outcomes | settings) of the named parties: ``values`` has one axis
+    per party setting, then one per party outcome, so ``settings`` and
+    ``outcomes`` are read off its shape. Party names must be distinct."""
 
     parties: tuple[str, ...]
-    settings: tuple[int, ...]
-    outcomes: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
+        parties = tuple(self.parties)
+        repeated = sorted({q for q in parties if parties.count(q) > 1})
+        if repeated:
+            raise ValueError(f"party names must be distinct; repeated: "
+                             f"{', '.join(map(repr, repeated))}")
         # a copy, so freezing it leaves the caller's array writable
         vals = np.array(self.values, dtype=float)
-        if vals.shape != self.settings + self.outcomes:
-            raise ValueError(
-                f"values shape {vals.shape} does not match {self.settings + self.outcomes}"
-            )
+        n = len(parties)
+        if vals.ndim != 2 * n:
+            raise ValueError(f"values needs two axes per party ({2 * n}: settings, "
+                             f"then outcomes), got {vals.ndim}")
         if not np.isfinite(vals).all():
             raise ValueError("probabilities must be finite")
         if vals.min(initial=0.0) < -PROB_TOL:
             raise ValueError(f"negative probability {vals.min():.3e}")
-        n = len(self.settings)
         sums = vals.sum(axis=tuple(range(n, vals.ndim)))
         if np.max(np.abs(sums - 1.0)) > 1e-9:
             raise ValueError("probabilities do not sum to 1 for every setting (not normalized)")
         vals.setflags(write=False)
+        object.__setattr__(self, "parties", parties)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def settings(self) -> tuple[int, ...]:
+        return self.values.shape[:len(self.parties)]
+
+    @property
+    def outcomes(self) -> tuple[int, ...]:
+        return self.values.shape[len(self.parties):]
 
     def marginalize(self, party: str) -> "ProbabilityTable":
         """Drop a single-setting party by summing out its outcome."""
         i = self.parties.index(party)
         if self.settings[i] != 1:
             raise ValueError("can only marginalize a party with a single setting")
-        vals = self.values.sum(axis=len(self.settings) + i)
-        vals = np.squeeze(vals, axis=i)
-        keep = tuple(j for j in range(len(self.parties)) if j != i)
-        return ProbabilityTable(
-            tuple(self.parties[j] for j in keep),
-            tuple(self.settings[j] for j in keep),
-            tuple(self.outcomes[j] for j in keep),
-            vals,
-        )
+        vals = self.values.sum(axis=len(self.parties) + i)
+        return ProbabilityTable(self.parties[:i] + self.parties[i + 1:], np.squeeze(vals, axis=i))
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +191,20 @@ def random_instrument_kraus(
     d_out: int,
     n_outcomes: int,
     rng: np.random.Generator,
-    kraus_per_outcome: int = 2,
 ) -> list[list[np.ndarray]]:
     """Kraus families of a random instrument, one list per outcome.
 
     Built from a Haar Stinespring isometry by partitioning the environment,
-    so the outcome sum is exactly trace-preserving. The isometry needs
-    d_out * n_outcomes * kraus_per_outcome >= d_in rows, so a smaller
-    kraus_per_outcome is raised to ceil(d_in / (d_out * n_outcomes)).
+    so the outcome sum is exactly trace-preserving. Each outcome gets
+    max(2, ceil(d_in / (d_out * n_outcomes))) Kraus operators: two, or as
+    many as the isometry needs for its d_out * n_outcomes * k >= d_in rows.
     """
-    kraus_per_outcome = max(kraus_per_outcome, -(-d_in // (d_out * n_outcomes)))
-    env = n_outcomes * kraus_per_outcome
+    per = max(2, -(-d_in // (d_out * n_outcomes)))
+    env = n_outcomes * per
     v = random_isometry(d_in, d_out * env, rng)
     # row o * env + e of v is row o of Kraus operator e
     kraus = v.reshape(d_out, env, d_in).transpose(1, 0, 2)
-    return [list(f) for f in kraus.reshape(n_outcomes, kraus_per_outcome, d_out, d_in)]
+    return [list(f) for f in kraus.reshape(n_outcomes, per, d_out, d_in)]
 
 
 def random_instrument(
@@ -207,13 +212,10 @@ def random_instrument(
     settings: int,
     outcomes: int,
     rng: np.random.Generator,
-    kraus_per_outcome: int = 2,
 ) -> Instrument:
     rows = []
     for _ in range(settings):
-        fam = random_instrument_kraus(
-            party.input_dim, party.output_dim, outcomes, rng, kraus_per_outcome
-        )
+        fam = random_instrument_kraus(party.input_dim, party.output_dim, outcomes, rng)
         rows.append(tuple(
             choi_of_kraus(ks, party.input_space, party.output_space) for ks in fam
         ))
@@ -233,15 +235,13 @@ def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTabl
     for party, i in zip(p.parties, ins):
         if i.party != party:
             raise ValueError(f"instrument for {party.name!r} has mismatched spaces")
-    settings = tuple(i.settings for i in ins)
-    outcomes = tuple(i.outcomes for i in ins)
     # P[x.., a..] = sum_ij w_ij (M_1[x_1, a_1] (x) ... (x) M_n[x_n, a_n])_ij,
     # i.e. Tr[w M^T]; the contraction returns axes (x_1, a_1, x_2, a_2, ...)
     stacks = [np.array([[c.mat for c in row] for row in i.chois]) for i in ins]
     t = _contract(p.w, [q.space for q in p.parties], stacks).real
     n = len(ins)
     vals = t.transpose([2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
-    return ProbabilityTable(tuple(party.name for party in p.parties), settings, outcomes, vals)
+    return ProbabilityTable(tuple(party.name for party in p.parties), vals)
 
 
 def circuit_oracle(
@@ -276,13 +276,14 @@ def circuit_oracle(
                 if k < n - 1:
                     rho = apply(channel_kraus[k], rho)
             vals[xs + os_] = np.trace(rho).real
-    return ProbabilityTable(tuple(party_names), settings, outcomes, vals)
+    return ProbabilityTable(party_names, vals)
 
 
-def switch_discrimination_demo(u: np.ndarray, v: np.ndarray, psi=None) -> float:
+def switch_discrimination_demo(u: np.ndarray, v: np.ndarray) -> float:
     """P(control reads +) when the switch runs channels U and V.
 
-    Fiona measures the control in the |+-> basis and traces the target.
+    The target starts in |0>; Fiona measures the control in the |+-> basis
+    and traces the target.
     Returns 1 for commuting pairs and 0 for anticommuting pairs: one query
     to each channel decides which, with no definite order in between.
     """
@@ -292,10 +293,7 @@ def switch_discrimination_demo(u: np.ndarray, v: np.ndarray, psi=None) -> float:
     for name, m in (("U", u), ("V", v)):
         if m.shape != (d, d) or np.max(np.abs(m.conj().T @ m - np.eye(d))) > 1e-10:
             raise ValueError(f"{name} must be unitary")
-    if psi is None:
-        psi = np.zeros(d, dtype=complex)
-        psi[0] = 1.0
-    qs = make_quantum_switch(psi, 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+    qs = make_quantum_switch(np.eye(d)[0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
     pa, pb, pf = qs.parties
     ins_a = standard_instruments("unitary", pa, unitaries=[u])
     ins_b = standard_instruments("unitary", pb, unitaries=[v])

@@ -203,7 +203,7 @@ def table_from_csv(text: str) -> ProbabilityTable:
         vals[idx] = pr
     if np.isnan(vals).any():
         raise ValueError("table rows do not cover the full settings/outcomes grid")
-    return ProbabilityTable(parties, shape[:n], shape[n:], vals)
+    return ProbabilityTable(parties, vals)
 
 
 # ---------------------------------------------------------------------------

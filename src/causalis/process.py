@@ -75,6 +75,7 @@ from .tensor_core import (
 
 PSD_TOL = 1e-10
 LIN_TOL = 1e-9
+LINK_KRAUS = 2  # Kraus operators per random link channel
 
 
 def _as_factors(spaces) -> tuple[LabeledSpace, ...]:
@@ -409,12 +410,13 @@ def validity_report(p: ProcessMatrix) -> dict:
     }
 
 
-def validate_bipartite_closed_form(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float = LIN_TOL) -> bool:
+def validate_bipartite_closed_form(p: ProcessMatrix) -> bool:
     """Closed-form validity for two parties with nontrivial outputs.
 
-    Checks PSD, |Tr W / (d_AO*d_BO) - 1| <= lin_tol, and the three depolarize
-    identities that characterize the bipartite valid subspace. Must agree
-    with validate_process on every input.
+    Checks PSD (eigenvalues >= -PSD_TOL), |Tr W / (d_AO*d_BO) - 1| <= LIN_TOL,
+    and the three depolarize identities that characterize the bipartite
+    valid subspace, each to LIN_TOL. Must agree with validate_process on
+    every input.
     """
     if len(p.parties) != 2:
         raise ValueError("closed form is defined for exactly two parties")
@@ -423,16 +425,16 @@ def validate_bipartite_closed_form(p: ProcessMatrix, psd_tol: float = PSD_TOL, l
         raise ValueError("closed form requires nontrivial outputs for both parties")
     w = p.w
     evals = np.linalg.eigvalsh(w.mat)
-    if evals[0] < -psd_tol:
+    if evals[0] < -PSD_TOL:
         return False
-    if abs(w.trace().real / (a.output_dim * b.output_dim) - 1.0) > lin_tol:
+    if abs(w.trace().real / (a.output_dim * b.output_dim) - 1.0) > LIN_TOL:
         return False
     ai, ao = set(a.input_labels), set(a.output_labels)
     bi, bo = set(b.input_labels), set(b.output_labels)
     c1 = depolarize(w, bi | bo) - depolarize(w, ao | bi | bo)
     c2 = depolarize(w, ai | ao) - depolarize(w, ai | ao | bo)
     c3 = w - (depolarize(w, bo) + depolarize(w, ao) - depolarize(w, ao | bo))
-    return max(c1.norm(), c2.norm(), c3.norm()) <= lin_tol
+    return max(c1.norm(), c2.norm(), c3.norm()) <= LIN_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +638,13 @@ class OrderedBatch:
         links = [_link_space(a, b) for a, b in zip(self.order, self.order[1:])]
         return [self.order[0].input_space] + links
 
-    def process(self, k: int, validate: bool = False) -> ProcessMatrix:
-        """Sample k as a ProcessMatrix, through make_ordered_process."""
+    def process(self, k: int) -> ProcessMatrix:
+        """Sample k as an unchecked ProcessMatrix, through make_ordered_process
+        (`validate_process` checks it)."""
         spaces = self.spaces
         state = HermitianOperator(spaces[0], self.states[k])
         links = [HermitianOperator(s, c[k]) for s, c in zip(spaces[1:], self.channels)]
-        return make_ordered_process(self.order, state, links, validate=validate)
+        return make_ordered_process(self.order, state, links, validate=False)
 
     def traces(self, op: Operator) -> np.ndarray:
         """Tr[op W_k] for every sample k, as one einsum of op^T with the
@@ -654,9 +657,9 @@ def random_ordered_batch(
     order: Sequence[Party],
     rng: np.random.Generator,
     n: int,
-    n_kraus: int = 2,
 ) -> OrderedBatch:
-    """n ordered processes with Haar-random states and random CPTP links.
+    """n ordered processes with Haar-random states and random CPTP links of
+    LINK_KRAUS Kraus operators each.
 
     One rng.normal call draws all of them and consumes the generator exactly
     as n sequential random_ordered_process calls do: per sample, the real
@@ -671,9 +674,9 @@ def random_ordered_batch(
     d0 = order[0].input_dim
     shapes = [(d0, d0)]
     for src, dst in links:
-        if dst.input_dim * n_kraus < src.output_dim:
+        if dst.input_dim * LINK_KRAUS < src.output_dim:
             raise ValueError("isometry needs d_to >= d_from")
-        shapes.append((dst.input_dim * n_kraus, src.output_dim))
+        shapes.append((dst.input_dim * LINK_KRAUS, src.output_dim))
     sizes = [math.prod(sh) for sh in shapes]
     x = rng.normal(size=(n, 2 * sum(sizes)))
     g, at = [], 0
@@ -683,7 +686,7 @@ def random_ordered_batch(
     states = _ginibre_density(g[0])
     channels = tuple(
         _choi_stack(
-            _haar_isometry(gk).reshape(n, n_kraus, dst.input_dim, src.output_dim),
+            _haar_isometry(gk).reshape(n, LINK_KRAUS, dst.input_dim, src.output_dim),
             src.output_space, dst.input_space,
         )
         for gk, (src, dst) in zip(g[1:], links)
@@ -695,9 +698,8 @@ def random_ordered_batch(
 def random_ordered_process(
     order: Sequence[Party],
     rng: np.random.Generator,
-    n_kraus: int = 2,
-    validate: bool = False,
 ) -> ProcessMatrix:
     """Ordered process with a Haar-random state and random CPTP links: the
-    n = 1 case of random_ordered_batch."""
-    return random_ordered_batch(order, rng, 1, n_kraus).process(0, validate=validate)
+    n = 1 case of random_ordered_batch, unchecked (`validate_process`
+    checks it)."""
+    return random_ordered_batch(order, rng, 1).process(0)

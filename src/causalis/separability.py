@@ -139,16 +139,20 @@ class FeasibilityTrace:
     converged, and otherwise ``dual``, the PSD-side correction with its sign
     flipped, y_i = -q_i, the dual variable that `extract_witness` builds
     its witness from (PSD for a whole-cone run; for a run on a face
-    {V X V†}, only V† y_i V is). ``residual`` and ``iterations`` are the
-    last entry and the length of ``residual_history``."""
+    {V X V†}, only V† y_i V is). ``converged`` is read off which one is
+    kept, and ``residual`` and ``iterations`` are the last entry and the
+    length of ``residual_history``."""
 
     orders: tuple[OrderCone, ...]
-    converged: bool
     stalled: bool
     residual_history: np.ndarray
     perp: float
     summands: np.ndarray | None
     dual: np.ndarray | None
+
+    @property
+    def converged(self) -> bool:
+        return self.summands is not None
 
     @property
     def residual(self) -> float:
@@ -180,8 +184,8 @@ class SeparabilityCertificate:
     allowance (the bound of `extract_witness`). Without a converged run or
     a certified witness the verdict is "undecided". A seeded battery of
     ordered processes and their mixtures is checked against the same
-    bound; diagnostics carry its parameters (battery_per_order >= 1 samples
-    per order and battery_mixtures >= 0 mixtures, both checked) and minimum.
+    bound; diagnostics carry its size (``battery`` samples per order and as
+    many mixtures: samples_per_order and n_mixtures) and minimum.
     diagnostics["face_rank"] is the rank r of W whose face the run searched
     (r = D: the whole cone), and "face_iterations", present only when the
     face run was retried on the whole cone, is that face run's length.
@@ -240,7 +244,7 @@ class SeparabilityCertificate:
 
 
 def _check_count(name, value, least):
-    """Counts (iterations, battery sizes): an integer, at least `least`."""
+    """Counts (iterations, the battery size): an integer, at least `least`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
@@ -333,7 +337,7 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
                 stalled = True
                 break
     converged = res < tol
-    return FeasibilityTrace(orders=cones, converged=converged, stalled=stalled,
+    return FeasibilityTrace(orders=cones, stalled=stalled,
                             residual_history=np.asarray(hist), perp=perp,
                             summands=b * m if converged else None,
                             dual=None if converged else -q)
@@ -346,8 +350,7 @@ def check_separability(
     tol: float = SEP_TOL,
     max_iters: int = MAX_ITERS,
     witness_seed: int = 7,
-    battery_per_order: int = 500,
-    battery_mixtures: int = 500,
+    battery: int = 500,
 ) -> SeparabilityCertificate:
     """Decide whether W mixes processes from the order cones of ``orders``,
     a non-empty list of distinct total orders of the parties (default: every
@@ -359,18 +362,17 @@ def check_separability(
     stalls (see `_dykstra`) or has run max_iters iterations. Residual below
     tol means separable: the certificate carries the PSD summands (masked
     back onto their linear subspaces) and the weight q of the first order.
-    Otherwise `extract_witness` (witness_seed and the battery sizes) looks
-    for a witness certified by its own bound, which tol does not enter.
+    Otherwise `extract_witness` (witness_seed and battery) looks for a
+    witness certified by its own bound, which tol does not enter.
     When W is rank-deficient and the face run gives neither, the same run
     is repeated on the whole PSD cone and decides. The verdict is
-    nonseparable with a witness and undecided without. max_iters must be an
-    integer >= 1 and tol finite and > 0.
+    nonseparable with a witness and undecided without. max_iters and
+    battery must be integers >= 1 and tol finite and > 0.
     """
     _check_count("max_iters", max_iters, 1)
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    _check_count("battery_per_order", battery_per_order, 1)
-    _check_count("battery_mixtures", battery_mixtures, 0)
+    _check_count("battery", battery, 1)
     p = _require_valid(p)
     if orders is None:
         orders = _default_orders(p.parties)
@@ -385,9 +387,7 @@ def check_separability(
         trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
         if trace.converged:
             return trace, None, {}
-        return (trace, *extract_witness(p, trace, seed=witness_seed,
-                                        samples_per_order=battery_per_order,
-                                        n_mixtures=battery_mixtures))
+        return (trace, *extract_witness(p, trace, seed=witness_seed, battery=battery))
 
     face = _face(p.w.mat)
     diagnostics = {"face_rank": p.w.dim if face is None else face.shape[1]}
@@ -422,8 +422,7 @@ def extract_witness(
     trace: FeasibilityTrace,
     *,
     seed: int,
-    samples_per_order: int = 500,
-    n_mixtures: int = 500,
+    battery: int = 500,
 ):
     """Witness S in every K_i* (one per order of ``trace.orders``) from a
     failed feasibility run, certified by one bound and cross-checked by a
@@ -448,18 +447,17 @@ def extract_witness(
     scores 0 against a negative bound and is rejected. Returns (witness or
     None, diagnostics).
 
-    The battery scores samples_per_order (>= 1) ordered processes per order,
-    drawn as one `random_ordered_batch`, and n_mixtures (>= 0) mixtures,
-    each drawing one sample index per order and then one stick-breaking
-    weight per order but the last, in that order, as per-sample draws of
-    dense matrices would.
+    The battery scores ``battery`` (>= 1) ordered processes per order, drawn
+    as one `random_ordered_batch`, and as many mixtures, each drawing one
+    sample index per order and then one stick-breaking weight per order but
+    the last, in that order, as per-sample draws of dense matrices would;
+    diagnostics report both counts (samples_per_order, n_mixtures).
     The mixtures add no evidence: by linearity a mixture's score is a convex
     combination of its parts' scores, so it never falls below the smallest
     of them by more than one rounding, and the battery minimum is the
     per-order sample minimum. They stay as a cross-check of the scoring.
     """
-    _check_count("samples_per_order", samples_per_order, 1)
-    _check_count("n_mixtures", n_mixtures, 0)
+    _check_count("battery", battery, 1)
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _party_moves(p.parties)[0]
@@ -483,26 +481,26 @@ def extract_witness(
     rng = np.random.default_rng(seed)
     by_name = {q.name: q for q in p.parties}
     scores = [
-        random_ordered_batch([by_name[n] for n in cone.order], rng, samples_per_order)
+        random_ordered_batch([by_name[n] for n in cone.order], rng, battery)
         .traces(witness).real
         for cone in trace.orders
     ]
-    mixed = np.empty(n_mixtures)
-    for k in range(n_mixtures):
-        picks = [s[rng.integers(0, samples_per_order)] for s in scores]
+    mixed = np.empty(battery)
+    for k in range(battery):
+        picks = [s[rng.integers(0, battery)] for s in scores]
         score, rest = 0.0, 1.0
         for s in picks[:-1]:
             t = rng.uniform()
             score, rest = score + rest * t * s, rest * (1 - t)
         mixed[k] = score + rest * picks[-1]
-    battery_min = float(min(min(s.min() for s in scores), mixed.min(initial=np.inf)))
+    battery_min = float(min(min(s.min() for s in scores), mixed.min()))
 
     diagnostics = {
         "witness_overlap": overlap,
         "certificate_margins": [float(m) for m in margin],
         "battery_min": battery_min,
-        "samples_per_order": int(samples_per_order),
-        "n_mixtures": int(n_mixtures),
+        "samples_per_order": int(battery),
+        "n_mixtures": int(battery),
         "witness_seed": seed,
     }
     bound = (margin.min() - p.w.dim**2 * np.finfo(float).eps) * p.w.trace().real

@@ -135,8 +135,8 @@ class Operator:
     def dagger(self) -> "Operator":
         return type(self)(self.space, self.mat.conj().T)
 
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= tol
+    def is_hermitian(self) -> bool:
+        return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= HERM_TOL
 
     def __add__(self, other):
         if not isinstance(other, Operator):

@@ -51,17 +51,17 @@ def unitary_channel_mixture(parties, rng, weight=0.5):
     return cs.ProcessMatrix((a, b), w_ab * weight + w_ba * (1 - weight))
 
 
-def sequential_ordered_process(order, rng, n_kraus=2):
+def sequential_ordered_process(order, rng):
     """An ordered process drawn one piece at a time from the tensor_core
-    samplers, with each link's Choi summed from pure Choi vectors: the
-    reference for random_ordered_batch, which must consume the generator
-    in the same order."""
+    samplers, with each link's Choi summed from the pure Choi vectors of two
+    Kraus operators: the reference for random_ordered_batch, which must
+    consume the generator in the same order."""
     order = list(order)
     state = cs.HermitianOperator(order[0].input_space,
                                  cs.random_density(order[0].input_dim, rng))
     links = []
     for src, dst in zip(order, order[1:]):
-        kraus = cs.random_kraus(src.output_dim, dst.input_dim, n_kraus, rng)
+        kraus = cs.random_kraus(src.output_dim, dst.input_dim, 2, rng)
         vecs = [cs.choi_vector(k, src.output_space, dst.input_space) for k in kraus]
         link = vecs[0].density()
         for v in vecs[1:]:
@@ -108,14 +108,17 @@ def mis_shaped_processes(switch):
 
 def malformed_tables():
     """{label: (CSV text, message)} for tables whose rows index outside the
-    grid, overwrite one another, or disagree with the header's width."""
-    text = cio.table_to_csv(cs.ProbabilityTable(("A", "B"), (2, 2), (2, 2), np.full((2,) * 4, 0.25)))
+    grid, overwrite one another, or disagree with the header's width, or
+    whose header names a party twice."""
+    text = cio.table_to_csv(cs.ProbabilityTable(("A", "B"), np.full((2,) * 4, 0.25)))
     lines = text.splitlines()
     last = lines[-1].rsplit(",", 1)[1]
     return {
         "negative index": ("\n".join(lines[:-1] + [f"-1,-1,-1,-1,{last}"]), "negative index"),
         "duplicate row": ("\n".join(lines + [lines[1]]), "repeats the index"),
         "wrong cell count": ("x_A,a_A,p\n0,0,0,1.0\n0,0,1,0.0", "has 4 cells; the header has 3"),
+        "duplicate party": ("\n".join([lines[0].replace("_B", "_A")] + lines[1:]),
+                            "party names must be distinct; repeated: 'A'"),
     }
 
 

@@ -225,7 +225,7 @@ def test_score_rejects_mismatched_alphabets():
 # membership
 
 def test_uniform_table_is_causal():
-    table = cs.ProbabilityTable(("A", "B"), (2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25))
+    table = cs.ProbabilityTable(("A", "B"), np.full((2, 2, 2, 2), 0.25))
     verdict = cs.is_causal(table)
     assert verdict.causal and verdict.residual < 1e-10
     assert 0.0 <= verdict.q_A_before_B <= 1.0
@@ -278,7 +278,7 @@ def test_perfect_guessing_is_noncausal():
 
 def test_table_input_validation():
     with pytest.raises(ValueError, match="bipartite"):
-        cs.is_causal(cs.ProbabilityTable(("A",), (1,), (2,), np.array([[0.5, 0.5]])))
+        cs.is_causal(cs.ProbabilityTable(("A",), np.array([[0.5, 0.5]])))
     with pytest.raises(ValueError, match="x, y, a, b"):
         cs.is_causal(np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="normalized"):
@@ -292,7 +292,7 @@ def test_table_arrays_follow_probability_table_policy():
     table[:, :, 0, 0] = 1.0
     table[0, 0, 1, 1] = -5e-10
     with pytest.raises(ValueError, match="negative probability"):
-        cs.ProbabilityTable(("A", "B"), (2, 2), (2, 2), table)
+        cs.ProbabilityTable(("A", "B"), table)
     with pytest.raises(ValueError, match="negative probability"):
         cs.is_causal(table)
     with pytest.raises(ValueError, match="negative probability"):

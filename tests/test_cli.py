@@ -294,6 +294,9 @@ def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
     assert code == 1
     assert report["results"]["verdict"] == "nonseparable"
     assert report["results"]["witness_verified"] is True
+    # one --battery sets both the samples per order and the mixtures
+    diag = report["results"]["diagnostics"]
+    assert diag["samples_per_order"] == diag["n_mixtures"] == 20
 
 
 def test_sep_stall_without_witness_exits_3(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import causalis as cs
+from causalis import io as cio
 from causalis.instruments import circuit_oracle
 from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties, trivial_parties
 
@@ -117,10 +118,10 @@ def test_random_instrument_is_complete(qubit_parties, seed):
         assert np.allclose(marg.mat, np.eye(2), atol=1e-12)
 
 
-def loop_instrument_kraus(d_in, d_out, n_outcomes, rng, kraus_per_outcome=2):
+def loop_instrument_kraus(d_in, d_out, n_outcomes, rng):
     """random_instrument_kraus as an element loop over the Stinespring
     isometry, kept as the reference for its reshape."""
-    kraus_per_outcome = max(kraus_per_outcome, -(-d_in // (d_out * n_outcomes)))
+    kraus_per_outcome = max(2, -(-d_in // (d_out * n_outcomes)))
     env = n_outcomes * kraus_per_outcome
     v = cs.random_isometry(d_in, d_out * env, rng)
     families = [[] for _ in range(n_outcomes)]
@@ -132,13 +133,14 @@ def loop_instrument_kraus(d_in, d_out, n_outcomes, rng, kraus_per_outcome=2):
     return families
 
 
+# per: Kraus operators per outcome, two unless the isometry needs more rows
 @pytest.mark.parametrize("d_in, d_out, n_outcomes, per", [
-    (2, 2, 2, 2), (2, 3, 2, 1), (4, 2, 3, 2), (3, 3, 1, 1), (6, 1, 2, 1),
+    (2, 2, 2, 2), (2, 3, 2, 2), (4, 2, 3, 2), (3, 3, 1, 2), (6, 1, 2, 3),
 ])
 def test_random_instrument_kraus_matches_loop(d_in, d_out, n_outcomes, per):
-    got = cs.random_instrument_kraus(d_in, d_out, n_outcomes, np.random.default_rng(5), per)
-    want = loop_instrument_kraus(d_in, d_out, n_outcomes, np.random.default_rng(5), per)
-    assert [len(f) for f in got] == [len(f) for f in want]
+    got = cs.random_instrument_kraus(d_in, d_out, n_outcomes, np.random.default_rng(5))
+    want = loop_instrument_kraus(d_in, d_out, n_outcomes, np.random.default_rng(5))
+    assert [len(f) for f in got] == [len(f) for f in want] == [per] * n_outcomes
     for fg, fw in zip(got, want):
         for kg, kw in zip(fg, fw):
             assert kg.shape == (d_out, d_in) and np.array_equal(kg, kw)
@@ -148,22 +150,30 @@ def test_random_instrument_kraus_matches_loop(d_in, d_out, n_outcomes, per):
 # probability tables
 
 def test_table_validation():
-    with pytest.raises(ValueError, match="shape"):
-        cs.ProbabilityTable(("A",), (1,), (2,), np.ones((2, 2)))
+    # two axes per party: one party over a two-party array would write a CSV
+    # whose header has 3 columns and whose rows have 5 cells
+    with pytest.raises(ValueError, match=r"two axes per party \(2: settings, then outcomes\), got 4"):
+        cs.ProbabilityTable(("A",), np.full((2, 2, 2, 2), 0.25))
+    with pytest.raises(ValueError, match=r"two axes per party \(4: .*\), got 2"):
+        cs.ProbabilityTable(("A", "B"), np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="party names must be distinct; repeated: 'A'"):
+        cs.ProbabilityTable(("A", "A"), np.full((2, 2, 2, 2), 0.25))
+    with pytest.raises(ValueError, match="repeated: 'A', 'B'"):
+        cs.ProbabilityTable(("B", "A", "B", "A"), np.full((1,) * 8, 1.0))
     with pytest.raises(ValueError, match="sum to 1"):
-        cs.ProbabilityTable(("A",), (1,), (2,), np.array([[0.7, 0.7]]))
+        cs.ProbabilityTable(("A",), np.array([[0.7, 0.7]]))
     with pytest.raises(ValueError, match="negative"):
-        cs.ProbabilityTable(("A",), (1,), (2,), np.array([[1.2, -0.2]]))
+        cs.ProbabilityTable(("A",), np.array([[1.2, -0.2]]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            cs.ProbabilityTable(("A",), (1,), (2,), np.array([[bad, 0.0]]))
+            cs.ProbabilityTable(("A",), np.array([[bad, 0.0]]))
 
 
 def test_table_copies_its_input():
     # a float64 array was frozen in place, leaving the caller's own array
     # read-only
     a = np.full((2, 2), 0.5)
-    t = cs.ProbabilityTable(("A",), (2,), (2,), a)
+    t = cs.ProbabilityTable(("A",), a)
     assert a.flags.writeable and not t.values.flags.writeable
     a[0, 0] = 0.0
     assert t.values[0, 0] == 0.5
@@ -173,13 +183,31 @@ def test_marginalize_drops_single_setting_party():
     vals = np.zeros((1, 2, 2, 2))
     vals[0, :, :, 0] = 0.25
     vals[0, :, :, 1] = 0.25
-    t = cs.ProbabilityTable(("F", "A"), (1, 2), (2, 2), vals)
+    t = cs.ProbabilityTable(("F", "A"), vals)
     m = t.marginalize("F")
     assert m.parties == ("A",)
     assert m.values.shape == (2, 2)
     assert np.allclose(m.values, 0.5)
     with pytest.raises(ValueError, match="single setting"):
-        cs.ProbabilityTable(("A", "B"), (2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25)).marginalize("A")
+        cs.ProbabilityTable(("A", "B"), np.full((2, 2, 2, 2), 0.25)).marginalize("A")
+
+
+def test_table_alphabets_are_shape_slices(switch, rng):
+    ins = [cs.random_instrument(q, s, o, rng)
+           for q, s, o in zip(switch.parties, (2, 3, 1), (2, 3, 2))]
+    from_born = cs.born(switch, ins)
+    from_oracle = circuit_oracle(
+        ["A", "B"], np.eye(2) / 2, [cs.random_kraus(2, 2, 2, rng)],
+        [[cs.random_instrument_kraus(2, 2, 3, rng)] * 2, [cs.random_instrument_kraus(2, 2, 2, rng)]])
+    marginal = from_born.marginalize("F")
+    from_csv = cio.table_from_csv(cio.table_to_csv(from_born))
+    for t, settings, outcomes in [(from_born, (2, 3, 1), (2, 3, 2)),
+                                  (from_oracle, (2, 1), (3, 2)),
+                                  (marginal, (2, 3), (2, 3)),
+                                  (from_csv, (2, 3, 1), (2, 3, 2))]:
+        n = len(t.parties)
+        assert (t.settings, t.outcomes) == (settings, outcomes)
+        assert (t.settings, t.outcomes) == (t.values.shape[:n], t.values.shape[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +312,13 @@ def born_cases():
     for names in ("AB", "BA", "ABC", "CAB"):
         parties = dict(zip(sorted(names), qubit_chain(sorted(names))))
         order = [parties[n] for n in names]
-        p = cs.random_ordered_process(order, rng, validate=True)
+        p = cs.validate_process(cs.random_ordered_process(order, rng))
         cases[f"ordered_{names}"] = p, random_instruments(order, rng)
     switch = cs.validate_process(
         cs.make_quantum_switch([0.6, 0.8j], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix())
     cases["switch"] = switch, random_instruments(switch.parties, rng)
     for order in (interleaved_parties(), interleaved_parties()[::-1]):
-        p = cs.random_ordered_process(order, rng, validate=True)
+        p = cs.validate_process(cs.random_ordered_process(order, rng))
         cases["interleaved_" + "".join(q.name for q in order)] = (
             p, random_instruments(order, rng, settings=3, outcomes=2))
     return cases
@@ -347,7 +375,7 @@ def random_valid_process(kind, rng):
     else:
         parties = qubit_chain("ABC"[: int(kind)])
     order = [parties[i] for i in rng.permutation(len(parties))]
-    return cs.random_ordered_process(order, rng, validate=True)
+    return cs.validate_process(cs.random_ordered_process(order, rng))
 
 
 PROCESS_KINDS = st.sampled_from(["2", "3", "switch", "interleaved"])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -146,19 +147,23 @@ def test_instrument_round_trip(qubit_parties):
 # ---------------------------------------------------------------------------
 # probability tables
 
-def make_table(rng):
-    vals = rng.dirichlet(np.ones(4), size=6).reshape(2, 3, 2, 2)
-    return cs.ProbabilityTable(("A", "B"), (2, 3), (2, 2), vals)
+def make_table(rng, names="AB", settings=(2, 3), outcomes=(2, 2)):
+    vals = rng.dirichlet(np.ones(math.prod(outcomes)), size=math.prod(settings))
+    return cs.ProbabilityTable(tuple(names), vals.reshape(settings + outcomes))
 
 
 def test_table_csv_round_trip(rng):
-    t = make_table(rng)
-    text = cio.table_to_csv(t)
-    assert text.splitlines()[0] == "x_A,x_B,a_A,a_B,p"
-    back = cio.table_from_csv(text)
-    assert back.parties == t.parties
-    assert back.settings == t.settings and back.outcomes == t.outcomes
-    assert np.array_equal(back.values, t.values)
+    # one, two and three parties; F has a single setting
+    for names, settings, outcomes in [("A", (3,), (2,)), ("AB", (2, 3), (2, 2)),
+                                      ("ABF", (2, 2, 1), (2, 3, 2))]:
+        t = make_table(rng, names, settings, outcomes)
+        text = cio.table_to_csv(t)
+        assert text.splitlines()[0] == ",".join(
+            [f"x_{q}" for q in names] + [f"a_{q}" for q in names] + ["p"])
+        back = cio.table_from_csv(text)
+        assert back.parties == t.parties == tuple(names)
+        assert (back.settings, back.outcomes) == (settings, outcomes)
+        assert np.array_equal(back.values, t.values)
 
 
 def test_table_csv_errors(rng):
@@ -239,7 +244,7 @@ def test_certificate_json_shapes(qubit_parties):
     assert d["diagnostics"]["reconstruction"] < 1e-6
     json.dumps(d)  # everything must be plain JSON types
 
-    ocb = cs.check_separability(cs.ocb_process(), battery_per_order=20, battery_mixtures=0)
+    ocb = cs.check_separability(cs.ocb_process(), battery=20)
     d = cio.certificate_to_json(ocb)
     assert d["separable"] is False and d["witness_verified"] is True
     assert d["verdict"] == "nonseparable"
@@ -251,7 +256,7 @@ def test_certificate_json_shapes(qubit_parties):
     text = json.dumps(d)
     assert json.loads(text)["diagnostics"] == diag
     # deterministic: a second run gives the same JSON
-    again = cs.check_separability(cs.ocb_process(), battery_per_order=20, battery_mixtures=0)
+    again = cs.check_separability(cs.ocb_process(), battery=20)
     assert json.dumps(cio.certificate_to_json(again)) == text
 
 

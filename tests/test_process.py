@@ -158,7 +158,7 @@ def test_closed_form_rejects_wrong_structure(switch):
 # ordered construction
 
 def test_make_ordered_is_valid(qubit_parties, rng):
-    p = cs.random_ordered_process(list(qubit_parties), rng, validate=True)
+    p = cs.validate_process(cs.random_ordered_process(list(qubit_parties), rng))
     assert p.validity == "valid"
 
 
@@ -210,18 +210,17 @@ DRAW_ORDERS = {
 
 
 @pytest.mark.parametrize("key", list(DRAW_ORDERS))
-@pytest.mark.parametrize("n_kraus", [2, 3])
-def test_batched_draw_matches_sequential_calls(key, n_kraus):
+def test_batched_draw_matches_sequential_calls(key):
     parties, perm = DRAW_ORDERS[key]
     order = [parties[i] for i in perm]
     n = 6
     r_batch, r_ref, r_one = (np.random.default_rng(11) for _ in range(3))
-    batch = cs.random_ordered_batch(order, r_batch, n, n_kraus)
+    batch = cs.random_ordered_batch(order, r_batch, n)
     assert len(batch) == n
     for k in range(n):
-        want = sequential_ordered_process(order, r_ref, n_kraus).w.mat
+        want = sequential_ordered_process(order, r_ref).w.mat
         got = batch.process(k).w.mat
-        one = cs.random_ordered_process(order, r_one, n_kraus).w.mat
+        one = cs.random_ordered_process(order, r_one).w.mat
         assert np.max(np.abs(got - want)) < 1e-14
         assert np.max(np.abs(one - want)) < 1e-14
     # all three leave the generator in the same state

@@ -325,11 +325,13 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
     stored = [f.name for f in dataclasses.fields(cs.SeparabilityCertificate)]
     assert stored == ["witness", "diagnostics", "trace", "process"]
     assert [f.name for f in dataclasses.fields(cs.FeasibilityTrace)] == [
-        "orders", "converged", "stalled", "residual_history", "perp", "summands", "dual"]
+        "orders", "stalled", "residual_history", "perp", "summands", "dual"]
     for _, cert in (traced_switch_cert, ocb_cert):
         t = cert.trace
         assert (cert.separable, cert.residual, cert.iterations) == (
             t.converged, t.residual, t.iterations)
+        # a run keeps the summands exactly when it converged
+        assert t.converged == (t.summands is not None) == (t.dual is None)
         assert (t.residual, t.iterations) == (t.residual_history[-1], len(t.residual_history))
         assert type(t.residual) is float and type(t.iterations) is int
         assert cert.witness_verified == (cert.witness is not None)
@@ -341,11 +343,10 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
         else:
             assert cert.q is None
     assert list(inspect.signature(cs.check_separability).parameters) == [
-        "p", "orders", "tol", "max_iters", "witness_seed", "battery_per_order",
-        "battery_mixtures"]
+        "p", "orders", "tol", "max_iters", "witness_seed", "battery"]
     # the witness is decided by its own bound, so no tolerance reaches it
     assert list(inspect.signature(cs.extract_witness).parameters) == [
-        "p", "trace", "seed", "samples_per_order", "n_mixtures"]
+        "p", "trace", "seed", "battery"]
 
 
 def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
@@ -368,7 +369,7 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
     # K orders take one (K, r, r) eigh: Baumeler-Wolf (rank 8) against all
     # six orders, certified on its face
     calls.clear()
-    cert = cs.check_separability(baumeler_wolf(), max_iters=20, battery_per_order=5)
+    cert = cs.check_separability(baumeler_wolf(), max_iters=20, battery=5)
     assert cert.iterations == 20 and cert.verdict == "nonseparable"
     assert "face_iterations" not in cert.diagnostics
     assert calls == [(64, 64)] + [(6, 8, 8)] * 20
@@ -445,9 +446,7 @@ def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
 @pytest.fixture(scope="module")
 def ocb_cert():
     p = cs.ocb_process()
-    return p, cs.check_separability(
-        p, max_iters=4000, battery_per_order=100, battery_mixtures=100,
-    )
+    return p, cs.check_separability(p, max_iters=4000, battery=100)
 
 
 def test_two_way_process_is_nonseparable(ocb_cert):
@@ -471,8 +470,7 @@ def test_verdict_has_three_values(traced_switch_cert, ocb_cert, qubit_parties):
 
 
 def test_certified_witness_decides_a_cut_off_run():
-    cert = cs.check_separability(cs.ocb_process(), max_iters=10,
-                                 battery_per_order=20, battery_mixtures=0)
+    cert = cs.check_separability(cs.ocb_process(), max_iters=10, battery=20)
     assert cert.iterations == 10 and not cert.trace.stalled
     assert cert.witness_verified and cert.verdict == "nonseparable"
 
@@ -599,10 +597,10 @@ def test_zero_dual_gives_no_witness(qubit_parties):
     # without a NaN
     p = cs.ProcessMatrix(qubit_parties, cs.identity(cs.parties_space(qubit_parties)) / 4)
     cert = cs.check_separability(p)
-    trace = dataclasses.replace(cert.trace, converged=False, summands=None,
+    trace = dataclasses.replace(cert.trace, summands=None,
                                 dual=np.zeros_like(cert.trace.summands))
-    witness, diag = cs.extract_witness(p, trace, seed=7, samples_per_order=5,
-                                       n_mixtures=5)
+    assert not trace.converged
+    witness, diag = cs.extract_witness(p, trace, seed=7, battery=5)
     assert witness is None and "rejected" in diag
     assert abs(diag["witness_overlap"]) < 1e-12
     assert np.all(np.abs(diag["certificate_margins"]) < 1e-12)
@@ -662,7 +660,7 @@ def test_full_rank_run_is_the_whole_cone_run():
 def test_full_switch_is_certified_through_the_retry(switch):
     # rank 1 of 64: the face run stalls at 500 iterations with a dual that
     # certifies nothing, and the whole-cone run decides
-    cert, runs = retried(switch, max_iters=600, battery_per_order=20, battery_mixtures=0)
+    cert, runs = retried(switch, max_iters=600, battery=20)
     (face, on_face), (whole, trace) = runs
     assert face.shape == (64, 1) and whole is None
     assert on_face.stalled and on_face.iterations == 500
@@ -676,8 +674,7 @@ def test_stalled_retry_is_certified(baumeler_wolf_cert):
     # Baumeler-Wolf against (ABC, BAC): both runs stall, and only the
     # whole-cone run's witness is certified
     p, _ = baumeler_wolf_cert
-    cert, runs = retried(p, orders=[("A", "B", "C"), ("B", "A", "C")],
-                         battery_per_order=20, battery_mixtures=0)
+    cert, runs = retried(p, orders=[("A", "B", "C"), ("B", "A", "C")], battery=20)
     assert [face is None for face, _ in runs] == [False, True]
     assert all(t.stalled for _, t in runs)
     assert cert.diagnostics["face_iterations"] == 550 and cert.iterations == 600
@@ -717,7 +714,7 @@ def test_mixtures_of_two_orders_are_separable(seed, q):
     w = (cs.random_ordered_process([a, b], rng).w * q
          + cs.random_ordered_process([b, a], rng).w * (1 - q))
     p = cs.ProcessMatrix((a, b), w)
-    cert = cs.check_separability(p, battery_per_order=5, battery_mixtures=0)
+    cert = cs.check_separability(p, battery=5)
     assert_checked_decomposition(p, cert, q)
 
 
@@ -803,13 +800,10 @@ def test_battery_draws_no_process_per_sample(monkeypatch):
     assert scored == [(500, 1), (500, 1)]
 
 
-@pytest.mark.parametrize("per_order, mixtures", [
-    (0, 0), (-3, 0), (0, 5), (-1, 5), (10, -1), (2.5, 0), (10, 1.0), (True, 0),
-])
-def test_rejects_empty_or_negative_battery(per_order, mixtures):
-    with pytest.raises(ValueError, match="battery_(per_order|mixtures) must be an integer"):
-        cs.check_separability(cs.ocb_process(), battery_per_order=per_order,
-                              battery_mixtures=mixtures)
+@pytest.mark.parametrize("battery", [0, -3, 2.5, True])
+def test_rejects_empty_or_negative_battery(battery):
+    with pytest.raises(ValueError, match="battery must be an integer >= 1"):
+        cs.check_separability(cs.ocb_process(), battery=battery)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -836,14 +830,13 @@ def test_rejects_out_of_range_run_parameters(kind, kwargs, match, qubit_parties)
 
 def test_extract_witness_rejects_empty_battery(ocb_cert):
     p, cert = ocb_cert
-    with pytest.raises(ValueError, match="samples_per_order must be an integer >= 1"):
-        cs.extract_witness(p, cert.trace, seed=7, samples_per_order=0)
-    with pytest.raises(ValueError, match="n_mixtures must be an integer >= 0"):
-        cs.extract_witness(p, cert.trace, seed=7, n_mixtures=-1)
-    # no mixtures is allowed: the per-order samples alone decide
-    witness, diag = cs.extract_witness(p, cert.trace, seed=7, samples_per_order=20,
-                                       n_mixtures=0)
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="battery must be an integer >= 1"):
+            cs.extract_witness(p, cert.trace, seed=7, battery=bad)
+    # one battery size: as many mixtures as samples per order
+    witness, diag = cs.extract_witness(p, cert.trace, seed=7, battery=20)
     assert witness is not None and 0 <= diag["battery_min"] < np.inf
+    assert diag["samples_per_order"] == diag["n_mixtures"] == 20
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +872,7 @@ def test_default_orders_for_three_full_parties():
     # three parties with nontrivial outputs: all six orders
     assert _default_orders(tuple(qubit_chain("CAB"))) == list(itertools.permutations("ABC"))
     p = cs.random_ordered_process(qubit_chain("ABC"), np.random.default_rng(0))
-    cert = cs.check_separability(p, max_iters=1, battery_per_order=1, battery_mixtures=0)
+    cert = cs.check_separability(p, max_iters=1, battery=1)
     assert [c.order for c in cert.trace.orders] == list(itertools.permutations("ABC"))
 
 
@@ -928,7 +921,7 @@ def test_stall_without_witness_is_undecided(traced_switch_cert):
     # alone is no evidence of either verdict
     p, separable = traced_switch_cert
     assert separable.verdict == "separable"
-    cert = cs.check_separability(p, tol=1e-20, battery_per_order=20, battery_mixtures=0)
+    cert = cs.check_separability(p, tol=1e-20, battery=20)
     assert cert.trace.stalled and cert.iterations == 600
     assert cert.diagnostics["face_iterations"] == 600
     assert cert.witness is None and "rejected" in cert.diagnostics
@@ -944,7 +937,7 @@ def test_baumeler_wolf_pair_is_certified(baumeler_wolf_cert):
     # certified, where the whole-cone run's was rejected (overlap +0.222)
     p, _ = baumeler_wolf_cert
     cert = cs.check_separability(p, orders=[("A", "B", "C"), ("B", "C", "A")],
-                                 battery_per_order=20, battery_mixtures=0)
+                                 battery=20)
     assert cert.trace.stalled and cert.iterations == 550
     assert cert.verdict == "nonseparable" and "face_iterations" not in cert.diagnostics
     assert abs(cert.diagnostics["witness_overlap"] - (-0.1415)) < 1e-4
