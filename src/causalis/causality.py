@@ -29,23 +29,24 @@ ENUM_CAP = 10**6
 
 @dataclass(frozen=True, eq=False)
 class CausalGame:
-    """Win predicate plus input distribution for a two-party game."""
+    """Input distribution plus 0/1 win table for a two-party game: ``win`` has
+    axes (x, y, a, b), so ``settings`` and ``outcomes`` are read off its shape."""
 
-    settings: tuple[int, int]
-    outcomes: tuple[int, int]
     input_dist: np.ndarray
     win: np.ndarray
 
     def __post_init__(self):
-        if len(self.settings) != 2 or len(self.outcomes) != 2:
-            raise ValueError(f"a causal game has two parties, A and B: settings {self.settings} "
-                             f"and outcomes {self.outcomes} need one count per party")
-        dist = np.asarray(self.input_dist, dtype=float)
-        win = np.asarray(self.win, dtype=float)
-        if dist.shape != self.settings:
+        # copies, so freezing them leaves the caller's arrays writable
+        dist = np.array(self.input_dist, dtype=float)
+        win = np.array(self.win, dtype=float)
+        if win.ndim != 4:
+            raise ValueError(f"a causal game has two parties, A and B: the win table needs "
+                             f"axes (x, y, a, b), got shape {win.shape}")
+        if 0 in win.shape:
+            raise ValueError(f"win table shape {win.shape} has an empty alphabet: "
+                             "settings and outcomes must be positive")
+        if dist.shape != win.shape[:2]:
             raise ValueError("input distribution shape must match the settings")
-        if win.shape != self.settings + self.outcomes:
-            raise ValueError("win table shape must match settings + outcomes")
         # NaN fails every comparison below, so it would pass them silently
         if not (np.isfinite(dist).all() and np.isfinite(win).all()):
             raise ValueError("input distribution and win table must be finite")
@@ -58,6 +59,14 @@ class CausalGame:
         object.__setattr__(self, "input_dist", dist)
         object.__setattr__(self, "win", win)
 
+    @property
+    def settings(self) -> tuple[int, int]:
+        return self.win.shape[:2]
+
+    @property
+    def outcomes(self) -> tuple[int, int]:
+        return self.win.shape[2:]
+
     @classmethod
     def from_predicate(
         cls,
@@ -69,7 +78,7 @@ class CausalGame:
         win = np.zeros(settings + outcomes)
         for x, y, a, b in np.ndindex(*settings, *outcomes):
             win[x, y, a, b] = 1.0 if predicate(x, y, a, b) else 0.0
-        return cls(settings, outcomes, input_dist, win)
+        return cls(input_dist, win)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Each subcommand reads JSON/CSV files, dispatches to the library, and prints
 a versioned JSON report to stdout. Exit codes: 0 verdict-positive (valid /
-separable / causal / computed), 1 verdict-negative (invalid process,
-nonseparable, violated inequality), 2 usage or input errors, 3 undecided
+separable / causal / computed); 1 verdict-negative (`validate` invalid, `sep`
+nonseparable, `ineq` violated or not causal); 2 usage or input errors, an
+invalid process given to `born`, `ineq` or `sep` among them; 3 undecided
 (`sep` found neither a decomposition nor a certified witness). Reports are
 byte-identical across identical invocations apart from wall_time_s.
 
@@ -22,8 +23,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .causality import gyni_game, is_causal, lgyni_game, ocb_game, score_inequality
-from .instruments import born
+from .causality import CAUSAL_TOL, gyni_game, is_causal, lgyni_game, ocb_game, score_inequality
+from .instruments import born, switch_discrimination_demo
 from .io import (
     certificate_to_json,
     game_from_json,
@@ -36,8 +37,8 @@ from .io import (
     table_to_csv,
     verdict_to_json,
 )
-from .process import make_quantum_switch, validate_process, validity_report
-from .separability import check_separability
+from .process import LIN_TOL, PSD_TOL, make_quantum_switch, validate_process, validity_report
+from .separability import BATTERY, MAX_ITERS, SEP_TOL, check_separability
 
 GATES = {
     "I": np.eye(2, dtype=complex),
@@ -100,13 +101,14 @@ def cmd_switch(args):
     return (0 if p.validity == "valid" else 1), results
 
 
+def _born_table(process_path, instrument_paths):
+    """Born table of the files; `born` refuses an invalid process (ValueError)."""
+    p = process_from_json(load_json(process_path))
+    return born(p, [instrument_from_json(load_json(f), p.parties) for f in instrument_paths])
+
+
 def cmd_born(args):
-    p = validate_process(process_from_json(load_json(args.process)))
-    if p.validity != "valid":
-        return 1, {"validity": p.validity, "reason": p.reason}
-    parties = {party.name: party for party in p.parties}
-    instruments = [instrument_from_json(load_json(f), parties) for f in args.instruments]
-    table = born(p, instruments)
+    table = _born_table(args.process, args.instruments)
     with open(args.out, "w") as fh:
         fh.write(table_to_csv(table))
     return 0, {
@@ -135,18 +137,14 @@ def cmd_ineq(args):
         game = game_from_json(load_json(args.game_file))
     else:
         game = {"gyni": gyni_game, "lgyni": lgyni_game, "ocb": ocb_game}[args.game]()
+    given = (bool(args.table), bool(args.process), bool(args.instruments))
+    if given not in ((True, False, False), (False, True, True)):
+        raise ValueError("pass either --table or --process with --instruments")
     if args.table:
-        if args.process or args.instruments:
-            raise ValueError("pass either --table or --process with --instruments")
         with open(args.table) as fh:
             table = table_from_csv(fh.read())
     else:
-        if not (args.process and args.instruments):
-            raise ValueError("pass either --table or --process with --instruments")
-        p = process_from_json(load_json(args.process))
-        parties = {party.name: party for party in p.parties}
-        instruments = [instrument_from_json(load_json(f), parties) for f in args.instruments]
-        table = born(p, instruments)
+        table = _born_table(args.process, args.instruments)
     score = score_inequality(table, game)
     verdict = is_causal(table, tol=args.tol)
     results = {
@@ -161,8 +159,6 @@ def cmd_ineq(args):
 def cmd_demo(args):
     if args.u not in GATES or args.v not in GATES:
         raise ValueError(f"gates must come from {sorted(GATES)}")
-    from .instruments import switch_discrimination_demo
-
     p_plus = switch_discrimination_demo(GATES[args.u], GATES[args.v])
     return 0, {"u": args.u, "v": args.v, "p_plus": p_plus}
 
@@ -181,10 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="check a process JSON file (exit 1 if invalid)")
     v.add_argument("--in", dest="infile", required=True, help="process JSON path")
-    v.add_argument("--tol", type=_tol_arg, default=1e-9,
+    v.add_argument("--tol", type=_tol_arg, default=LIN_TOL,
                    help="normalization tolerance: bound on |Tr W / prod d_O - 1| and on "
                         "each forbidden term pattern's weighted coefficient norm r_U")
-    v.add_argument("--psd-tol", type=_tol_arg, default=1e-10, help="positivity tolerance")
+    v.add_argument("--psd-tol", type=_tol_arg, default=PSD_TOL, help="positivity tolerance")
     v.set_defaults(func=cmd_validate)
 
     s = sub.add_parser("switch", help="emit a quantum-switch process JSON")
@@ -210,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "3 if undecided)")
     p.add_argument("--in", dest="infile", required=True, help="process JSON path")
     p.add_argument("--seed", type=int, required=True, help="witness-battery RNG seed")
-    p.add_argument("--tol", type=_tol_arg, default=1e-7, help="feasibility tolerance")
-    p.add_argument("--max-iters", type=_positive_int, default=20000)
-    p.add_argument("--battery", type=_positive_int, default=500,
+    p.add_argument("--tol", type=_tol_arg, default=SEP_TOL, help="feasibility tolerance")
+    p.add_argument("--max-iters", type=_positive_int, default=MAX_ITERS)
+    p.add_argument("--battery", type=_positive_int, default=BATTERY,
                    help="witness battery samples per order (and mixtures)")
     p.set_defaults(func=cmd_sep)
 
@@ -223,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--table", help="probability-table CSV path")
     q.add_argument("--process", help="process JSON path (with --instruments)")
     q.add_argument("--instruments", nargs="+", help="instrument JSON paths")
-    q.add_argument("--tol", type=_tol_arg, default=1e-7, help="membership tolerance")
+    q.add_argument("--tol", type=_tol_arg, default=CAUSAL_TOL, help="membership tolerance")
     q.set_defaults(func=cmd_ineq)
 
     d = sub.add_parser("demo", help="switch discrimination probability P(+) for two gates")

@@ -91,6 +91,9 @@ class ProbabilityTable:
         if vals.ndim != 2 * n:
             raise ValueError(f"values needs two axes per party ({2 * n}: settings, "
                              f"then outcomes), got {vals.ndim}")
+        if 0 in vals.shape:
+            raise ValueError(f"values shape {vals.shape} has an empty alphabet: "
+                             "settings and outcomes must be positive")
         if not np.isfinite(vals).all():
             raise ValueError("probabilities must be finite")
         if vals.min(initial=0.0) < -PROB_TOL:

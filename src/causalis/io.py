@@ -55,6 +55,12 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(d: dict) -> Operator:
+    op = Operator(*_matrix_from_json(d))
+    return HermitianOperator(op.space, op.mat) if op.is_hermitian() else op
+
+
+def _matrix_from_json(d: dict):
+    """(space, matrix) of an operator object, in canonical label order."""
     factors = _factors_from_json(_field(d, "factors", list, "operator"), "operator factors")
     dim = 1
     for f in factors:
@@ -70,8 +76,7 @@ def operator_from_json(d: dict) -> Operator:
             f"expected {dim * dim} [re, im] entries, got shape {entries.shape}"
         )
     mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
-    op = Operator(*_canonicalize(factors, mat))
-    return HermitianOperator(op.space, op.mat) if op.is_hermitian() else op
+    return _canonicalize(factors, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +122,7 @@ def process_from_json(d: dict) -> ProcessMatrix:
             _factors_from_json(_field(q, "input", (dict, list), where), f"{where} input"),
             _factors_from_json(_field(q, "output", (dict, list), where), f"{where} output"),
         ))
-    w = operator_from_json(_field(d, "w", dict, "process"))
-    if not isinstance(w, HermitianOperator):
-        w = HermitianOperator(w.space, w.mat)  # raises with the deviation
+    w = HermitianOperator(*_matrix_from_json(_field(d, "w", dict, "process")))
     return ProcessMatrix(tuple(parties), w)
 
 
@@ -140,24 +143,18 @@ def instrument_to_json(ins: Instrument) -> dict:
 
 
 def instrument_from_json(d: dict, parties) -> Instrument:
-    """Rebuild an instrument; `parties` maps names to Party objects (the
-    JSON stores only the party's name, not its spaces)."""
-    if not isinstance(parties, dict):
-        parties = {p.name: p for p in parties}
-    party = parties[_field(d, "party", str, "instrument")]
+    """Rebuild an instrument for one of `parties`, a sequence of Party objects
+    (the JSON stores only the party's name, not its spaces)."""
+    party = {p.name: p for p in parties}[_field(d, "party", str, "instrument")]
     settings = _field(d, "settings", int, "instrument")
     outcomes = _field(d, "outcomes", int, "instrument")
-    if settings < 1 or outcomes < 1:
-        raise ValueError("instrument settings and outcomes must be positive")
     chois = _field(d, "chois", dict, "instrument")
     rows = []
     for x in range(settings):
         row = []
         for a in range(outcomes):
-            op = operator_from_json(_field(chois, f"{x},{a}", dict, "instrument chois"))
-            if not isinstance(op, HermitianOperator):
-                op = HermitianOperator(op.space, op.mat)  # raises with the deviation
-            row.append(op)
+            choi = _field(chois, f"{x},{a}", dict, "instrument chois")
+            row.append(HermitianOperator(*_matrix_from_json(choi)))
         rows.append(tuple(row))
     return Instrument(party, settings, outcomes, tuple(rows))
 
@@ -239,7 +236,7 @@ def game_from_json(d: dict) -> CausalGame:
         if len(idx) != len(shape) or not all(0 <= i < n for i, n in zip(idx, shape)):
             raise ValueError(f"game wins entry {entry} is not an index into shape {shape}")
         win[idx] = 1.0
-    return CausalGame(settings, outcomes, dist.astype(float), win)
+    return CausalGame(dist, win)
 
 
 def _counts(node, what: str) -> tuple[int, ...]:

@@ -62,6 +62,7 @@ from .tensor_core import HermitianOperator, _CoeffBasis
 
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
+BATTERY = 500  # witness-battery samples per order, and mixtures
 STALL_WINDOW = 500
 STALL_REL = 1e-12
 STALL_CHECK_EVERY = 50
@@ -350,7 +351,7 @@ def check_separability(
     tol: float = SEP_TOL,
     max_iters: int = MAX_ITERS,
     witness_seed: int = 7,
-    battery: int = 500,
+    battery: int = BATTERY,
 ) -> SeparabilityCertificate:
     """Decide whether W mixes processes from the order cones of ``orders``,
     a non-empty list of distinct total orders of the parties (default: every
@@ -422,7 +423,7 @@ def extract_witness(
     trace: FeasibilityTrace,
     *,
     seed: int,
-    battery: int = 500,
+    battery: int = BATTERY,
 ):
     """Witness S in every K_i* (one per order of ``trace.orders``) from a
     failed feasibility run, certified by one bound and cross-checked by a

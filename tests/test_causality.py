@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,31 +25,51 @@ def vertex_table(order, first, second):
 
 def test_game_validation():
     with pytest.raises(ValueError, match="match the settings"):
-        cs.CausalGame((2, 2), (2, 2), np.full((2, 3), 1 / 6), GYNI.win)
+        cs.CausalGame(np.full((2, 3), 1 / 6), GYNI.win)
     with pytest.raises(ValueError, match="normalized"):
-        cs.CausalGame((2, 2), (2, 2), np.full((2, 2), 0.3), GYNI.win)
-    with pytest.raises(ValueError, match="win table shape"):
-        cs.CausalGame((2, 2), (2, 2), np.full((2, 2), 0.25), np.zeros((2, 2, 2, 3)))
+        cs.CausalGame(np.full((2, 2), 0.3), GYNI.win)
     with pytest.raises(ValueError, match="0/1"):
-        cs.CausalGame((2, 2), (2, 2), np.full((2, 2), 0.25), np.full((2, 2, 2, 2), 0.5))
+        cs.CausalGame(np.full((2, 2), 0.25), np.full((2, 2, 2, 2), 0.5))
+
+
+@pytest.mark.parametrize("settings, outcomes", [
+    ((0, 2), (2, 2)), ((2, 0), (2, 2)), ((2, 2), (0, 2)), ((2, 2), (2, 0)),
+])
+def test_game_rejects_empty_alphabets(settings, outcomes):
+    win = np.zeros(settings + outcomes)
+    with pytest.raises(ValueError, match=re.escape(f"win table shape {win.shape} has an "
+                                                   "empty alphabet")):
+        cs.CausalGame(np.zeros(settings), win)
+    with pytest.raises(ValueError, match="empty alphabet"):
+        cs.CausalGame.from_predicate(settings, outcomes, np.zeros(settings),
+                                     lambda x, y, a, b: True)
+
+
+def test_game_leaves_callers_arrays_writable():
+    dist, win = np.full((2, 2), 0.25), GYNI.win.copy()
+    game = cs.CausalGame(dist, win)
+    dist[0, 0] = 0.3
+    win[0, 0, 0, 0] = 0.5
+    assert game.input_dist[0, 0] == 0.25 and game.win[0, 0, 0, 0] == GYNI.win[0, 0, 0, 0]
+    assert not (game.input_dist.flags.writeable or game.win.flags.writeable)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_game_must_be_bipartite(n):
     with pytest.raises(ValueError, match="two parties, A and B"):
-        cs.CausalGame((2,) * n, (2,) * n, np.full((2,) * n, 0.5**n), np.zeros((2,) * (2 * n)))
+        cs.CausalGame(np.full((2,) * n, 0.5**n), np.zeros((2,) * (2 * n)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_game_rejects_non_finite_input_dist(bad):
     ocb = cs.ocb_game()
     with pytest.raises(ValueError, match="finite"):
-        cs.CausalGame(ocb.settings, ocb.outcomes, np.full(ocb.settings, bad), ocb.win)
+        cs.CausalGame(np.full(ocb.settings, bad), ocb.win)
     # one bad entry among otherwise normalized weights
     dist = np.full(ocb.settings, 1 / 8)
     dist[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        cs.CausalGame(ocb.settings, ocb.outcomes, dist, ocb.win)
+        cs.CausalGame(dist, ocb.win)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -56,7 +77,7 @@ def test_game_rejects_non_finite_win(bad):
     win = GYNI.win.copy()
     win[0, 0, 0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        cs.CausalGame(GYNI.settings, GYNI.outcomes, GYNI.input_dist, win)
+        cs.CausalGame(GYNI.input_dist, win)
 
 
 def test_from_predicate_matches_manual_table():
@@ -127,8 +148,7 @@ def test_polytope_matches_reference_loop(settings, outcomes):
     assert np.array_equal(a[-1], np.full(v.shape[1], 1e3))
     (nx, ny), (na, nb) = settings, outcomes
     assert v.shape[1] == na**nx * nb ** (nx * ny) + nb**ny * (na ** (nx * ny) - na**nx)
-    game = cs.CausalGame(settings, outcomes, np.full(settings, 1 / (nx * ny)),
-                         np.zeros(settings + outcomes))
+    game = cs.CausalGame(np.full(settings, 1 / (nx * ny)), np.zeros(settings + outcomes))
     got = cs.enumerate_strategies(game)
     assert [s for s, _ in got] == [s for s, _ in want]
     for s, t in got:
@@ -168,8 +188,7 @@ def random_game(rng, input_dist=None):
     settings, outcomes = (2, 4), (2, 2)
     if input_dist is None:
         input_dist = np.full(settings, 1 / 8)
-    return cs.CausalGame(settings, outcomes, input_dist,
-                         (rng.uniform(size=settings + outcomes) < 0.5).astype(float))
+    return cs.CausalGame(input_dist, (rng.uniform(size=settings + outcomes) < 0.5).astype(float))
 
 
 @pytest.mark.parametrize("make", [

@@ -6,8 +6,10 @@ import pytest
 
 import causalis as cs
 from causalis import io as cio
-from causalis.cli import main
-from causalis.process import validity_report
+from causalis.causality import CAUSAL_TOL
+from causalis.cli import build_parser, main
+from causalis.process import LIN_TOL, PSD_TOL, validity_report
+from causalis.separability import BATTERY, MAX_ITERS, SEP_TOL
 from conftest import malformed_tables, mis_shaped_processes
 
 
@@ -158,7 +160,9 @@ def test_born_writes_table(tmp_path, ordered_setup, capsys):
     assert table.settings == (2, 2) and table.outcomes == (2, 2)
 
 
-def test_born_refuses_invalid_process(tmp_path, qubit_parties, capsys):
+@pytest.fixture()
+def invalid_setup(tmp_path, qubit_parties):
+    """A process file with trace 6 (1.5 x white noise) plus instrument files."""
     bad = cs.ProcessMatrix(qubit_parties, white_noise(qubit_parties).w * 1.5)
     ppath = tmp_path / "bad.json"
     save_process(ppath, bad)
@@ -168,14 +172,35 @@ def test_born_refuses_invalid_process(tmp_path, qubit_parties, capsys):
         f = tmp_path / f"i{party.name}.json"
         save_instrument(f, cs.random_instrument(party, 2, 2, rng))
         ipaths.append(str(f))
+    return str(ppath), ipaths
+
+
+def test_born_refuses_invalid_process(tmp_path, invalid_setup, capsys):
+    ppath, ipaths = invalid_setup
     out = tmp_path / "t.csv"
-    code, report, _ = run(
-        capsys, "born", "--process", str(ppath), "--instruments", *ipaths,
-        "--out", str(out),
+    code, report, err = run(
+        capsys, "born", "--process", ppath, "--instruments", *ipaths, "--out", str(out),
     )
-    assert code == 1
-    assert report["results"]["validity"] == "invalid"
+    assert code == 2 and report is None
+    assert err.startswith("error: process is not valid: normalization: trace 6 != 4")
     assert not out.exists()
+
+
+def test_invalid_process_is_an_input_error_for_every_consumer(tmp_path, invalid_setup, capsys):
+    # born, ineq and sep refuse the file the same way; validate's verdict is 1
+    ppath, ipaths = invalid_setup
+    errs = []
+    for argv in (["born", "--process", ppath, "--instruments", *ipaths,
+                  "--out", str(tmp_path / "t.csv")],
+                 ["ineq", "--game", "gyni", "--process", ppath, "--instruments", *ipaths],
+                 ["sep", "--in", ppath, "--seed", "1"]):
+        code, report, err = run(capsys, *argv)
+        assert code == 2 and report is None, argv[0]
+        errs.append(err)
+    assert errs[0].startswith("error: process is not valid: ") and len(set(errs)) == 1
+    code, report, _ = run(capsys, "validate", "--in", ppath)
+    assert code == 1 and report["results"]["validity"] == "invalid"
+    assert errs[0] == f"error: process is not valid: {report['results']['reason']}\n"
 
 
 def test_ineq_table_and_born_paths_agree(tmp_path, ordered_setup, capsys):
@@ -386,6 +411,20 @@ def test_reused_parser_resets_defaults(tmp_path, switch, capsys):
     _, rep2, _ = run(capsys, "validate", "--in", str(path))
     assert rep1["config"]["tol"] == 1e-3
     assert rep2["config"] == {"infile": str(path), "psd_tol": 1e-10, "tol": 1e-9}
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = build_parser()
+    defaults = {
+        ("validate", "--in", "x"): {"tol": LIN_TOL, "psd_tol": PSD_TOL},
+        ("sep", "--in", "x", "--seed", "1"): {"tol": SEP_TOL, "max_iters": MAX_ITERS,
+                                              "battery": BATTERY},
+        ("ineq", "--game", "gyni"): {"tol": CAUSAL_TOL},
+    }
+    for argv, want in defaults.items():
+        args = vars(parser.parse_args(argv))
+        # the very objects, not equal copies: a literal in the parser fails this
+        assert all(args[k] is v for k, v in want.items()), (argv[0], args)
 
 
 def test_reused_parser_recovers_from_usage_error_and_version(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +169,11 @@ def test_table_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             cs.ProbabilityTable(("A",), np.array([[bad, 0.0]]))
+    # an empty alphabet is named, not left to numpy's reduction over no settings
+    for shape in ((0, 2), (2, 0), (2, 0, 2, 2), (2, 2, 2, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"values shape {shape} has an empty "
+                                                       "alphabet")):
+            cs.ProbabilityTable(("A", "B")[:len(shape) // 2], np.zeros(shape))
 
 
 def test_table_copies_its_input():

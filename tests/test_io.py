@@ -135,7 +135,7 @@ def test_instrument_round_trip(qubit_parties):
     a, b = qubit_parties
     ins = cs.standard_instruments("measure_reprepare", a)
     d = json.loads(json.dumps(cio.instrument_to_json(ins)))
-    for parties in ({"A": a, "B": b}, qubit_parties):
+    for parties in ([a, b], qubit_parties):
         back = cio.instrument_from_json(d, parties)
         assert back.party == a
         assert (back.settings, back.outcomes) == (1, 2)
@@ -189,12 +189,23 @@ def test_table_csv_rejects_malformed_rows(label):
 # ---------------------------------------------------------------------------
 # games, verdicts, certificates
 
-def test_game_round_trip():
-    g = cs.lgyni_game()
-    back = cio.game_from_json(json.loads(json.dumps(cio.game_to_json(g))))
-    assert back.settings == g.settings and back.outcomes == g.outcomes
-    assert np.array_equal(back.win, g.win)
-    assert np.array_equal(back.input_dist, g.input_dist)
+def random_game(rng, settings, outcomes):
+    dist = rng.uniform(size=settings)
+    return cs.CausalGame(dist / dist.sum(), (rng.uniform(size=settings + outcomes) < 0.5))
+
+
+def test_game_round_trip(rng):
+    games = [cs.lgyni_game(), cs.ocb_game(), random_game(rng, (2, 4), (2, 2)),
+             random_game(rng, (3, 2), (2, 3))]
+    for g in games:
+        d = json.loads(json.dumps(cio.game_to_json(g)))
+        assert (d["settings"], d["outcomes"]) == (list(g.settings), list(g.outcomes))
+        back = cio.game_from_json(d)
+        # the alphabets are read back off the win table's shape
+        assert back.settings == back.win.shape[:2] == g.settings
+        assert back.outcomes == back.win.shape[2:] == g.outcomes
+        assert np.array_equal(back.win, g.win)
+        assert back.input_dist.tobytes() == g.input_dist.tobytes()
 
 
 @pytest.mark.parametrize("edit, match", [
