@@ -49,6 +49,7 @@ GATES = {
     "S": np.diag([1.0 + 0j, 1j]),
     "T": np.diag([1.0 + 0j, np.exp(1j * np.pi / 4)]),
 }
+GAMES = {"gyni": gyni_game, "lgyni": lgyni_game, "ocb": ocb_game}
 
 
 def _tol_arg(text: str) -> float:
@@ -136,7 +137,7 @@ def cmd_ineq(args):
     if args.game_file:
         game = game_from_json(load_json(args.game_file))
     else:
-        game = {"gyni": gyni_game, "lgyni": lgyni_game, "ocb": ocb_game}[args.game]()
+        game = GAMES[args.game]()
     given = (bool(args.table), bool(args.process), bool(args.instruments))
     if given not in ((True, False, False), (False, True, True)):
         raise ValueError("pass either --table or --process with --instruments")
@@ -157,8 +158,6 @@ def cmd_ineq(args):
 
 
 def cmd_demo(args):
-    if args.u not in GATES or args.v not in GATES:
-        raise ValueError(f"gates must come from {sorted(GATES)}")
     p_plus = switch_discrimination_demo(GATES[args.u], GATES[args.v])
     return 0, {"u": args.u, "v": args.v, "p_plus": p_plus}
 
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("ineq", help="score a causal inequality and test membership")
     g = q.add_mutually_exclusive_group(required=True)
-    g.add_argument("--game", choices=("gyni", "lgyni", "ocb"))
+    g.add_argument("--game", choices=GAMES)
     g.add_argument("--game-file", help="game JSON path")
     q.add_argument("--table", help="probability-table CSV path")
     q.add_argument("--process", help="process JSON path (with --instruments)")
@@ -223,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_ineq)
 
     d = sub.add_parser("demo", help="switch discrimination probability P(+) for two gates")
-    d.add_argument("--u", required=True, help=f"gate name, one of {sorted(GATES)}")
-    d.add_argument("--v", required=True, help="gate name")
+    d.add_argument("--u", required=True, choices=sorted(GATES), help="gate name")
+    d.add_argument("--v", required=True, choices=sorted(GATES), help="gate name")
     d.set_defaults(func=cmd_demo)
     return parser
 

@@ -17,22 +17,26 @@ import numpy as np
 
 from .process import Party, ProcessMatrix, _contract, _require_valid, make_quantum_switch
 from .tensor_core import (
+    CHOI_PSD_TOL,
+    TP_TOL,
     HermitianOperator,
-    _partial_trace,
+    _cptp_defects,
     choi_of_kraus,
     identity,
     random_isometry,
     tensor,
 )
 
-CHOI_PSD_TOL = 1e-12
-TP_TOL = 1e-10
 PROB_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """Per-setting families of CP maps in Choi form, complete per setting."""
+    """Per-setting families of CP maps in Choi form, complete per setting.
+
+    Each setting is one map of `tensor_core._cptp_defects` (m = outcomes),
+    judged setting by setting, CP before TP, under the CHOI_PSD_TOL / TP_TOL
+    policy that `make_ordered_process` applies to states and links."""
 
     party: Party
     settings: int
@@ -52,13 +56,11 @@ class Instrument:
                     raise ValueError(
                         f"Choi labels {c.space.labels} do not match party {self.party.name!r}"
                     )
-        stack = np.array([[c.mat for c in row] for row in self.chois])
-        low = np.linalg.eigvalsh(stack)[..., 0]
-        marginal = _partial_trace(stack.sum(axis=1), self.party.space.factors,
-                                  set(self.party.output_labels))
-        dev = np.linalg.norm(marginal - np.eye(self.party.input_dim), axis=(1, 2))
+        low, dev = _cptp_defects(np.array([[c.mat for c in row] for row in self.chois]),
+                                 self.party.space.factors, self.party.output_labels,
+                                 self.party.input_dim)
         for x in range(self.settings):
-            if low[x].min() < -CHOI_PSD_TOL:
+            if low[x] < -CHOI_PSD_TOL:
                 raise ValueError(f"setting {x}: Choi is not completely positive")
             if dev[x] > TP_TOL:
                 raise ValueError(
@@ -115,6 +117,8 @@ class ProbabilityTable:
 
     def marginalize(self, party: str) -> "ProbabilityTable":
         """Drop a single-setting party by summing out its outcome."""
+        if party not in self.parties:
+            raise ValueError(f"party {party!r} is not one of {list(self.parties)}")
         i = self.parties.index(party)
         if self.settings[i] != 1:
             raise ValueError("can only marginalize a party with a single setting")

@@ -145,7 +145,10 @@ def instrument_to_json(ins: Instrument) -> dict:
 def instrument_from_json(d: dict, parties) -> Instrument:
     """Rebuild an instrument for one of `parties`, a sequence of Party objects
     (the JSON stores only the party's name, not its spaces)."""
-    party = {p.name: p for p in parties}[_field(d, "party", str, "instrument")]
+    name = _field(d, "party", str, "instrument")
+    party = next((p for p in parties if p.name == name), None)
+    if party is None:
+        raise ValueError(f"instrument party {name!r} is not one of {[p.name for p in parties]}")
     settings = _field(d, "settings", int, "instrument")
     outcomes = _field(d, "outcomes", int, "instrument")
     chois = _field(d, "chois", dict, "instrument")

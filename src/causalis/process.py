@@ -55,6 +55,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .tensor_core import (
+    CHOI_PSD_TOL,
+    TP_TOL,
     HermitianOperator,
     LabeledSpace,
     Operator,
@@ -62,9 +64,9 @@ from .tensor_core import (
     SpaceProduct,
     _choi_stack,
     _CoeffBasis,
+    _cptp_defects,
     _ginibre_density,
     _haar_isometry,
-    _partial_trace,
     choi_vector,
     depolarize,
     identity,
@@ -117,17 +119,11 @@ class Party:
 
     @property
     def input_dim(self) -> int:
-        d = 1
-        for f in self.inputs:
-            d *= f.dim
-        return d
+        return math.prod(f.dim for f in self.inputs)
 
     @property
     def output_dim(self) -> int:
-        d = 1
-        for f in self.outputs:
-            d *= f.dim
-        return d
+        return math.prod(f.dim for f in self.outputs)
 
     @property
     def trivial_output(self) -> bool:
@@ -187,10 +183,7 @@ class ProcessMatrix:
 
     @property
     def expected_trace(self) -> int:
-        d = 1
-        for p in self.parties:
-            d *= p.output_dim
-        return d
+        return math.prod(p.output_dim for p in self.parties)
 
     def party(self, name: str) -> Party:
         for p in self.parties:
@@ -451,7 +444,8 @@ def make_ordered_process(
     initial_state is a density matrix on the first party's input; channel k
     is the (plain, unnormalized) Choi of a CPTP map from party k's output to
     party k+1's input; the final party's output is discarded (tensored with
-    the identity).
+    the identity). Both are judged as maps by `_check_pieces`, under the
+    CHOI_PSD_TOL / TP_TOL policy that `Instrument` also applies.
     """
     order = list(order)
     if len(channels) != len(order) - 1:
@@ -476,33 +470,32 @@ def _link_space(src: Party, dst: Party) -> SpaceProduct:
 
 
 def _check_pieces(order: Sequence[Party], states: np.ndarray, channels: Sequence[np.ndarray]):
-    """make_ordered_process's conditions on (n, ...) stacks of pieces: unit
-    trace and PSD states, CP channels (one stacked eigvalsh per link) and TP
-    channels (one batched partial trace per link). Raises on the first
-    violated condition, naming the worst sample when n > 1."""
+    """make_ordered_process's conditions on (n, ...) stacks of pieces, by
+    `_cptp_defects`: PSD then unit-trace states (maps from a trivial input),
+    CP then TP channels. Raises on the first violated condition, naming the
+    worst sample when n > 1."""
     n = states.shape[0]
 
     def at(i):
         return f" (sample {i})" if n > 1 else ""
 
-    tr = np.trace(states, axis1=-2, axis2=-1).real
-    i = int(np.argmax(np.abs(tr - 1.0)))
-    if abs(tr[i] - 1.0) > LIN_TOL:
-        raise ValueError(f"initial state trace {tr[i]:.12g} != 1{at(i)}")
-    low = np.linalg.eigvalsh(states)[:, 0]
+    first = order[0].input_space
+    low, dev = _cptp_defects(states[:, None], first.factors, first.labels, 1)
     i = int(np.argmin(low))
-    if low[i] < -PSD_TOL:
+    if low[i] < -CHOI_PSD_TOL:
         raise ValueError(f"initial state is not positive semidefinite{at(i)}")
+    i = int(np.argmax(dev))
+    if dev[i] > TP_TOL:
+        raise ValueError(f"initial state trace {np.trace(states[i]).real:.12g} != 1{at(i)}")
     for k, c in enumerate(channels):
         src, dst = order[k], order[k + 1]
-        low = np.linalg.eigvalsh(c)[:, 0]
+        low, dev = _cptp_defects(c[:, None], _link_space(src, dst).factors,
+                                 dst.input_labels, src.output_dim)
         i = int(np.argmin(low))
-        if low[i] < -PSD_TOL:
+        if low[i] < -CHOI_PSD_TOL:
             raise ValueError(f"channel {k} is not completely positive{at(i)}")
-        marginal = _partial_trace(c, _link_space(src, dst).factors, set(dst.input_labels))
-        dev = np.linalg.norm(marginal - np.eye(src.output_dim), axis=(1, 2))
         i = int(np.argmax(dev))
-        if dev[i] > LIN_TOL:
+        if dev[i] > TP_TOL:
             raise ValueError(
                 f"channel {k} is not trace-preserving: |Tr_out C - 1| = {dev[i]:.3e}{at(i)}"
             )

@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 HERM_TOL = 1e-12
+CHOI_PSD_TOL = 1e-12  # the one CPTP policy for maps in Choi form: see _cptp_defects
+TP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,7 @@ class SpaceProduct:
 
     @property
     def dim(self) -> int:
-        d = 1
-        for s in self.factors:
-            d *= s.dim
-        return d
+        return math.prod(s.dim for s in self.factors)
 
     def index(self, label: str) -> int:
         for i, s in enumerate(self.factors):
@@ -112,6 +111,10 @@ def _checked_matrix(space, mat) -> tuple[SpaceProduct, np.ndarray]:
     return space, m
 
 
+def _hermitian_defect(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
 class Operator:
     """Dense complex matrix over a SpaceProduct. Not necessarily Hermitian."""
 
@@ -136,7 +139,7 @@ class Operator:
         return type(self)(self.space, self.mat.conj().T)
 
     def is_hermitian(self) -> bool:
-        return float(np.max(np.abs(self.mat - self.mat.conj().T))) <= HERM_TOL
+        return _hermitian_defect(self.mat) <= HERM_TOL
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -179,7 +182,7 @@ class HermitianOperator(Operator):
 
     def __init__(self, space, mat):
         space, m = _checked_matrix(space, mat)
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        dev = _hermitian_defect(m)
         if dev > HERM_TOL:
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
         m = (m + m.conj().T) / 2
@@ -254,13 +257,15 @@ def _canonicalize(factors: Sequence[LabeledSpace], arr: np.ndarray) -> tuple[Spa
     return SpaceProduct(factors), t.reshape(arr.shape)
 
 
-def _check_disjoint(factor_lists: Sequence[Sequence[LabeledSpace]]):
-    seen: dict[str, int] = {}
-    for fl in factor_lists:
-        for f in fl:
-            if f.label in seen:
-                raise ValueError(f"duplicate space label {f.label!r} in tensor product")
-            seen[f.label] = 1
+def _kron(spaces: Sequence[SpaceProduct], arrays: Sequence[np.ndarray]) -> tuple[SpaceProduct, np.ndarray]:
+    """np.kron of vectors or matrices over spaces in argument order, permuted
+    into canonical label order; a repeated label raises before any product."""
+    factors = [f for s in spaces for f in s.factors]
+    SpaceProduct(factors)  # raises on a repeated label
+    out = np.ones((1,) * arrays[0].ndim, dtype=complex)
+    for a in arrays:
+        out = np.kron(out, a)
+    return _canonicalize(factors, out)
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +275,14 @@ def tensor(*ops: Operator) -> Operator:
     """Tensor product over disjoint label sets, in canonical factor order."""
     if not ops:
         raise ValueError("tensor() needs at least one operator")
-    _check_disjoint([o.space.factors for o in ops])
-    factors: list[LabeledSpace] = []
-    m = np.array([[1.0 + 0j]])
-    for o in ops:
-        factors.extend(o.space.factors)
-        m = np.kron(m, o.mat)
-    space, mat = _canonicalize(factors, m)
     cls = HermitianOperator if all(isinstance(o, HermitianOperator) for o in ops) else Operator
-    return cls(space, mat)
+    return cls(*_kron([o.space for o in ops], [o.mat for o in ops]))
 
 
 def tensor_vectors(*vecs: PureVector) -> PureVector:
     if not vecs:
         raise ValueError("tensor_vectors() needs at least one vector")
-    _check_disjoint([v.space.factors for v in vecs])
-    factors: list[LabeledSpace] = []
-    v = np.array([1.0 + 0j])
-    for pv in vecs:
-        factors.extend(pv.space.factors)
-        v = np.kron(v, pv.vec)
-    space, vec = _canonicalize(factors, v)
-    return PureVector(space, vec)
+    return PureVector(*_kron([v.space for v in vecs], [v.vec for v in vecs]))
 
 
 def identity(space) -> HermitianOperator:
@@ -314,6 +305,17 @@ def _partial_trace(mats: np.ndarray, factors: Sequence[LabeledSpace], labels) ->
     return t.reshape(batch + (d, d))
 
 
+def _cptp_defects(chois: np.ndarray, factors: Sequence[LabeledSpace], out_labels,
+                  d_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per map of an (n, m, D, D) stack of Choi blocks over factors: the least
+    eigenvalue of its m blocks (CP iff >= -CHOI_PSD_TOL) and ||Tr_out sum_m C -
+    1_in||_F (TP iff <= TP_TOL). An instrument setting has m = outcomes, a
+    channel m = 1; a state is a map from a trivial input (d_in = 1)."""
+    low = np.linalg.eigvalsh(chois)[..., 0].min(axis=1)
+    marginal = _partial_trace(chois.sum(axis=1), factors, out_labels)
+    return low, np.linalg.norm(marginal - np.eye(d_in), axis=(1, 2))
+
+
 def partial_trace(op: Operator, labels: Iterable[str]) -> Operator:
     """Trace out the named factors; the result keeps the remaining ones."""
     labels = set(labels)
@@ -331,13 +333,8 @@ def depolarize(op: Operator, labels: Iterable[str]) -> Operator:
     if not labels:
         return op
     traced = partial_trace(op, labels)
-    d_s = 1
-    eyes = []
-    for f in op.space.factors:
-        if f.label in labels:
-            d_s *= f.dim
-            eyes.append(identity(SpaceProduct(f)))
-    return tensor(*eyes, traced) / d_s
+    eye = identity(op.space.restrict(labels))
+    return tensor(eye, traced) / eye.dim
 
 
 def choi_of_kraus(kraus: Sequence[np.ndarray], in_space, out_space) -> HermitianOperator:
@@ -348,14 +345,13 @@ def choi_of_kraus(kraus: Sequence[np.ndarray], in_space, out_space) -> Hermitian
     """
     in_space = _as_space(in_space)
     out_space = _as_space(out_space)
-    _check_disjoint([in_space.factors, out_space.factors])
+    space = SpaceProduct(in_space.factors + out_space.factors)
     din, dout = in_space.dim, out_space.dim
     for k in kraus:
         if np.shape(k) != (dout, din):
             raise ValueError(f"Kraus shape {np.shape(k)} does not map dim {din} -> {dout}")
     ks = np.array(kraus, dtype=complex).reshape(len(kraus), dout, din)
-    return HermitianOperator(SpaceProduct(in_space.factors + out_space.factors),
-                             _choi_stack(ks, in_space, out_space))
+    return HermitianOperator(space, _choi_stack(ks, in_space, out_space))
 
 
 def _choi_stack(kraus: np.ndarray, in_space: SpaceProduct, out_space: SpaceProduct) -> np.ndarray:

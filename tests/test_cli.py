@@ -144,6 +144,20 @@ def test_born_rejects_mis_shaped_instrument(tmp_path, ordered_setup, capsys):
     assert code == 2 and report is None and "'settings' must be an integer" in err
 
 
+def test_born_rejects_instrument_for_unknown_party(tmp_path, ordered_setup, capsys):
+    d = cio.load_json(str(ordered_setup["A"]))
+    d["party"] = "Z"
+    bad = tmp_path / "ins_Z.json"
+    cio.save_json(d, str(bad))
+    out = tmp_path / "t.csv"
+    code, report, err = run(
+        capsys, "born", "--process", str(ordered_setup["process"]),
+        "--instruments", str(bad), str(ordered_setup["B"]), "--out", str(out),
+    )
+    assert code == 2 and report is None and not out.exists()
+    assert err == "error: instrument party 'Z' is not one of ['A', 'B']\n"
+
+
 # ---------------------------------------------------------------------------
 # born / ineq
 
@@ -368,7 +382,8 @@ def test_demo_values(capsys, u, v, want):
 
 def test_demo_rejects_unknown_gate(capsys):
     code, report, err = run(capsys, "demo", "--u", "Q", "--v", "Z")
-    assert code == 2 and report is None and "gates must come from" in err
+    assert code == 2 and report is None
+    assert "argument --u: invalid choice: 'Q'" in err
 
 
 # ---------------------------------------------------------------------------

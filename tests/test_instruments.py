@@ -65,6 +65,37 @@ def test_instrument_checks_in_setting_order(qubit_parties, faults, match):
         cs.Instrument(a, 2, 2, chois)
 
 
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("defect, eps, want", [
+    ("cp", 5e-11, False), ("tp", 3.5e-10, False), ("cp", 5e-13, True), ("tp", 5e-11, True),
+])
+def test_one_verdict_per_map(qubit_parties, rng, defect, eps, want):
+    # one Choi on A_O (x) B_I, judged as the link A -> B and as the one
+    # setting, one outcome instrument of a party with input A_O, output B_I
+    a, b = qubit_parties
+    ident = cs.choi_of_kraus([np.eye(2)], a.output_space, b.input_space)
+    c = ident.mat
+    if defect == "cp":
+        # -eps on |01>, +eps on |00>: lambda_min = -eps, Tr_out unchanged
+        c = c + np.diag([eps, -eps, 0.0, 0.0])
+    else:
+        # Tr_out C = (1 + s) 1_2, so ||Tr_out C - 1||_F = s sqrt(2) = eps
+        c = c * (1 + eps / np.sqrt(2))
+    choi = cs.HermitianOperator(ident.space, c)
+    rho = cs.HermitianOperator(a.input_space, cs.random_density(2, rng))
+    link = cs.Party("L", a.outputs, b.inputs)
+    as_link = _accepts(lambda: cs.make_ordered_process([a, b], rho, [choi]))
+    as_instrument = _accepts(lambda: cs.Instrument(link, 1, 1, ((choi,),)))
+    assert as_link == as_instrument == want
+
+
 @pytest.mark.parametrize("settings, outcomes, chois", [(1, 0, ((),)), (0, 2, ())])
 def test_instrument_rejects_empty_alphabets(qubit_parties, settings, outcomes, chois):
     with pytest.raises(ValueError, match="settings and outcomes must be positive"):
@@ -197,6 +228,8 @@ def test_marginalize_drops_single_setting_party():
     assert np.allclose(m.values, 0.5)
     with pytest.raises(ValueError, match="single setting"):
         cs.ProbabilityTable(("A", "B"), np.full((2, 2, 2, 2), 0.25)).marginalize("A")
+    with pytest.raises(ValueError, match=r"party 'Z' is not one of \['F', 'A'\]"):
+        t.marginalize("Z")
 
 
 def test_table_alphabets_are_shape_slices(switch, rng):

@@ -131,6 +131,14 @@ def test_instrument_schema_errors_are_value_errors(qubit_parties):
 # ---------------------------------------------------------------------------
 # instruments
 
+def test_instrument_for_unknown_party_is_a_value_error(qubit_parties):
+    a, _ = qubit_parties
+    d = cio.instrument_to_json(cs.standard_instruments("measure_reprepare", a))
+    d["party"] = "Z"
+    with pytest.raises(ValueError, match=r"instrument party 'Z' is not one of \['A', 'B'\]"):
+        cio.instrument_from_json(d, qubit_parties)
+
+
 def test_instrument_round_trip(qubit_parties):
     a, b = qubit_parties
     ins = cs.standard_instruments("measure_reprepare", a)

@@ -9,6 +9,7 @@ from causalis.tensor_core import (
     PureVector,
     SpaceProduct,
     _canonicalize,
+    _cptp_defects,
     _partial_trace,
     choi_of_kraus,
     choi_vector,
@@ -150,8 +151,25 @@ def test_canonicalize_matches_reference(rng, labels):
 
 def test_tensor_rejects_shared_labels():
     a = identity(LabeledSpace("A", 2))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate space label 'A'"):
         tensor(a, identity(LabeledSpace("A", 2)))
+    v = PureVector(LabeledSpace("A", 2), [1.0, 0.0])
+    with pytest.raises(ValueError, match="duplicate space label 'A'"):
+        tensor_vectors(v, v)
+    with pytest.raises(ValueError, match="duplicate space label 'A'"):
+        choi_of_kraus([np.eye(2)], LabeledSpace("A", 2), LabeledSpace("A", 2))
+
+
+def test_cptp_defects_of_states(rng):
+    # a state is a map from a trivial input: every label an output, d_in = 1
+    space = SpaceProduct([LabeledSpace("B", 3), LabeledSpace("A", 2)])
+    states = np.array([random_density(6, rng) * s for s in (1.0, 1.5, 0.25)])
+    states[2] -= 0.5 * np.eye(6) / 6
+    low, dev = _cptp_defects(states[:, None], space.factors, space.labels, 1)
+    assert low.shape == dev.shape == (3,)
+    assert np.allclose(low, np.linalg.eigvalsh(states)[:, 0], rtol=0, atol=1e-12)
+    assert np.allclose(dev, np.abs(np.trace(states, axis1=1, axis2=2) - 1), rtol=0, atol=1e-12)
+    assert dev[0] < 1e-12 and low[2] < 0
 
 
 def test_partial_trace_reduces_correctly(rng):
