@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .instruments import ProbabilityTable
+from .tensor_core import _check_tol
 
 CAUSAL_TOL = 1e-7
 ENUM_CAP = 10**6
@@ -203,8 +204,7 @@ def is_causal(table, tol: float = CAUSAL_TOL) -> CausalityVerdict:
     weights and the aggregate weight q on the A<B order (vertices shared by
     both orders count toward q). tol must be finite and > 0.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _check_tol("tol", tol)
     import scipy.optimize  # looked up per call, so a wrapped nnls is seen
 
     vals, settings, outcomes = _table_values(table)

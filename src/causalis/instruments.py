@@ -20,6 +20,7 @@ from .tensor_core import (
     CHOI_PSD_TOL,
     TP_TOL,
     HermitianOperator,
+    _check_distinct,
     _cptp_defects,
     choi_of_kraus,
     identity,
@@ -83,10 +84,7 @@ class ProbabilityTable:
 
     def __post_init__(self):
         parties = tuple(self.parties)
-        repeated = sorted({q for q in parties if parties.count(q) > 1})
-        if repeated:
-            raise ValueError(f"party names must be distinct; repeated: "
-                             f"{', '.join(map(repr, repeated))}")
+        _check_distinct(parties, "party names")
         # a copy, so freezing it leaves the caller's array writable
         vals = np.array(self.values, dtype=float)
         n = len(parties)
@@ -233,8 +231,11 @@ def random_instrument(
 # Born rule and its circuit oracle
 
 def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTable:
-    """Full probability table P(outcomes | settings) of a valid process."""
+    """Full probability table P(outcomes | settings) of a valid process:
+    one instrument per party, so the instruments' party names are distinct
+    and are exactly the process's."""
     p = _require_valid(p)
+    _check_distinct((ins.party.name for ins in instruments), "instrument party names")
     by_name = {ins.party.name: ins for ins in instruments}
     if set(by_name) != {party.name for party in p.parties}:
         raise ValueError("instruments must cover exactly the process parties")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io as _io
 import json
+import math
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .causality import CausalGame, CausalityVerdict
 from .instruments import Instrument, ProbabilityTable
 from .process import LabeledSpace, Party, ProcessMatrix
 from .separability import SeparabilityCertificate
-from .tensor_core import HermitianOperator, Operator, _canonicalize
+from .tensor_core import HERM_TOL, HermitianOperator, Operator, _canonicalize, _hermitian_defect
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +56,16 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(d: dict) -> Operator:
-    op = Operator(*_matrix_from_json(d))
-    return HermitianOperator(op.space, op.mat) if op.is_hermitian() else op
+    """A HermitianOperator when the entries are Hermitian within HERM_TOL,
+    else an Operator; only that class is built."""
+    space, mat = _matrix_from_json(d)
+    return (HermitianOperator if _hermitian_defect(mat) <= HERM_TOL else Operator)(space, mat)
 
 
 def _matrix_from_json(d: dict):
     """(space, matrix) of an operator object, in canonical label order."""
     factors = _factors_from_json(_field(d, "factors", list, "operator"), "operator factors")
-    dim = 1
-    for f in factors:
-        dim *= f.dim
+    dim = math.prod(f.dim for f in factors)
     entries = np.asarray(_field(d, "entries", list, "operator"))
     if entries.dtype.kind not in "iuf":
         raise ValueError("operator entries must be numbers")

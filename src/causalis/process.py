@@ -47,9 +47,10 @@ sample axis shared by all pieces.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +64,9 @@ from .tensor_core import (
     PureVector,
     SpaceProduct,
     _choi_stack,
+    _check_count,
+    _check_distinct,
+    _check_tol,
     _CoeffBasis,
     _cptp_defects,
     _ginibre_density,
@@ -93,6 +97,10 @@ class Party:
     A dim-1 output factor models a party with no output system (the final
     measuring party of the switch). The switch's final party carries two
     input factors (control and target), so inputs and outputs are tuples.
+
+    ``space``, ``input_space`` and ``output_space`` are built once, here;
+    building ``space`` is the check that every label is distinct
+    ("duplicate space label 'A_I'").
     """
 
     name: str
@@ -102,12 +110,12 @@ class Party:
     def __init__(self, name: str, inputs, outputs):
         inputs = _as_factors(inputs)
         outputs = _as_factors(outputs)
-        labels = [f.label for f in inputs + outputs]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"party {name!r}: input/output labels must be distinct")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "space", SpaceProduct(inputs + outputs))
+        object.__setattr__(self, "input_space", SpaceProduct(inputs))
+        object.__setattr__(self, "output_space", SpaceProduct(outputs))
 
     @property
     def input_labels(self) -> tuple[str, ...]:
@@ -128,18 +136,6 @@ class Party:
     @property
     def trivial_output(self) -> bool:
         return self.output_dim == 1
-
-    @property
-    def space(self) -> SpaceProduct:
-        return SpaceProduct(self.inputs + self.outputs)
-
-    @property
-    def input_space(self) -> SpaceProduct:
-        return SpaceProduct(self.inputs)
-
-    @property
-    def output_space(self) -> SpaceProduct:
-        return SpaceProduct(self.outputs)
 
 
 def parties_space(parties: Sequence[Party]) -> SpaceProduct:
@@ -171,11 +167,7 @@ class ProcessMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "parties", tuple(self.parties))
-        names = [q.name for q in self.parties]
-        repeated = sorted({n for n in names if names.count(n) > 1})
-        if repeated:
-            raise ValueError(f"party names must be distinct; repeated: "
-                             f"{', '.join(map(repr, repeated))}")
+        _check_distinct((q.name for q in self.parties), "party names")
         if self.w.space != parties_space(self.parties):
             raise ValueError(
                 f"operator labels {self.w.space.labels} do not match the parties' spaces"
@@ -355,8 +347,12 @@ def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float 
     pattern U (see the module docstring). The first violated condition is
     recorded with its residual: the smallest eigenvalue, the trace, or the
     pattern with the largest residual, e.g. "normalization: signalling term
-    on A_O (x) B_O (residual 2.0e-09)".
+    on A_O (x) B_O (residual 2.0e-09)". psd_tol and lin_tol must be finite
+    and > 0. The copy is shallow and skips the constructor's checks, which
+    p has passed.
     """
+    _check_tol("psd_tol", psd_tol)
+    _check_tol("lin_tol", lin_tol)
     evals, r = _validity_sweep(p)
     *_, names = _validity_patterns(p.parties)
     u = 0 if r[0] > lin_tol else int(np.argmax(r))
@@ -369,8 +365,8 @@ def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float 
         reason = f"normalization: {what} (residual {r[u]:.6e})"
     else:
         validity, reason = "valid", None
-    out = replace(p)
-    for name, value in (("validity", validity), ("reason", reason), ("_sweep", p._sweep)):
+    out = copy.copy(p)  # carries p's _sweep
+    for name, value in (("validity", validity), ("reason", reason)):
         object.__setattr__(out, name, value)
     return out
 
@@ -632,12 +628,13 @@ class OrderedBatch:
         return [self.order[0].input_space] + links
 
     def process(self, k: int) -> ProcessMatrix:
-        """Sample k as an unchecked ProcessMatrix, through make_ordered_process
-        (`validate_process` checks it)."""
+        """Sample k as an unchecked ProcessMatrix (`validate_process` checks
+        it), assembled as `make_ordered_process` assembles W. The pieces are
+        not checked again: `random_ordered_batch` checked them."""
         spaces = self.spaces
         state = HermitianOperator(spaces[0], self.states[k])
         links = [HermitianOperator(s, c[k]) for s, c in zip(spaces[1:], self.channels)]
-        return make_ordered_process(self.order, state, links, validate=False)
+        return ProcessMatrix(self.order, tensor(state, *links, identity(self.order[-1].output_space)))
 
     def traces(self, op: Operator) -> np.ndarray:
         """Tr[op W_k] for every sample k, as one einsum of op^T with the
@@ -658,10 +655,10 @@ def random_ordered_batch(
     as n sequential random_ordered_process calls do: per sample, the real
     then imaginary Ginibre parts of the state, then of each link's isometry.
     QR with its phase fix, the Kraus -> Choi map and make_ordered_process's
-    checks then run once on the whole (n, ...) stacks.
+    checks then run once on the whole (n, ...) stacks, and only here. n must
+    be an integer >= 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count("n", n, 1)
     order = tuple(order)
     links = list(zip(order, order[1:]))
     d0 = order[0].input_dim

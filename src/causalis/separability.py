@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process import Party, ProcessMatrix, _party_moves, _require_valid, random_ordered_batch
-from .tensor_core import HermitianOperator, _CoeffBasis
+from .tensor_core import HermitianOperator, _check_count, _check_tol, _CoeffBasis
 
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
@@ -244,12 +244,6 @@ class SeparabilityCertificate:
         return "nonseparable" if self.witness_verified else "undecided"
 
 
-def _check_count(name, value, least):
-    """Counts (iterations, the battery size): an integer, at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
     """Every order of the sorted parties with a nontrivial output, followed
     by the trivial-output parties, which signal to no one."""
@@ -368,12 +362,13 @@ def check_separability(
     When W is rank-deficient and the face run gives neither, the same run
     is repeated on the whole PSD cone and decides. The verdict is
     nonseparable with a witness and undecided without. max_iters and
-    battery must be integers >= 1 and tol finite and > 0.
+    battery must be integers >= 1, witness_seed an integer >= 0 and tol
+    finite and > 0, all checked before any run.
     """
     _check_count("max_iters", max_iters, 1)
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _check_tol("tol", tol)
     _check_count("battery", battery, 1)
+    _check_count("witness_seed", witness_seed, 0)
     p = _require_valid(p)
     if orders is None:
         orders = _default_orders(p.parties)
@@ -448,7 +443,8 @@ def extract_witness(
     scores 0 against a negative bound and is rejected. Returns (witness or
     None, diagnostics).
 
-    The battery scores ``battery`` (>= 1) ordered processes per order, drawn
+    The battery, seeded by ``seed`` (an integer >= 0), scores ``battery``
+    (>= 1) ordered processes per order, drawn
     as one `random_ordered_batch`, and as many mixtures, each drawing one
     sample index per order and then one stick-breaking weight per order but
     the last, in that order, as per-sample draws of dense matrices would;
@@ -459,6 +455,7 @@ def extract_witness(
     per-order sample minimum. They stay as a cross-check of the scoring.
     """
     _check_count("battery", battery, 1)
+    _check_count("seed", seed, 0)
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _party_moves(p.parties)[0]

@@ -26,6 +26,29 @@ CHOI_PSD_TOL = 1e-12  # the one CPTP policy for maps in Choi form: see _cptp_def
 TP_TOL = 1e-10
 
 
+# ---------------------------------------------------------------------------
+# input rules: each is checked here, once per object
+
+def _check_tol(name: str, value) -> None:
+    """A tolerance: finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """A count or seed: an integer (numpy's too, never a bool), >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_distinct(names: Iterable[str], what: str) -> None:
+    """Names that must not repeat (parties of a process, table or instrument list)."""
+    names = list(names)
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"{what} must be distinct; repeated: {', '.join(map(repr, repeated))}")
+
+
 @dataclass(frozen=True)
 class LabeledSpace:
     """A named Hilbert-space factor."""
@@ -36,12 +59,8 @@ class LabeledSpace:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("space label must be a non-empty string")
-        # numpy integers are not int subclasses; int() alone would truncate 2.5
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
-            raise ValueError(f"space {self.label!r}: dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ValueError(f"space {self.label!r}: dim must be >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        _check_count(f"space {self.label!r}: dim", self.dim, 1)
+        object.__setattr__(self, "dim", int(self.dim))  # numpy integers are not ints
 
 
 @dataclass(frozen=True, init=False)
@@ -141,19 +160,20 @@ class Operator:
     def is_hermitian(self) -> bool:
         return _hermitian_defect(self.mat) <= HERM_TOL
 
-    def __add__(self, other):
+    def _combine(self, other, ufunc):
+        """ufunc of two operators on one space; Hermitian iff both are."""
         if not isinstance(other, Operator):
             return NotImplemented
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
-        return _wrap_like(self, other, self.mat + other.mat)
+        hermitian = isinstance(self, HermitianOperator) and isinstance(other, HermitianOperator)
+        return (HermitianOperator if hermitian else Operator)(self.space, ufunc(self.mat, other.mat))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if self.space != other.space:
-            raise ValueError("operators live on different spaces")
-        return _wrap_like(self, other, self.mat - other.mat)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
@@ -189,15 +209,6 @@ class HermitianOperator(Operator):
         m.setflags(write=False)
         self.space = space
         self.mat = m
-
-
-def _wrap_like(a: Operator, b: Operator, mat) -> Operator:
-    cls = (
-        HermitianOperator
-        if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator)
-        else Operator
-    )
-    return cls(a.space, mat)
 
 
 class PureVector:

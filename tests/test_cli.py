@@ -158,6 +158,17 @@ def test_born_rejects_instrument_for_unknown_party(tmp_path, ordered_setup, caps
     assert err == "error: instrument party 'Z' is not one of ['A', 'B']\n"
 
 
+def test_born_rejects_two_instruments_for_one_party(tmp_path, ordered_setup, capsys):
+    out = tmp_path / "t.csv"
+    code, report, err = run(
+        capsys, "born", "--process", str(ordered_setup["process"]),
+        "--instruments", str(ordered_setup["A"]), str(ordered_setup["A"]),
+        str(ordered_setup["B"]), "--out", str(out),
+    )
+    assert code == 2 and report is None and not out.exists()
+    assert err == "error: instrument party names must be distinct; repeated: 'A'\n"
+
+
 # ---------------------------------------------------------------------------
 # born / ineq
 
@@ -363,6 +374,17 @@ def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
     assert res["diagnostics"]["stalled"] is False and res["iterations"] == 5
     assert res["witness_verified"] is False and "rejected" in res["diagnostics"]
     assert res["diagnostics"]["witness_overlap"] > 0
+
+
+def test_sep_rejects_negative_seed(tmp_path, switch, capsys):
+    # the traced switch is separable, so no battery draws from the seed; it is refused anyway
+    traced = cs.ProcessMatrix(switch.parties[:2],
+                              cs.partial_trace(switch.w, ("F_c", "F_t", "F_O")))
+    save_process(tmp_path / "traced.json", traced)
+    code, report, err = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
+                            "--seed", "-3")
+    assert code == 2 and report is None
+    assert err == "error: witness_seed must be an integer >= 0, got -3\n"
 
 
 def test_sep_requires_seed(tmp_path, qubit_parties, capsys):

@@ -268,6 +268,16 @@ def test_born_requires_matching_instruments(switch, qubit_parties):
         cs.born(switch, ins)
 
 
+def test_born_rejects_two_instruments_for_one_party():
+    # keyed by party name, one of the two instruments for A would be dropped unseen
+    p = cs.ocb_process()
+    ins_a, ins_b = cs.ocb_instruments()
+    other_a = cs.standard_instruments("measure_reprepare", ins_a.party)
+    with pytest.raises(ValueError,
+                       match="instrument party names must be distinct; repeated: 'A'"):
+        cs.born(p, [ins_a, other_a, ins_b])
+
+
 def test_born_rows_normalized(switch, rng):
     ins = [cs.random_instrument(party, 2, 2, rng) for party in switch.parties]
     t = cs.born(switch, ins)

@@ -53,6 +53,18 @@ def test_positivity_violation_reported(qubit_parties):
     assert "positivity" in bad.reason
 
 
+@pytest.mark.parametrize("name", ["psd_tol", "lin_tol"])
+@pytest.mark.parametrize("bad", [np.nan, -1e-9, 0.0, np.inf])
+def test_validate_rejects_bad_tolerances(qubit_parties, name, bad):
+    # NaN fails every comparison: unchecked, both NaN would call this W (eigenvalue -1) valid
+    w = white_noise(qubit_parties).w
+    m = w.mat.copy()
+    m[0, 0] = -1.0
+    p = cs.ProcessMatrix(qubit_parties, cs.HermitianOperator(w.space, m))
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got"):
+        cs.validate_process(p, **{name: bad})
+
+
 def test_normalization_violation_reported(qubit_parties):
     p = white_noise(qubit_parties)
     bad = cs.validate_process(cs.ProcessMatrix(qubit_parties, p.w * 1.5))
@@ -266,8 +278,33 @@ def test_batched_draw_rejects_bad_sizes(rng):
     end = cs.Party("E", cs.LabeledSpace("E_I", 1), cs.LabeledSpace("E_O", 1))
     with pytest.raises(ValueError, match="isometry"):
         cs.random_ordered_batch([wide, end], rng, 3)
-    with pytest.raises(ValueError, match="n must be"):
-        cs.random_ordered_batch(qubit_chain("AB"), rng, 0)
+    for n in (0, 1.5, True, None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            cs.random_ordered_batch(qubit_chain("AB"), rng, n)
+
+
+def test_ordered_draw_checks_its_pieces_once(qubit_parties, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    real = cp._cptp_defects
+    monkeypatch.setattr(cp, "_cptp_defects", counted)
+    cs.random_ordered_process(list(qubit_parties), np.random.default_rng(0))
+    assert calls == [1, 1]  # the state, then the one link
+    batch = cs.random_ordered_batch(list(qubit_parties), np.random.default_rng(0), 3)
+    assert calls == [1, 1, 3, 3]
+    # a sample is assembled from the checked pieces as make_ordered_process does
+    a, b = qubit_parties
+    state = cs.HermitianOperator(a.input_space, batch.states[2])
+    link = cs.HermitianOperator(cs.SpaceProduct(a.outputs + b.inputs), batch.channels[0][2])
+    del calls[:]
+    got = batch.process(2)
+    assert calls == [] and got.validity == "unchecked"
+    want = cs.make_ordered_process([a, b], state, [link], validate=False)
+    assert got.parties == want.parties and np.array_equal(got.w.mat, want.w.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +542,17 @@ def test_only_validate_process_writes_the_verdict(qubit_parties):
     for name, value in (("validity", "valid"), ("reason", None)):
         with pytest.raises(ValueError, match="init=False"):
             replace(doubled, **{name: value})
+
+
+def test_party_labels_are_checked_once():
+    a_i = cs.LabeledSpace("A_I", 2)
+    with pytest.raises(ValueError, match="duplicate space label 'A_I'"):
+        cs.Party("A", a_i, a_i)
+    a = cs.Party("A", a_i, cs.LabeledSpace("A_O", 3))
+    # the spaces are built once, at construction
+    assert a.space is a.space and a.space == cs.SpaceProduct(a.inputs + a.outputs)
+    assert a.input_space is a.input_space and a.input_space.labels == ("A_I",)
+    assert a.output_space is a.output_space and a.output_space.dims == (3,)
 
 
 def test_party_names_must_be_distinct():

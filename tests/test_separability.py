@@ -817,15 +817,29 @@ def test_rejects_empty_or_negative_battery(battery):
     ({"tol": 0.0}, "tol must be finite and > 0"),
     ({"tol": np.nan}, "tol must be finite and > 0"),
     ({"tol": np.inf}, "tol must be finite and > 0"),
+    ({"witness_seed": -1}, "witness_seed must be an integer >= 0"),
+    ({"witness_seed": None}, "witness_seed must be an integer >= 0"),
+    ({"witness_seed": 1.5}, "witness_seed must be an integer >= 0"),
 ])
 @pytest.mark.parametrize("kind", ["ocb", "white_noise"])
-def test_rejects_out_of_range_run_parameters(kind, kwargs, match, qubit_parties):
+def test_rejects_out_of_range_run_parameters(kind, kwargs, match, qubit_parties, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a run started before the parameters were checked")
+
+    monkeypatch.setattr(separability, "_dykstra", no_run)
     if kind == "ocb":
         p = cs.ocb_process()
     else:
         p = cs.ProcessMatrix(qubit_parties, cs.identity(cs.parties_space(qubit_parties)) / 4)
     with pytest.raises(ValueError, match=match):
         cs.check_separability(p, **kwargs)
+
+
+def test_extract_witness_rejects_bad_seed(ocb_cert):
+    p, cert = ocb_cert
+    for bad in (-1, None, 1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            cs.extract_witness(p, cert.trace, seed=bad, battery=20)
 
 
 def test_extract_witness_rejects_empty_battery(ocb_cert):
