@@ -62,11 +62,16 @@ def _tol_arg(text: str) -> float:
     return v
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return v
+def _count_arg(least: int):
+    """The argparse type of a count or seed: an integer >= least."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {v}")
+        return v
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def _complex_arg(text: str) -> complex:
@@ -204,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "separability (exit 1 if a witness certifies nonseparable, "
                        "3 if undecided)")
     p.add_argument("--in", dest="infile", required=True, help="process JSON path")
-    p.add_argument("--seed", type=int, required=True, help="witness-battery RNG seed")
+    p.add_argument("--seed", type=_count_arg(0), required=True, help="witness-battery RNG seed")
     p.add_argument("--tol", type=_tol_arg, default=SEP_TOL, help="feasibility tolerance")
-    p.add_argument("--max-iters", type=_positive_int, default=MAX_ITERS)
-    p.add_argument("--battery", type=_positive_int, default=BATTERY,
+    p.add_argument("--max-iters", type=_count_arg(1), default=MAX_ITERS)
+    p.add_argument("--battery", type=_count_arg(1), default=BATTERY,
                    help="witness battery samples per order (and mixtures)")
     p.set_defaults(func=cmd_sep)
 

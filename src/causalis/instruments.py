@@ -20,6 +20,7 @@ from .tensor_core import (
     CHOI_PSD_TOL,
     TP_TOL,
     HermitianOperator,
+    _check_count,
     _check_distinct,
     _cptp_defects,
     choi_of_kraus,
@@ -45,8 +46,8 @@ class Instrument:
     chois: tuple[tuple[HermitianOperator, ...], ...]  # [setting][outcome]
 
     def __post_init__(self):
-        if self.settings < 1 or self.outcomes < 1:
-            raise ValueError("instrument settings and outcomes must be positive")
+        _check_count("instrument settings", self.settings, 1)
+        _check_count("instrument outcomes", self.outcomes, 1)
         if len(self.chois) != self.settings:
             raise ValueError("one row of Chois per setting required")
         for row in self.chois:
@@ -233,7 +234,8 @@ def random_instrument(
 def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTable:
     """Full probability table P(outcomes | settings) of a valid process:
     one instrument per party, so the instruments' party names are distinct
-    and are exactly the process's."""
+    and are exactly the process's. One `process._contract` of W with the
+    parties' Choi stacks writes the table in `ProbabilityTable` order."""
     p = _require_valid(p)
     _check_distinct((ins.party.name for ins in instruments), "instrument party names")
     by_name = {ins.party.name: ins for ins in instruments}
@@ -244,12 +246,11 @@ def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTabl
         if i.party != party:
             raise ValueError(f"instrument for {party.name!r} has mismatched spaces")
     # P[x.., a..] = sum_ij w_ij (M_1[x_1, a_1] (x) ... (x) M_n[x_n, a_n])_ij,
-    # i.e. Tr[w M^T]; the contraction returns axes (x_1, a_1, x_2, a_2, ...)
+    # i.e. Tr[w M^T]; party k's (x_k, a_k) land on the table's axes (k, n + k)
     stacks = [np.array([[c.mat for c in row] for row in i.chois]) for i in ins]
-    t = _contract(p.w, [q.space for q in p.parties], stacks).real
     n = len(ins)
-    vals = t.transpose([2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
-    return ProbabilityTable(tuple(party.name for party in p.parties), vals)
+    vals = _contract(p.w, [q.space for q in p.parties], stacks, [(k, n + k) for k in range(n)])
+    return ProbabilityTable(tuple(party.name for party in p.parties), vals.real)
 
 
 def circuit_oracle(

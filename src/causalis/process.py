@@ -33,17 +33,20 @@ coefficients, one direction per pattern. So |Tr[W C] - 1| <= r_0 + sum_V
 r_V for every tuple, and a single forbidden term moves r_U exactly as much
 as it moves the worst tuple residual.
 
-The Born rule evaluates the multilinear functional T[k_1, ..., k_n] =
-sum_ij W_ij (X_1[k_1] (x) ... (x) X_n[k_n])_ij on the per-party instrument
-Choi stacks X_k (`instruments.born`). `_contract` evaluates it as a single
-einsum whose subscripts follow the factor labels, so no tensor product is
-ever formed.
+The Born rule evaluates the multilinear functional T[k] = sum_ij W_ij
+(X_1[k] (x) ... (x) X_n[k])_ij on per-party stacks X_k. `_contract`
+evaluates it as a single einsum whose subscripts follow the factor labels,
+so no tensor product is ever formed, and the caller names the result axis
+of each stack axis: `instruments.born` puts party k's (setting, outcome)
+on the table's axes (k, n + k), and `OrderedBatch.traces` puts every
+piece's sample axis on axis 0.
 
-Random ordered processes are drawn in batches (`random_ordered_batch`; the
-single draw `random_ordered_process` is its n = 1 case) and kept as their
-pieces, a state stack and one Choi stack per link. `OrderedBatch.traces`
-pairs an operator with every sample through the same contraction, the
-sample axis shared by all pieces.
+An ordered process is kept as its pieces, a state stack and one Choi
+stack per link, in an `OrderedBatch`: its `spaces` are the pieces'
+spaces, `_check_pieces` checks them, and `process(k)` assembles W.
+`random_ordered_batch` draws n samples (the single draw
+`random_ordered_process` is its n = 1 case), and `make_ordered_process`
+wraps its given pieces as a one-sample batch.
 """
 from __future__ import annotations
 
@@ -177,12 +180,6 @@ class ProcessMatrix:
     def expected_trace(self) -> int:
         return math.prod(p.output_dim for p in self.parties)
 
-    def party(self, name: str) -> Party:
-        for p in self.parties:
-            if p.name == name:
-                return p
-        raise KeyError(f"no party named {name!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class ProcessVector:
@@ -208,8 +205,8 @@ _EINSUM_SUBSCRIPTS = 52
 
 
 def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.ndarray],
-              shared: bool = False) -> np.ndarray:
-    """T[k_1, ..., k_n] = sum_ij w_ij (X_1[k_1] (x) ... (x) X_n[k_n] (x) 1)_ij.
+              axes: Sequence[Sequence[int]]) -> np.ndarray:
+    """T[k] = sum_ij w_ij (X_1[k] (x) ... (x) X_n[k] (x) 1)_ij over a result index k.
 
     Serves `instruments.born` (instrument Chois) and `OrderedBatch.traces`
     (the pieces of ordered samples, for the witness battery); validity
@@ -217,16 +214,17 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
 
     stacks[k] has shape batch_k + (d_k, d_k) over spaces[k], in its
     canonical label order; factors of w that no space covers meet the
-    identity. By default the batches are independent and the result has
-    shape batch_1 + ... + batch_n; with shared=True every stack carries the
-    same batch shape, whose axes share subscripts, and that is the result's
-    shape. One einsum does the whole sum. Each factor of w gets a row and a
-    column subscript by label (the same one for an uncovered factor, which
-    traces it out), so pieces whose factors interleave in w's canonical
-    order need no permutation. Axes of length 1 (trivial factors, single
-    settings) get no subscript. Every subscript then names an axis of length
-    >= 2 on w or on the result, so past einsum's 52 one of the two would
-    hold at least 2**27 entries; that case raises instead of contracting.
+    identity. axes[k] names the result axis of each batch axis of
+    stacks[k]: the result has one axis per name, 0, 1, ..., and batch axes
+    that share a name share its index (born gives party k the axes (k,
+    n + k), `traces` gives every piece axis 0). One einsum does the whole
+    sum. Each factor of w gets a row and a column subscript by label (the
+    same one for an uncovered factor, which traces it out), so pieces whose
+    factors interleave in w's canonical order need no permutation. Axes of
+    length 1 (trivial factors, single settings) get no subscript. Every
+    subscript then names an axis of length >= 2 on w or on the result, so
+    past einsum's 52 one of the two would hold at least 2**27 entries; that
+    case raises instead of contracting.
     """
     labels = [f.label for f in w.space.factors if f.dim > 1]
     dims = [f.dim for f in w.space.factors if f.dim > 1]
@@ -236,31 +234,24 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
         w.mat.reshape(dims + dims),
         [row[lab] for lab in labels] + [row[lab] + (lab in covered) for lab in labels],
     ]
-    n_sub = 2 * len(labels)
-    out, shape = [], []
-    if shared:
-        shape = list(stacks[0].shape[:-2])
-        batch = [n for n in shape if n > 1]
-        out = list(range(n_sub, n_sub + len(batch)))
-        n_sub += len(batch)
-    for space, x in zip(spaces, stacks):
-        if shared:
-            axes = out
-        else:
-            batch = [n for n in x.shape[:-2] if n > 1]
-            shape.extend(x.shape[:-2])
-            axes = list(range(n_sub, n_sub + len(batch)))
-            n_sub += len(batch)
-            out.extend(axes)
+    length = {}  # result axis -> its length
+    for x, names in zip(stacks, axes):
+        length.update(zip(names, x.shape[:-2]))
+    shape = [length[a] for a in range(len(length))]
+    out = {a: 2 * len(labels) + i for i, a in enumerate(a for a, m in enumerate(shape) if m > 1)}
+    for space, x, names in zip(spaces, stacks, axes):
+        batch = [(a, m) for a, m in zip(names, x.shape[:-2]) if m > 1]
         facs = [f for f in space.factors if f.dim > 1]
-        operands.append(x.reshape(batch + [f.dim for f in facs] * 2))
-        operands.append(axes + [row[f.label] for f in facs] + [row[f.label] + 1 for f in facs])
+        operands.append(x.reshape([m for _, m in batch] + [f.dim for f in facs] * 2))
+        operands.append([out[a] for a, _ in batch] + [row[f.label] for f in facs]
+                        + [row[f.label] + 1 for f in facs])
+    n_sub = 2 * len(labels) + len(out)
     if n_sub > _EINSUM_SUBSCRIPTS:
         raise ValueError(
             f"contraction needs {n_sub} einsum subscripts (one per nontrivial "
             f"factor index and stack axis); np.einsum allows at most {_EINSUM_SUBSCRIPTS}"
         )
-    return np.einsum(*operands, out, optimize="greedy").reshape(shape)
+    return np.einsum(*operands, list(out.values()), optimize="greedy").reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -440,53 +431,49 @@ def make_ordered_process(
     initial_state is a density matrix on the first party's input; channel k
     is the (plain, unnormalized) Choi of a CPTP map from party k's output to
     party k+1's input; the final party's output is discarded (tensored with
-    the identity). Both are judged as maps by `_check_pieces`, under the
-    CHOI_PSD_TOL / TP_TOL policy that `Instrument` also applies.
+    the identity). The pieces form a one-sample `OrderedBatch`: their labels
+    are checked against its `spaces`, they are judged as maps by
+    `_check_pieces`, under the CHOI_PSD_TOL / TP_TOL policy that
+    `Instrument` also applies, and W is its `process(0)`.
     """
-    order = list(order)
+    order = tuple(order)
     if len(channels) != len(order) - 1:
         raise ValueError(f"expected {len(order) - 1} channels for {len(order)} parties")
-    if initial_state.space != order[0].input_space:
+    batch = OrderedBatch(order, initial_state.mat[None], tuple(ch.mat[None] for ch in channels))
+    first, *links = batch.spaces
+    if initial_state.space != first:
         raise ValueError("initial state must live on the first party's input space")
-    for k, ch in enumerate(channels):
-        want = _link_space(order[k], order[k + 1])
+    for k, (ch, want) in enumerate(zip(channels, links)):
         if ch.space != want:
             raise ValueError(
                 f"channel {k} labels {ch.space.labels} do not match {want.labels}"
             )
-    _check_pieces(order, initial_state.mat[None], [ch.mat[None] for ch in channels])
-    w = tensor(initial_state, *channels, identity(order[-1].output_space))
-    pm = ProcessMatrix(tuple(order), w)
+    _check_pieces(batch)
+    pm = batch.process(0)
     return validate_process(pm) if validate else pm
 
 
-def _link_space(src: Party, dst: Party) -> SpaceProduct:
-    """Space of the channel Choi from src's output to dst's input."""
-    return SpaceProduct(src.outputs + dst.inputs)
-
-
-def _check_pieces(order: Sequence[Party], states: np.ndarray, channels: Sequence[np.ndarray]):
-    """make_ordered_process's conditions on (n, ...) stacks of pieces, by
-    `_cptp_defects`: PSD then unit-trace states (maps from a trivial input),
-    CP then TP channels. Raises on the first violated condition, naming the
-    worst sample when n > 1."""
-    n = states.shape[0]
+def _check_pieces(batch: OrderedBatch):
+    """make_ordered_process's conditions on the batch's (n, ...) stacks of
+    pieces, over its `spaces`, by `_cptp_defects`: PSD then unit-trace
+    states (maps from a trivial input), CP then TP channels. Raises on the
+    first violated condition, naming the worst sample when n > 1."""
+    n = len(batch)
 
     def at(i):
         return f" (sample {i})" if n > 1 else ""
 
-    first = order[0].input_space
-    low, dev = _cptp_defects(states[:, None], first.factors, first.labels, 1)
+    first, *links = batch.spaces
+    low, dev = _cptp_defects(batch.states[:, None], first.factors, first.labels, 1)
     i = int(np.argmin(low))
     if low[i] < -CHOI_PSD_TOL:
         raise ValueError(f"initial state is not positive semidefinite{at(i)}")
     i = int(np.argmax(dev))
     if dev[i] > TP_TOL:
-        raise ValueError(f"initial state trace {np.trace(states[i]).real:.12g} != 1{at(i)}")
-    for k, c in enumerate(channels):
-        src, dst = order[k], order[k + 1]
-        low, dev = _cptp_defects(c[:, None], _link_space(src, dst).factors,
-                                 dst.input_labels, src.output_dim)
+        raise ValueError(f"initial state trace {np.trace(batch.states[i]).real:.12g} != 1{at(i)}")
+    for k, (c, space) in enumerate(zip(batch.channels, links)):
+        src, dst = batch.order[k], batch.order[k + 1]
+        low, dev = _cptp_defects(c[:, None], space.factors, dst.input_labels, src.output_dim)
         i = int(np.argmin(low))
         if low[i] < -CHOI_PSD_TOL:
             raise ValueError(f"channel {k} is not completely positive{at(i)}")
@@ -570,18 +557,11 @@ def interference_decomposition(qs: ProcessVector):
     if "F_c" not in space.labels:
         raise ValueError("expected a switch process vector with control factor F_c")
     idx = space.index("F_c")
-    dims = space.dims
-    t = qs.v.vec.reshape(dims)
-    p0 = np.zeros_like(t)
-    p1 = np.zeros_like(t)
-    sl0 = [slice(None)] * len(dims)
-    sl0[idx] = slice(0, 1)
-    sl1 = [slice(None)] * len(dims)
-    sl1[idx] = slice(1, 2)
-    p0[tuple(sl0)] = t[tuple(sl0)]
-    p1[tuple(sl1)] = t[tuple(sl1)]
-    n0 = np.linalg.norm(p0)
-    n1 = np.linalg.norm(p1)
+    t = qs.v.vec.reshape(space.dims)
+    # the control index, broadcast along the F_c axis of t
+    control = np.arange(t.shape[idx]).reshape((-1,) + (1,) * (t.ndim - idx - 1))
+    p0, p1 = (np.where(control == c, t, 0) for c in (0, 1))
+    n0, n1 = np.linalg.norm(p0), np.linalg.norm(p1)
     if abs(n0 - n1) > 1e-9 * max(n0, n1):
         raise ValueError("decomposition requires equal control amplitudes")
     b1 = np.sqrt(2.0) * p0.reshape(-1)
@@ -607,7 +587,10 @@ def reduce_to_state(p: ProcessMatrix) -> HermitianOperator:
 class OrderedBatch:
     """n processes with the definite order order[0] < order[1] < ..., kept
     as their pieces: W_k = states[k] (x) channels[0][k] (x) ... (x) 1, the
-    identity on the last party's output. No (n, D, D) stack is formed.
+    identity on the last party's output. No (n, D, D) stack is formed. The
+    one home of an ordered process's pieces: `random_ordered_batch` draws
+    n samples and `make_ordered_process` builds one, and both check them
+    by `_check_pieces`.
 
     states has shape (n, d, d) over the first party's input space and
     channels[j] shape (n, e, e) over the Choi space of link j (party j's
@@ -623,14 +606,16 @@ class OrderedBatch:
 
     @property
     def spaces(self) -> list[SpaceProduct]:
-        """The pieces' spaces: the first input, then each link's Choi space."""
-        links = [_link_space(a, b) for a, b in zip(self.order, self.order[1:])]
+        """The pieces' spaces: the first party's input, then each link's
+        Choi space, party j's output (x) party j+1's input."""
+        links = [SpaceProduct(a.outputs + b.inputs) for a, b in zip(self.order, self.order[1:])]
         return [self.order[0].input_space] + links
 
     def process(self, k: int) -> ProcessMatrix:
         """Sample k as an unchecked ProcessMatrix (`validate_process` checks
-        it), assembled as `make_ordered_process` assembles W. The pieces are
-        not checked again: `random_ordered_batch` checked them."""
+        it): W = state (x) links (x) 1, the one place an ordered process is
+        assembled. The pieces are not checked again: `random_ordered_batch`
+        and `make_ordered_process` checked them."""
         spaces = self.spaces
         state = HermitianOperator(spaces[0], self.states[k])
         links = [HermitianOperator(s, c[k]) for s, c in zip(spaces[1:], self.channels)]
@@ -640,7 +625,7 @@ class OrderedBatch:
         """Tr[op W_k] for every sample k, as one einsum of op^T with the
         pieces; the last party's output identity is a trace subscript."""
         pieces = [self.states, *self.channels]
-        return _contract(Operator(op.space, op.mat.T), self.spaces, pieces, shared=True)
+        return _contract(Operator(op.space, op.mat.T), self.spaces, pieces, [(0,)] * len(pieces))
 
 
 def random_ordered_batch(
@@ -681,8 +666,9 @@ def random_ordered_batch(
         )
         for gk, (src, dst) in zip(g[1:], links)
     )
-    _check_pieces(order, states, channels)
-    return OrderedBatch(order, states, channels)
+    batch = OrderedBatch(order, states, channels)
+    _check_pieces(batch)
+    return batch
 
 
 def random_ordered_process(

@@ -377,14 +377,23 @@ def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
 
 
 def test_sep_rejects_negative_seed(tmp_path, switch, capsys):
-    # the traced switch is separable, so no battery draws from the seed; it is refused anyway
+    # the traced switch is separable, so no battery draws from the seed; the
+    # parser refuses it anyway, naming the flag
     traced = cs.ProcessMatrix(switch.parties[:2],
                               cs.partial_trace(switch.w, ("F_c", "F_t", "F_O")))
     save_process(tmp_path / "traced.json", traced)
     code, report, err = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
                             "--seed", "-3")
     assert code == 2 and report is None
-    assert err == "error: witness_seed must be an integer >= 0, got -3\n"
+    assert err.splitlines()[-1] == "causalis sep: error: argument --seed: must be an integer >= 0, got -3"
+
+
+@pytest.mark.parametrize("flag", ["--max-iters", "--battery"])
+def test_sep_rejects_counts_below_one(tmp_path, capsys, flag):
+    code, report, err = run(capsys, "sep", "--in", str(tmp_path / "missing.json"),
+                            "--seed", "3", flag, "0")
+    assert code == 2 and report is None
+    assert err.splitlines()[-1] == f"causalis sep: error: argument {flag}: must be an integer >= 1, got 0"
 
 
 def test_sep_requires_seed(tmp_path, qubit_parties, capsys):

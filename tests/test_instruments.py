@@ -98,8 +98,23 @@ def test_one_verdict_per_map(qubit_parties, rng, defect, eps, want):
 
 @pytest.mark.parametrize("settings, outcomes, chois", [(1, 0, ((),)), (0, 2, ())])
 def test_instrument_rejects_empty_alphabets(qubit_parties, settings, outcomes, chois):
-    with pytest.raises(ValueError, match="settings and outcomes must be positive"):
+    empty = "settings" if settings == 0 else "outcomes"
+    with pytest.raises(ValueError, match=f"^instrument {empty} must be an integer >= 1, got 0$"):
         cs.Instrument(qubit_parties[0], settings, outcomes, chois)
+
+
+@pytest.mark.parametrize("settings, outcomes, msg", [
+    (True, 1, "instrument settings must be an integer >= 1, got True"),
+    (1.0, 1, "instrument settings must be an integer >= 1, got 1.0"),
+    (1, True, "instrument outcomes must be an integer >= 1, got True"),
+])
+def test_instrument_rejects_non_integer_counts(qubit_parties, settings, outcomes, msg):
+    # one setting of one outcome: a valid instrument with integer counts
+    a = qubit_parties[0]
+    chois = ((cs.choi_of_kraus([np.eye(2)], a.input_space, a.output_space),),)
+    assert cs.Instrument(a, 1, 1, chois).settings == 1
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        cs.Instrument(a, settings, outcomes, chois)
 
 
 def test_measure_reprepare_completeness(qubit_parties):
@@ -371,6 +386,14 @@ def born_cases():
         p = cs.validate_process(cs.random_ordered_process(order, rng))
         cases["interleaved_" + "".join(q.name for q in order)] = (
             p, random_instruments(order, rng, settings=3, outcomes=2))
+    # every party with its own (settings, outcomes): a misplaced table axis
+    # shows in the shape as well as in the values
+    order = qubit_chain("ABC")
+    p = cs.validate_process(cs.random_ordered_process(order, rng))
+    cases["unequal_ABC"] = p, [cs.random_instrument(q, x, a, rng)
+                               for q, (x, a) in zip(order, [(2, 3), (3, 1), (1, 2)])]
+    cases["unequal_switch"] = switch, [cs.random_instrument(q, x, a, rng)
+                                       for q, (x, a) in zip(switch.parties, [(3, 2), (2, 3), (1, 3)])]
     return cases
 
 
@@ -383,6 +406,7 @@ def test_born_matches_tensor_loop(label):
     assert p.validity == "valid", p.reason
     got = cs.born(p, ins)
     assert got.parties == tuple(q.name for q in p.parties)
+    assert got.values.shape == tuple(i.settings for i in ins) + tuple(i.outcomes for i in ins)
     assert np.max(np.abs(got.values - reference_born(p, ins))) < 1e-12
 
 

@@ -117,7 +117,7 @@ def test_instrument_schema_errors_are_value_errors(qubit_parties):
     for edit, match in [
         (lambda d: d.update(settings="1"), "'settings' must be an integer"),
         (lambda d: d.update(outcomes=2.0), "'outcomes' must be an integer"),
-        (lambda d: d.update(outcomes=0), "positive"),
+        (lambda d: d.update(outcomes=0), "instrument outcomes must be an integer >= 1, got 0"),
         (lambda d: d.update(chois=[]), "'chois' must be an object"),
         (lambda d: d["chois"].pop("0,1"), "no '0,1' field"),
         (lambda d: d.update(party=["A"]), "'party' must be a string"),

@@ -257,20 +257,24 @@ def test_batch_traces_match_dense(key, rng):
 def test_batched_checks_name_the_bad_sample(qubit_parties, rng):
     batch = cs.random_ordered_batch(qubit_parties, rng, 4)
     states, chois = batch.states.copy(), batch.channels[0].copy()
+
+    def check(states, chois):
+        cp._check_pieces(cs.OrderedBatch(batch.order, states, (chois,)))
+
     states[3] *= 1.5
     with pytest.raises(ValueError, match=r"trace 1\.5 != 1 \(sample 3\)"):
-        cp._check_pieces(batch.order, states, [chois])
+        check(states, chois)
     states[3] = np.diag([1.5, -0.5])
     with pytest.raises(ValueError, match=r"not positive semidefinite \(sample 3\)"):
-        cp._check_pieces(batch.order, states, [chois])
+        check(states, chois)
     # the transpose map: trace-preserving, but its Choi is the swap
     chois[1] = np.eye(4)[[0, 2, 1, 3]]
     with pytest.raises(ValueError, match=r"channel 0 is not completely positive \(sample 1\)"):
-        cp._check_pieces(batch.order, batch.states, [chois])
+        check(batch.states, chois)
     chois[1] = batch.channels[0][1] * 0.5
     with pytest.raises(ValueError, match=r"channel 0 is not trace-preserving.*\(sample 1\)"):
-        cp._check_pieces(batch.order, batch.states, [chois])
-    cp._check_pieces(batch.order, batch.states, batch.channels)
+        check(batch.states, chois)
+    cp._check_pieces(batch)
 
 
 def test_batched_draw_rejects_bad_sizes(rng):
