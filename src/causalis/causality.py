@@ -185,10 +185,7 @@ def causal_bound(game: CausalGame) -> float:
 
 def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
     if not isinstance(table, ProbabilityTable):
-        vals = np.asarray(table, dtype=float)
-        if vals.ndim != 4:
-            raise ValueError("expected a (x, y, a, b) probability array")
-        table = ProbabilityTable(("A", "B"), vals)
+        table = ProbabilityTable(("A", "B"), table)
     if len(table.parties) != 2:
         raise ValueError("causality tests are defined for bipartite tables")
     return table.values, table.settings, table.outcomes

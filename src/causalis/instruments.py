@@ -128,68 +128,64 @@ class ProbabilityTable:
 # ---------------------------------------------------------------------------
 # instrument constructors
 
+# the parameters each kind of `standard_instruments` reads
+_KIND_PARAMS = {"measure_reprepare": (), "unitary": ("unitaries",),
+                "discard_prepare": ("preps",), "povm": ("povms",)}
+
+
 def standard_instruments(kind: str, party: Party, **params) -> Instrument:
     """Fixture instruments.
 
-    kind "measure_reprepare": projective measurement (columns of `basis`,
-        default computational) followed by repreparation of `preps[a]`
-        (default: the measured projector); one setting, d_in outcomes.
+    kind "measure_reprepare": measure the computational basis and reprepare
+        the measured |a><a|; one setting, d_in outcomes, needs d_out = d_in.
     kind "unitary": one channel per setting from `unitaries`; one outcome.
     kind "discard_prepare": trace the input, prepare `preps[x]`; one outcome.
     kind "povm": trivial-output party measuring `povms[x]`, a list of POVM
         elements per setting.
+
+    All but "unitary" are `_measure_prepare` maps. A parameter the kind
+    does not read raises ValueError.
     """
+    if kind not in _KIND_PARAMS:
+        raise ValueError(f"unknown instrument kind {kind!r}")
+    stray = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    if stray:
+        raise ValueError(f"instrument kind {kind!r} takes no parameter {', '.join(stray)}")
     din, dout = party.input_dim, party.output_dim
-    if kind == "measure_reprepare":
-        basis = np.asarray(params.get("basis", np.eye(din)), dtype=complex)
-        if basis.shape != (din, din):
-            raise ValueError("basis must be a square matrix of input dimension")
-        preps = params.get("preps")
-        if preps is None:
-            if dout != din:
-                raise ValueError("default repreparation needs matching dimensions")
-            preps = [np.outer(basis[:, a], basis[:, a].conj()) for a in range(din)]
-        row = []
-        for a in range(din):
-            proj = np.outer(basis[:, a], basis[:, a].conj())
-            prep = np.asarray(preps[a], dtype=complex)
-            # Choi of rho -> <a|rho|a> prep is P_a^T (x) prep
-            row.append(tensor(HermitianOperator(party.input_space, proj.conj()),
-                              HermitianOperator(party.output_space, prep)))
-        return Instrument(party, 1, din, (tuple(row),))
     if kind == "unitary":
-        unitaries = params["unitaries"]
         rows = []
-        for u in unitaries:
+        for u in params["unitaries"]:
             u = np.asarray(u, dtype=complex)
             if u.shape != (dout, din):
                 raise ValueError(f"unitary shape {u.shape} does not fit the party")
             rows.append((choi_of_kraus([u], party.input_space, party.output_space),))
         return Instrument(party, len(rows), 1, tuple(rows))
+    if kind == "measure_reprepare":
+        if dout != din:
+            raise ValueError("measure_reprepare needs matching input and output dimensions")
+        projs = [np.outer(e, e.conj()) for e in np.eye(din, dtype=complex)]
+        return _measure_prepare(party, [projs], [projs])
     if kind == "discard_prepare":
         preps = params["preps"]
-        rows = []
-        for sigma in preps:
-            sigma = np.asarray(sigma, dtype=complex)
-            c = tensor(identity(party.input_space),
-                       HermitianOperator(party.output_space, sigma))
-            rows.append((c,))
-        return Instrument(party, len(rows), 1, tuple(rows))
-    if kind == "povm":
-        if not party.trivial_output:
-            raise ValueError("povm instruments require a trivial output")
-        povms = params["povms"]
-        rows = []
-        for elements in povms:
-            row = []
-            for e in elements:
-                e = np.asarray(e, dtype=complex)
-                row.append(tensor(HermitianOperator(party.input_space, e.conj()),
-                                  identity(party.output_space)))
-            rows.append(tuple(row))
-        n_out = len(rows[0])
-        return Instrument(party, len(rows), n_out, tuple(rows))
-    raise ValueError(f"unknown instrument kind {kind!r}")
+        return _measure_prepare(party, [[np.eye(din)]] * len(preps), [[s] for s in preps])
+    if not party.trivial_output:
+        raise ValueError("povm instruments require a trivial output")
+    povms = params["povms"]
+    return _measure_prepare(party, povms, [[np.eye(1)] * len(row) for row in povms])
+
+
+def _measure_prepare(party: Party, effects, states) -> Instrument:
+    """The instrument whose setting x, outcome a is rho -> Tr[E rho] sigma,
+    E = effects[x][a] on the party's input and sigma = states[x][a] on its
+    output: Choi E^T (x) sigma, with E^T = conj(E) as E is Hermitian. The
+    settings and outcomes are read off the rows."""
+    rows = tuple(
+        tuple(tensor(HermitianOperator(party.input_space, np.asarray(e, dtype=complex).conj()),
+                     HermitianOperator(party.output_space, s))
+              for e, s in zip(row_e, row_s))
+        for row_e, row_s in zip(effects, states)
+    )
+    return Instrument(party, len(rows), len(rows[0]) if rows else 0, rows)
 
 
 def random_instrument_kraus(
@@ -306,13 +302,11 @@ def switch_discrimination_demo(u: np.ndarray, v: np.ndarray) -> float:
     pa, pb, pf = qs.parties
     ins_a = standard_instruments("unitary", pa, unitaries=[u])
     ins_b = standard_instruments("unitary", pb, unitaries=[v])
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
-    eye_t = np.eye(d, dtype=complex)
+    f_c, f_t = (qs.w.space.restrict([label]) for label in ("F_c", "F_t"))
     povm = [
-        np.kron(np.outer(plus, plus.conj()), eye_t),
-        np.kron(np.outer(minus, minus.conj()), eye_t),
-    ]  # (F_c, F_t) layout matches the canonical label order
+        tensor(HermitianOperator(f_c, np.outer(pm, pm.conj())), identity(f_t)).mat
+        for pm in np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
+    ]
     ins_f = standard_instruments("povm", pf, povms=[povm])
     table = born(qs, [ins_a, ins_b, ins_f])
     return float(table.values[0, 0, 0, 0, 0, 0])

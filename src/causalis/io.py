@@ -145,7 +145,8 @@ def instrument_to_json(ins: Instrument) -> dict:
 
 def instrument_from_json(d: dict, parties) -> Instrument:
     """Rebuild an instrument for one of `parties`, a sequence of Party objects
-    (the JSON stores only the party's name, not its spaces)."""
+    (the JSON stores only the party's name, not its spaces). A key of
+    ``chois`` outside the settings x outcomes grid is rejected."""
     name = _field(d, "party", str, "instrument")
     party = next((p for p in parties if p.name == name), None)
     if party is None:
@@ -160,7 +161,11 @@ def instrument_from_json(d: dict, parties) -> Instrument:
             choi = _field(chois, f"{x},{a}", dict, "instrument chois")
             row.append(HermitianOperator(*_matrix_from_json(choi)))
         rows.append(tuple(row))
-    return Instrument(party, settings, outcomes, tuple(rows))
+    ins = Instrument(party, settings, outcomes, tuple(rows))
+    stray = sorted(set(chois) - {f"{x},{a}" for x in range(settings) for a in range(outcomes)})
+    if stray:
+        raise ValueError(f"instrument chois {stray} lie outside the {settings} x {outcomes} grid")
+    return ins
 
 
 # ---------------------------------------------------------------------------

@@ -508,11 +508,12 @@ def switch_parties(target_dim: int = 2) -> tuple[Party, Party, Party]:
 
 
 def make_quantum_switch(psi, alpha: complex, beta: complex) -> ProcessVector:
-    """Quantum switch process vector with control amplitudes (alpha, beta).
+    """Quantum switch process vector alpha |A < B> + beta |B < A>.
 
-    The branch with amplitude alpha routes the target through A first, the
-    beta branch through B first, and the control reaching Fiona records the
-    order. Requires |alpha|^2 + |beta|^2 = 1 and a normalized target state.
+    Each branch is one ordered pure process: the target enters the first
+    party's input, identity channels run first -> second and second ->
+    F_t, and the control F_c holds |0> when A is first, |1> when B is.
+    Requires |alpha|^2 + |beta|^2 = 1 and a normalized target state.
     """
     if isinstance(psi, PureVector):
         psi = psi.vec
@@ -524,24 +525,17 @@ def make_quantum_switch(psi, alpha: complex, beta: complex) -> ProcessVector:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     s = switch_spaces(d)
     eye = np.eye(d, dtype=complex)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    unit = PureVector(s["F_O"], [1.0])
-    branch_a = tensor_vectors(
-        PureVector(s["A_I"], psi),
-        choi_vector(eye, s["A_O"], s["B_I"]),
-        choi_vector(eye, s["B_O"], s["F_t"]),
-        PureVector(s["F_c"], e0),
-        unit,
-    )
-    branch_b = tensor_vectors(
-        PureVector(s["B_I"], psi),
-        choi_vector(eye, s["B_O"], s["A_I"]),
-        choi_vector(eye, s["A_O"], s["F_t"]),
-        PureVector(s["F_c"], e1),
-        unit,
-    )
-    v = alpha * branch_a + beta * branch_b
+
+    def branch(first, second, c):
+        return tensor_vectors(
+            PureVector(s[f"{first}_I"], psi),
+            choi_vector(eye, s[f"{first}_O"], s[f"{second}_I"]),
+            choi_vector(eye, s[f"{second}_O"], s["F_t"]),
+            PureVector(s["F_c"], np.eye(2, dtype=complex)[c]),
+            PureVector(s["F_O"], [1.0]),
+        )
+
+    v = alpha * branch("A", "B", 0) + beta * branch("B", "A", 1)
     return ProcessVector(switch_parties(d), v)
 
 

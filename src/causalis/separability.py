@@ -184,9 +184,9 @@ class SeparabilityCertificate:
     of S's projection per order), and Tr[S W] below μ Tr W less a rounding
     allowance (the bound of `extract_witness`). Without a converged run or
     a certified witness the verdict is "undecided". A seeded battery of
-    ordered processes and their mixtures is checked against the same
-    bound; diagnostics carry its size (``battery`` samples per order and as
-    many mixtures: samples_per_order and n_mixtures) and minimum.
+    ordered processes and their simplex-uniform mixtures is checked against
+    the same bound; diagnostics carry its size (``battery`` samples per
+    order and as many mixtures: samples_per_order and n_mixtures) and minimum.
     diagnostics["face_rank"] is the rank r of W whose face the run searched
     (r = D: the whole cone), and "face_iterations", present only when the
     face run was retried on the whole cone, is that face run's length.
@@ -430,7 +430,8 @@ def extract_witness(
     L_i holds it, and -W where no L_i does, which every dual cone leaves
     free. X in K_i has Tr[S X] = Tr[P_i(S) X] >= λ_min(P_i S) Tr X (P_i the
     mask projection onto L_i), and the identity lies in every L_i, so S is
-    shifted by min_i λ_min(P_i S) 1 and normalised.
+    shifted by min_i λ_min(P_i S) 1, the one coefficient sqrt(D) at the
+    identity index of every factor, and normalised.
 
     Every valid X has Tr X = Tr W, so every mixture X of processes of the
     orders has Tr[S X] >= μ Tr W, μ the smallest recomputed margin
@@ -444,10 +445,10 @@ def extract_witness(
     None, diagnostics).
 
     The battery, seeded by ``seed`` (an integer >= 0), scores ``battery``
-    (>= 1) ordered processes per order, drawn
-    as one `random_ordered_batch`, and as many mixtures, each drawing one
-    sample index per order and then one stick-breaking weight per order but
-    the last, in that order, as per-sample draws of dense matrices would;
+    (>= 1) ordered processes per order, drawn as one `random_ordered_batch`
+    per order, and as many mixtures: one draw of ``battery`` sample indices
+    per order, then one draw of all their weights, uniform on the simplex
+    over the K orders (`Generator.dirichlet` with unit parameters);
     diagnostics report both counts (samples_per_order, n_mixtures).
     The mixtures add no evidence: by linearity a mixture's score is a convex
     combination of its parts' scores, so it never falls below the smallest
@@ -468,7 +469,7 @@ def extract_witness(
     sc = -wc
     for m, y in zip(masks[::-1], trace.dual[::-1]):
         sc = m * y + (1 - m) * sc
-    sc = sc - margins(sc).min() * basis.to_coeffs(np.eye(p.w.dim))
+    sc[(0,) * sc.ndim] -= margins(sc).min() * np.sqrt(p.w.dim)
     norm = np.linalg.norm(sc)
     if norm > 0:
         sc = sc / norm
@@ -483,14 +484,8 @@ def extract_witness(
         .traces(witness).real
         for cone in trace.orders
     ]
-    mixed = np.empty(battery)
-    for k in range(battery):
-        picks = [s[rng.integers(0, battery)] for s in scores]
-        score, rest = 0.0, 1.0
-        for s in picks[:-1]:
-            t = rng.uniform()
-            score, rest = score + rest * t * s, rest * (1 - t)
-        mixed[k] = score + rest * picks[-1]
+    picks = np.stack([s[rng.integers(0, battery, size=battery)] for s in scores], axis=1)
+    mixed = np.sum(rng.dirichlet(np.ones(len(scores)), size=battery) * picks, axis=1)
     battery_min = float(min(min(s.min() for s in scores), mixed.min()))
 
     diagnostics = {

@@ -298,8 +298,11 @@ def test_perfect_guessing_is_noncausal():
 def test_table_input_validation():
     with pytest.raises(ValueError, match="bipartite"):
         cs.is_causal(cs.ProbabilityTable(("A",), np.array([[0.5, 0.5]])))
-    with pytest.raises(ValueError, match="x, y, a, b"):
-        cs.is_causal(np.ones((2, 2, 2)))
+    # an array is read as ProbabilityTable(("A", "B"), array), whose check names the axes
+    for entry in (cs.is_causal, lambda t: cs.score_inequality(t, GYNI)):
+        with pytest.raises(ValueError, match=r"two axes per party \(4: settings, then "
+                                             r"outcomes\), got 3"):
+            entry(np.ones((2, 2, 2)))
     with pytest.raises(ValueError, match="normalized"):
         cs.is_causal(np.full((2, 2, 2, 2), 0.3))
 

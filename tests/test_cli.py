@@ -144,6 +144,22 @@ def test_born_rejects_mis_shaped_instrument(tmp_path, ordered_setup, capsys):
     assert code == 2 and report is None and "'settings' must be an integer" in err
 
 
+def test_born_rejects_choi_entries_outside_the_grid(tmp_path, ordered_setup, capsys):
+    # an extra setting's Choi with "settings": 2 left as it was: exit 0 and
+    # settings [2, 2], the entry dropped
+    d = cio.load_json(str(ordered_setup["A"]))
+    d["chois"]["2,0"] = d["chois"]["0,0"]
+    bad = tmp_path / "bad_A.json"
+    cio.save_json(d, str(bad))
+    out = tmp_path / "t.csv"
+    code, report, err = run(
+        capsys, "born", "--process", str(ordered_setup["process"]),
+        "--instruments", str(bad), str(ordered_setup["B"]), "--out", str(out),
+    )
+    assert code == 2 and report is None and not out.exists()
+    assert err == "error: instrument chois ['2,0'] lie outside the 2 x 2 grid\n"
+
+
 def test_born_rejects_instrument_for_unknown_party(tmp_path, ordered_setup, capsys):
     d = cio.load_json(str(ordered_setup["A"]))
     d["party"] = "Z"

@@ -142,6 +142,68 @@ def test_discard_prepare_ignores_input(qubit_parties):
     assert np.allclose(ins.choi(0, 0).mat, np.kron(np.eye(2), sigma))
 
 
+def kraus_choi(party, kraus):
+    return cs.choi_of_kraus(kraus, party.input_space, party.output_space).mat
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_measure_reprepare_matches_kraus_choi(d):
+    a = cs.Party("A", cs.LabeledSpace("A_I", d), cs.LabeledSpace("A_O", d))
+    ins = cs.standard_instruments("measure_reprepare", a)
+    assert (ins.settings, ins.outcomes) == (1, d)
+    for k, e in enumerate(np.eye(d)):
+        # outcome k: the one Kraus operator |k><k|
+        assert np.allclose(ins.choi(0, k).mat, kraus_choi(a, [np.outer(e, e)]), atol=1e-12)
+
+
+def test_discard_prepare_matches_kraus_choi():
+    a = cs.Party("A", cs.LabeledSpace("A_I", 3), cs.LabeledSpace("A_O", 2))
+    rng = np.random.default_rng(3)
+    preps = [cs.random_density(2, rng), np.diag([1.0, 0.0])]
+    ins = cs.standard_instruments("discard_prepare", a, preps=preps)
+    assert (ins.settings, ins.outcomes) == (2, 1)
+    for x, sigma in enumerate(preps):
+        lam, v = np.linalg.eigh(sigma)
+        # sqrt(lambda_j) |v_j><i| for every input basis state i and eigenpair j
+        kraus = [np.sqrt(max(w, 0.0)) * np.outer(v[:, j], e)
+                 for e in np.eye(3) for j, w in enumerate(lam)]
+        assert np.allclose(ins.choi(x, 0).mat, kraus_choi(a, kraus), atol=1e-12)
+
+
+def test_povm_matches_kraus_choi():
+    f = cs.Party("F", cs.LabeledSpace("F_I", 3), cs.LabeledSpace("F_O", 1))
+    rng = np.random.default_rng(4)
+    u = cs.random_unitary(3, rng)
+    first = u[:, :1] @ u[:, :1].conj().T + 0.5 * u[:, 1:2] @ u[:, 1:2].conj().T
+    povms = [[first, np.eye(3) - first], [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])]]
+    ins = cs.standard_instruments("povm", f, povms=povms)
+    assert (ins.settings, ins.outcomes) == (2, 2)
+    for x, row in enumerate(povms):
+        for a, e in enumerate(row):
+            mu, v = np.linalg.eigh(e)
+            # sqrt(mu_k) <e_k|, one Kraus row per eigenpair
+            kraus = [np.sqrt(max(m, 0.0)) * v[:, k].conj()[None, :] for k, m in enumerate(mu)]
+            assert np.allclose(ins.choi(x, a).mat, kraus_choi(f, kraus), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, params, stray", [
+    ("measure_reprepare", {"basis": np.eye(2)}, "basis"),
+    ("measure_reprepare", {"preps": [np.eye(2) / 2] * 2}, "preps"),
+    ("unitary", {"unitaries": [np.eye(2)], "preps": []}, "preps"),
+    ("discard_prepare", {"preps": [np.eye(2) / 2], "povms": [], "basis": None}, "basis, povms"),
+])
+def test_standard_instruments_reject_stray_parameters(qubit_parties, kind, params, stray):
+    # measure_reprepare took basis and preps; a caller still passing them is told
+    with pytest.raises(ValueError, match=f"^instrument kind '{kind}' takes no parameter {stray}$"):
+        cs.standard_instruments(kind, qubit_parties[0], **params)
+
+
+def test_measure_reprepare_needs_matching_dimensions():
+    a = cs.Party("A", cs.LabeledSpace("A_I", 2), cs.LabeledSpace("A_O", 3))
+    with pytest.raises(ValueError, match="matching input and output dimensions"):
+        cs.standard_instruments("measure_reprepare", a)
+
+
 def test_povm_requires_trivial_output(qubit_parties):
     a, _ = qubit_parties
     with pytest.raises(ValueError, match="trivial output"):
@@ -151,6 +213,9 @@ def test_povm_requires_trivial_output(qubit_parties):
 def test_unknown_kind(qubit_parties):
     with pytest.raises(ValueError, match="unknown instrument kind"):
         cs.standard_instruments("teleport", qubit_parties[0])
+    # the kind is named before its parameters are
+    with pytest.raises(ValueError, match="unknown instrument kind 'teleport'"):
+        cs.standard_instruments("teleport", qubit_parties[0], basis=np.eye(2))
 
 
 @pytest.mark.parametrize("seed", range(3))

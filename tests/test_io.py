@@ -128,6 +128,16 @@ def test_instrument_schema_errors_are_value_errors(qubit_parties):
             cio.instrument_from_json(d, qubit_parties)
 
 
+@pytest.mark.parametrize("key", ["2,0", "0,2", "x"])
+def test_instrument_rejects_choi_entries_outside_the_grid(qubit_parties, key):
+    # a key outside settings x outcomes was dropped without a word
+    a, _ = qubit_parties
+    d = cio.instrument_to_json(cs.standard_instruments("measure_reprepare", a))
+    d["chois"][key] = d["chois"]["0,0"]
+    with pytest.raises(ValueError, match=rf"instrument chois \['{key}'\] lie outside the 1 x 2 grid$"):
+        cio.instrument_from_json(d, qubit_parties)
+
+
 # ---------------------------------------------------------------------------
 # instruments
 

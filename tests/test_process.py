@@ -366,6 +366,29 @@ def test_degenerate_switch_equals_ordered_construction():
     assert (qs10.w - ordered.w).norm() < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_switch_branches_are_ordered_processes(d):
+    # W_ab is the ordered process A < B < F and W_ba is B < A < F: the target
+    # state enters the first party, identity links, and the last link embeds
+    # the target into F with the control set to the branch's index
+    rng = np.random.default_rng(d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    qs = cs.make_quantum_switch(psi, 1 / np.sqrt(2), 1 / np.sqrt(2))
+    w_ab, w_ba, _, _ = cs.interference_decomposition(qs)
+    parties = {q.name: q for q in cs.switch_parties(d)}
+    s = cs.switch_spaces(d)
+    into_f = cs.SpaceProduct((s["F_c"], s["F_t"]))
+    for (first, second), c, part in ((("A", "B"), 0, w_ab), (("B", "A"), 1, w_ba)):
+        x, y, f = parties[first], parties[second], parties["F"]
+        state = cs.HermitianOperator(x.input_space, np.outer(psi, psi.conj()))
+        link = cs.choi_of_kraus([np.eye(d)], x.output_space, y.input_space)
+        embed = np.kron(np.eye(2)[:, [c]], np.eye(d))  # |i>_t -> |c>_c |i>_t
+        last = cs.choi_of_kraus([embed], y.output_space, into_f)
+        ordered = cs.make_ordered_process([x, y, f], state, [link, last])
+        assert (part - ordered.w).norm() < 1e-12
+
+
 def test_reduce_to_state(rng):
     m = cs.Party("M", cs.LabeledSpace("M_I", 2), cs.LabeledSpace("M_O", 1))
     rho = cs.random_density(2, rng)

@@ -5,11 +5,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import process, separability
+from causalis.process import validity_report
 from causalis.separability import _CoeffBasis, _default_orders
 from conftest import (
     baumeler_wolf,
@@ -440,6 +441,56 @@ def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
     assert got.iterations == want.iterations
 
 
+def swap_two_parties(p):
+    """p with its two parties' names and factor labels exchanged (A_I <-> B_I,
+    A_O <-> B_O, ...): the same process read in another canonical label
+    order. Party k takes the other party's name and labels, and W's factors
+    are permuted into the new canonical order."""
+    a, b = p.parties
+    relabel, parties = {}, []
+    for q, other in ((a, b), (b, a)):
+        relabel.update(zip(q.input_labels + q.output_labels,
+                           other.input_labels + other.output_labels))
+        parties.append(cs.Party(other.name,
+                                [cs.LabeledSpace(relabel[f.label], f.dim) for f in q.inputs],
+                                [cs.LabeledSpace(relabel[f.label], f.dim) for f in q.outputs]))
+    factors = p.w.space.factors
+    n = len(factors)
+    perm = sorted(range(n), key=lambda i: relabel[factors[i].label])
+    t = p.w.mat.reshape([f.dim for f in factors] * 2).transpose(perm + [n + i for i in perm])
+    space = cs.SpaceProduct(cs.LabeledSpace(relabel[f.label], f.dim) for f in factors)
+    return cs.ProcessMatrix(tuple(parties), cs.HermitianOperator(space, t.reshape(p.w.mat.shape)))
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.none() | st.integers(0, 2**32 - 1), weight=st.floats(0.1, 0.9))
+@example(seed=None, weight=0.5)
+def test_verdict_invariant_under_party_relabelling(traced_switch_cert, seed, weight):
+    # seed None: the traced switch; else a seeded unitary mixture with A < B
+    # of the given weight. Swapping the parties' names swaps the order
+    # subspaces, so q, the weight of the first default order, maps to 1 - q
+    if seed is None:
+        p, want = traced_switch_cert
+    else:
+        p = unitary_channel_mixture(qubit_chain("AB"), np.random.default_rng(seed), weight)
+        want = cs.check_separability(p)
+    swapped = swap_two_parties(p)
+    for q in (p, swapped):
+        assert cs.validate_process(q).validity == "valid"
+    rep, rep_swapped = validity_report(p), validity_report(swapped)
+    names = {a: b for q, r in zip(p.parties, swapped.parties)
+             for a, b in zip(q.output_labels, r.output_labels)}
+    for key in ("min_eigenvalue", "max_normalization_residual", "trace"):
+        assert abs(rep_swapped[key] - rep[key]) < 1e-12
+    for name, r in rep["pattern_residuals"].items():
+        moved = " (x) ".join(sorted(names[lab] for lab in name.split(" (x) ")))
+        assert abs(rep_swapped["pattern_residuals"][moved] - r) < 1e-12
+    # a new run, equal up to rounding, so q agrees to the run's tolerance
+    got = cs.check_separability(swapped)
+    assert got.verdict == want.verdict == "separable"
+    assert abs(got.q - (1 - want.q)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # feasibility: nonseparable case
 
@@ -722,12 +773,13 @@ def test_mixtures_of_two_orders_are_separable(seed, q):
 # witness battery
 
 def reference_battery_min(p, cert):
-    """The battery as it ran before the batched draw: one dense W per sample
-    from sequential draws, Tr[S W] per sample, and every mixture formed as a
-    matrix. Kept as the reference for the batched scores."""
+    """The battery drawn sample by sample: one dense W per sample from
+    sequential draws and Tr[S W] per sample, then one index array per order
+    and the simplex weights of all mixtures, each mixture formed as a dense
+    matrix over all K orders. Kept as the reference for the batched scores."""
     d = cert.diagnostics
     s = cert.witness.mat
-    n = d["samples_per_order"]
+    n, n_mix = d["samples_per_order"], d["n_mixtures"]
     rng = np.random.default_rng(d["witness_seed"])
     by_name = {q.name: q for q in p.parties}
     battery_min = np.inf
@@ -739,11 +791,10 @@ def reference_battery_min(p, cert):
             batch.append(wo)
             battery_min = min(battery_min, float(np.einsum("ij,ij->", s.conj(), wo).real))
         samples.append(batch)
-    for _ in range(d["n_mixtures"]):
-        wa = samples[0][rng.integers(0, n)]
-        wb = samples[1][rng.integers(0, n)]
-        t = rng.uniform()
-        wm = t * wa + (1 - t) * wb
+    picks = [rng.integers(0, n, size=n_mix) for _ in samples]
+    weights = rng.dirichlet(np.ones(len(samples)), size=n_mix)
+    for k in range(n_mix):
+        wm = sum(weights[k, i] * batch[picks[i][k]] for i, batch in enumerate(samples))
         battery_min = min(battery_min, float(np.einsum("ij,ij->", s.conj(), wm).real))
     return battery_min
 
