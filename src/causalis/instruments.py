@@ -144,13 +144,16 @@ def standard_instruments(kind: str, party: Party, **params) -> Instrument:
         elements per setting.
 
     All but "unitary" are `_measure_prepare` maps. A parameter the kind
-    does not read raises ValueError.
+    does not read, or a missing one that it needs, raises ValueError.
     """
     if kind not in _KIND_PARAMS:
         raise ValueError(f"unknown instrument kind {kind!r}")
     stray = sorted(set(params) - set(_KIND_PARAMS[kind]))
     if stray:
         raise ValueError(f"instrument kind {kind!r} takes no parameter {', '.join(stray)}")
+    missing = sorted(set(_KIND_PARAMS[kind]) - set(params))
+    if missing:
+        raise ValueError(f"instrument kind {kind!r} needs the parameter {', '.join(missing)}")
     din, dout = party.input_dim, party.output_dim
     if kind == "unitary":
         rows = []

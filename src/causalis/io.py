@@ -18,7 +18,7 @@ from .causality import CausalGame, CausalityVerdict
 from .instruments import Instrument, ProbabilityTable
 from .process import LabeledSpace, Party, ProcessMatrix
 from .separability import SeparabilityCertificate
-from .tensor_core import HERM_TOL, HermitianOperator, Operator, _canonicalize, _hermitian_defect
+from .tensor_core import HermitianOperator, Operator, _canonicalize
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +57,14 @@ def operator_to_json(op: Operator) -> dict:
 
 def operator_from_json(d: dict) -> Operator:
     """A HermitianOperator when the entries are Hermitian within HERM_TOL,
-    else an Operator; only that class is built."""
+    else an Operator. Shape and finiteness are checked before, so the only
+    ValueError that HermitianOperator can raise is its not-Hermitian one,
+    and the defect is measured once."""
     space, mat = _matrix_from_json(d)
-    return (HermitianOperator if _hermitian_defect(mat) <= HERM_TOL else Operator)(space, mat)
+    try:
+        return HermitianOperator(space, mat)
+    except ValueError:
+        return Operator(space, mat)
 
 
 def _matrix_from_json(d: dict):

@@ -39,9 +39,12 @@ process rank 1), and the face removes the degeneracy that slows the run
 on the whole cone (Borwein & Wolkowicz, J. Math. Anal. Appl. 83, 495
 (1981)). When r = D the run is the whole-cone run. When a face run neither
 converges nor yields a certified witness, the same run on the whole cone
-decides instead. The run record keeps one (K, ...) coefficient stack: the
-masked summands when it converged (the certificate's components and q are
-read off them), and the dual variable otherwise.
+decides instead. At r = 1 (a pure process) no face run is made: each W_i
+is c_i W, so W is separable iff it lies in some order's subspace, a linear
+fact decided in closed form (`_pure_decomposition`), and otherwise the
+whole-cone run decides. The run record keeps one (K, ...) coefficient
+stack: the masked summands when it converged (the certificate's components
+and q are read off them), and the dual variable otherwise.
 
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
@@ -132,7 +135,8 @@ def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityTrace:
-    """Raw outcome of one Dykstra run; the certificate reads it. Both stacks
+    """Raw outcome of one Dykstra run, or of the rank-1 closed form
+    (`_pure_decomposition`, one residual); the certificate reads it. Both stacks
     are (K, ...) real coefficients over the product Hermitian basis of W's
     space (`hermitian_basis` per label-sorted factor, identity first), one
     entry per order, and exactly one of them is kept: ``summands``, the
@@ -189,7 +193,10 @@ class SeparabilityCertificate:
     order and as many mixtures: samples_per_order and n_mixtures) and minimum.
     diagnostics["face_rank"] is the rank r of W whose face the run searched
     (r = D: the whole cone), and "face_iterations", present only when the
-    face run was retried on the whole cone, is that face run's length.
+    face run was retried on the whole cone, is that face run's length. At
+    r = 1 no face run is made, so "face_iterations" never appears; instead
+    "order_distances" holds each order's Frobenius distance from W to its
+    subspace, and the separable side is the closed form (one iteration).
 
     The decomposition, when it exists, identifies W with a probabilistic
     mixture of ordered processes; whether the mixture is proper (classical
@@ -264,7 +271,8 @@ def _face(w: np.ndarray) -> np.ndarray | None:
     eigenvalue, which the full-space residual still charges. Convergence
     still needs that residual below tol, a witness is still checked in the
     full space, and a run that gives neither is repeated on the whole cone
-    (`check_separability`).
+    (`check_separability`). At r = 1 the closed form measures its distances
+    on the full W, so it charges a dropped eigenvalue too.
     """
     e, v = np.linalg.eigh(w)
     keep = e > w.shape[0] * np.finfo(float).eps * e[-1]
@@ -338,6 +346,30 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
                             dual=None if converged else -q)
 
 
+def _pure_decomposition(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol):
+    """The separable side at rank 1, in closed form: (a converged
+    FeasibilityTrace or None, the distances d_i). Every PSD summand has W_i
+    ⪯ W, so at rank 1 W_i = c_i W, and W mixes the orders iff it lies in
+    some order subspace L_i. d_i = ||(1 - m_i) ⊙ w|| is the Frobenius
+    distance from the full W to L_i, so an eigenvalue that `_face` dropped
+    is still charged. The orders with d_i < tol hold W; the summands are
+    m_i ⊙ w / n on the n orders that hold it and 0 on the rest, an even
+    split so that relabelling the parties maps q to 1 - q. The one residual,
+    ||sum_i x_i - W||, is at most max d_i < tol. None when no order holds W:
+    the ray {c W} then holds no feasible stack, and only a whole-cone run
+    can yield a witness."""
+    wc = basis.to_coeffs(w)
+    dist = np.linalg.norm(((1 - m) * wc).reshape(len(m), -1), axis=1)
+    held = dist < tol
+    if not held.any():
+        return None, dist.tolist()
+    summands = m * wc * (held / held.sum()).reshape((-1,) + (1,) * wc.ndim)
+    res = np.linalg.norm(summands.sum(axis=0) - wc)
+    perp = float(np.linalg.norm(wc * (m.sum(axis=0) == 0)))
+    return FeasibilityTrace(orders=cones, stalled=False, residual_history=np.array([res]),
+                            perp=perp, summands=summands, dual=None), dist.tolist()
+
+
 def check_separability(
     p: ProcessMatrix,
     orders=None,
@@ -360,7 +392,10 @@ def check_separability(
     Otherwise `extract_witness` (witness_seed and battery) looks for a
     witness certified by its own bound, which tol does not enter.
     When W is rank-deficient and the face run gives neither, the same run
-    is repeated on the whole PSD cone and decides. The verdict is
+    is repeated on the whole PSD cone and decides. When W has rank 1 the
+    separable side is decided in closed form instead (`_pure_decomposition`:
+    W, split evenly over the orders whose subspace holds it within tol),
+    and the whole-cone run decides when no order holds W. The verdict is
     nonseparable with a witness and undecided without. max_iters and
     battery must be integers >= 1, witness_seed an integer >= 0 and tol
     finite and > 0, all checked before any run.
@@ -386,17 +421,24 @@ def check_separability(
         return (trace, *extract_witness(p, trace, seed=witness_seed, battery=battery))
 
     face = _face(p.w.mat)
-    diagnostics = {"face_rank": p.w.dim if face is None else face.shape[1]}
-    trace, witness, wdiag = run(face)
-    if face is not None and not trace.converged and witness is None:
-        diagnostics["face_iterations"] = trace.iterations
-        trace, witness, wdiag = run(None)
+    rank = p.w.dim if face is None else face.shape[1]
+    diagnostics = {"face_rank": rank}
+    if rank == 1:
+        trace, diagnostics["order_distances"] = _pure_decomposition(basis, p.w.mat, masks,
+                                                                    cones, tol)
+        trace, witness, wdiag = run(None) if trace is None else (trace, None, {})
+    else:
+        trace, witness, wdiag = run(face)
+        if face is not None and not trace.converged and witness is None:
+            diagnostics["face_iterations"] = trace.iterations
+            trace, witness, wdiag = run(None)
 
     cert = SeparabilityCertificate(witness, diagnostics, trace, p)
     if cert.separable:
         comps = cert.components
+        closed = " in closed form at rank 1" if rank == 1 else ""
         diagnostics.update({
-            "verification": "decomposition: reconstruction, order-cone residuals and "
+            "verification": f"decomposition{closed}: reconstruction, order-cone residuals and "
                             "component eigenvalues",
             "tol": tol,
             "reconstruction": float((sum(comps[1:], comps[0]) - p.w).norm()),

@@ -344,6 +344,22 @@ def test_sep_on_even_noise(tmp_path, qubit_parties, capsys):
     assert min(diag["component_min_eigenvalues"]) > 0
 
 
+def test_sep_decides_a_pure_process_in_closed_form(tmp_path, capsys):
+    # the degenerate switch has rank 1 and lies in the subspace of (A, B, F):
+    # one closed-form step, with each order's distance from W to its subspace
+    path = tmp_path / "degenerate.json"
+    save_process(path, cs.make_quantum_switch([1.0, 0.0], 1.0, 0.0).to_matrix())
+    code, report, _ = run(capsys, "sep", "--in", str(path), "--seed", "3")
+    assert code == 0
+    res = report["results"]
+    assert res["verdict"] == "separable" and abs(res["q"] - 1.0) < 1e-9
+    assert res["iterations"] == 1 and res["residual"] < SEP_TOL
+    diag = res["diagnostics"]
+    assert diag["face_rank"] == 1 and "face_iterations" not in diag
+    near, far = diag["order_distances"]
+    assert near < SEP_TOL < far
+
+
 def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
     traced = cs.ProcessMatrix(switch.parties[:2],
                               cs.partial_trace(switch.w, ("F_c", "F_t", "F_O")))

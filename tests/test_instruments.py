@@ -198,6 +198,16 @@ def test_standard_instruments_reject_stray_parameters(qubit_parties, kind, param
         cs.standard_instruments(kind, qubit_parties[0], **params)
 
 
+@pytest.mark.parametrize("kind, needed", [
+    ("unitary", "unitaries"), ("discard_prepare", "preps"), ("povm", "povms")])
+def test_standard_instruments_name_a_missing_parameter(kind, needed):
+    # each kind but measure_reprepare reads one required parameter; leaving
+    # it out is an input error that names it, not a bare KeyError
+    party = cs.Party("A", cs.LabeledSpace("A_I", 2), ())
+    with pytest.raises(ValueError, match=f"^instrument kind '{kind}' needs the parameter {needed}$"):
+        cs.standard_instruments(kind, party)
+
+
 def test_measure_reprepare_needs_matching_dimensions():
     a = cs.Party("A", cs.LabeledSpace("A_I", 2), cs.LabeledSpace("A_O", 3))
     with pytest.raises(ValueError, match="matching input and output dimensions"):

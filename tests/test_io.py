@@ -50,6 +50,26 @@ def test_hermitian_operators_detected(rng):
     assert np.array_equal(back.mat, op.mat)
 
 
+def test_hermitian_defect_measured_once_per_operator(rng, monkeypatch):
+    # loading decides the class by building a HermitianOperator, so the
+    # defect is measured once whether or not the entries are Hermitian
+    calls = []
+    defect = cs.tensor_core._hermitian_defect
+
+    def counting(m):
+        calls.append(m.shape)
+        return defect(m)
+
+    for module in (cs.tensor_core, cio):
+        monkeypatch.setattr(module, "_hermitian_defect", counting, raising=False)
+    g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    for m, cls in ((g + g.conj().T, cs.HermitianOperator), (g, cs.Operator)):
+        d = cio.operator_to_json(cs.Operator(two_factor_space(), m))
+        calls.clear()
+        assert type(cio.operator_from_json(d)) is cls
+        assert calls == [(6, 6)]
+
+
 def test_noncanonical_factor_order_is_sorted_on_load():
     ma = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     mb = np.diag([1.0 + 0j, 2.0, 3.0])

@@ -408,12 +408,74 @@ def test_runs_are_deterministic(qubit_parties):
     assert np.array_equal(c1.trace.residual_history, c2.trace.residual_history)
 
 
+def degenerate_switch():
+    return cs.make_quantum_switch([1.0, 0.0], 1.0, 0.0).to_matrix()
+
+
 def test_degenerate_switch_is_fully_ordered():
-    # a pure W: its face is one ray, and the run searches a (K, 1, 1) stack
-    p = cs.make_quantum_switch([1.0, 0.0], 1.0, 0.0).to_matrix()
-    cert = cs.check_separability(p)
-    assert cert.diagnostics["face_rank"] == 1 and cert.iterations == 163
+    # a pure W lying in the subspace of (A, B, F): decided in closed form,
+    # with no Dykstra run, and its one residual is the reconstruction error
+    p = degenerate_switch()
+    cert, runs = retried(p)
+    assert runs == []
+    assert cert.diagnostics["face_rank"] == 1 and cert.iterations == 1
+    assert "face_iterations" not in cert.diagnostics
+    assert not cert.trace.stalled and cert.residual < separability.SEP_TOL
+    near, far = cert.diagnostics["order_distances"]
+    assert near < 1e-15 and abs(far - np.sqrt(1.5)) < 1e-12
+    assert "closed form" in cert.diagnostics["verification"]
     assert_checked_decomposition(p, cert, 1.0)
+
+
+def test_closed_form_agrees_with_a_face_run():
+    # the face run the closed form replaces converges to the same split
+    p = degenerate_switch()
+    cert = cs.check_separability(p)
+    basis = process._party_moves(p.parties)[0]
+    masks = separability._cone_masks(p.parties, cert.trace.orders)
+    face = separability._face(p.w.mat)
+    run = separability._dykstra(basis, p.w.mat, masks, cert.trace.orders,
+                                separability.SEP_TOL, separability.MAX_ITERS, face)
+    assert run.converged and run.iterations == 163
+    comps = basis.from_coeffs(run.summands)
+    assert abs(comps[0].trace().real / p.w.trace().real - cert.q) < 1e-6
+    for c, want in zip(comps, cert.components):
+        assert np.abs(c - want.mat).max() < 1e-6
+
+
+def test_pure_process_takes_one_eigh_and_no_psd_step(monkeypatch):
+    # the rank-1 path stays a closed form: _face's eigh of W and nothing
+    # iterative after it
+    calls, steps = [], []
+    eigh = separability.np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(separability, "_project_psd", lambda *args: steps.append(args))
+    cert = cs.check_separability(degenerate_switch())
+    assert cert.separable and cert.iterations == 1
+    assert calls == [(64, 64)] and steps == []
+
+
+def test_pure_state_held_by_both_orders_splits_evenly():
+    # parties with trivial outputs signal to no one, so a pure state on
+    # A_I (x) B_I lies in both order subspaces and is split evenly between
+    # them, which party relabelling maps to itself
+    a = cs.Party("A", cs.LabeledSpace("A_I", 2), ())
+    b = cs.Party("B", cs.LabeledSpace("B_I", 2), ())
+    psi = cs.random_unitary(4, np.random.default_rng(5))[:, 0]
+    w = cs.HermitianOperator(cs.parties_space((a, b)), np.outer(psi, psi.conj()))
+    p = cs.validate_process(cs.ProcessMatrix((a, b), w))
+    for q in (p, swap_two_parties(p)):
+        cert, runs = retried(q, orders=[("A", "B"), ("B", "A")])
+        assert runs == [] and cert.iterations == 1
+        assert cert.diagnostics["face_rank"] == 1
+        assert cert.diagnostics["order_distances"] == [0.0, 0.0]
+        assert_checked_decomposition(q, cert, 0.5)
+        assert np.allclose(cert.components[0].mat, cert.components[1].mat, rtol=0, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -421,12 +483,14 @@ def frame_bases(traced_switch_cert):
     """Separable processes whose verdict, q and iteration count must not
     depend on the local frame."""
     mixture = unitary_channel_mixture(qubit_chain("AB"), np.random.default_rng(0), weight=0.3)
+    degenerate = degenerate_switch()
     return {"traced_switch": traced_switch_cert,
-            "unitary_mixture": (mixture, cs.check_separability(mixture))}
+            "unitary_mixture": (mixture, cs.check_separability(mixture)),
+            "degenerate_switch": (degenerate, cs.check_separability(degenerate))}
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
-@given(kind=st.sampled_from(["traced_switch", "unitary_mixture"]),
+@given(kind=st.sampled_from(["traced_switch", "unitary_mixture", "degenerate_switch"]),
        seed=st.integers(0, 2**32 - 1))
 def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
     # the order-cone masks only ask whether a factor carries the identity,
@@ -708,17 +772,23 @@ def test_full_rank_run_is_the_whole_cone_run():
     assert abs(cert.diagnostics["witness_overlap"] - (-0.1574966536453274)) < 1e-12
 
 
-def test_full_switch_is_certified_through_the_retry(switch):
-    # rank 1 of 64: the face run stalls at 500 iterations with a dual that
-    # certifies nothing, and the whole-cone run decides
+def test_full_switch_is_certified_by_one_whole_cone_run(switch):
+    # rank 1 of 64 and in neither order subspace: the ray {c W} holds no
+    # feasible stack, so no face run is made and one whole-cone run decides
     cert, runs = retried(switch, max_iters=600, battery=20)
-    (face, on_face), (whole, trace) = runs
-    assert face.shape == (64, 1) and whole is None
-    assert on_face.stalled and on_face.iterations == 500
-    assert cert.trace is trace and cert.iterations == 600
+    (face, trace), = runs
+    assert face is None and cert.trace is trace and cert.iterations == 600
     assert cert.diagnostics["face_rank"] == 1
-    assert cert.diagnostics["face_iterations"] == 500
+    assert "face_iterations" not in cert.diagnostics
+    assert min(cert.diagnostics["order_distances"]) > separability.SEP_TOL
     assert cert.verdict == "nonseparable" and cert.diagnostics["witness_overlap"] < 0
+    # it is the whole-cone run, bit for bit
+    basis = process._party_moves(switch.parties)[0]
+    masks = separability._cone_masks(switch.parties, cert.trace.orders)
+    whole = separability._dykstra(basis, switch.w.mat, masks, cert.trace.orders,
+                                  separability.SEP_TOL, 600)
+    assert np.array_equal(cert.trace.residual_history, whole.residual_history)
+    assert np.array_equal(cert.trace.dual, whole.dual)
 
 
 def test_stalled_retry_is_certified(baumeler_wolf_cert):
