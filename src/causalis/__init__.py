@@ -2,7 +2,7 @@
 
 Construct and validate process matrices, evaluate the generalized Born rule,
 build and analyze the quantum switch, certify causal (non)separability by
-convex feasibility, and compute causal-inequality bounds by enumeration.
+convex feasibility, and compute causal-inequality bounds in closed form.
 """
 import os as _os
 

@@ -1,13 +1,13 @@
 """Causal games, causal bounds, and membership in the causal polytope.
 
 A bipartite table is causal when it mixes deterministic one-way-signalling
-strategies. Bounds of causal inequalities are computed exactly by complete
-enumeration of those strategies (the objective is linear, so the optimum
-sits at a vertex); membership is a simplex-constrained least-squares fit
-over the same vertices: every A<B strategy and the B<A ones whose answer
-a = g(x, y) depends on y, na^nx nb^(nx ny) + nb^ny (na^(nx ny) - na^nx) in
-all, built by index arithmetic as the columns of one cached matrix per
-alphabet; the tables `enumerate_strategies` returns are views of them.
+strategies. Bounds of causal inequalities are nested maxima over those
+strategies (the objective is linear, so the optimum sits at one); membership
+is a non-negative least-squares fit over all of them: every A<B strategy and
+the B<A ones whose answer a = g(x, y) depends on y, na^nx nb^(nx ny) +
+nb^ny (na^(nx ny) - na^nx) in all, built by index arithmetic as the columns
+of one cached matrix per alphabet; the tables `enumerate_strategies` returns
+are views of them.
 
 scipy.optimize is imported inside `is_causal`, the one place that calls
 it: loading it takes longer than importing the rest of causalis, and most
@@ -105,7 +105,9 @@ class DeterministicStrategy:
 
 @dataclass(frozen=True, eq=False)
 class CausalityVerdict:
-    """Outcome of the polytope-membership test."""
+    """Outcome of the polytope-membership test. For a causal table, q_A_before_B
+    is the A<B weight of the returned decomposition ``weights`` (vertices shared
+    by both orders count as A<B), so q is unique only when that decomposition is."""
 
     causal: bool
     residual: float
@@ -122,14 +124,11 @@ class InequalityScore(NamedTuple):
 # ---------------------------------------------------------------------------
 # strategy enumeration
 
-_SIMPLEX_SCALE = 1e3  # dominates the fit so sum(lambda) = 1 holds to ~1e-10
-
-
 @functools.lru_cache(maxsize=32)
 def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
-    """Read-only (v, a, a_first): the flattened vertex tables as the columns of v
-    (A<B first, each order over (f, g) in itertools.product order), a = v with the
-    weighted simplex row appended (v is a view of a), and which columns are A<B."""
+    """Read-only (v, a_first): the flattened vertex tables as the columns of v
+    (A<B first, each order over (f, g) in itertools.product order) and which
+    columns are A<B. Each column has exactly one 1 per (x, y)."""
     (nx, ny), (na, nb) = settings, outcomes
     for n_first in (na**nx * nb ** (nx * ny), nb**ny * na ** (nx * ny)):
         if n_first > ENUM_CAP:
@@ -149,19 +148,18 @@ def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
     # rows[x * ny + y, k]: where column k has its entry for (x, y)
     rows = np.concatenate([rows_ab, rows_ba], axis=2).reshape(nx * ny, -1)
     k = np.arange(rows.shape[1])
-    a = np.zeros((nx * ny * na * nb + 1, len(k)))
-    a[rows, k] = 1.0
-    a[-1] = _SIMPLEX_SCALE
+    v = np.zeros((nx * ny * na * nb, len(k)))
+    v[rows, k] = 1.0
     a_first = k < rows_ab.shape[2]
-    for m in (a, a_first):
+    for m in (v, a_first):
         m.setflags(write=False)
-    return a[:-1], a, a_first
+    return v, a_first
 
 
 def enumerate_strategies(game: CausalGame):
     """All deterministic one-way strategies for the game's alphabets, with their
     tables (duplicates collapsed) as read-only views of the vertex matrix's columns."""
-    v, _, a_first = _polytope(game.settings, game.outcomes)
+    v, a_first = _polytope(game.settings, game.outcomes)
     (nx, ny), (na, nb) = game.settings, game.outcomes
     # each column's entries, one per (x, y), come out in (x, y) order
     rows = np.nonzero(v.T)[1].reshape(-1, nx, ny)
@@ -173,11 +171,14 @@ def enumerate_strategies(game: CausalGame):
 
 
 def causal_bound(game: CausalGame) -> float:
-    """Exact optimum of the game over causal correlations (vertex maximum,
-    one product with the vertex matrix)."""
-    v, _, _ = _polytope(game.settings, game.outcomes)
-    weight = game.input_dist.reshape(game.settings + (1, 1)) * game.win
-    return float((weight.reshape(-1) @ v).max())
+    """Exact optimum of the game over causal correlations, at any alphabet size:
+    with w = input_dist * win on axes (x, y, a, b), the larger of the best A<B
+    strategy, sum_x max_a sum_y max_b w, and the best B<A one, sum_y max_b
+    sum_x max_a w (the objective is linear, so a deterministic one attains it)."""
+    w = game.input_dist.reshape(game.settings + (1, 1)) * game.win
+    a_first = w.max(axis=3).sum(axis=1).max(axis=1).sum()
+    b_first = w.max(axis=2).sum(axis=0).max(axis=1).sum()
+    return float(max(a_first, b_first))
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +195,19 @@ def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
 def is_causal(table, tol: float = CAUSAL_TOL) -> CausalityVerdict:
     """Membership of a bipartite table in the causal polytope.
 
-    Solves min |p - sum_i lambda_i v_i| with lambda >= 0, sum lambda = 1
-    over the deterministic one-way vertices v_i (non-negative least squares
-    with the simplex constraint appended as a heavily weighted row). Causal
-    iff the residual is below tol; the verdict then carries the vertex
-    weights and the aggregate weight q on the A<B order (vertices shared by
-    both orders count toward q). tol must be finite and > 0.
+    Solves min |p - sum_i lambda_i v_i| with lambda >= 0 over the deterministic
+    one-way vertices v_i (non-negative least squares). Each v_i has one 1 per
+    (x, y) and p sums to 1 per (x, y), so an exact fit has sum lambda = 1; the
+    residual is taken at the normalized weights. Causal iff the residual is
+    below tol; the verdict then carries the weights and q (`CausalityVerdict`).
+    tol must be finite and > 0.
     """
     _check_tol("tol", tol)
     import scipy.optimize  # looked up per call, so a wrapped nnls is seen
 
     vals, settings, outcomes = _table_values(table)
-    v, a, a_first = _polytope(settings, outcomes)
-    b = np.concatenate([vals.reshape(-1), [_SIMPLEX_SCALE]])
-    lam, _ = scipy.optimize.nnls(a, b, maxiter=30 * v.shape[1])
+    v, a_first = _polytope(settings, outcomes)
+    lam, _ = scipy.optimize.nnls(v, vals.reshape(-1), maxiter=30 * v.shape[1])
     total = lam.sum()
     if total > 0:
         lam = lam / total

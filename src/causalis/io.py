@@ -208,12 +208,11 @@ def table_from_csv(text: str) -> ProbabilityTable:
         if idx in rows:
             raise ValueError(f"table row {ln!r} repeats the index of an earlier row")
         rows[idx] = float(cells[-1])
-    shape = tuple(int(m) + 1 for m in np.max(list(rows), axis=0))
-    vals = np.full(shape, np.nan)
-    for idx, pr in rows.items():
-        vals[idx] = pr
-    if np.isnan(vals).any():
+    # distinct non-negative indices cover the grid they span iff they number its cells
+    shape = tuple(max(col) + 1 for col in zip(*rows))
+    if len(rows) != math.prod(shape):
         raise ValueError("table rows do not cover the full settings/outcomes grid")
+    vals = np.array([rows[idx] for idx in np.ndindex(*shape)]).reshape(shape)
     return ProbabilityTable(parties, vals)
 
 

@@ -3,9 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import causalis as cs
 from causalis import io as cio
+
+# property tests draw the same examples on every run and have no deadline:
+# a slow first call (a cached build, a lazy import) is not a failure
+settings.register_profile("causalis", derandomize=True, deadline=None)
+settings.load_profile("causalis")
 
 
 @pytest.fixture(scope="session")
@@ -106,15 +112,22 @@ def mis_shaped_processes(switch):
     return cases
 
 
+def far_index_table(index):
+    """A two-row table CSV whose second row has outcome index `index`: its
+    rows span a grid of index + 1 cells and cover two of them."""
+    return f"x_A,x_B,a_A,a_B,p\n0,0,0,0,1.0\n0,0,0,{index},0.0"
+
+
 def malformed_tables():
     """{label: (CSV text, message)} for tables whose rows index outside the
-    grid, overwrite one another, or disagree with the header's width, or
-    whose header names a party twice."""
+    grid, leave most of a huge grid uncovered, overwrite one another, or
+    disagree with the header's width, or whose header names a party twice."""
     text = cio.table_to_csv(cs.ProbabilityTable(("A", "B"), np.full((2,) * 4, 0.25)))
     lines = text.splitlines()
     last = lines[-1].rsplit(",", 1)[1]
     return {
         "negative index": ("\n".join(lines[:-1] + [f"-1,-1,-1,-1,{last}"]), "negative index"),
+        "far index": (far_index_table(10**12), "do not cover"),
         "duplicate row": ("\n".join(lines + [lines[1]]), "repeats the index"),
         "wrong cell count": ("x_A,a_A,p\n0,0,0,1.0\n0,0,1,0.0", "has 4 cells; the header has 3"),
         "duplicate party": ("\n".join([lines[0].replace("_B", "_A")] + lines[1:]),

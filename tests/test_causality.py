@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import causality
@@ -136,16 +138,18 @@ def reference_vertices(settings, outcomes):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("settings, outcomes", [
+ALPHABETS = [
     ((2, 2), (2, 2)), ((2, 4), (2, 2)), ((2, 2), (3, 3)), ((3, 2), (2, 3)),
     ((2, 3), (3, 2)), ((1, 1), (1, 1)), ((1, 2), (3, 1)), ((2, 1), (1, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("settings, outcomes", ALPHABETS)
 def test_polytope_matches_reference_loop(settings, outcomes):
     want = reference_vertices(settings, outcomes)
-    v, a, a_first = causality._polytope(settings, outcomes)
+    v, a_first = causality._polytope(settings, outcomes)
     assert np.array_equal(v, np.stack([t.reshape(-1) for _, t in want], axis=1))
     assert np.array_equal(a_first, [s.order == "A<B" for s, _ in want])
-    assert np.array_equal(a[-1], np.full(v.shape[1], 1e3))
     (nx, ny), (na, nb) = settings, outcomes
     assert v.shape[1] == na**nx * nb ** (nx * ny) + nb**ny * (na ** (nx * ny) - na**nx)
     game = cs.CausalGame(np.full(settings, 1 / (nx * ny)), np.zeros(settings + outcomes))
@@ -160,8 +164,8 @@ def test_enumeration_cap(monkeypatch):
     # the cap is checked inside the cached builder, so drop what it holds
     monkeypatch.setattr(causality, "ENUM_CAP", 50)
     causality._polytope.cache_clear()
-    with pytest.raises(ValueError, match="LP formulation"):
-        cs.causal_bound(GYNI)
+    # the bound is a nested maximum and enumerates nothing
+    assert cs.causal_bound(GYNI) == 0.5
     with pytest.raises(ValueError, match="LP formulation"):
         cs.is_causal(np.full((2, 2, 2, 2), 0.25))
     with pytest.raises(ValueError, match="LP formulation"):
@@ -179,15 +183,14 @@ def test_causal_bounds_exact():
 
 def loop_causal_bound(game):
     """The vertex maximum as a loop over the enumerated tables, kept as the
-    reference for the single product with the vertex matrix."""
+    reference for the nested maxima."""
     weight = game.input_dist.reshape(game.settings + (1, 1)) * game.win
     return max(float((weight * t).sum()) for _, t in cs.enumerate_strategies(game))
 
 
-def random_game(rng, input_dist=None):
-    settings, outcomes = (2, 4), (2, 2)
+def random_game(rng, input_dist=None, settings=(2, 4), outcomes=(2, 2)):
     if input_dist is None:
-        input_dist = np.full(settings, 1 / 8)
+        input_dist = np.full(settings, 1 / (settings[0] * settings[1]))
     return cs.CausalGame(input_dist, (rng.uniform(size=settings + outcomes) < 0.5).astype(float))
 
 
@@ -196,20 +199,70 @@ def random_game(rng, input_dist=None):
     lambda: cs.CausalGame.from_predicate((2, 2), (2, 2), np.full((2, 2), 0.25),
                                          lambda x, y, a, b: True),
     lambda: random_game(np.random.default_rng(0)),
-], ids=["gyni", "lgyni", "ocb", "all-win", "random"])
+] + [lambda s=s, o=o: random_game(np.random.default_rng(1), settings=s, outcomes=o)
+     for s, o in ALPHABETS],
+    ids=["gyni", "lgyni", "ocb", "all-win", "random"] + [f"random-{s}-{o}" for s, o in ALPHABETS])
 def test_causal_bound_equals_vertex_loop(make):
     game = make()
-    assert cs.causal_bound(game) == loop_causal_bound(game)
+    got, want = cs.causal_bound(game), loop_causal_bound(game)
+    n = game.input_dist.size
+    if n & (n - 1) == 0:
+        # uniform dyadic weights sum exactly in any order
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-15
 
 
 def test_causal_bound_with_generic_weights_matches_loop_to_rounding():
     # sums of non-dyadic weights depend on the summation order, so the
-    # product and the loop agree to an ulp, not bit for bit
+    # nested maxima and the loop agree to an ulp, not bit for bit
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        dist = rng.uniform(size=(2, 4))
-        game = random_game(rng, dist / dist.sum())
+    for settings, outcomes in [((2, 4), (2, 2))] * 10 + ALPHABETS:
+        dist = rng.uniform(size=settings)
+        game = random_game(rng, dist / dist.sum(), settings, outcomes)
         assert abs(cs.causal_bound(game) - loop_causal_bound(game)) <= 1e-15
+
+
+def test_causal_bound_past_the_enumeration_cap():
+    # GYNI with two extra settings per party that never occur: 2^4 2^16 =
+    # 2^20 deterministic strategies per order, more than ENUM_CAP
+    dist, win = np.zeros((4, 4)), np.zeros((4, 4, 2, 2))
+    dist[:2, :2], win[:2, :2] = GYNI.input_dist, GYNI.win
+    padded = cs.CausalGame(dist, win)
+    assert 2**4 * 2**16 > causality.ENUM_CAP
+    with pytest.raises(ValueError, match="LP formulation"):
+        cs.enumerate_strategies(padded)
+    assert cs.causal_bound(padded) == 0.5
+
+
+def test_causal_bound_builds_no_vertex_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("causal_bound built the vertex matrix")
+
+    monkeypatch.setattr(causality, "_polytope", refuse)
+    assert cs.causal_bound(cs.ocb_game()) == 0.75
+
+
+def swap_parties(values):
+    """A table or win table on axes (x, y, a, b) with A and B exchanged."""
+    return np.asarray(values).transpose(1, 0, 3, 2)
+
+
+@settings(max_examples=12)
+@given(alphabet=st.sampled_from(ALPHABETS), seed=st.integers(0, 2**32 - 1))
+def test_bound_and_membership_invariant_under_party_swap(alphabet, seed):
+    # a causal strategy read with the parties exchanged is a causal
+    # strategy of the other order, so both the bound and membership hold
+    rng = np.random.default_rng(seed)
+    settings_, outcomes = alphabet
+    dist = rng.uniform(size=settings_)
+    game = random_game(rng, dist / dist.sum(), settings_, outcomes)
+    swapped = cs.CausalGame(game.input_dist.T, swap_parties(game.win))
+    assert abs(cs.causal_bound(swapped) - cs.causal_bound(game)) <= 1e-15
+    tables = [t for _, t in cs.enumerate_strategies(game)]
+    idx = rng.choice(len(tables), size=min(len(tables), 8), replace=False)
+    p = sum(w * tables[i] for w, i in zip(rng.dirichlet(np.ones(len(idx))), idx))
+    assert cs.is_causal(p).causal and cs.is_causal(swap_parties(p)).causal
 
 
 def test_trivial_game_bound():
@@ -350,9 +403,7 @@ def is_causal_reference(table, tol=causality.CAUSAL_TOL):
     vals, settings, outcomes = causality._table_values(table)
     verts = reference_vertices(settings, outcomes)
     v = np.stack([t.reshape(-1) for _, t in verts], axis=1)
-    a = np.vstack([v, 1e3 * np.ones((1, v.shape[1]))])
-    b = np.concatenate([vals.reshape(-1), [1e3]])
-    lam, _ = scipy.optimize.nnls(a, b, maxiter=30 * v.shape[1])
+    lam, _ = scipy.optimize.nnls(v, vals.reshape(-1), maxiter=30 * v.shape[1])
     total = lam.sum()
     if total > 0:
         lam = lam / total
@@ -390,9 +441,8 @@ def test_cached_vertex_matrix_matches_per_call_stack(make, game):
         assert abs(got.q_A_before_B - want.q_A_before_B) <= 1e-15
     else:
         assert got.weights is None and got.q_A_before_B is None
-    v, a, a_first = causality._polytope(table.settings, table.outcomes)
-    assert not v.flags.writeable and not a.flags.writeable
-    assert not a_first.flags.writeable
+    v, a_first = causality._polytope(table.settings, table.outcomes)
+    assert not v.flags.writeable and not a_first.flags.writeable
     assert causality._polytope(table.settings, table.outcomes)[0] is v
 
 

@@ -530,7 +530,7 @@ def random_valid_process(kind, rng):
 PROCESS_KINDS = st.sampled_from(["2", "3", "switch", "interleaved"])
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(kind=PROCESS_KINDS, seed=st.integers(0, 2**32 - 1),
        settings_=st.integers(1, 3), outcomes=st.integers(1, 3))
 # the switch's party F maps a 4-dim input to a trivial output, so one
@@ -546,7 +546,7 @@ def test_born_tables_are_normalized(kind, seed, settings_, outcomes):
     assert np.max(np.abs(sums - 1.0)) < 1e-10
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(kind=PROCESS_KINDS, seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_born_ignores_instrument_order(kind, seed, data):
     rng = np.random.default_rng(seed)

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import causalis as cs
 from causalis import io as cio
-from conftest import malformed_tables, mis_shaped_processes
+from conftest import far_index_table, malformed_tables, mis_shaped_processes
 
 
 def two_factor_space():
@@ -222,6 +223,18 @@ def test_table_csv_rejects_malformed_rows(label):
     text, match = malformed_tables()[label]
     with pytest.raises(ValueError, match=match):
         cio.table_from_csv(text)
+
+
+def test_table_csv_checks_coverage_before_allocating():
+    # the 10^7 + 1 cells a far index spans take 80 MB if allocated before the check
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="do not cover"):
+            cio.table_from_csv(far_index_table(10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -673,7 +673,7 @@ def test_trace_near_lin_tol(key, side):
 # ---------------------------------------------------------------------------
 # validity is a property of the process, not of the local frame
 
-@settings(derandomize=True, max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(kind=st.sampled_from(["valid", "scaled", "noisy", "negative"]),
        layout=st.sampled_from(["bipartite", "interleaved", "switch"]),
        seed=st.integers(0, 2**32 - 1))

@@ -489,7 +489,7 @@ def frame_bases(traced_switch_cert):
             "degenerate_switch": (degenerate, cs.check_separability(degenerate))}
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(kind=st.sampled_from(["traced_switch", "unitary_mixture", "degenerate_switch"]),
        seed=st.integers(0, 2**32 - 1))
 def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
@@ -526,7 +526,7 @@ def swap_two_parties(p):
     return cs.ProcessMatrix(tuple(parties), cs.HermitianOperator(space, t.reshape(p.w.mat.shape)))
 
 
-@settings(derandomize=True, max_examples=8, deadline=None)
+@settings(max_examples=8)
 @given(seed=st.none() | st.integers(0, 2**32 - 1), weight=st.floats(0.1, 0.9))
 @example(seed=None, weight=0.5)
 def test_verdict_invariant_under_party_relabelling(traced_switch_cert, seed, weight):
@@ -827,7 +827,7 @@ def test_component_evidence_in_the_diagnostics(traced_switch_cert):
     assert all(type(x) is float for x in d["component_min_eigenvalues"])
 
 
-@settings(derandomize=True, max_examples=4, deadline=None)
+@settings(max_examples=4)
 @given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.05, 0.95))
 def test_mixtures_of_two_orders_are_separable(seed, q):
     a, b = qubit_chain("AB")
