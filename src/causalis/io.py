@@ -3,8 +3,9 @@
 Operators travel as {"factors": [{"label", "dim"}...], "entries": [[re, im],
 ...]} with row-major entries; floats are emitted at full precision so a
 round-trip is bit-exact. Processes, instruments, games, verdicts, and
-certificates wrap that format. Probability tables travel as CSV with one
-row per (settings, outcomes) combination.
+certificates wrap that format, and `save_json` writes each as one compact
+line. Probability tables travel as CSV with one row per (settings,
+outcomes) combination.
 """
 from __future__ import annotations
 
@@ -288,9 +289,10 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
 # files
 
 def save_json(obj: dict, path: str):
+    """obj as one compact line of JSON: json.dumps runs the C encoder, which
+    json.dump with an indent does not."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def load_json(path: str) -> dict:

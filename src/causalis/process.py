@@ -224,7 +224,8 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
     length 1 (trivial factors, single settings) get no subscript. Every
     subscript then names an axis of length >= 2 on w or on the result, so
     past einsum's 52 one of the two would hold at least 2**27 entries; that
-    case raises instead of contracting.
+    case raises instead of contracting. The contraction path is searched
+    once per signature (`_einsum_path`).
     """
     labels = [f.label for f in w.space.factors if f.dim > 1]
     dims = [f.dim for f in w.space.factors if f.dim > 1]
@@ -251,7 +252,23 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
             f"contraction needs {n_sub} einsum subscripts (one per nontrivial "
             f"factor index and stack axis); np.einsum allows at most {_EINSUM_SUBSCRIPTS}"
         )
-    return np.einsum(*operands, list(out.values()), optimize="greedy").reshape(shape)
+    subscripts = (*map(tuple, operands[1::2]), tuple(out.values()))
+    path = _einsum_path(tuple(x.shape for x in operands[::2]), subscripts)
+    return np.einsum(*operands, list(out.values()), optimize=path).reshape(shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _einsum_path(shapes: tuple[tuple[int, ...], ...],
+                 subscripts: tuple[tuple[int, ...], ...]) -> list:
+    """The "greedy" einsum path of a `_contract` signature (operand shapes,
+    then the operands' and the result's subscripts), searched once: the
+    search reads only shapes, so stand-in zero-stride operands serve, and
+    einsum given the path runs the same pairwise contractions as einsum
+    told to search."""
+    operands = []
+    for shape, sub in zip(shapes, subscripts):
+        operands += [np.broadcast_to(0.0, shape), list(sub)]
+    return np.einsum_path(*operands, list(subscripts[-1]), optimize="greedy")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,13 @@ is one GEMM per group of adjacent factors (two for balanced spaces), and
 Dykstra carries the summands as one (K, ...) stack, so an iteration costs
 one basis change each way and one batched eigh.
 
+What does not depend on W is set up once per party structure: the basis,
+its group transforms and the shapes of a basis change on a (K, ...) stack
+(`_party_moves`, `_CoeffBasis`), the pattern ids (`_cone_ids`) and the
+witness battery (`_battery`). Once per run: the masks, W's coefficients
+and, on a face, V and V†. Per iteration: the affine step, one basis change
+each way around one batched eigh, and the residual.
+
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
 range(W) and X_i ⪰ 0; projecting onto that face is V P_psd(V† M V) V†, so
@@ -48,14 +55,16 @@ and q are read off them), and the dual variable otherwise.
 
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
-sequential `random_ordered_process` calls do) and scores all of them with
-one contraction of S against the samples' pieces, so no per-sample process
+sequential `random_ordered_process` calls do), once per party structure,
+orders, seed and size, and each call scores all of them with one
+contraction of S against the samples' pieces, so no per-sample process
 matrix is formed; mixtures are scored by linearity.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,13 +288,15 @@ def _face(w: np.ndarray) -> np.ndarray | None:
     return None if keep.all() else v[:, keep]
 
 
-def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None) -> np.ndarray:
+def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
+                 face_h: np.ndarray | None) -> np.ndarray:
     """Nearest point of the PSD cone, or of its face {V X V† : X ⪰ 0} when
-    ``face`` is V (`_face`), to each operator M of a coefficient stack: one
-    batched eigh of M, or of V† M V, lifted to V P_psd(V† M V) V†, the exact
-    Frobenius projection. V = 1 would add three GEMMs to each eigh."""
+    ``face`` is V (`_face`) and ``face_h`` is V† (both None for the cone),
+    to each operator M of a coefficient stack: one batched eigh of M, or of
+    V† M V, lifted to V P_psd(V† M V) V†, the exact Frobenius projection.
+    V = 1 would add three GEMMs to each eigh."""
     m = basis.from_coeffs(c)
-    e, v = np.linalg.eigh(m if face is None else face.conj().T @ m @ face)
+    e, v = np.linalg.eigh(m if face is None else face_h @ m @ face)
     np.clip(e, 0, None, out=e)
     if face is not None:
         v = face @ v
@@ -316,6 +327,7 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
         r = (t.sum(axis=0) - wpar) * m
         return t - r + r * keep
 
+    face_h = None if face is None else face.conj().T
     b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)
     q = np.zeros_like(b)
@@ -323,13 +335,19 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
     res = np.inf
     stalled = False
     it = 0
+    # The affine correction p vanishes in exact arithmetic (the set is
+    # affine) but not in floating point: dropping it moves the stalls, and
+    # gap * gap for gap ** 2 rounds differently. Both stay as they are.
     for it in range(1, max_iters + 1):
-        a = proj_affine(b + p)
-        p = b + p - a
-        nb = _project_psd(basis, a + q, face)
-        q = a + q - nb
-        gap = np.linalg.norm(a - nb)
-        res = float(np.sqrt(gap**2 + perp**2))
+        y = b + p
+        a = proj_affine(y)
+        p = y - a
+        c = a + q
+        nb = _project_psd(basis, c, face, face_h)
+        q = c - nb
+        d = (a - nb).ravel()
+        gap = math.sqrt(d.dot(d))  # np.linalg.norm, bit for bit
+        res = math.sqrt(gap ** 2 + perp ** 2)
         hist.append(res)
         b = nb
         if res < tol:
@@ -455,6 +473,25 @@ def check_separability(
 # ---------------------------------------------------------------------------
 # witness extraction
 
+@functools.lru_cache(maxsize=16)
+def _battery(parties: tuple[Party, ...], orders: tuple[tuple[str, ...], ...], seed: int,
+             battery: int):
+    """The witness battery of `extract_witness`, which depends on neither W
+    nor S, drawn once per key: (one `random_ordered_batch` of ``battery``
+    samples per order, one array of ``battery`` sample indices per order,
+    the (battery, K) simplex weights of the mixtures), in that generator
+    order from default_rng(seed). Every array is read-only."""
+    rng = np.random.default_rng(seed)
+    by_name = {q.name: q for q in parties}
+    batches = [random_ordered_batch([by_name[n] for n in order], rng, battery)
+               for order in orders]
+    picks = [rng.integers(0, battery, size=battery) for _ in orders]
+    weights = rng.dirichlet(np.ones(len(orders)), size=battery)
+    for x in [weights, *picks, *(a for b in batches for a in (b.states, *b.channels))]:
+        x.setflags(write=False)
+    return tuple(batches), tuple(picks), weights
+
+
 def extract_witness(
     p: ProcessMatrix,
     trace: FeasibilityTrace,
@@ -491,7 +528,10 @@ def extract_witness(
     per order, and as many mixtures: one draw of ``battery`` sample indices
     per order, then one draw of all their weights, uniform on the simplex
     over the K orders (`Generator.dirichlet` with unit parameters);
-    diagnostics report both counts (samples_per_order, n_mixtures).
+    diagnostics report both counts (samples_per_order, n_mixtures). None
+    of it depends on W or S, so it is drawn once per (parties, orders,
+    seed, battery) and kept read-only (`_battery`); each call only scores
+    it against S.
     The mixtures add no evidence: by linearity a mixture's score is a convex
     combination of its parts' scores, so it never falls below the smallest
     of them by more than one rounding, and the battery minimum is the
@@ -519,15 +559,11 @@ def extract_witness(
     overlap = float(np.sum(sc * wc))
     witness = HermitianOperator(p.w.space, basis.from_coeffs(sc))
 
-    rng = np.random.default_rng(seed)
-    by_name = {q.name: q for q in p.parties}
-    scores = [
-        random_ordered_batch([by_name[n] for n in cone.order], rng, battery)
-        .traces(witness).real
-        for cone in trace.orders
-    ]
-    picks = np.stack([s[rng.integers(0, battery, size=battery)] for s in scores], axis=1)
-    mixed = np.sum(rng.dirichlet(np.ones(len(scores)), size=battery) * picks, axis=1)
+    batches, picks, weights = _battery(p.parties, tuple(c.order for c in trace.orders),
+                                       seed, battery)
+    scores = [batch.traces(witness).real for batch in batches]
+    picked = np.stack([s[k] for s, k in zip(scores, picks)], axis=1)
+    mixed = np.sum(weights * picked, axis=1)
     battery_min = float(min(min(s.min() for s in scores), mixed.min()))
 
     diagnostics = {

@@ -471,6 +471,11 @@ class _CoeffBasis:
     group (two for balanced spaces) on any leading batch axis. A group
     matrix holds at most max(D^2, d_max^4) entries. Coefficient arrays have
     shape (..., d_1^2, ..., d_n^2), identity index 0 on every factor.
+
+    The group transforms are built once per instance, and the shapes of a
+    basis change (each GEMM's operand shape, the block reshape and its
+    transpose order) once per leading shape (`_plan`), so a call runs the
+    GEMMs and one transposing copy and nothing else.
     """
 
     def __init__(self, space):
@@ -484,50 +489,58 @@ class _CoeffBasis:
         # coeffs applies conj(U) per group, from_coeffs applies U^T
         self._fwd = [np.ascontiguousarray(u.conj()) for u in us]
         self._inv = [np.ascontiguousarray(u.T) for u in us]
+        self._plans = {}
 
-    def _apply(self, x: np.ndarray, mats) -> np.ndarray:
-        """Multiply axis a of x (..., G_1, ..., G_n) by mats[a], one GEMM each."""
-        lead = x.shape[:x.ndim - len(self._sizes)]
-        pre = math.prod(lead)
-        post = math.prod(self._sizes)
-        for t, size in zip(mats, self._sizes):
-            post //= size
-            if post == 1:
-                x = x.reshape(-1, size) @ t.T
-            else:
-                x = np.matmul(t, x.reshape(pre, size, post))
-            pre *= size
-        return x.reshape(lead + self._sizes)
+    def _plan(self, lead: tuple[int, ...]) -> dict:
+        """The shapes of a basis change on a stack with leading shape lead.
 
-    def _blocks(self, m: np.ndarray) -> np.ndarray:
-        """(..., D, D) -> (..., G_1, ..., G_n), each group's (row, col) pair
-        adjacent."""
-        n = len(self.group_dims)
-        lead = m.shape[:-2]
-        k = len(lead)
-        t = m.reshape(lead + tuple(self.group_dims) * 2)
-        order = list(range(k))
-        for a in range(n):
-            order += [k + a, k + n + a]
-        return t.transpose(order).reshape(lead + self._sizes)
+        steps[a] is the shape group a's GEMM sees: (pre, G_a, post) for a
+        matmul of the group matrix from the left, broadcast over pre, or
+        (-1, G_a) for the last group, one GEMM against its transpose.
+        blocks and order turn (..., D, D) into one axis per group's (row,
+        col) pair; pairs and inverse undo it.
+        """
+        plan = self._plans.get(lead)
+        if plan is None:
+            n, k = len(self.group_dims), len(lead)
+            pre, post, steps = math.prod(lead), math.prod(self._sizes), []
+            for size in self._sizes:
+                post //= size
+                steps.append((-1, size) if post == 1 else (pre, size, post))
+                pre *= size
+            plan = self._plans[lead] = {
+                "steps": steps,
+                "grouped": lead + self._sizes,
+                "coeffs": lead + self.shape,
+                "blocks": lead + tuple(self.group_dims) * 2,
+                "order": [*range(k), *(k + a + h * n for a in range(n) for h in (0, 1))],
+                "pairs": lead + tuple(d for g in self.group_dims for d in (g, g)),
+                "inverse": [*range(k), *(k + 2 * a + h for h in (0, 1) for a in range(n))],
+                "ops": lead + (self.dim, self.dim),
+            }
+        return plan
+
+    @staticmethod
+    def _apply(x: np.ndarray, mats, steps) -> np.ndarray:
+        """Multiply group axis a of x by mats[a], one GEMM each (`_plan`)."""
+        for t, shape in zip(mats, steps):
+            x = x.reshape(shape) @ t.T if len(shape) == 2 else np.matmul(t, x.reshape(shape))
+        return x
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Complex coefficients Tr[B_k m] of any (..., D, D) stack."""
-        c = self._apply(self._blocks(m), self._fwd)
-        return c.reshape(m.shape[:-2] + self.shape)
+        plan = self._plan(m.shape[:-2])
+        x = m.reshape(plan["blocks"]).transpose(plan["order"]).reshape(plan["grouped"])
+        return self._apply(x, self._fwd, plan["steps"]).reshape(plan["coeffs"])
 
     def to_coeffs(self, m: np.ndarray) -> np.ndarray:
         """Real coefficients of a Hermitian (..., D, D) stack."""
         return self.coeffs(m).real
 
     def from_coeffs(self, c: np.ndarray) -> np.ndarray:
-        n = len(self.group_dims)
-        lead = c.shape[:c.ndim - len(self.shape)]
-        k = len(lead)
-        t = self._apply(c.reshape(lead + self._sizes), self._inv)
-        t = t.reshape(lead + tuple(d for g in self.group_dims for d in (g, g)))
-        order = list(range(k)) + [k + 2 * a for a in range(n)] + [k + 2 * a + 1 for a in range(n)]
-        return t.transpose(order).reshape(lead + (self.dim, self.dim))
+        plan = self._plan(c.shape[:c.ndim - len(self.shape)])
+        t = self._apply(c.reshape(plan["grouped"]), self._inv, plan["steps"])
+        return t.reshape(plan["pairs"]).transpose(plan["inverse"]).reshape(plan["ops"])
 
     def _identity_on(self, labels) -> np.ndarray:
         """Boolean array, broadcastable to the coefficient shape: true where

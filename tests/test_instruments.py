@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import io as cio
+from causalis import process
 from causalis.instruments import circuit_oracle
 from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties, trivial_parties
 
@@ -483,6 +484,27 @@ def test_born_matches_tensor_loop(label):
     assert got.parties == tuple(q.name for q in p.parties)
     assert got.values.shape == tuple(i.settings for i in ins) + tuple(i.outcomes for i in ins)
     assert np.max(np.abs(got.values - reference_born(p, ins))) < 1e-12
+
+
+def test_contraction_path_is_searched_once_per_signature(monkeypatch):
+    process._einsum_path.cache_clear()
+    searches = []
+    einsum_path = np.einsum_path
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return einsum_path(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting)
+    tables = {label: cs.born(p, ins).values for label, (p, ins) in BORN_CASES.items()}
+    assert len(searches) == process._einsum_path.cache_info().currsize
+    for label, (p, ins) in BORN_CASES.items():
+        assert np.array_equal(cs.born(p, ins).values, tables[label])
+    assert len(searches) == process._einsum_path.cache_info().currsize
+    # the cached path gives the tables einsum's own greedy search gives
+    monkeypatch.setattr(process, "_einsum_path", lambda shapes, subscripts: "greedy")
+    for label, (p, ins) in BORN_CASES.items():
+        assert np.array_equal(cs.born(p, ins).values, tables[label])
 
 
 def test_born_with_many_trivial_factors(rng):

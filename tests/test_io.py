@@ -329,7 +329,5 @@ def test_save_and_load_json(tmp_path):
     d = {"alpha": [1, 2, 3], "beta": {"x": 0.5}}
     path = tmp_path / "blob.json"
     cio.save_json(d, str(path))
-    text = path.read_text()
-    assert text.endswith("}\n")
-    assert text.startswith('{\n  "alpha"')
+    assert path.read_text() == json.dumps(d) + "\n"
     assert cio.load_json(str(path)) == d

@@ -25,15 +25,16 @@ from conftest import (
 )
 
 
+def traced_switch():
+    """The equal qubit switch with F traced out, over A and B."""
+    qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))
+    return cs.ProcessMatrix(tuple(qubit_chain("AB")),
+                            cs.partial_trace(qs.to_matrix().w, ("F_c", "F_t", "F_O")))
+
+
 @pytest.fixture(scope="module")
 def traced_switch_cert():
-    qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))
-    w_ab = cs.partial_trace(qs.to_matrix().w, ("F_c", "F_t", "F_O"))
-    parties = (
-        cs.Party("A", cs.LabeledSpace("A_I", 2), cs.LabeledSpace("A_O", 2)),
-        cs.Party("B", cs.LabeledSpace("B_I", 2), cs.LabeledSpace("B_O", 2)),
-    )
-    p = cs.ProcessMatrix(parties, w_ab)
+    p = traced_switch()
     return p, cs.check_separability(p)
 
 
@@ -211,6 +212,23 @@ def test_batched_basis_change_matches_per_item(dims, rng):
             assert np.max(np.abs(back[i, j] - basis.from_coeffs(c))) < 1e-13
 
 
+@pytest.mark.parametrize("parties", [cs.ocb_parties(), cs.switch_parties(), cs.switch_parties(3)],
+                         ids=["ocb", "switch", "qutrit_switch"])
+def test_planned_basis_change_on_stacks_matches_per_item(parties, rng):
+    # the shapes of a basis change are planned once per leading shape; a
+    # (K, ...) stack and its items, each with its own plan, agree bit for bit
+    basis = process._party_moves(tuple(parties))[0]
+    for k in (1, 2, 6):
+        ms = random_hermitian(basis.dim, rng, lead=(k,))
+        c = basis.to_coeffs(ms)
+        back = basis.from_coeffs(c)
+        assert c.shape == (k,) + basis.shape and back.shape == ms.shape
+        for i in range(k):
+            assert np.array_equal(c[i], basis.to_coeffs(ms[i]))
+            assert np.array_equal(back[i], basis.from_coeffs(c[i]))
+    assert {(), (1,), (2,), (6,)} <= set(basis._plans)
+
+
 @pytest.mark.parametrize("on_face", [False, True], ids=["cone", "face"])
 @pytest.mark.parametrize("dims", [[2, 2, 2, 2], [5, 2], [2] * 5],
                          ids=lambda d: "x".join(map(str, d)))
@@ -225,7 +243,8 @@ def test_psd_step_matches_dense_eigh(dims, on_face, rng):
         g = rng.normal(size=(space.dim, space.dim // 2)) + 1j * rng.normal(
             size=(space.dim, space.dim // 2))
         v = np.linalg.qr(g)[0]
-    got = separability._project_psd(basis, basis.to_coeffs(ms), v if on_face else None)
+    face = (v, v.conj().T) if on_face else (None, None)
+    got = separability._project_psd(basis, basis.to_coeffs(ms), *face)
     for i in range(2):
         for j in range(3):
             e, u = np.linalg.eigh(v.conj().T @ ms[i, j] @ v)
@@ -406,6 +425,86 @@ def test_runs_are_deterministic(qubit_parties):
     assert c1.iterations == c2.iterations
     assert c1.q == c2.q
     assert np.array_equal(c1.trace.residual_history, c2.trace.residual_history)
+
+
+def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
+    """The Dykstra loop written plainly: b + p and a + q formed twice each,
+    the gap by np.linalg.norm and V† formed in every projection. Kept as
+    the reference that `_dykstra` must match bit for bit; returns
+    (residual_history, summands or None, dual or None)."""
+    n = m.sum(axis=0)
+    wc = basis.to_coeffs(w)
+    wpar = wc * (n > 0)
+    perp = float(np.linalg.norm(wc - wpar))
+    keep = 1 - 1 / np.maximum(n, 1)
+
+    def proj_affine(y):
+        t = y * m
+        r = (t.sum(axis=0) - wpar) * m
+        return t - r + r * keep
+
+    def project_psd(c):
+        x = basis.from_coeffs(c)
+        e, v = np.linalg.eigh(x if face is None else face.conj().T @ x @ face)
+        np.clip(e, 0, None, out=e)
+        if face is not None:
+            v = face @ v
+        return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+    b = np.stack([wpar / len(m)] * len(m))
+    p = np.zeros_like(b)
+    q = np.zeros_like(b)
+    hist = []
+    for it in range(1, max_iters + 1):
+        a = proj_affine(b + p)
+        p = b + p - a
+        nb = project_psd(a + q)
+        q = a + q - nb
+        gap = np.linalg.norm(a - nb)
+        res = float(np.sqrt(gap**2 + perp**2))
+        hist.append(res)
+        b = nb
+        if res < tol:
+            break
+        if it >= separability.STALL_WINDOW and it % separability.STALL_CHECK_EVERY == 0:
+            old = hist[it - separability.STALL_WINDOW]
+            if (old - res) / max(old, 1e-300) < separability.STALL_REL:
+                break
+    converged = hist[-1] < tol
+    return np.asarray(hist), b * m if converged else None, None if converged else -q
+
+
+def framed_unitary_mixture():
+    """A unitary mixture in a random local frame. Run to tol 1e-20, its
+    residuals show a change in how the residual is rounded (gap * gap for
+    gap ** 2), which the other fixtures do not."""
+    p = unitary_channel_mixture(qubit_chain("AB"), np.random.default_rng(0), weight=0.3)
+    u = local_unitary(p.w.space, np.random.default_rng(14)).mat
+    m = u @ p.w.mat @ u.conj().T
+    return cs.ProcessMatrix(p.parties, cs.HermitianOperator(p.w.space, (m + m.conj().T) / 2))
+
+
+@pytest.mark.parametrize("make, rank, tol, max_iters, iterations", [
+    (traced_switch, 4, separability.SEP_TOL, separability.MAX_ITERS, 9),
+    (cs.ocb_process, 8, separability.SEP_TOL, separability.MAX_ITERS, 500),
+    (lambda: noisy_ocb(), 16, separability.SEP_TOL, separability.MAX_ITERS, 500),
+    (baumeler_wolf, 8, separability.SEP_TOL, 60, 60),
+    (framed_unitary_mixture, 7, 1e-20, 300, 300),
+], ids=["traced_switch", "ocb", "ocb_noisy", "baumeler_wolf", "framed_mixture_tol_1e-20"])
+def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, iterations):
+    p = make()
+    basis = process._party_moves(p.parties)[0]
+    cones = tuple(cs.OrderCone(o) for o in _default_orders(p.parties))
+    masks = separability._cone_masks(p.parties, cones)
+    face = separability._face(p.w.mat)
+    assert (p.w.dim if face is None else face.shape[1]) == rank
+    got = separability._dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
+    hist, summands, dual = reference_dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
+    assert got.iterations == iterations
+    assert np.array_equal(got.residual_history, hist)
+    for mine, ref in ((got.summands, summands), (got.dual, dual)):
+        assert (mine is None) == (ref is None)
+        assert mine is None or np.array_equal(mine, ref)
 
 
 def degenerate_switch():
@@ -919,6 +1018,42 @@ def test_battery_draws_no_process_per_sample(monkeypatch):
     assert calls == {"random_ordered_process": 0, "make_ordered_process": 0, "kron": 0}
     # one scoring einsum per order, over all of its samples
     assert scored == [(500, 1), (500, 1)]
+
+
+def test_battery_is_drawn_once_per_structure(monkeypatch):
+    separability._battery.cache_clear()
+    draws = []
+
+    def counting(order, rng, n, _original=separability.random_ordered_batch):
+        draws.append((tuple(q.name for q in order), n))
+        return _original(order, rng, n)
+
+    monkeypatch.setattr(separability, "random_ordered_batch", counting)
+    ocb, noisy = cs.ocb_process(), noisy_ocb()
+    first, second = cs.check_separability(ocb), cs.check_separability(noisy)
+    assert first.witness_verified and second.witness_verified
+    # two W on one structure, one batch per order in all
+    assert draws == [(("A", "B"), 500), (("B", "A"), 500)]
+    # a new seed, size or order list draws afresh
+    draws.clear()
+    cs.extract_witness(noisy, second.trace, seed=8)
+    cs.extract_witness(noisy, second.trace, seed=7, battery=40)
+    cs.check_separability(noisy, orders=[("B", "A"), ("A", "B")])
+    assert draws == [(("A", "B"), 500), (("B", "A"), 500), (("A", "B"), 40),
+                     (("B", "A"), 40), (("B", "A"), 500), (("A", "B"), 500)]
+    batches, picks, weights = separability._battery(ocb.parties, (("A", "B"), ("B", "A")),
+                                                    7, 500)
+    arrays = [weights, *picks, *(x for b in batches for x in (b.states, *b.channels))]
+    assert not any(x.flags.writeable for x in arrays)
+    # the cached battery scores noisy OCB as a fresh draw does
+    rng = np.random.default_rng(7)
+    fresh = [process.random_ordered_batch(list(order), rng, 500)
+             for order in (ocb.parties, ocb.parties[::-1])]
+    scores = [b.traces(second.witness).real for b in fresh]
+    picked = np.stack([s[rng.integers(0, 500, size=500)] for s in scores], axis=1)
+    mixed = np.sum(rng.dirichlet(np.ones(2), size=500) * picked, axis=1)
+    assert second.diagnostics["battery_min"] == float(min(min(s.min() for s in scores),
+                                                          mixed.min()))
 
 
 @pytest.mark.parametrize("battery", [0, -3, 2.5, True])
