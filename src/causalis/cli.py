@@ -38,7 +38,7 @@ from .io import (
     verdict_to_json,
 )
 from .process import LIN_TOL, PSD_TOL, make_quantum_switch, validate_process, validity_report
-from .separability import BATTERY, MAX_ITERS, SEP_TOL, check_separability
+from .separability import MAX_ITERS, SEP_TOL, check_separability
 
 GATES = {
     "I": np.eye(2, dtype=complex),
@@ -63,7 +63,7 @@ def _tol_arg(text: str) -> float:
 
 
 def _count_arg(least: int):
-    """The argparse type of a count or seed: an integer >= least."""
+    """The argparse type of a count: an integer >= least."""
     def parse(text: str) -> int:
         v = int(text)
         if v < least:
@@ -127,13 +127,7 @@ def cmd_born(args):
 
 def cmd_sep(args):
     p = process_from_json(load_json(args.infile))
-    cert = check_separability(
-        p,
-        tol=args.tol,
-        max_iters=args.max_iters,
-        witness_seed=args.seed,
-        battery=args.battery,
-    )
+    cert = check_separability(p, tol=args.tol, max_iters=args.max_iters)
     code = {"separable": 0, "nonseparable": 1, "undecided": 3}[cert.verdict]
     return code, certificate_to_json(cert)
 
@@ -209,11 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "separability (exit 1 if a witness certifies nonseparable, "
                        "3 if undecided)")
     p.add_argument("--in", dest="infile", required=True, help="process JSON path")
-    p.add_argument("--seed", type=_count_arg(0), required=True, help="witness-battery RNG seed")
     p.add_argument("--tol", type=_tol_arg, default=SEP_TOL, help="feasibility tolerance")
     p.add_argument("--max-iters", type=_count_arg(1), default=MAX_ITERS)
-    p.add_argument("--battery", type=_count_arg(1), default=BATTERY,
-                   help="witness battery samples per order (and mixtures)")
     p.set_defaults(func=cmd_sep)
 
     q = sub.add_parser("ineq", help="score a causal inequality and test membership")

@@ -19,7 +19,7 @@ from .causality import CausalGame, CausalityVerdict
 from .instruments import Instrument, ProbabilityTable
 from .process import LabeledSpace, Party, ProcessMatrix
 from .separability import SeparabilityCertificate
-from .tensor_core import HermitianOperator, Operator, _canonicalize
+from .tensor_core import HermitianOperator, Operator, _canonicalize, _check_count
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +152,17 @@ def instrument_to_json(ins: Instrument) -> dict:
 def instrument_from_json(d: dict, parties) -> Instrument:
     """Rebuild an instrument for one of `parties`, a sequence of Party objects
     (the JSON stores only the party's name, not its spaces). A key of
-    ``chois`` outside the settings x outcomes grid is rejected."""
+    ``chois`` outside the settings x outcomes grid is rejected. Both counts
+    are checked before any row is built, so a huge count with no Chois is
+    refused at once."""
     name = _field(d, "party", str, "instrument")
     party = next((p for p in parties if p.name == name), None)
     if party is None:
         raise ValueError(f"instrument party {name!r} is not one of {[p.name for p in parties]}")
     settings = _field(d, "settings", int, "instrument")
     outcomes = _field(d, "outcomes", int, "instrument")
+    _check_count("instrument settings", settings, 1)
+    _check_count("instrument outcomes", outcomes, 1)
     chois = _field(d, "chois", dict, "instrument")
     rows = []
     for x in range(settings):
@@ -235,6 +239,9 @@ def game_to_json(g: CausalGame) -> dict:
 
 
 def game_from_json(d: dict) -> CausalGame:
+    """The game of a JSON object. input_dist is checked against settings
+    before the win table is allocated, and a table too large to allocate is
+    a ValueError that names its shape."""
     settings = _counts(_field(d, "settings", list, "game"), "game settings")
     outcomes = _counts(_field(d, "outcomes", list, "game"), "game outcomes")
     if len(settings) != len(outcomes):
@@ -243,7 +250,12 @@ def game_from_json(d: dict) -> CausalGame:
     dist = np.asarray(_field(d, "input_dist", list, "game"))
     if dist.dtype.kind not in "iuf" or not np.isfinite(dist).all():
         raise ValueError("game input_dist must hold finite numbers")
-    win = np.zeros(shape)
+    if dist.shape != settings:
+        raise ValueError(f"game input_dist has shape {dist.shape}, not the settings {settings}")
+    try:
+        win = np.zeros(shape)
+    except MemoryError:
+        raise ValueError(f"game win table of shape {shape} is too large to allocate") from None
     for entry in _field(d, "wins", list, "game"):
         idx = tuple(_require(i, "game wins index", int)
                     for i in _require(entry, "game wins entry", list))
@@ -296,5 +308,10 @@ def save_json(obj: dict, path: str):
 
 
 def load_json(path: str) -> dict:
+    """The parsed file; nesting deeper than the decoder's recursion limit is
+    a ValueError, like any other malformed JSON."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None

@@ -8,8 +8,9 @@ alternating projections on the K summands. A failed run is called
 nonseparable only when a witness S read off the run's dual variable scores
 W below the bound it sets on every mixture of the orders: one eigvalsh of
 its K order projections gives their smallest eigenvalue μ, and Tr[S X] >=
-μ Tr W for every such mixture X. A seeded battery of ordered processes is
-checked against the same bound.
+μ Tr W for every such mixture X. A fixed battery of ordered processes
+(BATTERY per order, drawn from default_rng(BATTERY_SEED)) is checked against
+the same bound.
 
 What the verdict means depends on the parties. With two parties that have
 a nontrivial output (the switch included, F last), a mixture of fixed
@@ -55,8 +56,8 @@ and q are read off them), and the dual variable otherwise.
 
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
-sequential `random_ordered_process` calls do), once per party structure,
-orders, seed and size, and each call scores all of them with one
+sequential `random_ordered_process` calls do), once per party structure
+and orders, and each call scores all of them with one
 contraction of S against the samples' pieces, so no per-sample process
 matrix is formed; mixtures are scored by linearity.
 """
@@ -75,6 +76,7 @@ from .tensor_core import HermitianOperator, _check_count, _check_tol, _CoeffBasi
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
 BATTERY = 500  # witness-battery samples per order, and mixtures
+BATTERY_SEED = 7  # the witness battery's default_rng seed
 STALL_WINDOW = 500
 STALL_REL = 1e-12
 STALL_CHECK_EVERY = 50
@@ -196,10 +198,11 @@ class SeparabilityCertificate:
     smallest of diagnostics["certificate_margins"] (one smallest eigenvalue
     of S's projection per order), and Tr[S W] below μ Tr W less a rounding
     allowance (the bound of `extract_witness`). Without a converged run or
-    a certified witness the verdict is "undecided". A seeded battery of
+    a certified witness the verdict is "undecided". A fixed battery of
     ordered processes and their simplex-uniform mixtures is checked against
-    the same bound; diagnostics carry its size (``battery`` samples per
-    order and as many mixtures: samples_per_order and n_mixtures) and minimum.
+    the same bound; diagnostics carry its size (BATTERY samples per order
+    and as many mixtures: samples_per_order and n_mixtures), its seed
+    (witness_seed, BATTERY_SEED) and its minimum.
     diagnostics["face_rank"] is the rank r of W whose face the run searched
     (r = D: the whole cone), and "face_iterations", present only when the
     face run was retried on the whole cone, is that face run's length. At
@@ -394,8 +397,6 @@ def check_separability(
     *,
     tol: float = SEP_TOL,
     max_iters: int = MAX_ITERS,
-    witness_seed: int = 7,
-    battery: int = BATTERY,
 ) -> SeparabilityCertificate:
     """Decide whether W mixes processes from the order cones of ``orders``,
     a non-empty list of distinct total orders of the parties (default: every
@@ -407,21 +408,18 @@ def check_separability(
     stalls (see `_dykstra`) or has run max_iters iterations. Residual below
     tol means separable: the certificate carries the PSD summands (masked
     back onto their linear subspaces) and the weight q of the first order.
-    Otherwise `extract_witness` (witness_seed and battery) looks for a
-    witness certified by its own bound, which tol does not enter.
+    Otherwise `extract_witness` looks for a witness certified by its own
+    bound, which tol does not enter.
     When W is rank-deficient and the face run gives neither, the same run
     is repeated on the whole PSD cone and decides. When W has rank 1 the
     separable side is decided in closed form instead (`_pure_decomposition`:
     W, split evenly over the orders whose subspace holds it within tol),
     and the whole-cone run decides when no order holds W. The verdict is
-    nonseparable with a witness and undecided without. max_iters and
-    battery must be integers >= 1, witness_seed an integer >= 0 and tol
-    finite and > 0, all checked before any run.
+    nonseparable with a witness and undecided without. max_iters must be
+    an integer >= 1 and tol finite and > 0, both checked before any run.
     """
     _check_count("max_iters", max_iters, 1)
     _check_tol("tol", tol)
-    _check_count("battery", battery, 1)
-    _check_count("witness_seed", witness_seed, 0)
     p = _require_valid(p)
     if orders is None:
         orders = _default_orders(p.parties)
@@ -436,7 +434,7 @@ def check_separability(
         trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
         if trace.converged:
             return trace, None, {}
-        return (trace, *extract_witness(p, trace, seed=witness_seed, battery=battery))
+        return (trace, *extract_witness(p, trace))
 
     face = _face(p.w.mat)
     rank = p.w.dim if face is None else face.shape[1]
@@ -474,34 +472,27 @@ def check_separability(
 # witness extraction
 
 @functools.lru_cache(maxsize=16)
-def _battery(parties: tuple[Party, ...], orders: tuple[tuple[str, ...], ...], seed: int,
-             battery: int):
+def _battery(parties: tuple[Party, ...], orders: tuple[tuple[str, ...], ...]):
     """The witness battery of `extract_witness`, which depends on neither W
-    nor S, drawn once per key: (one `random_ordered_batch` of ``battery``
-    samples per order, one array of ``battery`` sample indices per order,
-    the (battery, K) simplex weights of the mixtures), in that generator
-    order from default_rng(seed). Every array is read-only."""
-    rng = np.random.default_rng(seed)
+    nor S, drawn once per key: (one `random_ordered_batch` of BATTERY
+    samples per order, one array of BATTERY sample indices per order, the
+    (BATTERY, K) simplex weights of the mixtures), in that generator order
+    from default_rng(BATTERY_SEED). Every array is read-only."""
+    rng = np.random.default_rng(BATTERY_SEED)
     by_name = {q.name: q for q in parties}
-    batches = [random_ordered_batch([by_name[n] for n in order], rng, battery)
+    batches = [random_ordered_batch([by_name[n] for n in order], rng, BATTERY)
                for order in orders]
-    picks = [rng.integers(0, battery, size=battery) for _ in orders]
-    weights = rng.dirichlet(np.ones(len(orders)), size=battery)
+    picks = [rng.integers(0, BATTERY, size=BATTERY) for _ in orders]
+    weights = rng.dirichlet(np.ones(len(orders)), size=BATTERY)
     for x in [weights, *picks, *(a for b in batches for a in (b.states, *b.channels))]:
         x.setflags(write=False)
     return tuple(batches), tuple(picks), weights
 
 
-def extract_witness(
-    p: ProcessMatrix,
-    trace: FeasibilityTrace,
-    *,
-    seed: int,
-    battery: int = BATTERY,
-):
+def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     """Witness S in every K_i* (one per order of ``trace.orders``) from a
     failed feasibility run, certified by one bound and cross-checked by a
-    seeded battery.
+    fixed battery.
 
     K_i = PSD ∩ L_i is order i's cone and K_i* = PSD + L_i^⊥ its dual
     (Araújo et al., NJP 17, 102001 (2015)). In coefficient space S takes,
@@ -523,22 +514,20 @@ def extract_witness(
     scores 0 against a negative bound and is rejected. Returns (witness or
     None, diagnostics).
 
-    The battery, seeded by ``seed`` (an integer >= 0), scores ``battery``
-    (>= 1) ordered processes per order, drawn as one `random_ordered_batch`
-    per order, and as many mixtures: one draw of ``battery`` sample indices
-    per order, then one draw of all their weights, uniform on the simplex
-    over the K orders (`Generator.dirichlet` with unit parameters);
-    diagnostics report both counts (samples_per_order, n_mixtures). None
-    of it depends on W or S, so it is drawn once per (parties, orders,
-    seed, battery) and kept read-only (`_battery`); each call only scores
-    it against S.
+    The battery, drawn from default_rng(BATTERY_SEED), scores BATTERY
+    ordered processes per order, drawn as one `random_ordered_batch` per
+    order, and as many mixtures: one draw of BATTERY sample indices per
+    order, then one draw of all their weights, uniform on the simplex over
+    the K orders (`Generator.dirichlet` with unit parameters); diagnostics
+    report both counts and the seed (samples_per_order, n_mixtures,
+    witness_seed). None of it depends on W or S, so it is drawn once per
+    (parties, orders) and kept read-only (`_battery`); each call only
+    scores it against S.
     The mixtures add no evidence: by linearity a mixture's score is a convex
     combination of its parts' scores, so it never falls below the smallest
     of them by more than one rounding, and the battery minimum is the
     per-order sample minimum. They stay as a cross-check of the scoring.
     """
-    _check_count("battery", battery, 1)
-    _check_count("seed", seed, 0)
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _party_moves(p.parties)[0]
@@ -559,8 +548,7 @@ def extract_witness(
     overlap = float(np.sum(sc * wc))
     witness = HermitianOperator(p.w.space, basis.from_coeffs(sc))
 
-    batches, picks, weights = _battery(p.parties, tuple(c.order for c in trace.orders),
-                                       seed, battery)
+    batches, picks, weights = _battery(p.parties, tuple(c.order for c in trace.orders))
     scores = [batch.traces(witness).real for batch in batches]
     picked = np.stack([s[k] for s, k in zip(scores, picks)], axis=1)
     mixed = np.sum(weights * picked, axis=1)
@@ -570,9 +558,9 @@ def extract_witness(
         "witness_overlap": overlap,
         "certificate_margins": [float(m) for m in margin],
         "battery_min": battery_min,
-        "samples_per_order": int(battery),
-        "n_mixtures": int(battery),
-        "witness_seed": seed,
+        "samples_per_order": BATTERY,
+        "n_mixtures": BATTERY,
+        "witness_seed": BATTERY_SEED,
     }
     bound = (margin.min() - p.w.dim**2 * np.finfo(float).eps) * p.w.trace().real
     if not (overlap < bound and battery_min >= bound):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from causalis import io as cio
 from causalis.causality import CAUSAL_TOL
 from causalis.cli import build_parser, main
 from causalis.process import LIN_TOL, PSD_TOL, validity_report
-from causalis.separability import BATTERY, MAX_ITERS, SEP_TOL
+from causalis.separability import MAX_ITERS, SEP_TOL
 from conftest import malformed_tables, mis_shaped_processes
 
 
@@ -113,7 +114,7 @@ def test_sep_rejects_duplicate_party_names(tmp_path, switch, capsys):
     d["parties"][1]["name"] = "A"
     path = tmp_path / "dup.json"
     cio.save_json(d, str(path))
-    code, report, err = run(capsys, "sep", "--in", str(path), "--seed", "1")
+    code, report, err = run(capsys, "sep", "--in", str(path))
     assert code == 2 and report is None
     assert "party names must be distinct; repeated: 'A'" in err
 
@@ -185,6 +186,38 @@ def test_born_rejects_two_instruments_for_one_party(tmp_path, ordered_setup, cap
     assert err == "error: instrument party names must be distinct; repeated: 'A'\n"
 
 
+def test_born_refuses_huge_instrument_counts_at_once(tmp_path, ordered_setup, capsys):
+    # a million settings and no outcome: refused before one row is built
+    bad = tmp_path / "huge_A.json"
+    bad.write_text(json.dumps({"party": "A", "settings": 10**6, "outcomes": 0, "chois": {}}))
+    tracemalloc.start()
+    try:
+        code, report, err = run(
+            capsys, "born", "--process", str(ordered_setup["process"]),
+            "--instruments", str(bad), str(ordered_setup["B"]), "--out", str(tmp_path / "t.csv"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and report is None
+    assert err == "error: instrument outcomes must be an integer >= 1, got 0\n"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("command", ["validate", "born", "sep"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, ordered_setup, capsys, command):
+    # the decoder's RecursionError is malformed input, exit 2, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"validate": ["--in", str(deep)],
+            "born": ["--process", str(ordered_setup["process"]), "--instruments", str(deep),
+                     str(ordered_setup["B"]), "--out", str(tmp_path / "t.csv")],
+            "sep": ["--in", str(deep)]}[command]
+    code, report, err = run(capsys, command, *argv)
+    assert code == 2 and report is None
+    assert err == "error: JSON nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # born / ineq
 
@@ -234,7 +267,7 @@ def test_invalid_process_is_an_input_error_for_every_consumer(tmp_path, invalid_
     for argv in (["born", "--process", ppath, "--instruments", *ipaths,
                   "--out", str(tmp_path / "t.csv")],
                  ["ineq", "--game", "gyni", "--process", ppath, "--instruments", *ipaths],
-                 ["sep", "--in", ppath, "--seed", "1"]):
+                 ["sep", "--in", ppath]):
         code, report, err = run(capsys, *argv)
         assert code == 2 and report is None, argv[0]
         errs.append(err)
@@ -324,13 +357,32 @@ def test_ineq_rejects_non_bipartite_game_file(tmp_path, capsys, n):
     assert code == 2 and report is None and "two parties, A and B" in err
 
 
+@pytest.mark.parametrize("settings, outcomes, match", [
+    ([100_000, 100_000], [1000, 1000],
+     "game input_dist has shape (1, 1), not the settings (100000, 100000)"),
+    # 8e18 bytes: more than any address space, so numpy refuses at once
+    ([1, 1], [10**9, 10**9],
+     "game win table of shape (1, 1, 1000000000, 1000000000) is too large to allocate"),
+], ids=["input_dist_shape", "8e18_byte_table"])
+def test_ineq_refuses_game_files_too_large_to_allocate(tmp_path, capsys, settings, outcomes,
+                                                        match):
+    table = tmp_path / "table.csv"
+    table.write_text(cio.table_to_csv(cs.born(cs.ocb_process(), list(cs.ocb_instruments()))))
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"settings": settings, "outcomes": outcomes,
+                                "input_dist": [[1.0]], "wins": []}))
+    code, report, err = run(capsys, "ineq", "--game-file", str(game), "--table", str(table))
+    assert code == 2 and report is None
+    assert err == f"error: {match}\n"
+
+
 # ---------------------------------------------------------------------------
 # sep / demo
 
 def test_sep_on_even_noise(tmp_path, qubit_parties, capsys):
     path = tmp_path / "noise.json"
     save_process(path, white_noise(qubit_parties))
-    code, report, _ = run(capsys, "sep", "--in", str(path), "--seed", "3")
+    code, report, _ = run(capsys, "sep", "--in", str(path))
     assert code == 0
     res = report["results"]
     assert res["separable"] is True and res["verdict"] == "separable"
@@ -349,7 +401,7 @@ def test_sep_decides_a_pure_process_in_closed_form(tmp_path, capsys):
     # one closed-form step, with each order's distance from W to its subspace
     path = tmp_path / "degenerate.json"
     save_process(path, cs.make_quantum_switch([1.0, 0.0], 1.0, 0.0).to_matrix())
-    code, report, _ = run(capsys, "sep", "--in", str(path), "--seed", "3")
+    code, report, _ = run(capsys, "sep", "--in", str(path))
     assert code == 0
     res = report["results"]
     assert res["verdict"] == "separable" and abs(res["q"] - 1.0) < 1e-9
@@ -366,19 +418,22 @@ def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
     save_process(tmp_path / "traced.json", traced)
     save_process(tmp_path / "ocb.json", cs.ocb_process())
     code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
-                          "--seed", "3", "--max-iters", "5")
+                          "--max-iters", "5")
     assert code == 3
     res = report["results"]
     assert res["verdict"] == "undecided" and res["separable"] is False
     assert res["iterations"] == 5 and res["diagnostics"]["stalled"] is False
-    code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "ocb.json"),
-                          "--seed", "3", "--battery", "20")
+    code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "ocb.json"))
     assert code == 1
     assert report["results"]["verdict"] == "nonseparable"
     assert report["results"]["witness_verified"] is True
-    # one --battery sets both the samples per order and the mixtures
+    # the battery is fixed: one size for the samples per order and the
+    # mixtures, one seed, and neither is part of the config
     diag = report["results"]["diagnostics"]
-    assert diag["samples_per_order"] == diag["n_mixtures"] == 20
+    assert diag["samples_per_order"] == diag["n_mixtures"] == 500
+    assert diag["witness_seed"] == 7
+    assert report["config"] == {"infile": str(tmp_path / "ocb.json"),
+                                "max_iters": MAX_ITERS, "tol": SEP_TOL}
 
 
 def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
@@ -387,7 +442,7 @@ def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
     ocb = cs.ocb_process()
     w = (ocb.w + cs.identity(ocb.w.space) * (0.3 / 4)) * (1 / 1.3)
     save_process(tmp_path / "noisy.json", cs.ProcessMatrix(ocb.parties, w))
-    args = ("sep", "--in", str(tmp_path / "noisy.json"), "--seed", "3", "--battery", "20")
+    args = ("sep", "--in", str(tmp_path / "noisy.json"))
     for tol in ("1e-7", "1e-2"):
         code, report, _ = run(capsys, *args, "--tol", tol)
         res = report["results"]
@@ -400,7 +455,7 @@ def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
     traced = cs.partial_trace(qs.to_matrix().w, ("F_c", "F_t", "F_O"))
     save_process(tmp_path / "traced.json", cs.ProcessMatrix((a, b), traced))
     code, report, _ = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
-                          "--seed", "3", "--battery", "20", "--max-iters", "5")
+                          "--max-iters", "5")
     res = report["results"]
     assert code == 3 and res["verdict"] == "undecided"
     assert res["diagnostics"]["stalled"] is False and res["iterations"] == 5
@@ -408,32 +463,19 @@ def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
     assert res["diagnostics"]["witness_overlap"] > 0
 
 
-def test_sep_rejects_negative_seed(tmp_path, switch, capsys):
-    # the traced switch is separable, so no battery draws from the seed; the
-    # parser refuses it anyway, naming the flag
-    traced = cs.ProcessMatrix(switch.parties[:2],
-                              cs.partial_trace(switch.w, ("F_c", "F_t", "F_O")))
-    save_process(tmp_path / "traced.json", traced)
-    code, report, err = run(capsys, "sep", "--in", str(tmp_path / "traced.json"),
-                            "--seed", "-3")
-    assert code == 2 and report is None
-    assert err.splitlines()[-1] == "causalis sep: error: argument --seed: must be an integer >= 0, got -3"
-
-
-@pytest.mark.parametrize("flag", ["--max-iters", "--battery"])
+@pytest.mark.parametrize("flag", ["--max-iters"])
 def test_sep_rejects_counts_below_one(tmp_path, capsys, flag):
-    code, report, err = run(capsys, "sep", "--in", str(tmp_path / "missing.json"),
-                            "--seed", "3", flag, "0")
+    code, report, err = run(capsys, "sep", "--in", str(tmp_path / "missing.json"), flag, "0")
     assert code == 2 and report is None
     assert err.splitlines()[-1] == f"causalis sep: error: argument {flag}: must be an integer >= 1, got 0"
 
 
-def test_sep_requires_seed(tmp_path, qubit_parties, capsys):
-    path = tmp_path / "noise.json"
-    save_process(path, white_noise(qubit_parties))
-    code, report, err = run(capsys, "sep", "--in", str(path))
+@pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--battery", "20")])
+def test_sep_refuses_the_removed_battery_flags(tmp_path, capsys, flag, value):
+    # the battery is fixed, so a script that still sets it fails loudly
+    code, report, err = run(capsys, "sep", "--in", str(tmp_path / "missing.json"), flag, value)
     assert code == 2 and report is None
-    assert "--seed" in err
+    assert err.splitlines()[-1] == f"causalis: error: unrecognized arguments: {flag} {value}"
 
 
 @pytest.mark.parametrize("u,v,want", [("X", "Z", 0.0), ("X", "X", 1.0), ("I", "I", 1.0)])
@@ -495,14 +537,16 @@ def test_parser_defaults_are_the_library_constants():
     parser = build_parser()
     defaults = {
         ("validate", "--in", "x"): {"tol": LIN_TOL, "psd_tol": PSD_TOL},
-        ("sep", "--in", "x", "--seed", "1"): {"tol": SEP_TOL, "max_iters": MAX_ITERS,
-                                              "battery": BATTERY},
+        ("sep", "--in", "x"): {"tol": SEP_TOL, "max_iters": MAX_ITERS},
         ("ineq", "--game", "gyni"): {"tol": CAUSAL_TOL},
     }
     for argv, want in defaults.items():
         args = vars(parser.parse_args(argv))
         # the very objects, not equal copies: a literal in the parser fails this
         assert all(args[k] is v for k, v in want.items()), (argv[0], args)
+    # sep sets nothing but its file, tol and max_iters: the battery is fixed
+    args = vars(parser.parse_args(["sep", "--in", "x"]))
+    assert set(args) == {"command", "func", "infile", "tol", "max_iters"}
 
 
 def test_reused_parser_recovers_from_usage_error_and_version(capsys):

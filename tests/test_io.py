@@ -159,6 +159,19 @@ def test_instrument_rejects_choi_entries_outside_the_grid(qubit_parties, key):
         cio.instrument_from_json(d, qubit_parties)
 
 
+def test_instrument_counts_are_checked_before_any_row(qubit_parties):
+    # no row of a million settings is built before the counts are refused
+    d = {"party": "A", "settings": 10**6, "outcomes": 0, "chois": {}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="instrument outcomes must be an integer >= 1, got 0"):
+            cio.instrument_from_json(d, qubit_parties)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # instruments
 
@@ -271,6 +284,14 @@ def test_game_round_trip(rng):
     (lambda d: d["wins"].append([0, 0, 2, 0]), "not an index"),
     (lambda d: d["wins"].append([0, 0, -1, 0]), "not an index"),
     (lambda d: d["wins"].append([0, 0, 0]), "not an index"),
+    # input_dist is compared with settings before the win table exists
+    (lambda d: d.update(input_dist=[[1.0]]),
+     r"game input_dist has shape \(1, 1\), not the settings \(2, 2\)$"),
+    (lambda d: d.update(settings=[100_000, 100_000], outcomes=[1000, 1000]),
+     r"game input_dist has shape \(2, 2\), not the settings \(100000, 100000\)$"),
+    # 8e18 bytes, more than any address space: numpy refuses at once
+    (lambda d: d.update(settings=[1, 1], outcomes=[10**9, 10**9], input_dist=[[1.0]]),
+     r"game win table of shape \(1, 1, 1000000000, 1000000000\) is too large to allocate$"),
 ])
 def test_game_schema_errors_are_value_errors(edit, match):
     d = json.loads(json.dumps(cio.game_to_json(cs.gyni_game())))
@@ -306,7 +327,7 @@ def test_certificate_json_shapes(qubit_parties):
     assert d["diagnostics"]["reconstruction"] < 1e-6
     json.dumps(d)  # everything must be plain JSON types
 
-    ocb = cs.check_separability(cs.ocb_process(), battery=20)
+    ocb = cs.check_separability(cs.ocb_process())
     d = cio.certificate_to_json(ocb)
     assert d["separable"] is False and d["witness_verified"] is True
     assert d["verdict"] == "nonseparable"
@@ -318,7 +339,7 @@ def test_certificate_json_shapes(qubit_parties):
     text = json.dumps(d)
     assert json.loads(text)["diagnostics"] == diag
     # deterministic: a second run gives the same JSON
-    again = cs.check_separability(cs.ocb_process(), battery=20)
+    again = cs.check_separability(cs.ocb_process())
     assert json.dumps(cio.certificate_to_json(again)) == text
 
 
@@ -331,3 +352,10 @@ def test_save_and_load_json(tmp_path):
     cio.save_json(d, str(path))
     assert path.read_text() == json.dumps(d) + "\n"
     assert cio.load_json(str(path)) == d
+
+
+def test_deeply_nested_json_is_a_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="^JSON nested too deeply$"):
+        cio.load_json(str(path))

@@ -363,10 +363,10 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
         else:
             assert cert.q is None
     assert list(inspect.signature(cs.check_separability).parameters) == [
-        "p", "orders", "tol", "max_iters", "witness_seed", "battery"]
-    # the witness is decided by its own bound, so no tolerance reaches it
-    assert list(inspect.signature(cs.extract_witness).parameters) == [
-        "p", "trace", "seed", "battery"]
+        "p", "orders", "tol", "max_iters"]
+    # the witness is decided by its own bound, so no tolerance reaches it,
+    # and its battery is fixed, so no seed or size does either
+    assert list(inspect.signature(cs.extract_witness).parameters) == ["p", "trace"]
 
 
 def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
@@ -389,7 +389,7 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
     # K orders take one (K, r, r) eigh: Baumeler-Wolf (rank 8) against all
     # six orders, certified on its face
     calls.clear()
-    cert = cs.check_separability(baumeler_wolf(), max_iters=20, battery=5)
+    cert = cs.check_separability(baumeler_wolf(), max_iters=20)
     assert cert.iterations == 20 and cert.verdict == "nonseparable"
     assert "face_iterations" not in cert.diagnostics
     assert calls == [(64, 64)] + [(6, 8, 8)] * 20
@@ -660,7 +660,7 @@ def test_verdict_invariant_under_party_relabelling(traced_switch_cert, seed, wei
 @pytest.fixture(scope="module")
 def ocb_cert():
     p = cs.ocb_process()
-    return p, cs.check_separability(p, max_iters=4000, battery=100)
+    return p, cs.check_separability(p, max_iters=4000)
 
 
 def test_two_way_process_is_nonseparable(ocb_cert):
@@ -684,7 +684,7 @@ def test_verdict_has_three_values(traced_switch_cert, ocb_cert, qubit_parties):
 
 
 def test_certified_witness_decides_a_cut_off_run():
-    cert = cs.check_separability(cs.ocb_process(), max_iters=10, battery=20)
+    cert = cs.check_separability(cs.ocb_process(), max_iters=10)
     assert cert.iterations == 10 and not cert.trace.stalled
     assert cert.witness_verified and cert.verdict == "nonseparable"
 
@@ -704,7 +704,7 @@ def test_nonseparable_witness_verified(ocb_cert):
 def test_witness_requires_failed_run(traced_switch_cert):
     p, cert = traced_switch_cert
     with pytest.raises(ValueError, match="failed feasibility"):
-        cs.extract_witness(p, cert.trace, seed=0)
+        cs.extract_witness(p, cert.trace)
 
 
 def seed_state_mixtures():
@@ -800,7 +800,7 @@ def test_witness_takes_no_eigh(monkeypatch, ocb_cert):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    witness, _ = cs.extract_witness(p, cert.trace, seed=7)
+    witness, _ = cs.extract_witness(p, cert.trace)
     assert witness is not None
     assert calls == []
 
@@ -814,7 +814,7 @@ def test_zero_dual_gives_no_witness(qubit_parties):
     trace = dataclasses.replace(cert.trace, summands=None,
                                 dual=np.zeros_like(cert.trace.summands))
     assert not trace.converged
-    witness, diag = cs.extract_witness(p, trace, seed=7, battery=5)
+    witness, diag = cs.extract_witness(p, trace)
     assert witness is None and "rejected" in diag
     assert abs(diag["witness_overlap"]) < 1e-12
     assert np.all(np.abs(diag["certificate_margins"]) < 1e-12)
@@ -874,7 +874,7 @@ def test_full_rank_run_is_the_whole_cone_run():
 def test_full_switch_is_certified_by_one_whole_cone_run(switch):
     # rank 1 of 64 and in neither order subspace: the ray {c W} holds no
     # feasible stack, so no face run is made and one whole-cone run decides
-    cert, runs = retried(switch, max_iters=600, battery=20)
+    cert, runs = retried(switch, max_iters=600)
     (face, trace), = runs
     assert face is None and cert.trace is trace and cert.iterations == 600
     assert cert.diagnostics["face_rank"] == 1
@@ -894,7 +894,7 @@ def test_stalled_retry_is_certified(baumeler_wolf_cert):
     # Baumeler-Wolf against (ABC, BAC): both runs stall, and only the
     # whole-cone run's witness is certified
     p, _ = baumeler_wolf_cert
-    cert, runs = retried(p, orders=[("A", "B", "C"), ("B", "A", "C")], battery=20)
+    cert, runs = retried(p, orders=[("A", "B", "C"), ("B", "A", "C")])
     assert [face is None for face, _ in runs] == [False, True]
     assert all(t.stalled for _, t in runs)
     assert cert.diagnostics["face_iterations"] == 550 and cert.iterations == 600
@@ -934,7 +934,7 @@ def test_mixtures_of_two_orders_are_separable(seed, q):
     w = (cs.random_ordered_process([a, b], rng).w * q
          + cs.random_ordered_process([b, a], rng).w * (1 - q))
     p = cs.ProcessMatrix((a, b), w)
-    cert = cs.check_separability(p, battery=5)
+    cert = cs.check_separability(p)
     assert_checked_decomposition(p, cert, q)
 
 
@@ -1034,15 +1034,13 @@ def test_battery_is_drawn_once_per_structure(monkeypatch):
     assert first.witness_verified and second.witness_verified
     # two W on one structure, one batch per order in all
     assert draws == [(("A", "B"), 500), (("B", "A"), 500)]
-    # a new seed, size or order list draws afresh
+    # a repeated extraction reuses it; a new order list draws afresh
     draws.clear()
-    cs.extract_witness(noisy, second.trace, seed=8)
-    cs.extract_witness(noisy, second.trace, seed=7, battery=40)
+    cs.extract_witness(noisy, second.trace)
+    assert draws == []
     cs.check_separability(noisy, orders=[("B", "A"), ("A", "B")])
-    assert draws == [(("A", "B"), 500), (("B", "A"), 500), (("A", "B"), 40),
-                     (("B", "A"), 40), (("B", "A"), 500), (("A", "B"), 500)]
-    batches, picks, weights = separability._battery(ocb.parties, (("A", "B"), ("B", "A")),
-                                                    7, 500)
+    assert draws == [(("B", "A"), 500), (("A", "B"), 500)]
+    batches, picks, weights = separability._battery(ocb.parties, (("A", "B"), ("B", "A")))
     arrays = [weights, *picks, *(x for b in batches for x in (b.states, *b.channels))]
     assert not any(x.flags.writeable for x in arrays)
     # the cached battery scores noisy OCB as a fresh draw does
@@ -1056,12 +1054,6 @@ def test_battery_is_drawn_once_per_structure(monkeypatch):
                                                           mixed.min()))
 
 
-@pytest.mark.parametrize("battery", [0, -3, 2.5, True])
-def test_rejects_empty_or_negative_battery(battery):
-    with pytest.raises(ValueError, match="battery must be an integer >= 1"):
-        cs.check_separability(cs.ocb_process(), battery=battery)
-
-
 @pytest.mark.parametrize("kwargs, match", [
     ({"max_iters": 0}, "max_iters must be an integer >= 1"),
     ({"max_iters": -3}, "max_iters must be an integer >= 1"),
@@ -1073,9 +1065,6 @@ def test_rejects_empty_or_negative_battery(battery):
     ({"tol": 0.0}, "tol must be finite and > 0"),
     ({"tol": np.nan}, "tol must be finite and > 0"),
     ({"tol": np.inf}, "tol must be finite and > 0"),
-    ({"witness_seed": -1}, "witness_seed must be an integer >= 0"),
-    ({"witness_seed": None}, "witness_seed must be an integer >= 0"),
-    ({"witness_seed": 1.5}, "witness_seed must be an integer >= 0"),
 ])
 @pytest.mark.parametrize("kind", ["ocb", "white_noise"])
 def test_rejects_out_of_range_run_parameters(kind, kwargs, match, qubit_parties, monkeypatch):
@@ -1091,22 +1080,17 @@ def test_rejects_out_of_range_run_parameters(kind, kwargs, match, qubit_parties,
         cs.check_separability(p, **kwargs)
 
 
-def test_extract_witness_rejects_bad_seed(ocb_cert):
-    p, cert = ocb_cert
-    for bad in (-1, None, 1.5, True):
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-            cs.extract_witness(p, cert.trace, seed=bad, battery=20)
-
-
 def test_extract_witness_rejects_empty_battery(ocb_cert):
+    # the battery is fixed: no size, empty or not, and no seed is accepted
     p, cert = ocb_cert
-    for bad in (0, -1, 2.5, True):
-        with pytest.raises(ValueError, match="battery must be an integer >= 1"):
-            cs.extract_witness(p, cert.trace, seed=7, battery=bad)
+    for kwargs in ({"battery": 0}, {"battery": 20}, {"seed": 7}):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            cs.extract_witness(p, cert.trace, **kwargs)
     # one battery size: as many mixtures as samples per order
-    witness, diag = cs.extract_witness(p, cert.trace, seed=7, battery=20)
+    witness, diag = cs.extract_witness(p, cert.trace)
     assert witness is not None and 0 <= diag["battery_min"] < np.inf
-    assert diag["samples_per_order"] == diag["n_mixtures"] == 20
+    assert diag["samples_per_order"] == diag["n_mixtures"] == 500
+    assert diag["witness_seed"] == 7
 
 
 # ---------------------------------------------------------------------------
@@ -1142,7 +1126,7 @@ def test_default_orders_for_three_full_parties():
     # three parties with nontrivial outputs: all six orders
     assert _default_orders(tuple(qubit_chain("CAB"))) == list(itertools.permutations("ABC"))
     p = cs.random_ordered_process(qubit_chain("ABC"), np.random.default_rng(0))
-    cert = cs.check_separability(p, max_iters=1, battery=1)
+    cert = cs.check_separability(p, max_iters=1)
     assert [c.order for c in cert.trace.orders] == list(itertools.permutations("ABC"))
 
 
@@ -1191,7 +1175,7 @@ def test_stall_without_witness_is_undecided(traced_switch_cert):
     # alone is no evidence of either verdict
     p, separable = traced_switch_cert
     assert separable.verdict == "separable"
-    cert = cs.check_separability(p, tol=1e-20, battery=20)
+    cert = cs.check_separability(p, tol=1e-20)
     assert cert.trace.stalled and cert.iterations == 600
     assert cert.diagnostics["face_iterations"] == 600
     assert cert.witness is None and "rejected" in cert.diagnostics
@@ -1206,8 +1190,7 @@ def test_baumeler_wolf_pair_is_certified(baumeler_wolf_cert):
     # against (ABC, BCA) alone the witness read off the face run is
     # certified, where the whole-cone run's was rejected (overlap +0.222)
     p, _ = baumeler_wolf_cert
-    cert = cs.check_separability(p, orders=[("A", "B", "C"), ("B", "C", "A")],
-                                 battery=20)
+    cert = cs.check_separability(p, orders=[("A", "B", "C"), ("B", "C", "A")])
     assert cert.trace.stalled and cert.iterations == 550
     assert cert.verdict == "nonseparable" and "face_iterations" not in cert.diagnostics
     assert abs(cert.diagnostics["witness_overlap"] - (-0.1415)) < 1e-4
