@@ -283,8 +283,9 @@ def verdict_to_json(v: CausalityVerdict) -> dict:
 
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
     """The verdict with its diagnostics block, which holds no timings: the
-    run's perp and stalled (read off ``c.trace``), then the certificate's
-    face rank, verification and decomposition or witness fields."""
+    run's perp, stalled and eigh_steps (read off ``c.trace``), then the
+    certificate's face rank, verification and decomposition or witness
+    fields."""
     return {
         "separable": c.separable,
         "verdict": c.verdict,
@@ -293,7 +294,8 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
         "iterations": c.iterations,
         "witness": None if c.witness is None else operator_to_json(c.witness),
         "witness_verified": c.witness_verified,
-        "diagnostics": {"perp": c.trace.perp, "stalled": c.trace.stalled, **c.diagnostics},
+        "diagnostics": {"perp": c.trace.perp, "stalled": c.trace.stalled,
+                        "eigh_steps": c.trace.eigh_steps, **c.diagnostics},
     }
 
 

@@ -103,7 +103,10 @@ class Party:
 
     ``space``, ``input_space`` and ``output_space`` are built once, here;
     building ``space`` is the check that every label is distinct
-    ("duplicate space label 'A_I'").
+    ("duplicate space label 'A_I'"). So is the hash: tuples of parties key
+    the per-structure caches, and hashing the name and factors anew costs
+    every lookup. Equality still compares the fields. Unpickling calls
+    __init__ again, so the hash follows the process's string hashing.
     """
 
     name: str
@@ -119,6 +122,13 @@ class Party:
         object.__setattr__(self, "space", SpaceProduct(inputs + outputs))
         object.__setattr__(self, "input_space", SpaceProduct(inputs))
         object.__setattr__(self, "output_space", SpaceProduct(outputs))
+        object.__setattr__(self, "_hash", hash((name, inputs, outputs)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Party, (self.name, self.inputs, self.outputs)
 
     @property
     def input_labels(self) -> tuple[str, ...]:

@@ -28,29 +28,32 @@ affine projection has a closed form on each coefficient, and an order
 cone's residual is the largest per-id norm, one bincount. The basis change
 is one GEMM per group of adjacent factors (two for balanced spaces), and
 Dykstra carries the summands as one (K, ...) stack, so an iteration costs
-one basis change each way and one batched eigh.
+one basis change each way and at most one batched eigh: a batched
+Cholesky first tests whether the stack is positive definite, and if it is,
+the projection clips nothing and needs no eigh (`_project_psd`).
 
 What does not depend on W is set up once per party structure: the basis,
 its group transforms and the shapes of a basis change on a (K, ...) stack
 (`_party_moves`, `_CoeffBasis`), the pattern ids (`_cone_ids`) and the
 witness battery (`_battery`). Once per run: the masks, W's coefficients
 and, on a face, V and V†. Per iteration: the affine step, one basis change
-each way around one batched eigh, and the residual.
+each way around the PSD step (none back when that step leaves a whole-cone
+stack as it is), and the residual.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
 range(W) and X_i ⪰ 0; projecting onto that face is V P_psd(V† M V) V†, so
-the batched eigh is (K, r, r), and the feasible set, the affine step, the
-stall test and the full-space residual are those of the whole cone. Most
-processes are rank-deficient (the traced switch has rank 4 of 16, a pure
-process rank 1), and the face removes the degeneracy that slows the run
-on the whole cone (Borwein & Wolkowicz, J. Math. Anal. Appl. 83, 495
-(1981)). When r = D the run is the whole-cone run. When a face run neither
-converges nor yields a certified witness, the same run on the whole cone
-decides instead. At r = 1 (a pure process) no face run is made: each W_i
-is c_i W, so W is separable iff it lies in some order's subspace, a linear
-fact decided in closed form (`_pure_decomposition`), and otherwise the
-whole-cone run decides. The run record keeps one (K, ...) coefficient
+the batched Cholesky and eigh are (K, r, r), and the feasible set, the
+affine step, the stall test and the full-space residual are those of the
+whole cone. Most processes are rank-deficient (the traced switch has rank 4
+of 16, a pure process rank 1), and the face removes the degeneracy that
+slows the run on the whole cone (Borwein & Wolkowicz, J. Math. Anal. Appl.
+83, 495 (1981)). When r = D the run is the whole-cone run. When a face run
+neither converges nor yields a certified witness, the same run on the whole
+cone decides instead. At r = 1 (a pure process) no face run is made: each
+W_i is c_i W, so W is separable iff it lies in some order's subspace, a
+linear fact decided in closed form (`_pure_decomposition`), and otherwise
+the whole-cone run decides. The run record keeps one (K, ...) coefficient
 stack: the masked summands when it converged (the certificate's components
 and q are read off them), and the dual variable otherwise.
 
@@ -157,7 +160,9 @@ class FeasibilityTrace:
     its witness from (PSD for a whole-cone run; for a run on a face
     {V X V†}, only V† y_i V is). ``converged`` is read off which one is
     kept, and ``residual`` and ``iterations`` are the last entry and the
-    length of ``residual_history``."""
+    length of ``residual_history``. ``eigh_steps`` counts the iterations
+    whose PSD step ran eigh (`_project_psd`); the others found the stack
+    positive definite, which clips nothing (0 for the closed form)."""
 
     orders: tuple[OrderCone, ...]
     stalled: bool
@@ -165,6 +170,7 @@ class FeasibilityTrace:
     perp: float
     summands: np.ndarray | None
     dual: np.ndarray | None
+    eigh_steps: int
 
     @property
     def converged(self) -> bool:
@@ -292,18 +298,38 @@ def _face(w: np.ndarray) -> np.ndarray | None:
 
 
 def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
-                 face_h: np.ndarray | None) -> np.ndarray:
+                 face_h: np.ndarray | None,
+                 gate: bool = True) -> tuple[np.ndarray, bool | None]:
     """Nearest point of the PSD cone, or of its face {V X V† : X ⪰ 0} when
     ``face`` is V (`_face`) and ``face_h`` is V† (both None for the cone),
-    to each operator M of a coefficient stack: one batched eigh of M, or of
-    V† M V, lifted to V P_psd(V† M V) V†, the exact Frobenius projection.
-    V = 1 would add three GEMMs to each eigh."""
+    to each operator M of a coefficient stack, with whether the step
+    clipped: (projection, clipped).
+
+    With ``gate``, one batched Cholesky first tests the K-stack (M, or
+    V† M V on a face). When every item is positive definite nothing is
+    clipped and no eigh runs: the projection is M itself, so ``c`` is
+    returned as given, or on a face the compression V (V† M V) V†, and
+    clipped is None. Otherwise one batched eigh of the stack is lifted to
+    V P_psd(V† M V) V†, the exact Frobenius projection, and clipped says
+    whether an eigenvalue was negative. Cholesky is backward stable, so a
+    stack it accepts is within a few D ε_mach ||M|| of a positive definite
+    one: the gate drops no more than the rounding of eigh itself. V = 1
+    would add three GEMMs to each step."""
     m = basis.from_coeffs(c)
-    e, v = np.linalg.eigh(m if face is None else face_h @ m @ face)
-    np.clip(e, 0, None, out=e)
+    x = m if face is None else face_h @ m @ face
+    if gate:
+        try:
+            np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return (c if face is None else basis.to_coeffs(face @ x @ face_h)), None
+    e, v = np.linalg.eigh(x)
+    clipped = bool(e[..., 0].min() < 0)
+    np.maximum(e, 0, out=e)
     if face is not None:
         v = face @ v
-    return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
 
 
 def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_iters,
@@ -318,7 +344,13 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
     charges the part of W outside the sum of the subspaces, which no
     feasible stack can reproduce. The run stalls when, checked every
     STALL_CHECK_EVERY iterations, the residual has fallen by less than
-    STALL_REL relative to its value STALL_WINDOW iterations back."""
+    STALL_REL relative to its value STALL_WINDOW iterations back.
+
+    The PSD step is gated (`_project_psd`): a Cholesky test comes first,
+    and eigh runs only when the stack is not positive definite. After a
+    step that clipped, the next one skips the test and goes straight to
+    eigh, so a run that clips on every step pays for one test in all;
+    ``eigh_steps`` counts the iterations that ran eigh."""
     n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
@@ -337,6 +369,8 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
     hist = []
     res = np.inf
     stalled = False
+    clipped = None
+    eigh_steps = 0
     it = 0
     # The affine correction p vanishes in exact arithmetic (the set is
     # affine) but not in floating point: dropping it moves the stalls, and
@@ -346,7 +380,8 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
         a = proj_affine(y)
         p = y - a
         c = a + q
-        nb = _project_psd(basis, c, face, face_h)
+        nb, clipped = _project_psd(basis, c, face, face_h, gate=not clipped)
+        eigh_steps += clipped is not None
         q = c - nb
         d = (a - nb).ravel()
         gap = math.sqrt(d.dot(d))  # np.linalg.norm, bit for bit
@@ -364,7 +399,7 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
     return FeasibilityTrace(orders=cones, stalled=stalled,
                             residual_history=np.asarray(hist), perp=perp,
                             summands=b * m if converged else None,
-                            dual=None if converged else -q)
+                            dual=None if converged else -q, eigh_steps=eigh_steps)
 
 
 def _pure_decomposition(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol):
@@ -388,7 +423,8 @@ def _pure_decomposition(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones,
     res = np.linalg.norm(summands.sum(axis=0) - wc)
     perp = float(np.linalg.norm(wc * (m.sum(axis=0) == 0)))
     return FeasibilityTrace(orders=cones, stalled=False, residual_history=np.array([res]),
-                            perp=perp, summands=summands, dual=None), dist.tolist()
+                            perp=perp, summands=summands, dual=None,
+                            eigh_steps=0), dist.tolist()
 
 
 def check_separability(

@@ -49,6 +49,7 @@ def test_criterion_02_switch_reconstruction():
     print(f"criterion 2: PASS reconstruction dev {dev:.2e}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_03_switch_separability_pair():
     t0 = time.perf_counter()
     traced = cs.check_separability(traced_switch_process())
@@ -142,6 +143,7 @@ def test_criterion_06_ocb_violation():
           f"membership residual {verdict.residual:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_07_switch_correlations_causal():
     t0 = time.perf_counter()
     p = cs.validate_process(equal_switch().to_matrix())

@@ -427,6 +427,9 @@ def test_sep_exit_codes_follow_the_verdict(tmp_path, switch, capsys):
     assert code == 1
     assert report["results"]["verdict"] == "nonseparable"
     assert report["results"]["witness_verified"] is True
+    # OCB's face run never leaves the PSD cone, so no step runs eigh
+    assert report["results"]["iterations"] == 500
+    assert report["results"]["diagnostics"]["eigh_steps"] == 0
     # the battery is fixed: one size for the samples per order and the
     # mixtures, one seed, and neither is part of the config
     diag = report["results"]["diagnostics"]
@@ -448,6 +451,8 @@ def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
         res = report["results"]
         assert code == 1 and res["verdict"] == "nonseparable"
         assert res["diagnostics"]["stalled"] is True and res["iterations"] == 500
+        # full rank, so the run is on the whole cone, where every step clips
+        assert res["diagnostics"]["eigh_steps"] == 500
     # the traced switch is separable, so a run cut short at 5 iterations
     # has no witness (Tr[S W] = +0.269) and is undecided
     qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))

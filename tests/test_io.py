@@ -332,8 +332,10 @@ def test_certificate_json_shapes(qubit_parties):
     assert d["separable"] is False and d["witness_verified"] is True
     assert d["verdict"] == "nonseparable"
     diag = d["diagnostics"]
-    for key in ("perp", "stalled", "verification", "witness_overlap", "battery_min"):
+    for key in ("perp", "stalled", "eigh_steps", "verification", "witness_overlap",
+                "battery_min"):
         assert key in diag
+    assert diag["eigh_steps"] == ocb.trace.eigh_steps == 0
     assert "dual-cone" in diag["verification"]
     assert len(diag["certificate_margins"]) == 2
     text = json.dumps(d)

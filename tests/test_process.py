@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -580,6 +581,35 @@ def test_party_labels_are_checked_once():
     assert a.space is a.space and a.space == cs.SpaceProduct(a.inputs + a.outputs)
     assert a.input_space is a.input_space and a.input_space.labels == ("A_I",)
     assert a.output_space is a.output_space and a.output_space.dims == (3,)
+
+
+def test_party_hash_is_computed_once_and_shared_by_equal_parties():
+    hashed = []
+
+    class Counted(cs.LabeledSpace):
+        def __hash__(self):
+            hashed.append(self.label)
+            return super().__hash__()
+
+    c = cs.Party("C", Counted("C_I", 2), Counted("C_O", 2))
+    assert hashed == ["C_I", "C_O"]
+    for _ in range(3):
+        assert {c: 1}[c] == 1 and hash((c, c)) == hash((c, c))
+    assert hashed == ["C_I", "C_O"]
+    # equal parties built separately hash equal and share a cache entry;
+    # equality still compares the fields
+    a = cs.Party("A", cs.LabeledSpace("A_I", 2), cs.LabeledSpace("A_O", 3))
+    b = cs.Party("A", [cs.LabeledSpace("A_I", 2)], (cs.LabeledSpace("A_O", 3),))
+    assert a is not b and a == b and hash(a) == hash(b) == hash(("A", a.inputs, a.outputs))
+    assert a != cs.Party("A", cs.LabeledSpace("A_I", 2), cs.LabeledSpace("A_O", 2))
+    q = qubit_chain("Q")[0]
+    moves = cp._party_moves((a, q))
+    hits = cp._party_moves.cache_info().hits
+    assert cp._party_moves((b, qubit_chain("Q")[0])) is moves
+    assert cp._party_moves.cache_info().hits == hits + 1
+    # a copy through pickle is built anew, so its hash is this process's
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a) and back.space == a.space
 
 
 def test_party_names_must_be_distinct():

@@ -229,28 +229,77 @@ def test_planned_basis_change_on_stacks_matches_per_item(parties, rng):
     assert {(), (1,), (2,), (6,)} <= set(basis._plans)
 
 
+def psd_stack(kind, d, rng, lead):
+    """Hermitian (lead..., d, d) stacks: indefinite, positive definite
+    (G G† + 1), or PSD of rank d // 4, singular on the cone and on a face
+    of d // 2 columns."""
+    if kind == "indefinite":
+        return random_hermitian(d, rng, lead)
+    cols = d if kind == "pd" else d // 4
+    g = rng.normal(size=lead + (d, cols)) + 1j * rng.normal(size=lead + (d, cols))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m + np.eye(d) if kind == "pd" else m
+
+
 @pytest.mark.parametrize("on_face", [False, True], ids=["cone", "face"])
 @pytest.mark.parametrize("dims", [[2, 2, 2, 2], [5, 2], [2] * 5],
                          ids=lambda d: "x".join(map(str, d)))
 def test_psd_step_matches_dense_eigh(dims, on_face, rng):
-    # the one PSD step of the Dykstra loop, on a (2, 3) stack, against a
-    # dense projection per item: eigh of M, or V P_psd(V^dag M V) V^dag
+    # the one PSD step of the Dykstra loop, on (2, 3) stacks, against a
+    # dense projection per item: eigh of M, or V P_psd(V^dag M V) V^dag,
+    # whether the Cholesky gate takes the step or eigh does
     space = labeled(dims)
     basis = _CoeffBasis(space)
-    ms = random_hermitian(space.dim, rng, lead=(2, 3))
     v = np.eye(space.dim)
     if on_face:
         g = rng.normal(size=(space.dim, space.dim // 2)) + 1j * rng.normal(
             size=(space.dim, space.dim // 2))
         v = np.linalg.qr(g)[0]
     face = (v, v.conj().T) if on_face else (None, None)
-    got = separability._project_psd(basis, basis.to_coeffs(ms), *face)
-    for i in range(2):
-        for j in range(3):
-            e, u = np.linalg.eigh(v.conj().T @ ms[i, j] @ v)
-            x = v @ u
-            want = (x * np.clip(e, 0, None)) @ x.conj().T
-            assert np.max(np.abs(basis.from_coeffs(got[i, j]) - want)) < 1e-12
+    for kind in ("indefinite", "pd", "singular_psd"):
+        ms = psd_stack(kind, space.dim, rng, (2, 3))
+        c = basis.to_coeffs(ms)
+        got, clipped = separability._project_psd(basis, c, *face)
+        if kind == "indefinite":
+            assert clipped is True
+        elif kind == "pd":
+            # the whole cone returns the stack it was given, a face compresses
+            assert clipped is None and (got is c) == (not on_face)
+        for i in range(2):
+            for j in range(3):
+                e, u = np.linalg.eigh(v.conj().T @ ms[i, j] @ v)
+                x = v @ u
+                want = (x * np.clip(e, 0, None)) @ x.conj().T
+                assert np.max(np.abs(basis.from_coeffs(got[i, j]) - want)) < 1e-12, kind
+
+
+@pytest.mark.parametrize("on_face", [False, True], ids=["cone", "face"])
+def test_psd_step_runs_eigh_only_when_the_stack_is_not_positive_definite(
+        monkeypatch, on_face, rng):
+    space = labeled([2, 2, 2])
+    basis = _CoeffBasis(space)
+    face = (None, None)
+    if on_face:
+        v = np.linalg.qr(rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))[0]
+        face = (v, v.conj().T)
+    calls = []
+    eigh = separability.np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
+    r = 8 if face[0] is None else 4
+    pd = basis.to_coeffs(psd_stack("pd", 8, rng, (2,)))
+    indefinite = basis.to_coeffs(psd_stack("indefinite", 8, rng, (2,)))
+    assert separability._project_psd(basis, pd, *face)[1] is None and calls == []
+    assert separability._project_psd(basis, indefinite, *face)[1] is True
+    assert calls == [(2, r, r)]
+    # without the gate, eigh runs on a positive-definite stack too and
+    # reports that it clipped nothing
+    assert separability._project_psd(basis, pd, *face, gate=False)[1] is False
+    assert calls == [(2, r, r)] * 2
 
 
 def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
@@ -345,7 +394,7 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
     stored = [f.name for f in dataclasses.fields(cs.SeparabilityCertificate)]
     assert stored == ["witness", "diagnostics", "trace", "process"]
     assert [f.name for f in dataclasses.fields(cs.FeasibilityTrace)] == [
-        "orders", "stalled", "residual_history", "perp", "summands", "dual"]
+        "orders", "stalled", "residual_history", "perp", "summands", "dual", "eigh_steps"]
     for _, cert in (traced_switch_cert, ocb_cert):
         t = cert.trace
         assert (cert.separable, cert.residual, cert.iterations) == (
@@ -355,8 +404,10 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
         assert (t.residual, t.iterations) == (t.residual_history[-1], len(t.residual_history))
         assert type(t.residual) is float and type(t.iterations) is int
         assert cert.witness_verified == (cert.witness is not None)
-        # each fact once: the run's perp and stall live on the trace only
-        assert not {"perp", "stalled"} & set(cert.diagnostics)
+        # each fact once: the run's perp, stall and eigh count live on the
+        # trace only
+        assert not {"perp", "stalled", "eigh_steps"} & set(cert.diagnostics)
+        assert type(t.eigh_steps) is int and 0 <= t.eigh_steps <= t.iterations
         if cert.separable:
             tr = cert.components[0].trace().real / cert.process.w.trace().real
             assert cert.q == float(np.clip(tr, 0.0, 1.0))
@@ -370,29 +421,57 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
 
 
 def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
+    # at most one batched (K, r, r) eigh per iteration, and only on a step
+    # whose stack is not positive definite; the one batched Cholesky test
+    # that decides it is skipped after a step that clipped
     qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))
     w_ab = cs.partial_trace(qs.to_matrix().w, ("F_c", "F_t", "F_O"))
     p = cs.validate_process(cs.ProcessMatrix(qubit_parties, w_ab))
-    calls = []
-    eigh = separability.np.linalg.eigh
+    calls, tests = [], []
+    eigh, cholesky = separability.np.linalg.eigh, separability.np.linalg.cholesky
 
     def counting_eigh(m, *args, **kwargs):
         calls.append(np.shape(m))
         return eigh(m, *args, **kwargs)
 
+    def counting_cholesky(m, *args, **kwargs):
+        tests.append(np.shape(m))
+        return cholesky(m, *args, **kwargs)
+
     monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(separability.np.linalg, "cholesky", counting_cholesky)
+    # one eigh of W finds its rank-4 face; no step of the run clips
     cert = cs.check_separability(p)
-    # one eigh of W finds its rank-4 face, then one (K, r, r) eigh per iteration
     assert cert.separable and cert.iterations == 9
-    assert cert.diagnostics["face_rank"] == 4
-    assert calls == [(16, 16)] + [(2, 4, 4)] * 9
-    # K orders take one (K, r, r) eigh: Baumeler-Wolf (rank 8) against all
+    assert cert.diagnostics["face_rank"] == 4 and cert.trace.eigh_steps == 0
+    assert calls == [(16, 16)] and tests == [(2, 4, 4)] * 9
+    # K orders take one (K, r, r) test: Baumeler-Wolf (rank 8) against all
     # six orders, certified on its face
     calls.clear()
+    tests.clear()
     cert = cs.check_separability(baumeler_wolf(), max_iters=20)
     assert cert.iterations == 20 and cert.verdict == "nonseparable"
     assert "face_iterations" not in cert.diagnostics
-    assert calls == [(64, 64)] + [(6, 8, 8)] * 20
+    assert calls == [(64, 64)] and tests == [(6, 8, 8)] * 20
+    # a unitary mixture (rank 7) clips on every step: one test, then one
+    # (K, r, r) eigh per iteration
+    calls.clear()
+    tests.clear()
+    cert = cs.check_separability(
+        unitary_channel_mixture(qubit_parties, np.random.default_rng(0), weight=0.3))
+    assert cert.separable and cert.iterations == cert.trace.eigh_steps == 15
+    assert calls == [(16, 16)] + [(2, 7, 7)] * 15 and tests == [(2, 7, 7)]
+
+
+def test_eigh_runs_only_on_steps_that_clip():
+    # OCB's face run never leaves the cone, in any local frame, so no step
+    # runs eigh; noisy OCB (full rank: the whole cone) clips on every step
+    cert = cs.check_separability(in_local_frame(cs.ocb_process(), 3))
+    assert cert.verdict == "nonseparable" and cert.trace.stalled
+    assert cert.iterations == 500 and cert.trace.eigh_steps == 0
+    cert = cs.check_separability(noisy_ocb())
+    assert cert.verdict == "nonseparable" and cert.trace.stalled
+    assert cert.iterations == cert.trace.eigh_steps == 500
 
 
 def test_ocb_stalls_at_500_iterations():
@@ -429,9 +508,10 @@ def test_runs_are_deterministic(qubit_parties):
 
 def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     """The Dykstra loop written plainly: b + p and a + q formed twice each,
-    the gap by np.linalg.norm and V† formed in every projection. Kept as
-    the reference that `_dykstra` must match bit for bit; returns
-    (residual_history, summands or None, dual or None)."""
+    the gap by np.linalg.norm, V† formed in every projection, one Cholesky
+    per item for the gate and np.clip for the clipping. Kept as the
+    reference that `_dykstra` must match bit for bit; returns
+    (residual_history, summands or None, dual or None, eigh steps)."""
     n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
@@ -443,22 +523,41 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
         r = (t.sum(axis=0) - wpar) * m
         return t - r + r * keep
 
-    def project_psd(c):
+    def positive_definite(x):
+        try:
+            np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def project_psd(c, last_clipped):
+        # with no negative eigenvalue, the projection of M onto the cone is
+        # M and onto a face V (V^dag M V) V^dag; a step after one that
+        # clipped goes straight to eigh
         x = basis.from_coeffs(c)
-        e, v = np.linalg.eigh(x if face is None else face.conj().T @ x @ face)
-        np.clip(e, 0, None, out=e)
+        if face is not None:
+            x = face.conj().T @ x @ face
+        if not last_clipped and all(positive_definite(xi) for xi in x):
+            return (c if face is None else basis.to_coeffs(face @ x @ face.conj().T)), None
+        e, v = np.linalg.eigh(x)
+        clipped = bool(np.any(e < 0))
+        e = np.clip(e, 0, None)
         if face is not None:
             v = face @ v
-        return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
 
     b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)
     q = np.zeros_like(b)
     hist = []
+    clipped = None
+    eigh_steps = 0
     for it in range(1, max_iters + 1):
         a = proj_affine(b + p)
         p = b + p - a
-        nb = project_psd(a + q)
+        nb, clipped = project_psd(a + q, clipped)
+        if clipped is not None:
+            eigh_steps += 1
         q = a + q - nb
         gap = np.linalg.norm(a - nb)
         res = float(np.sqrt(gap**2 + perp**2))
@@ -471,7 +570,15 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
             if (old - res) / max(old, 1e-300) < separability.STALL_REL:
                 break
     converged = hist[-1] < tol
-    return np.asarray(hist), b * m if converged else None, None if converged else -q
+    return (np.asarray(hist), b * m if converged else None, None if converged else -q,
+            eigh_steps)
+
+
+def in_local_frame(p, seed):
+    """p with W turned by a local unitary drawn from default_rng(seed)."""
+    u = local_unitary(p.w.space, np.random.default_rng(seed)).mat
+    m = u @ p.w.mat @ u.conj().T
+    return cs.ProcessMatrix(p.parties, cs.HermitianOperator(p.w.space, (m + m.conj().T) / 2))
 
 
 def framed_unitary_mixture():
@@ -479,19 +586,18 @@ def framed_unitary_mixture():
     residuals show a change in how the residual is rounded (gap * gap for
     gap ** 2), which the other fixtures do not."""
     p = unitary_channel_mixture(qubit_chain("AB"), np.random.default_rng(0), weight=0.3)
-    u = local_unitary(p.w.space, np.random.default_rng(14)).mat
-    m = u @ p.w.mat @ u.conj().T
-    return cs.ProcessMatrix(p.parties, cs.HermitianOperator(p.w.space, (m + m.conj().T) / 2))
+    return in_local_frame(p, 14)
 
 
-@pytest.mark.parametrize("make, rank, tol, max_iters, iterations", [
-    (traced_switch, 4, separability.SEP_TOL, separability.MAX_ITERS, 9),
-    (cs.ocb_process, 8, separability.SEP_TOL, separability.MAX_ITERS, 500),
-    (lambda: noisy_ocb(), 16, separability.SEP_TOL, separability.MAX_ITERS, 500),
-    (baumeler_wolf, 8, separability.SEP_TOL, 60, 60),
-    (framed_unitary_mixture, 7, 1e-20, 300, 300),
+@pytest.mark.parametrize("make, rank, tol, max_iters, iterations, eigh_steps", [
+    (traced_switch, 4, separability.SEP_TOL, separability.MAX_ITERS, 9, 0),
+    (cs.ocb_process, 8, separability.SEP_TOL, separability.MAX_ITERS, 500, 0),
+    (lambda: noisy_ocb(), 16, separability.SEP_TOL, separability.MAX_ITERS, 500, 500),
+    (baumeler_wolf, 8, separability.SEP_TOL, 60, 60, 0),
+    (framed_unitary_mixture, 7, 1e-20, 300, 300, 300),
 ], ids=["traced_switch", "ocb", "ocb_noisy", "baumeler_wolf", "framed_mixture_tol_1e-20"])
-def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, iterations):
+def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, iterations,
+                                                    eigh_steps):
     p = make()
     basis = process._party_moves(p.parties)[0]
     cones = tuple(cs.OrderCone(o) for o in _default_orders(p.parties))
@@ -499,8 +605,10 @@ def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, 
     face = separability._face(p.w.mat)
     assert (p.w.dim if face is None else face.shape[1]) == rank
     got = separability._dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
-    hist, summands, dual = reference_dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
+    hist, summands, dual, ref_eigh_steps = reference_dykstra(basis, p.w.mat, masks, cones, tol,
+                                                             max_iters, face)
     assert got.iterations == iterations
+    assert got.eigh_steps == ref_eigh_steps == eigh_steps
     assert np.array_equal(got.residual_history, hist)
     for mine, ref in ((got.summands, summands), (got.dual, dual)):
         assert (mine is None) == (ref is None)
@@ -595,10 +703,7 @@ def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
     # the order-cone masks only ask whether a factor carries the identity,
     # so a frame U = u_1 (x) ... (x) u_n commutes with every projection
     p, want = frame_bases[kind]
-    u = local_unitary(p.w.space, np.random.default_rng(seed)).mat
-    m = u @ p.w.mat @ u.conj().T
-    framed = cs.ProcessMatrix(p.parties, cs.HermitianOperator(p.w.space, (m + m.conj().T) / 2))
-    got = cs.check_separability(framed)
+    got = cs.check_separability(in_local_frame(p, seed))
     assert got.separable and want.separable
     assert abs(got.q - want.q) < 1e-9
     assert got.iterations == want.iterations
@@ -871,6 +976,7 @@ def test_full_rank_run_is_the_whole_cone_run():
     assert abs(cert.diagnostics["witness_overlap"] - (-0.1574966536453274)) < 1e-12
 
 
+@pytest.mark.slow
 def test_full_switch_is_certified_by_one_whole_cone_run(switch):
     # rank 1 of 64 and in neither order subspace: the ray {c W} holds no
     # feasible stack, so no face run is made and one whole-cone run decides
@@ -890,6 +996,7 @@ def test_full_switch_is_certified_by_one_whole_cone_run(switch):
     assert np.array_equal(cert.trace.dual, whole.dual)
 
 
+@pytest.mark.slow
 def test_stalled_retry_is_certified(baumeler_wolf_cert):
     # Baumeler-Wolf against (ABC, BAC): both runs stall, and only the
     # whole-cone run's witness is certified
@@ -1177,7 +1284,7 @@ def test_stall_without_witness_is_undecided(traced_switch_cert):
     assert separable.verdict == "separable"
     cert = cs.check_separability(p, tol=1e-20)
     assert cert.trace.stalled and cert.iterations == 600
-    assert cert.diagnostics["face_iterations"] == 600
+    assert cert.diagnostics["face_iterations"] == 550
     assert cert.witness is None and "rejected" in cert.diagnostics
     assert cert.diagnostics["witness_overlap"] > 0
     assert cert.verdict == "undecided" and not cert.separable
