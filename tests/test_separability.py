@@ -464,7 +464,7 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
 
 
 def test_eigh_runs_only_on_steps_that_clip():
-    # OCB's face run never leaves the cone, in any local frame, so no step
+    # OCB's face run never leaves the cone, here in a local frame, so no step
     # runs eigh; noisy OCB (full rank: the whole cone) clips on every step
     cert = cs.check_separability(in_local_frame(cs.ocb_process(), 3))
     assert cert.verdict == "nonseparable" and cert.trace.stalled
