@@ -4,9 +4,10 @@ Each subcommand reads JSON/CSV files, dispatches to the library, and prints
 a versioned JSON report to stdout. Exit codes: 0 verdict-positive (valid /
 separable / causal / computed); 1 verdict-negative (`validate` invalid, `sep`
 nonseparable, `ineq` violated or not causal); 2 usage or input errors, an
-invalid process given to `born`, `ineq` or `sep` among them; 3 undecided
-(`sep` found neither a decomposition nor a certified witness). Reports are
-byte-identical across identical invocations apart from wall_time_s.
+invalid process given to `born`, `ineq` or `sep` and an input too large to
+build in memory among them; 3 undecided (`sep` found neither a
+decomposition nor a certified witness). Reports are byte-identical across
+identical invocations apart from wall_time_s.
 
 `main` parses with one argparse tree per process (`_parser`), since building
 it costs more than most subcommands; `build_parser` returns a fresh tree.
@@ -243,8 +244,9 @@ def main(argv=None) -> int:
     config = {k: (str(v) if isinstance(v, complex) else v) for k, v in config.items()}
     try:
         code, results = args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # an input too large to build is an input error, not a verdict
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     report = {
         "schema": "causalis/1",

@@ -60,6 +60,7 @@ import numpy as np
 
 from .tensor_core import (
     CHOI_PSD_TOL,
+    HERM_TOL,
     TP_TOL,
     HermitianOperator,
     LabeledSpace,
@@ -74,6 +75,7 @@ from .tensor_core import (
     _cptp_defects,
     _ginibre_density,
     _haar_isometry,
+    _hermitian_defect,
     choi_vector,
     depolarize,
     identity,
@@ -357,24 +359,35 @@ def _validity_sweep(p: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
     return p._sweep
 
 
+def _hermiticity_defect(w: Operator) -> float:
+    """max |W - W^dag|: 0 for a HermitianOperator, symmetrised when built.
+    eigvalsh reads one triangle and the coefficients keep the real part, so
+    neither can see a non-Hermitian W; this check comes before both."""
+    return 0.0 if isinstance(w, HermitianOperator) else _hermitian_defect(w.mat)
+
+
 def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float = LIN_TOL) -> ProcessMatrix:
     """A copy of p with its validity verdict, which nothing else writes.
 
-    Valid means PSD (eigenvalues >= -psd_tol), then |Tr w / prod d_O - 1|
-    <= lin_tol, then r_U = w_U * ||c_U||_2 <= lin_tol for every forbidden
-    pattern U (see the module docstring). The first violated condition is
-    recorded with its residual: the smallest eigenvalue, the trace, or the
-    pattern with the largest residual, e.g. "normalization: signalling term
-    on A_O (x) B_O (residual 2.0e-09)". psd_tol and lin_tol must be finite
-    and > 0. The copy is shallow and skips the constructor's checks, which
-    p has passed.
+    Valid means Hermitian (max |W - W^dag| <= HERM_TOL; a HermitianOperator
+    is Hermitian by construction), then PSD (eigenvalues >= -psd_tol), then
+    |Tr w / prod d_O - 1| <= lin_tol, then r_U = w_U * ||c_U||_2 <= lin_tol
+    for every forbidden pattern U (see the module docstring). The first
+    violated condition is recorded with its residual: the Hermiticity
+    defect, the smallest eigenvalue, the trace, or the pattern with the
+    largest residual, e.g. "normalization: signalling term on A_O (x) B_O
+    (residual 2.0e-09)". psd_tol and lin_tol must be finite and > 0. The
+    copy is shallow and skips the constructor's checks, which p has passed.
     """
     _check_tol("psd_tol", psd_tol)
     _check_tol("lin_tol", lin_tol)
+    defect = _hermiticity_defect(p.w)
     evals, r = _validity_sweep(p)
     *_, names = _validity_patterns(p.parties)
     u = 0 if r[0] > lin_tol else int(np.argmax(r))
-    if evals[0] < -psd_tol:
+    if defect > HERM_TOL:
+        validity, reason = "invalid", f"hermiticity: max |W - W^dag| = {defect:.1e}"
+    elif evals[0] < -psd_tol:
         validity, reason = "invalid", f"positivity: min eigenvalue {evals[0]:.6e}"
     elif r[u] > lin_tol:
         validity = "invalid"
@@ -420,10 +433,10 @@ def validity_report(p: ProcessMatrix) -> dict:
 def validate_bipartite_closed_form(p: ProcessMatrix) -> bool:
     """Closed-form validity for two parties with nontrivial outputs.
 
-    Checks PSD (eigenvalues >= -PSD_TOL), |Tr W / (d_AO*d_BO) - 1| <= LIN_TOL,
-    and the three depolarize identities that characterize the bipartite
-    valid subspace, each to LIN_TOL. Must agree with validate_process on
-    every input.
+    Checks Hermiticity (max |W - W^dag| <= HERM_TOL), PSD (eigenvalues >=
+    -PSD_TOL), |Tr W / (d_AO*d_BO) - 1| <= LIN_TOL, and the three
+    depolarize identities that characterize the bipartite valid subspace,
+    each to LIN_TOL. Must agree with validate_process on every input.
     """
     if len(p.parties) != 2:
         raise ValueError("closed form is defined for exactly two parties")
@@ -431,6 +444,8 @@ def validate_bipartite_closed_form(p: ProcessMatrix) -> bool:
     if a.trivial_output or b.trivial_output:
         raise ValueError("closed form requires nontrivial outputs for both parties")
     w = p.w
+    if _hermiticity_defect(w) > HERM_TOL:
+        return False
     evals = np.linalg.eigvalsh(w.mat)
     if evals[0] < -PSD_TOL:
         return False

@@ -35,10 +35,11 @@ the projection clips nothing and needs no eigh (`_project_psd`).
 What does not depend on W is set up once per party structure: the basis,
 its group transforms and the shapes of a basis change on a (K, ...) stack
 (`_party_moves`, `_CoeffBasis`), the pattern ids (`_cone_ids`) and the
-witness battery (`_battery`). Once per run: the masks, W's coefficients
-and, on a face, V and V†. Per iteration: the affine step, one basis change
-each way around the PSD step (none back when that step leaves a whole-cone
-stack as it is), and the residual.
+witness battery (`_battery`). Once per call: the masks, W's coefficients
+(one basis change, shared by the closed form, the face run and its
+whole-cone retry) and V; once per face run, V†. Per iteration: the affine
+step, one basis change each way around the PSD step (none back when that
+step leaves a whole-cone stack as it is), and the residual.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -55,7 +56,12 @@ W_i is c_i W, so W is separable iff it lies in some order's subspace, a
 linear fact decided in closed form (`_pure_decomposition`), and otherwise
 the whole-cone run decides. The run record keeps one (K, ...) coefficient
 stack: the masked summands when it converged (the certificate's components
-and q are read off them), and the dual variable otherwise.
+and q are read off them), and the dual variable otherwise. A separable
+verdict is checked on that stack, with no operator built per component:
+one basis change back gives the (K, D, D) components, whose sum is
+compared with W, whose coefficients (one batched basis change) give the
+order-cone residuals through the bincount of `order_cone_residual`, and
+whose smallest eigenvalues come from one eigvalsh.
 
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
@@ -134,14 +140,19 @@ def _cone_masks(parties: tuple[Party, ...], cones) -> np.ndarray:
     return np.stack([_cone_ids(parties, c.order) == 0 for c in cones]).astype(float)
 
 
+def _cone_residual(parties: tuple[Party, ...], order: tuple[str, ...], c: np.ndarray) -> float:
+    """The largest norm of the complex coefficients c, of the coefficient
+    shape of `_cone_ids`, over one nonzero id: one bincount."""
+    bins = np.bincount(_cone_ids(parties, order).ravel(), weights=np.abs(c.ravel()) ** 2,
+                       minlength=len(order) + 1)
+    return float(np.sqrt(bins[1:].max(initial=0.0)))
+
+
 def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
     """Largest Frobenius violation of the cone's linear conditions: the
     largest norm of W's complex coefficients over one nonzero id, i.e. of
     D_S(W) - D_{S+o}(W), as the basis is orthonormal. W may be non-Hermitian."""
-    ids = _cone_ids(p.parties, cone.order).ravel()
-    c = _party_moves(p.parties)[0].coeffs(p.w.mat).ravel()
-    bins = np.bincount(ids, weights=np.abs(c) ** 2, minlength=len(cone.order) + 1)
-    return float(np.sqrt(bins[1:].max(initial=0.0)))
+    return _cone_residual(p.parties, cone.order, _party_moves(p.parties)[0].coeffs(p.w.mat))
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +207,12 @@ class SeparabilityCertificate:
     (so the normalized order-cone members are components[i] scaled by 1/q_i,
     q_i = Tr components[i] / Tr W), rebuilt from ``trace.summands`` on each
     access, and q = q_0, clipped to [0, 1], is the first order's weight
-    (None unless separable). Diagnostics carry the reconstruction error, the
-    order-cone residuals and the smallest eigenvalue of each component, all
-    recomputed from the components, and the tol the residual fell below.
+    (None unless separable), read off one coefficient: the basis is
+    orthonormal with the identity 1/sqrt(D) first, so Tr X = sqrt(D) c_0
+    for X's identity coefficient c_0. Diagnostics carry the reconstruction
+    error, the order-cone residuals and the smallest eigenvalue of each
+    component, all recomputed from the summands, and the tol the residual
+    fell below.
     When nonseparable, ``witness`` is a unit-norm Hermitian S with Tr[S X]
     >= μ Tr W for every mixture X of processes of the orders, μ the
     smallest of diagnostics["certificate_margins"] (one smallest eigenvalue
@@ -241,9 +255,9 @@ class SeparabilityCertificate:
 
     @property
     def q(self) -> float | None:
-        comps = self.components
-        return None if comps is None else float(
-            np.clip(comps[0].trace().real / self.process.w.trace().real, 0.0, 1.0))
+        s, w = self.trace.summands, self.process.w
+        return None if s is None else float(
+            np.clip(math.sqrt(w.dim) * s[0].flat[0] / w.trace().real, 0.0, 1.0))
 
     @property
     def residual(self) -> float:
@@ -332,19 +346,21 @@ def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
     return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
 
 
-def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_iters,
+def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_iters,
              face=None):
     """Alternating projections on the summands x = (x_1, ..., x_K), held as
     one (K, ...) coefficient stack, between the affine set {x_i in L_i,
-    sum_i x_i = W_par} (m stacks the masks of the subspaces L_i) and the PSD
-    product cone, or its face when ``face`` is V (`_project_psd`); returns
-    the run's FeasibilityTrace. On a coefficient that n > 0 of the L_i
-    allow, the affine step subtracts r/n from each of them, r the excess of
-    their sum over W_par. The reported residual sqrt(gap^2 + perp^2) also
-    charges the part of W outside the sum of the subspaces, which no
-    feasible stack can reproduce. The run stalls when, checked every
-    STALL_CHECK_EVERY iterations, the residual has fallen by less than
-    STALL_REL relative to its value STALL_WINDOW iterations back.
+    sum_i x_i = W_par} and the PSD product cone, or its face when ``face``
+    is V (`_project_psd`); returns the run's FeasibilityTrace. wc holds W's
+    real coefficients, which `check_separability` expands once per call and
+    shares between its runs, and m stacks the masks of the subspaces L_i.
+    On a coefficient that n > 0 of the L_i allow, the affine step subtracts
+    r/n from each of them, r the excess of their sum over W_par. The
+    reported residual sqrt(gap^2 + perp^2) also charges the part of W
+    outside the sum of the subspaces, which no feasible stack can
+    reproduce. The run stalls when, checked every STALL_CHECK_EVERY
+    iterations, the residual has fallen by less than STALL_REL relative to
+    its value STALL_WINDOW iterations back.
 
     The PSD step is gated (`_project_psd`): a Cholesky test comes first,
     and eigh runs only when the stack is not positive definite. After a
@@ -352,7 +368,6 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
     eigh, so a run that clips on every step pays for one test in all;
     ``eigh_steps`` counts the iterations that ran eigh."""
     n = m.sum(axis=0)
-    wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
     keep = 1 - 1 / np.maximum(n, 1)
@@ -402,19 +417,20 @@ def _dykstra(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol, max_i
                             dual=None if converged else -q, eigh_steps=eigh_steps)
 
 
-def _pure_decomposition(basis: _CoeffBasis, w: np.ndarray, m: np.ndarray, cones, tol):
+def _pure_decomposition(wc: np.ndarray, m: np.ndarray, cones, tol):
     """The separable side at rank 1, in closed form: (a converged
-    FeasibilityTrace or None, the distances d_i). Every PSD summand has W_i
-    ⪯ W, so at rank 1 W_i = c_i W, and W mixes the orders iff it lies in
-    some order subspace L_i. d_i = ||(1 - m_i) ⊙ w|| is the Frobenius
-    distance from the full W to L_i, so an eigenvalue that `_face` dropped
-    is still charged. The orders with d_i < tol hold W; the summands are
-    m_i ⊙ w / n on the n orders that hold it and 0 on the rest, an even
-    split so that relabelling the parties maps q to 1 - q. The one residual,
-    ||sum_i x_i - W||, is at most max d_i < tol. None when no order holds W:
-    the ray {c W} then holds no feasible stack, and only a whole-cone run
-    can yield a witness."""
-    wc = basis.to_coeffs(w)
+    FeasibilityTrace or None, the distances d_i). wc holds W's real
+    coefficients, the expansion `check_separability` shares with its runs,
+    and m the masks. Every PSD summand has W_i ⪯ W, so at rank 1 W_i =
+    c_i W, and W mixes the orders iff it lies in some order subspace L_i.
+    d_i = ||(1 - m_i) ⊙ wc|| is the Frobenius distance from the full W to
+    L_i, so an eigenvalue that `_face` dropped is still charged. The orders
+    with d_i < tol hold W; the summands are m_i ⊙ wc / n on the n orders
+    that hold it and 0 on the rest, an even split so that relabelling the
+    parties maps q to 1 - q. The one residual, ||sum_i x_i - W||, is at
+    most max d_i < tol. None when no order holds W: the ray {c W} then
+    holds no feasible stack, and only a whole-cone run can yield a
+    witness."""
     dist = np.linalg.norm(((1 - m) * wc).reshape(len(m), -1), axis=1)
     held = dist < tol
     if not held.any():
@@ -453,6 +469,9 @@ def check_separability(
     and the whole-cone run decides when no order holds W. The verdict is
     nonseparable with a witness and undecided without. max_iters must be
     an integer >= 1 and tol finite and > 0, both checked before any run.
+    W is expanded in the coefficient basis once, and the closed form and
+    every run share that expansion; a separable verdict is checked on the
+    stack of summands (see the module docstring).
     """
     _check_count("max_iters", max_iters, 1)
     _check_tol("tol", tol)
@@ -465,9 +484,10 @@ def check_separability(
 
     basis = _party_moves(p.parties)[0]
     masks = _cone_masks(p.parties, cones)
+    wc = basis.to_coeffs(p.w.mat)
 
     def run(face):
-        trace = _dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
+        trace = _dykstra(basis, wc, masks, cones, tol, max_iters, face)
         if trace.converged:
             return trace, None, {}
         return (trace, *extract_witness(p, trace))
@@ -476,8 +496,7 @@ def check_separability(
     rank = p.w.dim if face is None else face.shape[1]
     diagnostics = {"face_rank": rank}
     if rank == 1:
-        trace, diagnostics["order_distances"] = _pure_decomposition(basis, p.w.mat, masks,
-                                                                    cones, tol)
+        trace, diagnostics["order_distances"] = _pure_decomposition(wc, masks, cones, tol)
         trace, witness, wdiag = run(None) if trace is None else (trace, None, {})
     else:
         trace, witness, wdiag = run(face)
@@ -487,16 +506,16 @@ def check_separability(
 
     cert = SeparabilityCertificate(witness, diagnostics, trace, p)
     if cert.separable:
-        comps = cert.components
+        comps = basis.from_coeffs(trace.summands)
         closed = " in closed form at rank 1" if rank == 1 else ""
         diagnostics.update({
             "verification": f"decomposition{closed}: reconstruction, order-cone residuals and "
                             "component eigenvalues",
             "tol": tol,
-            "reconstruction": float((sum(comps[1:], comps[0]) - p.w).norm()),
-            "cone_residuals": [order_cone_residual(ProcessMatrix(p.parties, c), cone)
-                               for c, cone in zip(comps, cones)],
-            "component_min_eigenvalues": np.linalg.eigvalsh([c.mat for c in comps])[:, 0].tolist(),
+            "reconstruction": float(np.linalg.norm(comps.sum(axis=0) - p.w.mat)),
+            "cone_residuals": [_cone_residual(p.parties, cone.order, c)
+                               for c, cone in zip(basis.coeffs(comps), cones)],
+            "component_min_eigenvalues": np.linalg.eigvalsh(comps)[:, 0].tolist(),
         })
     else:
         diagnostics.update({"verification": "witness: exact dual-cone check (eigvalsh margins "

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import causalis as cs
+from causalis import cli
 from causalis import io as cio
 from causalis.causality import CAUSAL_TOL
 from causalis.cli import build_parser, main
@@ -74,6 +75,20 @@ def test_switch_rejects_unnormalized_target(tmp_path, capsys):
     )
     assert code == 2 and report is None
     assert err.startswith("error:") and "normalized" in err
+
+
+def test_input_too_large_to_build_exits_2(tmp_path, capsys, monkeypatch):
+    # a switch with many amplitudes needs more memory than there is; the
+    # library call is stubbed to fail as numpy does, so nothing is allocated
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 11.6 GiB for an array")
+
+    monkeypatch.setattr(cli, "make_quantum_switch", too_large)
+    out = tmp_path / "x.json"
+    code, report, err = run(capsys, "switch", "--psi", ",".join(["0.125"] * 64), "--out", str(out))
+    assert code == 2 and report is None
+    assert err == "error: Unable to allocate 11.6 GiB for an array\n"
+    assert not out.exists()
 
 
 def test_validate_flags_invalid_process(tmp_path, qubit_parties, capsys):

@@ -54,6 +54,28 @@ def test_positivity_violation_reported(qubit_parties):
     assert "positivity" in bad.reason
 
 
+def test_non_hermitian_process_is_invalid():
+    # white noise plus an anti-Hermitian part: eigvalsh reads one triangle
+    # and the coefficients keep the real part, so only a Hermiticity check
+    # sees it
+    parties = cs.ocb_parties()
+    g = np.random.default_rng(0).normal(size=(16, 16))
+    w = cs.Operator(cs.parties_space(parties), np.eye(16) / 4 + 0.01j * (g + g.T))
+    p = cs.ProcessMatrix(parties, w)
+    checked = cs.validate_process(p)
+    assert checked.validity == "invalid"
+    assert checked.reason == "hermiticity: max |W - W^dag| = 1.2e-01"
+    assert cs.validate_bipartite_closed_form(p) is False
+    with pytest.raises(ValueError, match="not valid: hermiticity"):
+        cs.born(p, list(cs.ocb_instruments()))
+    with pytest.raises(ValueError, match="not valid: hermiticity"):
+        cs.check_separability(p)
+    # a plain Operator that is Hermitian passes as its HermitianOperator does
+    white = cs.ProcessMatrix(parties, cs.Operator(w.space, np.eye(16) / 4))
+    assert cs.validate_process(white).validity == "valid"
+    assert cs.validate_bipartite_closed_form(white) is True
+
+
 @pytest.mark.parametrize("name", ["psd_tol", "lin_tol"])
 @pytest.mark.parametrize("bad", [np.nan, -1e-9, 0.0, np.inf])
 def test_validate_rejects_bad_tolerances(qubit_parties, name, bad):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import causalis as cs
-from causalis import process, separability
+from causalis import process, separability, tensor_core
 from causalis.process import validity_report
 from causalis.separability import _CoeffBasis, _default_orders
 from conftest import (
@@ -409,8 +409,11 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
         assert not {"perp", "stalled", "eigh_steps"} & set(cert.diagnostics)
         assert type(t.eigh_steps) is int and 0 <= t.eigh_steps <= t.iterations
         if cert.separable:
+            # q is read off the first summand's identity coefficient, so it
+            # agrees with the rebuilt component's trace to rounding
             tr = cert.components[0].trace().real / cert.process.w.trace().real
-            assert cert.q == float(np.clip(tr, 0.0, 1.0))
+            assert abs(cert.q - float(np.clip(tr, 0.0, 1.0))) <= 1e-15
+            assert type(cert.q) is float
         else:
             assert cert.q is None
     assert list(inspect.signature(cs.check_separability).parameters) == [
@@ -604,7 +607,8 @@ def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, 
     masks = separability._cone_masks(p.parties, cones)
     face = separability._face(p.w.mat)
     assert (p.w.dim if face is None else face.shape[1]) == rank
-    got = separability._dykstra(basis, p.w.mat, masks, cones, tol, max_iters, face)
+    got = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cones, tol, max_iters,
+                                face)
     hist, summands, dual, ref_eigh_steps = reference_dykstra(basis, p.w.mat, masks, cones, tol,
                                                              max_iters, face)
     assert got.iterations == iterations
@@ -641,7 +645,7 @@ def test_closed_form_agrees_with_a_face_run():
     basis = process._party_moves(p.parties)[0]
     masks = separability._cone_masks(p.parties, cert.trace.orders)
     face = separability._face(p.w.mat)
-    run = separability._dykstra(basis, p.w.mat, masks, cert.trace.orders,
+    run = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cert.trace.orders,
                                 separability.SEP_TOL, separability.MAX_ITERS, face)
     assert run.converged and run.iterations == 163
     comps = basis.from_coeffs(run.summands)
@@ -966,7 +970,7 @@ def test_full_rank_run_is_the_whole_cone_run():
     assert cert.diagnostics["face_rank"] == 16 and "face_iterations" not in cert.diagnostics
     basis = process._party_moves(p.parties)[0]
     masks = separability._cone_masks(p.parties, cert.trace.orders)
-    whole = separability._dykstra(basis, p.w.mat, masks, cert.trace.orders,
+    whole = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cert.trace.orders,
                                   separability.SEP_TOL, separability.MAX_ITERS)
     assert np.array_equal(cert.trace.residual_history, whole.residual_history)
     assert np.array_equal(cert.trace.dual, whole.dual)
@@ -990,7 +994,7 @@ def test_full_switch_is_certified_by_one_whole_cone_run(switch):
     # it is the whole-cone run, bit for bit
     basis = process._party_moves(switch.parties)[0]
     masks = separability._cone_masks(switch.parties, cert.trace.orders)
-    whole = separability._dykstra(basis, switch.w.mat, masks, cert.trace.orders,
+    whole = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cert.trace.orders,
                                   separability.SEP_TOL, 600)
     assert np.array_equal(cert.trace.residual_history, whole.residual_history)
     assert np.array_equal(cert.trace.dual, whole.dual)
@@ -1024,13 +1028,69 @@ def test_run_keeps_one_stack(traced_switch_cert, ocb_cert):
     assert failed.trace.dual is not None
 
 
-def test_component_evidence_in_the_diagnostics(traced_switch_cert):
-    p, cert = traced_switch_cert
-    d = cert.diagnostics
-    assert d["tol"] == separability.SEP_TOL and cert.residual < d["tol"]
-    lows = [np.linalg.eigvalsh(c.mat)[0] for c in cert.components]
-    assert np.allclose(d["component_min_eigenvalues"], lows, rtol=0, atol=1e-14)
-    assert all(type(x) is float for x in d["component_min_eigenvalues"])
+def three_party_mixture():
+    a, b, c = qubit_chain("ABC")
+    rng = np.random.default_rng(1)
+    w = (unitary_ordered_process((a, b, c), rng).w * 0.5
+         + unitary_ordered_process((c, b, a), rng).w * 0.5)
+    return cs.ProcessMatrix((a, b, c), w)
+
+
+def test_component_evidence_in_the_diagnostics(frame_bases):
+    # the checks run on one coefficient stack; each must match the check
+    # made per component, through a process and operator arithmetic
+    mixture = three_party_mixture()
+    for p, cert in [*frame_bases.values(), (mixture, cs.check_separability(mixture))]:
+        d = cert.diagnostics
+        assert cert.separable
+        assert d["tol"] == separability.SEP_TOL and cert.residual < d["tol"]
+        comps = cert.components
+        want_q = comps[0].trace().real / p.w.trace().real
+        want_reconstruction = (sum(comps[1:], comps[0]) - p.w).norm()
+        want_residuals = [cs.order_cone_residual(cs.ProcessMatrix(p.parties, c), cone)
+                          for c, cone in zip(comps, cert.trace.orders)]
+        lows = [np.linalg.eigvalsh(c.mat)[0] for c in comps]
+        assert abs(cert.q - np.clip(want_q, 0.0, 1.0)) <= 1e-15
+        assert abs(d["reconstruction"] - want_reconstruction) <= 1e-15
+        assert np.allclose(d["cone_residuals"], want_residuals, rtol=0, atol=1e-15)
+        assert np.allclose(d["component_min_eigenvalues"], lows, rtol=0, atol=1e-15)
+        for key in ("cone_residuals", "component_min_eigenvalues"):
+            assert len(d[key]) == len(comps) and all(type(x) is float for x in d[key])
+        assert type(d["reconstruction"]) is float
+
+
+@pytest.mark.parametrize("make", [traced_switch, degenerate_switch],
+                         ids=["traced_switch", "degenerate_switch"])
+def test_separable_call_expands_w_once(monkeypatch, make):
+    # the face run (or the closed form at rank 1) and the checks of its
+    # decomposition share one basis change of W, and the checks build no
+    # operator or process per component
+    p = cs.validate_process(make())
+    expanded, built = [], []
+    coeffs = _CoeffBasis.coeffs
+    checked_matrix = tensor_core._checked_matrix
+    post_init = cs.ProcessMatrix.__post_init__
+
+    def counting_coeffs(self, m):
+        if m.ndim == 2:
+            expanded.append(m)
+        return coeffs(self, m)
+
+    def counting_matrix(*args):
+        built.append("operator")
+        return checked_matrix(*args)
+
+    def counting_post_init(self):
+        built.append("process")
+        post_init(self)
+
+    monkeypatch.setattr(_CoeffBasis, "coeffs", counting_coeffs)
+    monkeypatch.setattr(tensor_core, "_checked_matrix", counting_matrix)
+    monkeypatch.setattr(cs.ProcessMatrix, "__post_init__", counting_post_init)
+    cert = cs.check_separability(p)
+    assert cert.separable
+    assert len(expanded) == 1 and expanded[0] is p.w.mat
+    assert built == []
 
 
 @settings(max_examples=4)
