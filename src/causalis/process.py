@@ -35,11 +35,15 @@ as it moves the worst tuple residual.
 
 The Born rule evaluates the multilinear functional T[k] = sum_ij W_ij
 (X_1[k] (x) ... (x) X_n[k])_ij on per-party stacks X_k. `_contract`
-evaluates it as a single einsum whose subscripts follow the factor labels,
-so no tensor product is ever formed, and the caller names the result axis
-of each stack axis: `instruments.born` puts party k's (setting, outcome)
-on the table's axes (k, n + k), and `OrderedBatch.traces` puts every
-piece's sample axis on axis 0.
+sums it with subscripts that follow the factor labels, so no tensor
+product is ever formed, and the caller names the result axis of each
+stack axis: `instruments.born` puts party k's (setting, outcome) on the
+table's axes (k, n + k), and `OrderedBatch.traces` puts every piece's
+sample axis on axis 0. The sum is compiled once per signature
+(`_contract_plan`: one path search, then fixed transposes, reshapes and
+matmuls laid out as np.einsum lays out the same path, so the results are
+np.einsum's bit for bit where that path is pairwise), and a call only
+runs the plan.
 
 An ordered process is kept as its pieces, a state stack and one Choi
 stack per link, in an `OrderedBatch`: its `spaces` are the pieces'
@@ -53,6 +57,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -229,58 +234,172 @@ def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.n
     identity. axes[k] names the result axis of each batch axis of
     stacks[k]: the result has one axis per name, 0, 1, ..., and batch axes
     that share a name share its index (born gives party k the axes (k,
-    n + k), `traces` gives every piece axis 0). One einsum does the whole
-    sum. Each factor of w gets a row and a column subscript by label (the
-    same one for an uncovered factor, which traces it out), so pieces whose
+    n + k), `traces` gives every piece axis 0). There is at least one
+    stack. The sum is planned once per signature (`_contract_plan`) and a
+    call only runs the plan: a few reshapes, transposes and matmuls.
+    """
+    plan = _contract_plan(w.space, tuple(spaces), tuple(x.shape[:-2] for x in stacks),
+                          tuple(map(tuple, axes)))
+    return plan(w.mat, stacks)
+
+
+@dataclass(frozen=True)
+class _ContractPlan:
+    """The compiled sum of one `_contract` signature: the operand shapes (w,
+    then each stack), the steps, and the result shape. Each step pops the
+    operands at its positions and pushes what `_pair` steps make of them,
+    folded from the first."""
+
+    shapes: tuple[tuple[int, ...], ...]
+    steps: tuple
+    shape: tuple[int, ...]
+
+    def __call__(self, w: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        ops = [x.reshape(s) for x, s in zip((w, *stacks), self.shapes)]
+        for positions, pairs in self.steps:
+            terms = [ops.pop(i) for i in positions]
+            acc = terms[0]
+            for b, pair in zip(terms[1:], pairs):
+                acc = _run_pair(acc, b, *pair)
+            ops.append(acc)
+        return ops[0].reshape(self.shape)
+
+
+def _run_pair(a, b, prep_a, shape_a, prep_b, shape_b, product, shape_ab, perm_ab):
+    """One compiled pairwise step (see `_pair`)."""
+    ab = product(_prepare(a, prep_a, shape_a), _prepare(b, prep_b, shape_b))
+    if shape_ab is not None:
+        ab = ab.reshape(shape_ab)
+    return ab if perm_ab is None else ab.transpose(perm_ab)
+
+
+def _prepare(x, prep, shape):
+    """One side of a pair: `_layout`'s step, then the fused shape."""
+    if isinstance(prep, str):
+        x = np.einsum(prep, x)
+    elif prep is not None:
+        x = x.transpose(prep)
+    return x if shape is None else x.reshape(shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _contract_plan(space: SpaceProduct, spaces: tuple[SpaceProduct, ...],
+                   batches: tuple[tuple[int, ...], ...],
+                   axes: tuple[tuple[int, ...], ...]) -> _ContractPlan:
+    """Compile the `_contract` of w over ``space`` with stacks of batch
+    shapes ``batches`` over ``spaces``, their batch axes named by ``axes``.
+
+    Each factor of w gets a row and a column subscript by label (the same
+    one for an uncovered factor, which traces it out), so pieces whose
     factors interleave in w's canonical order need no permutation. Axes of
     length 1 (trivial factors, single settings) get no subscript. Every
     subscript then names an axis of length >= 2 on w or on the result, so
-    past einsum's 52 one of the two would hold at least 2**27 entries; that
-    case raises instead of contracting. The contraction path is searched
-    once per signature (`_einsum_path`).
+    past np.einsum's 52 one of the two would hold at least 2**27 entries;
+    that case raises instead of contracting.
+
+    The pairwise order is the "greedy" path of one `np.einsum_path` search
+    (on zero-stride stand-ins: it reads only shapes), and each step is laid
+    out as np.einsum given that path lays it out (numpy 2.x's
+    `_core.einsumfunc`), so both give the same bits: the steps run in path
+    order on the operands at the path's positions, popped from the last;
+    an intermediate's subscripts are sorted by (length, subscript), the
+    last step's are the result's; and each pair is `_pair`. A step of more
+    than two operands (the greedy path's when every pair would outgrow the
+    largest operand and the result, as in the 3-qubit-party battery, and the whole sum
+    when w has no factor of dim > 1) is a left fold of pairs, which np.einsum
+    runs as one loop instead: there the two agree to rounding.
     """
-    labels = [f.label for f in w.space.factors if f.dim > 1]
-    dims = [f.dim for f in w.space.factors if f.dim > 1]
+    labels = [f.label for f in space.factors if f.dim > 1]
+    dims = [f.dim for f in space.factors if f.dim > 1]
     row = {lab: 2 * k for k, lab in enumerate(labels)}  # column subscript: row + 1
-    covered = {f.label for space in spaces for f in space.factors}
-    operands = [
-        w.mat.reshape(dims + dims),
-        [row[lab] for lab in labels] + [row[lab] + (lab in covered) for lab in labels],
-    ]
+    covered = {f.label for s in spaces for f in s.factors}
+    subs = [[row[lab] for lab in labels] + [row[lab] + (lab in covered) for lab in labels]]
+    shapes = [tuple(dims + dims)]
     length = {}  # result axis -> its length
-    for x, names in zip(stacks, axes):
-        length.update(zip(names, x.shape[:-2]))
-    shape = [length[a] for a in range(len(length))]
+    for batch, names in zip(batches, axes):
+        length.update(zip(names, batch))
+    shape = tuple(length[a] for a in range(len(length)))
     out = {a: 2 * len(labels) + i for i, a in enumerate(a for a, m in enumerate(shape) if m > 1)}
-    for space, x, names in zip(spaces, stacks, axes):
-        batch = [(a, m) for a, m in zip(names, x.shape[:-2]) if m > 1]
-        facs = [f for f in space.factors if f.dim > 1]
-        operands.append(x.reshape([m for _, m in batch] + [f.dim for f in facs] * 2))
-        operands.append([out[a] for a, _ in batch] + [row[f.label] for f in facs]
-                        + [row[f.label] + 1 for f in facs])
-    n_sub = 2 * len(labels) + len(out)
+    for s, batch, names in zip(spaces, batches, axes):
+        kept = [(a, m) for a, m in zip(names, batch) if m > 1]
+        facs = [f for f in s.factors if f.dim > 1]
+        shapes.append(tuple([m for _, m in kept] + [f.dim for f in facs] * 2))
+        subs.append([out[a] for a, _ in kept] + [row[f.label] for f in facs]
+                    + [row[f.label] + 1 for f in facs])
+    result = list(out.values())
+    n_sub = 2 * len(labels) + len(result)
     if n_sub > _EINSUM_SUBSCRIPTS:
         raise ValueError(
             f"contraction needs {n_sub} einsum subscripts (one per nontrivial "
             f"factor index and stack axis); np.einsum allows at most {_EINSUM_SUBSCRIPTS}"
         )
-    subscripts = (*map(tuple, operands[1::2]), tuple(out.values()))
-    path = _einsum_path(tuple(x.shape for x in operands[::2]), subscripts)
-    return np.einsum(*operands, list(out.values()), optimize=path).reshape(shape)
+    size = {i: m for sub, sh in zip(subs, shapes) for i, m in zip(sub, sh)}
+    stand_ins = [x for sh, sub in zip(shapes, subs) for x in (np.broadcast_to(0.0, sh), sub)]
+    path = np.einsum_path(*stand_ins, result, optimize="greedy")[0][1:]
+    steps = []
+    for k, step in enumerate(path):
+        positions = sorted(step, reverse=True)
+        terms = [subs.pop(i) for i in positions]
+        if k == len(path) - 1:
+            res = result
+        else:
+            live = set(result).union(*subs)
+            res = sorted(set().union(*terms) & live, key=lambda i: (size[i], i))
+        pairs, acc = [], terms[0]
+        for j, b in enumerate(terms[1:], 2):
+            live = set(res).union(*terms[j:])
+            into = res if j == len(terms) else sorted(set(acc + b) & live,
+                                                     key=lambda i: (size[i], i))
+            pairs.append(_pair(acc, b, into, size))
+            acc = into
+        subs.append(res)
+        steps.append((tuple(positions), tuple(pairs)))
+    return _ContractPlan(tuple(shapes), tuple(steps), shape)
 
 
-@functools.lru_cache(maxsize=64)
-def _einsum_path(shapes: tuple[tuple[int, ...], ...],
-                 subscripts: tuple[tuple[int, ...], ...]) -> list:
-    """The "greedy" einsum path of a `_contract` signature (operand shapes,
-    then the operands' and the result's subscripts), searched once: the
-    search reads only shapes, so stand-in zero-stride operands serve, and
-    einsum given the path runs the same pairwise contractions as einsum
-    told to search."""
-    operands = []
-    for shape, sub in zip(shapes, subscripts):
-        operands += [np.broadcast_to(0.0, shape), list(sub)]
-    return np.einsum_path(*operands, list(subscripts[-1]), optimize="greedy")[0]
+def _pair(a: list[int], b: list[int], out: list[int], size: dict[int, int]) -> tuple:
+    """The arguments of `_run_pair` for the pair (a, b) -> out of
+    subscripts, numpy's batch-matmul layout: a subscript on both sides is a
+    batch axis if out keeps it and contracted if not; one on a single side
+    is kept if out keeps it and summed out first if not (an uncovered
+    factor's trace, with its diagonal). a is laid out (batch, kept-a,
+    contracted) and b (batch, contracted, kept-b), each group in its
+    operand's order and fused to 3-D (2-D without batch axes), for one
+    matmul; the product goes back to the groups' axes and is permuted to
+    out. With nothing contracted the pair is a broadcast multiply, each
+    side laid out in out's order."""
+    left, right = list(dict.fromkeys(a)), list(dict.fromkeys(b))
+    bat = [i for i in left if i in right and i in out]
+    con = [i for i in left if i in right and i not in out]
+    keep_a = [i for i in left if i not in right and i in out]
+    keep_b = [i for i in right if i not in left and i in out]
+    if not con:
+        return (_layout(a, [i for i in out if i in a]), [size[i] if i in a else 1 for i in out],
+                _layout(b, [i for i in out if i in b]), [size[i] if i in b else 1 for i in out],
+                np.multiply, None, None)
+    groups = [(bat, keep_a, con), (bat, con, keep_b), (bat, keep_a, keep_b)]
+    if not bat:
+        groups = [g[1:] for g in groups]
+    # numpy reshapes only where some group is not a single axis
+    fuse_a, fuse_b, unfuse = (any(len(g) != 1 for g in gs) for gs in groups)
+    produced = bat + keep_a + keep_b
+    return (_layout(a, bat + keep_a + con),
+            tuple(math.prod(size[i] for i in g) for g in groups[0]) if fuse_a else None,
+            _layout(b, bat + con + keep_b),
+            tuple(math.prod(size[i] for i in g) for g in groups[1]) if fuse_b else None,
+            np.matmul, tuple(size[i] for i in produced) if unfuse else None,
+            None if produced == out else tuple(produced.index(i) for i in out))
+
+
+def _layout(sub: list[int], want: list[int]):
+    """How `_prepare` brings an operand with subscripts sub to want: None,
+    a transpose, or a one-operand einsum that also sums or takes a diagonal."""
+    if sub == want:
+        return None
+    if len(set(sub)) == len(sub) == len(want):
+        return tuple(sub.index(i) for i in want)
+    letters = string.ascii_letters
+    return "".join(letters[i] for i in sub) + "->" + "".join(letters[i] for i in want)
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +531,20 @@ def _require_valid(p: ProcessMatrix) -> ProcessMatrix:
 
 
 def validity_report(p: ProcessMatrix) -> dict:
-    """Residuals of both validity conditions, without short-circuiting.
+    """Residuals of every validity condition, without short-circuiting.
 
-    Returns the smallest eigenvalue; max_normalization_residual, the largest
-    of the trace residual and every pattern residual r_U; pattern_residuals,
-    r_U by pattern name (the output labels of U); and the trace with its
-    expected value prod d_O.
+    Returns hermiticity_defect, max |W - W^dag| (0.0 for a
+    HermitianOperator; the numbers after it read one triangle and the real
+    part, so only this one shows a non-Hermitian W); the smallest
+    eigenvalue; max_normalization_residual, the largest of the trace
+    residual and every pattern residual r_U; pattern_residuals, r_U by
+    pattern name (the output labels of U); and the trace with its expected
+    value prod d_O.
     """
     evals, r = _validity_sweep(p)
     *_, names = _validity_patterns(p.parties)
     return {
+        "hermiticity_defect": _hermiticity_defect(p.w),
         "min_eigenvalue": float(evals[0]),
         "max_normalization_residual": float(r.max()),
         "pattern_residuals": {names[u]: float(r[u]) for u in range(1, r.size)},
@@ -658,8 +781,9 @@ class OrderedBatch:
         return ProcessMatrix(self.order, tensor(state, *links, identity(self.order[-1].output_space)))
 
     def traces(self, op: Operator) -> np.ndarray:
-        """Tr[op W_k] for every sample k, as one einsum of op^T with the
-        pieces; the last party's output identity is a trace subscript."""
+        """Tr[op W_k] for every sample k, as one run of the compiled
+        contraction of op^T with the pieces (`_contract`); the last party's
+        output identity traces op^T over that factor."""
         pieces = [self.states, *self.channels]
         return _contract(Operator(op.space, op.mat.T), self.spaces, pieces, [(0,)] * len(pieces))
 

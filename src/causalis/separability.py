@@ -36,10 +36,11 @@ What does not depend on W is set up once per party structure: the basis,
 its group transforms and the shapes of a basis change on a (K, ...) stack
 (`_party_moves`, `_CoeffBasis`), the pattern ids (`_cone_ids`) and the
 witness battery (`_battery`). Once per call: the masks, W's coefficients
-(one basis change, shared by the closed form, the face run and its
-whole-cone retry) and V; once per face run, V†. Per iteration: the affine
-step, one basis change each way around the PSD step (none back when that
-step leaves a whole-cone stack as it is), and the residual.
+(one basis change, shared by the closed form, the face run, its
+whole-cone retry and the witness of each failed run) and V; once per
+face run, V†. Per iteration: the affine step, one basis change each way
+around the PSD step (none back when that step leaves a whole-cone stack
+as it is), and the residual.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -66,9 +67,10 @@ whose smallest eigenvalues come from one eigvalsh.
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
 sequential `random_ordered_process` calls do), once per party structure
-and orders, and each call scores all of them with one
-contraction of S against the samples' pieces, so no per-sample process
-matrix is formed; mixtures are scored by linearity.
+and orders, and each call scores all of them with one run of the
+compiled contraction of S against the samples' pieces
+(`process.OrderedBatch.traces`), so no per-sample process matrix is
+formed; mixtures are scored by linearity.
 """
 from __future__ import annotations
 
@@ -490,7 +492,7 @@ def check_separability(
         trace = _dykstra(basis, wc, masks, cones, tol, max_iters, face)
         if trace.converged:
             return trace, None, {}
-        return (trace, *extract_witness(p, trace))
+        return (trace, *_witness(p, trace, basis, masks, wc))
 
     face = _face(p.w.mat)
     rank = p.w.dim if face is None else face.shape[1]
@@ -586,12 +588,19 @@ def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _party_moves(p.parties)[0]
-    masks = _cone_masks(p.parties, trace.orders)
+    return _witness(p, trace, basis, _cone_masks(p.parties, trace.orders),
+                    basis.to_coeffs(p.w.mat))
+
+
+def _witness(p: ProcessMatrix, trace: FeasibilityTrace, basis: _CoeffBasis,
+             masks: np.ndarray, wc: np.ndarray):
+    """`extract_witness` of a failed run, given the basis of `_party_moves`,
+    the masks of trace.orders and W's coefficients wc, so that
+    `check_separability` expands W once for all of its runs."""
 
     def margins(c):
         return np.linalg.eigvalsh(basis.from_coeffs(masks * c))[:, 0]
 
-    wc = basis.to_coeffs(p.w.mat)
     sc = -wc
     for m, y in zip(masks[::-1], trace.dual[::-1]):
         sc = m * y + (1 - m) * sc

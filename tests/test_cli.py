@@ -67,6 +67,7 @@ def test_switch_then_validate(tmp_path, capsys):
     assert res["min_eigenvalue"] > -1e-10
     assert res["max_normalization_residual"] < 1e-9
     assert res["expected_trace"] == 4
+    assert res["hermiticity_defect"] == 0.0
 
 
 def test_switch_rejects_unnormalized_target(tmp_path, capsys):
@@ -122,6 +123,20 @@ def test_validate_rejects_mis_shaped_or_non_finite_files(tmp_path, switch, capsy
         code, report, err = run(capsys, "validate", "--in", str(path))
         assert code == 2 and report is None, label
         assert err.startswith("error:") and re.search(match, err), (label, err)
+
+
+def test_validate_rejects_non_hermitian_file(tmp_path, capsys):
+    # loading builds a HermitianOperator, so a non-Hermitian W is an input
+    # error (exit 2) and never reaches validate_process or its report; the
+    # library reports its defect (test_non_hermitian_process_is_invalid)
+    parties = cs.ocb_parties()
+    g = np.random.default_rng(0).normal(size=(16, 16))
+    w = cs.Operator(cs.parties_space(parties), np.eye(16) / 4 + 0.01j * (g + g.T))
+    path = tmp_path / "nonherm.json"
+    save_process(path, cs.ProcessMatrix(parties, w))
+    code, report, err = run(capsys, "validate", "--in", str(path))
+    assert code == 2 and report is None
+    assert "matrix is not Hermitian: max |M - M^dag| = 1.243e-01" in err
 
 
 def test_sep_rejects_duplicate_party_names(tmp_path, switch, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import io as cio
-from causalis import process
+from causalis import instruments, process, separability
 from causalis.instruments import circuit_oracle
 from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties, trivial_parties
 
@@ -486,8 +486,82 @@ def test_born_matches_tensor_loop(label):
     assert np.max(np.abs(got.values - reference_born(p, ins))) < 1e-12
 
 
-def test_contraction_path_is_searched_once_per_signature(monkeypatch):
-    process._einsum_path.cache_clear()
+def einsum_contract(w, spaces, stacks, axes):
+    """`process._contract` as one np.einsum told to search its own greedy
+    path, with the same subscripts: the reference the compiled plan must
+    reproduce bit for bit."""
+    labels = [f.label for f in w.space.factors if f.dim > 1]
+    dims = [f.dim for f in w.space.factors if f.dim > 1]
+    row = {lab: 2 * k for k, lab in enumerate(labels)}
+    covered = {f.label for space in spaces for f in space.factors}
+    operands = [w.mat.reshape(dims + dims),
+                [row[lab] for lab in labels] + [row[lab] + (lab in covered) for lab in labels]]
+    length = {}
+    for x, names in zip(stacks, axes):
+        length.update(zip(names, x.shape[:-2]))
+    shape = [length[a] for a in range(len(length))]
+    out = {a: 2 * len(labels) + i for i, a in enumerate(a for a, m in enumerate(shape) if m > 1)}
+    for space, x, names in zip(spaces, stacks, axes):
+        batch = [(a, m) for a, m in zip(names, x.shape[:-2]) if m > 1]
+        facs = [f for f in space.factors if f.dim > 1]
+        operands.append(x.reshape([m for _, m in batch] + [f.dim for f in facs] * 2))
+        operands.append([out[a] for a, _ in batch] + [row[f.label] for f in facs]
+                        + [row[f.label] + 1 for f in facs])
+    return np.einsum(*operands, list(out.values()), optimize="greedy").reshape(shape)
+
+
+def contraction_cases():
+    """label -> a function of no arguments that returns one `_contract`
+    result: every BORN_CASES table, the 30-trivial-party table, the battery
+    traces of both OCB orders, and traces and tables over a 3-party layout
+    whose factors interleave (A_p, B_q, C_r, D_r, M_q, Z_p). R's input C_r
+    (dim 3) sorts before its output D_r (dim 2), so an intermediate whose
+    subscripts were sorted by label rather than by (length, subscript)
+    would sum R's factors in another order and change the last bits."""
+    rng = np.random.default_rng(23)
+    cases = {f"born_{label}": (lambda p=p, ins=ins: cs.born(p, ins).values)
+             for label, (p, ins) in BORN_CASES.items()}
+    p = cs.validate_process(qubit_with_trivial_parties(30, rng))
+    a, *trivial = p.parties
+    ins = [cs.random_instrument(a, 2, 3, rng)] + [
+        cs.Instrument(q, 1, 1, ((cs.identity(q.space),),)) for q in trivial]
+    cases["born_trivial_30"] = lambda: cs.born(p, ins).values
+
+    def hermitian(space):
+        g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+        return cs.HermitianOperator(space, g + g.conj().T)
+
+    ocb = cs.ocb_process()
+    batches, _, _ = separability._battery(ocb.parties, (("A", "B"), ("B", "A")))
+    s = hermitian(ocb.w.space)
+    for batch in batches:
+        name = "".join(q.name for q in batch.order)
+        cases[f"traces_ocb_{name}"] = lambda batch=batch: batch.traces(s)
+    p_, q_ = interleaved_parties()
+    r_ = cs.Party("R", cs.LabeledSpace("C_r", 3), cs.LabeledSpace("D_r", 2))
+    batch3 = cs.random_ordered_batch([q_, r_, p_], rng, 37)
+    s3 = hermitian(cs.parties_space([p_, q_, r_]))
+    cases["traces_interleaved_QRP"] = lambda: batch3.traces(s3)
+    for order in ([r_, p_, q_], [q_, p_, r_]):
+        p3 = cs.validate_process(cs.random_ordered_process(order, rng))
+        ins3 = random_instruments(order, rng, settings=3, outcomes=2)
+        cases["born_interleaved_" + "".join(q.name for q in order)] = (
+            lambda p3=p3, ins3=ins3: cs.born(p3, ins3).values)
+    return cases
+
+
+CONTRACTION_CASES = contraction_cases()
+
+
+def test_contraction_plan_is_compiled_once_per_signature(monkeypatch):
+    """The compiled plans give np.einsum's own greedy tables bit for bit.
+    Exact equality holds because each pairwise step is laid out as numpy's
+    einsum lays it out (`numpy/_core/einsumfunc.py`, batched matmul per
+    pair), checked on numpy 2.4.6. An earlier numpy may contract a pair
+    through tensordot instead, which gives the same tables up to rounding,
+    so there the tables are compared to 1e-12, the tolerance of the
+    tensor-loop test."""
+    process._contract_plan.cache_clear()
     searches = []
     einsum_path = np.einsum_path
 
@@ -496,15 +570,64 @@ def test_contraction_path_is_searched_once_per_signature(monkeypatch):
         return einsum_path(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum_path", counting)
-    tables = {label: cs.born(p, ins).values for label, (p, ins) in BORN_CASES.items()}
-    assert len(searches) == process._einsum_path.cache_info().currsize
-    for label, (p, ins) in BORN_CASES.items():
-        assert np.array_equal(cs.born(p, ins).values, tables[label])
-    assert len(searches) == process._einsum_path.cache_info().currsize
-    # the cached path gives the tables einsum's own greedy search gives
-    monkeypatch.setattr(process, "_einsum_path", lambda shapes, subscripts: "greedy")
-    for label, (p, ins) in BORN_CASES.items():
-        assert np.array_equal(cs.born(p, ins).values, tables[label])
+    tables = {label: make() for label, make in CONTRACTION_CASES.items()}
+    assert len(searches) == process._contract_plan.cache_info().currsize
+    for label, make in CONTRACTION_CASES.items():
+        assert np.array_equal(make(), tables[label]), label
+    assert len(searches) == process._contract_plan.cache_info().currsize
+    for module in (process, instruments):
+        monkeypatch.setattr(module, "_contract", einsum_contract)
+    exact = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
+    for label, make in CONTRACTION_CASES.items():
+        want = make()
+        assert tables[label].shape == want.shape, label
+        if exact:
+            assert np.array_equal(tables[label], want), label
+        else:
+            assert np.max(np.abs(tables[label] - want), initial=0.0) < 1e-12, label
+
+
+def test_step_of_more_than_two_operands_is_folded_pairwise():
+    # 500 samples of a 3-qubit-party order (the Baumeler-Wolf battery's
+    # layout): every pair would make an intermediate past einsum's memory
+    # limit, so the greedy path is one step of all four operands, which the
+    # plan runs as pairs; it sums in another order than np.einsum's one
+    # four-operand loop, so the two agree to rounding
+    batch = cs.random_ordered_batch(qubit_chain("ABC"), np.random.default_rng(31), 500)
+    space = cs.parties_space(qubit_chain("ABC"))
+    g = np.random.default_rng(32).normal(size=(space.dim, space.dim))
+    s = cs.HermitianOperator(space, g + g.T)
+    pieces = [batch.states, *batch.channels]
+    got = batch.traces(s)
+    plan = process._contract_plan(space, tuple(batch.spaces), ((500,),) * 3, ((0,),) * 3)
+    assert [len(positions) for positions, _ in plan.steps] == [4]
+    want = einsum_contract(cs.Operator(space, s.mat.T), batch.spaces, pieces, [(0,)] * 3)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_compiled_contraction_plans_nothing(monkeypatch):
+    # after a signature's first call, a call runs its plan and nothing else:
+    # no path search and no multi-operand einsum (the one-operand einsums
+    # are the traces of uncovered factors)
+    for make in CONTRACTION_CASES.values():
+        make()
+    calls = []
+    einsum_path, einsum = np.einsum_path, np.einsum
+
+    def counting_path(*args, **kwargs):
+        calls.append("einsum_path")
+        return einsum_path(*args, **kwargs)
+
+    def counting_einsum(*args, **kwargs):
+        n = len(args) - 1 if isinstance(args[0], str) else len(args) // 2
+        calls.append(f"einsum of {n}")
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting_path)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    for make in CONTRACTION_CASES.values():
+        make()
+    assert set(calls) <= {"einsum of 1"}
 
 
 def test_born_with_many_trivial_factors(rng):

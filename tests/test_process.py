@@ -65,6 +65,10 @@ def test_non_hermitian_process_is_invalid():
     checked = cs.validate_process(p)
     assert checked.validity == "invalid"
     assert checked.reason == "hermiticity: max |W - W^dag| = 1.2e-01"
+    # the report shows the defect beside numbers that look valid
+    rep = validity_report(checked)
+    assert rep["hermiticity_defect"] == pytest.approx(0.124, abs=1e-3)
+    assert rep["min_eigenvalue"] > 0.15 and rep["max_normalization_residual"] < 1e-15
     assert cs.validate_bipartite_closed_form(p) is False
     with pytest.raises(ValueError, match="not valid: hermiticity"):
         cs.born(p, list(cs.ocb_instruments()))
@@ -73,6 +77,7 @@ def test_non_hermitian_process_is_invalid():
     # a plain Operator that is Hermitian passes as its HermitianOperator does
     white = cs.ProcessMatrix(parties, cs.Operator(w.space, np.eye(16) / 4))
     assert cs.validate_process(white).validity == "valid"
+    assert validity_report(white)["hermiticity_defect"] == 0.0
     assert cs.validate_bipartite_closed_form(white) is True
 
 

@@ -1093,6 +1093,32 @@ def test_separable_call_expands_w_once(monkeypatch, make):
     assert built == []
 
 
+@pytest.mark.parametrize("orders", [None, [("A", "B", "C"), ("B", "A", "C")]],
+                         ids=["ocb", "baumeler_wolf_retry"])
+def test_nonseparable_call_expands_w_once(monkeypatch, orders):
+    # the witness of each failed run reads the call's expansion of W: OCB's
+    # face run and Baumeler-Wolf's face run and whole-cone retry each give
+    # one witness; the public extract_witness gives the same one by itself
+    p = cs.validate_process(cs.ocb_process() if orders is None else baumeler_wolf())
+    expanded = []
+    coeffs = _CoeffBasis.coeffs
+
+    def counting_coeffs(self, m):
+        if m.ndim == 2:
+            expanded.append(m)
+        return coeffs(self, m)
+
+    monkeypatch.setattr(_CoeffBasis, "coeffs", counting_coeffs)
+    cert = cs.check_separability(p, orders)
+    assert cert.verdict == "nonseparable"
+    assert ("face_iterations" in cert.diagnostics) == (orders is not None)
+    assert len(expanded) == 1 and expanded[0] is p.w.mat
+    witness, diagnostics = separability.extract_witness(p, cert.trace)
+    assert np.array_equal(witness.mat, cert.witness.mat)
+    for key in ("witness_overlap", "certificate_margins", "battery_min"):
+        assert diagnostics[key] == cert.diagnostics[key]
+
+
 @settings(max_examples=4)
 @given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.05, 0.95))
 def test_mixtures_of_two_orders_are_separable(seed, q):
@@ -1159,31 +1185,31 @@ def test_battery_draws_no_process_per_sample(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(process, name, counting)
         monkeypatch.setattr(cs, name, counting)
-    kron, einsum, traces = np.kron, np.einsum, process.OrderedBatch.traces
-    einsums, scored = [0], []
+    kron, run, traces = np.kron, process._ContractPlan.__call__, process.OrderedBatch.traces
+    runs, scored = [0], []
 
     def counting_kron(*args, **kwargs):
         calls["kron"] += 1
         return kron(*args, **kwargs)
 
-    def counting_einsum(*args, **kwargs):
-        einsums[0] += 1
-        return einsum(*args, **kwargs)
+    def counting_run(*args, **kwargs):
+        runs[0] += 1
+        return run(*args, **kwargs)
 
     def counting_traces(self, op):
-        before = einsums[0]
+        before = runs[0]
         out = traces(self, op)
-        scored.append((len(self), einsums[0] - before))
+        scored.append((len(self), runs[0] - before))
         return out
 
     monkeypatch.setattr(np, "kron", counting_kron)
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(process._ContractPlan, "__call__", counting_run)
     monkeypatch.setattr(process.OrderedBatch, "traces", counting_traces)
     cert = cs.check_separability(ocb)
     assert cert.witness_verified
     # no ordered process, and no tensor product, is built per sample
     assert calls == {"random_ordered_process": 0, "make_ordered_process": 0, "kron": 0}
-    # one scoring einsum per order, over all of its samples
+    # one run of the compiled contraction per order, over all of its samples
     assert scored == [(500, 1), (500, 1)]
 
 
