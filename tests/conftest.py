@@ -83,7 +83,7 @@ def local_unitary(space, rng):
 
 
 def mis_shaped_processes(switch):
-    """(label, JSON, message) for parseable process files of the wrong shape."""
+    """(label, JSON, message) for parseable process files that loading rejects."""
     good = cio.process_to_json(switch)
     cases = [("parties not a list", {"parties": 5}, "'parties' must be a list")]
 
@@ -108,6 +108,10 @@ def mis_shaped_processes(switch):
             "entries must be finite")
     variant("NaN entry", lambda d: d["w"]["entries"].__setitem__(1, [float("nan"), 0.0]),
             "entries must be finite")
+    # W_01 broken without W_10: loading builds a HermitianOperator, so a
+    # non-Hermitian W never reaches validate_process or validity_report
+    variant("W not Hermitian", lambda d: d["w"]["entries"].__setitem__(1, [5.0, 0.0]),
+            "matrix is not Hermitian")
     cases.append(("not an object", [good], "process must be an object"))
     return cases
 

@@ -125,20 +125,6 @@ def test_validate_rejects_mis_shaped_or_non_finite_files(tmp_path, switch, capsy
         assert err.startswith("error:") and re.search(match, err), (label, err)
 
 
-def test_validate_rejects_non_hermitian_file(tmp_path, capsys):
-    # loading builds a HermitianOperator, so a non-Hermitian W is an input
-    # error (exit 2) and never reaches validate_process or its report; the
-    # library reports its defect (test_non_hermitian_process_is_invalid)
-    parties = cs.ocb_parties()
-    g = np.random.default_rng(0).normal(size=(16, 16))
-    w = cs.Operator(cs.parties_space(parties), np.eye(16) / 4 + 0.01j * (g + g.T))
-    path = tmp_path / "nonherm.json"
-    save_process(path, cs.ProcessMatrix(parties, w))
-    code, report, err = run(capsys, "validate", "--in", str(path))
-    assert code == 2 and report is None
-    assert "matrix is not Hermitian: max |M - M^dag| = 1.243e-01" in err
-
-
 def test_sep_rejects_duplicate_party_names(tmp_path, switch, capsys):
     d = cio.process_to_json(switch)
     d["parties"][1]["name"] = "A"
