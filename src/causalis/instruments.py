@@ -4,18 +4,19 @@ An instrument holds one Choi operator per (setting, outcome); summed over
 outcomes each setting is trace-preserving. Probabilities come from
 P = Tr[W (C_1 (x) ... (x) C_n)^T], the transpose convention under which
 ordered processes reproduce sequential circuit composition; the circuit
-oracle below is the arbiter of that choice. The whole table is one
-contraction of W against the per-party Choi stacks (`process._contract`);
-no tensor product of Chois is formed.
+oracle below is the arbiter of that choice. The whole table is W,
+regrouped once (`process._regroup`), contracted with each party's Choi
+stack by one matmul; no tensor product of Chois is formed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, _contract, _require_valid, make_quantum_switch
+from .process import Party, ProcessMatrix, _regroup, _require_valid, make_quantum_switch
 from .tensor_core import (
     CHOI_PSD_TOL,
     TP_TOL,
@@ -233,8 +234,10 @@ def random_instrument(
 def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTable:
     """Full probability table P(outcomes | settings) of a valid process:
     one instrument per party, so the instruments' party names are distinct
-    and are exactly the process's. One `process._contract` of W with the
-    parties' Choi stacks writes the table in `ProbabilityTable` order."""
+    and are exactly the process's. W regrouped by `process._regroup`, then
+    one matmul per party's Choi stack, gives the table, which is allocated
+    first: a table too large to allocate raises ValueError before any
+    arithmetic."""
     p = _require_valid(p)
     _check_distinct((ins.party.name for ins in instruments), "instrument party names")
     by_name = {ins.party.name: ins for ins in instruments}
@@ -245,11 +248,21 @@ def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTabl
         if i.party != party:
             raise ValueError(f"instrument for {party.name!r} has mismatched spaces")
     # P[x.., a..] = sum_ij w_ij (M_1[x_1, a_1] (x) ... (x) M_n[x_n, a_n])_ij,
-    # i.e. Tr[w M^T]; party k's (x_k, a_k) land on the table's axes (k, n + k)
-    stacks = [np.array([[c.mat for c in row] for row in i.chois]) for i in ins]
+    # i.e. Tr[w M^T]: one matmul per party leaves (x_1, a_1, ..., x_n, a_n)
     n = len(ins)
-    vals = _contract(p.w, [q.space for q in p.parties], stacks, [(k, n + k) for k in range(n)])
-    return ProbabilityTable(tuple(party.name for party in p.parties), vals.real)
+    shape = tuple(i.settings for i in ins) + tuple(i.outcomes for i in ins)
+    try:
+        vals = np.empty(shape)
+    except (MemoryError, ValueError) as e:
+        raise ValueError(f"Born table of shape {shape} cannot be allocated") from e
+    t = _regroup(p.w.mat, p.w.space, [q.space for q in p.parties])
+    sizes = t.shape
+    for k, i in enumerate(ins):
+        chois = np.array([[c.mat for c in row] for row in i.chois]).reshape(-1, sizes[k])
+        t = np.matmul(chois, t.reshape(-1, sizes[k], math.prod(sizes[k + 1:])))
+    pairs = [a for i in ins for a in (i.settings, i.outcomes)]
+    vals[...] = t.reshape(pairs).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).real
+    return ProbabilityTable(tuple(party.name for party in p.parties), vals)
 
 
 def circuit_oracle(

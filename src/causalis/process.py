@@ -34,16 +34,12 @@ r_V for every tuple, and a single forbidden term moves r_U exactly as much
 as it moves the worst tuple residual.
 
 The Born rule evaluates the multilinear functional T[k] = sum_ij W_ij
-(X_1[k] (x) ... (x) X_n[k])_ij on per-party stacks X_k. `_contract`
-sums it with subscripts that follow the factor labels, so no tensor
-product is ever formed, and the caller names the result axis of each
-stack axis: `instruments.born` puts party k's (setting, outcome) on the
-table's axes (k, n + k), and `OrderedBatch.traces` puts every piece's
-sample axis on axis 0. The sum is compiled once per signature
-(`_contract_plan`: one path search, then fixed transposes, reshapes and
-matmuls laid out as np.einsum lays out the same path, so the results are
-np.einsum's bit for bit where that path is pairwise), and a call only
-runs the plan.
+(X_1[k] (x) ... (x) X_n[k])_ij on per-party stacks X_k, with no tensor
+product formed: `_regroup` permutes W once so that axis k holds stack k's
+(row, column) index pair, traces out the factors no stack covers, and the
+sum becomes one matmul per stack. `instruments.born` runs that loop over
+the parties' Choi stacks, and `OrderedBatch.traces` over an ordered
+sample's pieces, which share their sample axis.
 
 An ordered process is kept as its pieces, a state stack and one Choi
 stack per link, in an `OrderedBatch`: its `spaces` are the pieces'
@@ -57,7 +53,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import string
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -178,10 +173,11 @@ class ProcessMatrix:
     w: HermitianOperator
     validity: str = field(default="unchecked", init=False)
     reason: str | None = field(default=None, init=False)
-    # (eigenvalues of w, residuals by pattern) from _validity_sweep, kept so
-    # that validity_report after validate_process does not sweep again;
+    # (eigenvalues of w, residuals by pattern, coefficients of w) from
+    # _validity_sweep, kept so that validity_report after validate_process
+    # does not sweep again and check_separability does not expand w again;
     # replace() leaves it unset, so it never outlives the w it describes
-    _sweep: tuple[np.ndarray, np.ndarray] | None = field(
+    _sweep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
 
@@ -217,189 +213,36 @@ class ProcessVector:
 # ---------------------------------------------------------------------------
 # the Born and battery contraction
 
-# np.einsum names axes by the letters a-z, A-Z, integer subscripts included
-_EINSUM_SUBSCRIPTS = 52
-
-
-def _contract(w: Operator, spaces: Sequence[SpaceProduct], stacks: Sequence[np.ndarray],
-              axes: Sequence[Sequence[int]]) -> np.ndarray:
-    """T[k] = sum_ij w_ij (X_1[k] (x) ... (x) X_n[k] (x) 1)_ij over a result index k.
-
-    Serves `instruments.born` (instrument Chois) and `OrderedBatch.traces`
-    (the pieces of ordered samples, for the witness battery); validity
-    reads coefficients instead.
-
-    stacks[k] has shape batch_k + (d_k, d_k) over spaces[k], in its
-    canonical label order; factors of w that no space covers meet the
-    identity. axes[k] names the result axis of each batch axis of
-    stacks[k]: the result has one axis per name, 0, 1, ..., and batch axes
-    that share a name share its index (born gives party k the axes (k,
-    n + k), `traces` gives every piece axis 0). There is at least one
-    stack. The sum is planned once per signature (`_contract_plan`) and a
-    call only runs the plan: a few reshapes, transposes and matmuls.
-    """
-    plan = _contract_plan(w.space, tuple(spaces), tuple(x.shape[:-2] for x in stacks),
-                          tuple(map(tuple, axes)))
-    return plan(w.mat, stacks)
-
-
-@dataclass(frozen=True)
-class _ContractPlan:
-    """The compiled sum of one `_contract` signature: the operand shapes (w,
-    then each stack), the steps, and the result shape. Each step pops the
-    operands at its positions and pushes what `_pair` steps make of them,
-    folded from the first."""
-
-    shapes: tuple[tuple[int, ...], ...]
-    steps: tuple
-    shape: tuple[int, ...]
-
-    def __call__(self, w: np.ndarray, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        ops = [x.reshape(s) for x, s in zip((w, *stacks), self.shapes)]
-        for positions, pairs in self.steps:
-            terms = [ops.pop(i) for i in positions]
-            acc = terms[0]
-            for b, pair in zip(terms[1:], pairs):
-                acc = _run_pair(acc, b, *pair)
-            ops.append(acc)
-        return ops[0].reshape(self.shape)
-
-
-def _run_pair(a, b, prep_a, shape_a, prep_b, shape_b, product, shape_ab, perm_ab):
-    """One compiled pairwise step (see `_pair`)."""
-    ab = product(_prepare(a, prep_a, shape_a), _prepare(b, prep_b, shape_b))
-    if shape_ab is not None:
-        ab = ab.reshape(shape_ab)
-    return ab if perm_ab is None else ab.transpose(perm_ab)
-
-
-def _prepare(x, prep, shape):
-    """One side of a pair: `_layout`'s step, then the fused shape."""
-    if isinstance(prep, str):
-        x = np.einsum(prep, x)
-    elif prep is not None:
-        x = x.transpose(prep)
-    return x if shape is None else x.reshape(shape)
-
-
 @functools.lru_cache(maxsize=64)
-def _contract_plan(space: SpaceProduct, spaces: tuple[SpaceProduct, ...],
-                   batches: tuple[tuple[int, ...], ...],
-                   axes: tuple[tuple[int, ...], ...]) -> _ContractPlan:
-    """Compile the `_contract` of w over ``space`` with stacks of batch
-    shapes ``batches`` over ``spaces``, their batch axes named by ``axes``.
-
-    Each factor of w gets a row and a column subscript by label (the same
-    one for an uncovered factor, which traces it out), so pieces whose
-    factors interleave in w's canonical order need no permutation. Axes of
-    length 1 (trivial factors, single settings) get no subscript. Every
-    subscript then names an axis of length >= 2 on w or on the result, so
-    past np.einsum's 52 one of the two would hold at least 2**27 entries;
-    that case raises instead of contracting.
-
-    The pairwise order is the "greedy" path of one `np.einsum_path` search
-    (on zero-stride stand-ins: it reads only shapes), and each step is laid
-    out as np.einsum given that path lays it out (numpy 2.x's
-    `_core.einsumfunc`), so both give the same bits: the steps run in path
-    order on the operands at the path's positions, popped from the last;
-    an intermediate's subscripts are sorted by (length, subscript), the
-    last step's are the result's; and each pair is `_pair`. A step of more
-    than two operands (the greedy path's when every pair would outgrow the
-    largest operand and the result, as in the 3-qubit-party battery, and the whole sum
-    when w has no factor of dim > 1) is a left fold of pairs, which np.einsum
-    runs as one loop instead: there the two agree to rounding.
-    """
-    labels = [f.label for f in space.factors if f.dim > 1]
-    dims = [f.dim for f in space.factors if f.dim > 1]
-    row = {lab: 2 * k for k, lab in enumerate(labels)}  # column subscript: row + 1
-    covered = {f.label for s in spaces for f in s.factors}
-    subs = [[row[lab] for lab in labels] + [row[lab] + (lab in covered) for lab in labels]]
-    shapes = [tuple(dims + dims)]
-    length = {}  # result axis -> its length
-    for batch, names in zip(batches, axes):
-        length.update(zip(names, batch))
-    shape = tuple(length[a] for a in range(len(length)))
-    out = {a: 2 * len(labels) + i for i, a in enumerate(a for a, m in enumerate(shape) if m > 1)}
-    for s, batch, names in zip(spaces, batches, axes):
-        kept = [(a, m) for a, m in zip(names, batch) if m > 1]
-        facs = [f for f in s.factors if f.dim > 1]
-        shapes.append(tuple([m for _, m in kept] + [f.dim for f in facs] * 2))
-        subs.append([out[a] for a, _ in kept] + [row[f.label] for f in facs]
-                    + [row[f.label] + 1 for f in facs])
-    result = list(out.values())
-    n_sub = 2 * len(labels) + len(result)
-    if n_sub > _EINSUM_SUBSCRIPTS:
-        raise ValueError(
-            f"contraction needs {n_sub} einsum subscripts (one per nontrivial "
-            f"factor index and stack axis); np.einsum allows at most {_EINSUM_SUBSCRIPTS}"
-        )
-    size = {i: m for sub, sh in zip(subs, shapes) for i, m in zip(sub, sh)}
-    stand_ins = [x for sh, sub in zip(shapes, subs) for x in (np.broadcast_to(0.0, sh), sub)]
-    path = np.einsum_path(*stand_ins, result, optimize="greedy")[0][1:]
-    steps = []
-    for k, step in enumerate(path):
-        positions = sorted(step, reverse=True)
-        terms = [subs.pop(i) for i in positions]
-        if k == len(path) - 1:
-            res = result
-        else:
-            live = set(result).union(*subs)
-            res = sorted(set().union(*terms) & live, key=lambda i: (size[i], i))
-        pairs, acc = [], terms[0]
-        for j, b in enumerate(terms[1:], 2):
-            live = set(res).union(*terms[j:])
-            into = res if j == len(terms) else sorted(set(acc + b) & live,
-                                                     key=lambda i: (size[i], i))
-            pairs.append(_pair(acc, b, into, size))
-            acc = into
-        subs.append(res)
-        steps.append((tuple(positions), tuple(pairs)))
-    return _ContractPlan(tuple(shapes), tuple(steps), shape)
+def _grouping(space: SpaceProduct, spaces: tuple[SpaceProduct, ...]):
+    """How `_regroup` lays out a (D, D) matrix over ``space`` for stacks
+    over ``spaces``: (blocks, perm, grouped), the matrix's shape with one
+    row and one column axis per factor of dim > 1, the permutation that
+    brings each stack's row factors and then its column factors together,
+    in stack order, with the factors no stack covers last (rows, then
+    columns), and the shape that fuses each group, (e_1**2, ..., e_n**2)
+    then (u, u) if any factor is uncovered."""
+    facs = [f for f in space.factors if f.dim > 1]
+    n = len(facs)
+    at = {f.label: k for k, f in enumerate(facs)}
+    groups = [[at[f.label] for f in s.factors if f.dim > 1] for s in spaces]
+    covered = {k for g in groups for k in g}
+    groups.append([k for k in range(n) if k not in covered])
+    perm = [i for g in groups for i in g + [n + k for k in g]]
+    sizes = [math.prod(facs[k].dim for k in g) for g in groups]
+    grouped = [e * e for e in sizes[:-1]] + ([sizes[-1]] * 2 if groups[-1] else [])
+    return tuple(f.dim for f in facs) * 2, tuple(perm), tuple(grouped)
 
 
-def _pair(a: list[int], b: list[int], out: list[int], size: dict[int, int]) -> tuple:
-    """The arguments of `_run_pair` for the pair (a, b) -> out of
-    subscripts, numpy's batch-matmul layout: a subscript on both sides is a
-    batch axis if out keeps it and contracted if not; one on a single side
-    is kept if out keeps it and summed out first if not (an uncovered
-    factor's trace, with its diagonal). a is laid out (batch, kept-a,
-    contracted) and b (batch, contracted, kept-b), each group in its
-    operand's order and fused to 3-D (2-D without batch axes), for one
-    matmul; the product goes back to the groups' axes and is permuted to
-    out. With nothing contracted the pair is a broadcast multiply, each
-    side laid out in out's order."""
-    left, right = list(dict.fromkeys(a)), list(dict.fromkeys(b))
-    bat = [i for i in left if i in right and i in out]
-    con = [i for i in left if i in right and i not in out]
-    keep_a = [i for i in left if i not in right and i in out]
-    keep_b = [i for i in right if i not in left and i in out]
-    if not con:
-        return (_layout(a, [i for i in out if i in a]), [size[i] if i in a else 1 for i in out],
-                _layout(b, [i for i in out if i in b]), [size[i] if i in b else 1 for i in out],
-                np.multiply, None, None)
-    groups = [(bat, keep_a, con), (bat, con, keep_b), (bat, keep_a, keep_b)]
-    if not bat:
-        groups = [g[1:] for g in groups]
-    # numpy reshapes only where some group is not a single axis
-    fuse_a, fuse_b, unfuse = (any(len(g) != 1 for g in gs) for gs in groups)
-    produced = bat + keep_a + keep_b
-    return (_layout(a, bat + keep_a + con),
-            tuple(math.prod(size[i] for i in g) for g in groups[0]) if fuse_a else None,
-            _layout(b, bat + con + keep_b),
-            tuple(math.prod(size[i] for i in g) for g in groups[1]) if fuse_b else None,
-            np.matmul, tuple(size[i] for i in produced) if unfuse else None,
-            None if produced == out else tuple(produced.index(i) for i in out))
-
-
-def _layout(sub: list[int], want: list[int]):
-    """How `_prepare` brings an operand with subscripts sub to want: None,
-    a transpose, or a one-operand einsum that also sums or takes a diagonal."""
-    if sub == want:
-        return None
-    if len(set(sub)) == len(sub) == len(want):
-        return tuple(sub.index(i) for i in want)
-    letters = string.ascii_letters
-    return "".join(letters[i] for i in sub) + "->" + "".join(letters[i] for i in want)
+def _regroup(m: np.ndarray, space: SpaceProduct, spaces: Sequence[SpaceProduct]) -> np.ndarray:
+    """m over ``space`` as an (e_1**2, ..., e_n**2) array, e_k =
+    spaces[k].dim, whose axis k is stack k's (row, column) index pair and
+    whose uncovered factors are traced out. So sum_ij m_ij (X_1 (x) ... (x)
+    X_n (x) 1)_ij is the contraction of axis k with X_k flattened, one
+    matmul per stack: `instruments.born` and `OrderedBatch.traces` run it."""
+    blocks, perm, grouped = _grouping(space, tuple(spaces))
+    t = m.reshape(blocks).transpose(perm).reshape(grouped)
+    return np.trace(t, axis1=-2, axis2=-1) if len(grouped) > len(spaces) else t
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +306,20 @@ def _validity_patterns(parties: tuple[Party, ...]):
     return basis, ids, weights, names
 
 
-def _validity_sweep(p: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of w and the residuals r[U] of `_validity_patterns`,
-    computed once per ProcessMatrix: r[0] = |Tr w / prod d_O - 1| and, for
-    each forbidden pattern U, r[U] = w_U * ||c_U||_2 over its coefficients
-    c_U. One eigvalsh, one basis change and one bincount."""
+def _validity_sweep(p: ProcessMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of w, the residuals r[U] of `_validity_patterns` and w's
+    real coefficients c over the basis of `_party_moves`, computed once per
+    ProcessMatrix: r[0] = |Tr w / prod d_O - 1| and, for each forbidden
+    pattern U, r[U] = w_U * ||c_U||_2 over its coefficients c_U. One
+    eigvalsh, one basis change and one bincount."""
     if p._sweep is None:
         basis, ids, weights, _ = _validity_patterns(p.parties)
         evals = np.linalg.eigvalsh(p.w.mat)
-        c = basis.to_coeffs(p.w.mat).ravel()
-        r = weights * np.sqrt(np.bincount(ids, weights=c * c, minlength=weights.size))
+        c = basis.to_coeffs(p.w.mat)
+        flat = c.ravel()
+        r = weights * np.sqrt(np.bincount(ids, weights=flat * flat, minlength=weights.size))
         r[0] = abs(p.w.trace().real / p.expected_trace - 1.0)
-        object.__setattr__(p, "_sweep", (evals, r))
+        object.__setattr__(p, "_sweep", (evals, r, c))
     return p._sweep
 
 
@@ -501,7 +346,7 @@ def validate_process(p: ProcessMatrix, psd_tol: float = PSD_TOL, lin_tol: float 
     _check_tol("psd_tol", psd_tol)
     _check_tol("lin_tol", lin_tol)
     defect = _hermiticity_defect(p.w)
-    evals, r = _validity_sweep(p)
+    evals, r, _ = _validity_sweep(p)
     *_, names = _validity_patterns(p.parties)
     u = 0 if r[0] > lin_tol else int(np.argmax(r))
     if defect > HERM_TOL:
@@ -541,7 +386,7 @@ def validity_report(p: ProcessMatrix) -> dict:
     pattern name (the output labels of U); and the trace with its expected
     value prod d_O.
     """
-    evals, r = _validity_sweep(p)
+    evals, r, _ = _validity_sweep(p)
     *_, names = _validity_patterns(p.parties)
     return {
         "hermiticity_defect": _hermiticity_defect(p.w),
@@ -781,11 +626,20 @@ class OrderedBatch:
         return ProcessMatrix(self.order, tensor(state, *links, identity(self.order[-1].output_space)))
 
     def traces(self, op: Operator) -> np.ndarray:
-        """Tr[op W_k] for every sample k, as one run of the compiled
-        contraction of op^T with the pieces (`_contract`); the last party's
-        output identity traces op^T over that factor."""
+        """Tr[op W_k] for every sample k: op^T regrouped once (`_regroup`,
+        which traces it over the last party's output), then one matmul per
+        piece. The largest piece goes first, as one (n, e**2) @ (e**2, rest)
+        GEMM, so no intermediate outgrows (n, rest); each further piece is
+        one batched (n, 1, e**2) @ (n, e**2, rest') matmul."""
         pieces = [self.states, *self.channels]
-        return _contract(Operator(op.space, op.mat.T), self.spaces, pieces, [(0,)] * len(pieces))
+        order = sorted(range(len(pieces)), key=lambda k: -pieces[k].shape[-1])
+        spaces = self.spaces
+        t = _regroup(op.mat.T, op.space, [spaces[k] for k in order])
+        n, sizes = len(self), t.shape
+        t = pieces[order[0]].reshape(n, sizes[0]) @ t.reshape(sizes[0], -1)
+        for k, e in zip(order[1:], sizes[1:]):
+            t = np.matmul(pieces[k].reshape(n, 1, e), t.reshape(n, e, -1))
+        return t.reshape(n)
 
 
 def random_ordered_batch(

@@ -35,12 +35,13 @@ the projection clips nothing and needs no eigh (`_project_psd`).
 What does not depend on W is set up once per party structure: the basis,
 its group transforms and the shapes of a basis change on a (K, ...) stack
 (`_party_moves`, `_CoeffBasis`), the pattern ids (`_cone_ids`) and the
-witness battery (`_battery`). Once per call: the masks, W's coefficients
-(one basis change, shared by the closed form, the face run, its
-whole-cone retry and the witness of each failed run) and V; once per
-face run, V†. Per iteration: the affine step, one basis change each way
-around the PSD step (none back when that step leaves a whole-cone stack
-as it is), and the residual.
+witness battery (`_battery`). Once per process: W's coefficients, the
+basis change its validation made (`process._validity_sweep`), shared by
+the closed form, the face run, its whole-cone retry and the witness of
+each failed run. Once per call: the masks and V; once per face run, V†.
+Per iteration: the affine step, one basis change each way around the PSD
+step (none back when that step leaves a whole-cone stack as it is), and
+the residual.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -67,10 +68,10 @@ whose smallest eigenvalues come from one eigvalsh.
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
 sequential `random_ordered_process` calls do), once per party structure
-and orders, and each call scores all of them with one run of the
-compiled contraction of S against the samples' pieces
-(`process.OrderedBatch.traces`), so no per-sample process matrix is
-formed; mixtures are scored by linearity.
+and orders, and each call scores all of them with one contraction of S
+against the samples' pieces per order (`process.OrderedBatch.traces`: S
+regrouped once, then one matmul per piece), so no per-sample process
+matrix is formed; mixtures are scored by linearity.
 """
 from __future__ import annotations
 
@@ -81,7 +82,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, _party_moves, _require_valid, random_ordered_batch
+from .process import (
+    Party,
+    ProcessMatrix,
+    _party_moves,
+    _require_valid,
+    _validity_sweep,
+    random_ordered_batch,
+)
 from .tensor_core import HermitianOperator, _check_count, _check_tol, _CoeffBasis
 
 SEP_TOL = 1e-7
@@ -471,9 +479,9 @@ def check_separability(
     and the whole-cone run decides when no order holds W. The verdict is
     nonseparable with a witness and undecided without. max_iters must be
     an integer >= 1 and tol finite and > 0, both checked before any run.
-    W is expanded in the coefficient basis once, and the closed form and
-    every run share that expansion; a separable verdict is checked on the
-    stack of summands (see the module docstring).
+    W is expanded in the coefficient basis once, by its validation, and
+    the closed form and every run share that expansion; a separable
+    verdict is checked on the stack of summands (see the module docstring).
     """
     _check_count("max_iters", max_iters, 1)
     _check_tol("tol", tol)
@@ -486,7 +494,7 @@ def check_separability(
 
     basis = _party_moves(p.parties)[0]
     masks = _cone_masks(p.parties, cones)
-    wc = basis.to_coeffs(p.w.mat)
+    wc = _validity_sweep(p)[2]  # the expansion made when p was validated
 
     def run(face):
         trace = _dykstra(basis, wc, masks, cones, tol, max_iters, face)

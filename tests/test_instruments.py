@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import io as cio
-from causalis import instruments, process, separability
+from causalis import process, separability
 from causalis.instruments import circuit_oracle
 from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties, trivial_parties
 
@@ -487,9 +487,11 @@ def test_born_matches_tensor_loop(label):
 
 
 def einsum_contract(w, spaces, stacks, axes):
-    """`process._contract` as one np.einsum told to search its own greedy
-    path, with the same subscripts: the reference the compiled plan must
-    reproduce bit for bit."""
+    """T[k] = sum_ij w_ij (X_1[k] (x) ... (x) X_n[k] (x) 1)_ij as one
+    np.einsum with its own greedy path, over subscripts that follow the
+    factor labels: the independent reference for the Born and battery
+    contraction. stacks[k] has shape batch_k + (d_k, d_k) over spaces[k];
+    axes[k] names the result axis of each of its batch axes."""
     labels = [f.label for f in w.space.factors if f.dim > 1]
     dims = [f.dim for f in w.space.factors if f.dim > 1]
     row = {lab: 2 * k for k, lab in enumerate(labels)}
@@ -510,129 +512,96 @@ def einsum_contract(w, spaces, stacks, axes):
     return np.einsum(*operands, list(out.values()), optimize="greedy").reshape(shape)
 
 
+def born_case(p, ins):
+    """(born's table, the einsum_contract of the same sum) as functions of
+    no arguments."""
+    by_name = {i.party.name: i for i in ins}
+    stacks = [np.array([[c.mat for c in row] for row in by_name[q.name].chois]) for q in p.parties]
+    n = len(stacks)
+    return (lambda: cs.born(p, ins).values,
+            lambda: einsum_contract(p.w, [q.space for q in p.parties], stacks,
+                                    [(k, n + k) for k in range(n)]).real)
+
+
+def traces_case(batch, s):
+    """(batch.traces(s), the einsum_contract of the same sum)."""
+    pieces = [batch.states, *batch.channels]
+    return (lambda: batch.traces(s),
+            lambda: einsum_contract(cs.Operator(s.space, s.mat.T), batch.spaces, pieces,
+                                    [(0,)] * len(pieces)))
+
+
 def contraction_cases():
-    """label -> a function of no arguments that returns one `_contract`
-    result: every BORN_CASES table, the 30-trivial-party table, the battery
-    traces of both OCB orders, and traces and tables over a 3-party layout
-    whose factors interleave (A_p, B_q, C_r, D_r, M_q, Z_p). R's input C_r
-    (dim 3) sorts before its output D_r (dim 2), so an intermediate whose
-    subscripts were sorted by label rather than by (length, subscript)
-    would sum R's factors in another order and change the last bits."""
+    """label -> (got, want), two functions of no arguments (`born_case`,
+    `traces_case`): every BORN_CASES table, the 30-trivial-party table, the
+    battery traces of both OCB orders and of both full-switch orders, 500
+    samples of a 3-qubit-party order (the Baumeler-Wolf battery's layout),
+    and traces and tables over a 3-party layout whose factors interleave
+    (A_p, B_q, C_r, D_r, M_q, Z_p), with R's input C_r (dim 3) sorted
+    before its output D_r (dim 2)."""
     rng = np.random.default_rng(23)
-    cases = {f"born_{label}": (lambda p=p, ins=ins: cs.born(p, ins).values)
-             for label, (p, ins) in BORN_CASES.items()}
+    cases = {f"born_{label}": born_case(p, ins) for label, (p, ins) in BORN_CASES.items()}
     p = cs.validate_process(qubit_with_trivial_parties(30, rng))
     a, *trivial = p.parties
     ins = [cs.random_instrument(a, 2, 3, rng)] + [
         cs.Instrument(q, 1, 1, ((cs.identity(q.space),),)) for q in trivial]
-    cases["born_trivial_30"] = lambda: cs.born(p, ins).values
+    cases["born_trivial_30"] = born_case(p, ins)
 
     def hermitian(space):
         g = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
         return cs.HermitianOperator(space, g + g.conj().T)
 
-    ocb = cs.ocb_process()
-    batches, _, _ = separability._battery(ocb.parties, (("A", "B"), ("B", "A")))
-    s = hermitian(ocb.w.space)
-    for batch in batches:
-        name = "".join(q.name for q in batch.order)
-        cases[f"traces_ocb_{name}"] = lambda batch=batch: batch.traces(s)
+    switch = cs.make_quantum_switch([0.6, 0.8j], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+    for label, parties in (("ocb", cs.ocb_process().parties), ("switch", switch.parties)):
+        orders = tuple(separability._default_orders(parties))
+        batches, _, _ = separability._battery(parties, orders)
+        s = hermitian(cs.parties_space(parties))
+        for batch in batches:
+            name = "".join(q.name for q in batch.order)
+            cases[f"traces_{label}_{name}"] = traces_case(batch, s)
+    chain = qubit_chain("ABC")
+    cases["traces_qubits_ABC"] = traces_case(cs.random_ordered_batch(chain, rng, 500),
+                                             hermitian(cs.parties_space(chain)))
     p_, q_ = interleaved_parties()
     r_ = cs.Party("R", cs.LabeledSpace("C_r", 3), cs.LabeledSpace("D_r", 2))
-    batch3 = cs.random_ordered_batch([q_, r_, p_], rng, 37)
-    s3 = hermitian(cs.parties_space([p_, q_, r_]))
-    cases["traces_interleaved_QRP"] = lambda: batch3.traces(s3)
+    cases["traces_interleaved_QRP"] = traces_case(cs.random_ordered_batch([q_, r_, p_], rng, 37),
+                                                  hermitian(cs.parties_space([p_, q_, r_])))
     for order in ([r_, p_, q_], [q_, p_, r_]):
         p3 = cs.validate_process(cs.random_ordered_process(order, rng))
-        ins3 = random_instruments(order, rng, settings=3, outcomes=2)
-        cases["born_interleaved_" + "".join(q.name for q in order)] = (
-            lambda p3=p3, ins3=ins3: cs.born(p3, ins3).values)
+        cases["born_interleaved_" + "".join(q.name for q in order)] = born_case(
+            p3, random_instruments(order, rng, settings=3, outcomes=2))
     return cases
 
 
 CONTRACTION_CASES = contraction_cases()
 
 
-def test_contraction_plan_is_compiled_once_per_signature(monkeypatch):
-    """The compiled plans give np.einsum's own greedy tables bit for bit.
-    Exact equality holds because each pairwise step is laid out as numpy's
-    einsum lays it out (`numpy/_core/einsumfunc.py`, batched matmul per
-    pair), checked on numpy 2.4.6. An earlier numpy may contract a pair
-    through tensordot instead, which gives the same tables up to rounding,
-    so there the tables are compared to 1e-12, the tolerance of the
-    tensor-loop test."""
-    process._contract_plan.cache_clear()
-    searches = []
-    einsum_path = np.einsum_path
-
-    def counting(*args, **kwargs):
-        searches.append(1)
-        return einsum_path(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum_path", counting)
-    tables = {label: make() for label, make in CONTRACTION_CASES.items()}
-    assert len(searches) == process._contract_plan.cache_info().currsize
-    for label, make in CONTRACTION_CASES.items():
-        assert np.array_equal(make(), tables[label]), label
-    assert len(searches) == process._contract_plan.cache_info().currsize
-    for module in (process, instruments):
-        monkeypatch.setattr(module, "_contract", einsum_contract)
-    exact = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
-    for label, make in CONTRACTION_CASES.items():
-        want = make()
-        assert tables[label].shape == want.shape, label
-        if exact:
-            assert np.array_equal(tables[label], want), label
-        else:
-            assert np.max(np.abs(tables[label] - want), initial=0.0) < 1e-12, label
+def test_contraction_agrees_with_einsum():
+    # to 1e-12 relative, the tolerance of the tensor-loop test: the matmuls
+    # sum in another order than np.einsum's path
+    for label, (got, want) in CONTRACTION_CASES.items():
+        table, ref = got(), want()
+        assert table.shape == ref.shape, label
+        assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref)), label
 
 
-def test_step_of_more_than_two_operands_is_folded_pairwise():
-    # 500 samples of a 3-qubit-party order (the Baumeler-Wolf battery's
-    # layout): every pair would make an intermediate past einsum's memory
-    # limit, so the greedy path is one step of all four operands, which the
-    # plan runs as pairs; it sums in another order than np.einsum's one
-    # four-operand loop, so the two agree to rounding
-    batch = cs.random_ordered_batch(qubit_chain("ABC"), np.random.default_rng(31), 500)
-    space = cs.parties_space(qubit_chain("ABC"))
-    g = np.random.default_rng(32).normal(size=(space.dim, space.dim))
-    s = cs.HermitianOperator(space, g + g.T)
-    pieces = [batch.states, *batch.channels]
-    got = batch.traces(s)
-    plan = process._contract_plan(space, tuple(batch.spaces), ((500,),) * 3, ((0,),) * 3)
-    assert [len(positions) for positions, _ in plan.steps] == [4]
-    want = einsum_contract(cs.Operator(space, s.mat.T), batch.spaces, pieces, [(0,)] * 3)
-    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-
-
-def test_compiled_contraction_plans_nothing(monkeypatch):
-    # after a signature's first call, a call runs its plan and nothing else:
-    # no path search and no multi-operand einsum (the one-operand einsums
-    # are the traces of uncovered factors)
-    for make in CONTRACTION_CASES.values():
-        make()
+def test_contraction_calls_no_einsum(monkeypatch):
+    # the Born and battery contraction is matmuls on one regrouped W: no
+    # np.einsum and no path search, on a layout's first call as on later ones
+    process._grouping.cache_clear()
     calls = []
-    einsum_path, einsum = np.einsum_path, np.einsum
-
-    def counting_path(*args, **kwargs):
-        calls.append("einsum_path")
-        return einsum_path(*args, **kwargs)
-
-    def counting_einsum(*args, **kwargs):
-        n = len(args) - 1 if isinstance(args[0], str) else len(args) // 2
-        calls.append(f"einsum of {n}")
-        return einsum(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum_path", counting_path)
-    monkeypatch.setattr(np, "einsum", counting_einsum)
-    for make in CONTRACTION_CASES.values():
-        make()
-    assert set(calls) <= {"einsum of 1"}
+    for name in ("einsum", "einsum_path"):
+        def counting(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    for got, _ in CONTRACTION_CASES.values():
+        got()
+    assert calls == []
 
 
 def test_born_with_many_trivial_factors(rng):
-    # 30 trivial parties put 62 factors on w: more than 52 einsum subscripts
-    # if trivial factors took any
+    # 30 trivial parties put 62 factors on w, 124 axes if it kept the trivial ones
     p = cs.validate_process(qubit_with_trivial_parties(30, rng))
     assert p.validity == "valid", p.reason
     a, *trivial = p.parties
@@ -643,16 +612,27 @@ def test_born_with_many_trivial_factors(rng):
     assert np.max(np.abs(got.values - reference_born(p, ins))) < 1e-12
 
 
-def test_born_past_the_subscript_limit_raises():
-    # 27 trivial parties with 2 settings and 2 outcomes: 54 stack axes of
-    # length 2, a table of 2**54 entries
+def test_born_refuses_a_table_too_large_to_allocate(monkeypatch):
+    # 27 trivial parties with 2 settings and 2 outcomes: a table of 2**54
+    # entries, refused before any matmul (each party's would grow the
+    # intermediate 4-fold)
     parties = trivial_parties(27)
-    p = cs.ProcessMatrix(parties, cs.identity(cs.parties_space(parties)))
+    p = cs.validate_process(cs.ProcessMatrix(parties, cs.identity(cs.parties_space(parties))))
     half = cs.identity(parties[0].space) * 0.5
     ins = [cs.Instrument(q, 2, 2, ((cs.HermitianOperator(q.space, half.mat),) * 2,) * 2)
            for q in parties]
-    with pytest.raises(ValueError, match="einsum allows at most 52"):
+    products = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        products.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    shape = re.escape(str((2,) * 54))
+    with pytest.raises(ValueError, match=f"Born table of shape {shape} cannot be allocated"):
         cs.born(p, ins)
+    assert products == []
 
 
 # ---------------------------------------------------------------------------

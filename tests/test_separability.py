@@ -1062,10 +1062,10 @@ def test_component_evidence_in_the_diagnostics(frame_bases):
 @pytest.mark.parametrize("make", [traced_switch, degenerate_switch],
                          ids=["traced_switch", "degenerate_switch"])
 def test_separable_call_expands_w_once(monkeypatch, make):
-    # the face run (or the closed form at rank 1) and the checks of its
-    # decomposition share one basis change of W, and the checks build no
-    # operator or process per component
-    p = cs.validate_process(make())
+    # validation, the face run (or the closed form at rank 1) and the checks
+    # of its decomposition share one basis change of W, and the checks build
+    # no operator or process per component
+    p = make()
     expanded, built = [], []
     coeffs = _CoeffBasis.coeffs
     checked_matrix = tensor_core._checked_matrix
@@ -1087,6 +1087,7 @@ def test_separable_call_expands_w_once(monkeypatch, make):
     monkeypatch.setattr(_CoeffBasis, "coeffs", counting_coeffs)
     monkeypatch.setattr(tensor_core, "_checked_matrix", counting_matrix)
     monkeypatch.setattr(cs.ProcessMatrix, "__post_init__", counting_post_init)
+    assert p.validity == "unchecked"
     cert = cs.check_separability(p)
     assert cert.separable
     assert len(expanded) == 1 and expanded[0] is p.w.mat
@@ -1096,10 +1097,12 @@ def test_separable_call_expands_w_once(monkeypatch, make):
 @pytest.mark.parametrize("orders", [None, [("A", "B", "C"), ("B", "A", "C")]],
                          ids=["ocb", "baumeler_wolf_retry"])
 def test_nonseparable_call_expands_w_once(monkeypatch, orders):
-    # the witness of each failed run reads the call's expansion of W: OCB's
-    # face run and Baumeler-Wolf's face run and whole-cone retry each give
-    # one witness; the public extract_witness gives the same one by itself
-    p = cs.validate_process(cs.ocb_process() if orders is None else baumeler_wolf())
+    # the witness of each failed run reads the expansion of W that
+    # validation made: OCB's face run and Baumeler-Wolf's face run and
+    # whole-cone retry each give one witness; the public extract_witness
+    # gives the same one by itself
+    p = cs.ocb_process() if orders is None else baumeler_wolf()
+    p = cs.ProcessMatrix(p.parties, p.w)  # unchecked, so the call validates it
     expanded = []
     coeffs = _CoeffBasis.coeffs
 
@@ -1108,6 +1111,7 @@ def test_nonseparable_call_expands_w_once(monkeypatch, orders):
             expanded.append(m)
         return coeffs(self, m)
 
+    assert p.validity == "unchecked"
     monkeypatch.setattr(_CoeffBasis, "coeffs", counting_coeffs)
     cert = cs.check_separability(p, orders)
     assert cert.verdict == "nonseparable"
@@ -1185,16 +1189,16 @@ def test_battery_draws_no_process_per_sample(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(process, name, counting)
         monkeypatch.setattr(cs, name, counting)
-    kron, run, traces = np.kron, process._ContractPlan.__call__, process.OrderedBatch.traces
+    kron, regroup, traces = np.kron, process._regroup, process.OrderedBatch.traces
     runs, scored = [0], []
 
     def counting_kron(*args, **kwargs):
         calls["kron"] += 1
         return kron(*args, **kwargs)
 
-    def counting_run(*args, **kwargs):
+    def counting_regroup(*args, **kwargs):
         runs[0] += 1
-        return run(*args, **kwargs)
+        return regroup(*args, **kwargs)
 
     def counting_traces(self, op):
         before = runs[0]
@@ -1203,13 +1207,13 @@ def test_battery_draws_no_process_per_sample(monkeypatch):
         return out
 
     monkeypatch.setattr(np, "kron", counting_kron)
-    monkeypatch.setattr(process._ContractPlan, "__call__", counting_run)
+    monkeypatch.setattr(process, "_regroup", counting_regroup)
     monkeypatch.setattr(process.OrderedBatch, "traces", counting_traces)
     cert = cs.check_separability(ocb)
     assert cert.witness_verified
     # no ordered process, and no tensor product, is built per sample
     assert calls == {"random_ordered_process": 0, "make_ordered_process": 0, "kron": 0}
-    # one run of the compiled contraction per order, over all of its samples
+    # one contraction per order (one regrouping of S), over all of its samples
     assert scored == [(500, 1), (500, 1)]
 
 
