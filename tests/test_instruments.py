@@ -585,6 +585,50 @@ def test_contraction_agrees_with_einsum():
         assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref)), label
 
 
+def test_contraction_plan_is_compiled_once_per_signature():
+    # the regrouping of W (`_grouping`: its blocks, permutation and fused
+    # shape) is laid out once per signature of W's space and the stacks'
+    # spaces; a second pass over every case only reads the cache, and gives
+    # the same tables
+    process._grouping.cache_clear()
+    first = [got() for got, _ in CONTRACTION_CASES.values()]
+    compiled = process._grouping.cache_info()
+    assert compiled.misses == compiled.currsize > 1
+    second = [got() for got, _ in CONTRACTION_CASES.values()]
+    again = process._grouping.cache_info()
+    assert again.misses == compiled.misses
+    assert again.hits - compiled.hits == len(CONTRACTION_CASES)
+    for label, a, b in zip(CONTRACTION_CASES, first, second):
+        assert np.array_equal(a, b), label
+
+
+def test_step_of_more_than_two_operands_is_folded_pairwise(monkeypatch, rng):
+    # a 3-qubit-party order (the Baumeler-Wolf battery's layout) at 500
+    # samples: W and its three pieces are folded one pair at a time, the
+    # largest piece by one GEMM (the `@` operator, not counted here) and each
+    # further piece by one batched (n, 1, e**2) @ (n, e**2, rest') matmul,
+    # so no intermediate outgrows (n, rest)
+    chain = qubit_chain("ABC")
+    batch = cs.random_ordered_batch(chain, rng, 500)
+    g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    s = cs.HermitianOperator(cs.parties_space(chain), g + g.conj().T)
+    got, want = traces_case(batch, s)
+    shapes = []
+    matmul = np.matmul
+
+    def recording(*args, **kwargs):
+        shapes.append(tuple(np.shape(a) for a in args))
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    table = got()
+    assert shapes == [((500, 1, 16), (500, 16, 4)), ((500, 1, 4), (500, 4, 1))]
+    monkeypatch.setattr(np, "matmul", matmul)
+    ref = want()
+    assert table.shape == ref.shape == (500,)
+    assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_contraction_calls_no_einsum(monkeypatch):
     # the Born and battery contraction is matmuls on one regrouped W: no
     # np.einsum and no path search, on a layout's first call as on later ones
