@@ -5,18 +5,19 @@ outcomes each setting is trace-preserving. Probabilities come from
 P = Tr[W (C_1 (x) ... (x) C_n)^T], the transpose convention under which
 ordered processes reproduce sequential circuit composition; the circuit
 oracle below is the arbiter of that choice. The whole table is W,
-regrouped once (`process._regroup`), contracted with each party's Choi
-stack by one matmul; no tensor product of Chois is formed.
+regrouped once (`tensor_core._regroup`), contracted with each party's
+Choi stack, which its `Instrument` keeps, by one matmul; no tensor
+product of Chois is formed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .process import Party, ProcessMatrix, _regroup, _require_valid, make_quantum_switch
+from .process import Party, ProcessMatrix, _require_valid, make_quantum_switch
 from .tensor_core import (
     CHOI_PSD_TOL,
     TP_TOL,
@@ -24,6 +25,8 @@ from .tensor_core import (
     _check_count,
     _check_distinct,
     _cptp_defects,
+    _grouping,
+    _regroup,
     choi_of_kraus,
     identity,
     random_isometry,
@@ -45,6 +48,8 @@ class Instrument:
     settings: int
     outcomes: int
     chois: tuple[tuple[HermitianOperator, ...], ...]  # [setting][outcome]
+    # chois as one read-only (settings, outcomes, D, D) array, for `born`
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_count("instrument settings", self.settings, 1)
@@ -59,8 +64,10 @@ class Instrument:
                     raise ValueError(
                         f"Choi labels {c.space.labels} do not match party {self.party.name!r}"
                     )
-        low, dev = _cptp_defects(np.array([[c.mat for c in row] for row in self.chois]),
-                                 self.party.space.factors, self.party.output_labels,
+        stack = np.array([[c.mat for c in row] for row in self.chois])
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        low, dev = _cptp_defects(stack, self.party.space.factors, self.party.output_labels,
                                  self.party.input_dim)
         for x in range(self.settings):
             if low[x] < -CHOI_PSD_TOL:
@@ -234,10 +241,10 @@ def random_instrument(
 def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTable:
     """Full probability table P(outcomes | settings) of a valid process:
     one instrument per party, so the instruments' party names are distinct
-    and are exactly the process's. W regrouped by `process._regroup`, then
-    one matmul per party's Choi stack, gives the table, which is allocated
-    first: a table too large to allocate raises ValueError before any
-    arithmetic."""
+    and are exactly the process's. W regrouped by `tensor_core._regroup`,
+    then one matmul per party's Choi stack (kept by its `Instrument`), gives
+    the table, which is allocated first: a table too large to allocate
+    raises ValueError before any arithmetic."""
     p = _require_valid(p)
     _check_distinct((ins.party.name for ins in instruments), "instrument party names")
     by_name = {ins.party.name: ins for ins in instruments}
@@ -255,11 +262,11 @@ def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTabl
         vals = np.empty(shape)
     except (MemoryError, ValueError) as e:
         raise ValueError(f"Born table of shape {shape} cannot be allocated") from e
-    t = _regroup(p.w.mat, p.w.space, [q.space for q in p.parties])
-    sizes = t.shape
+    t = _regroup(p.w.mat, _grouping(p.w.space, tuple(q.space for q in p.parties)))
+    sizes = t.shape[1:]
     for k, i in enumerate(ins):
-        chois = np.array([[c.mat for c in row] for row in i.chois]).reshape(-1, sizes[k])
-        t = np.matmul(chois, t.reshape(-1, sizes[k], math.prod(sizes[k + 1:])))
+        t = np.matmul(i._stack.reshape(-1, sizes[k]),
+                      t.reshape(-1, sizes[k], math.prod(sizes[k + 1:])))
     pairs = [a for i in ins for a in (i.settings, i.outcomes)]
     vals[...] = t.reshape(pairs).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).real
     return ProbabilityTable(tuple(party.name for party in p.parties), vals)

@@ -35,11 +35,12 @@ as it moves the worst tuple residual.
 
 The Born rule evaluates the multilinear functional T[k] = sum_ij W_ij
 (X_1[k] (x) ... (x) X_n[k])_ij on per-party stacks X_k, with no tensor
-product formed: `_regroup` permutes W once so that axis k holds stack k's
-(row, column) index pair, traces out the factors no stack covers, and the
-sum becomes one matmul per stack. `instruments.born` runs that loop over
-the parties' Choi stacks, and `OrderedBatch.traces` over an ordered
-sample's pieces, which share their sample axis.
+product formed: `tensor_core._regroup` permutes W once so that axis k
+holds stack k's (row, column) index pair, traces out the factors no stack
+covers, and the sum becomes one matmul per stack, on the layout the
+basis change also uses (`tensor_core._grouping`). `instruments.born`
+runs that loop over the parties' Choi stacks, and `OrderedBatch.traces`
+over an ordered sample's pieces, which share their sample axis.
 
 An ordered process is kept as its pieces, a state stack and one Choi
 stack per link, in an `OrderedBatch`: its `spaces` are the pieces'
@@ -74,8 +75,10 @@ from .tensor_core import (
     _CoeffBasis,
     _cptp_defects,
     _ginibre_density,
+    _grouping,
     _haar_isometry,
     _hermitian_defect,
+    _regroup,
     choi_vector,
     depolarize,
     identity,
@@ -208,41 +211,6 @@ class ProcessVector:
 
     def to_matrix(self) -> ProcessMatrix:
         return ProcessMatrix(self.parties, self.v.density())
-
-
-# ---------------------------------------------------------------------------
-# the Born and battery contraction
-
-@functools.lru_cache(maxsize=64)
-def _grouping(space: SpaceProduct, spaces: tuple[SpaceProduct, ...]):
-    """How `_regroup` lays out a (D, D) matrix over ``space`` for stacks
-    over ``spaces``: (blocks, perm, grouped), the matrix's shape with one
-    row and one column axis per factor of dim > 1, the permutation that
-    brings each stack's row factors and then its column factors together,
-    in stack order, with the factors no stack covers last (rows, then
-    columns), and the shape that fuses each group, (e_1**2, ..., e_n**2)
-    then (u, u) if any factor is uncovered."""
-    facs = [f for f in space.factors if f.dim > 1]
-    n = len(facs)
-    at = {f.label: k for k, f in enumerate(facs)}
-    groups = [[at[f.label] for f in s.factors if f.dim > 1] for s in spaces]
-    covered = {k for g in groups for k in g}
-    groups.append([k for k in range(n) if k not in covered])
-    perm = [i for g in groups for i in g + [n + k for k in g]]
-    sizes = [math.prod(facs[k].dim for k in g) for g in groups]
-    grouped = [e * e for e in sizes[:-1]] + ([sizes[-1]] * 2 if groups[-1] else [])
-    return tuple(f.dim for f in facs) * 2, tuple(perm), tuple(grouped)
-
-
-def _regroup(m: np.ndarray, space: SpaceProduct, spaces: Sequence[SpaceProduct]) -> np.ndarray:
-    """m over ``space`` as an (e_1**2, ..., e_n**2) array, e_k =
-    spaces[k].dim, whose axis k is stack k's (row, column) index pair and
-    whose uncovered factors are traced out. So sum_ij m_ij (X_1 (x) ... (x)
-    X_n (x) 1)_ij is the contraction of axis k with X_k flattened, one
-    matmul per stack: `instruments.born` and `OrderedBatch.traces` run it."""
-    blocks, perm, grouped = _grouping(space, tuple(spaces))
-    t = m.reshape(blocks).transpose(perm).reshape(grouped)
-    return np.trace(t, axis1=-2, axis2=-1) if len(grouped) > len(spaces) else t
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +576,12 @@ class OrderedBatch:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def spaces(self) -> list[SpaceProduct]:
-        """The pieces' spaces: the first party's input, then each link's
-        Choi space, party j's output (x) party j+1's input."""
+    @functools.cached_property
+    def spaces(self) -> tuple[SpaceProduct, ...]:
+        """The pieces' spaces, built on first read: the first party's input,
+        then each link's Choi space, party j's output (x) party j+1's input."""
         links = [SpaceProduct(a.outputs + b.inputs) for a, b in zip(self.order, self.order[1:])]
-        return [self.order[0].input_space] + links
+        return (self.order[0].input_space, *links)
 
     def process(self, k: int) -> ProcessMatrix:
         """Sample k as an unchecked ProcessMatrix (`validate_process` checks
@@ -634,8 +602,8 @@ class OrderedBatch:
         pieces = [self.states, *self.channels]
         order = sorted(range(len(pieces)), key=lambda k: -pieces[k].shape[-1])
         spaces = self.spaces
-        t = _regroup(op.mat.T, op.space, [spaces[k] for k in order])
-        n, sizes = len(self), t.shape
+        t = _regroup(op.mat.T, _grouping(op.space, tuple(spaces[k] for k in order)))
+        n, sizes = len(self), t.shape[1:]
         t = pieces[order[0]].reshape(n, sizes[0]) @ t.reshape(sizes[0], -1)
         for k, e in zip(order[1:], sizes[1:]):
             t = np.matmul(pieces[k].reshape(n, 1, e), t.reshape(n, e, -1))

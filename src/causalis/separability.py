@@ -32,13 +32,14 @@ one basis change each way and at most one batched eigh: a batched
 Cholesky first tests whether the stack is positive definite, and if it is,
 the projection clips nothing and needs no eigh (`_project_psd`).
 
-What does not depend on W is set up once per party structure: the basis,
-its group transforms and the shapes of a basis change on a (K, ...) stack
-(`_party_moves`, `_CoeffBasis`), the pattern ids (`_cone_ids`) and the
-witness battery (`_battery`). Once per process: W's coefficients, the
-basis change its validation made (`process._validity_sweep`), shared by
-the closed form, the face run, its whole-cone retry and the witness of
-each failed run. Once per call: the masks and V; once per face run, V†.
+What does not depend on W is set up once per party structure: the basis
+with its group transforms, factor layout (`tensor_core._grouping`) and
+GEMM shapes, for any leading (K, ...) axes (`_party_moves`,
+`_CoeffBasis`), the pattern ids (`_cone_ids`) and the witness battery
+(`_battery`). Once per process: W's coefficients, the basis change its
+validation made (`process._validity_sweep`), shared by the closed form,
+the face run, its whole-cone retry and the witness of each failed run
+(`extract_witness`). Once per call: the masks and V; once per face run, V†.
 Per iteration: the affine step, one basis change each way around the PSD
 step (none back when that step leaves a whole-cone stack as it is), and
 the residual.
@@ -70,8 +71,9 @@ The witness battery draws each order's samples in one batch
 sequential `random_ordered_process` calls do), once per party structure
 and orders, and each call scores all of them with one contraction of S
 against the samples' pieces per order (`process.OrderedBatch.traces`: S
-regrouped once, then one matmul per piece), so no per-sample process
-matrix is formed; mixtures are scored by linearity.
+regrouped once by `tensor_core._regroup`, as the basis change regroups,
+then one matmul per piece), so no per-sample process matrix is formed;
+mixtures are scored by linearity.
 """
 from __future__ import annotations
 
@@ -500,7 +502,7 @@ def check_separability(
         trace = _dykstra(basis, wc, masks, cones, tol, max_iters, face)
         if trace.converged:
             return trace, None, {}
-        return (trace, *_witness(p, trace, basis, masks, wc))
+        return (trace, *extract_witness(p, trace))
 
     face = _face(p.w.mat)
     rank = p.w.dim if face is None else face.shape[1]
@@ -577,7 +579,9 @@ def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     ||S||_F ||W||_F <= D² ε_mach Tr W (||S||_F = 1, W PSD), and each margin,
     an eigvalsh of a matrix of norm <= 1, by a few D ε_mach. An all-zero S
     scores 0 against a negative bound and is rejected. Returns (witness or
-    None, diagnostics).
+    None, diagnostics). W's coefficients are the ones its validation kept
+    (`process._validity_sweep`), so `check_separability`, which calls this
+    for each failed run, does not expand W again.
 
     The battery, drawn from default_rng(BATTERY_SEED), scores BATTERY
     ordered processes per order, drawn as one `random_ordered_batch` per
@@ -596,15 +600,8 @@ def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
     basis = _party_moves(p.parties)[0]
-    return _witness(p, trace, basis, _cone_masks(p.parties, trace.orders),
-                    basis.to_coeffs(p.w.mat))
-
-
-def _witness(p: ProcessMatrix, trace: FeasibilityTrace, basis: _CoeffBasis,
-             masks: np.ndarray, wc: np.ndarray):
-    """`extract_witness` of a failed run, given the basis of `_party_moves`,
-    the masks of trace.orders and W's coefficients wc, so that
-    `check_separability` expands W once for all of its runs."""
+    masks = _cone_masks(p.parties, trace.orders)
+    wc = _validity_sweep(p)[2]  # W's coefficients, kept by validation
 
     def margins(c):
         return np.linalg.eigvalsh(basis.from_coeffs(masks * c))[:, 0]

@@ -12,9 +12,15 @@ cones and the separability projections (`separability`) all read
 coefficients there, where their linear conditions are integer pattern ids
 set by which factors carry a non-identity index (`_identity_on`): a mask is
 ids == 0 and a residual one bincount of squared coefficients by id.
+
+The basis change and the Born contraction share one factor layout
+(`_grouping`, applied by `_regroup`): each group of factors becomes one
+fused (row, column) axis. A basis fixes its layout, one group per GEMM,
+when it is built; the contraction looks one up per call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -279,6 +285,45 @@ def _kron(spaces: Sequence[SpaceProduct], arrays: Sequence[np.ndarray]) -> tuple
     return _canonicalize(factors, out)
 
 
+@functools.lru_cache(maxsize=64)
+def _grouping(space: SpaceProduct, spaces: tuple[SpaceProduct, ...]):
+    """How `_regroup` lays out a (..., D, D) stack over ``space`` for stacks
+    over ``spaces``: (blocks, perm, grouped, inverse). blocks is (-1, d_1,
+    ..., d_n, d_1, ..., d_n), the leading axes folded into one, then a row
+    and a column axis per factor of dim > 1; perm keeps that axis first and
+    brings each stack's row factors and then its column factors together,
+    in stack order, with the uncovered factors last (rows, then columns);
+    grouped fuses each group, (-1, e_1**2, ..., e_n**2) then (u, u) if a
+    factor is uncovered. inverse, the (shape, order) that undo the
+    permutation, is None when uncovered factors are traced out."""
+    facs = [f for f in space.factors if f.dim > 1]
+    n = len(facs)
+    at = {f.label: k for k, f in enumerate(facs)}
+    groups = [[at[f.label] for f in s.factors if f.dim > 1] for s in spaces]
+    covered = {k for g in groups for k in g}
+    groups.append([k for k in range(n) if k not in covered])
+    perm = [0] + [1 + i for g in groups for i in g + [n + k for k in g]]
+    sizes = [math.prod(facs[k].dim for k in g) for g in groups]
+    grouped = [-1] + [e * e for e in sizes[:-1]] + ([sizes[-1]] * 2 if groups[-1] else [])
+    blocks = (-1,) + tuple(f.dim for f in facs) * 2
+    inverse = None if groups[-1] else (tuple(blocks[i] for i in perm),
+                                       tuple(int(i) for i in np.argsort(perm)))
+    return blocks, tuple(perm), tuple(grouped), inverse
+
+
+def _regroup(m: np.ndarray, layout) -> np.ndarray:
+    """A (..., D, D) stack m as an (N, e_1**2, ..., e_n**2) array laid out
+    by ``layout`` (`_grouping`), N the product of its leading shape: axis k
+    holds stack k's (row, column) index pair, and the uncovered factors are
+    traced out. So sum_ij m_ij (X_1 (x) ... (x) X_n (x) 1)_ij is the
+    contraction of axis k with X_k flattened, one matmul per stack
+    (`instruments.born`, `process.OrderedBatch.traces`), and with one stack
+    per group of factors, the group GEMMs of `_CoeffBasis.coeffs`."""
+    blocks, perm, grouped, inverse = layout
+    t = m.reshape(blocks).transpose(perm).reshape(grouped)
+    return np.trace(t, axis1=-2, axis2=-1) if inverse is None else t
+
+
 # ---------------------------------------------------------------------------
 # core operations
 
@@ -433,19 +478,18 @@ def hermitian_basis(dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # coefficient-space engine
 
-def _group_dims(dims) -> list[list[int]]:
-    """Adjacent runs of factor dims whose product g keeps g*g <= D; a factor
-    with d*d > D forms its own group."""
-    total = math.prod(dims)
+def _factor_groups(space: SpaceProduct) -> tuple[SpaceProduct, ...]:
+    """Adjacent runs of space's factors whose product g keeps g*g <= D; a
+    factor with d*d > D forms its own group."""
     groups = [[]]
     g = 1
-    for d in dims:
-        if groups[-1] and (g * d) ** 2 > total:
+    for f in space.factors:
+        if groups[-1] and (g * f.dim) ** 2 > space.dim:
             groups.append([])
             g = 1
-        groups[-1].append(d)
-        g *= d
-    return groups
+        groups[-1].append(f)
+        g *= f.dim
+    return tuple(SpaceProduct(run) for run in groups)
 
 
 def _group_basis(dims) -> np.ndarray:
@@ -472,75 +516,49 @@ class _CoeffBasis:
     matrix holds at most max(D^2, d_max^4) entries. Coefficient arrays have
     shape (..., d_1^2, ..., d_n^2), identity index 0 on every factor.
 
-    The group transforms are built once per instance, and the shapes of a
-    basis change (each GEMM's operand shape, the block reshape and its
-    transpose order) once per leading shape (`_plan`), so a call runs the
-    GEMMs and one transposing copy and nothing else.
+    The group transforms, the factor layout (`_grouping`, one stack per
+    group) and each GEMM's operand shape, its leading axis -1, are fixed
+    when the basis is built, so a call runs one transposing copy
+    (`_regroup`, or the layout's inverse) and the GEMMs and nothing else.
     """
 
     def __init__(self, space):
         self.labels = list(space.labels)
         self.dim = space.dim
         self.shape = tuple(d * d for d in space.dims)
-        groups = _group_dims(space.dims)
-        self.group_dims = [math.prod(g) for g in groups]
-        self._sizes = tuple(g * g for g in self.group_dims)
-        us = [_group_basis(g) for g in groups]
+        groups = _factor_groups(space)
+        self.group_dims = [g.dim for g in groups]
+        self._layout = _grouping(space, groups)
+        # group a's GEMM: the group matrix from the left on (-1, G_a, post),
+        # or, when no axis follows, (-1, G_a) against its transpose
+        sizes = [g * g for g in self.group_dims]
+        self._steps = []
+        for a, size in enumerate(sizes):
+            post = math.prod(sizes[a + 1:])
+            self._steps.append((-1, size) if post == 1 else (-1, size, post))
+        us = [_group_basis(g.dims) for g in groups]
         # coeffs applies conj(U) per group, from_coeffs applies U^T
         self._fwd = [np.ascontiguousarray(u.conj()) for u in us]
         self._inv = [np.ascontiguousarray(u.T) for u in us]
-        self._plans = {}
 
-    def _plan(self, lead: tuple[int, ...]) -> dict:
-        """The shapes of a basis change on a stack with leading shape lead.
-
-        steps[a] is the shape group a's GEMM sees: (pre, G_a, post) for a
-        matmul of the group matrix from the left, broadcast over pre, or
-        (-1, G_a) for the last group, one GEMM against its transpose.
-        blocks and order turn (..., D, D) into one axis per group's (row,
-        col) pair; pairs and inverse undo it.
-        """
-        plan = self._plans.get(lead)
-        if plan is None:
-            n, k = len(self.group_dims), len(lead)
-            pre, post, steps = math.prod(lead), math.prod(self._sizes), []
-            for size in self._sizes:
-                post //= size
-                steps.append((-1, size) if post == 1 else (pre, size, post))
-                pre *= size
-            plan = self._plans[lead] = {
-                "steps": steps,
-                "grouped": lead + self._sizes,
-                "coeffs": lead + self.shape,
-                "blocks": lead + tuple(self.group_dims) * 2,
-                "order": [*range(k), *(k + a + h * n for a in range(n) for h in (0, 1))],
-                "pairs": lead + tuple(d for g in self.group_dims for d in (g, g)),
-                "inverse": [*range(k), *(k + 2 * a + h for h in (0, 1) for a in range(n))],
-                "ops": lead + (self.dim, self.dim),
-            }
-        return plan
-
-    @staticmethod
-    def _apply(x: np.ndarray, mats, steps) -> np.ndarray:
-        """Multiply group axis a of x by mats[a], one GEMM each (`_plan`)."""
-        for t, shape in zip(mats, steps):
+    def _apply(self, x: np.ndarray, mats) -> np.ndarray:
+        """Multiply group axis a of x by mats[a], one GEMM each."""
+        for t, shape in zip(mats, self._steps):
             x = x.reshape(shape) @ t.T if len(shape) == 2 else np.matmul(t, x.reshape(shape))
         return x
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Complex coefficients Tr[B_k m] of any (..., D, D) stack."""
-        plan = self._plan(m.shape[:-2])
-        x = m.reshape(plan["blocks"]).transpose(plan["order"]).reshape(plan["grouped"])
-        return self._apply(x, self._fwd, plan["steps"]).reshape(plan["coeffs"])
+        return self._apply(_regroup(m, self._layout), self._fwd).reshape(m.shape[:-2] + self.shape)
 
     def to_coeffs(self, m: np.ndarray) -> np.ndarray:
         """Real coefficients of a Hermitian (..., D, D) stack."""
         return self.coeffs(m).real
 
     def from_coeffs(self, c: np.ndarray) -> np.ndarray:
-        plan = self._plan(c.shape[:c.ndim - len(self.shape)])
-        t = self._apply(c.reshape(plan["grouped"]), self._inv, plan["steps"])
-        return t.reshape(plan["pairs"]).transpose(plan["inverse"]).reshape(plan["ops"])
+        pairs, order = self._layout[3]
+        t = self._apply(c, self._inv).reshape(pairs).transpose(order)
+        return t.reshape(c.shape[:c.ndim - len(self.shape)] + (self.dim, self.dim))
 
     def _identity_on(self, labels) -> np.ndarray:
         """Boolean array, broadcastable to the coefficient shape: true where

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import io as cio
-from causalis import process, separability
+from causalis import separability, tensor_core
 from causalis.instruments import circuit_oracle
 from conftest import interleaved_parties, qubit_chain, qubit_with_trivial_parties, trivial_parties
 
@@ -586,16 +586,16 @@ def test_contraction_agrees_with_einsum():
 
 
 def test_contraction_plan_is_compiled_once_per_signature():
-    # the regrouping of W (`_grouping`: its blocks, permutation and fused
-    # shape) is laid out once per signature of W's space and the stacks'
-    # spaces; a second pass over every case only reads the cache, and gives
-    # the same tables
-    process._grouping.cache_clear()
+    # the regrouping of W (`tensor_core._grouping`, the layout the basis
+    # change also uses: blocks, permutation, fused shape and inverse) is laid
+    # out once per signature of W's space and the stacks' spaces; a second
+    # pass over every case only reads the cache, and gives the same tables
+    tensor_core._grouping.cache_clear()
     first = [got() for got, _ in CONTRACTION_CASES.values()]
-    compiled = process._grouping.cache_info()
+    compiled = tensor_core._grouping.cache_info()
     assert compiled.misses == compiled.currsize > 1
     second = [got() for got, _ in CONTRACTION_CASES.values()]
-    again = process._grouping.cache_info()
+    again = tensor_core._grouping.cache_info()
     assert again.misses == compiled.misses
     assert again.hits - compiled.hits == len(CONTRACTION_CASES)
     for label, a, b in zip(CONTRACTION_CASES, first, second):
@@ -632,7 +632,7 @@ def test_step_of_more_than_two_operands_is_folded_pairwise(monkeypatch, rng):
 def test_contraction_calls_no_einsum(monkeypatch):
     # the Born and battery contraction is matmuls on one regrouped W: no
     # np.einsum and no path search, on a layout's first call as on later ones
-    process._grouping.cache_clear()
+    tensor_core._grouping.cache_clear()
     calls = []
     for name in ("einsum", "einsum_path"):
         def counting(*args, _name=name, _original=getattr(np, name), **kwargs):

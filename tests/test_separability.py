@@ -215,18 +215,18 @@ def test_batched_basis_change_matches_per_item(dims, rng):
 @pytest.mark.parametrize("parties", [cs.ocb_parties(), cs.switch_parties(), cs.switch_parties(3)],
                          ids=["ocb", "switch", "qutrit_switch"])
 def test_planned_basis_change_on_stacks_matches_per_item(parties, rng):
-    # the shapes of a basis change are planned once per leading shape; a
-    # (K, ...) stack and its items, each with its own plan, agree bit for bit
+    # the shapes of a basis change are fixed when the basis is built, with
+    # every leading shape folded into one axis; a stack and its items agree
+    # bit for bit
     basis = process._party_moves(tuple(parties))[0]
-    for k in (1, 2, 6):
-        ms = random_hermitian(basis.dim, rng, lead=(k,))
+    for lead in ((1,), (2,), (6,), (2, 3)):
+        ms = random_hermitian(basis.dim, rng, lead=lead)
         c = basis.to_coeffs(ms)
         back = basis.from_coeffs(c)
-        assert c.shape == (k,) + basis.shape and back.shape == ms.shape
-        for i in range(k):
+        assert c.shape == lead + basis.shape and back.shape == ms.shape
+        for i in np.ndindex(*lead):
             assert np.array_equal(c[i], basis.to_coeffs(ms[i]))
             assert np.array_equal(back[i], basis.from_coeffs(c[i]))
-    assert {(), (1,), (2,), (6,)} <= set(basis._plans)
 
 
 def psd_stack(kind, d, rng, lead):
@@ -1092,6 +1092,21 @@ def test_separable_call_expands_w_once(monkeypatch, make):
     assert cert.separable
     assert len(expanded) == 1 and expanded[0] is p.w.mat
     assert built == []
+
+
+def test_check_separability_extracts_through_extract_witness(monkeypatch):
+    # OCB's one failed face run gets its witness from the public
+    # extract_witness, the function the bench tracer spans
+    calls = []
+
+    def counting(p, trace, _original=separability.extract_witness):
+        calls.append(trace)
+        return _original(p, trace)
+
+    monkeypatch.setattr(separability, "extract_witness", counting)
+    cert = cs.check_separability(cs.ocb_process())
+    assert cert.verdict == "nonseparable"
+    assert calls == [cert.trace]
 
 
 @pytest.mark.parametrize("orders", [None, [("A", "B", "C"), ("B", "A", "C")]],

@@ -10,7 +10,9 @@ from causalis.tensor_core import (
     SpaceProduct,
     _canonicalize,
     _cptp_defects,
+    _grouping,
     _partial_trace,
+    _regroup,
     choi_of_kraus,
     choi_vector,
     depolarize,
@@ -230,6 +232,27 @@ def test_partial_trace_matches_per_factor_loop(rng, labels):
     for m, t in zip(mats, batched):
         assert np.allclose(t, partial_trace_reference(Operator(space, m), labels),
                            rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("groups", [[["A", "B"], ["C", "D"]], [["D"], ["A"]], [["C"]]],
+                         ids=["covered", "traced_C", "traced_AD"])
+def test_regroup_of_a_stack_matches_per_item(rng, groups):
+    # leading axes fold into one, so a (K, D, D) stack and its items are
+    # laid out bit for bit alike; a covering layout is undone exactly by its
+    # inverse, and one that traces uncovered factors out has none
+    space = SpaceProduct(LabeledSpace(l, d) for l, d in (("A", 2), ("B", 1), ("C", 3), ("D", 2)))
+    spaces = tuple(space.restrict(g) for g in groups)
+    layout = _grouping(space, spaces)
+    mats = rng.normal(size=(5, 12, 12)) + 1j * rng.normal(size=(5, 12, 12))
+    stacked = _regroup(mats, layout)
+    assert stacked.shape == (5,) + tuple(s.dim ** 2 for s in spaces)
+    for m, t in zip(mats, stacked):
+        assert np.array_equal(_regroup(m, layout), t[None])
+    inverse = layout[3]
+    assert (inverse is None) == (np.prod([s.dim for s in spaces]) < space.dim)
+    if inverse is not None:
+        shape, order = inverse
+        assert np.array_equal(stacked.reshape(shape).transpose(order).reshape(mats.shape), mats)
 
 
 def test_depolarize_projector_properties(rng):
