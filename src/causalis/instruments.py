@@ -1,13 +1,14 @@
 """Quantum instruments and the generalized Born rule.
 
 An instrument holds one Choi operator per (setting, outcome); summed over
-outcomes each setting is trace-preserving. Probabilities come from
+outcomes each setting is trace-preserving. It stores them as one read-only
+(settings, outcomes, D, D) array, built and checked in one pass, and hands
+out `HermitianOperator` views into it. Probabilities come from
 P = Tr[W (C_1 (x) ... (x) C_n)^T], the transpose convention under which
 ordered processes reproduce sequential circuit composition; the circuit
 oracle below is the arbiter of that choice. The whole table is W,
 regrouped once (`tensor_core._regroup`), contracted with each party's
-Choi stack, which its `Instrument` keeps, by one matmul; no tensor
-product of Chois is formed.
+Choi stack by one matmul; no tensor product of Chois is formed.
 """
 from __future__ import annotations
 
@@ -22,10 +23,14 @@ from .tensor_core import (
     CHOI_PSD_TOL,
     TP_TOL,
     HermitianOperator,
+    Operator,
     _check_count,
     _check_distinct,
+    _checked_hermitian,
+    _choi_stack,
     _cptp_defects,
     _grouping,
+    _haar_isometry,
     _regroup,
     choi_of_kraus,
     identity,
@@ -36,40 +41,53 @@ from .tensor_core import (
 PROB_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Instrument:
     """Per-setting families of CP maps in Choi form, complete per setting.
 
-    Each setting is one map of `tensor_core._cptp_defects` (m = outcomes),
+    The instrument stores one read-only (settings, outcomes, D, D) array of
+    Choi blocks over its party's space, and nothing else: settings and
+    outcomes are read off its shape, and `chois` and `choi(x, a)` wrap views
+    into it. `Instrument(party, settings, outcomes, chois)` stacks rows of
+    operators; `from_stack` takes the array itself. Either way the stack is
+    checked once: finite, Hermitian within HERM_TOL (then symmetrized), and
+    each setting one map of `tensor_core._cptp_defects` (m = outcomes),
     judged setting by setting, CP before TP, under the CHOI_PSD_TOL / TP_TOL
     policy that `make_ordered_process` applies to states and links."""
 
     party: Party
-    settings: int
-    outcomes: int
-    chois: tuple[tuple[HermitianOperator, ...], ...]  # [setting][outcome]
-    # chois as one read-only (settings, outcomes, D, D) array, for `born`
-    _stack: np.ndarray = field(init=False, repr=False)
+    _stack: np.ndarray = field(repr=False)  # [setting, outcome]: one Choi block
 
-    def __post_init__(self):
-        _check_count("instrument settings", self.settings, 1)
-        _check_count("instrument outcomes", self.outcomes, 1)
-        if len(self.chois) != self.settings:
+    def __init__(self, party: Party, settings: int, outcomes: int,
+                 chois: Sequence[Sequence[Operator]]):
+        _check_count("instrument settings", settings, 1)
+        _check_count("instrument outcomes", outcomes, 1)
+        if len(chois) != settings:
             raise ValueError("one row of Chois per setting required")
-        for row in self.chois:
-            if len(row) != self.outcomes:
+        for row in chois:
+            if len(row) != outcomes:
                 raise ValueError("one Choi per outcome required")
             for c in row:
-                if c.space != self.party.space:
-                    raise ValueError(
-                        f"Choi labels {c.space.labels} do not match party {self.party.name!r}"
-                    )
-        stack = np.array([[c.mat for c in row] for row in self.chois])
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        low, dev = _cptp_defects(stack, self.party.space.factors, self.party.output_labels,
-                                 self.party.input_dim)
-        for x in range(self.settings):
+                _check_choi_space(party, c.space)
+        self._adopt(party, [[c.mat for c in row] for row in chois])
+
+    @classmethod
+    def from_stack(cls, party: Party, stack) -> "Instrument":
+        """The instrument whose Choi of setting x, outcome a is stack[x, a],
+        a (settings, outcomes, D, D) array over the party's space."""
+        ins = cls.__new__(cls)
+        ins._adopt(party, stack)
+        return ins
+
+    def _adopt(self, party: Party, stack) -> None:
+        shape = np.shape(stack)
+        if len(shape) == 4:
+            _check_count("instrument settings", shape[0], 1)
+            _check_count("instrument outcomes", shape[1], 1)
+        _, stack = _checked_hermitian(party.space, stack, ndim=4)
+        low, dev = _cptp_defects(stack, party.space.factors, party.output_labels,
+                                 party.input_dim)
+        for x in range(len(stack)):
             if low[x] < -CHOI_PSD_TOL:
                 raise ValueError(f"setting {x}: Choi is not completely positive")
             if dev[x] > TP_TOL:
@@ -77,9 +95,30 @@ class Instrument:
                     f"setting {x}: outcome sum is not trace-preserving "
                     f"(|Tr_O C - 1| = {dev[x]:.3e})"
                 )
+        object.__setattr__(self, "party", party)
+        object.__setattr__(self, "_stack", stack)
+
+    @property
+    def settings(self) -> int:
+        return self._stack.shape[0]
+
+    @property
+    def outcomes(self) -> int:
+        return self._stack.shape[1]
+
+    @property
+    def chois(self) -> tuple[tuple[HermitianOperator, ...], ...]:
+        """[setting][outcome]: read-only views into the stack, built on access."""
+        return tuple(tuple(self.choi(x, a) for a in range(self.outcomes))
+                     for x in range(self.settings))
 
     def choi(self, setting: int, outcome: int) -> HermitianOperator:
-        return self.chois[setting][outcome]
+        return HermitianOperator._view(self.party.space, self._stack[setting, outcome])
+
+
+def _check_choi_space(party: Party, space) -> None:
+    if space != party.space:
+        raise ValueError(f"Choi labels {space.labels} do not match party {party.name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +238,10 @@ def _measure_prepare(party: Party, effects, states) -> Instrument:
     return Instrument(party, len(rows), len(rows[0]) if rows else 0, rows)
 
 
+def _kraus_per_outcome(d_in: int, d_out: int, n_outcomes: int) -> int:
+    return max(2, -(-d_in // (d_out * n_outcomes)))
+
+
 def random_instrument_kraus(
     d_in: int,
     d_out: int,
@@ -212,7 +255,7 @@ def random_instrument_kraus(
     max(2, ceil(d_in / (d_out * n_outcomes))) Kraus operators: two, or as
     many as the isometry needs for its d_out * n_outcomes * k >= d_in rows.
     """
-    per = max(2, -(-d_in // (d_out * n_outcomes)))
+    per = _kraus_per_outcome(d_in, d_out, n_outcomes)
     env = n_outcomes * per
     v = random_isometry(d_in, d_out * env, rng)
     # row o * env + e of v is row o of Kraus operator e
@@ -226,13 +269,24 @@ def random_instrument(
     outcomes: int,
     rng: np.random.Generator,
 ) -> Instrument:
-    rows = []
-    for _ in range(settings):
-        fam = random_instrument_kraus(party.input_dim, party.output_dim, outcomes, rng)
-        rows.append(tuple(
-            choi_of_kraus(ks, party.input_space, party.output_space) for ks in fam
-        ))
-    return Instrument(party, settings, outcomes, tuple(rows))
+    """One `random_instrument_kraus` family per setting, as Chois.
+
+    All settings are drawn by one generator call, which consumes it exactly
+    as one `random_instrument_kraus` call per setting does (real part, then
+    imaginary part, setting by setting); one batched QR and one Choi einsum
+    then build the whole stack."""
+    # before the draw, which would take True as a size of 1
+    _check_count("instrument settings", settings, 1)
+    _check_count("instrument outcomes", outcomes, 1)
+    din, dout = party.input_dim, party.output_dim
+    per = _kraus_per_outcome(din, dout, outcomes)
+    z = rng.normal(size=(settings, 2, dout * outcomes * per, din))
+    v = _haar_isometry(z[:, 0] + 1j * z[:, 1])
+    # as in random_instrument_kraus: row o * (outcomes * per) + e of v[x] is
+    # row o of Kraus operator e of setting x, and e = a * per + k
+    kraus = v.reshape(settings, dout, outcomes, per, din).transpose(0, 2, 3, 1, 4)
+    return Instrument.from_stack(party, _choi_stack(kraus, party.input_space,
+                                                    party.output_space))
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +311,17 @@ def born(p: ProcessMatrix, instruments: Sequence[Instrument]) -> ProbabilityTabl
     # P[x.., a..] = sum_ij w_ij (M_1[x_1, a_1] (x) ... (x) M_n[x_n, a_n])_ij,
     # i.e. Tr[w M^T]: one matmul per party leaves (x_1, a_1, ..., x_n, a_n)
     n = len(ins)
-    shape = tuple(i.settings for i in ins) + tuple(i.outcomes for i in ins)
+    stacks = [i._stack for i in ins]
+    pairs = [a for s in stacks for a in s.shape[:2]]  # (settings, outcomes) per party
+    shape = tuple(pairs[0::2]) + tuple(pairs[1::2])
     try:
         vals = np.empty(shape)
     except (MemoryError, ValueError) as e:
         raise ValueError(f"Born table of shape {shape} cannot be allocated") from e
     t = _regroup(p.w.mat, _grouping(p.w.space, tuple(q.space for q in p.parties)))
     sizes = t.shape[1:]
-    for k, i in enumerate(ins):
-        t = np.matmul(i._stack.reshape(-1, sizes[k]),
-                      t.reshape(-1, sizes[k], math.prod(sizes[k + 1:])))
-    pairs = [a for i in ins for a in (i.settings, i.outcomes)]
+    for k, s in enumerate(stacks):
+        t = np.matmul(s.reshape(-1, sizes[k]), t.reshape(-1, sizes[k], math.prod(sizes[k + 1:])))
     vals[...] = t.reshape(pairs).transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).real
     return ProbabilityTable(tuple(party.name for party in p.parties), vals)
 

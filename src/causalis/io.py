@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .causality import CausalGame, CausalityVerdict
-from .instruments import Instrument, ProbabilityTable
+from .instruments import Instrument, ProbabilityTable, _check_choi_space
 from .process import LabeledSpace, Party, ProcessMatrix
 from .separability import SeparabilityCertificate
 from .tensor_core import HermitianOperator, Operator, _canonicalize, _check_count
@@ -153,8 +153,9 @@ def instrument_from_json(d: dict, parties) -> Instrument:
     """Rebuild an instrument for one of `parties`, a sequence of Party objects
     (the JSON stores only the party's name, not its spaces). A key of
     ``chois`` outside the settings x outcomes grid is rejected. Both counts
-    are checked before any row is built, so a huge count with no Chois is
-    refused at once."""
+    are checked before any entry is read, so a huge count with no Chois is
+    refused at once. The entries fill one (settings, outcomes, D, D) array,
+    which `Instrument.from_stack` checks."""
     name = _field(d, "party", str, "instrument")
     party = next((p for p in parties if p.name == name), None)
     if party is None:
@@ -164,14 +165,16 @@ def instrument_from_json(d: dict, parties) -> Instrument:
     _check_count("instrument settings", settings, 1)
     _check_count("instrument outcomes", outcomes, 1)
     chois = _field(d, "chois", dict, "instrument")
-    rows = []
-    for x in range(settings):
-        row = []
-        for a in range(outcomes):
-            choi = _field(chois, f"{x},{a}", dict, "instrument chois")
-            row.append(HermitianOperator(*_matrix_from_json(choi)))
-        rows.append(tuple(row))
-    ins = Instrument(party, settings, outcomes, tuple(rows))
+    # every grid key first, so the array below is no larger than the file
+    entries = [_field(chois, f"{x},{a}", dict, "instrument chois")
+               for x in range(settings) for a in range(outcomes)]
+    dim = party.space.dim
+    stack = np.empty((len(entries), dim, dim), dtype=complex)
+    for k, choi in enumerate(entries):
+        space, mat = _matrix_from_json(choi)
+        _check_choi_space(party, space)
+        stack[k] = mat
+    ins = Instrument.from_stack(party, stack.reshape(settings, outcomes, dim, dim))
     stray = sorted(set(chois) - {f"{x},{a}" for x in range(settings) for a in range(outcomes)})
     if stray:
         raise ValueError(f"instrument chois {stray} lie outside the {settings} x {outcomes} grid")

@@ -119,15 +119,16 @@ def _as_space(space) -> SpaceProduct:
     return SpaceProduct(space)
 
 
-def _checked_matrix(space, mat) -> tuple[SpaceProduct, np.ndarray]:
-    """A complex copy of mat, square over space and free of NaN and inf.
+def _checked_matrix(space, mat, ndim: int = 2) -> tuple[SpaceProduct, np.ndarray]:
+    """A complex copy of mat, an ndim-axis (..., D, D) stack of matrices
+    square over space, free of NaN and inf.
 
     Non-finite entries are rejected here because NaN fails every `> tol`
     test downstream and would pass validity and Hermiticity checks.
     """
     space = _as_space(space)
     m = np.array(mat, dtype=complex)
-    if m.shape != (space.dim, space.dim):
+    if m.ndim != ndim or m.shape[-2:] != (space.dim, space.dim):
         raise ValueError(
             f"matrix shape {m.shape} does not match space dim {space.dim}"
         )
@@ -137,7 +138,20 @@ def _checked_matrix(space, mat) -> tuple[SpaceProduct, np.ndarray]:
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+    """max |M - M^dag| over a (..., D, D) stack."""
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+
+
+def _checked_hermitian(space, mat, ndim: int = 2) -> tuple[SpaceProduct, np.ndarray]:
+    """`_checked_matrix`, then Hermitian within HERM_TOL: the read-only
+    symmetrized copy (M + M^dag) / 2 of every matrix of the stack."""
+    space, m = _checked_matrix(space, mat, ndim)
+    dev = _hermitian_defect(m)
+    if dev > HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
+    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    m.setflags(write=False)
+    return space, m
 
 
 class Operator:
@@ -207,14 +221,16 @@ class HermitianOperator(Operator):
     """
 
     def __init__(self, space, mat):
-        space, m = _checked_matrix(space, mat)
-        dev = _hermitian_defect(m)
-        if dev > HERM_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-        m = (m + m.conj().T) / 2
-        m.setflags(write=False)
-        self.space = space
-        self.mat = m
+        self.space, self.mat = _checked_hermitian(space, mat)
+
+    @classmethod
+    def _view(cls, space: SpaceProduct, mat: np.ndarray) -> "HermitianOperator":
+        """An operator holding mat itself, with no copy and no second
+        symmetrization. mat must be a read-only (D, D) array over space that
+        `_checked_hermitian` returned, or a view into one."""
+        op = cls.__new__(cls)
+        op.space, op.mat = space, mat
+        return op
 
 
 class PureVector:

@@ -270,6 +270,103 @@ def test_random_instrument_kraus_matches_loop(d_in, d_out, n_outcomes, per):
             assert kg.shape == (d_out, d_in) and np.array_equal(kg, kw)
 
 
+def per_setting_stack(party, settings, outcomes, rng):
+    """random_instrument's stack built one setting and one outcome at a
+    time, kept as the reference for its batched draw, QR and einsum."""
+    return np.array([
+        [cs.choi_of_kraus(ks, party.input_space, party.output_space).mat
+         for ks in cs.random_instrument_kraus(party.input_dim, party.output_dim, outcomes, rng)]
+        for _ in range(settings)
+    ])
+
+
+WIDE_INPUT = cs.Party("P", cs.LabeledSpace("P_I", 5), cs.LabeledSpace("P_O", 1))
+
+
+# the switch's A (2 x 2) and F (trivial output), three settings, and a party
+# whose 5-dim input needs three Kraus operators per outcome
+@pytest.mark.parametrize("party_index, settings, outcomes", [
+    (0, 2, 2), (2, 1, 2), (1, 3, 2), (None, 2, 2), (None, 1, 1),
+])
+def test_random_instrument_matches_per_setting_build(switch, party_index, settings, outcomes):
+    party = WIDE_INPUT if party_index is None else switch.parties[party_index]
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    ins = cs.random_instrument(party, settings, outcomes, got_rng)
+    want = per_setting_stack(party, settings, outcomes, want_rng)
+    assert (ins.settings, ins.outcomes) == (settings, outcomes)
+    assert ins._stack.shape == want.shape and np.array_equal(ins._stack, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_instrument_rejects_non_hermitian_choi(switch):
+    # eigvalsh reads one triangle and Tr_O drops entry [0, 3], so a plain
+    # Operator row passed, and born kept only the real part of its table
+    a = switch.parties[0]
+    ins = cs.random_instrument(a, 1, 2, np.random.default_rng(0))
+    m = ins.choi(0, 0).mat.copy()
+    m[0, 3] += 0.3
+    rows = ((cs.Operator(a.space, m), ins.choi(0, 1)),)
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max \|M - M\^dag\| = 3\.000e-01$"):
+        cs.Instrument(a, 1, 2, rows)
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("one_setting", r"^matrix shape \(2, 4, 4\) does not match space dim 4$"),
+    ("small_blocks", r"^matrix shape \(2, 2, 3, 3\) does not match space dim 4$"),
+    ("no_settings", r"^instrument settings must be an integer >= 1, got 0$"),
+    ("no_outcomes", r"^instrument outcomes must be an integer >= 1, got 0$"),
+    ("nan", r"^matrix has non-finite \(NaN or inf\) entries$"),
+    ("inf", r"^matrix has non-finite \(NaN or inf\) entries$"),
+    ("non_hermitian", r"^matrix is not Hermitian: max \|M - M\^dag\| = 3\.000e-01$"),
+    ("not_cp", r"^setting 1: Choi is not completely positive$"),
+    ("not_tp", r"^setting 1: outcome sum is not trace-preserving \(\|Tr_O C - 1\| = 7\.071e-01\)$"),
+])
+def test_from_stack_rejects_a_bad_stack(qubit_parties, fault, match):
+    a = qubit_parties[0]
+    s = cs.random_instrument(a, 2, 2, np.random.default_rng(2))._stack.copy()
+    assert cs.Instrument.from_stack(a, s).settings == 2
+    if fault == "nan":
+        s[1, 0, 2, 2] = np.nan
+    elif fault == "inf":
+        s[0, 1, 0, 0] = np.inf
+    elif fault == "non_hermitian":
+        s[1, 1, 0, 3] += 0.3
+    elif fault == "not_cp":
+        # the blocks have rank 2: -0.5 makes one negative, the sum is unchanged
+        s[1, 0] += 0.5 * np.eye(4)
+        s[1, 1] -= 0.5 * np.eye(4)
+    elif fault == "not_tp":
+        s[1] *= 1.5
+    s = {"one_setting": s[0], "small_blocks": s[..., :3, :3],
+         "no_settings": s[:0], "no_outcomes": s[:, :0]}.get(fault, s)
+    with pytest.raises(ValueError, match=match):
+        cs.Instrument.from_stack(a, s)
+
+
+def test_chois_are_read_only_views_of_the_one_stack(switch):
+    a = switch.parties[0]
+    ins = cs.random_instrument(a, 2, 3, np.random.default_rng(6))
+    assert set(vars(ins)) == {"party", "_stack"}
+    assert not ins._stack.flags.writeable
+    for x in range(2):
+        for o in range(3):
+            c = ins.choi(x, o)
+            assert isinstance(c, cs.HermitianOperator) and c.space == a.space
+            assert not c.mat.flags.writeable and np.shares_memory(c.mat, ins._stack)
+            assert np.shares_memory(ins.chois[x][o].mat, ins._stack)
+            assert np.array_equal(c.mat, ins._stack[x, o])
+
+
+def test_four_argument_constructor_matches_from_stack(switch):
+    for party, settings in zip(switch.parties, (2, 3, 1)):
+        ins = cs.random_instrument(party, settings, 2, np.random.default_rng(8))
+        rows = tuple(tuple(cs.HermitianOperator(party.space, c.mat) for c in row)
+                     for row in ins.chois)
+        rebuilt = cs.Instrument(party, settings, 2, rows)
+        assert np.array_equal(rebuilt._stack, ins._stack)
+        assert np.array_equal(cs.Instrument.from_stack(party, ins._stack)._stack, ins._stack)
+
+
 # ---------------------------------------------------------------------------
 # probability tables
 

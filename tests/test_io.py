@@ -142,6 +142,9 @@ def test_instrument_schema_errors_are_value_errors(qubit_parties):
         (lambda d: d.update(chois=[]), "'chois' must be an object"),
         (lambda d: d["chois"].pop("0,1"), "no '0,1' field"),
         (lambda d: d.update(party=["A"]), "'party' must be a string"),
+        (lambda d: d["chois"]["0,0"]["entries"].__setitem__(1, [5.0, 0.0]), "not Hermitian"),
+        (lambda d: d["chois"]["0,1"]["factors"][0].update(label="B_I"),
+         r"^Choi labels \('A_O', 'B_I'\) do not match party 'A'$"),
     ]:
         d = json.loads(json.dumps(good))
         edit(d)
