@@ -2,12 +2,22 @@
 
 A bipartite table is causal when it mixes deterministic one-way-signalling
 strategies. Bounds of causal inequalities are nested maxima over those
-strategies (the objective is linear, so the optimum sits at one); membership
-is a non-negative least-squares fit over all of them: every A<B strategy and
-the B<A ones whose answer a = g(x, y) depends on y, na^nx nb^(nx ny) +
-nb^ny (na^(nx ny) - na^nx) in all, built by index arithmetic as the columns
-of one cached matrix per alphabet; the tables `enumerate_strategies` returns
-are views of them.
+strategies (the objective is linear, so the optimum sits at one).
+
+Membership is decided on the two-order split (Branciard et al., NJP 18,
+013008 (2016)): p is causal iff p = p1 + p2 with p1, p2 >= 0, p1 not
+signalling from B to A and summing to the same q for every (x, y), and p2
+not signalling from A to B. That is one non-negative least-squares fit on
+2 nx ny na nb unknowns (32 for GYNI, 64 for the OCB game), against a
+cached matrix per alphabet. A causal verdict rebuilds weights on the
+deterministic strategies from the split by the product rule; a non-causal
+one carries the fit's Farkas certificate, a causal inequality the table
+violates.
+
+The strategies themselves are every A<B one and the B<A ones whose answer
+a = g(x, y) depends on y, na^nx nb^(nx ny) + nb^ny (na^(nx ny) - na^nx) in
+all, built by index arithmetic as the columns of one cached matrix per
+alphabet; the tables `enumerate_strategies` returns are views of them.
 
 scipy.optimize is imported inside `is_causal`, the one place that calls
 it: loading it takes longer than importing the rest of causalis, and most
@@ -105,14 +115,28 @@ class DeterministicStrategy:
 
 @dataclass(frozen=True, eq=False)
 class CausalityVerdict:
-    """Outcome of the polytope-membership test. For a causal table, q_A_before_B
-    is the A<B weight of the returned decomposition ``weights`` (vertices shared
-    by both orders count as A<B), so q is unique only when that decomposition is."""
+    """Outcome of the polytope-membership test; causal iff residual < tol.
+
+    residual is the split fit's distance for a non-causal table, and for a
+    causal one the larger of that and |V weights - p|, V the vertex tables.
+    ``weights`` (causal only) are on the strategies in `enumerate_strategies`
+    order: the split's product decomposition, dense, not a sparse one.
+    q_A_before_B is their A<B weight (vertices shared by both orders count as
+    A<B), so q is unique only when the decomposition is.
+
+    ``inequality`` (non-causal only) is a read-only (x, y, a, b) array w with
+    w . t <= inequality_bound for every causal table t, the bound recomputed
+    by nested maxima; inequality_value is w . p, the square of the fit's
+    residual, so the table violates it by that much.
+    """
 
     causal: bool
     residual: float
     q_A_before_B: float | None
     weights: np.ndarray | None
+    inequality: np.ndarray | None = None
+    inequality_value: float | None = None
+    inequality_bound: float | None = None
 
 
 class InequalityScore(NamedTuple):
@@ -124,11 +148,8 @@ class InequalityScore(NamedTuple):
 # ---------------------------------------------------------------------------
 # strategy enumeration
 
-@functools.lru_cache(maxsize=32)
-def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
-    """Read-only (v, a_first): the flattened vertex tables as the columns of v
-    (A<B first, each order over (f, g) in itertools.product order) and which
-    columns are A<B. Each column has exactly one 1 per (x, y)."""
+def _check_enum_cap(settings: tuple[int, int], outcomes: tuple[int, int]) -> None:
+    """Refuse alphabets with more than ENUM_CAP deterministic strategies per order."""
     (nx, ny), (na, nb) = settings, outcomes
     for n_first in (na**nx * nb ** (nx * ny), nb**ny * na ** (nx * ny)):
         if n_first > ENUM_CAP:
@@ -137,6 +158,15 @@ def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
                 "enumeration-based membership is infeasible here and an LP formulation "
                 "over the causal polytope would be required"
             )
+
+
+@functools.lru_cache(maxsize=32)
+def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
+    """Read-only (v, a_first): the flattened vertex tables as the columns of v
+    (A<B first, each order over (f, g) in itertools.product order) and which
+    columns are A<B. Each column has exactly one 1 per (x, y)."""
+    _check_enum_cap(settings, outcomes)
+    (nx, ny), (na, nb) = settings, outcomes
     xy = np.arange(nx * ny).reshape(nx, ny, 1) * na
     # A<B: a = f[x], b = g[x, y]
     fg = np.indices((na,) * nx + (nb,) * (nx * ny)).reshape(nx + nx * ny, -1)
@@ -175,7 +205,11 @@ def causal_bound(game: CausalGame) -> float:
     with w = input_dist * win on axes (x, y, a, b), the larger of the best A<B
     strategy, sum_x max_a sum_y max_b w, and the best B<A one, sum_y max_b
     sum_x max_a w (the objective is linear, so a deterministic one attains it)."""
-    w = game.input_dist.reshape(game.settings + (1, 1)) * game.win
+    return _causal_max(game.input_dist.reshape(game.settings + (1, 1)) * game.win)
+
+
+def _causal_max(w: np.ndarray) -> float:
+    """max of w . t over causal tables t, w on axes (x, y, a, b)."""
     a_first = w.max(axis=3).sum(axis=1).max(axis=1).sum()
     b_first = w.max(axis=2).sum(axis=0).max(axis=1).sum()
     return float(max(a_first, b_first))
@@ -192,32 +226,153 @@ def _table_values(table) -> tuple[np.ndarray, tuple[int, int], tuple[int, int]]:
     return table.values, table.settings, table.outcomes
 
 
+@functools.lru_cache(maxsize=32)
+def _split_system(settings: tuple[int, int], outcomes: tuple[int, int]) -> np.ndarray:
+    """Read-only matrix on the unknowns (p1, p2), each flattened over
+    (x, y, a, b). Its rows: p1 + p2; p1's marginal on a less its value at
+    y = 0; p1's norm less its value at x = 0; p2's marginal on b less its
+    value at x = 0. A table p is causal iff some (p1, p2) >= 0 maps to
+    (p, 0, ..., 0)."""
+    (nx, ny), (na, nb) = settings, outcomes
+    n = nx * ny * na * nb
+    t1 = np.arange(n).reshape(nx, ny, na, nb)
+    t2 = n + t1.transpose(0, 1, 3, 2)  # p2's unknowns on axes (x, y, b, a)
+    blocks = [np.concatenate([np.eye(n), np.eye(n)], axis=1)]
+    # a no-signalling row sums one group of unknowns less its reference group
+    for group, ref, k in ((t1[:, 1:], t1[:, :1], nb), (t1[1:, 0], t1[:1, 0], na * nb),
+                          (t2[1:], t2[:1], na)):
+        cols = group.reshape(-1, k)
+        rows = np.arange(len(cols))[:, None]
+        block = np.zeros((len(cols), 2 * n))
+        block[rows, cols] = 1.0
+        block[rows, np.broadcast_to(ref, group.shape).reshape(-1, k)] = -1.0
+        blocks.append(block)
+    a = np.concatenate(blocks)
+    a.setflags(write=False)
+    return a
+
+
+def _strides(bases: Sequence[int]) -> np.ndarray:
+    """Place values of the digits of a mixed-radix number, most significant first."""
+    return np.cumprod((1,) + tuple(bases[:0:-1]))[::-1]
+
+
+def _distribution(num: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of unknowns for the conditional probabilities that num describes:
+    entry (..., o, :) lists the unknowns summed into outcome o, and the
+    denominator sums those of every outcome."""
+    den = np.broadcast_to(num[..., None, :, :], num.shape[:-1] + num.shape[-2:])
+    return num.reshape(-1, num.shape[-1]), den.reshape(-1, num.shape[-2] * num.shape[-1])
+
+
+@functools.lru_cache(maxsize=32)
+def _product_rule(settings: tuple[int, int], outcomes: tuple[int, int]):
+    """Read-only (ratio, idx, keep, fold_src, fold_dst) for `_vertex_weights`.
+
+    The product rule's factors are 1, q1, P1(a|x), P1(b|x,y,a), q2, P2(b|y)
+    and P2(a|x,y,b), each flattened, and factor i is ratio[0, i] @ s over
+    ratio[1, i] @ s with s = (p1, p2, 1); q1 and q2 are the masses of p1 and
+    p2. Row k of idx lists where strategy k's factors sit: A<B strategies,
+    then every B<A one, each in `_polytope` order, with factor 0 padding the
+    shorter rows. keep picks `_polytope`'s columns out of those rows, and the
+    B<A rows fold_src, whose a ignores y, add to the A<B columns fold_dst
+    that give the same table."""
+    (nx, ny), (na, nb) = settings, outcomes
+    n = nx * ny * na * nb
+    t1 = np.arange(n).reshape(nx, ny, na, nb)
+    t2 = n + t1.transpose(0, 1, 3, 2)  # p2's unknowns on axes (x, y, b, a)
+    one = np.array([[2 * n]])
+    factors = [(one, one), (t1.reshape(1, -1), one), _distribution(t1[:, 0]),
+               _distribution(t1[..., None]), (t2.reshape(1, -1), one),
+               _distribution(t2[0]), _distribution(t2[..., None])]
+    offsets = np.cumsum([0] + [len(num) for num, _ in factors])
+    ratio = np.zeros((2, offsets[-1], 2 * n + 1))
+    for side in (0, 1):
+        for o, pair in zip(offsets, factors):
+            ratio[side, o + np.arange(len(pair[side]))[:, None], pair[side]] = 1.0
+    _, q1, m1, c1, q2, m2, c2 = offsets[:7].tolist()
+    width = 1 + max(nx, ny) + nx * ny
+    x = np.arange(nx).reshape(nx, 1, 1)
+    y = np.arange(ny).reshape(1, ny, 1)
+    # A<B: a = f[x], b = g[x, y]
+    fg = np.indices((na,) * nx + (nb,) * (nx * ny)).reshape(nx + nx * ny, -1)
+    f, g = fg[:nx], fg[nx:].reshape(nx, ny, -1)
+    ab = [np.full_like(f[:1], q1), m1 + x[:, 0] * na + f,
+          (c1 + ((x * ny + y) * na + f[:, None]) * nb + g).reshape(nx * ny, -1)]
+    # B<A: b = f[y], a = g[x, y]
+    fg = np.indices((nb,) * ny + (na,) * (nx * ny)).reshape(ny + nx * ny, -1)
+    f, g = fg[:ny], fg[ny:].reshape(nx, ny, -1)
+    ba = [np.full_like(f[:1], q2), m2 + y[0] * nb + f,
+          (c2 + ((x * ny + y) * nb + f[None]) * na + g).reshape(nx * ny, -1)]
+    idx = np.concatenate([
+        np.concatenate(rows + [np.zeros((width - sum(map(len, rows)), rows[0].shape[1]),
+                                        dtype=rows[0].dtype)]).T
+        for rows in (ab, ba)])
+    n_ab = len(idx) - g.shape[2]
+    own = (g != g[:, :1]).any(axis=(0, 1))
+    keep = np.concatenate([np.arange(n_ab), n_ab + np.flatnonzero(own)])
+    # the A<B twin of a folded B<A strategy: a = g[x, 0], b = f[y]
+    folded = np.flatnonzero(~own)
+    b_of_y = np.broadcast_to(f[:, folded], (nx, ny, len(folded)))
+    twin = np.concatenate([g[:, 0, folded], b_of_y.reshape(nx * ny, -1)])
+    fold_dst = _strides((na,) * nx + (nb,) * (nx * ny)) @ twin
+    fold_src = n_ab + folded
+    for m in (ratio, idx, keep, fold_src, fold_dst):
+        m.setflags(write=False)
+    return ratio, idx, keep, fold_src, fold_dst
+
+
+def _vertex_weights(z: np.ndarray, settings, outcomes) -> np.ndarray:
+    """Weights on `_polytope`'s columns from a split z = (p1, p2), by the
+    product rule: lambda(f, g) = q1 prod_x P1(f_x|x) prod_xy P1(g_xy|x, y, f_x)
+    for A<B, mirrored for B<A, normalized to sum 1. A distribution whose mass
+    is 0 gets factors 0: the strategies that use it weigh q1 P1(a|x) = 0."""
+    ratio, idx, keep, fold_src, fold_dst = _product_rule(settings, outcomes)
+    num, den = ratio @ np.append(z, 1.0)
+    factors = np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
+    prods = factors[idx].prod(axis=1)
+    lam = prods[keep]
+    lam[fold_dst] += prods[fold_src]
+    return lam / lam.sum()
+
+
 def is_causal(table, tol: float = CAUSAL_TOL) -> CausalityVerdict:
     """Membership of a bipartite table in the causal polytope.
 
-    Solves min |p - sum_i lambda_i v_i| with lambda >= 0 over the deterministic
-    one-way vertices v_i (non-negative least squares). Each v_i has one 1 per
-    (x, y) and p sums to 1 per (x, y), so an exact fit has sum lambda = 1; the
-    residual is taken at the normalized weights. Causal iff the residual is
-    below tol; the verdict then carries the weights and q (`CausalityVerdict`).
+    Fits (p1, p2) >= 0 to `_split_system` by non-negative least squares, one
+    call on 2 nx ny na nb unknowns. Below tol, the split is turned into
+    weights on the deterministic strategies, and the verdict is causal iff
+    the larger of the fit's residual and the weights' reconstruction error is
+    still below tol. Otherwise the table block w of the fit's residual
+    vector is a causal inequality it violates: at the optimum the residual is
+    orthogonal to the fit and no column gains on it, so w . t <= 0 for every
+    causal t while w . p is the squared residual. See `CausalityVerdict`.
+    Tables past `ENUM_CAP` strategies per order are refused before solving.
     tol must be finite and > 0.
     """
     _check_tol("tol", tol)
     import scipy.optimize  # looked up per call, so a wrapped nnls is seen
 
     vals, settings, outcomes = _table_values(table)
-    v, a_first = _polytope(settings, outcomes)
-    lam, _ = scipy.optimize.nnls(v, vals.reshape(-1), maxiter=30 * v.shape[1])
-    total = lam.sum()
-    if total > 0:
-        lam = lam / total
-    residual = float(np.linalg.norm(v @ lam - vals.reshape(-1)))
-    causal = residual < tol
-    if not causal:
-        return CausalityVerdict(False, residual, None, None)
-    q = float(lam[a_first].sum())
-    lam.setflags(write=False)
-    return CausalityVerdict(True, residual, q, lam)
+    _check_enum_cap(settings, outcomes)
+    a = _split_system(settings, outcomes)
+    p = vals.reshape(-1)
+    target = np.zeros(len(a))
+    target[:p.size] = p
+    z, _ = scipy.optimize.nnls(a, target, maxiter=30 * a.shape[1])
+    r = target - a @ z
+    residual = float(np.linalg.norm(r))
+    if residual < tol:
+        lam = _vertex_weights(z, settings, outcomes)
+        v, a_first = _polytope(settings, outcomes)
+        residual = max(residual, float(np.linalg.norm(v @ lam - p)))
+        if residual < tol:
+            lam.setflags(write=False)
+            return CausalityVerdict(True, residual, float(lam[a_first].sum()), lam)
+    w = r[:p.size].reshape(vals.shape)
+    w.setflags(write=False)
+    return CausalityVerdict(False, residual, None, None, w, float(w.reshape(-1) @ p),
+                            _causal_max(w))
 
 
 def score_inequality(table, game: CausalGame) -> InequalityScore:

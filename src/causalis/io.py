@@ -276,11 +276,18 @@ def _counts(node, what: str) -> tuple[int, ...]:
 
 
 def verdict_to_json(v: CausalityVerdict) -> dict:
+    """The verdict; a non-causal one's inequality is nested lists on axes
+    (x, y, a, b), with the table's value and the causal bound."""
     return {
         "causal": v.causal,
         "residual": v.residual,
         "q_A_before_B": v.q_A_before_B,
         "weights": None if v.weights is None else [float(w) for w in v.weights],
+        "inequality": None if v.inequality is None else {
+            "coefficients": v.inequality.tolist(),
+            "value": v.inequality_value,
+            "bound": v.inequality_bound,
+        },
     }
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import re
@@ -181,11 +182,17 @@ def test_causal_bounds_exact():
     assert cs.causal_bound(cs.ocb_game()) == 0.75
 
 
+def loop_causal_max(w):
+    """The largest w . t over the enumerated vertex tables t, as a loop, kept
+    as the reference for the nested maxima; w has axes (x, y, a, b)."""
+    settings = w.shape[:2]
+    game = cs.CausalGame(np.full(settings, 1 / (settings[0] * settings[1])), np.zeros(w.shape))
+    return max(float((w * t).sum()) for _, t in cs.enumerate_strategies(game))
+
+
 def loop_causal_bound(game):
-    """The vertex maximum as a loop over the enumerated tables, kept as the
-    reference for the nested maxima."""
-    weight = game.input_dist.reshape(game.settings + (1, 1)) * game.win
-    return max(float((weight * t).sum()) for _, t in cs.enumerate_strategies(game))
+    """The vertex maximum of a game's weights input_dist * win."""
+    return loop_causal_max(game.input_dist.reshape(game.settings + (1, 1)) * game.win)
 
 
 def random_game(rng, input_dist=None, settings=(2, 4), outcomes=(2, 2)):
@@ -395,14 +402,23 @@ def test_is_causal_rejects_bad_tol(tol):
 
 
 # ---------------------------------------------------------------------------
-# vertex-matrix cache and the deferred scipy import
+# the vertex NNLS as the oracle for the split, the caches, the deferred scipy import
+
+@functools.lru_cache(maxsize=None)
+def reference_stack(settings, outcomes):
+    """The reference loop's vertex tables as the columns of one matrix, and
+    which of them are A<B."""
+    verts = reference_vertices(settings, outcomes)
+    return (np.stack([t.reshape(-1) for _, t in verts], axis=1),
+            np.array([s.order == "A<B" for s, _ in verts]))
+
 
 def is_causal_reference(table, tol=causality.CAUSAL_TOL):
-    """is_causal with the vertex matrix stacked afresh on every call from
-    the reference loop, and q summed vertex by vertex."""
+    """Membership by the vertex NNLS: non-negative weights fitted to the
+    reference loop's vertex tables, normalized, the residual taken at them,
+    and q summed over the A<B vertices."""
     vals, settings, outcomes = causality._table_values(table)
-    verts = reference_vertices(settings, outcomes)
-    v = np.stack([t.reshape(-1) for _, t in verts], axis=1)
+    v, a_first = reference_stack(settings, outcomes)
     lam, _ = scipy.optimize.nnls(v, vals.reshape(-1), maxiter=30 * v.shape[1])
     total = lam.sum()
     if total > 0:
@@ -410,8 +426,7 @@ def is_causal_reference(table, tol=causality.CAUSAL_TOL):
     residual = float(np.linalg.norm(v @ lam - vals.reshape(-1)))
     if residual >= tol:
         return cs.CausalityVerdict(False, residual, None, None)
-    q = float(sum(w for (s, _), w in zip(verts, lam) if s.order == "A<B"))
-    return cs.CausalityVerdict(True, residual, q, lam)
+    return cs.CausalityVerdict(True, residual, float(lam[a_first].sum()), lam)
 
 
 def switch_table(seed):
@@ -425,25 +440,144 @@ def switch_table(seed):
     return cs.born(p, ins).marginalize("F")
 
 
+def ocb_table():
+    return cs.born(cs.ocb_process(), list(cs.ocb_instruments()))
+
+
+def perfect_guessing():
+    p = np.zeros((2, 2, 2, 2))
+    for x, y in np.ndindex(2, 2):
+        p[x, y, y, x] = 1.0
+    return p
+
+
+def random_tables(rng, settings, outcomes, count):
+    """Tables with each (x, y) row drawn uniformly from the simplex."""
+    rows = rng.dirichlet(np.ones(outcomes[0] * outcomes[1]), size=(count,) + settings)
+    return rows.reshape((count,) + settings + outcomes)
+
+
+def reconstruction(weights, table):
+    """|V weights - p| with V the reference loop's vertex tables."""
+    vals = np.asarray(getattr(table, "values", table))
+    v, _ = reference_stack(vals.shape[:2], vals.shape[2:])
+    return float(np.linalg.norm(v @ weights - vals.reshape(-1)))
+
+
 @pytest.mark.parametrize("make, game", [
     (lambda: switch_table(1), cs.gyni_game),
     (lambda: switch_table(2), cs.lgyni_game),
-    (lambda: cs.born(cs.ocb_process(), list(cs.ocb_instruments())), cs.ocb_game),
+    (ocb_table, cs.ocb_game),
 ], ids=["gyni-switch", "lgyni-switch", "ocb"])
 def test_cached_vertex_matrix_matches_per_call_stack(make, game):
+    # the split and the vertex NNLS agree on the verdict; their residuals and
+    # weights differ, since they solve different fits
     table = make()
     got, want = cs.is_causal(table), is_causal_reference(table)
+    tol = causality.CAUSAL_TOL
     assert got.causal == want.causal
-    assert got.residual == want.residual
     assert cs.score_inequality(table, game()).violated == (not want.causal)
     if want.causal:
-        assert np.array_equal(got.weights, want.weights)
-        assert abs(got.q_A_before_B - want.q_A_before_B) <= 1e-15
+        assert got.residual < tol and want.residual < tol
+        assert reconstruction(got.weights, table) < tol
+        assert 0.0 <= got.q_A_before_B <= 1.0
+        assert got.inequality is None
     else:
+        assert got.residual > 1e-3 and want.residual > 1e-3
         assert got.weights is None and got.q_A_before_B is None
-    v, a_first = causality._polytope(table.settings, table.outcomes)
-    assert not v.flags.writeable and not a_first.flags.writeable
-    assert causality._polytope(table.settings, table.outcomes)[0] is v
+    for build in (causality._polytope, causality._split_system, causality._product_rule):
+        cached = build(table.settings, table.outcomes)
+        assert build(table.settings, table.outcomes) is cached
+        assert not any(m.flags.writeable for m in
+                       (cached if isinstance(cached, tuple) else (cached,)))
+
+
+def test_ocb_membership_is_one_small_nnls(monkeypatch):
+    shapes = []
+    nnls = scipy.optimize.nnls
+
+    def counted(a, b, **kwargs):
+        shapes.append(a.shape)
+        return nnls(a, b, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("a non-causal verdict built the vertex matrix")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counted)
+    monkeypatch.setattr(causality, "_polytope", refuse)
+    monkeypatch.setattr(causality, "_product_rule", refuse)
+    verdict = cs.is_causal(ocb_table())
+    assert not verdict.causal
+    assert shapes == [(53, 64)]
+
+
+def test_split_system_sizes():
+    assert causality._split_system((2, 2), (2, 2)).shape == (25, 32)
+    assert causality._split_system((2, 4), (2, 2)).shape == (53, 64)
+
+
+@pytest.mark.parametrize("settings, outcomes", ALPHABETS)
+def test_split_agrees_with_vertex_oracle(settings, outcomes):
+    rng = np.random.default_rng(31)
+    v, _ = reference_stack(settings, outcomes)
+    for _ in range(4):
+        k = rng.choice(v.shape[1], size=min(v.shape[1], 6), replace=False)
+        p = (v[:, k] @ rng.dirichlet(np.ones(len(k)))).reshape(settings + outcomes)
+        for verdict in (cs.is_causal(p), is_causal_reference(p)):
+            assert verdict.causal
+            assert verdict.weights.min() >= 0.0
+            assert abs(verdict.weights.sum() - 1.0) <= 1e-12
+            assert reconstruction(verdict.weights, p) <= 1e-12
+    decided = 0
+    for p in random_tables(rng, settings, outcomes, 6):
+        want = is_causal_reference(p)
+        # between the two, the fits' different distances can fall either side of tol
+        if want.residual < 1e-12 or want.residual > 1e-3:
+            assert cs.is_causal(p).causal == want.causal
+            decided += 1
+    assert decided > 0
+
+
+def noncausal_tables():
+    rng = np.random.default_rng(17)
+    tables = [("ocb", ocb_table().values), ("perfect-guessing", perfect_guessing())]
+    for settings, outcomes in ALPHABETS[:5]:
+        found = [p for p in random_tables(rng, settings, outcomes, 20)
+                 if not cs.is_causal(p).causal][:2]
+        assert found, (settings, outcomes)
+        tables += [(f"random-{settings}-{outcomes}-{k}", p) for k, p in enumerate(found)]
+    return tables
+
+
+NONCAUSAL = noncausal_tables()
+
+
+@pytest.mark.parametrize("p", [p for _, p in NONCAUSAL], ids=[name for name, _ in NONCAUSAL])
+def test_noncausal_verdict_carries_a_violated_inequality(p):
+    verdict = cs.is_causal(p)
+    assert not verdict.causal and verdict.weights is None
+    w = verdict.inequality
+    assert w.shape == p.shape and not w.flags.writeable
+    assert verdict.inequality_value == float(w.reshape(-1) @ p.reshape(-1))
+    assert verdict.inequality_value > verdict.inequality_bound
+    # at the fit's optimum, w . p is the squared residual and no causal table scores above 0
+    assert abs(verdict.inequality_value - verdict.residual**2) <= 1e-12
+    assert abs(verdict.inequality_bound) <= 1e-12
+    assert abs(verdict.inequality_bound - loop_causal_max(w)) <= 1e-15
+
+
+def test_inequality_values_of_the_named_tables():
+    ocb, guess = cs.is_causal(ocb_table()), cs.is_causal(perfect_guessing())
+    assert abs(ocb.inequality_value - 0.0404) < 1e-4
+    assert abs(guess.inequality_value - 2 / 3) < 1e-12
+
+
+def test_enumeration_cap_refuses_noncausal_tables(monkeypatch):
+    # the cap is checked before solving, so the verdict does not matter
+    monkeypatch.setattr(causality, "ENUM_CAP", 50)
+    causality._polytope.cache_clear()
+    with pytest.raises(ValueError, match="LP formulation"):
+        cs.is_causal(perfect_guessing())
 
 
 def test_import_leaves_scipy_optimize_unloaded():

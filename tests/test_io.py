@@ -318,6 +318,16 @@ def test_verdict_json_shapes():
     assert d["weights"] is None and d["q_A_before_B"] is None
 
 
+def test_verdict_json_carries_the_inequality():
+    assert cio.verdict_to_json(cs.is_causal(np.full((2, 2, 2, 2), 0.25)))["inequality"] is None
+    verdict = cs.is_causal(cs.born(cs.ocb_process(), list(cs.ocb_instruments())))
+    d = json.loads(json.dumps(cio.verdict_to_json(verdict)))["inequality"]
+    assert np.array_equal(np.array(d["coefficients"]), verdict.inequality)
+    assert np.array(d["coefficients"]).shape == (2, 4, 2, 2)
+    assert d["value"] == verdict.inequality_value and d["bound"] == verdict.inequality_bound
+    assert d["value"] > d["bound"]
+
+
 def test_certificate_json_shapes(qubit_parties):
     space = cs.parties_space(qubit_parties)
     noise = cs.ProcessMatrix(qubit_parties, cs.identity(space) / 4)
