@@ -160,6 +160,20 @@ def _check_enum_cap(settings: tuple[int, int], outcomes: tuple[int, int]) -> Non
             )
 
 
+def _strategies(settings: tuple[int, int], outcomes: tuple[int, int]):
+    """The digits of every deterministic one-way strategy, each order over
+    (f, g) in itertools.product order: A<B's (f, g) with a = f[x] and
+    b = g[x, y], B<A's with b = f[y] and a = g[x, y] (f on its first axis,
+    g on axes (x, y, strategy)), and which B<A strategies have a g that
+    depends on y; the others give A<B tables."""
+    (nx, ny), (na, nb) = settings, outcomes
+    fg = np.indices((na,) * nx + (nb,) * (nx * ny)).reshape(nx + nx * ny, -1)
+    ab = fg[:nx], fg[nx:].reshape(nx, ny, -1)
+    fg = np.indices((nb,) * ny + (na,) * (nx * ny)).reshape(ny + nx * ny, -1)
+    f, g = fg[:ny], fg[ny:].reshape(nx, ny, -1)
+    return ab, (f, g), (g != g[:, :1]).any(axis=(0, 1))
+
+
 @functools.lru_cache(maxsize=32)
 def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
     """Read-only (v, a_first): the flattened vertex tables as the columns of v
@@ -168,13 +182,9 @@ def _polytope(settings: tuple[int, int], outcomes: tuple[int, int]):
     _check_enum_cap(settings, outcomes)
     (nx, ny), (na, nb) = settings, outcomes
     xy = np.arange(nx * ny).reshape(nx, ny, 1) * na
-    # A<B: a = f[x], b = g[x, y]
-    fg = np.indices((na,) * nx + (nb,) * (nx * ny)).reshape(nx + nx * ny, -1)
-    rows_ab = (xy + fg[:nx, None]) * nb + fg[nx:].reshape(nx, ny, -1)
-    # B<A: b = f[y], a = g[x, y]; a g that ignores y gives an A<B table
-    fg = np.indices((nb,) * ny + (na,) * (nx * ny)).reshape(ny + nx * ny, -1)
-    g = fg[ny:].reshape(nx, ny, -1)
-    rows_ba = ((xy + g) * nb + fg[:ny])[..., (g != g[:, :1]).any(axis=(0, 1))]
+    (f, g), (f_ba, g_ba), own = _strategies(settings, outcomes)
+    rows_ab = (xy + f[:, None]) * nb + g
+    rows_ba = ((xy + g_ba) * nb + f_ba)[..., own]
     # rows[x * ny + y, k]: where column k has its entry for (x, y)
     rows = np.concatenate([rows_ab, rows_ba], axis=2).reshape(nx * ny, -1)
     k = np.arange(rows.shape[1])
@@ -252,11 +262,6 @@ def _split_system(settings: tuple[int, int], outcomes: tuple[int, int]) -> np.nd
     return a
 
 
-def _strides(bases: Sequence[int]) -> np.ndarray:
-    """Place values of the digits of a mixed-radix number, most significant first."""
-    return np.cumprod((1,) + tuple(bases[:0:-1]))[::-1]
-
-
 def _distribution(num: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of unknowns for the conditional probabilities that num describes:
     entry (..., o, :) lists the unknowns summed into outcome o, and the
@@ -294,28 +299,22 @@ def _product_rule(settings: tuple[int, int], outcomes: tuple[int, int]):
     width = 1 + max(nx, ny) + nx * ny
     x = np.arange(nx).reshape(nx, 1, 1)
     y = np.arange(ny).reshape(1, ny, 1)
-    # A<B: a = f[x], b = g[x, y]
-    fg = np.indices((na,) * nx + (nb,) * (nx * ny)).reshape(nx + nx * ny, -1)
-    f, g = fg[:nx], fg[nx:].reshape(nx, ny, -1)
+    (f, g), (f_ba, g_ba), own = _strategies(settings, outcomes)
     ab = [np.full_like(f[:1], q1), m1 + x[:, 0] * na + f,
           (c1 + ((x * ny + y) * na + f[:, None]) * nb + g).reshape(nx * ny, -1)]
-    # B<A: b = f[y], a = g[x, y]
-    fg = np.indices((nb,) * ny + (na,) * (nx * ny)).reshape(ny + nx * ny, -1)
-    f, g = fg[:ny], fg[ny:].reshape(nx, ny, -1)
-    ba = [np.full_like(f[:1], q2), m2 + y[0] * nb + f,
-          (c2 + ((x * ny + y) * nb + f[None]) * na + g).reshape(nx * ny, -1)]
+    ba = [np.full_like(f_ba[:1], q2), m2 + y[0] * nb + f_ba,
+          (c2 + ((x * ny + y) * nb + f_ba[None]) * na + g_ba).reshape(nx * ny, -1)]
     idx = np.concatenate([
         np.concatenate(rows + [np.zeros((width - sum(map(len, rows)), rows[0].shape[1]),
                                         dtype=rows[0].dtype)]).T
         for rows in (ab, ba)])
-    n_ab = len(idx) - g.shape[2]
-    own = (g != g[:, :1]).any(axis=(0, 1))
+    n_ab = f.shape[1]
     keep = np.concatenate([np.arange(n_ab), n_ab + np.flatnonzero(own)])
     # the A<B twin of a folded B<A strategy: a = g[x, 0], b = f[y]
     folded = np.flatnonzero(~own)
-    b_of_y = np.broadcast_to(f[:, folded], (nx, ny, len(folded)))
-    twin = np.concatenate([g[:, 0, folded], b_of_y.reshape(nx * ny, -1)])
-    fold_dst = _strides((na,) * nx + (nb,) * (nx * ny)) @ twin
+    b_of_y = np.broadcast_to(f_ba[:, folded], (nx, ny, len(folded)))
+    twin = np.concatenate([g_ba[:, 0, folded], b_of_y.reshape(nx * ny, -1)])
+    fold_dst = np.ravel_multi_index(tuple(twin), (na,) * nx + (nb,) * (nx * ny))
     fold_src = n_ab + folded
     for m in (ratio, idx, keep, fold_src, fold_dst):
         m.setflags(write=False)
