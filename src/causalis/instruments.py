@@ -32,9 +32,7 @@ from .tensor_core import (
     _grouping,
     _haar_isometry,
     _regroup,
-    choi_of_kraus,
     identity,
-    random_isometry,
     tensor,
 )
 
@@ -203,13 +201,13 @@ def standard_instruments(kind: str, party: Party, **params) -> Instrument:
         raise ValueError(f"instrument kind {kind!r} needs the parameter {', '.join(missing)}")
     din, dout = party.input_dim, party.output_dim
     if kind == "unitary":
-        rows = []
-        for u in params["unitaries"]:
-            u = np.asarray(u, dtype=complex)
+        us = [np.asarray(u, dtype=complex) for u in params["unitaries"]]
+        for u in us:
             if u.shape != (dout, din):
                 raise ValueError(f"unitary shape {u.shape} does not fit the party")
-            rows.append((choi_of_kraus([u], party.input_space, party.output_space),))
-        return Instrument(party, len(rows), 1, tuple(rows))
+        kraus = np.array(us).reshape(len(us), 1, 1, dout, din)
+        return Instrument.from_stack(party, _choi_stack(kraus, party.input_space,
+                                                        party.output_space))
     if kind == "measure_reprepare":
         if dout != din:
             raise ValueError("measure_reprepare needs matching input and output dimensions")
@@ -238,8 +236,23 @@ def _measure_prepare(party: Party, effects, states) -> Instrument:
     return Instrument(party, len(rows), len(rows[0]) if rows else 0, rows)
 
 
-def _kraus_per_outcome(d_in: int, d_out: int, n_outcomes: int) -> int:
-    return max(2, -(-d_in // (d_out * n_outcomes)))
+def _instrument_kraus(settings: int, d_in: int, d_out: int, outcomes: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """The (settings, outcomes, per, d_out, d_in) Kraus stack of random
+    instruments, per = max(2, ceil(d_in / (d_out * outcomes))) Kraus
+    operators per outcome: two, or as many as the isometry needs for its
+    d_out * outcomes * per >= d_in rows.
+
+    One Haar Stinespring isometry per setting, its environment partitioned
+    by outcome, so each outcome sum is exactly trace-preserving. One
+    rng.normal call draws them all (real part, then imaginary part,
+    setting by setting), then one batched QR with its phase fix."""
+    per = max(2, -(-d_in // (d_out * outcomes)))
+    z = rng.normal(size=(settings, 2, d_out * outcomes * per, d_in))
+    v = _haar_isometry(z[:, 0] + 1j * z[:, 1])
+    # row o * (outcomes * per) + e of v[x] is row o of Kraus operator e of
+    # setting x, and e = a * per + k
+    return v.reshape(settings, d_out, outcomes, per, d_in).transpose(0, 2, 3, 1, 4)
 
 
 def random_instrument_kraus(
@@ -248,19 +261,9 @@ def random_instrument_kraus(
     n_outcomes: int,
     rng: np.random.Generator,
 ) -> list[list[np.ndarray]]:
-    """Kraus families of a random instrument, one list per outcome.
-
-    Built from a Haar Stinespring isometry by partitioning the environment,
-    so the outcome sum is exactly trace-preserving. Each outcome gets
-    max(2, ceil(d_in / (d_out * n_outcomes))) Kraus operators: two, or as
-    many as the isometry needs for its d_out * n_outcomes * k >= d_in rows.
-    """
-    per = _kraus_per_outcome(d_in, d_out, n_outcomes)
-    env = n_outcomes * per
-    v = random_isometry(d_in, d_out * env, rng)
-    # row o * env + e of v is row o of Kraus operator e
-    kraus = v.reshape(d_out, env, d_in).transpose(1, 0, 2)
-    return [list(f) for f in kraus.reshape(n_outcomes, per, d_out, d_in)]
+    """Kraus families of a random instrument, one list per outcome: the
+    one-setting case of `_instrument_kraus`."""
+    return [list(f) for f in _instrument_kraus(1, d_in, d_out, n_outcomes, rng)[0]]
 
 
 def random_instrument(
@@ -272,19 +275,12 @@ def random_instrument(
     """One `random_instrument_kraus` family per setting, as Chois.
 
     All settings are drawn by one generator call, which consumes it exactly
-    as one `random_instrument_kraus` call per setting does (real part, then
-    imaginary part, setting by setting); one batched QR and one Choi einsum
-    then build the whole stack."""
+    as one `random_instrument_kraus` call per setting does
+    (`_instrument_kraus`); one Choi einsum then builds the whole stack."""
     # before the draw, which would take True as a size of 1
     _check_count("instrument settings", settings, 1)
     _check_count("instrument outcomes", outcomes, 1)
-    din, dout = party.input_dim, party.output_dim
-    per = _kraus_per_outcome(din, dout, outcomes)
-    z = rng.normal(size=(settings, 2, dout * outcomes * per, din))
-    v = _haar_isometry(z[:, 0] + 1j * z[:, 1])
-    # as in random_instrument_kraus: row o * (outcomes * per) + e of v[x] is
-    # row o of Kraus operator e of setting x, and e = a * per + k
-    kraus = v.reshape(settings, dout, outcomes, per, din).transpose(0, 2, 3, 1, 4)
+    kraus = _instrument_kraus(settings, party.input_dim, party.output_dim, outcomes, rng)
     return Instrument.from_stack(party, _choi_stack(kraus, party.input_space,
                                                     party.output_space))
 

@@ -43,9 +43,10 @@ runs that loop over the parties' Choi stacks, and `OrderedBatch.traces`
 over an ordered sample's pieces, which share their sample axis.
 
 An ordered process is kept as its pieces, a state stack and one Choi
-stack per link, in an `OrderedBatch`: its `spaces` are the pieces'
-spaces, `_check_pieces` checks them, and `process(k)` assembles W.
-`random_ordered_batch` draws n samples (the single draw
+stack per link, in an `OrderedBatch`. Building one checks it, once, and
+keeps read-only symmetrised copies of the stacks over its `spaces`, so
+`process(k)` assembles W from views into them with no piece checked
+again. `random_ordered_batch` draws n samples (the single draw
 `random_ordered_process` is its n = 1 case), and `make_ordered_process`
 wraps its given pieces as a one-sample batch.
 """
@@ -72,6 +73,7 @@ from .tensor_core import (
     _check_count,
     _check_distinct,
     _check_tol,
+    _checked_hermitian,
     _CoeffBasis,
     _cptp_defects,
     _ginibre_density,
@@ -409,16 +411,15 @@ def make_ordered_process(
     initial_state is a density matrix on the first party's input; channel k
     is the (plain, unnormalized) Choi of a CPTP map from party k's output to
     party k+1's input; the final party's output is discarded (tensored with
-    the identity). The pieces form a one-sample `OrderedBatch`: their labels
-    are checked against its `spaces`, they are judged as maps by
-    `_check_pieces`, under the CHOI_PSD_TOL / TP_TOL policy that
-    `Instrument` also applies, and W is its `process(0)`.
+    the identity). The labels are checked against the pieces' spaces
+    (`_piece_spaces`), then the pieces form a one-sample `OrderedBatch`,
+    whose constructor judges them as maps under the CHOI_PSD_TOL / TP_TOL
+    policy that `Instrument` also applies, and W is its `process(0)`.
     """
     order = tuple(order)
     if len(channels) != len(order) - 1:
         raise ValueError(f"expected {len(order) - 1} channels for {len(order)} parties")
-    batch = OrderedBatch(order, initial_state.mat[None], tuple(ch.mat[None] for ch in channels))
-    first, *links = batch.spaces
+    first, *links = _piece_spaces(order)
     if initial_state.space != first:
         raise ValueError("initial state must live on the first party's input space")
     for k, (ch, want) in enumerate(zip(channels, links)):
@@ -426,40 +427,9 @@ def make_ordered_process(
             raise ValueError(
                 f"channel {k} labels {ch.space.labels} do not match {want.labels}"
             )
-    _check_pieces(batch)
+    batch = OrderedBatch(order, initial_state.mat[None], tuple(ch.mat[None] for ch in channels))
     pm = batch.process(0)
     return validate_process(pm) if validate else pm
-
-
-def _check_pieces(batch: OrderedBatch):
-    """make_ordered_process's conditions on the batch's (n, ...) stacks of
-    pieces, over its `spaces`, by `_cptp_defects`: PSD then unit-trace
-    states (maps from a trivial input), CP then TP channels. Raises on the
-    first violated condition, naming the worst sample when n > 1."""
-    n = len(batch)
-
-    def at(i):
-        return f" (sample {i})" if n > 1 else ""
-
-    first, *links = batch.spaces
-    low, dev = _cptp_defects(batch.states[:, None], first.factors, first.labels, 1)
-    i = int(np.argmin(low))
-    if low[i] < -CHOI_PSD_TOL:
-        raise ValueError(f"initial state is not positive semidefinite{at(i)}")
-    i = int(np.argmax(dev))
-    if dev[i] > TP_TOL:
-        raise ValueError(f"initial state trace {np.trace(batch.states[i]).real:.12g} != 1{at(i)}")
-    for k, (c, space) in enumerate(zip(batch.channels, links)):
-        src, dst = batch.order[k], batch.order[k + 1]
-        low, dev = _cptp_defects(c[:, None], space.factors, dst.input_labels, src.output_dim)
-        i = int(np.argmin(low))
-        if low[i] < -CHOI_PSD_TOL:
-            raise ValueError(f"channel {k} is not completely positive{at(i)}")
-        i = int(np.argmax(dev))
-        if dev[i] > TP_TOL:
-            raise ValueError(
-                f"channel {k} is not trace-preserving: |Tr_out C - 1| = {dev[i]:.3e}{at(i)}"
-            )
 
 
 def switch_spaces(target_dim: int = 2) -> dict[str, LabeledSpace]:
@@ -555,43 +525,89 @@ def reduce_to_state(p: ProcessMatrix) -> HermitianOperator:
     return partial_trace(p.w, out_labels)
 
 
+def _piece_spaces(order: tuple[Party, ...]) -> tuple[SpaceProduct, ...]:
+    """The spaces of an ordered process's pieces: the first party's input,
+    then each link's Choi space, party j's output (x) party j+1's input."""
+    links = (SpaceProduct(a.outputs + b.inputs) for a, b in zip(order, order[1:]))
+    return (order[0].input_space, *links)
+
+
 @dataclass(frozen=True, eq=False)
 class OrderedBatch:
     """n processes with the definite order order[0] < order[1] < ..., kept
     as their pieces: W_k = states[k] (x) channels[0][k] (x) ... (x) 1, the
     identity on the last party's output. No (n, D, D) stack is formed. The
     one home of an ordered process's pieces: `random_ordered_batch` draws
-    n samples and `make_ordered_process` builds one, and both check them
-    by `_check_pieces`.
+    n samples and `make_ordered_process` builds one.
 
     states has shape (n, d, d) over the first party's input space and
     channels[j] shape (n, e, e) over the Choi space of link j (party j's
-    output (x) party j+1's input), each in canonical label order.
+    output (x) party j+1's input), each in canonical label order; those
+    are ``spaces`` (`_piece_spaces`). Building a batch checks it: one link
+    per adjacent pair of parties; each stack finite, Hermitian within
+    HERM_TOL and of its space's shape (`_checked_hermitian`, which keeps a
+    read-only symmetrised copy); one sample count n >= 1 for every piece;
+    then, by `_cptp_defects` under the CHOI_PSD_TOL / TP_TOL policy, PSD
+    then unit-trace states (maps from a trivial input) and CP then TP
+    channels. The first violated condition raises, naming the worst sample
+    when n > 1.
     """
 
     order: tuple[Party, ...]
     states: np.ndarray
     channels: tuple[np.ndarray, ...]
+    spaces: tuple[SpaceProduct, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        order, channels = tuple(self.order), tuple(self.channels)
+        if len(channels) != len(order) - 1:
+            raise ValueError(f"expected {len(order) - 1} channels for {len(order)} parties")
+        spaces = _piece_spaces(order)
+        states, *channels = (_checked_hermitian(s, x, ndim=3)[1]
+                             for s, x in zip(spaces, (self.states, *channels)))
+        n = states.shape[0]
+        _check_count("batch samples", n, 1)
+        for k, c in enumerate(channels):
+            if c.shape[0] != n:
+                raise ValueError(f"channel {k} has {c.shape[0]} samples, the states {n}")
+
+        def at(i):
+            return f" (sample {i})" if n > 1 else ""
+
+        first, *links = spaces
+        low, dev = _cptp_defects(states[:, None], first.factors, first.labels, 1)
+        i = int(np.argmin(low))
+        if low[i] < -CHOI_PSD_TOL:
+            raise ValueError(f"initial state is not positive semidefinite{at(i)}")
+        i = int(np.argmax(dev))
+        if dev[i] > TP_TOL:
+            raise ValueError(f"initial state trace {np.trace(states[i]).real:.12g} != 1{at(i)}")
+        for k, (c, space) in enumerate(zip(channels, links)):
+            src, dst = order[k], order[k + 1]
+            low, dev = _cptp_defects(c[:, None], space.factors, dst.input_labels, src.output_dim)
+            i = int(np.argmin(low))
+            if low[i] < -CHOI_PSD_TOL:
+                raise ValueError(f"channel {k} is not completely positive{at(i)}")
+            i = int(np.argmax(dev))
+            if dev[i] > TP_TOL:
+                raise ValueError(
+                    f"channel {k} is not trace-preserving: |Tr_out C - 1| = {dev[i]:.3e}{at(i)}"
+                )
+        for name, value in (("order", order), ("states", states),
+                            ("channels", tuple(channels)), ("spaces", spaces)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    @functools.cached_property
-    def spaces(self) -> tuple[SpaceProduct, ...]:
-        """The pieces' spaces, built on first read: the first party's input,
-        then each link's Choi space, party j's output (x) party j+1's input."""
-        links = [SpaceProduct(a.outputs + b.inputs) for a, b in zip(self.order, self.order[1:])]
-        return (self.order[0].input_space, *links)
-
     def process(self, k: int) -> ProcessMatrix:
         """Sample k as an unchecked ProcessMatrix (`validate_process` checks
         it): W = state (x) links (x) 1, the one place an ordered process is
-        assembled. The pieces are not checked again: `random_ordered_batch`
-        and `make_ordered_process` checked them."""
-        spaces = self.spaces
-        state = HermitianOperator(spaces[0], self.states[k])
-        links = [HermitianOperator(s, c[k]) for s, c in zip(spaces[1:], self.channels)]
-        return ProcessMatrix(self.order, tensor(state, *links, identity(self.order[-1].output_space)))
+        assembled. The pieces are read-only views into the checked stacks,
+        so only the product and the identity are built as operators."""
+        pieces = (self.states, *self.channels)
+        views = [HermitianOperator._view(s, x[k]) for s, x in zip(self.spaces, pieces)]
+        return ProcessMatrix(self.order, tensor(*views, identity(self.order[-1].output_space)))
 
     def traces(self, op: Operator) -> np.ndarray:
         """Tr[op W_k] for every sample k: op^T regrouped once (`_regroup`,
@@ -622,8 +638,8 @@ def random_ordered_batch(
     as n sequential random_ordered_process calls do: per sample, the real
     then imaginary Ginibre parts of the state, then of each link's isometry.
     QR with its phase fix, the Kraus -> Choi map and make_ordered_process's
-    checks then run once on the whole (n, ...) stacks, and only here. n must
-    be an integer >= 1.
+    checks (the `OrderedBatch` constructor's) then run once on the whole
+    (n, ...) stacks. n must be an integer >= 1.
     """
     _check_count("n", n, 1)
     order = tuple(order)
@@ -648,9 +664,7 @@ def random_ordered_batch(
         )
         for gk, (src, dst) in zip(g[1:], links)
     )
-    batch = OrderedBatch(order, states, channels)
-    _check_pieces(batch)
-    return batch
+    return OrderedBatch(order, states, channels)
 
 
 def random_ordered_process(

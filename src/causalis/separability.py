@@ -92,7 +92,13 @@ from .process import (
     _validity_sweep,
     random_ordered_batch,
 )
-from .tensor_core import HermitianOperator, _check_count, _check_tol, _CoeffBasis
+from .tensor_core import (
+    HermitianOperator,
+    _check_count,
+    _check_tol,
+    _checked_hermitian,
+    _CoeffBasis,
+)
 
 SEP_TOL = 1e-7
 MAX_ITERS = 20000
@@ -217,8 +223,11 @@ class SeparabilityCertificate:
 
     When separable, ``components`` are the PSD summands of W, one per order
     (so the normalized order-cone members are components[i] scaled by 1/q_i,
-    q_i = Tr components[i] / Tr W), rebuilt from ``trace.summands`` on each
-    access, and q = q_0, clipped to [0, 1], is the first order's weight
+    q_i = Tr components[i] / Tr W): read-only views into one (K, D, D)
+    stack, rebuilt from ``trace.summands`` and checked once on each access.
+    They are not cached, so a certificate that a caller keeps holds only
+    the real coefficient stack, not a complex (K, D, D) one beside it.
+    q = q_0, clipped to [0, 1], is the first order's weight
     (None unless separable), read off one coefficient: the basis is
     orthonormal with the identity 1/sqrt(D) first, so Tr X = sqrt(D) c_0
     for X's identity coefficient c_0. Diagnostics carry the reconstruction
@@ -262,8 +271,9 @@ class SeparabilityCertificate:
         if self.trace.summands is None:
             return None
         basis = _party_moves(self.process.parties)[0]
-        space = self.process.w.space
-        return tuple(HermitianOperator(space, m) for m in basis.from_coeffs(self.trace.summands))
+        space, stack = _checked_hermitian(self.process.w.space,
+                                          basis.from_coeffs(self.trace.summands), ndim=3)
+        return tuple(HermitianOperator._view(space, m) for m in stack)
 
     @property
     def q(self) -> float | None:
@@ -544,14 +554,15 @@ def _battery(parties: tuple[Party, ...], orders: tuple[tuple[str, ...], ...]):
     nor S, drawn once per key: (one `random_ordered_batch` of BATTERY
     samples per order, one array of BATTERY sample indices per order, the
     (BATTERY, K) simplex weights of the mixtures), in that generator order
-    from default_rng(BATTERY_SEED). Every array is read-only."""
+    from default_rng(BATTERY_SEED). Every array is read-only: the batches'
+    by construction, the picks and weights frozen here."""
     rng = np.random.default_rng(BATTERY_SEED)
     by_name = {q.name: q for q in parties}
     batches = [random_ordered_batch([by_name[n] for n in order], rng, BATTERY)
                for order in orders]
     picks = [rng.integers(0, BATTERY, size=BATTERY) for _ in orders]
     weights = rng.dirichlet(np.ones(len(orders)), size=BATTERY)
-    for x in [weights, *picks, *(a for b in batches for a in (b.states, *b.channels))]:
+    for x in [weights, *picks]:
         x.setflags(write=False)
     return tuple(batches), tuple(picks), weights
 

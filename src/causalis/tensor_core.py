@@ -138,8 +138,8 @@ def _checked_matrix(space, mat, ndim: int = 2) -> tuple[SpaceProduct, np.ndarray
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
-    """max |M - M^dag| over a (..., D, D) stack."""
-    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    """max |M - M^dag| over a (..., D, D) stack, 0 for an empty one."""
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def _checked_hermitian(space, mat, ndim: int = 2) -> tuple[SpaceProduct, np.ndarray]:

@@ -491,6 +491,18 @@ def test_sep_rejects_counts_below_one(tmp_path, capsys, flag):
     assert err.splitlines()[-1] == f"causalis sep: error: argument {flag}: must be an integer >= 1, got 0"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("validate", "--in", "missing.json", "--tol", "abc"),
+     "causalis validate: error: argument --tol: not a number: 'abc'"),
+    (("switch", "--alpha", "1+", "--out", "missing.json"),
+     "causalis switch: error: argument --alpha: not a complex literal: '1+'"),
+])
+def test_number_flags_reject_malformed_text(capsys, argv, message):
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert err.splitlines()[-1] == message
+
+
 @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--battery", "20")])
 def test_sep_refuses_the_removed_battery_flags(tmp_path, capsys, flag, value):
     # the battery is fixed, so a script that still sets it fails loudly

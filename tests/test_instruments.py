@@ -104,6 +104,36 @@ def test_instrument_rejects_empty_alphabets(qubit_parties, settings, outcomes, c
         cs.Instrument(qubit_parties[0], settings, outcomes, chois)
 
 
+def _input_check_cases():
+    """(call, message) of each instrument input check that no other test
+    reaches: rows and outcomes that do not match the counts, a unitary of
+    the wrong shape, an instrument for a party of the right name but other
+    spaces, and an oracle short of a channel."""
+    a, b = qubit_chain("AB")
+    c = cs.choi_of_kraus([np.eye(2)], a.input_space, a.output_space)
+    wide = cs.Party("A", cs.LabeledSpace("A_I", 3), cs.LabeledSpace("A_O", 3))
+    p = cs.random_ordered_process([a, b], np.random.default_rng(0))
+    ins = [cs.standard_instruments("measure_reprepare", q) for q in (wide, b)]
+    eye = [np.eye(2)]
+    return {
+        "rows": (lambda: cs.Instrument(a, 2, 1, ((c,),)), "one row of Chois per setting required"),
+        "outcomes": (lambda: cs.Instrument(a, 1, 2, ((c,),)), "one Choi per outcome required"),
+        "unitary shape": (lambda: cs.standard_instruments("unitary", a, unitaries=[np.eye(3)]),
+                          r"unitary shape \(3, 3\) does not fit the party"),
+        "party spaces": (lambda: cs.born(p, ins), "instrument for 'A' has mismatched spaces"),
+        "oracle links": (lambda: circuit_oracle(("A", "B"), np.eye(2) / 2, [],
+                                                [[[eye]], [[eye]]]),
+                         "need one instrument per party and one channel per link"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_input_check_cases()))
+def test_instrument_input_checks(case):
+    call, match = _input_check_cases()[case]
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call()
+
+
 @pytest.mark.parametrize("settings, outcomes, msg", [
     (True, 1, "instrument settings must be an integer >= 1, got True"),
     (1.0, 1, "instrument settings must be an integer >= 1, got 1.0"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import process as cp
+from causalis import tensor_core
 from causalis.process import validity_report
 from causalis.tensor_core import _CoeffBasis
 from conftest import (
@@ -219,6 +220,38 @@ def test_make_ordered_rejects_bad_state(qubit_parties, rng):
         cs.make_ordered_process([a, b], cs.identity(a.input_space), [ch])
 
 
+def _input_check_cases():
+    """(call, message) of each process input check that no other test
+    reaches; every call gets labels or a structure that do not fit."""
+    a, b = qubit_chain("AB")
+    rho = cs.HermitianOperator(a.input_space, np.eye(2) / 2)
+    link = cs.choi_of_kraus([np.eye(2)], a.output_space, b.input_space)
+    backward = cs.choi_of_kraus([np.eye(2)], b.output_space, a.input_space)
+    end = cs.Party("E", cs.LabeledSpace("E_I", 2), ())
+    pure = cs.PureVector(cs.parties_space([a, b]), np.eye(16)[0])
+    return {
+        "vector labels": (lambda: cs.ProcessVector((b,), pure),
+                          "vector labels do not match the parties' spaces"),
+        "closed form, trivial output": (
+            lambda: cs.validate_bipartite_closed_form(
+                cs.ProcessMatrix((a, end), cs.identity(cs.parties_space([a, end])) / 2)),
+            "closed form requires nontrivial outputs for both parties"),
+        "state labels": (lambda: cs.make_ordered_process([b, a], rho, [link]),
+                         "initial state must live on the first party's input space"),
+        "channel labels": (lambda: cs.make_ordered_process([a, b], rho, [backward]),
+                           r"channel 0 labels \('A_I', 'B_O'\) do not match \('A_O', 'B_I'\)"),
+        "no control": (lambda: cs.interference_decomposition(cs.ProcessVector((a, b), pure)),
+                       "expected a switch process vector with control factor F_c"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_input_check_cases()))
+def test_process_input_checks(case):
+    call, match = _input_check_cases()[case]
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call()
+
+
 def test_mixtures_of_valid_are_valid(qubit_parties, rng):
     for _ in range(5):
         t = rng.uniform()
@@ -287,7 +320,7 @@ def test_batched_checks_name_the_bad_sample(qubit_parties, rng):
     states, chois = batch.states.copy(), batch.channels[0].copy()
 
     def check(states, chois):
-        cp._check_pieces(cs.OrderedBatch(batch.order, states, (chois,)))
+        cs.OrderedBatch(batch.order, states, (chois,))
 
     states[3] *= 1.5
     with pytest.raises(ValueError, match=r"trace 1\.5 != 1 \(sample 3\)"):
@@ -302,7 +335,74 @@ def test_batched_checks_name_the_bad_sample(qubit_parties, rng):
     chois[1] = batch.channels[0][1] * 0.5
     with pytest.raises(ValueError, match=r"channel 0 is not trace-preserving.*\(sample 1\)"):
         check(batch.states, chois)
-    cp._check_pieces(batch)
+    check(batch.states, batch.channels[0])
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("nan", r"^matrix has non-finite \(NaN or inf\) entries$"),
+    ("inf_link", r"^matrix has non-finite \(NaN or inf\) entries$"),
+    ("non_hermitian", r"^matrix is not Hermitian: max \|M - M\^dag\| = 3\.000e-01$"),
+    ("mis_shaped", r"^matrix shape \(3, 3, 3\) does not match space dim 4$"),
+    ("one_matrix", r"^matrix shape \(2, 2\) does not match space dim 2$"),
+    ("missing_link", r"^expected 1 channels for 2 parties$"),
+    ("extra_link", r"^expected 1 channels for 2 parties$"),
+    ("unequal_samples", r"^channel 0 has 2 samples, the states 3$"),
+    ("no_samples", r"^batch samples must be an integer >= 1, got 0$"),
+])
+def test_ordered_batch_rejects_malformed_pieces(qubit_parties, fault, match):
+    # a batch built directly is checked as a drawn one is: a NaN state
+    # would score NaN in traces, and a missing link Tr[1 W] = 8, not 4
+    batch = cs.random_ordered_batch(qubit_parties, np.random.default_rng(3), 3)
+    states, chois = batch.states.copy(), [batch.channels[0].copy()]
+    if fault == "nan":
+        states[2, 1, 1] = np.nan
+    elif fault == "inf_link":
+        chois[0][0, 3, 3] = np.inf
+    elif fault == "non_hermitian":
+        states[1, 0, 1] += 0.3
+    elif fault == "mis_shaped":
+        chois[0] = chois[0][:, :3, :3]
+    elif fault == "one_matrix":
+        states = states[0]
+    elif fault == "missing_link":
+        chois = []
+    elif fault == "extra_link":
+        chois.append(chois[0])
+    elif fault == "unequal_samples":
+        chois[0] = chois[0][:2]
+    elif fault == "no_samples":
+        states, chois = states[:0], [chois[0][:0]]
+    with pytest.raises(ValueError, match=match):
+        cs.OrderedBatch(batch.order, states, tuple(chois))
+
+
+def test_ordered_batch_keeps_read_only_copies(qubit_parties):
+    batch = cs.random_ordered_batch(qubit_parties, np.random.default_rng(3), 3)
+    states, chois = batch.states.copy(), batch.channels[0].copy()
+    copy = cs.OrderedBatch(list(batch.order), states, [chois])
+    assert copy.order == batch.order and isinstance(copy.channels, tuple)
+    assert copy.spaces == batch.spaces
+    for x, given in ((copy.states, states), (copy.channels[0], chois)):
+        assert not x.flags.writeable and x is not given and given.flags.writeable
+        assert np.array_equal(x, given)
+
+
+@pytest.mark.parametrize("key", ["A<B", "A<B<F", "Q<P (3->2)"])
+def test_batch_process_checks_only_the_product(key, monkeypatch):
+    # the pieces are views into the checked stacks: only identity and
+    # tensor's product are checked, whatever the number of parties
+    parties, perm = DRAW_ORDERS[key]
+    batch = cs.random_ordered_batch([parties[i] for i in perm], np.random.default_rng(0), 2)
+    built = []
+    checked_matrix = tensor_core._checked_matrix
+
+    def counting_matrix(space, *args):
+        built.append(space)
+        return checked_matrix(space, *args)
+
+    monkeypatch.setattr(tensor_core, "_checked_matrix", counting_matrix)
+    p = batch.process(1)
+    assert built == [batch.order[-1].output_space, p.w.space]
 
 
 def test_batched_draw_rejects_bad_sizes(rng):

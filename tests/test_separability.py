@@ -1094,6 +1094,31 @@ def test_separable_call_expands_w_once(monkeypatch, make):
     assert built == []
 
 
+@pytest.mark.parametrize("make", [traced_switch, degenerate_switch, three_party_mixture],
+                         ids=["traced_switch", "degenerate_switch", "three_party_mixture"])
+def test_components_are_views_of_one_checked_stack(monkeypatch, make):
+    # each access checks one (K, D, D) stack, whatever K, and wraps views
+    cert = cs.check_separability(make())
+    assert cert.separable
+    built = []
+    checked_matrix = tensor_core._checked_matrix
+
+    def counting_matrix(*args):
+        built.append(args[1].shape)
+        return checked_matrix(*args)
+
+    monkeypatch.setattr(tensor_core, "_checked_matrix", counting_matrix)
+    comps = cert.components
+    k, d = len(cert.trace.orders), cert.process.w.dim
+    assert built == [(k, d, d)] and len(comps) == k
+    base = comps[0].mat.base
+    assert base is not None and base.shape == (k, d, d) and not base.flags.writeable
+    assert all(c.mat.base is base and not c.mat.flags.writeable for c in comps)
+    assert all(c.space == cert.process.w.space for c in comps)
+    cert.components
+    assert len(built) == 2
+
+
 def test_check_separability_extracts_through_extract_witness(monkeypatch):
     # OCB's one failed face run gets its witness from the public
     # extract_witness, the function the bench tracer spans

@@ -78,6 +78,35 @@ def test_restrict_and_index():
         sp.restrict(["Z"])
 
 
+def _input_check_cases():
+    """(call, error type, message) of each tensor_core input check that no
+    other test reaches."""
+    a, b = LabeledSpace("A", 2), LabeledSpace("B", 2)
+    sp = SpaceProduct((a, b))
+    return {
+        "index": (lambda: sp.index("Z"), KeyError, "no factor labeled 'Z'"),
+        "vector length": (lambda: PureVector(a, [1.0, 0.0, 0.0]), ValueError,
+                          "vector length 3 does not match space dim 2"),
+        "vector spaces": (lambda: PureVector(a, [1.0, 0.0]) + PureVector(b, [1.0, 0.0]),
+                          ValueError, "vectors live on different spaces"),
+        "no operator": (tensor, ValueError, r"tensor\(\) needs at least one operator"),
+        "no vector": (tensor_vectors, ValueError,
+                      r"tensor_vectors\(\) needs at least one vector"),
+        "trace labels": (lambda: partial_trace(identity(sp), ["A", "Z"]), KeyError,
+                         r"unknown labels \['Z'\]"),
+        "choi vector shape": (lambda: choi_vector(np.eye(3), a, b), ValueError,
+                              r"operator shape \(3, 3\) does not map dim 2 -> 2"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_input_check_cases()))
+def test_tensor_core_input_checks(case):
+    call, error, match = _input_check_cases()[case]
+    # a KeyError's str() is its message's repr, in either quotes
+    with pytest.raises(error, match=f"^[\"']?{match}[\"']?$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # operators
 
