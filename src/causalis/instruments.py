@@ -12,6 +12,7 @@ Choi stack by one matmul; no tensor product of Chois is formed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -262,7 +263,11 @@ def random_instrument_kraus(
     rng: np.random.Generator,
 ) -> list[list[np.ndarray]]:
     """Kraus families of a random instrument, one list per outcome: the
-    one-setting case of `_instrument_kraus`."""
+    one-setting case of `_instrument_kraus`. The counts are checked before
+    the draw, as `random_instrument` checks its own."""
+    _check_count("d_in", d_in, 1)
+    _check_count("d_out", d_out, 1)
+    _check_count("n_outcomes", n_outcomes, 1)
     return [list(f) for f in _instrument_kraus(1, d_in, d_out, n_outcomes, rng)[0]]
 
 
@@ -357,11 +362,29 @@ def circuit_oracle(
     return ProbabilityTable(party_names, vals)
 
 
+@functools.lru_cache(maxsize=8)
+def _demo_setup(d: int) -> tuple[ProcessMatrix, Instrument]:
+    """What `switch_discrimination_demo` needs besides U and V, built once
+    per target dimension d: the validated switch with the target in |0>,
+    and Fiona's instrument, the |+-> measurement of the control with the
+    target traced."""
+    qs = _require_valid(make_quantum_switch(np.eye(d)[0], 1 / np.sqrt(2), 1 / np.sqrt(2))
+                        .to_matrix())
+    f_c, f_t = (qs.w.space.restrict([label]) for label in ("F_c", "F_t"))
+    povm = [
+        tensor(HermitianOperator(f_c, np.outer(pm, pm.conj())), identity(f_t)).mat
+        for pm in np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
+    ]
+    return qs, standard_instruments("povm", qs.parties[2], povms=[povm])
+
+
 def switch_discrimination_demo(u: np.ndarray, v: np.ndarray) -> float:
     """P(control reads +) when the switch runs channels U and V.
 
     The target starts in |0>; Fiona measures the control in the |+-> basis
-    and traces the target.
+    and traces the target. The switch and Fiona's instrument depend only on
+    the target dimension, so they are built and checked once per dimension
+    (`_demo_setup`).
     Returns 1 for commuting pairs and 0 for anticommuting pairs: one query
     to each channel decides which, with no definite order in between.
     """
@@ -371,15 +394,9 @@ def switch_discrimination_demo(u: np.ndarray, v: np.ndarray) -> float:
     for name, m in (("U", u), ("V", v)):
         if m.shape != (d, d) or np.max(np.abs(m.conj().T @ m - np.eye(d))) > 1e-10:
             raise ValueError(f"{name} must be unitary")
-    qs = make_quantum_switch(np.eye(d)[0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
-    pa, pb, pf = qs.parties
+    qs, ins_f = _demo_setup(d)
+    pa, pb, _ = qs.parties
     ins_a = standard_instruments("unitary", pa, unitaries=[u])
     ins_b = standard_instruments("unitary", pb, unitaries=[v])
-    f_c, f_t = (qs.w.space.restrict([label]) for label in ("F_c", "F_t"))
-    povm = [
-        tensor(HermitianOperator(f_c, np.outer(pm, pm.conj())), identity(f_t)).mat
-        for pm in np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
-    ]
-    ins_f = standard_instruments("povm", pf, povms=[povm])
     table = born(qs, [ins_a, ins_b, ins_f])
     return float(table.values[0, 0, 0, 0, 0, 0])

@@ -10,6 +10,7 @@ outcomes) combination.
 from __future__ import annotations
 
 import io as _io
+import itertools
 import json
 import math
 
@@ -69,19 +70,33 @@ def operator_from_json(d: dict) -> Operator:
 
 
 def _matrix_from_json(d: dict):
-    """(space, matrix) of an operator object, in canonical label order."""
+    """(space, matrix) of an operator object, in canonical label order.
+
+    The entries are flattened once. Their count and pair shape are
+    checked, then the type of every number on the flat list, from which
+    the array is built. A bool is not a number here, although `np.asarray`
+    reads a mixed list's true as 1.0."""
     factors = _factors_from_json(_field(d, "factors", list, "operator"), "operator factors")
     dim = math.prod(f.dim for f in factors)
-    entries = np.asarray(_field(d, "entries", list, "operator"))
-    if entries.dtype.kind not in "iuf":
+    rows = _field(d, "entries", list, "operator")
+    try:
+        flat = list(itertools.chain.from_iterable(rows))
+        pairs = set(map(len, rows)) == {2}
+    except TypeError:  # an entry that is not a list
+        flat, pairs = [], False
+    if len(rows) != dim * dim or not pairs:
+        raise ValueError(f"expected {dim * dim} [re, im] entries, got {len(rows)} entries"
+                         + ("" if pairs else ", not all of them [re, im] pairs"))
+    if any(issubclass(t, bool) or not issubclass(t, (int, float, np.integer, np.floating))
+           for t in set(map(type, flat))):
         raise ValueError("operator entries must be numbers")
-    entries = entries.astype(float)
-    if not np.isfinite(entries).all():
+    try:
+        entries = np.array(flat, dtype=float).reshape(-1, 2)
+        finite = np.isfinite(entries).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError("operator entries must be finite, not NaN or inf")
-    if entries.shape != (dim * dim, 2):
-        raise ValueError(
-            f"expected {dim * dim} [re, im] entries, got shape {entries.shape}"
-        )
     mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
     return _canonicalize(factors, mat)
 

@@ -411,12 +411,13 @@ def make_ordered_process(
     initial_state is a density matrix on the first party's input; channel k
     is the (plain, unnormalized) Choi of a CPTP map from party k's output to
     party k+1's input; the final party's output is discarded (tensored with
-    the identity). The labels are checked against the pieces' spaces
+    the identity). An empty order is refused as `OrderedBatch` refuses
+    it (`_check_order`). The labels are checked against the pieces' spaces
     (`_piece_spaces`), then the pieces form a one-sample `OrderedBatch`,
     whose constructor judges them as maps under the CHOI_PSD_TOL / TP_TOL
     policy that `Instrument` also applies, and W is its `process(0)`.
     """
-    order = tuple(order)
+    order = _check_order(order)
     if len(channels) != len(order) - 1:
         raise ValueError(f"expected {len(order) - 1} channels for {len(order)} parties")
     first, *links = _piece_spaces(order)
@@ -525,6 +526,14 @@ def reduce_to_state(p: ProcessMatrix) -> HermitianOperator:
     return partial_trace(p.w, out_labels)
 
 
+def _check_order(order) -> tuple[Party, ...]:
+    """An ordered process's parties as a tuple: at least one of them."""
+    order = tuple(order)
+    if not order:
+        raise ValueError("an ordered process needs at least one party")
+    return order
+
+
 def _piece_spaces(order: tuple[Party, ...]) -> tuple[SpaceProduct, ...]:
     """The spaces of an ordered process's pieces: the first party's input,
     then each link's Choi space, party j's output (x) party j+1's input."""
@@ -543,10 +552,11 @@ class OrderedBatch:
     states has shape (n, d, d) over the first party's input space and
     channels[j] shape (n, e, e) over the Choi space of link j (party j's
     output (x) party j+1's input), each in canonical label order; those
-    are ``spaces`` (`_piece_spaces`). Building a batch checks it: one link
-    per adjacent pair of parties; each stack finite, Hermitian within
-    HERM_TOL and of its space's shape (`_checked_hermitian`, which keeps a
-    read-only symmetrised copy); one sample count n >= 1 for every piece;
+    are ``spaces`` (`_piece_spaces`). Building a batch checks it: at least
+    one party (`_check_order`); one link per adjacent pair of parties; each
+    stack finite, Hermitian within HERM_TOL and of its space's shape
+    (`_checked_hermitian`, which keeps a read-only symmetrised copy); one
+    sample count n >= 1 for every piece;
     then, by `_cptp_defects` under the CHOI_PSD_TOL / TP_TOL policy, PSD
     then unit-trace states (maps from a trivial input) and CP then TP
     channels. The first violated condition raises, naming the worst sample
@@ -559,7 +569,7 @@ class OrderedBatch:
     spaces: tuple[SpaceProduct, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        order, channels = tuple(self.order), tuple(self.channels)
+        order, channels = _check_order(self.order), tuple(self.channels)
         if len(channels) != len(order) - 1:
             raise ValueError(f"expected {len(order) - 1} channels for {len(order)} parties")
         spaces = _piece_spaces(order)
@@ -639,10 +649,11 @@ def random_ordered_batch(
     then imaginary Ginibre parts of the state, then of each link's isometry.
     QR with its phase fix, the Kraus -> Choi map and make_ordered_process's
     checks (the `OrderedBatch` constructor's) then run once on the whole
-    (n, ...) stacks. n must be an integer >= 1.
+    (n, ...) stacks. n must be an integer >= 1 and the order non-empty,
+    both checked before the draw.
     """
     _check_count("n", n, 1)
-    order = tuple(order)
+    order = _check_order(order)
     links = list(zip(order, order[1:]))
     d0 = order[0].input_dim
     shapes = [(d0, d0)]

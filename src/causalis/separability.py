@@ -42,7 +42,18 @@ the face run, its whole-cone retry and the witness of each failed run
 (`extract_witness`). Once per call: the masks and V; once per face run, V†.
 Per iteration: the affine step, one basis change each way around the PSD
 step (none back when that step leaves a whole-cone stack as it is), and
-the residual.
+the residual. On a face, the basis changes come with four face products
+(V† M V, then V X V†), so a long face run switches to its face map
+(`_face_maps`, built once per run from one basis change): a real (N, 2r²)
+array fwd, N = D², with c @ fwd viewed as complex equal to V† M(c) V, and
+an r x r stack's float view times fwd.T equal to the coefficients of
+V X V†. After the switch an iteration costs one GEMM each way around the
+(K, r, r) Cholesky gate or eigh, and nothing leaves the face's
+coordinates. A run switches after ⌈r²/2K⌉ iterations, and only when the
+maps cost no more multiply-adds than the basis changes and face products
+they replace and hold at most FACE_MAP_CAP floats (`_maps_start`); short
+runs never build them. The affine step, the gate, the stall rule, the
+residual and the witness are the same either side of the switch.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -107,6 +118,7 @@ BATTERY_SEED = 7  # the witness battery's default_rng seed
 STALL_WINDOW = 500
 STALL_REL = 1e-12
 STALL_CHECK_EVERY = 50
+FACE_MAP_CAP = 2**21  # floats a face run's maps may hold (16 MB); see _maps_start
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +345,27 @@ def _face(w: np.ndarray) -> np.ndarray | None:
     return None if keep.all() else v[:, keep]
 
 
+def _psd_eig(x: np.ndarray, gate: bool):
+    """The clipped spectrum of a Hermitian (K, r, r) stack: None when
+    ``gate`` is set and one batched Cholesky finds every item positive
+    definite (nothing to clip, no eigh), else (e clipped at 0, v, whether
+    an eigenvalue was negative) from one batched eigh. Cholesky is
+    backward stable, so a stack it accepts is within a few r ε_mach ||x||
+    of a positive definite one: the gate drops no more than the rounding of
+    eigh itself."""
+    if gate:
+        try:
+            np.linalg.cholesky(x)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return None
+    e, v = np.linalg.eigh(x)
+    clipped = bool(e[..., 0].min() < 0)
+    np.maximum(e, 0, out=e)
+    return e, v, clipped
+
+
 def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
                  face_h: np.ndarray | None,
                  gate: bool = True) -> tuple[np.ndarray, bool | None]:
@@ -341,31 +374,89 @@ def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
     to each operator M of a coefficient stack, with whether the step
     clipped: (projection, clipped).
 
-    With ``gate``, one batched Cholesky first tests the K-stack (M, or
-    V† M V on a face). When every item is positive definite nothing is
-    clipped and no eigh runs: the projection is M itself, so ``c`` is
-    returned as given, or on a face the compression V (V† M V) V†, and
-    clipped is None. Otherwise one batched eigh of the stack is lifted to
-    V P_psd(V† M V) V†, the exact Frobenius projection, and clipped says
-    whether an eigenvalue was negative. Cholesky is backward stable, so a
-    stack it accepts is within a few D ε_mach ||M|| of a positive definite
-    one: the gate drops no more than the rounding of eigh itself. V = 1
-    would add three GEMMs to each step."""
+    The stack (M, or V† M V on a face) goes through `_psd_eig`. When its
+    gate passes, nothing is clipped: the projection is M itself, so ``c``
+    is returned as given, or on a face the compression V (V† M V) V†, and
+    clipped is None. Otherwise the eigh is lifted to V P_psd(V† M V) V†,
+    the exact Frobenius projection. V = 1 would add three GEMMs to each
+    step."""
     m = basis.from_coeffs(c)
     x = m if face is None else face_h @ m @ face
-    if gate:
-        try:
-            np.linalg.cholesky(x)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return (c if face is None else basis.to_coeffs(face @ x @ face_h)), None
-    e, v = np.linalg.eigh(x)
-    clipped = bool(e[..., 0].min() < 0)
-    np.maximum(e, 0, out=e)
+    eig = _psd_eig(x, gate)
+    if eig is None:
+        return (c if face is None else basis.to_coeffs(face @ x @ face_h)), None
+    e, v, clipped = eig
     if face is not None:
         v = face @ v
     return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
+
+
+def _maps_start(basis: _CoeffBasis, face: np.ndarray | None, k: int) -> int | None:
+    """The first iteration of a K-order face run whose PSD step goes
+    through the face maps (`_face_maps`), or None when it never does.
+
+    Per item and step the maps cost two real GEMMs, 4 N r² multiply-adds
+    (N = D² coefficients); they replace two complex basis changes, 8 N
+    sum_a G_a (G_a the basis's group sizes, `_CoeffBasis.group_dims`
+    squared), and four complex face products, 8 r D (D + r). A run takes
+    the maps only when they cost no more than that, and when they hold at
+    most FACE_MAP_CAP floats. The first ⌈r²/2K⌉ iterations keep the
+    basis changes: 2K operators pass through them per iteration, so by
+    then the run has changed the basis of r² operators, as many as a map
+    row has r × r entries and about twice the r(r+1)/2 that the build
+    expands. Short runs (the unitary mixtures: r = 7, K = 2, 12
+    iterations) therefore never build the maps and keep their bits."""
+    if face is None:
+        return None
+    d, r = face.shape
+    n = d * d
+    basis_changes = 8 * n * sum(g * g for g in basis.group_dims) + 8 * r * d * (d + r)
+    if 4 * n * r * r > basis_changes or 2 * n * r * r > FACE_MAP_CAP:
+        return None
+    return -(-r * r // (2 * k)) + 1
+
+
+def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray:
+    """The face map of V (D x r), a real (N, 2r²) array fwd: for a real
+    coefficient row c (N = D² entries), c @ fwd viewed as complex is the
+    r x r matrix V† M(c) V, and for a Hermitian r x r matrix X, X's float
+    view (2r² entries) times fwd.T is the real coefficient row of V X V†.
+
+    Both follow from F_k(i, j) = v_i† B_k v_j = Tr[B_k v_j v_i†], the
+    complex coefficients of the rank-1 operator v_j v_i†: (V† M V)_ij =
+    sum_k c_k F_k(i, j), and Tr[B_k V X V†] = sum_ij Re(X_ij conj F_k(i, j)),
+    which pairs the real and imaginary parts of X_ij with those of
+    F_k(i, j). One `_CoeffBasis.coeffs` call expands the r(r+1)/2
+    operators with i <= j; F(j, i) = conj F(i, j) fills the rest, and the
+    diagonal is set real, so V† M V has an exactly real diagonal. fwd.T is
+    a view, so the run holds 2 N r² floats (`_maps_start` caps them)."""
+    d, r = face.shape
+    i, j = np.triu_indices(r)
+    f = basis.coeffs(face.T[j][:, :, None] * face.T[i].conj()[:, None, :])
+    f = f.reshape(len(i), d * d).T
+    maps = np.empty((d * d, r, r), dtype=complex)
+    maps[:, i, j] = f
+    maps[:, j, i] = f.conj()
+    diag = np.arange(r)
+    maps[:, diag, diag] = maps[:, diag, diag].real
+    return maps.view(float).reshape(d * d, 2 * r * r)
+
+
+def _project_on_maps(fwd: np.ndarray, c: np.ndarray,
+                     gate: bool = True) -> tuple[np.ndarray, bool | None]:
+    """`_project_psd` on a face through its map fwd (`_face_maps`): one
+    GEMM into (K, r, r), `_psd_eig`, one GEMM back. When the gate passes
+    the projection is the compression V (V† M V) V†, as on a face without
+    the maps; otherwise V P_psd(V† M V) V†."""
+    k = len(c)
+    r = math.isqrt(fwd.shape[1] // 2)
+    x = (c.reshape(k, -1) @ fwd).view(complex).reshape(k, r, r)
+    eig = _psd_eig(x, gate)
+    clipped = None
+    if eig is not None:
+        e, v, clipped = eig
+        x = (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (x.reshape(k, -1).view(float) @ fwd.T).reshape(c.shape), clipped
 
 
 def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_iters,
@@ -388,7 +479,9 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
     and eigh runs only when the stack is not positive definite. After a
     step that clipped, the next one skips the test and goes straight to
     eigh, so a run that clips on every step pays for one test in all;
-    ``eigh_steps`` counts the iterations that ran eigh."""
+    ``eigh_steps`` counts the iterations that ran eigh. From the iteration
+    that `_maps_start` names, a face run builds its face map once and
+    takes the same gated step through it (`_project_on_maps`)."""
     n = m.sum(axis=0)
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
@@ -400,6 +493,8 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         return t - r + r * keep
 
     face_h = None if face is None else face.conj().T
+    start = _maps_start(basis, face, len(m))
+    fwd = None
     b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)
     q = np.zeros_like(b)
@@ -417,7 +512,12 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         a = proj_affine(y)
         p = y - a
         c = a + q
-        nb, clipped = _project_psd(basis, c, face, face_h, gate=not clipped)
+        if it == start:
+            fwd = _face_maps(basis, face)
+        if fwd is None:
+            nb, clipped = _project_psd(basis, c, face, face_h, gate=not clipped)
+        else:
+            nb, clipped = _project_on_maps(fwd, c, gate=not clipped)
         eigh_steps += clipped is not None
         q = c - nb
         d = (a - nb).ravel()

@@ -104,6 +104,9 @@ def mis_shaped_processes(switch):
             "party names must be distinct; repeated: 'A'")
     variant("entries not numbers", lambda d: d["w"]["entries"].__setitem__(0, ["x", 0]),
             "entries must be numbers")
+    # np.asarray read a mixed list's true as 1.0
+    variant("boolean entry", lambda d: d["w"]["entries"].__setitem__(0, [True, 0.0]),
+            "entries must be numbers")
     variant("+inf diagonal", lambda d: d["w"]["entries"].__setitem__(0, [float("inf"), 0.0]),
             "entries must be finite")
     variant("NaN entry", lambda d: d["w"]["entries"].__setitem__(1, [float("nan"), 0.0]),

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -300,6 +301,19 @@ def test_random_instrument_kraus_matches_loop(d_in, d_out, n_outcomes, per):
             assert kg.shape == (d_out, d_in) and np.array_equal(kg, kw)
 
 
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5])
+@pytest.mark.parametrize("name", ["d_in", "d_out", "n_outcomes"])
+def test_random_instrument_kraus_checks_its_counts(name, bad):
+    # before the draw: 0 outcomes divided by zero, -1 reached numpy's
+    # "negative dimensions", and True drew as a size of 1
+    counts = {"d_in": 2, "d_out": 2, "n_outcomes": 2, name: bad}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {bad!r}$"):
+        cs.random_instrument_kraus(rng=rng, **counts)
+    assert rng.bit_generator.state == state
+
+
 def per_setting_stack(party, settings, outcomes, rng):
     """random_instrument's stack built one setting and one outcome at a
     time, kept as the reference for its batched draw, QR and einsum."""
@@ -544,6 +558,40 @@ def test_born_matches_circuit_oracle(seed):
 )
 def test_switch_discrimination(u, v, want):
     assert abs(cs.switch_discrimination_demo(u, v) - want) < 1e-12
+
+
+def built_demo(u, v):
+    """switch_discrimination_demo with the switch and Fiona's instrument
+    built and validated on the call, kept as the reference for the cached
+    setup."""
+    qs = cs.make_quantum_switch(np.eye(2)[0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+    pa, pb, pf = qs.parties
+    f_c, f_t = (qs.w.space.restrict([label]) for label in ("F_c", "F_t"))
+    povm = [
+        cs.tensor(cs.HermitianOperator(f_c, np.outer(pm, pm.conj())), cs.identity(f_t)).mat
+        for pm in np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
+    ]
+    table = cs.born(qs, [cs.standard_instruments("unitary", pa, unitaries=[u]),
+                         cs.standard_instruments("unitary", pb, unitaries=[v]),
+                         cs.standard_instruments("povm", pf, povms=[povm])])
+    return float(table.values[0, 0, 0, 0, 0, 0])
+
+
+def test_demo_builds_one_switch_per_dimension(monkeypatch):
+    from causalis import cli, instruments
+    builds = []
+    make = instruments.make_quantum_switch
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(instruments, "make_quantum_switch", counting)
+    instruments._demo_setup.cache_clear()
+    for u, v in itertools.product(cli.GATES.values(), repeat=2):
+        assert cs.switch_discrimination_demo(u, v) == built_demo(u, v)
+    assert len(builds) == 1
+    instruments._demo_setup.cache_clear()
 
 
 def test_switch_discrimination_rejects_nonunitary():

@@ -125,6 +125,10 @@ def test_operator_schema_errors_are_value_errors():
         ({"factors": [{"label": 7, "dim": 2}], "entries": good["entries"]}, "string"),
         ({"factors": good["factors"], "entries": "1,0"}, "must be a list"),
         ({"factors": good["factors"], "entries": [[None, 0.0]] * 4}, "numbers"),
+        ({"factors": good["factors"], "entries": [[True, 0.0]] + good["entries"][1:]}, "numbers"),
+        ({"factors": good["factors"], "entries": [[1.0, False]] * 4}, "numbers"),
+        ({"factors": good["factors"], "entries": [1.0] * 4}, r"\[re, im\] pairs"),
+        ({"factors": good["factors"], "entries": [[10**400, 0.0]] * 4}, "finite"),
         ({"factors": good["factors"], "entries": [[1.0, 0.0]] * 3 + [[1.0]]}, "."),
         ({"entries": good["entries"]}, "no 'factors' field"),
     ]:
@@ -143,6 +147,8 @@ def test_instrument_schema_errors_are_value_errors(qubit_parties):
         (lambda d: d["chois"].pop("0,1"), "no '0,1' field"),
         (lambda d: d.update(party=["A"]), "'party' must be a string"),
         (lambda d: d["chois"]["0,0"]["entries"].__setitem__(1, [5.0, 0.0]), "not Hermitian"),
+        (lambda d: d["chois"]["0,0"]["entries"].__setitem__(0, [True, 0.0]),
+         "^operator entries must be numbers$"),
         (lambda d: d["chois"]["0,1"]["factors"][0].update(label="B_I"),
          r"^Choi labels \('A_O', 'B_I'\) do not match party 'A'$"),
     ]:

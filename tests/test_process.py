@@ -376,6 +376,23 @@ def test_ordered_batch_rejects_malformed_pieces(qubit_parties, fault, match):
         cs.OrderedBatch(batch.order, states, tuple(chois))
 
 
+def test_ordered_process_needs_a_party(qubit_parties):
+    # an empty order raised IndexError from _piece_spaces before the draw,
+    # and "expected -1 channels for 0 parties" from the constructors
+    batch = cs.random_ordered_batch(qubit_parties[:1], np.random.default_rng(3), 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    msg = r"^an ordered process needs at least one party$"
+    with pytest.raises(ValueError, match=msg):
+        cs.random_ordered_batch([], rng, 1)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match=msg):
+        cs.OrderedBatch((), batch.states, ())
+    rho = cs.HermitianOperator(qubit_parties[0].input_space, batch.states[0])
+    with pytest.raises(ValueError, match=msg):
+        cs.make_ordered_process([], rho, [])
+
+
 def test_ordered_batch_keeps_read_only_copies(qubit_parties):
     batch = cs.random_ordered_batch(qubit_parties, np.random.default_rng(3), 3)
     states, chois = batch.states.copy(), batch.channels[0].copy()

@@ -443,11 +443,20 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
 
     monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(separability.np.linalg, "cholesky", counting_cholesky)
-    # one eigh of W finds its rank-4 face; no step of the run clips
+    builds = []
+    face_maps = separability._face_maps
+
+    def counting_maps(*args):
+        builds.append(args[1].shape)
+        return face_maps(*args)
+
+    monkeypatch.setattr(separability, "_face_maps", counting_maps)
+    # one eigh of W finds its rank-4 face; no step of the run clips. From
+    # iteration 5 the steps run on the face maps, whose build takes no eigh
     cert = cs.check_separability(p)
     assert cert.separable and cert.iterations == 9
     assert cert.diagnostics["face_rank"] == 4 and cert.trace.eigh_steps == 0
-    assert calls == [(16, 16)] and tests == [(2, 4, 4)] * 9
+    assert calls == [(16, 16)] and tests == [(2, 4, 4)] * 9 and builds == [(16, 4)]
     # K orders take one (K, r, r) test: Baumeler-Wolf (rank 8) against all
     # six orders, certified on its face
     calls.clear()
@@ -455,7 +464,7 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
     cert = cs.check_separability(baumeler_wolf(), max_iters=20)
     assert cert.iterations == 20 and cert.verdict == "nonseparable"
     assert "face_iterations" not in cert.diagnostics
-    assert calls == [(64, 64)] and tests == [(6, 8, 8)] * 20
+    assert calls == [(64, 64)] and tests == [(6, 8, 8)] * 20 and builds[1:] == [(64, 8)]
     # a unitary mixture (rank 7) clips on every step: one test, then one
     # (K, r, r) eigh per iteration
     calls.clear()
@@ -464,6 +473,7 @@ def test_one_batched_eigh_per_iteration(monkeypatch, qubit_parties):
         unitary_channel_mixture(qubit_parties, np.random.default_rng(0), weight=0.3))
     assert cert.separable and cert.iterations == cert.trace.eigh_steps == 15
     assert calls == [(16, 16)] + [(2, 7, 7)] * 15 and tests == [(2, 7, 7)]
+    assert builds[2:] == [(16, 7)]  # iterations 14 and 15 run on the maps
 
 
 def test_eigh_runs_only_on_steps_that_clip():
@@ -512,14 +522,18 @@ def test_runs_are_deterministic(qubit_parties):
 def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     """The Dykstra loop written plainly: b + p and a + q formed twice each,
     the gap by np.linalg.norm, V† formed in every projection, one Cholesky
-    per item for the gate and np.clip for the clipping. Kept as the
-    reference that `_dykstra` must match bit for bit; returns
+    per item for the gate and np.clip for the clipping. From the library's
+    switch point on (`_maps_start`), a face step runs through the library's
+    face map (`_face_maps`), as every step runs through its basis change.
+    Kept as the reference that `_dykstra` must match bit for bit; returns
     (residual_history, summands or None, dual or None, eigh steps)."""
     n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
     keep = 1 - 1 / np.maximum(n, 1)
+    start = separability._maps_start(basis, face, len(m))
+    fwd = None
 
     def proj_affine(y):
         t = y * m
@@ -533,18 +547,30 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
             return False
         return True
 
+    def to_face(c):
+        if fwd is not None:
+            r = face.shape[1]
+            return (c.reshape(len(c), -1) @ fwd).view(complex).reshape(len(c), r, r)
+        x = basis.from_coeffs(c)
+        return x if face is None else face.conj().T @ x @ face
+
+    def from_face(x, c):
+        if fwd is not None:
+            return (x.reshape(len(x), -1).view(float) @ fwd.T).reshape(c.shape)
+        return basis.to_coeffs(face @ x @ face.conj().T)
+
     def project_psd(c, last_clipped):
         # with no negative eigenvalue, the projection of M onto the cone is
         # M and onto a face V (V^dag M V) V^dag; a step after one that
         # clipped goes straight to eigh
-        x = basis.from_coeffs(c)
-        if face is not None:
-            x = face.conj().T @ x @ face
+        x = to_face(c)
         if not last_clipped and all(positive_definite(xi) for xi in x):
-            return (c if face is None else basis.to_coeffs(face @ x @ face.conj().T)), None
+            return (c if face is None else from_face(x, c)), None
         e, v = np.linalg.eigh(x)
         clipped = bool(np.any(e < 0))
         e = np.clip(e, 0, None)
+        if fwd is not None:
+            return from_face((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2), c), clipped
         if face is not None:
             v = face @ v
         return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
@@ -556,6 +582,8 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     clipped = None
     eigh_steps = 0
     for it in range(1, max_iters + 1):
+        if it == start:
+            fwd = separability._face_maps(basis, face)
         a = proj_affine(b + p)
         p = b + p - a
         nb, clipped = project_psd(a + q, clipped)
@@ -617,6 +645,115 @@ def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, 
     for mine, ref in ((got.summands, summands), (got.dual, dual)):
         assert (mine is None) == (ref is None)
         assert mine is None or np.array_equal(mine, ref)
+
+
+# ---------------------------------------------------------------------------
+# face maps: a long face run's PSD step past its switch point
+
+FACE_MAP_CASES = [(traced_switch, 4), (cs.ocb_process, 8), (baumeler_wolf, 8),
+                  (framed_unitary_mixture, 7)]
+FACE_MAP_IDS = ["traced_switch", "ocb", "baumeler_wolf", "framed_mixture"]
+
+
+def face_and_maps(make, rank):
+    p = make()
+    basis = process._party_moves(p.parties)[0]
+    face = separability._face(p.w.mat)
+    assert face.shape == (p.w.dim, rank)
+    return basis, face, separability._face_maps(basis, face)
+
+
+@pytest.mark.parametrize("make, rank", FACE_MAP_CASES, ids=FACE_MAP_IDS)
+def test_face_maps_match_the_basis_change(make, rank, rng):
+    # c @ fwd is V^dag M(c) V, with an exactly real diagonal, and X's float
+    # view times fwd.T the coefficients of V X V^dag
+    basis, face, fwd = face_and_maps(make, rank)
+    d = face.shape[0]
+    assert fwd.shape == (d * d, 2 * rank * rank) and fwd.dtype == float
+    c = basis.to_coeffs(random_hermitian(d, rng, (3,)))
+    x = (c.reshape(3, -1) @ fwd).view(complex).reshape(3, rank, rank)
+    want = face.conj().T @ basis.from_coeffs(c) @ face
+    assert np.max(np.abs(x - want)) < 1e-13
+    assert not np.diagonal(x, axis1=1, axis2=2).imag.any()
+    h = random_hermitian(rank, rng, (3,))
+    back = (h.reshape(3, -1).view(float) @ fwd.T).reshape(c.shape)
+    assert np.max(np.abs(back - basis.to_coeffs(face @ h @ face.conj().T))) < 1e-13
+
+
+@pytest.mark.parametrize("make, rank", FACE_MAP_CASES, ids=FACE_MAP_IDS)
+def test_psd_step_on_the_maps_matches_dense_eigh(make, rank, rng):
+    # as test_psd_step_matches_dense_eigh: V P_psd(V^dag M V) V^dag per
+    # item, whether the Cholesky gate takes the step or eigh does
+    basis, face, fwd = face_and_maps(make, rank)
+    d = face.shape[0]
+    for kind in ("indefinite", "pd", "singular_psd"):
+        ms = psd_stack(kind, d, rng, (3,)) / d
+        c = basis.to_coeffs(ms)
+        got, clipped = separability._project_on_maps(fwd, c)
+        assert got.shape == c.shape
+        if kind == "indefinite":
+            assert clipped is True
+        elif kind == "pd":
+            # without the gate, eigh runs and reports that it clipped nothing
+            assert clipped is None
+            assert separability._project_on_maps(fwd, c, gate=False)[1] is False
+        for i in range(3):
+            e, u = np.linalg.eigh(face.conj().T @ ms[i] @ face)
+            x = face @ u
+            want = (x * np.clip(e, 0, None)) @ x.conj().T
+            assert np.max(np.abs(basis.from_coeffs(got[i]) - want)) < 1e-12, kind
+
+
+def no_maps(*args):
+    raise AssertionError("a run built face maps")
+
+
+def test_face_runs_switch_to_the_maps_only_when_they_pay():
+    # OCB (D = 16, r = 8, K = 2): the maps' 4 N r^2 multiply-adds per item
+    # equal the two basis changes' 8 N (16 + 16) alone, so the run switches
+    # after ceil(64 / 4) = 16 iterations, if its 2 N r^2 floats fit the cap
+    p = cs.ocb_process()
+    basis = process._party_moves(p.parties)[0]
+    face = separability._face(p.w.mat)
+    assert separability._maps_start(basis, face, 2) == 17
+    assert separability._maps_start(basis, face, 6) == 7
+    assert separability._maps_start(basis, None, 2) is None
+    assert 2 * 256 * 64 <= separability.FACE_MAP_CAP
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(separability, "FACE_MAP_CAP", 2 * 256 * 64 - 1)
+        assert separability._maps_start(basis, face, 2) is None
+    # a near-full-rank face (r = 15 of 16) would pay 4 N 225 for 8 N 32
+    # plus the face products: its runs keep the basis changes throughout
+    w = noisy_ocb().w.mat
+    near = np.linalg.eigh(w)[1][:, 1:]
+    assert separability._maps_start(basis, near, 2) is None
+    cones = tuple(cs.OrderCone(o) for o in ("AB", "BA"))
+    masks = separability._cone_masks(p.parties, cones)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(separability, "_face_maps", no_maps)
+        run = separability._dykstra(basis, basis.to_coeffs(w), masks, cones,
+                                    separability.SEP_TOL, 200, near)
+    assert run.iterations == 200
+
+
+def test_short_unitary_mixture_run_is_unchanged(monkeypatch, qubit_parties):
+    # sep_verdicts' median task: the half/half unitary mixture (r = 7,
+    # K = 2) converges in 12 iterations, before its switch point, 14. It
+    # builds no maps, and its run is the plain loop's without them, bit
+    # for bit
+    p = cs.validate_process(unitary_channel_mixture(qubit_parties, np.random.default_rng(0)))
+    basis = process._party_moves(p.parties)[0]
+    face = separability._face(p.w.mat)
+    assert separability._maps_start(basis, face, 2) == 14
+    monkeypatch.setattr(separability, "_face_maps", no_maps)
+    cert = cs.check_separability(p)
+    assert cert.separable and cert.iterations == 12
+    monkeypatch.setattr(separability, "_maps_start", lambda *args: None)
+    hist, summands, _, steps = reference_dykstra(basis, p.w.mat, separability._cone_masks(
+        p.parties, cert.trace.orders), cert.trace.orders, separability.SEP_TOL,
+        separability.MAX_ITERS, face)
+    assert np.array_equal(cert.trace.residual_history, hist)
+    assert np.array_equal(cert.trace.summands, summands) and cert.trace.eigh_steps == steps
 
 
 def degenerate_switch():
