@@ -71,32 +71,24 @@ def operator_from_json(d: dict) -> Operator:
 
 def _matrix_from_json(d: dict):
     """(space, matrix) of an operator object, in canonical label order.
-
-    The entries are flattened once. Their count and pair shape are
-    checked, then the type of every number on the flat list, from which
-    the array is built. A bool is not a number here, although `np.asarray`
-    reads a mixed list's true as 1.0."""
+    The entries are flattened once, so that one look at their types
+    refuses a bool, which `np.asarray` would read as 1.0 in a mixed list."""
     factors = _factors_from_json(_field(d, "factors", list, "operator"), "operator factors")
     dim = math.prod(f.dim for f in factors)
     rows = _field(d, "entries", list, "operator")
     try:
         flat = list(itertools.chain.from_iterable(rows))
-        pairs = set(map(len, rows)) == {2}
     except TypeError:  # an entry that is not a list
-        flat, pairs = [], False
-    if len(rows) != dim * dim or not pairs:
-        raise ValueError(f"expected {dim * dim} [re, im] entries, got {len(rows)} entries"
-                         + ("" if pairs else ", not all of them [re, im] pairs"))
-    if any(issubclass(t, bool) or not issubclass(t, (int, float, np.integer, np.floating))
-           for t in set(map(type, flat))):
+        flat = [None]
+    entries = np.array(flat)
+    if not {int, float} >= set(map(type, flat)) or entries.dtype.kind not in "if":
         raise ValueError("operator entries must be numbers")
-    try:
-        entries = np.array(flat, dtype=float).reshape(-1, 2)
-        finite = np.isfinite(entries).all()
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not np.isfinite(entries).all():
         raise ValueError("operator entries must be finite, not NaN or inf")
+    if len(rows) != dim * dim or set(map(len, rows)) != {2}:
+        raise ValueError(f"expected {dim * dim} [re, im] entries, got {len(rows)} entries"
+                         f" of lengths {sorted(set(map(len, rows)))}")
+    entries = entries.astype(float).reshape(-1, 2)
     mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
     return _canonicalize(factors, mat)
 

@@ -49,11 +49,10 @@ array fwd, N = D², with c @ fwd viewed as complex equal to V† M(c) V, and
 an r x r stack's float view times fwd.T equal to the coefficients of
 V X V†. After the switch an iteration costs one GEMM each way around the
 (K, r, r) Cholesky gate or eigh, and nothing leaves the face's
-coordinates. A run switches after ⌈r²/2K⌉ iterations, and only when the
-maps cost no more multiply-adds than the basis changes and face products
-they replace and hold at most FACE_MAP_CAP floats (`_maps_start`); short
-runs never build them. The affine step, the gate, the stall rule, the
-residual and the witness are the same either side of the switch.
+coordinates. A run switches after ⌈r²/2K⌉ iterations when the maps hold
+at most FACE_MAP_CAP floats (`_maps_start`); short runs never build
+them. The affine step, the gate, the stall rule, the residual and the
+witness are the same either side of the switch.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -391,27 +390,22 @@ def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
     return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
 
 
-def _maps_start(basis: _CoeffBasis, face: np.ndarray | None, k: int) -> int | None:
+def _maps_start(face: np.ndarray | None, k: int) -> int | None:
     """The first iteration of a K-order face run whose PSD step goes
     through the face maps (`_face_maps`), or None when it never does.
 
-    Per item and step the maps cost two real GEMMs, 4 N r² multiply-adds
-    (N = D² coefficients); they replace two complex basis changes, 8 N
-    sum_a G_a (G_a the basis's group sizes, `_CoeffBasis.group_dims`
-    squared), and four complex face products, 8 r D (D + r). A run takes
-    the maps only when they cost no more than that, and when they hold at
-    most FACE_MAP_CAP floats. The first ⌈r²/2K⌉ iterations keep the
-    basis changes: 2K operators pass through them per iteration, so by
-    then the run has changed the basis of r² operators, as many as a map
-    row has r × r entries and about twice the r(r+1)/2 that the build
-    expands. Short runs (the unitary mixtures: r = 7, K = 2, 12
-    iterations) therefore never build the maps and keep their bits."""
+    The maps hold 2 N r² floats (N = D² coefficients); a run whose maps
+    would hold more than FACE_MAP_CAP never builds them. The first
+    ⌈r²/2K⌉ iterations keep the basis changes: 2K operators pass through
+    them per iteration, so by then the run has changed the basis of r²
+    operators, as many as a map row has r × r entries and about twice the
+    r(r+1)/2 that the build expands. Short runs (the half/half unitary
+    mixtures: r = 7, K = 2, 12 iterations) therefore never build the maps
+    and keep their bits."""
     if face is None:
         return None
     d, r = face.shape
-    n = d * d
-    basis_changes = 8 * n * sum(g * g for g in basis.group_dims) + 8 * r * d * (d + r)
-    if 4 * n * r * r > basis_changes or 2 * n * r * r > FACE_MAP_CAP:
+    if 2 * d * d * r * r > FACE_MAP_CAP:
         return None
     return -(-r * r // (2 * k)) + 1
 
@@ -493,7 +487,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         return t - r + r * keep
 
     face_h = None if face is None else face.conj().T
-    start = _maps_start(basis, face, len(m))
+    start = _maps_start(face, len(m))
     fwd = None
     b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)

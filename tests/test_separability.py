@@ -532,7 +532,7 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
     keep = 1 - 1 / np.maximum(n, 1)
-    start = separability._maps_start(basis, face, len(m))
+    start = separability._maps_start(face, len(m))
     fwd = None
 
     def proj_affine(y):
@@ -708,43 +708,48 @@ def no_maps(*args):
     raise AssertionError("a run built face maps")
 
 
-def test_face_runs_switch_to_the_maps_only_when_they_pay():
-    # OCB (D = 16, r = 8, K = 2): the maps' 4 N r^2 multiply-adds per item
-    # equal the two basis changes' 8 N (16 + 16) alone, so the run switches
-    # after ceil(64 / 4) = 16 iterations, if its 2 N r^2 floats fit the cap
+def test_face_runs_switch_to_the_maps_when_they_fit(monkeypatch):
+    # OCB (D = 16, r = 8): the switch comes after ceil(r^2 / 2K) iterations,
+    # if the maps' 2 N r^2 floats fit the cap
     p = cs.ocb_process()
     basis = process._party_moves(p.parties)[0]
     face = separability._face(p.w.mat)
-    assert separability._maps_start(basis, face, 2) == 17
-    assert separability._maps_start(basis, face, 6) == 7
-    assert separability._maps_start(basis, None, 2) is None
+    assert separability._maps_start(face, 2) == 17
+    assert separability._maps_start(face, 6) == 7
+    assert separability._maps_start(None, 2) is None
     assert 2 * 256 * 64 <= separability.FACE_MAP_CAP
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(separability, "FACE_MAP_CAP", 2 * 256 * 64 - 1)
-        assert separability._maps_start(basis, face, 2) is None
-    # a near-full-rank face (r = 15 of 16) would pay 4 N 225 for 8 N 32
-    # plus the face products: its runs keep the basis changes throughout
+        assert separability._maps_start(face, 2) is None
+    # a near-full-rank face (r = 15 of 16) switches after 57 iterations,
+    # builds its maps once, and tracks the run that never builds them
     w = noisy_ocb().w.mat
     near = np.linalg.eigh(w)[1][:, 1:]
-    assert separability._maps_start(basis, near, 2) is None
+    assert separability._maps_start(near, 2) == 58
     cones = tuple(cs.OrderCone(o) for o in ("AB", "BA"))
     masks = separability._cone_masks(p.parties, cones)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(separability, "_face_maps", no_maps)
-        run = separability._dykstra(basis, basis.to_coeffs(w), masks, cones,
-                                    separability.SEP_TOL, 200, near)
-    assert run.iterations == 200
+    builds, face_maps = [], separability._face_maps
+    monkeypatch.setattr(separability, "_face_maps",
+                        lambda *args: builds.append(args) or face_maps(*args))
+    args = basis, basis.to_coeffs(w), masks, cones, separability.SEP_TOL, 200, near
+    run = separability._dykstra(*args)
+    assert len(builds) == 1 and run.iterations == 200
+    monkeypatch.setattr(separability, "_maps_start", lambda *args: None)
+    plain = separability._dykstra(*args)
+    assert len(builds) == 1 and plain.eigh_steps == run.eigh_steps == 200
+    assert np.array_equal(run.residual_history[:57], plain.residual_history[:57])
+    assert np.allclose(run.residual_history, plain.residual_history, rtol=1e-12, atol=0)
+    assert np.max(np.abs(run.dual - plain.dual)) < 1e-12
 
 
 def test_short_unitary_mixture_run_is_unchanged(monkeypatch, qubit_parties):
-    # sep_verdicts' median task: the half/half unitary mixture (r = 7,
-    # K = 2) converges in 12 iterations, before its switch point, 14. It
-    # builds no maps, and its run is the plain loop's without them, bit
-    # for bit
+    # a half/half unitary mixture (r = 7, K = 2) converges in 12
+    # iterations, before its switch point, 14. It builds no maps, and its
+    # run is the plain loop's without them, bit for bit
     p = cs.validate_process(unitary_channel_mixture(qubit_parties, np.random.default_rng(0)))
     basis = process._party_moves(p.parties)[0]
     face = separability._face(p.w.mat)
-    assert separability._maps_start(basis, face, 2) == 14
+    assert separability._maps_start(face, 2) == 14
     monkeypatch.setattr(separability, "_face_maps", no_maps)
     cert = cs.check_separability(p)
     assert cert.separable and cert.iterations == 12
