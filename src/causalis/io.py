@@ -300,8 +300,8 @@ def verdict_to_json(v: CausalityVerdict) -> dict:
 
 def certificate_to_json(c: SeparabilityCertificate) -> dict:
     """The verdict with its diagnostics block, which holds no timings: the
-    run's perp, stalled and eigh_steps (read off ``c.trace``), then the
-    certificate's face rank, verification and decomposition or witness
+    run's perp, stalled, eigh_steps and psd_dims (read off ``c.trace``), then
+    the certificate's face rank, verification and decomposition or witness
     fields."""
     return {
         "separable": c.separable,
@@ -312,7 +312,8 @@ def certificate_to_json(c: SeparabilityCertificate) -> dict:
         "witness": None if c.witness is None else operator_to_json(c.witness),
         "witness_verified": c.witness_verified,
         "diagnostics": {"perp": c.trace.perp, "stalled": c.trace.stalled,
-                        "eigh_steps": c.trace.eigh_steps, **c.diagnostics},
+                        "eigh_steps": c.trace.eigh_steps, "psd_dims": list(c.trace.psd_dims),
+                        **c.diagnostics},
     }
 
 

@@ -28,18 +28,23 @@ affine projection has a closed form on each coefficient, and an order
 cone's residual is the largest per-id norm, one bincount. The basis change
 is one GEMM per group of adjacent factors (two for balanced spaces), and
 Dykstra carries the summands as one (K, ...) stack, so an iteration costs
-one basis change each way and at most one batched eigh: a batched
-Cholesky first tests whether the stack is positive definite, and if it is,
-the projection clips nothing and needs no eigh (`_project_psd`).
+one basis change each way and at most one batched eigh (one per reduced
+size on the whole cone, where each order's step runs on a D/d x D/d
+operator; see below): a batched Cholesky first tests whether the stack is
+positive definite, and if it is, the projection clips nothing and needs
+no eigh (`_project_psd`).
 
 What does not depend on W is set up once per party structure: the basis
 with its group transforms, factor layout (`tensor_core._grouping`) and
 GEMM shapes, for any leading (K, ...) axes (`_party_moves`,
-`_CoeffBasis`), the pattern ids (`_cone_ids`) and the witness battery
-(`_battery`). Once per process: W's coefficients, the basis change its
-validation made (`process._validity_sweep`), shared by the closed form,
-the face run, its whole-cone retry and the witness of each failed run
-(`extract_witness`). Once per call: the masks and V; once per face run, V†.
+`_CoeffBasis`), the pattern ids (`_cone_ids`), the witness battery
+(`_battery`) and, per pattern of identity axes, the whole-cone step's
+reduced bases and gather positions (`_reductions`). Once per process:
+W's coefficients, the basis change its validation made
+(`process._validity_sweep`), shared by the closed form, the face run, its
+whole-cone retry and the witness of each failed run (`extract_witness`).
+Once per call: the masks and V; once per face run, V†; once per
+whole-cone run, the identity axes, read off the masks.
 Per iteration: the affine step, one basis change each way around the PSD
 step (none back when that step leaves a whole-cone stack as it is), and
 the residual. On a face, the basis changes come with four face products
@@ -53,6 +58,21 @@ coordinates. A run switches after ⌈r²/2K⌉ iterations when the maps hold
 at most FACE_MAP_CAP floats (`_maps_start`); short runs never build
 them. The affine step, the gate, the stall rule, the residual and the
 witness are the same either side of the switch.
+
+On the whole cone each order's step runs on a reduced operator
+(`_reduced_groups`, `_project_reduced`). A process of a fixed total order
+carries the identity on its last party's output, W = W' ⊗ 1 (Araújo et
+al., NJP 17, 102001 (2015)): order i's mask allows only index 0 on those
+factors, its identity axes, so the affine step's output lies in S_i =
+{Y ⊗ 1_d} with exact zeros off it, d the product of their dims. q starts
+at 0 and P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d, so every input of the PSD step
+lies in S_i and the step is exact on Y: per iteration one gather of the
+(K, ...) reduced coefficients, one basis change to (K, D/d, D/d), the
+gate or eigh, one basis change back and one scatter into zeros. The
+identity axes are read off the masks, with no rule for any party;
+orders whose reduced sizes differ take one stack per size. Neither a face
+(V X V† is not of the form Y ⊗ 1) nor a trivial last output (the
+switch's F) has this structure: those runs take the D x D or r x r step.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -104,6 +124,8 @@ from .process import (
 )
 from .tensor_core import (
     HermitianOperator,
+    LabeledSpace,
+    SpaceProduct,
     _check_count,
     _check_tol,
     _checked_hermitian,
@@ -195,14 +217,21 @@ class FeasibilityTrace:
     space (`hermitian_basis` per label-sorted factor, identity first), one
     entry per order, and exactly one of them is kept: ``summands``, the
     final PSD stack masked onto the order subspaces, when the run
-    converged, and otherwise ``dual``, the PSD-side correction with its sign
-    flipped, y_i = -q_i, the dual variable that `extract_witness` builds
-    its witness from (PSD for a whole-cone run; for a run on a face
-    {V X V†}, only V† y_i V is). ``converged`` is read off which one is
+    converged (for the closed form, the (K,) shares c_i of W instead: its
+    summands are c_i m_i ⊙ wc, which the certificate rebuilds from W's
+    coefficients, so it keeps no stack of its own), and otherwise
+    ``dual``, the PSD-side correction with its sign flipped, y_i = -q_i,
+    the dual variable that `extract_witness` builds its witness from (PSD
+    for a whole-cone run; for a run on a face {V X V†}, only V† y_i V
+    is). ``converged`` is read off which one is
     kept, and ``residual`` and ``iterations`` are the last entry and the
     length of ``residual_history``. ``eigh_steps`` counts the iterations
     whose PSD step ran eigh (`_project_psd`); the others found the stack
-    positive definite, which clips nothing (0 for the closed form)."""
+    positive definite, which clips nothing (0 for the closed form).
+    ``psd_dims`` gives, per order, the size of the matrices that the PSD
+    step diagonalised: r on a face, D/d on the whole cone when order i
+    carries the identity on factors of total dim d (`_reduced_groups`), D
+    otherwise, and () for the closed form, which has no PSD step."""
 
     orders: tuple[OrderCone, ...]
     stalled: bool
@@ -211,6 +240,7 @@ class FeasibilityTrace:
     summands: np.ndarray | None
     dual: np.ndarray | None
     eigh_steps: int
+    psd_dims: tuple[int, ...]
 
     @property
     def converged(self) -> bool:
@@ -235,7 +265,8 @@ class SeparabilityCertificate:
     When separable, ``components`` are the PSD summands of W, one per order
     (so the normalized order-cone members are components[i] scaled by 1/q_i,
     q_i = Tr components[i] / Tr W): read-only views into one (K, D, D)
-    stack, rebuilt from ``trace.summands`` and checked once on each access.
+    stack, rebuilt from ``trace.summands`` (from W and its shares for the
+    closed form) and checked once on each access.
     They are not cached, so a certificate that a caller keeps holds only
     the real coefficient stack, not a complex (K, D, D) one beside it.
     q = q_0, clipped to [0, 1], is the first order's weight
@@ -277,18 +308,29 @@ class SeparabilityCertificate:
     def separable(self) -> bool:
         return self.trace.converged
 
+    def _summands(self) -> np.ndarray | None:
+        """The (K, ...) summand stack: the run's, or the closed form's c_i
+        m_i ⊙ wc from its shares c (`_pure_decomposition`), wc the
+        coefficients of W that validation kept."""
+        s = self.trace.summands
+        if s is None or s.ndim > 1:
+            return s
+        wc = _validity_sweep(self.process)[2]
+        return _cone_masks(self.process.parties, self.trace.orders) * wc * s.reshape(
+            (-1,) + (1,) * wc.ndim)
+
     @property
     def components(self) -> tuple[HermitianOperator, ...] | None:
-        if self.trace.summands is None:
+        s = self._summands()
+        if s is None:
             return None
         basis = _party_moves(self.process.parties)[0]
-        space, stack = _checked_hermitian(self.process.w.space,
-                                          basis.from_coeffs(self.trace.summands), ndim=3)
+        space, stack = _checked_hermitian(self.process.w.space, basis.from_coeffs(s), ndim=3)
         return tuple(HermitianOperator._view(space, m) for m in stack)
 
     @property
     def q(self) -> float | None:
-        s, w = self.trace.summands, self.process.w
+        s, w = self._summands(), self.process.w
         return None if s is None else float(
             np.clip(math.sqrt(w.dim) * s[0].flat[0] / w.trace().real, 0.0, 1.0))
 
@@ -344,21 +386,25 @@ def _face(w: np.ndarray) -> np.ndarray | None:
     return None if keep.all() else v[:, keep]
 
 
+def _positive_definite(x: np.ndarray) -> bool:
+    """Whether one batched Cholesky accepts every item of a Hermitian stack.
+    Cholesky is backward stable, so a stack it accepts is within a few r
+    ε_mach ||x|| of a positive definite one (r its size): the gate of
+    `_psd_eig` drops no more than the rounding of eigh itself."""
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _psd_eig(x: np.ndarray, gate: bool):
     """The clipped spectrum of a Hermitian (K, r, r) stack: None when
-    ``gate`` is set and one batched Cholesky finds every item positive
-    definite (nothing to clip, no eigh), else (e clipped at 0, v, whether
-    an eigenvalue was negative) from one batched eigh. Cholesky is
-    backward stable, so a stack it accepts is within a few r ε_mach ||x||
-    of a positive definite one: the gate drops no more than the rounding of
-    eigh itself."""
-    if gate:
-        try:
-            np.linalg.cholesky(x)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return None
+    ``gate`` is set and the stack is positive definite
+    (`_positive_definite`: nothing to clip, no eigh), else (e clipped at 0,
+    v, whether an eigenvalue was negative) from one batched eigh."""
+    if gate and _positive_definite(x):
+        return None
     e, v = np.linalg.eigh(x)
     clipped = bool(e[..., 0].min() < 0)
     np.maximum(e, 0, out=e)
@@ -388,6 +434,80 @@ def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
     if face is not None:
         v = face @ v
     return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
+
+
+def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
+    """The reduced whole-cone PSD step of K orders with masks m, or None
+    when no order has an identity axis.
+
+    Order i's identity axes are the coefficient axes (of size > 1) on which
+    m_i is zero off index 0. For a total order they are its last party's
+    output factors, unless that output is trivial. Operators whose
+    coefficients vanish off index 0 there are S_i = {Y ⊗ 1_d}, d the
+    product of those factors' dims, and Y's coefficients over the product
+    basis of the kept factors are those of Y ⊗ 1_d at index 0, divided by
+    sqrt(d). Returns ((reduced basis, orders, at), ...), one group per
+    reduced shape: ``at`` holds the positions in the flattened (K, ...)
+    stack of each of the group's orders' reduced coefficients, so
+    c.take(at) is the group's reduced stack. An order with no identity
+    axis keeps ``basis``'s shape. What depends on the masks alone is built
+    once (`_reductions`)."""
+    dropped = [[] for _ in m]
+    for j, n in enumerate(m.shape[1:]):
+        if n > 1:
+            rest = tuple(a for a in range(1, m.ndim) if a != j + 1)
+            for i, moved in enumerate(m.any(axis=rest)[:, 1:].any(axis=1)):
+                if not moved:
+                    dropped[i].append(j)
+    if not any(dropped):
+        return None
+    return _reductions(tuple(basis.labels), basis.shape, tuple(map(tuple, dropped)), basis.dim)
+
+
+@functools.lru_cache(maxsize=64)
+def _reductions(labels: tuple[str, ...], shape: tuple[int, ...],
+                dropped: tuple[tuple[int, ...], ...], dim: int):
+    """`_reduced_groups` for the coefficient axes ``dropped`` per order of
+    a D = ``dim`` basis with ``labels`` and coefficient ``shape``, its
+    arrays read-only. A group's basis is that of its first order's kept
+    factors, grouped under the full basis's cap D (`_CoeffBasis`): a
+    reduced qubit space has an odd number of factors, which the reduced
+    D would split into three GEMMs where D splits it into two. The basis
+    depends on the kept dims only, so it serves every order of its shape."""
+    flat = np.arange(len(dropped) * math.prod(shape)).reshape((len(dropped),) + shape)
+    groups = {}
+    for i, axes in enumerate(dropped):
+        kept = [j for j in range(len(shape)) if j not in axes]
+        dims = tuple(math.isqrt(shape[j]) for j in kept)
+        index = tuple(0 if j in axes else slice(None) for j in range(len(shape)))
+        groups.setdefault(dims, (kept, []))[1].append((i, flat[(i, *index)]))
+    out = []
+    for dims, (kept, rows) in groups.items():
+        at = np.stack([a for _, a in rows])
+        at.setflags(write=False)
+        space = SpaceProduct(LabeledSpace(labels[j], d) for j, d in zip(kept, dims))
+        out.append((_CoeffBasis(space, dim), tuple(i for i, _ in rows), at))
+    return tuple(out)
+
+
+def _project_reduced(groups, c: np.ndarray, gate: bool = True) -> tuple[np.ndarray, bool | None]:
+    """`_project_psd` on the whole cone for a stack whose item i lies in
+    S_i (`_reduced_groups`): each group's reduced stack goes through one
+    basis change, the gate and eigh of `_psd_eig`, and one basis change
+    back, into zeros off S_i. P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d, and P_psd
+    is positively homogeneous, so the sqrt(d) in the reduced coefficients
+    needs no rescaling and the step is the exact Frobenius projection.
+    When every group passes the gate, ``c`` is returned as given."""
+    xs = [basis.from_coeffs(c.take(at)) for basis, _, at in groups]
+    if gate and all(map(_positive_definite, xs)):
+        return c, None
+    out = np.zeros_like(c)
+    clipped = False
+    for (basis, _, at), x in zip(groups, xs):
+        e, v, neg = _psd_eig(x, False)
+        clipped |= neg
+        out.put(at, basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)))
+    return out, clipped
 
 
 def _maps_start(face: np.ndarray | None, k: int) -> int | None:
@@ -475,7 +595,13 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
     eigh, so a run that clips on every step pays for one test in all;
     ``eigh_steps`` counts the iterations that ran eigh. From the iteration
     that `_maps_start` names, a face run builds its face map once and
-    takes the same gated step through it (`_project_on_maps`)."""
+    takes the same gated step through it (`_project_on_maps`). A
+    whole-cone run takes each order's step on its reduced operator Y of
+    S_i = {Y ⊗ 1_d} (`_project_reduced`): the affine step keeps the masks'
+    exact zeros, q starts at 0 and the step scatters into zeros, so every
+    PSD input lies in S_i, where P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d makes the
+    reduced step exact. A run whose orders have no identity axis (the
+    switch, whose last party F has a trivial output) takes the full step."""
     n = m.sum(axis=0)
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
@@ -487,6 +613,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         return t - r + r * keep
 
     face_h = None if face is None else face.conj().T
+    groups = None if face is not None else _reduced_groups(basis, m)
     start = _maps_start(face, len(m))
     fwd = None
     b = np.stack([wpar / len(m)] * len(m))
@@ -508,10 +635,12 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         c = a + q
         if it == start:
             fwd = _face_maps(basis, face)
-        if fwd is None:
-            nb, clipped = _project_psd(basis, c, face, face_h, gate=not clipped)
-        else:
+        if fwd is not None:
             nb, clipped = _project_on_maps(fwd, c, gate=not clipped)
+        elif groups is not None:
+            nb, clipped = _project_reduced(groups, c, gate=not clipped)
+        else:
+            nb, clipped = _project_psd(basis, c, face, face_h, gate=not clipped)
         eigh_steps += clipped is not None
         q = c - nb
         d = (a - nb).ravel()
@@ -527,10 +656,16 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
                 stalled = True
                 break
     converged = res < tol
+    if groups is not None:
+        sizes = {i: reduced.dim for reduced, orders, _ in groups for i in orders}
+        psd_dims = tuple(sizes[i] for i in range(len(m)))
+    else:
+        psd_dims = (basis.dim if face is None else face.shape[1],) * len(m)
     return FeasibilityTrace(orders=cones, stalled=stalled,
                             residual_history=np.asarray(hist), perp=perp,
                             summands=b * m if converged else None,
-                            dual=None if converged else -q, eigh_steps=eigh_steps)
+                            dual=None if converged else -q, eigh_steps=eigh_steps,
+                            psd_dims=psd_dims)
 
 
 def _pure_decomposition(wc: np.ndarray, m: np.ndarray, cones, tol):
@@ -543,20 +678,23 @@ def _pure_decomposition(wc: np.ndarray, m: np.ndarray, cones, tol):
     L_i, so an eigenvalue that `_face` dropped is still charged. The orders
     with d_i < tol hold W; the summands are m_i ⊙ wc / n on the n orders
     that hold it and 0 on the rest, an even split so that relabelling the
-    parties maps q to 1 - q. The one residual, ||sum_i x_i - W||, is at
-    most max d_i < tol. None when no order holds W: the ray {c W} then
-    holds no feasible stack, and only a whole-cone run can yield a
-    witness."""
+    parties maps q to 1 - q. The trace keeps only the shares c (1/n or 0
+    per order), from which the certificate rebuilds the stack
+    (`SeparabilityCertificate._summands`): a caller that keeps the
+    certificate keeps no (K, N) stack, half of it zeros for two orders.
+    The one residual, ||sum_i x_i - W||, is at most max d_i < tol. None
+    when no order holds W: the ray {c W} then holds no feasible stack, and
+    only a whole-cone run can yield a witness."""
     dist = np.linalg.norm(((1 - m) * wc).reshape(len(m), -1), axis=1)
     held = dist < tol
     if not held.any():
         return None, dist.tolist()
-    summands = m * wc * (held / held.sum()).reshape((-1,) + (1,) * wc.ndim)
-    res = np.linalg.norm(summands.sum(axis=0) - wc)
+    shares = held / held.sum()
+    res = np.linalg.norm((m * wc * shares.reshape((-1,) + (1,) * wc.ndim)).sum(axis=0) - wc)
     perp = float(np.linalg.norm(wc * (m.sum(axis=0) == 0)))
     return FeasibilityTrace(orders=cones, stalled=False, residual_history=np.array([res]),
-                            perp=perp, summands=summands, dual=None,
-                            eigh_steps=0), dist.tolist()
+                            perp=perp, summands=shares, dual=None,
+                            eigh_steps=0, psd_dims=()), dist.tolist()
 
 
 def check_separability(
@@ -622,7 +760,7 @@ def check_separability(
 
     cert = SeparabilityCertificate(witness, diagnostics, trace, p)
     if cert.separable:
-        comps = basis.from_coeffs(trace.summands)
+        comps = basis.from_coeffs(cert._summands())
         closed = " in closed form at rank 1" if rank == 1 else ""
         diagnostics.update({
             "verification": f"decomposition{closed}: reconstruction, order-cone residuals and "

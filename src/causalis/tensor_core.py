@@ -494,13 +494,14 @@ def hermitian_basis(dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # coefficient-space engine
 
-def _factor_groups(space: SpaceProduct) -> tuple[SpaceProduct, ...]:
-    """Adjacent runs of space's factors whose product g keeps g*g <= D; a
-    factor with d*d > D forms its own group."""
+def _factor_groups(space: SpaceProduct, cap: int | None = None) -> tuple[SpaceProduct, ...]:
+    """Adjacent runs of space's factors whose product g keeps g*g <= cap
+    (default D); a factor with d*d > cap forms its own group."""
+    cap = space.dim if cap is None else cap
     groups = [[]]
     g = 1
     for f in space.factors:
-        if groups[-1] and (g * f.dim) ** 2 > space.dim:
+        if groups[-1] and (g * f.dim) ** 2 > cap:
             groups.append([])
             g = 1
         groups[-1].append(f)
@@ -536,13 +537,18 @@ class _CoeffBasis:
     group) and each GEMM's operand shape, its leading axis -1, are fixed
     when the basis is built, so a call runs one transposing copy
     (`_regroup`, or the layout's inverse) and the GEMMs and nothing else.
+
+    ``cap`` replaces D in the bound g*g <= D on each group. The basis of
+    some of a space's factors may take the whole space's D, so that its
+    groups are as large as that space's basis allows: fewer GEMMs, and
+    still no group matrix above the whole basis's bound max(D², d_max⁴).
     """
 
-    def __init__(self, space):
+    def __init__(self, space, cap: int | None = None):
         self.labels = list(space.labels)
         self.dim = space.dim
         self.shape = tuple(d * d for d in space.dims)
-        groups = _factor_groups(space)
+        groups = _factor_groups(space, cap)
         self.group_dims = [g.dim for g in groups]
         self._layout = _grouping(space, groups)
         # group a's GEMM: the group matrix from the left on (-1, G_a, post),

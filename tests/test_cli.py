@@ -467,8 +467,10 @@ def test_sep_stall_without_witness_exits_3(tmp_path, capsys):
         res = report["results"]
         assert code == 1 and res["verdict"] == "nonseparable"
         assert res["diagnostics"]["stalled"] is True and res["iterations"] == 500
-        # full rank, so the run is on the whole cone, where every step clips
+        # full rank, so the run is on the whole cone, where every step clips,
+        # each on an order's 8 x 8 reduced operator
         assert res["diagnostics"]["eigh_steps"] == 500
+        assert res["diagnostics"]["psd_dims"] == [8, 8]
     # the traced switch is separable, so a run cut short at 5 iterations
     # has no witness (Tr[S W] = +0.269) and is undecided
     qs = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2))

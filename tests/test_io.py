@@ -346,6 +346,9 @@ def test_certificate_json_shapes(qubit_parties):
     assert d["witness"] is None and d["witness_verified"] is False
     assert d["diagnostics"]["stalled"] is False
     assert d["diagnostics"]["reconstruction"] < 1e-6
+    # full rank on the whole cone: each order's step is on its 8 x 8
+    # reduced operator, one qubit output fewer than D = 16
+    assert d["diagnostics"]["psd_dims"] == [8, 8]
     json.dumps(d)  # everything must be plain JSON types
 
     ocb = cs.check_separability(cs.ocb_process())
@@ -353,10 +356,11 @@ def test_certificate_json_shapes(qubit_parties):
     assert d["separable"] is False and d["witness_verified"] is True
     assert d["verdict"] == "nonseparable"
     diag = d["diagnostics"]
-    for key in ("perp", "stalled", "eigh_steps", "verification", "witness_overlap",
-                "battery_min"):
+    for key in ("perp", "stalled", "eigh_steps", "psd_dims", "verification",
+                "witness_overlap", "battery_min"):
         assert key in diag
     assert diag["eigh_steps"] == ocb.trace.eigh_steps == 0
+    assert diag["psd_dims"] == [8, 8] and ocb.trace.psd_dims == (8, 8)  # OCB's rank-8 face
     assert "dual-cone" in diag["verification"]
     assert len(diag["certificate_margins"]) == 2
     text = json.dumps(d)

@@ -394,7 +394,8 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
     stored = [f.name for f in dataclasses.fields(cs.SeparabilityCertificate)]
     assert stored == ["witness", "diagnostics", "trace", "process"]
     assert [f.name for f in dataclasses.fields(cs.FeasibilityTrace)] == [
-        "orders", "stalled", "residual_history", "perp", "summands", "dual", "eigh_steps"]
+        "orders", "stalled", "residual_history", "perp", "summands", "dual", "eigh_steps",
+        "psd_dims"]
     for _, cert in (traced_switch_cert, ocb_cert):
         t = cert.trace
         assert (cert.separable, cert.residual, cert.iterations) == (
@@ -406,8 +407,11 @@ def test_certificate_reads_verdict_fields_off_the_run(traced_switch_cert, ocb_ce
         assert cert.witness_verified == (cert.witness is not None)
         # each fact once: the run's perp, stall and eigh count live on the
         # trace only
-        assert not {"perp", "stalled", "eigh_steps"} & set(cert.diagnostics)
+        assert not {"perp", "stalled", "eigh_steps", "psd_dims"} & set(cert.diagnostics)
         assert type(t.eigh_steps) is int and 0 <= t.eigh_steps <= t.iterations
+        # both runs are on a face: traced switch r = 4, OCB r = 8
+        assert t.psd_dims == (cert.diagnostics["face_rank"],) * 2
+        assert all(type(n) is int for n in t.psd_dims)
         if cert.separable:
             # q is read off the first summand's identity coefficient, so it
             # agrees with the rebuilt component's trace to rounding
@@ -525,8 +529,11 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     per item for the gate and np.clip for the clipping. From the library's
     switch point on (`_maps_start`), a face step runs through the library's
     face map (`_face_maps`), as every step runs through its basis change.
-    Kept as the reference that `_dykstra` must match bit for bit; returns
-    (residual_history, summands or None, dual or None, eigh steps)."""
+    On the whole cone, each order's step runs on its reduced operator, one
+    order at a time, through the library's reduced basis and index
+    (`_reduced_groups`). Kept as the reference that `_dykstra` must match
+    bit for bit; returns (residual_history, summands or None, dual or None,
+    eigh steps)."""
     n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
@@ -534,6 +541,10 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     keep = 1 - 1 / np.maximum(n, 1)
     start = separability._maps_start(face, len(m))
     fwd = None
+    reduced = {}
+    if face is None:
+        for rbasis, orders, at in separability._reduced_groups(basis, m) or ():
+            reduced.update((i, (rbasis, index)) for i, index in zip(orders, at))
 
     def proj_affine(y):
         t = y * m
@@ -559,10 +570,28 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
             return (x.reshape(len(x), -1).view(float) @ fwd.T).reshape(c.shape)
         return basis.to_coeffs(face @ x @ face.conj().T)
 
+    def project_reduced(c, last_clipped):
+        # order i's item is Y_i (x) 1 in coefficients, and its projection
+        # P_psd(Y_i) (x) 1
+        x = [rbasis.from_coeffs(c.ravel()[index])
+             for _, (rbasis, index) in sorted(reduced.items())]
+        if not last_clipped and all(positive_definite(xi) for xi in x):
+            return c, None
+        out = np.zeros_like(c)
+        clipped = False
+        for (i, (rbasis, index)), xi in zip(sorted(reduced.items()), x):
+            e, v = np.linalg.eigh(xi)
+            clipped = clipped or bool(np.any(e < 0))
+            e = np.clip(e, 0, None)
+            out.ravel()[index] = rbasis.to_coeffs((v * e) @ v.conj().T)
+        return out, clipped
+
     def project_psd(c, last_clipped):
         # with no negative eigenvalue, the projection of M onto the cone is
         # M and onto a face V (V^dag M V) V^dag; a step after one that
         # clipped goes straight to eigh
+        if reduced:
+            return project_reduced(c, last_clipped)
         x = to_face(c)
         if not last_clipped and all(positive_definite(xi) for xi in x):
             return (c if face is None else from_face(x, c)), None
@@ -620,13 +649,34 @@ def framed_unitary_mixture():
     return in_local_frame(p, 14)
 
 
+def noisy_baumeler_wolf():
+    """0.9 Baumeler-Wolf + 0.1 white noise: full rank, so its runs are on
+    the whole cone, six orders with three different last parties."""
+    p = baumeler_wolf()
+    return cs.ProcessMatrix(p.parties, p.w * 0.9 + cs.identity(p.w.space) * (0.1 * 8 / 64))
+
+
+def interleaved_mixture():
+    """0.45 W(P<Q) + 0.45 W(Q<P) + 0.1 white noise on the qubit-qutrit
+    parties of `interleaved_parties`: full rank, and the two orders' last
+    outputs differ in dimension (B_q is 2, Z_p is 3)."""
+    p, q = interleaved_parties()
+    rng = np.random.default_rng(3)
+    w1 = cs.random_ordered_process([p, q], rng).w
+    w2 = cs.random_ordered_process([q, p], rng).w
+    return cs.ProcessMatrix((p, q), w1 * 0.45 + w2 * 0.45 + cs.identity(w1.space) * (0.1 * 6 / 36))
+
+
 @pytest.mark.parametrize("make, rank, tol, max_iters, iterations, eigh_steps", [
     (traced_switch, 4, separability.SEP_TOL, separability.MAX_ITERS, 9, 0),
     (cs.ocb_process, 8, separability.SEP_TOL, separability.MAX_ITERS, 500, 0),
     (lambda: noisy_ocb(), 16, separability.SEP_TOL, separability.MAX_ITERS, 500, 500),
     (baumeler_wolf, 8, separability.SEP_TOL, 60, 60, 0),
     (framed_unitary_mixture, 7, 1e-20, 300, 300, 300),
-], ids=["traced_switch", "ocb", "ocb_noisy", "baumeler_wolf", "framed_mixture_tol_1e-20"])
+    (noisy_baumeler_wolf, 64, separability.SEP_TOL, 60, 60, 60),
+    (interleaved_mixture, 36, separability.SEP_TOL, 60, 60, 60),
+], ids=["traced_switch", "ocb", "ocb_noisy", "baumeler_wolf", "framed_mixture_tol_1e-20",
+        "baumeler_wolf_noisy", "interleaved_mixture"])
 def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, iterations,
                                                     eigh_steps):
     p = make()
@@ -761,6 +811,124 @@ def test_short_unitary_mixture_run_is_unchanged(monkeypatch, qubit_parties):
     assert np.array_equal(cert.trace.summands, summands) and cert.trace.eigh_steps == steps
 
 
+# ---------------------------------------------------------------------------
+# the whole cone: each order's PSD step on its reduced operator
+
+REDUCED_CASES = [(lambda: noisy_ocb(), (8, 8)), (noisy_baumeler_wolf, (32,) * 6),
+                 (interleaved_mixture, (18, 12))]
+REDUCED_IDS = ["ocb_noisy", "baumeler_wolf_noisy", "interleaved_mixture"]
+
+
+def reduced_setup(make):
+    """(process, basis, masks, groups, in_s) for the default orders:
+    in_s[i] is true on the coefficients that Y (x) 1 on order i's last
+    party's output can have."""
+    p = make()
+    basis = process._party_moves(p.parties)[0]
+    orders = _default_orders(p.parties)
+    masks = separability._cone_masks(p.parties, [cs.OrderCone(o) for o in orders])
+    by_name = {q.name: q for q in p.parties}
+    in_s = np.stack([np.broadcast_to(basis._identity_on(by_name[o[-1]].output_labels),
+                                     basis.shape) for o in orders])
+    return p, basis, masks, separability._reduced_groups(basis, masks), in_s
+
+
+@pytest.mark.parametrize("make, dims", REDUCED_CASES, ids=REDUCED_IDS)
+def test_reduced_groups_drop_each_orders_last_output(make, dims):
+    # read off the masks alone, each order's identity axes are its last
+    # party's output; orders of one reduced shape share one group
+    _, basis, masks, groups, in_s = reduced_setup(make)
+    sizes = {}
+    for rbasis, orders, at in groups:
+        assert at.shape == (len(orders),) + rbasis.shape and not at.flags.writeable
+        # grouped under the full D: no more GEMMs than the full basis, and
+        # within its bound on a group matrix, max(D^2, d_max^4)
+        assert len(rbasis.group_dims) <= len(basis.group_dims)
+        assert max(t.size for t in rbasis._fwd) <= basis.dim ** 2
+        for i, a in zip(orders, at):
+            picked = np.zeros(masks.size, dtype=bool)
+            picked[a.ravel()] = True
+            picked = picked.reshape(masks.shape)
+            assert np.array_equal(picked[i], in_s[i]) and picked.sum() == in_s[i].sum()
+            sizes[i] = rbasis.dim
+    assert tuple(sizes[i] for i in range(len(masks))) == dims
+    assert len(groups) == len(set(dims))
+
+
+def no_reduced_step(*args):
+    raise AssertionError("a run took the reduced step")
+
+
+def test_trivial_last_output_keeps_the_full_step(switch):
+    # the switch's F comes last with a trivial output, so no order has an
+    # identity axis: no reduction, and a whole-cone run takes the D x D
+    # step of the plain loop, bit for bit
+    basis = process._party_moves(switch.parties)[0]
+    cones = tuple(cs.OrderCone(o) for o in _default_orders(switch.parties))
+    masks = separability._cone_masks(switch.parties, cones)
+    assert separability._reduced_groups(basis, masks) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(separability, "_project_reduced", no_reduced_step)
+        run = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cones,
+                                    separability.SEP_TOL, 3)
+    hist, _, dual, steps = reference_dykstra(basis, switch.w.mat, masks, cones,
+                                             separability.SEP_TOL, 3)
+    assert run.psd_dims == (64, 64) and run.eigh_steps == steps == 3
+    assert np.array_equal(run.residual_history, hist) and np.array_equal(run.dual, dual)
+
+
+@pytest.mark.parametrize("make, dims", REDUCED_CASES, ids=REDUCED_IDS)
+def test_reduced_step_matches_dense_eigh(make, dims, rng):
+    # on a stack whose item i lies in S_i = {Y (x) 1}, the reduced step is
+    # the dense projection of each D x D item, whether the Cholesky gate
+    # takes the step or eigh does, and it leaves zeros off S_i
+    _, basis, masks, groups, in_s = reduced_setup(make)
+    for kind in ("indefinite", "pd", "singular_psd"):
+        c = np.zeros(masks.shape)
+        for rbasis, _, at in groups:
+            ys = psd_stack(kind, rbasis.dim, rng, (len(at),)) / rbasis.dim
+            c.put(at, rbasis.to_coeffs(ys))
+        got, clipped = separability._project_reduced(groups, c)
+        if kind == "indefinite":
+            assert clipped is True
+        elif kind == "pd":
+            assert clipped is None and got is c
+            assert separability._project_reduced(groups, c, gate=False)[1] is False
+        assert not got[~in_s].any()
+        for i, d in enumerate(dims):
+            m = basis.from_coeffs(c[i])
+            e, u = np.linalg.eigh(m)
+            if kind == "singular_psd":
+                assert abs(e[0]) < 1e-12 and e[-1] > 0.1
+            want = (u * np.clip(e, 0, None)) @ u.conj().T
+            assert np.max(np.abs(basis.from_coeffs(got[i]) - want)) < 1e-12, kind
+
+
+@pytest.mark.parametrize("make, dims", REDUCED_CASES, ids=REDUCED_IDS)
+def test_whole_cone_stacks_stay_in_the_reduced_space(make, dims):
+    # the affine step keeps the masks' exact zeros and the PSD step
+    # scatters into zeros, so the dual is exactly zero off S_i
+    p, basis, masks, _, in_s = reduced_setup(make)
+    cones = tuple(cs.OrderCone(o) for o in _default_orders(p.parties))
+    run = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cones,
+                                separability.SEP_TOL, 20)
+    assert run.iterations == 20 and run.psd_dims == dims
+    assert not run.dual[~in_s].any() and run.dual[in_s].any()
+
+
+def test_relabelled_noisy_ocb_keeps_its_whole_cone_verdict():
+    # A <-> B permutes the factors, so each order's identity axis is found
+    # on the other party's output; the run and its witness agree to rounding
+    p = noisy_ocb()
+    want = cs.check_separability(p)
+    got = cs.check_separability(swap_two_parties(p))
+    for cert in (want, got):
+        assert cert.verdict == "nonseparable" and cert.trace.stalled
+        assert cert.iterations == cert.trace.eigh_steps == 500
+        assert cert.trace.psd_dims == (8, 8) and cert.diagnostics["face_rank"] == 16
+    assert abs(got.diagnostics["witness_overlap"] - want.diagnostics["witness_overlap"]) < 1e-9
+
+
 def degenerate_switch():
     return cs.make_quantum_switch([1.0, 0.0], 1.0, 0.0).to_matrix()
 
@@ -777,6 +945,14 @@ def test_degenerate_switch_is_fully_ordered():
     near, far = cert.diagnostics["order_distances"]
     assert near < 1e-15 and abs(far - np.sqrt(1.5)) < 1e-12
     assert "closed form" in cert.diagnostics["verification"]
+    assert cert.trace.psd_dims == ()  # no PSD step
+    # the trace keeps W's shares, not a (K, N) stack; the certificate
+    # rebuilds the masked summands from the coefficients validation kept
+    assert cert.trace.summands.tolist() == [1.0, 0.0]
+    masks = separability._cone_masks(p.parties, cert.trace.orders)
+    wc = process._validity_sweep(cert.process)[2]
+    shares = np.array([1.0, 0.0]).reshape((2,) + (1,) * wc.ndim)
+    assert np.array_equal(cert._summands(), masks * wc * shares)
     assert_checked_decomposition(p, cert, 1.0)
 
 
@@ -1130,6 +1306,8 @@ def test_full_switch_is_certified_by_one_whole_cone_run(switch):
     (face, trace), = runs
     assert face is None and cert.trace is trace and cert.iterations == 600
     assert cert.diagnostics["face_rank"] == 1
+    # F comes last with a trivial output: the step stays D x D
+    assert cert.trace.psd_dims == (64, 64)
     assert "face_iterations" not in cert.diagnostics
     assert min(cert.diagnostics["order_distances"]) > separability.SEP_TOL
     assert cert.verdict == "nonseparable" and cert.diagnostics["witness_overlap"] < 0
@@ -1152,6 +1330,8 @@ def test_stalled_retry_is_certified(baumeler_wolf_cert):
     assert all(t.stalled for _, t in runs)
     assert cert.diagnostics["face_iterations"] == 550 and cert.iterations == 600
     assert cert.verdict == "nonseparable"
+    # the face run diagonalises r x r, the retry each order's reduced D/2
+    assert [t.psd_dims for _, t in runs] == [(8, 8), (32, 32)]
     assert abs(cert.diagnostics["witness_overlap"] - (-0.2868)) < 1e-4
 
 
@@ -1555,7 +1735,9 @@ def test_stall_without_witness_is_undecided(traced_switch_cert):
     p, separable = traced_switch_cert
     assert separable.verdict == "separable"
     cert = cs.check_separability(p, tol=1e-20)
-    assert cert.trace.stalled and cert.iterations == 600
+    # the retry's residual sits at rounding level (1.6e-16) from about
+    # iteration 500 on, so where it stalls is set by rounding alone
+    assert cert.trace.stalled and cert.iterations == 900
     assert cert.diagnostics["face_iterations"] == 550
     assert cert.witness is None and "rejected" in cert.diagnostics
     assert cert.diagnostics["witness_overlap"] > 0
