@@ -27,12 +27,13 @@ per-party table validity uses), its projector is the mask ids == 0, the
 affine projection has a closed form on each coefficient, and an order
 cone's residual is the largest per-id norm, one bincount. The basis change
 is one GEMM per group of adjacent factors (two for balanced spaces), and
-Dykstra carries the summands as one (K, ...) stack, so an iteration costs
-one basis change each way and at most one batched eigh (one per reduced
-size on the whole cone, where each order's step runs on a D/d x D/d
-operator; see below): a batched Cholesky first tests whether the stack is
-positive definite, and if it is, the projection clips nothing and needs
-no eigh (`_project_psd`).
+Dykstra carries the summands as one (K, ...) stack. Its PSD step is one
+grouped step (`_project_groups`), so an iteration costs one basis change
+each way and at most one batched eigh per group: one group on a face, and
+on the whole cone one per reduced size (each order's step runs on a
+D/d x D/d operator; see below). A batched Cholesky first tests whether
+the groups' stacks are positive definite, and if they are, the projection
+clips nothing and needs no eigh.
 
 What does not depend on W is set up once per party structure: the basis
 with its group transforms, factor layout (`tensor_core._grouping`) and
@@ -43,8 +44,9 @@ reduced bases and gather positions (`_reductions`). Once per process:
 W's coefficients, the basis change its validation made
 (`process._validity_sweep`), shared by the closed form, the face run, its
 whole-cone retry and the witness of each failed run (`extract_witness`).
-Once per call: the masks and V; once per face run, V†; once per
-whole-cone run, the identity axes, read off the masks.
+Once per call: the masks and V; once per face run, V† and its one
+whole-stack group; once per whole-cone run, the identity axes, read off
+the masks.
 Per iteration: the affine step, one basis change each way around the PSD
 step (none back when that step leaves a whole-cone stack as it is), and
 the residual. On a face, the basis changes come with four face products
@@ -60,7 +62,7 @@ them. The affine step, the gate, the stall rule, the residual and the
 witness are the same either side of the switch.
 
 On the whole cone each order's step runs on a reduced operator
-(`_reduced_groups`, `_project_reduced`). A process of a fixed total order
+(`_reduced_groups`). A process of a fixed total order
 carries the identity on its last party's output, W = W' ⊗ 1 (Araújo et
 al., NJP 17, 102001 (2015)): order i's mask allows only index 0 on those
 factors, its identity axes, so the affine step's output lies in S_i =
@@ -70,9 +72,13 @@ lies in S_i and the step is exact on Y: per iteration one gather of the
 (K, ...) reduced coefficients, one basis change to (K, D/d, D/d), the
 gate or eigh, one basis change back and one scatter into zeros. The
 identity axes are read off the masks, with no rule for any party;
-orders whose reduced sizes differ take one stack per size. Neither a face
-(V X V† is not of the form Y ⊗ 1) nor a trivial last output (the
-switch's F) has this structure: those runs take the D x D or r x r step.
+orders whose reduced sizes differ take one stack per size. An order with
+a trivial last output (the switch's F) has no identity axis and keeps
+the D x D operator. When no order has one, the one group is the whole
+stack, which the step reads and writes as it is, with no gather or
+scatter: the full switch's case. A face run (V X V† is not of the form
+Y ⊗ 1) is that whole-stack group compressed by V: V† M V in, V P_psd(·) V†
+out, and the compression when the gate passes.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -226,12 +232,13 @@ class FeasibilityTrace:
     is). ``converged`` is read off which one is
     kept, and ``residual`` and ``iterations`` are the last entry and the
     length of ``residual_history``. ``eigh_steps`` counts the iterations
-    whose PSD step ran eigh (`_project_psd`); the others found the stack
+    whose PSD step ran eigh (`_psd_part`); the others found the stack
     positive definite, which clips nothing (0 for the closed form).
     ``psd_dims`` gives, per order, the size of the matrices that the PSD
-    step diagonalised: r on a face, D/d on the whole cone when order i
-    carries the identity on factors of total dim d (`_reduced_groups`), D
-    otherwise, and () for the closed form, which has no PSD step."""
+    step diagonalised, read off its groups: r on a face, D/d on the whole
+    cone when order i carries the identity on factors of total dim d
+    (`_reduced_groups`), D otherwise, and () for the closed form, which
+    has no PSD step."""
 
     orders: tuple[OrderCone, ...]
     stalled: bool
@@ -389,8 +396,8 @@ def _face(w: np.ndarray) -> np.ndarray | None:
 def _positive_definite(x: np.ndarray) -> bool:
     """Whether one batched Cholesky accepts every item of a Hermitian stack.
     Cholesky is backward stable, so a stack it accepts is within a few r
-    ε_mach ||x|| of a positive definite one (r its size): the gate of
-    `_psd_eig` drops no more than the rounding of eigh itself."""
+    ε_mach ||x|| of a positive definite one (r its size): the gate of the
+    PSD step drops no more than the rounding of eigh itself."""
     try:
         np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
@@ -398,47 +405,21 @@ def _positive_definite(x: np.ndarray) -> bool:
     return True
 
 
-def _psd_eig(x: np.ndarray, gate: bool):
-    """The clipped spectrum of a Hermitian (K, r, r) stack: None when
-    ``gate`` is set and the stack is positive definite
-    (`_positive_definite`: nothing to clip, no eigh), else (e clipped at 0,
-    v, whether an eigenvalue was negative) from one batched eigh."""
-    if gate and _positive_definite(x):
-        return None
+def _psd_part(x: np.ndarray, lift: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """P_psd of each item of a Hermitian (K, r, r) stack from one batched
+    eigh, its eigenvalues clipped at 0, and whether one was negative. With
+    ``lift`` V (D x r) the eigenvectors are lifted first: V P_psd(x) V†."""
     e, v = np.linalg.eigh(x)
     clipped = bool(e[..., 0].min() < 0)
     np.maximum(e, 0, out=e)
-    return e, v, clipped
-
-
-def _project_psd(basis: _CoeffBasis, c: np.ndarray, face: np.ndarray | None,
-                 face_h: np.ndarray | None,
-                 gate: bool = True) -> tuple[np.ndarray, bool | None]:
-    """Nearest point of the PSD cone, or of its face {V X V† : X ⪰ 0} when
-    ``face`` is V (`_face`) and ``face_h`` is V† (both None for the cone),
-    to each operator M of a coefficient stack, with whether the step
-    clipped: (projection, clipped).
-
-    The stack (M, or V† M V on a face) goes through `_psd_eig`. When its
-    gate passes, nothing is clipped: the projection is M itself, so ``c``
-    is returned as given, or on a face the compression V (V† M V) V†, and
-    clipped is None. Otherwise the eigh is lifted to V P_psd(V† M V) V†,
-    the exact Frobenius projection. V = 1 would add three GEMMs to each
-    step."""
-    m = basis.from_coeffs(c)
-    x = m if face is None else face_h @ m @ face
-    eig = _psd_eig(x, gate)
-    if eig is None:
-        return (c if face is None else basis.to_coeffs(face @ x @ face_h)), None
-    e, v, clipped = eig
-    if face is not None:
-        v = face @ v
-    return basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)), clipped
+    if lift is not None:
+        v = lift @ v
+    return (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2), clipped
 
 
 def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
-    """The reduced whole-cone PSD step of K orders with masks m, or None
-    when no order has an identity axis.
+    """The groups of the whole-cone PSD step of K orders with masks m:
+    ((basis, orders, at), ...), one per reduced shape.
 
     Order i's identity axes are the coefficient axes (of size > 1) on which
     m_i is zero off index 0. For a total order they are its last party's
@@ -446,12 +427,13 @@ def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
     coefficients vanish off index 0 there are S_i = {Y ⊗ 1_d}, d the
     product of those factors' dims, and Y's coefficients over the product
     basis of the kept factors are those of Y ⊗ 1_d at index 0, divided by
-    sqrt(d). Returns ((reduced basis, orders, at), ...), one group per
-    reduced shape: ``at`` holds the positions in the flattened (K, ...)
-    stack of each of the group's orders' reduced coefficients, so
-    c.take(at) is the group's reduced stack. An order with no identity
-    axis keeps ``basis``'s shape. What depends on the masks alone is built
-    once (`_reductions`)."""
+    sqrt(d). ``at`` holds the positions in the flattened (K, ...) stack of
+    each of the group's orders' reduced coefficients, so c.take(at) is the
+    group's reduced stack. An order with no identity axis keeps
+    ``basis``'s shape; when no order has one, the one group is ``basis``
+    over the whole stack and ``at`` is None: nothing is gathered or
+    scattered. What depends on the masks alone is built once
+    (`_reductions`)."""
     dropped = [[] for _ in m]
     for j, n in enumerate(m.shape[1:]):
         if n > 1:
@@ -460,7 +442,7 @@ def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
                 if not moved:
                     dropped[i].append(j)
     if not any(dropped):
-        return None
+        return ((basis, tuple(range(len(m))), None),)
     return _reductions(tuple(basis.labels), basis.shape, tuple(map(tuple, dropped)), basis.dim)
 
 
@@ -490,23 +472,39 @@ def _reductions(labels: tuple[str, ...], shape: tuple[int, ...],
     return tuple(out)
 
 
-def _project_reduced(groups, c: np.ndarray, gate: bool = True) -> tuple[np.ndarray, bool | None]:
-    """`_project_psd` on the whole cone for a stack whose item i lies in
-    S_i (`_reduced_groups`): each group's reduced stack goes through one
-    basis change, the gate and eigh of `_psd_eig`, and one basis change
-    back, into zeros off S_i. P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d, and P_psd
-    is positively homogeneous, so the sqrt(d) in the reduced coefficients
-    needs no rescaling and the step is the exact Frobenius projection.
-    When every group passes the gate, ``c`` is returned as given."""
-    xs = [basis.from_coeffs(c.take(at)) for basis, _, at in groups]
+def _project_groups(groups, c: np.ndarray, face=None,
+                    gate: bool = True) -> tuple[np.ndarray, bool | None]:
+    """Nearest point of the PSD cone, or of its face {V X V† : X ⪰ 0} when
+    ``face`` is (V, V†) (`_face`), to each operator of a coefficient stack,
+    with whether the step clipped: (projection, clipped).
+
+    On the whole cone item i lies in S_i, and each group of
+    `_reduced_groups` takes its reduced stack through one basis change.
+    P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d, and P_psd is positively homogeneous,
+    so the sqrt(d) in the reduced coefficients needs no rescaling and the
+    step is the exact Frobenius projection. A face run has one group, the
+    whole stack, compressed to V† M V. When the gate passes
+    (`_positive_definite` on every group's stack), nothing is clipped:
+    ``c`` is returned as given, or on a face the compression V (V† M V) V†,
+    and clipped is None. Otherwise each group runs `_psd_part`, lifted by V
+    on a face, and one basis change back; a group with gather positions is
+    put into zeros off S_i. V = 1 would add three GEMMs to each step."""
+    xs = [basis.from_coeffs(c if at is None else c.take(at)) for basis, _, at in groups]
+    v = None
+    if face is not None:
+        v, vh = face
+        xs = [vh @ xs[0] @ v]
     if gate and all(map(_positive_definite, xs)):
-        return c, None
-    out = np.zeros_like(c)
+        return (c if v is None else groups[0][0].to_coeffs(v @ xs[0] @ vh)), None
+    out = None if groups[0][2] is None else np.zeros_like(c)
     clipped = False
     for (basis, _, at), x in zip(groups, xs):
-        e, v, neg = _psd_eig(x, False)
+        x, neg = _psd_part(x, v)
         clipped |= neg
-        out.put(at, basis.to_coeffs((v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)))
+        if at is None:
+            out = basis.to_coeffs(x)
+        else:
+            out.put(at, basis.to_coeffs(x))
     return out, clipped
 
 
@@ -558,18 +556,16 @@ def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray:
 
 def _project_on_maps(fwd: np.ndarray, c: np.ndarray,
                      gate: bool = True) -> tuple[np.ndarray, bool | None]:
-    """`_project_psd` on a face through its map fwd (`_face_maps`): one
-    GEMM into (K, r, r), `_psd_eig`, one GEMM back. When the gate passes
-    the projection is the compression V (V† M V) V†, as on a face without
-    the maps; otherwise V P_psd(V† M V) V†."""
+    """`_project_groups` on a face through its map fwd (`_face_maps`): one
+    GEMM into (K, r, r), the gate or `_psd_part`, one GEMM back. When the
+    gate passes the projection is the compression V (V† M V) V†, as on a
+    face without the maps; otherwise V P_psd(V† M V) V†."""
     k = len(c)
     r = math.isqrt(fwd.shape[1] // 2)
     x = (c.reshape(k, -1) @ fwd).view(complex).reshape(k, r, r)
-    eig = _psd_eig(x, gate)
     clipped = None
-    if eig is not None:
-        e, v, clipped = eig
-        x = (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    if not (gate and _positive_definite(x)):
+        x, clipped = _psd_part(x)
     return (x.reshape(k, -1).view(float) @ fwd.T).reshape(c.shape), clipped
 
 
@@ -578,7 +574,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
     """Alternating projections on the summands x = (x_1, ..., x_K), held as
     one (K, ...) coefficient stack, between the affine set {x_i in L_i,
     sum_i x_i = W_par} and the PSD product cone, or its face when ``face``
-    is V (`_project_psd`); returns the run's FeasibilityTrace. wc holds W's
+    is V (`_face`); returns the run's FeasibilityTrace. wc holds W's
     real coefficients, which `check_separability` expands once per call and
     shares between its runs, and m stacks the masks of the subspaces L_i.
     On a coefficient that n > 0 of the L_i allow, the affine step subtracts
@@ -589,19 +585,21 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
     iterations, the residual has fallen by less than STALL_REL relative to
     its value STALL_WINDOW iterations back.
 
-    The PSD step is gated (`_project_psd`): a Cholesky test comes first,
-    and eigh runs only when the stack is not positive definite. After a
-    step that clipped, the next one skips the test and goes straight to
-    eigh, so a run that clips on every step pays for one test in all;
-    ``eigh_steps`` counts the iterations that ran eigh. From the iteration
-    that `_maps_start` names, a face run builds its face map once and
-    takes the same gated step through it (`_project_on_maps`). A
-    whole-cone run takes each order's step on its reduced operator Y of
-    S_i = {Y ⊗ 1_d} (`_project_reduced`): the affine step keeps the masks'
-    exact zeros, q starts at 0 and the step scatters into zeros, so every
-    PSD input lies in S_i, where P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d makes the
-    reduced step exact. A run whose orders have no identity axis (the
-    switch, whose last party F has a trivial output) takes the full step."""
+    The PSD step is one of two. Until the iteration that `_maps_start`
+    names, and on the whole cone always, it is the grouped step
+    (`_project_groups`): on the whole cone each order's step runs on its
+    reduced operator Y of S_i = {Y ⊗ 1_d} (`_reduced_groups`; the affine
+    step keeps the masks' exact zeros, q starts at 0 and the step puts
+    into zeros, so every PSD input lies in S_i, where P_psd(Y ⊗ 1_d) =
+    P_psd(Y) ⊗ 1_d makes the reduced step exact), and a face run is one
+    whole-stack group compressed by V. From that iteration on, a face run
+    builds its face map once and takes the same step through it
+    (`_project_on_maps`). Both are gated: a Cholesky test comes first, and
+    eigh runs only when the stack is not positive definite. After a step
+    that clipped, the next one skips the test and goes straight to eigh,
+    so a run that clips on every step pays for one test in all;
+    ``eigh_steps`` counts the iterations that ran eigh, and ``psd_dims``
+    is read off the groups (r on a face)."""
     n = m.sum(axis=0)
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
@@ -612,8 +610,10 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         r = (t.sum(axis=0) - wpar) * m
         return t - r + r * keep
 
-    face_h = None if face is None else face.conj().T
-    groups = None if face is not None else _reduced_groups(basis, m)
+    if face is None:
+        groups, face_pair = _reduced_groups(basis, m), None
+    else:
+        groups, face_pair = ((basis, tuple(range(len(m))), None),), (face, face.conj().T)
     start = _maps_start(face, len(m))
     fwd = None
     b = np.stack([wpar / len(m)] * len(m))
@@ -635,12 +635,10 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         c = a + q
         if it == start:
             fwd = _face_maps(basis, face)
-        if fwd is not None:
-            nb, clipped = _project_on_maps(fwd, c, gate=not clipped)
-        elif groups is not None:
-            nb, clipped = _project_reduced(groups, c, gate=not clipped)
+        if fwd is None:
+            nb, clipped = _project_groups(groups, c, face_pair, gate=not clipped)
         else:
-            nb, clipped = _project_psd(basis, c, face, face_h, gate=not clipped)
+            nb, clipped = _project_on_maps(fwd, c, gate=not clipped)
         eigh_steps += clipped is not None
         q = c - nb
         d = (a - nb).ravel()
@@ -656,16 +654,12 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
                 stalled = True
                 break
     converged = res < tol
-    if groups is not None:
-        sizes = {i: reduced.dim for reduced, orders, _ in groups for i in orders}
-        psd_dims = tuple(sizes[i] for i in range(len(m)))
-    else:
-        psd_dims = (basis.dim if face is None else face.shape[1],) * len(m)
+    dims = {i: g.dim if face is None else face.shape[1] for g, orders, _ in groups for i in orders}
     return FeasibilityTrace(orders=cones, stalled=stalled,
                             residual_history=np.asarray(hist), perp=perp,
                             summands=b * m if converged else None,
                             dual=None if converged else -q, eigh_steps=eigh_steps,
-                            psd_dims=psd_dims)
+                            psd_dims=tuple(dims[i] for i in range(len(m))))
 
 
 def _pure_decomposition(wc: np.ndarray, m: np.ndarray, cones, tol):

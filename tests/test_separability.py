@@ -242,43 +242,12 @@ def psd_stack(kind, d, rng, lead):
 
 
 @pytest.mark.parametrize("on_face", [False, True], ids=["cone", "face"])
-@pytest.mark.parametrize("dims", [[2, 2, 2, 2], [5, 2], [2] * 5],
-                         ids=lambda d: "x".join(map(str, d)))
-def test_psd_step_matches_dense_eigh(dims, on_face, rng):
-    # the one PSD step of the Dykstra loop, on (2, 3) stacks, against a
-    # dense projection per item: eigh of M, or V P_psd(V^dag M V) V^dag,
-    # whether the Cholesky gate takes the step or eigh does
-    space = labeled(dims)
-    basis = _CoeffBasis(space)
-    v = np.eye(space.dim)
-    if on_face:
-        g = rng.normal(size=(space.dim, space.dim // 2)) + 1j * rng.normal(
-            size=(space.dim, space.dim // 2))
-        v = np.linalg.qr(g)[0]
-    face = (v, v.conj().T) if on_face else (None, None)
-    for kind in ("indefinite", "pd", "singular_psd"):
-        ms = psd_stack(kind, space.dim, rng, (2, 3))
-        c = basis.to_coeffs(ms)
-        got, clipped = separability._project_psd(basis, c, *face)
-        if kind == "indefinite":
-            assert clipped is True
-        elif kind == "pd":
-            # the whole cone returns the stack it was given, a face compresses
-            assert clipped is None and (got is c) == (not on_face)
-        for i in range(2):
-            for j in range(3):
-                e, u = np.linalg.eigh(v.conj().T @ ms[i, j] @ v)
-                x = v @ u
-                want = (x * np.clip(e, 0, None)) @ x.conj().T
-                assert np.max(np.abs(basis.from_coeffs(got[i, j]) - want)) < 1e-12, kind
-
-
-@pytest.mark.parametrize("on_face", [False, True], ids=["cone", "face"])
 def test_psd_step_runs_eigh_only_when_the_stack_is_not_positive_definite(
         monkeypatch, on_face, rng):
-    space = labeled([2, 2, 2])
-    basis = _CoeffBasis(space)
-    face = (None, None)
+    # one whole-stack group, on the cone or compressed to a face
+    basis = _CoeffBasis(labeled([2, 2, 2]))
+    groups = ((basis, (0, 1), None),)
+    face = None
     if on_face:
         v = np.linalg.qr(rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))[0]
         face = (v, v.conj().T)
@@ -290,15 +259,23 @@ def test_psd_step_runs_eigh_only_when_the_stack_is_not_positive_definite(
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
-    r = 8 if face[0] is None else 4
+    r = 8 if face is None else 4
     pd = basis.to_coeffs(psd_stack("pd", 8, rng, (2,)))
     indefinite = basis.to_coeffs(psd_stack("indefinite", 8, rng, (2,)))
-    assert separability._project_psd(basis, pd, *face)[1] is None and calls == []
-    assert separability._project_psd(basis, indefinite, *face)[1] is True
+    got, clipped = separability._project_groups(groups, pd, face)
+    assert clipped is None and calls == []
+    # the cone returns the stack as given, a face its compression
+    if face is None:
+        assert got is pd
+    else:
+        m = basis.from_coeffs(pd)
+        want = v @ (v.conj().T @ m @ v) @ v.conj().T
+        assert np.max(np.abs(basis.from_coeffs(got) - want)) < 1e-12
+    assert separability._project_groups(groups, indefinite, face)[1] is True
     assert calls == [(2, r, r)]
     # without the gate, eigh runs on a positive-definite stack too and
     # reports that it clipped nothing
-    assert separability._project_psd(basis, pd, *face, gate=False)[1] is False
+    assert separability._project_groups(groups, pd, face, gate=False)[1] is False
     assert calls == [(2, r, r)] * 2
 
 
@@ -531,7 +508,10 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     face map (`_face_maps`), as every step runs through its basis change.
     On the whole cone, each order's step runs on its reduced operator, one
     order at a time, through the library's reduced basis and index
-    (`_reduced_groups`). Kept as the reference that `_dykstra` must match
+    (`_reduced_groups`); a group with no gather positions, the whole stack
+    when no order has an identity axis, takes the plain D x D step below
+    instead, so that the library's grouped step is checked against code it
+    does not share. Kept as the reference that `_dykstra` must match
     bit for bit; returns (residual_history, summands or None, dual or None,
     eigh steps)."""
     n = m.sum(axis=0)
@@ -543,8 +523,9 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     fwd = None
     reduced = {}
     if face is None:
-        for rbasis, orders, at in separability._reduced_groups(basis, m) or ():
-            reduced.update((i, (rbasis, index)) for i, index in zip(orders, at))
+        for rbasis, orders, at in separability._reduced_groups(basis, m):
+            if at is not None:
+                reduced.update((i, (rbasis, index)) for i, index in zip(orders, at))
 
     def proj_affine(y):
         t = y * m
@@ -730,30 +711,6 @@ def test_face_maps_match_the_basis_change(make, rank, rng):
     assert np.max(np.abs(back - basis.to_coeffs(face @ h @ face.conj().T))) < 1e-13
 
 
-@pytest.mark.parametrize("make, rank", FACE_MAP_CASES, ids=FACE_MAP_IDS)
-def test_psd_step_on_the_maps_matches_dense_eigh(make, rank, rng):
-    # as test_psd_step_matches_dense_eigh: V P_psd(V^dag M V) V^dag per
-    # item, whether the Cholesky gate takes the step or eigh does
-    basis, face, fwd = face_and_maps(make, rank)
-    d = face.shape[0]
-    for kind in ("indefinite", "pd", "singular_psd"):
-        ms = psd_stack(kind, d, rng, (3,)) / d
-        c = basis.to_coeffs(ms)
-        got, clipped = separability._project_on_maps(fwd, c)
-        assert got.shape == c.shape
-        if kind == "indefinite":
-            assert clipped is True
-        elif kind == "pd":
-            # without the gate, eigh runs and reports that it clipped nothing
-            assert clipped is None
-            assert separability._project_on_maps(fwd, c, gate=False)[1] is False
-        for i in range(3):
-            e, u = np.linalg.eigh(face.conj().T @ ms[i] @ face)
-            x = face @ u
-            want = (x * np.clip(e, 0, None)) @ x.conj().T
-            assert np.max(np.abs(basis.from_coeffs(got[i]) - want)) < 1e-12, kind
-
-
 def no_maps(*args):
     raise AssertionError("a run built face maps")
 
@@ -855,52 +812,129 @@ def test_reduced_groups_drop_each_orders_last_output(make, dims):
     assert len(groups) == len(set(dims))
 
 
-def no_reduced_step(*args):
-    raise AssertionError("a run took the reduced step")
-
-
 def test_trivial_last_output_keeps_the_full_step(switch):
     # the switch's F comes last with a trivial output, so no order has an
-    # identity axis: no reduction, and a whole-cone run takes the D x D
-    # step of the plain loop, bit for bit
+    # identity axis: one 64 x 64 group over both orders, which gathers
+    # nothing, and a whole-cone run takes the D x D step of the plain loop,
+    # bit for bit
     basis = process._party_moves(switch.parties)[0]
     cones = tuple(cs.OrderCone(o) for o in _default_orders(switch.parties))
     masks = separability._cone_masks(switch.parties, cones)
-    assert separability._reduced_groups(basis, masks) is None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(separability, "_project_reduced", no_reduced_step)
-        run = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cones,
-                                    separability.SEP_TOL, 3)
+    (rbasis, orders, at), = separability._reduced_groups(basis, masks)
+    assert rbasis.dim == 64 and orders == (0, 1) and at is None
+    run = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cones,
+                                separability.SEP_TOL, 3)
     hist, _, dual, steps = reference_dykstra(basis, switch.w.mat, masks, cones,
                                              separability.SEP_TOL, 3)
     assert run.psd_dims == (64, 64) and run.eigh_steps == steps == 3
     assert np.array_equal(run.residual_history, hist) and np.array_equal(run.dual, dual)
 
 
-@pytest.mark.parametrize("make, dims", REDUCED_CASES, ids=REDUCED_IDS)
-def test_reduced_step_matches_dense_eigh(make, dims, rng):
-    # on a stack whose item i lies in S_i = {Y (x) 1}, the reduced step is
-    # the dense projection of each D x D item, whether the Cholesky gate
-    # takes the step or eigh does, and it leaves zeros off S_i
-    _, basis, masks, groups, in_s = reduced_setup(make)
+def test_whole_cone_mixes_a_full_and_a_reduced_group(switch):
+    # against (A, B, F) and (A, F, B) only the second order has an identity
+    # axis, B's output: a full 64 x 64 group beside a 32 x 32 one, each
+    # with gather positions, bit for bit with the plain loop. The pair stays
+    # undecided for 20,000 iterations, so the run is cut at 40
+    basis = process._party_moves(switch.parties)[0]
+    cones = (cs.OrderCone(("A", "B", "F")), cs.OrderCone(("A", "F", "B")))
+    masks = separability._cone_masks(switch.parties, cones)
+    groups = separability._reduced_groups(basis, masks)
+    assert [(g.dim, orders) for g, orders, _ in groups] == [(64, (0,)), (32, (1,))]
+    assert all(at is not None for _, _, at in groups)
+    run = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cones,
+                                separability.SEP_TOL, 40)
+    hist, _, dual, steps = reference_dykstra(basis, switch.w.mat, masks, cones,
+                                             separability.SEP_TOL, 40)
+    assert run.iterations == 40 and run.psd_dims == (64, 32)
+    assert run.eigh_steps == steps == 40
+    assert np.array_equal(run.residual_history, hist) and np.array_equal(run.dual, dual)
+
+
+LABELLED_DIMS = ([2, 2, 2, 2], [5, 2], [2] * 5)
+STEP_CASES = ([("group", (dims, on_face)) for dims in LABELLED_DIMS for on_face in (False, True)]
+              + [("group", ("switch", False))]
+              + [("reduced", make) for make, _ in REDUCED_CASES]
+              + [("maps", case) for case in FACE_MAP_CASES])
+STEP_IDS = ([f"{'x'.join(map(str, dims))}-{where}" for dims in LABELLED_DIMS
+             for where in ("cone", "face")] + ["switch"]
+            + [f"reduced-{i}" for i in REDUCED_IDS] + [f"maps-{i}" for i in FACE_MAP_IDS])
+
+
+def step_case(rep, arg, rng):
+    """One representation of the PSD step: (basis, step, draw, v, in_s).
+    step(c, gate) is the library's step; draw(kind) gives a psd_stack of
+    that kind in coefficients, of a form the step takes exactly; v is the
+    face (None on the cone); in_s, on a reduced whole cone, is where each
+    order's stack may be nonzero."""
+    if rep == "maps":
+        basis, v, fwd = face_and_maps(*arg)
+        d = basis.dim
+        return (basis, lambda c, gate: separability._project_on_maps(fwd, c, gate),
+                lambda kind: basis.to_coeffs(psd_stack(kind, d, rng, (3,)) / d), v, None)
+    if rep == "reduced":
+        _, basis, masks, groups, in_s = reduced_setup(arg)
+
+        def draw(kind):
+            # item i in S_i: a stack of each group's reduced operators Y
+            c = np.zeros(masks.shape)
+            for rbasis, _, at in groups:
+                ys = psd_stack(kind, rbasis.dim, rng, (len(at),)) / rbasis.dim
+                c.put(at, rbasis.to_coeffs(ys))
+            return c
+
+        return (basis, lambda c, gate: separability._project_groups(groups, c, gate=gate),
+                draw, None, in_s)
+    # one whole-stack group: read off the switch's masks, or on a labelled
+    # space, where it is given (2, 3) stacks and may be compressed to a face
+    dims, on_face = arg
+    if dims == "switch":
+        p = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+        basis = process._party_moves(p.parties)[0]
+        cones = [cs.OrderCone(o) for o in _default_orders(p.parties)]
+        groups = separability._reduced_groups(basis, separability._cone_masks(p.parties, cones))
+        lead = (2,)
+    else:
+        basis = _CoeffBasis(labeled(dims))
+        groups = ((basis, (0, 1), None),)
+        lead = (2, 3)
+    d = basis.dim
+    v = face = None
+    if on_face:
+        v = np.linalg.qr(rng.normal(size=(d, d // 2)) + 1j * rng.normal(size=(d, d // 2)))[0]
+        face = (v, v.conj().T)
+    return (basis, lambda c, gate: separability._project_groups(groups, c, face, gate),
+            lambda kind: basis.to_coeffs(psd_stack(kind, d, rng, lead)), v, None)
+
+
+@pytest.mark.parametrize("rep, arg", STEP_CASES, ids=STEP_IDS)
+def test_psd_step_matches_dense_eigh(rep, arg, rng):
+    # every representation of the one PSD step of the Dykstra loop (one
+    # whole-stack group, each order's reduced operator, a face by basis
+    # change or through its map) against a dense projection per item: eigh
+    # of M, or V P_psd(V^dag M V) V^dag on a face, whether the Cholesky gate
+    # takes the step or eigh does. A reduced step leaves zeros off S_i
+    basis, step, draw, v, in_s = step_case(rep, arg, rng)
     for kind in ("indefinite", "pd", "singular_psd"):
-        c = np.zeros(masks.shape)
-        for rbasis, _, at in groups:
-            ys = psd_stack(kind, rbasis.dim, rng, (len(at),)) / rbasis.dim
-            c.put(at, rbasis.to_coeffs(ys))
-        got, clipped = separability._project_reduced(groups, c)
+        c = draw(kind)
+        got, clipped = step(c, True)
+        assert got.shape == c.shape
         if kind == "indefinite":
             assert clipped is True
         elif kind == "pd":
-            assert clipped is None and got is c
-            assert separability._project_reduced(groups, c, gate=False)[1] is False
-        assert not got[~in_s].any()
-        for i, d in enumerate(dims):
-            m = basis.from_coeffs(c[i])
-            e, u = np.linalg.eigh(m)
-            if kind == "singular_psd":
+            # the whole cone returns the stack it was given, a face its
+            # compression; without the gate, eigh runs and reports that it
+            # clipped nothing
+            assert clipped is None and (got is c) == (v is None)
+            assert step(c, False)[1] is False
+        if in_s is not None:
+            assert not got[~in_s].any()
+        ms = basis.from_coeffs(c)
+        for i in np.ndindex(*c.shape[:c.ndim - len(basis.shape)]):
+            e, u = np.linalg.eigh(ms[i] if v is None else v.conj().T @ ms[i] @ v)
+            if kind == "singular_psd" and in_s is not None:
                 assert abs(e[0]) < 1e-12 and e[-1] > 0.1
-            want = (u * np.clip(e, 0, None)) @ u.conj().T
+            x = u if v is None else v @ u
+            want = (x * np.clip(e, 0, None)) @ x.conj().T
             assert np.max(np.abs(basis.from_coeffs(got[i]) - want)) < 1e-12, kind
 
 
@@ -983,7 +1017,7 @@ def test_pure_process_takes_one_eigh_and_no_psd_step(monkeypatch):
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(separability, "_project_psd", lambda *args: steps.append(args))
+    monkeypatch.setattr(separability, "_project_groups", lambda *args: steps.append(args))
     cert = cs.check_separability(degenerate_switch())
     assert cert.separable and cert.iterations == 1
     assert calls == [(64, 64)] and steps == []
