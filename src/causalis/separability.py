@@ -28,10 +28,12 @@ affine projection has a closed form on each coefficient, and an order
 cone's residual is the largest per-id norm, one bincount. The basis change
 is one GEMM per group of adjacent factors (two for balanced spaces), and
 Dykstra carries the summands as one (K, ...) stack. Its PSD step is one
-grouped step (`_project_groups`), so an iteration costs one basis change
-each way and at most one batched eigh per group: one group on a face, and
-on the whole cone one per reduced size (each order's step runs on a
-D/d x D/d operator; see below). A batched Cholesky first tests whether
+grouped step (`_project_groups`), so an iteration takes each group to
+matrices and back once, with at most one batched eigh per group: one
+group on a face, and on the whole cone one per reduced size (each order's
+step runs on a D/d x D/d operator; see below). A group goes to matrices
+and back through a precomputed real map where its map is small, and
+through the basis change otherwise. A batched Cholesky first tests whether
 the groups' stacks are positive definite, and if they are, the projection
 clips nothing and needs no eigh.
 
@@ -40,26 +42,26 @@ with its group transforms, factor layout (`tensor_core._grouping`) and
 GEMM shapes, for any leading (K, ...) axes (`_party_moves`,
 `_CoeffBasis`), the pattern ids (`_cone_ids`), the witness battery
 (`_battery`) and, per pattern of identity axes, the whole-cone step's
-reduced bases and gather positions (`_reductions`). Once per process:
-W's coefficients, the basis change its validation made
+groups: reduced bases, gather positions and maps (`_reductions`). Once
+per process: W's coefficients, the basis change its validation made
 (`process._validity_sweep`), shared by the closed form, the face run, its
 whole-cone retry and the witness of each failed run (`extract_witness`).
-Once per call: the masks and V; once per face run, V† and its one
-whole-stack group; once per whole-cone run, the identity axes, read off
-the masks.
-Per iteration: the affine step, one basis change each way around the PSD
-step (none back when that step leaves a whole-cone stack as it is), and
-the residual. On a face, the basis changes come with four face products
-(V† M V, then V X V†), so a long face run switches to its face map
-(`_face_maps`, built once per run from one basis change): a real (N, 2r²)
-array fwd, N = D², with c @ fwd viewed as complex equal to V† M(c) V, and
-an r x r stack's float view times fwd.T equal to the coefficients of
-V X V†. After the switch an iteration costs one GEMM each way around the
-(K, r, r) Cholesky gate or eigh, and nothing leaves the face's
-coordinates. A run switches after ⌈r²/2K⌉ iterations when the maps hold
-at most FACE_MAP_CAP floats (`_maps_start`); short runs never build
-them. The affine step, the gate, the stall rule, the residual and the
-witness are the same either side of the switch.
+Once per call: the masks and V; once per face run, V†, its face map and
+its one whole-stack group; once per whole-cone run, the identity axes,
+read off the masks.
+Per iteration: the affine step, one GEMM or basis change each way around
+the PSD step (none back when that step leaves a whole-cone stack as it
+is), and the residual. The face map (`_face_maps`, built before a face
+run's first step from one basis change) is a real (N, 2r²) array fwd, N
+= D², with c @ fwd viewed as complex equal to V† M(c) V, and an r x r
+stack's float view times fwd.T equal to the coefficients of V X V†, so a
+face step costs one GEMM each way around the (K, r, r) Cholesky gate or
+eigh, and nothing leaves the face's coordinates. A face whose map would
+hold more than FACE_MAP_CAP floats changes basis around each step
+instead, with four face products (V† M V, then V X V†). A whole-cone
+group's map (`_group_map`) is the same kind of array with V = 1, built
+once per structure for groups of at most 13 x 13, where it beats the
+basis change; larger groups keep the basis change.
 
 On the whole cone each order's step runs on a reduced operator
 (`_reduced_groups`). A process of a fixed total order
@@ -69,16 +71,18 @@ factors, its identity axes, so the affine step's output lies in S_i =
 {Y ⊗ 1_d} with exact zeros off it, d the product of their dims. q starts
 at 0 and P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d, so every input of the PSD step
 lies in S_i and the step is exact on Y: per iteration one gather of the
-(K, ...) reduced coefficients, one basis change to (K, D/d, D/d), the
-gate or eigh, one basis change back and one scatter into zeros. The
+(K, ...) reduced coefficients, one map GEMM or basis change to (K, D/d,
+D/d), the gate or eigh, one back and one scatter into zeros. The
 identity axes are read off the masks, with no rule for any party;
 orders whose reduced sizes differ take one stack per size. An order with
 a trivial last output (the switch's F) has no identity axis and keeps
 the D x D operator. When no order has one, the one group is the whole
 stack, which the step reads and writes as it is, with no gather or
-scatter: the full switch's case. A face run (V X V† is not of the form
-Y ⊗ 1) is that whole-stack group compressed by V: V† M V in, V P_psd(·) V†
-out, and the compression when the gate passes.
+scatter: the full switch's case, whose 64 x 64 group keeps its basis
+change. A face run (V X V† is not of the form Y ⊗ 1) is that whole-stack
+group through its face map, or compressed by V when the map is over the
+cap: V† M V in, V P_psd(·) V† out, and the compression when the gate
+passes.
 
 Dykstra runs on the face of the PSD cone that W spans. Every PSD summand
 has W_i ⪯ W, so W_i = V X_i V† with V (D x r) an orthonormal basis of
@@ -145,7 +149,7 @@ BATTERY_SEED = 7  # the witness battery's default_rng seed
 STALL_WINDOW = 500
 STALL_REL = 1e-12
 STALL_CHECK_EVERY = 50
-FACE_MAP_CAP = 2**21  # floats a face run's maps may hold (16 MB); see _maps_start
+FACE_MAP_CAP = 2**21  # floats a face run's map may hold (16 MB); see _face_maps
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +409,18 @@ def _positive_definite(x: np.ndarray) -> bool:
     return True
 
 
-def _psd_part(x: np.ndarray, lift: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """P_psd of each item of a Hermitian (K, r, r) stack from one batched
-    eigh, its eigenvalues clipped at 0, and whether one was negative. With
-    ``lift`` V (D x r) the eigenvectors are lifted first: V P_psd(x) V†."""
+def _psd_part(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """P_psd of each item of a Hermitian (..., r, r) stack from one batched
+    eigh, its eigenvalues clipped at 0, and whether one was negative."""
     e, v = np.linalg.eigh(x)
     clipped = bool(e[..., 0].min() < 0)
     np.maximum(e, 0, out=e)
-    if lift is not None:
-        v = lift @ v
     return (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2), clipped
 
 
 def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
     """The groups of the whole-cone PSD step of K orders with masks m:
-    ((basis, orders, at), ...), one per reduced shape.
+    ((basis, orders, at, fwd), ...), one per reduced shape.
 
     Order i's identity axes are the coefficient axes (of size > 1) on which
     m_i is zero off index 0. For a total order they are its last party's
@@ -430,9 +431,10 @@ def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
     sqrt(d). ``at`` holds the positions in the flattened (K, ...) stack of
     each of the group's orders' reduced coefficients, so c.take(at) is the
     group's reduced stack. An order with no identity axis keeps
-    ``basis``'s shape; when no order has one, the one group is ``basis``
-    over the whole stack and ``at`` is None: nothing is gathered or
-    scattered. What depends on the masks alone is built once
+    ``basis``'s shape; when no order has one, the one group is the whole
+    stack and ``at`` is None: nothing is gathered or scattered. ``fwd`` is
+    the group's map (`_group_map`), or None where the basis change is
+    cheaper. What depends on the masks alone is built once
     (`_reductions`)."""
     dropped = [[] for _ in m]
     for j, n in enumerate(m.shape[1:]):
@@ -441,8 +443,6 @@ def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
             for i, moved in enumerate(m.any(axis=rest)[:, 1:].any(axis=1)):
                 if not moved:
                     dropped[i].append(j)
-    if not any(dropped):
-        return ((basis, tuple(range(len(m))), None),)
     return _reductions(tuple(basis.labels), basis.shape, tuple(map(tuple, dropped)), basis.dim)
 
 
@@ -451,11 +451,13 @@ def _reductions(labels: tuple[str, ...], shape: tuple[int, ...],
                 dropped: tuple[tuple[int, ...], ...], dim: int):
     """`_reduced_groups` for the coefficient axes ``dropped`` per order of
     a D = ``dim`` basis with ``labels`` and coefficient ``shape``, its
-    arrays read-only. A group's basis is that of its first order's kept
-    factors, grouped under the full basis's cap D (`_CoeffBasis`): a
+    arrays read-only and built once: the gather positions, and each
+    group's map next to them. A group's basis is that of its first order's
+    kept factors, grouped under the full basis's cap D (`_CoeffBasis`): a
     reduced qubit space has an odd number of factors, which the reduced
     D would split into three GEMMs where D splits it into two. The basis
-    depends on the kept dims only, so it serves every order of its shape."""
+    depends on the kept dims only, so it serves every order of its shape;
+    with nothing dropped it is the full basis over the whole stack."""
     flat = np.arange(len(dropped) * math.prod(shape)).reshape((len(dropped),) + shape)
     groups = {}
     for i, axes in enumerate(dropped):
@@ -468,8 +470,33 @@ def _reductions(labels: tuple[str, ...], shape: tuple[int, ...],
         at = np.stack([a for _, a in rows])
         at.setflags(write=False)
         space = SpaceProduct(LabeledSpace(labels[j], d) for j, d in zip(kept, dims))
-        out.append((_CoeffBasis(space, dim), tuple(i for i, _ in rows), at))
+        rbasis = _CoeffBasis(space, dim)
+        out.append((rbasis, tuple(i for i, _ in rows), at if any(dropped) else None,
+                    _group_map(rbasis)))
     return tuple(out)
+
+
+def _group_map(basis: _CoeffBasis) -> np.ndarray | None:
+    """The map of a whole-cone group, a read-only real (n, 2d²) array fwd
+    for a d x d basis with n = d² coefficients: row k is the float view of
+    B_k (`from_coeffs` of the k-th unit vector), so for real coefficients
+    c, c @ fwd viewed as complex is the d x d operator, and for a Hermitian
+    d x d X, X's float view times fwd.T is X's real coefficient row, Tr[B_k
+    X] = sum_ij Re(X_ij conj (B_k)_ij). None when the map would hold more
+    than 2^16 floats (0.5 MB, d = 13), the one limit of the whole-cone
+    maps. Both GEMMs read the whole map, so a step through it costs about
+    45 µs per MB (one BLAS thread, K = 2, both directions), against 18 to
+    35 µs for the basis change of d = 8 to 18: the map won at d = 12 (0.33
+    MB, 14.8 against 22.2 µs) and lost from d = 16 on (1 MB, 44.9 against
+    25.4 µs; 40 times the time at d = 32). Larger groups, the full
+    switch's 64 x 64 among them, keep the basis change."""
+    n = math.prod(basis.shape)
+    if 2 * n * n > 2**16:
+        return None
+    fwd = np.ascontiguousarray(basis.from_coeffs(np.eye(n).reshape((n,) + basis.shape)))
+    fwd = fwd.reshape(n, -1).view(float)
+    fwd.setflags(write=False)
+    return fwd
 
 
 def _project_groups(groups, c: np.ndarray, face=None,
@@ -478,61 +505,57 @@ def _project_groups(groups, c: np.ndarray, face=None,
     ``face`` is (V, V†) (`_face`), to each operator of a coefficient stack,
     with whether the step clipped: (projection, clipped).
 
-    On the whole cone item i lies in S_i, and each group of
-    `_reduced_groups` takes its reduced stack through one basis change.
-    P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d, and P_psd is positively homogeneous,
-    so the sqrt(d) in the reduced coefficients needs no rescaling and the
-    step is the exact Frobenius projection. A face run has one group, the
-    whole stack, compressed to V† M V. When the gate passes
-    (`_positive_definite` on every group's stack), nothing is clipped:
-    ``c`` is returned as given, or on a face the compression V (V† M V) V†,
-    and clipped is None. Otherwise each group runs `_psd_part`, lifted by V
-    on a face, and one basis change back; a group with gather positions is
-    put into zeros off S_i. V = 1 would add three GEMMs to each step."""
-    xs = [basis.from_coeffs(c if at is None else c.take(at)) for basis, _, at in groups]
-    v = None
-    if face is not None:
+    Each group takes its stack, c.take(at) or the whole of c, to matrices
+    and back by one of two means: its map fwd when it has one (one GEMM
+    each way: `_group_map` on the whole cone, `_face_maps` on a face, where
+    the map already holds V), or else its basis change, compressed to V† M
+    V on a face. On the whole cone item i lies in S_i, and each group of
+    `_reduced_groups` runs on its reduced stack. P_psd(Y ⊗ 1_d) = P_psd(Y)
+    ⊗ 1_d, and P_psd is positively homogeneous, so the sqrt(d) in the
+    reduced coefficients needs no rescaling and the step is the exact
+    Frobenius projection. A face run has one group, the whole stack. When
+    the gate passes (`_positive_definite` on every group's stack), nothing
+    is clipped: ``c`` is returned as given, or on a face the compression V
+    (V† M V) V†, and clipped is None. Otherwise each group runs
+    `_psd_part` and goes back, on a face without a map as V P_psd(V† M V)
+    V†; a group with gather positions is put into zeros off S_i."""
+    xs = []
+    for basis, _, at, fwd in groups:
+        x = c if at is None else c.take(at)
+        if fwd is None:
+            xs.append(basis.from_coeffs(x))
+        else:
+            s = math.isqrt(fwd.shape[1] // 2)
+            xs.append((x.reshape(len(x), -1) @ fwd).view(complex).reshape(len(x), s, s))
+    lift = face is not None and groups[0][3] is None
+    if lift:
         v, vh = face
         xs = [vh @ xs[0] @ v]
+    clipped = None
     if gate and all(map(_positive_definite, xs)):
-        return (c if v is None else groups[0][0].to_coeffs(v @ xs[0] @ vh)), None
+        if face is None:
+            return c, None
+    else:
+        xs, negs = zip(*map(_psd_part, xs))
+        clipped = any(negs)
+    if lift:
+        xs = [v @ xs[0] @ vh]
     out = None if groups[0][2] is None else np.zeros_like(c)
-    clipped = False
-    for (basis, _, at), x in zip(groups, xs):
-        x, neg = _psd_part(x, v)
-        clipped |= neg
+    for (basis, _, at, fwd), x in zip(groups, xs):
+        y = basis.to_coeffs(x) if fwd is None else x.reshape(len(x), -1).view(float) @ fwd.T
         if at is None:
-            out = basis.to_coeffs(x)
+            out = y.reshape(c.shape)
         else:
-            out.put(at, basis.to_coeffs(x))
+            out.put(at, y)
     return out, clipped
 
 
-def _maps_start(face: np.ndarray | None, k: int) -> int | None:
-    """The first iteration of a K-order face run whose PSD step goes
-    through the face maps (`_face_maps`), or None when it never does.
-
-    The maps hold 2 N r² floats (N = D² coefficients); a run whose maps
-    would hold more than FACE_MAP_CAP never builds them. The first
-    ⌈r²/2K⌉ iterations keep the basis changes: 2K operators pass through
-    them per iteration, so by then the run has changed the basis of r²
-    operators, as many as a map row has r × r entries and about twice the
-    r(r+1)/2 that the build expands. Short runs (the half/half unitary
-    mixtures: r = 7, K = 2, 12 iterations) therefore never build the maps
-    and keep their bits."""
-    if face is None:
-        return None
-    d, r = face.shape
-    if 2 * d * d * r * r > FACE_MAP_CAP:
-        return None
-    return -(-r * r // (2 * k)) + 1
-
-
-def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray:
+def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray | None:
     """The face map of V (D x r), a real (N, 2r²) array fwd: for a real
     coefficient row c (N = D² entries), c @ fwd viewed as complex is the
     r x r matrix V† M(c) V, and for a Hermitian r x r matrix X, X's float
     view (2r² entries) times fwd.T is the real coefficient row of V X V†.
+    None when it would hold more than FACE_MAP_CAP floats.
 
     Both follow from F_k(i, j) = v_i† B_k v_j = Tr[B_k v_j v_i†], the
     complex coefficients of the rank-1 operator v_j v_i†: (V† M V)_ij =
@@ -541,8 +564,10 @@ def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray:
     F_k(i, j). One `_CoeffBasis.coeffs` call expands the r(r+1)/2
     operators with i <= j; F(j, i) = conj F(i, j) fills the rest, and the
     diagonal is set real, so V† M V has an exactly real diagonal. fwd.T is
-    a view, so the run holds 2 N r² floats (`_maps_start` caps them)."""
+    a view, so the run holds 2 N r² floats."""
     d, r = face.shape
+    if 2 * d * d * r * r > FACE_MAP_CAP:
+        return None
     i, j = np.triu_indices(r)
     f = basis.coeffs(face.T[j][:, :, None] * face.T[i].conj()[:, None, :])
     f = f.reshape(len(i), d * d).T
@@ -552,21 +577,6 @@ def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray:
     diag = np.arange(r)
     maps[:, diag, diag] = maps[:, diag, diag].real
     return maps.view(float).reshape(d * d, 2 * r * r)
-
-
-def _project_on_maps(fwd: np.ndarray, c: np.ndarray,
-                     gate: bool = True) -> tuple[np.ndarray, bool | None]:
-    """`_project_groups` on a face through its map fwd (`_face_maps`): one
-    GEMM into (K, r, r), the gate or `_psd_part`, one GEMM back. When the
-    gate passes the projection is the compression V (V† M V) V†, as on a
-    face without the maps; otherwise V P_psd(V† M V) V†."""
-    k = len(c)
-    r = math.isqrt(fwd.shape[1] // 2)
-    x = (c.reshape(k, -1) @ fwd).view(complex).reshape(k, r, r)
-    clipped = None
-    if not (gate and _positive_definite(x)):
-        x, clipped = _psd_part(x)
-    return (x.reshape(k, -1).view(float) @ fwd.T).reshape(c.shape), clipped
 
 
 def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_iters,
@@ -585,16 +595,16 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
     iterations, the residual has fallen by less than STALL_REL relative to
     its value STALL_WINDOW iterations back.
 
-    The PSD step is one of two. Until the iteration that `_maps_start`
-    names, and on the whole cone always, it is the grouped step
-    (`_project_groups`): on the whole cone each order's step runs on its
-    reduced operator Y of S_i = {Y ⊗ 1_d} (`_reduced_groups`; the affine
-    step keeps the masks' exact zeros, q starts at 0 and the step puts
-    into zeros, so every PSD input lies in S_i, where P_psd(Y ⊗ 1_d) =
-    P_psd(Y) ⊗ 1_d makes the reduced step exact), and a face run is one
-    whole-stack group compressed by V. From that iteration on, a face run
-    builds its face map once and takes the same step through it
-    (`_project_on_maps`). Both are gated: a Cholesky test comes first, and
+    The PSD step is the grouped step (`_project_groups`). On the whole cone
+    each order's step runs on its reduced operator Y of S_i = {Y ⊗ 1_d}
+    (`_reduced_groups`; the affine step keeps the masks' exact zeros, q
+    starts at 0 and the step puts into zeros, so every PSD input lies in
+    S_i, where P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d makes the reduced step
+    exact), through the group's cached map where it has one. A face run is
+    one whole-stack group, which builds its face map (`_face_maps`) once,
+    before the first step, and takes every step through it; a face whose
+    map would exceed FACE_MAP_CAP is compressed by V around each basis
+    change instead. The step is gated: a Cholesky test comes first, and
     eigh runs only when the stack is not positive definite. After a step
     that clipped, the next one skips the test and goes straight to eigh,
     so a run that clips on every step pays for one test in all;
@@ -613,9 +623,8 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
     if face is None:
         groups, face_pair = _reduced_groups(basis, m), None
     else:
-        groups, face_pair = ((basis, tuple(range(len(m))), None),), (face, face.conj().T)
-    start = _maps_start(face, len(m))
-    fwd = None
+        groups = ((basis, tuple(range(len(m))), None, _face_maps(basis, face)),)
+        face_pair = face, face.conj().T
     b = np.stack([wpar / len(m)] * len(m))
     p = np.zeros_like(b)
     q = np.zeros_like(b)
@@ -633,12 +642,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         a = proj_affine(y)
         p = y - a
         c = a + q
-        if it == start:
-            fwd = _face_maps(basis, face)
-        if fwd is None:
-            nb, clipped = _project_groups(groups, c, face_pair, gate=not clipped)
-        else:
-            nb, clipped = _project_on_maps(fwd, c, gate=not clipped)
+        nb, clipped = _project_groups(groups, c, face_pair, gate=not clipped)
         eigh_steps += clipped is not None
         q = c - nb
         d = (a - nb).ravel()
@@ -654,7 +658,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
                 stalled = True
                 break
     converged = res < tol
-    dims = {i: g.dim if face is None else face.shape[1] for g, orders, _ in groups for i in orders}
+    dims = {i: g.dim if face is None else face.shape[1] for g, orders, *_ in groups for i in orders}
     return FeasibilityTrace(orders=cones, stalled=stalled,
                             residual_history=np.asarray(hist), perp=perp,
                             summands=b * m if converged else None,
