@@ -37,18 +37,21 @@ through the basis change otherwise. A batched Cholesky first tests whether
 the groups' stacks are positive definite, and if they are, the projection
 clips nothing and needs no eigh.
 
-What does not depend on W is set up once per party structure: the basis
+What does not depend on W is set up once. Per party structure: the basis
 with its group transforms, factor layout (`tensor_core._grouping`) and
 GEMM shapes, for any leading (K, ...) axes (`_party_moves`,
-`_CoeffBasis`), the pattern ids (`_cone_ids`), the witness battery
-(`_battery`) and, per pattern of identity axes, the whole-cone step's
-groups: reduced bases, gather positions and maps (`_reductions`). Once
-per process: W's coefficients, the basis change its validation made
-(`process._validity_sweep`), shared by the closed form, the face run, its
-whole-cone retry and the witness of each failed run (`extract_witness`).
-Once per call: the masks and V; once per face run, V†, its face map and
-its one whole-stack group; once per whole-cone run, the identity axes,
-read off the masks.
+`_CoeffBasis`), and the pattern ids (`_cone_ids`). Per party structure
+and list of orders, one `_OrderSet` (`_order_set`): it checks the orders
+and holds their cones, the basis, the read-only masks and the affine
+step's allow count, and builds on first use the whole-cone step's groups
+(reduced bases, gather positions and maps, read off the masks) and the
+witness battery, so a call that only runs on a face builds no groups.
+The runs, the witness and the certificate's components and q all read
+that one object. Once per process: W's coefficients, the basis change
+its validation made (`process._validity_sweep`), shared by the closed
+form, the face run, its whole-cone retry and the witness of each failed
+run (`extract_witness`). Once per call: V; once per face run, V†, its
+face map and its one whole-stack group.
 Per iteration: the affine step, one GEMM or basis change each way around
 the PSD step (none back when that step leaves a whole-cone stack as it
 is), and the residual. The face map (`_face_maps`, built before a face
@@ -59,12 +62,12 @@ face step costs one GEMM each way around the (K, r, r) Cholesky gate or
 eigh, and nothing leaves the face's coordinates. A face whose map would
 hold more than FACE_MAP_CAP floats changes basis around each step
 instead, with four face products (V† M V, then V X V†). A whole-cone
-group's map (`_group_map`) is the same kind of array with V = 1, built
-once per structure for groups of at most 13 x 13, where it beats the
-basis change; larger groups keep the basis change.
+group's map is the same builder's array with V = 1, built once per order
+set for groups of at most 13 x 13, where it beats the basis change;
+larger groups keep the basis change.
 
 On the whole cone each order's step runs on a reduced operator
-(`_reduced_groups`). A process of a fixed total order
+(`_OrderSet.groups`). A process of a fixed total order
 carries the identity on its last party's output, W = W' ⊗ 1 (Araújo et
 al., NJP 17, 102001 (2015)): order i's mask allows only index 0 on those
 factors, its identity axes, so the affine step's output lies in S_i =
@@ -108,12 +111,13 @@ whose smallest eigenvalues come from one eigvalsh.
 
 The witness battery draws each order's samples in one batch
 (`process.random_ordered_batch`, consuming the generator exactly as
-sequential `random_ordered_process` calls do), once per party structure
-and orders, and each call scores all of them with one contraction of S
-against the samples' pieces per order (`process.OrderedBatch.traces`: S
-regrouped once by `tensor_core._regroup`, as the basis change regroups,
-then one matmul per piece), so no per-sample process matrix is formed;
-mixtures are scored by linearity.
+sequential `random_ordered_process` calls do), once per order set
+(`_OrderSet.battery`), and each call scores all of them with one
+contraction of S against the samples' pieces per order
+(`process.OrderedBatch.traces`: S regrouped once by
+`tensor_core._regroup`, as the basis change regroups, then one matmul per
+piece), so no per-sample process matrix is formed; mixtures are scored by
+linearity.
 """
 from __future__ import annotations
 
@@ -196,11 +200,6 @@ def _cone_ids(parties: tuple[Party, ...], order: tuple[str, ...]) -> np.ndarray:
     return ids
 
 
-def _cone_masks(parties: tuple[Party, ...], cones) -> np.ndarray:
-    """(len(cones), ...) float masks of the order subspaces: ids == 0."""
-    return np.stack([_cone_ids(parties, c.order) == 0 for c in cones]).astype(float)
-
-
 def _cone_residual(parties: tuple[Party, ...], order: tuple[str, ...], c: np.ndarray) -> float:
     """The largest norm of the complex coefficients c, of the coefficient
     shape of `_cone_ids`, over one nonzero id: one bincount."""
@@ -214,6 +213,105 @@ def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
     largest norm of W's complex coefficients over one nonzero id, i.e. of
     D_S(W) - D_{S+o}(W), as the basis is orthonormal. W may be non-Hermitian."""
     return _cone_residual(p.parties, cone.order, _party_moves(p.parties)[0].coeffs(p.w.mat))
+
+
+@dataclass(frozen=True, eq=False)
+class _OrderSet:
+    """What K orders of the parties fix before any W, built once per
+    (parties, orders) by `_order_set`: the orders' ``cones``, the
+    ``basis`` of `_party_moves`, the (K, ...) float ``masks`` of the order
+    subspaces (ids == 0 of `_cone_ids`) and ``allowed``, how many of them
+    allow each coefficient (the affine step's n), both read-only. The
+    whole-cone step's ``groups`` and the witness ``battery`` are built on
+    first use and kept."""
+
+    parties: tuple[Party, ...]
+    cones: tuple[OrderCone, ...]
+    basis: _CoeffBasis
+    masks: np.ndarray
+    allowed: np.ndarray
+
+    @functools.cached_property
+    def groups(self):
+        """The groups of the whole-cone PSD step: ((basis, orders, at,
+        fwd), ...), one per reduced shape, every array read-only.
+
+        Order i's identity axes are the coefficient axes (of size > 1) on
+        which m_i is zero off index 0. For a total order they are its last
+        party's output factors, unless that output is trivial. Operators
+        whose coefficients vanish off index 0 there are S_i = {Y ⊗ 1_d}, d
+        the product of those factors' dims, and Y's coefficients over the
+        product basis of the kept factors are those of Y ⊗ 1_d at index 0,
+        divided by sqrt(d). ``at`` holds the positions in the flattened (K,
+        ...) stack of each of the group's orders' reduced coefficients, so
+        c.take(at) is the group's reduced stack. A group's basis is that of
+        its first order's kept factors, grouped under the full basis's cap
+        D (`_CoeffBasis`): a reduced qubit space has an odd number of
+        factors, which the reduced D would split into three GEMMs where D
+        splits it into two. It depends on the kept dims only, so it serves
+        every order of its shape. An order with no identity axis keeps the
+        full basis; when no order has one, the one group is the whole stack
+        and ``at`` is None: nothing is gathered or scattered.
+
+        ``fwd`` is the group's map, `_face_maps` with V = 1 (row k the
+        float view of B_k), or None when it would hold more than 2^16
+        floats (0.5 MB, d = 13), the one limit of the whole-cone maps. Both
+        GEMMs read the whole map, so a step through it costs about 45 µs
+        per MB (one BLAS thread, K = 2, both directions), against 18 to 35
+        µs for the basis change of d = 8 to 18: the map won at d = 12 (0.33
+        MB, 14.8 against 22.2 µs) and lost from d = 16 on (1 MB, 44.9
+        against 25.4 µs; 40 times the time at d = 32). Larger groups, the
+        full switch's 64 x 64 among them, keep the basis change."""
+        shape = self.basis.shape
+        flat = np.arange(self.masks.size).reshape(self.masks.shape)
+        dropped = [[j for j, n in enumerate(shape) if n > 1 and not np.moveaxis(m, j, 0)[1:].any()]
+                   for m in self.masks]
+        groups = {}
+        for i, axes in enumerate(dropped):
+            kept = [j for j in range(len(shape)) if j not in axes]
+            dims = tuple(math.isqrt(shape[j]) for j in kept)
+            index = tuple(0 if j in axes else slice(None) for j in range(len(shape)))
+            groups.setdefault(dims, (kept, []))[1].append((i, flat[(i, *index)]))
+        out = []
+        for dims, (kept, rows) in groups.items():
+            at = np.stack([a for _, a in rows])
+            at.setflags(write=False)
+            space = SpaceProduct(LabeledSpace(self.basis.labels[j], d) for j, d in zip(kept, dims))
+            rbasis = _CoeffBasis(space, self.basis.dim)
+            fwd = _face_maps(rbasis, np.eye(rbasis.dim)) if 2 * rbasis.dim**4 <= 2**16 else None
+            out.append((rbasis, tuple(i for i, _ in rows), at if any(dropped) else None, fwd))
+        return tuple(out)
+
+    @functools.cached_property
+    def battery(self):
+        """The witness battery of `extract_witness`, which depends on
+        neither W nor S: (one `random_ordered_batch` of BATTERY samples per
+        order, one array of BATTERY sample indices per order, the (BATTERY,
+        K) simplex weights of the mixtures), in that generator order from
+        default_rng(BATTERY_SEED). Every array is read-only: the batches'
+        by construction, the picks and weights frozen here."""
+        rng = np.random.default_rng(BATTERY_SEED)
+        by_name = {q.name: q for q in self.parties}
+        batches = [random_ordered_batch([by_name[n] for n in c.order], rng, BATTERY)
+                   for c in self.cones]
+        picks = [rng.integers(0, BATTERY, size=BATTERY) for _ in self.cones]
+        weights = rng.dirichlet(np.ones(len(self.cones)), size=BATTERY)
+        for x in [weights, *picks]:
+            x.setflags(write=False)
+        return tuple(batches), tuple(picks), weights
+
+
+@functools.lru_cache(maxsize=16)
+def _order_set(parties: tuple[Party, ...], orders: tuple[OrderCone, ...]) -> _OrderSet:
+    """The `_OrderSet` of ``orders``, a non-empty tuple of distinct order
+    cones, each order checked to cover the parties (`_cone_ids`)."""
+    if not orders or len(set(orders)) != len(orders):
+        raise ValueError("separability is decided against a non-empty list of distinct orders")
+    masks = np.stack([_cone_ids(parties, c.order) == 0 for c in orders]).astype(float)
+    allowed = masks.sum(axis=0)
+    for x in (masks, allowed):
+        x.setflags(write=False)
+    return _OrderSet(parties, orders, _party_moves(parties)[0], masks, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +339,7 @@ class FeasibilityTrace:
     ``psd_dims`` gives, per order, the size of the matrices that the PSD
     step diagonalised, read off its groups: r on a face, D/d on the whole
     cone when order i carries the identity on factors of total dim d
-    (`_reduced_groups`), D otherwise, and () for the closed form, which
+    (`_OrderSet.groups`), D otherwise, and () for the closed form, which
     has no PSD step."""
 
     orders: tuple[OrderCone, ...]
@@ -327,8 +425,8 @@ class SeparabilityCertificate:
         if s is None or s.ndim > 1:
             return s
         wc = _validity_sweep(self.process)[2]
-        return _cone_masks(self.process.parties, self.trace.orders) * wc * s.reshape(
-            (-1,) + (1,) * wc.ndim)
+        masks = _order_set(self.process.parties, tuple(self.trace.orders)).masks
+        return masks * wc * s.reshape((-1,) + (1,) * wc.ndim)
 
     @property
     def components(self) -> tuple[HermitianOperator, ...] | None:
@@ -418,87 +516,6 @@ def _psd_part(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2), clipped
 
 
-def _reduced_groups(basis: _CoeffBasis, m: np.ndarray):
-    """The groups of the whole-cone PSD step of K orders with masks m:
-    ((basis, orders, at, fwd), ...), one per reduced shape.
-
-    Order i's identity axes are the coefficient axes (of size > 1) on which
-    m_i is zero off index 0. For a total order they are its last party's
-    output factors, unless that output is trivial. Operators whose
-    coefficients vanish off index 0 there are S_i = {Y ⊗ 1_d}, d the
-    product of those factors' dims, and Y's coefficients over the product
-    basis of the kept factors are those of Y ⊗ 1_d at index 0, divided by
-    sqrt(d). ``at`` holds the positions in the flattened (K, ...) stack of
-    each of the group's orders' reduced coefficients, so c.take(at) is the
-    group's reduced stack. An order with no identity axis keeps
-    ``basis``'s shape; when no order has one, the one group is the whole
-    stack and ``at`` is None: nothing is gathered or scattered. ``fwd`` is
-    the group's map (`_group_map`), or None where the basis change is
-    cheaper. What depends on the masks alone is built once
-    (`_reductions`)."""
-    dropped = [[] for _ in m]
-    for j, n in enumerate(m.shape[1:]):
-        if n > 1:
-            rest = tuple(a for a in range(1, m.ndim) if a != j + 1)
-            for i, moved in enumerate(m.any(axis=rest)[:, 1:].any(axis=1)):
-                if not moved:
-                    dropped[i].append(j)
-    return _reductions(tuple(basis.labels), basis.shape, tuple(map(tuple, dropped)), basis.dim)
-
-
-@functools.lru_cache(maxsize=64)
-def _reductions(labels: tuple[str, ...], shape: tuple[int, ...],
-                dropped: tuple[tuple[int, ...], ...], dim: int):
-    """`_reduced_groups` for the coefficient axes ``dropped`` per order of
-    a D = ``dim`` basis with ``labels`` and coefficient ``shape``, its
-    arrays read-only and built once: the gather positions, and each
-    group's map next to them. A group's basis is that of its first order's
-    kept factors, grouped under the full basis's cap D (`_CoeffBasis`): a
-    reduced qubit space has an odd number of factors, which the reduced
-    D would split into three GEMMs where D splits it into two. The basis
-    depends on the kept dims only, so it serves every order of its shape;
-    with nothing dropped it is the full basis over the whole stack."""
-    flat = np.arange(len(dropped) * math.prod(shape)).reshape((len(dropped),) + shape)
-    groups = {}
-    for i, axes in enumerate(dropped):
-        kept = [j for j in range(len(shape)) if j not in axes]
-        dims = tuple(math.isqrt(shape[j]) for j in kept)
-        index = tuple(0 if j in axes else slice(None) for j in range(len(shape)))
-        groups.setdefault(dims, (kept, []))[1].append((i, flat[(i, *index)]))
-    out = []
-    for dims, (kept, rows) in groups.items():
-        at = np.stack([a for _, a in rows])
-        at.setflags(write=False)
-        space = SpaceProduct(LabeledSpace(labels[j], d) for j, d in zip(kept, dims))
-        rbasis = _CoeffBasis(space, dim)
-        out.append((rbasis, tuple(i for i, _ in rows), at if any(dropped) else None,
-                    _group_map(rbasis)))
-    return tuple(out)
-
-
-def _group_map(basis: _CoeffBasis) -> np.ndarray | None:
-    """The map of a whole-cone group, a read-only real (n, 2d²) array fwd
-    for a d x d basis with n = d² coefficients: row k is the float view of
-    B_k (`from_coeffs` of the k-th unit vector), so for real coefficients
-    c, c @ fwd viewed as complex is the d x d operator, and for a Hermitian
-    d x d X, X's float view times fwd.T is X's real coefficient row, Tr[B_k
-    X] = sum_ij Re(X_ij conj (B_k)_ij). None when the map would hold more
-    than 2^16 floats (0.5 MB, d = 13), the one limit of the whole-cone
-    maps. Both GEMMs read the whole map, so a step through it costs about
-    45 µs per MB (one BLAS thread, K = 2, both directions), against 18 to
-    35 µs for the basis change of d = 8 to 18: the map won at d = 12 (0.33
-    MB, 14.8 against 22.2 µs) and lost from d = 16 on (1 MB, 44.9 against
-    25.4 µs; 40 times the time at d = 32). Larger groups, the full
-    switch's 64 x 64 among them, keep the basis change."""
-    n = math.prod(basis.shape)
-    if 2 * n * n > 2**16:
-        return None
-    fwd = np.ascontiguousarray(basis.from_coeffs(np.eye(n).reshape((n,) + basis.shape)))
-    fwd = fwd.reshape(n, -1).view(float)
-    fwd.setflags(write=False)
-    return fwd
-
-
 def _project_groups(groups, c: np.ndarray, face=None,
                     gate: bool = True) -> tuple[np.ndarray, bool | None]:
     """Nearest point of the PSD cone, or of its face {V X V† : X ⪰ 0} when
@@ -507,10 +524,10 @@ def _project_groups(groups, c: np.ndarray, face=None,
 
     Each group takes its stack, c.take(at) or the whole of c, to matrices
     and back by one of two means: its map fwd when it has one (one GEMM
-    each way: `_group_map` on the whole cone, `_face_maps` on a face, where
-    the map already holds V), or else its basis change, compressed to V† M
-    V on a face. On the whole cone item i lies in S_i, and each group of
-    `_reduced_groups` runs on its reduced stack. P_psd(Y ⊗ 1_d) = P_psd(Y)
+    each way: `_face_maps`, with V = 1 on the whole cone and V on a face),
+    or else its basis change, compressed to V† M V on a face. On the whole
+    cone item i lies in S_i, and each group of `_OrderSet.groups` runs on
+    its reduced stack. P_psd(Y ⊗ 1_d) = P_psd(Y)
     ⊗ 1_d, and P_psd is positively homogeneous, so the sqrt(d) in the
     reduced coefficients needs no rescaling and the step is the exact
     Frobenius projection. A face run has one group, the whole stack. When
@@ -564,7 +581,8 @@ def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray | None:
     F_k(i, j). One `_CoeffBasis.coeffs` call expands the r(r+1)/2
     operators with i <= j; F(j, i) = conj F(i, j) fills the rest, and the
     diagonal is set real, so V† M V has an exactly real diagonal. fwd.T is
-    a view, so the run holds 2 N r² floats."""
+    a view, so the run holds 2 N r² floats. The array is read-only: a
+    whole-cone group's map (V = 1) is shared by every run of its order set."""
     d, r = face.shape
     if 2 * d * d * r * r > FACE_MAP_CAP:
         return None
@@ -576,17 +594,19 @@ def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray | None:
     maps[:, j, i] = f.conj()
     diag = np.arange(r)
     maps[:, diag, diag] = maps[:, diag, diag].real
-    return maps.view(float).reshape(d * d, 2 * r * r)
+    fwd = maps.view(float).reshape(d * d, 2 * r * r)
+    fwd.setflags(write=False)
+    return fwd
 
 
-def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_iters,
-             face=None):
+def _dykstra(order_set: _OrderSet, wc: np.ndarray, tol, max_iters, face=None):
     """Alternating projections on the summands x = (x_1, ..., x_K), held as
     one (K, ...) coefficient stack, between the affine set {x_i in L_i,
     sum_i x_i = W_par} and the PSD product cone, or its face when ``face``
     is V (`_face`); returns the run's FeasibilityTrace. wc holds W's
     real coefficients, which `check_separability` expands once per call and
-    shares between its runs, and m stacks the masks of the subspaces L_i.
+    shares between its runs, and ``order_set`` gives the basis, the masks m
+    of the subspaces L_i and the allow count n (`_order_set`).
     On a coefficient that n > 0 of the L_i allow, the affine step subtracts
     r/n from each of them, r the excess of their sum over W_par. The
     reported residual sqrt(gap^2 + perp^2) also charges the part of W
@@ -597,7 +617,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
 
     The PSD step is the grouped step (`_project_groups`). On the whole cone
     each order's step runs on its reduced operator Y of S_i = {Y ⊗ 1_d}
-    (`_reduced_groups`; the affine step keeps the masks' exact zeros, q
+    (`_OrderSet.groups`; the affine step keeps the masks' exact zeros, q
     starts at 0 and the step puts into zeros, so every PSD input lies in
     S_i, where P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d makes the reduced step
     exact), through the group's cached map where it has one. A face run is
@@ -610,7 +630,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
     so a run that clips on every step pays for one test in all;
     ``eigh_steps`` counts the iterations that ran eigh, and ``psd_dims``
     is read off the groups (r on a face)."""
-    n = m.sum(axis=0)
+    basis, m, n = order_set.basis, order_set.masks, order_set.allowed
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
     keep = 1 - 1 / np.maximum(n, 1)
@@ -621,7 +641,7 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
         return t - r + r * keep
 
     if face is None:
-        groups, face_pair = _reduced_groups(basis, m), None
+        groups, face_pair = order_set.groups, None
     else:
         groups = ((basis, tuple(range(len(m))), None, _face_maps(basis, face)),)
         face_pair = face, face.conj().T
@@ -659,18 +679,18 @@ def _dykstra(basis: _CoeffBasis, wc: np.ndarray, m: np.ndarray, cones, tol, max_
                 break
     converged = res < tol
     dims = {i: g.dim if face is None else face.shape[1] for g, orders, *_ in groups for i in orders}
-    return FeasibilityTrace(orders=cones, stalled=stalled,
+    return FeasibilityTrace(orders=order_set.cones, stalled=stalled,
                             residual_history=np.asarray(hist), perp=perp,
                             summands=b * m if converged else None,
                             dual=None if converged else -q, eigh_steps=eigh_steps,
                             psd_dims=tuple(dims[i] for i in range(len(m))))
 
 
-def _pure_decomposition(wc: np.ndarray, m: np.ndarray, cones, tol):
+def _pure_decomposition(order_set: _OrderSet, wc: np.ndarray, tol):
     """The separable side at rank 1, in closed form: (a converged
     FeasibilityTrace or None, the distances d_i). wc holds W's real
     coefficients, the expansion `check_separability` shares with its runs,
-    and m the masks. Every PSD summand has W_i ⪯ W, so at rank 1 W_i =
+    and m the masks of ``order_set``. Every PSD summand has W_i ⪯ W, so at rank 1 W_i =
     c_i W, and W mixes the orders iff it lies in some order subspace L_i.
     d_i = ||(1 - m_i) ⊙ wc|| is the Frobenius distance from the full W to
     L_i, so an eigenvalue that `_face` dropped is still charged. The orders
@@ -683,14 +703,15 @@ def _pure_decomposition(wc: np.ndarray, m: np.ndarray, cones, tol):
     The one residual, ||sum_i x_i - W||, is at most max d_i < tol. None
     when no order holds W: the ray {c W} then holds no feasible stack, and
     only a whole-cone run can yield a witness."""
+    m = order_set.masks
     dist = np.linalg.norm(((1 - m) * wc).reshape(len(m), -1), axis=1)
     held = dist < tol
     if not held.any():
         return None, dist.tolist()
     shares = held / held.sum()
     res = np.linalg.norm((m * wc * shares.reshape((-1,) + (1,) * wc.ndim)).sum(axis=0) - wc)
-    perp = float(np.linalg.norm(wc * (m.sum(axis=0) == 0)))
-    return FeasibilityTrace(orders=cones, stalled=False, residual_history=np.array([res]),
+    perp = float(np.linalg.norm(wc * (order_set.allowed == 0)))
+    return FeasibilityTrace(orders=order_set.cones, stalled=False, residual_history=np.array([res]),
                             perp=perp, summands=shares, dual=None,
                             eigh_steps=0, psd_dims=()), dist.tolist()
 
@@ -731,15 +752,11 @@ def check_separability(
     if orders is None:
         orders = _default_orders(p.parties)
     cones = tuple(o if isinstance(o, OrderCone) else OrderCone(o) for o in orders)
-    if not cones or len({c.order for c in cones}) != len(cones):
-        raise ValueError("separability is decided against a non-empty list of distinct orders")
-
-    basis = _party_moves(p.parties)[0]
-    masks = _cone_masks(p.parties, cones)
+    order_set = _order_set(p.parties, cones)
     wc = _validity_sweep(p)[2]  # the expansion made when p was validated
 
     def run(face):
-        trace = _dykstra(basis, wc, masks, cones, tol, max_iters, face)
+        trace = _dykstra(order_set, wc, tol, max_iters, face)
         if trace.converged:
             return trace, None, {}
         return (trace, *extract_witness(p, trace))
@@ -748,7 +765,7 @@ def check_separability(
     rank = p.w.dim if face is None else face.shape[1]
     diagnostics = {"face_rank": rank}
     if rank == 1:
-        trace, diagnostics["order_distances"] = _pure_decomposition(wc, masks, cones, tol)
+        trace, diagnostics["order_distances"] = _pure_decomposition(order_set, wc, tol)
         trace, witness, wdiag = run(None) if trace is None else (trace, None, {})
     else:
         trace, witness, wdiag = run(face)
@@ -758,7 +775,7 @@ def check_separability(
 
     cert = SeparabilityCertificate(witness, diagnostics, trace, p)
     if cert.separable:
-        comps = basis.from_coeffs(cert._summands())
+        comps = order_set.basis.from_coeffs(cert._summands())
         closed = " in closed form at rank 1" if rank == 1 else ""
         diagnostics.update({
             "verification": f"decomposition{closed}: reconstruction, order-cone residuals and "
@@ -766,7 +783,7 @@ def check_separability(
             "tol": tol,
             "reconstruction": float(np.linalg.norm(comps.sum(axis=0) - p.w.mat)),
             "cone_residuals": [_cone_residual(p.parties, cone.order, c)
-                               for c, cone in zip(basis.coeffs(comps), cones)],
+                               for c, cone in zip(order_set.basis.coeffs(comps), cones)],
             "component_min_eigenvalues": np.linalg.eigvalsh(comps)[:, 0].tolist(),
         })
     else:
@@ -777,25 +794,6 @@ def check_separability(
 
 # ---------------------------------------------------------------------------
 # witness extraction
-
-@functools.lru_cache(maxsize=16)
-def _battery(parties: tuple[Party, ...], orders: tuple[tuple[str, ...], ...]):
-    """The witness battery of `extract_witness`, which depends on neither W
-    nor S, drawn once per key: (one `random_ordered_batch` of BATTERY
-    samples per order, one array of BATTERY sample indices per order, the
-    (BATTERY, K) simplex weights of the mixtures), in that generator order
-    from default_rng(BATTERY_SEED). Every array is read-only: the batches'
-    by construction, the picks and weights frozen here."""
-    rng = np.random.default_rng(BATTERY_SEED)
-    by_name = {q.name: q for q in parties}
-    batches = [random_ordered_batch([by_name[n] for n in order], rng, BATTERY)
-               for order in orders]
-    picks = [rng.integers(0, BATTERY, size=BATTERY) for _ in orders]
-    weights = rng.dirichlet(np.ones(len(orders)), size=BATTERY)
-    for x in [weights, *picks]:
-        x.setflags(write=False)
-    return tuple(batches), tuple(picks), weights
-
 
 def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     """Witness S in every K_i* (one per order of ``trace.orders``) from a
@@ -831,8 +829,8 @@ def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     the K orders (`Generator.dirichlet` with unit parameters); diagnostics
     report both counts and the seed (samples_per_order, n_mixtures,
     witness_seed). None of it depends on W or S, so it is drawn once per
-    (parties, orders) and kept read-only (`_battery`); each call only
-    scores it against S.
+    (parties, orders) and kept read-only (`_OrderSet.battery`); each call
+    only scores it against S.
     The mixtures add no evidence: by linearity a mixture's score is a convex
     combination of its parts' scores, so it never falls below the smallest
     of them by more than one rounding, and the battery minimum is the
@@ -840,8 +838,8 @@ def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     """
     if trace.converged:
         raise ValueError("witness extraction requires a failed feasibility run")
-    basis = _party_moves(p.parties)[0]
-    masks = _cone_masks(p.parties, trace.orders)
+    order_set = _order_set(p.parties, tuple(trace.orders))
+    basis, masks = order_set.basis, order_set.masks
     wc = _validity_sweep(p)[2]  # W's coefficients, kept by validation
 
     def margins(c):
@@ -858,7 +856,7 @@ def extract_witness(p: ProcessMatrix, trace: FeasibilityTrace):
     overlap = float(np.sum(sc * wc))
     witness = HermitianOperator(p.w.space, basis.from_coeffs(sc))
 
-    batches, picks, weights = _battery(p.parties, tuple(c.order for c in trace.orders))
+    batches, picks, weights = order_set.battery
     scores = [batch.traces(witness).real for batch in batches]
     picked = np.stack([s[k] for s, k in zip(scores, picks)], axis=1)
     mixed = np.sum(weights * picked, axis=1)

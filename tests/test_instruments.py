@@ -728,8 +728,8 @@ def contraction_cases():
 
     switch = cs.make_quantum_switch([0.6, 0.8j], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
     for label, parties in (("ocb", cs.ocb_process().parties), ("switch", switch.parties)):
-        orders = tuple(separability._default_orders(parties))
-        batches, _, _ = separability._battery(parties, orders)
+        orders = tuple(map(cs.OrderCone, separability._default_orders(parties)))
+        batches, _, _ = separability._order_set(tuple(parties), orders).battery
         s = hermitian(cs.parties_space(parties))
         for batch in batches:
             name = "".join(q.name for q in batch.order)

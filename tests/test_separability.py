@@ -85,6 +85,14 @@ def reference_mask(basis, conds):
     return mask
 
 
+def order_set(parties, orders=None):
+    """The library's cached order set of ``orders`` (default: every order
+    of `_default_orders`), given as name sequences."""
+    parties = tuple(parties)
+    orders = _default_orders(parties) if orders is None else orders
+    return separability._order_set(parties, tuple(cs.OrderCone(o) for o in orders))
+
+
 def every_order(kind, parties):
     return [pytest.param(parties, order, id=f"{kind}-{''.join(order)}")
             for order in itertools.permutations(q.name for q in parties)]
@@ -99,9 +107,10 @@ def every_order(kind, parties):
 def test_cone_masks_match_reference_conditions(parties, order):
     parties = tuple(parties)
     basis, _ = process._party_moves(parties)
-    got = separability._cone_masks(parties, [cs.OrderCone(order)])[0]
+    got = order_set(parties, [order]).masks[0]
     want = reference_mask(basis, order_conditions(order, parties))
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not got.flags.writeable
 
 
 def test_dykstra_runs_on_the_reference_masks(monkeypatch, traced_switch_cert):
@@ -109,15 +118,16 @@ def test_dykstra_runs_on_the_reference_masks(monkeypatch, traced_switch_cert):
     seen = []
     dykstra = separability._dykstra
 
-    def recording(basis, w, m, *args):
-        seen.append((basis, m))
-        return dykstra(basis, w, m, *args)
+    def recording(order_set, *args):
+        seen.append(order_set)
+        return dykstra(order_set, *args)
 
     monkeypatch.setattr(separability, "_dykstra", recording)
     got = cs.check_separability(p)
-    (basis, m), = seen
-    for mask, cone in zip(m, got.trace.orders):
-        assert np.array_equal(mask, reference_mask(basis, order_conditions(cone.order, p.parties)))
+    run, = seen
+    for mask, cone in zip(run.masks, got.trace.orders):
+        assert np.array_equal(mask, reference_mask(run.basis,
+                                                   order_conditions(cone.order, p.parties)))
     assert got.iterations == want.iterations
 
 
@@ -284,7 +294,7 @@ def test_mask_agrees_with_depolarize_projector(qubit_parties, rng):
     space = cs.parties_space(qubit_parties)
     basis, _ = process._party_moves(qubit_parties)
     conds = order_conditions(("A", "B"), qubit_parties)
-    mask = separability._cone_masks(qubit_parties, [cs.OrderCone(("A", "B"))])[0]
+    mask = order_set(qubit_parties, [("A", "B")]).masks[0]
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     op = cs.HermitianOperator(space, g + g.conj().T)
     masked = basis.from_coeffs(mask * basis.to_coeffs(op.mat))
@@ -501,7 +511,7 @@ def test_runs_are_deterministic(qubit_parties):
     assert np.array_equal(c1.trace.residual_history, c2.trace.residual_history)
 
 
-def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
+def reference_dykstra(order_set, w, tol, max_iters, face=None):
     """The Dykstra loop written plainly: b + p and a + q formed twice each,
     the gap by np.linalg.norm, V† formed in every projection, one Cholesky
     per item for the gate and np.clip for the clipping. A face step runs
@@ -509,13 +519,14 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     builds one, from the first step on, as every other face step runs
     through its basis change. On the whole cone, each order's step runs on
     its reduced operator through the library's reduced basis, index and map
-    (`_reduced_groups`): through the map, one group at a time, where the
+    (`_OrderSet.groups`): through the map, one group at a time, where the
     group has one, else by basis change one order at a time; a group with
     no gather positions, the whole stack when no order has an identity
     axis, takes the plain D x D step below instead, so that the library's
     grouped step is checked against code it does not share. Kept as the
     reference that `_dykstra` must match bit for bit; returns
     (residual_history, summands or None, dual or None, eigh steps)."""
+    basis, m = order_set.basis, order_set.masks
     n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
@@ -524,8 +535,8 @@ def reference_dykstra(basis, w, m, cones, tol, max_iters, face=None):
     fwd = None if face is None else separability._face_maps(basis, face)
     reduced = []
     if face is None:
-        reduced = [(rbasis, at, gmap) for rbasis, _, at, gmap
-                   in separability._reduced_groups(basis, m) if at is not None]
+        reduced = [(rbasis, at, gmap) for rbasis, _, at, gmap in order_set.groups
+                   if at is not None]
 
     def proj_affine(y):
         t = y * m
@@ -676,15 +687,12 @@ def interleaved_mixture():
 def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, iterations,
                                                     eigh_steps):
     p = make()
-    basis = process._party_moves(p.parties)[0]
-    cones = tuple(cs.OrderCone(o) for o in _default_orders(p.parties))
-    masks = separability._cone_masks(p.parties, cones)
+    orders = order_set(p.parties)
     face = separability._face(p.w.mat)
     assert (p.w.dim if face is None else face.shape[1]) == rank
-    got = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cones, tol, max_iters,
-                                face)
-    hist, summands, dual, ref_eigh_steps = reference_dykstra(basis, p.w.mat, masks, cones, tol,
-                                                             max_iters, face)
+    got = separability._dykstra(orders, orders.basis.to_coeffs(p.w.mat), tol, max_iters, face)
+    hist, summands, dual, ref_eigh_steps = reference_dykstra(orders, p.w.mat, tol, max_iters,
+                                                             face)
     assert got.iterations == iterations
     assert got.eigh_steps == ref_eigh_steps == eigh_steps
     assert np.array_equal(got.residual_history, hist)
@@ -716,6 +724,7 @@ def test_face_maps_match_the_basis_change(make, rank, rng):
     basis, face, fwd = face_and_maps(make, rank)
     d = face.shape[0]
     assert fwd.shape == (d * d, 2 * rank * rank) and fwd.dtype == float
+    assert not fwd.flags.writeable
     c = basis.to_coeffs(random_hermitian(d, rng, (3,)))
     x = (c.reshape(3, -1) @ fwd).view(complex).reshape(3, rank, rank)
     want = face.conj().T @ basis.from_coeffs(c) @ face
@@ -742,8 +751,6 @@ def test_face_runs_switch_to_the_maps_when_they_fit(monkeypatch):
     # changes basis around every step instead
     w = noisy_ocb().w.mat
     near = np.linalg.eigh(w)[1][:, 1:]
-    cones = tuple(cs.OrderCone(o) for o in ("AB", "BA"))
-    masks = separability._cone_masks(p.parties, cones)
     events, face_maps, step = [], separability._face_maps, separability._project_groups
 
     def recording_maps(*args):
@@ -754,7 +761,7 @@ def test_face_runs_switch_to_the_maps_when_they_fit(monkeypatch):
     monkeypatch.setattr(separability, "_face_maps", recording_maps)
     monkeypatch.setattr(separability, "_project_groups",
                         lambda *args, **kwargs: events.append("step") or step(*args, **kwargs))
-    args = basis, basis.to_coeffs(w), masks, cones, separability.SEP_TOL, 200, near
+    args = order_set(p.parties, ("AB", "BA")), basis.to_coeffs(w), separability.SEP_TOL, 200, near
     run = separability._dykstra(*args)
     assert events == [(256, 450)] + ["step"] * 200 and run.iterations == 200
     events.clear()
@@ -772,15 +779,14 @@ def test_short_unitary_mixture_run_is_unchanged(monkeypatch, qubit_parties):
     # every step through it, bit for bit with the plain loop on that map;
     # without the map (over the cap) its run is the same to 1e-9
     p = cs.validate_process(unitary_channel_mixture(qubit_parties, np.random.default_rng(0)))
-    basis = process._party_moves(p.parties)[0]
     face = separability._face(p.w.mat)
     builds, face_maps = [], separability._face_maps
     monkeypatch.setattr(separability, "_face_maps",
                         lambda *args: builds.append(args[1].shape) or face_maps(*args))
     cert = cs.check_separability(p)
     assert cert.separable and cert.iterations == 12 and builds == [(16, 7)]
-    hist, summands, _, steps = reference_dykstra(basis, p.w.mat, separability._cone_masks(
-        p.parties, cert.trace.orders), cert.trace.orders, separability.SEP_TOL,
+    hist, summands, _, steps = reference_dykstra(
+        separability._order_set(p.parties, cert.trace.orders), p.w.mat, separability.SEP_TOL,
         separability.MAX_ITERS, face)
     assert np.array_equal(cert.trace.residual_history, hist)
     assert np.array_equal(cert.trace.summands, summands) and cert.trace.eigh_steps == steps
@@ -805,13 +811,12 @@ def reduced_setup(make):
     in_s[i] is true on the coefficients that Y (x) 1 on order i's last
     party's output can have."""
     p = make()
-    basis = process._party_moves(p.parties)[0]
-    orders = _default_orders(p.parties)
-    masks = separability._cone_masks(p.parties, [cs.OrderCone(o) for o in orders])
+    orders = order_set(p.parties)
+    basis = orders.basis
     by_name = {q.name: q for q in p.parties}
-    in_s = np.stack([np.broadcast_to(basis._identity_on(by_name[o[-1]].output_labels),
-                                     basis.shape) for o in orders])
-    return p, basis, masks, separability._reduced_groups(basis, masks), in_s
+    in_s = np.stack([np.broadcast_to(basis._identity_on(by_name[c.order[-1]].output_labels),
+                                     basis.shape) for c in orders.cones])
+    return p, basis, orders.masks, orders.groups, in_s
 
 
 @pytest.mark.parametrize("make, dims", REDUCED_CASES, ids=REDUCED_IDS)
@@ -841,8 +846,8 @@ def test_group_maps_are_cached_read_only_rows_of_the_basis(make, dims):
     # a group whose map holds at most 2^16 floats (d <= 13) keeps one,
     # cached with its gather positions; row k is the float view of B_k.
     # Noisy OCB's 8 x 8 and the qubit-qutrit mixture's 12 x 12 have one
-    _, basis, masks, groups, _ = reduced_setup(make)
-    assert separability._reduced_groups(basis, masks) is groups
+    p, basis, masks, groups, _ = reduced_setup(make)
+    assert order_set(p.parties).groups is groups
     mapped = []
     for rbasis, _, _, fwd in groups:
         assert (fwd is not None) == (2 * rbasis.dim ** 4 <= 2 ** 16)
@@ -858,10 +863,7 @@ def test_large_groups_keep_the_basis_change(baumeler_wolf_cert):
     # Baumeler-Wolf against (ABC, BAC): both orders end with C, so one
     # 32 x 32 group, whose map would hold 2^21 floats; it has none
     p, _ = baumeler_wolf_cert
-    basis = process._party_moves(p.parties)[0]
-    cones = [cs.OrderCone(o) for o in ("ABC", "BAC")]
-    (rbasis, orders, at, fwd), = separability._reduced_groups(
-        basis, separability._cone_masks(p.parties, cones))
+    (rbasis, orders, at, fwd), = order_set(p.parties, ("ABC", "BAC")).groups
     assert rbasis.dim == 32 and orders == (0, 1) and at is not None and fwd is None
 
 
@@ -870,15 +872,11 @@ def test_trivial_last_output_keeps_the_full_step(switch):
     # identity axis: one 64 x 64 group over both orders, which gathers
     # nothing and has no map (it would hold 2^25 floats), and a whole-cone
     # run takes the D x D step of the plain loop, bit for bit
-    basis = process._party_moves(switch.parties)[0]
-    cones = tuple(cs.OrderCone(o) for o in _default_orders(switch.parties))
-    masks = separability._cone_masks(switch.parties, cones)
-    (rbasis, orders, at, fwd), = separability._reduced_groups(basis, masks)
+    both = order_set(switch.parties)
+    (rbasis, orders, at, fwd), = both.groups
     assert rbasis.dim == 64 and orders == (0, 1) and at is None and fwd is None
-    run = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cones,
-                                separability.SEP_TOL, 3)
-    hist, _, dual, steps = reference_dykstra(basis, switch.w.mat, masks, cones,
-                                             separability.SEP_TOL, 3)
+    run = separability._dykstra(both, both.basis.to_coeffs(switch.w.mat), separability.SEP_TOL, 3)
+    hist, _, dual, steps = reference_dykstra(both, switch.w.mat, separability.SEP_TOL, 3)
     assert run.psd_dims == (64, 64) and run.eigh_steps == steps == 3
     assert np.array_equal(run.residual_history, hist) and np.array_equal(run.dual, dual)
 
@@ -888,16 +886,13 @@ def test_whole_cone_mixes_a_full_and_a_reduced_group(switch):
     # axis, B's output: a full 64 x 64 group beside a 32 x 32 one, each
     # with gather positions, bit for bit with the plain loop. The pair stays
     # undecided for 20,000 iterations, so the run is cut at 40
-    basis = process._party_moves(switch.parties)[0]
-    cones = (cs.OrderCone(("A", "B", "F")), cs.OrderCone(("A", "F", "B")))
-    masks = separability._cone_masks(switch.parties, cones)
-    groups = separability._reduced_groups(basis, masks)
+    pair = order_set(switch.parties, ("ABF", "AFB"))
+    groups = pair.groups
     assert [(g.dim, orders) for g, orders, *_ in groups] == [(64, (0,)), (32, (1,))]
     assert all(at is not None and fwd is None for _, _, at, fwd in groups)
-    run = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cones,
-                                separability.SEP_TOL, 40)
-    hist, _, dual, steps = reference_dykstra(basis, switch.w.mat, masks, cones,
-                                             separability.SEP_TOL, 40)
+    run = separability._dykstra(pair, pair.basis.to_coeffs(switch.w.mat), separability.SEP_TOL,
+                                40)
+    hist, _, dual, steps = reference_dykstra(pair, switch.w.mat, separability.SEP_TOL, 40)
     assert run.iterations == 40 and run.psd_dims == (64, 32)
     assert run.eigh_steps == steps == 40
     assert np.array_equal(run.residual_history, hist) and np.array_equal(run.dual, dual)
@@ -961,8 +956,7 @@ def step_case(rep, arg, rng):
     if dims == "switch":
         p = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
         basis = process._party_moves(p.parties)[0]
-        cones = [cs.OrderCone(o) for o in _default_orders(p.parties)]
-        groups = separability._reduced_groups(basis, separability._cone_masks(p.parties, cones))
+        groups = order_set(p.parties).groups
         lead = (2,)
     else:
         basis = _CoeffBasis(labeled(dims))
@@ -1014,9 +1008,8 @@ def test_psd_step_matches_dense_eigh(rep, arg, rng):
 def test_whole_cone_stacks_stay_in_the_reduced_space(make, dims):
     # the affine step keeps the masks' exact zeros and the PSD step
     # scatters into zeros, so the dual is exactly zero off S_i
-    p, basis, masks, _, in_s = reduced_setup(make)
-    cones = tuple(cs.OrderCone(o) for o in _default_orders(p.parties))
-    run = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cones,
+    p, basis, _, _, in_s = reduced_setup(make)
+    run = separability._dykstra(order_set(p.parties), basis.to_coeffs(p.w.mat),
                                 separability.SEP_TOL, 20)
     assert run.iterations == 20 and run.psd_dims == dims
     assert not run.dual[~in_s].any() and run.dual[in_s].any()
@@ -1055,7 +1048,7 @@ def test_degenerate_switch_is_fully_ordered():
     # the trace keeps W's shares, not a (K, N) stack; the certificate
     # rebuilds the masked summands from the coefficients validation kept
     assert cert.trace.summands.tolist() == [1.0, 0.0]
-    masks = separability._cone_masks(p.parties, cert.trace.orders)
+    masks = separability._order_set(p.parties, cert.trace.orders).masks
     wc = process._validity_sweep(cert.process)[2]
     shares = np.array([1.0, 0.0]).reshape((2,) + (1,) * wc.ndim)
     assert np.array_equal(cert._summands(), masks * wc * shares)
@@ -1067,10 +1060,10 @@ def test_closed_form_agrees_with_a_face_run():
     p = degenerate_switch()
     cert = cs.check_separability(p)
     basis = process._party_moves(p.parties)[0]
-    masks = separability._cone_masks(p.parties, cert.trace.orders)
     face = separability._face(p.w.mat)
-    run = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cert.trace.orders,
-                                separability.SEP_TOL, separability.MAX_ITERS, face)
+    run = separability._dykstra(separability._order_set(p.parties, cert.trace.orders),
+                                basis.to_coeffs(p.w.mat), separability.SEP_TOL,
+                                separability.MAX_ITERS, face)
     assert run.converged and run.iterations == 163
     comps = basis.from_coeffs(run.summands)
     assert abs(comps[0].trace().real / p.w.trace().real - cert.q) < 1e-6
@@ -1393,9 +1386,9 @@ def test_full_rank_run_is_the_whole_cone_run():
     assert face is None and cert.trace is trace
     assert cert.diagnostics["face_rank"] == 16 and "face_iterations" not in cert.diagnostics
     basis = process._party_moves(p.parties)[0]
-    masks = separability._cone_masks(p.parties, cert.trace.orders)
-    whole = separability._dykstra(basis, basis.to_coeffs(p.w.mat), masks, cert.trace.orders,
-                                  separability.SEP_TOL, separability.MAX_ITERS)
+    whole = separability._dykstra(separability._order_set(p.parties, cert.trace.orders),
+                                  basis.to_coeffs(p.w.mat), separability.SEP_TOL,
+                                  separability.MAX_ITERS)
     assert np.array_equal(cert.trace.residual_history, whole.residual_history)
     assert np.array_equal(cert.trace.dual, whole.dual)
     # pinned at the whole-cone run's values
@@ -1419,9 +1412,8 @@ def test_full_switch_is_certified_by_one_whole_cone_run(switch):
     assert cert.verdict == "nonseparable" and cert.diagnostics["witness_overlap"] < 0
     # it is the whole-cone run, bit for bit
     basis = process._party_moves(switch.parties)[0]
-    masks = separability._cone_masks(switch.parties, cert.trace.orders)
-    whole = separability._dykstra(basis, basis.to_coeffs(switch.w.mat), masks, cert.trace.orders,
-                                  separability.SEP_TOL, 600)
+    whole = separability._dykstra(separability._order_set(switch.parties, cert.trace.orders),
+                                  basis.to_coeffs(switch.w.mat), separability.SEP_TOL, 600)
     assert np.array_equal(cert.trace.residual_history, whole.residual_history)
     assert np.array_equal(cert.trace.dual, whole.dual)
 
@@ -1686,7 +1678,7 @@ def test_battery_draws_no_process_per_sample(monkeypatch):
 
 
 def test_battery_is_drawn_once_per_structure(monkeypatch):
-    separability._battery.cache_clear()
+    separability._order_set.cache_clear()
     draws = []
 
     def counting(order, rng, n, _original=separability.random_ordered_batch):
@@ -1705,7 +1697,7 @@ def test_battery_is_drawn_once_per_structure(monkeypatch):
     assert draws == []
     cs.check_separability(noisy, orders=[("B", "A"), ("A", "B")])
     assert draws == [(("B", "A"), 500), (("A", "B"), 500)]
-    batches, picks, weights = separability._battery(ocb.parties, (("A", "B"), ("B", "A")))
+    batches, picks, weights = order_set(ocb.parties, ("AB", "BA")).battery
     arrays = [weights, *picks, *(x for b in batches for x in (b.states, *b.channels))]
     assert not any(x.flags.writeable for x in arrays)
     # the cached battery scores noisy OCB as a fresh draw does
@@ -1717,6 +1709,42 @@ def test_battery_is_drawn_once_per_structure(monkeypatch):
     mixed = np.sum(rng.dirichlet(np.ones(2), size=500) * picked, axis=1)
     assert second.diagnostics["battery_min"] == float(min(min(s.min() for s in scores),
                                                           mixed.min()))
+
+
+@pytest.mark.parametrize("make", [cs.ocb_process, noisy_ocb, degenerate_switch],
+                         ids=["ocb", "ocb_noisy", "degenerate_switch"])
+def test_order_set_is_built_once_and_shared(monkeypatch, make):
+    # two calls and a witness on one structure build one order set, and the
+    # runs, the witness and q all read it and its one masks array. Only a
+    # whole-cone run builds the groups: OCB runs on its face alone, and the
+    # degenerate switch is decided in closed form, where q reads the masks
+    p = make()
+    build, dykstra, sets, runs = separability._order_set, separability._dykstra, [], []
+
+    def recording_build(*args):
+        sets.append(build(*args))
+        return sets[-1]
+
+    def recording_run(order_set, *args):
+        runs.append(order_set)
+        return dykstra(order_set, *args)
+
+    monkeypatch.setattr(separability, "_order_set", recording_build)
+    monkeypatch.setattr(separability, "_dykstra", recording_run)
+    build.cache_clear()
+    first, second = cs.check_separability(p), cs.check_separability(p)
+    if not second.separable:
+        assert cs.extract_witness(p, second.trace)[0] is not None
+    assert build.cache_info().misses == 1
+    read = len(sets)
+    assert (first.q is None) == (second.q is None) == (not second.separable)
+    assert len(sets) == read + 2 * second.separable
+    assert len(runs) == 2 * (not second.separable)
+    shared, = set(sets + runs)
+    assert all(s.masks is shared.masks for s in sets + runs)
+    assert not shared.masks.flags.writeable
+    assert ("groups" in vars(shared)) == (make is noisy_ocb)
+    assert ("battery" in vars(shared)) == (not second.separable)
 
 
 @pytest.mark.parametrize("kwargs, match", [
