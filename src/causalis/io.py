@@ -88,8 +88,9 @@ def _matrix_from_json(d: dict):
     if len(rows) != dim * dim or set(map(len, rows)) != {2}:
         raise ValueError(f"expected {dim * dim} [re, im] entries, got {len(rows)} entries"
                          f" of lengths {sorted(set(map(len, rows)))}")
-    entries = entries.astype(float).reshape(-1, 2)
-    mat = (entries[:, 0] + 1j * entries[:, 1]).reshape(dim, dim)
+    # [re, im] pairs are complex128's memory layout: a view keeps every bit,
+    # where re + 1j * im would turn an imaginary -0.0 into 0.0
+    mat = entries.astype(float).view(complex).reshape(dim, dim)
     return _canonicalize(factors, mat)
 
 

@@ -43,7 +43,7 @@ GEMM shapes, for any leading (K, ...) axes (`_party_moves`,
 `_CoeffBasis`), and the pattern ids (`_cone_ids`). Per party structure
 and list of orders, one `_OrderSet` (`_order_set`): it checks the orders
 and holds their cones, the basis, the read-only masks and the affine
-step's allow count, and builds on first use the whole-cone step's groups
+step's shares, and builds on first use the whole-cone step's groups
 (reduced bases, gather positions and maps, read off the masks) and the
 witness battery, so a call that only runs on a face builds no groups.
 The runs, the witness and the certificate's components and q all read
@@ -52,19 +52,21 @@ its validation made (`process._validity_sweep`), shared by the closed
 form, the face run, its whole-cone retry and the witness of each failed
 run (`extract_witness`). Once per call: V; once per face run, V†, its
 face map and its one whole-stack group.
-Per iteration: the affine step, one GEMM or basis change each way around
-the PSD step (none back when that step leaves a whole-cone stack as it
-is), and the residual. The face map (`_face_maps`, built before a face
-run's first step from one basis change) is a real (N, 2r²) array fwd, N
-= D², with c @ fwd viewed as complex equal to V† M(c) V, and an r x r
-stack's float view times fwd.T equal to the coefficients of V X V†, so a
-face step costs one GEMM each way around the (K, r, r) Cholesky gate or
-eigh, and nothing leaves the face's coordinates. A face whose map would
-hold more than FACE_MAP_CAP floats changes basis around each step
-instead, with four face products (V† M V, then V X V†). A whole-cone
-group's map is the same builder's array with V = 1, built once per order
-set for groups of at most 13 x 13, where it beats the basis change;
-larger groups keep the basis change.
+Per iteration: the affine step, one masked subtraction on the last PSD
+stack (the affine set takes no Dykstra correction; see `_dykstra`), one
+GEMM or basis change each way around the PSD step (none back when that
+step leaves a whole-cone stack as it is), and the residual. The face map
+(`_face_maps`, built before a face run's first step from one basis
+change) is a real (N, 2r²) array fwd, N = D², with c @ fwd viewed as
+complex equal to V† M(c) V, and an r x r stack's float view times fwd.T
+equal to the coefficients of V X V†, so a face step costs one GEMM each
+way around the (K, r, r) Cholesky gate or eigh, and nothing leaves the
+face's coordinates. A face whose map would hold more than FACE_MAP_CAP
+floats changes basis around each step instead, with four face products
+(V† M V, then V X V†). A whole-cone group's map is the same builder's
+array with V = 1, built once per order set for groups of at most 13 x
+13, where it beats the basis change; larger groups keep the basis
+change.
 
 On the whole cone each order's step runs on a reduced operator
 (`_OrderSet.groups`). A process of a fixed total order
@@ -219,17 +221,19 @@ def order_cone_residual(p: ProcessMatrix, cone: OrderCone) -> float:
 class _OrderSet:
     """What K orders of the parties fix before any W, built once per
     (parties, orders) by `_order_set`: the orders' ``cones``, the
-    ``basis`` of `_party_moves`, the (K, ...) float ``masks`` of the order
-    subspaces (ids == 0 of `_cone_ids`) and ``allowed``, how many of them
-    allow each coefficient (the affine step's n), both read-only. The
-    whole-cone step's ``groups`` and the witness ``battery`` are built on
-    first use and kept."""
+    ``basis`` of `_party_moves`, the (K, ...) float ``masks`` m of the
+    order subspaces (ids == 0 of `_cone_ids`) and the affine step's
+    ``share`` m / max(n, 1), n how many orders allow each coefficient: 1/n
+    on the orders that allow it and 0 on the rest, so share.any(axis=0)
+    marks the coefficients inside the sum of the subspaces. Both are
+    read-only. The whole-cone step's ``groups`` and the witness
+    ``battery`` are built on first use and kept."""
 
     parties: tuple[Party, ...]
     cones: tuple[OrderCone, ...]
     basis: _CoeffBasis
     masks: np.ndarray
-    allowed: np.ndarray
+    share: np.ndarray
 
     @functools.cached_property
     def groups(self):
@@ -308,10 +312,10 @@ def _order_set(parties: tuple[Party, ...], orders: tuple[OrderCone, ...]) -> _Or
     if not orders or len(set(orders)) != len(orders):
         raise ValueError("separability is decided against a non-empty list of distinct orders")
     masks = np.stack([_cone_ids(parties, c.order) == 0 for c in orders]).astype(float)
-    allowed = masks.sum(axis=0)
-    for x in (masks, allowed):
+    share = masks / np.maximum(masks.sum(axis=0), 1)
+    for x in (masks, share):
         x.setflags(write=False)
-    return _OrderSet(parties, orders, _party_moves(parties)[0], masks, allowed)
+    return _OrderSet(parties, orders, _party_moves(parties)[0], masks, share)
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +610,21 @@ def _dykstra(order_set: _OrderSet, wc: np.ndarray, tol, max_iters, face=None):
     is V (`_face`); returns the run's FeasibilityTrace. wc holds W's
     real coefficients, which `check_separability` expands once per call and
     shares between its runs, and ``order_set`` gives the basis, the masks m
-    of the subspaces L_i and the allow count n (`_order_set`).
+    of the subspaces L_i and the shares m / n (`_OrderSet.share`).
     On a coefficient that n > 0 of the L_i allow, the affine step subtracts
-    r/n from each of them, r the excess of their sum over W_par. The
-    reported residual sqrt(gap^2 + perp^2) also charges the part of W
-    outside the sum of the subspaces, which no feasible stack can
-    reproduce. The run stalls when, checked every STALL_CHECK_EVERY
-    iterations, the residual has fallen by less than STALL_REL relative to
-    its value STALL_WINDOW iterations back.
+    r/n from each of them, r the excess of their sum over W_par: one masked
+    subtraction, t - r ⊙ share with t = m ⊙ b. The affine set takes no
+    Dykstra correction. Its correction p = y - P(y) is normal to the set,
+    and so is a sum of them, and adding a normal vector does not move the
+    projection onto an affine set, so P(b + p) = P(b) in exact arithmetic
+    (Bauschke & Borwein, J. Approx. Theory 79, 418 (1994)); each iteration
+    projects b itself. Carrying p changes a run only by rounding, though
+    rounding alone sets where a run that has reached rounding level
+    stalls. The PSD cone is not affine and keeps its correction q. The reported residual sqrt(gap^2 +
+    perp^2) also charges the part of W outside the sum of the subspaces,
+    which no feasible stack can reproduce. The run stalls when, checked
+    every STALL_CHECK_EVERY iterations, the residual has fallen by less
+    than STALL_REL relative to its value STALL_WINDOW iterations back.
 
     The PSD step is the grouped step (`_project_groups`). On the whole cone
     each order's step runs on its reduced operator Y of S_i = {Y ⊗ 1_d}
@@ -630,37 +641,24 @@ def _dykstra(order_set: _OrderSet, wc: np.ndarray, tol, max_iters, face=None):
     so a run that clips on every step pays for one test in all;
     ``eigh_steps`` counts the iterations that ran eigh, and ``psd_dims``
     is read off the groups (r on a face)."""
-    basis, m, n = order_set.basis, order_set.masks, order_set.allowed
-    wpar = wc * (n > 0)
+    basis, m, share = order_set.basis, order_set.masks, order_set.share
+    wpar = wc * share.any(axis=0)
     perp = float(np.linalg.norm(wc - wpar))
-    keep = 1 - 1 / np.maximum(n, 1)
-
-    def proj_affine(y):
-        t = y * m
-        r = (t.sum(axis=0) - wpar) * m
-        return t - r + r * keep
-
     if face is None:
         groups, face_pair = order_set.groups, None
     else:
         groups = ((basis, tuple(range(len(m))), None, _face_maps(basis, face)),)
         face_pair = face, face.conj().T
     b = np.stack([wpar / len(m)] * len(m))
-    p = np.zeros_like(b)
     q = np.zeros_like(b)
     hist = []
     res = np.inf
     stalled = False
     clipped = None
     eigh_steps = 0
-    it = 0
-    # The affine correction p vanishes in exact arithmetic (the set is
-    # affine) but not in floating point: dropping it moves the stalls, and
-    # gap * gap for gap ** 2 rounds differently. Both stay as they are.
     for it in range(1, max_iters + 1):
-        y = b + p
-        a = proj_affine(y)
-        p = y - a
+        t = b * m
+        a = t - (t.sum(axis=0) - wpar) * share
         c = a + q
         nb, clipped = _project_groups(groups, c, face_pair, gate=not clipped)
         eigh_steps += clipped is not None
@@ -710,7 +708,7 @@ def _pure_decomposition(order_set: _OrderSet, wc: np.ndarray, tol):
         return None, dist.tolist()
     shares = held / held.sum()
     res = np.linalg.norm((m * wc * shares.reshape((-1,) + (1,) * wc.ndim)).sum(axis=0) - wc)
-    perp = float(np.linalg.norm(wc * (order_set.allowed == 0)))
+    perp = float(np.linalg.norm(wc * ~order_set.share.any(axis=0)))
     return FeasibilityTrace(orders=order_set.cones, stalled=False, residual_history=np.array([res]),
                             perp=perp, summands=shares, dual=None,
                             eigh_steps=0, psd_dims=()), dist.tolist()

@@ -138,18 +138,25 @@ def _checked_matrix(space, mat, ndim: int = 2) -> tuple[SpaceProduct, np.ndarray
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
-    """max |M - M^dag| over a (..., D, D) stack, 0 for an empty one."""
-    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
+    """max |M - M^dag| over a (..., D, D) stack, 0 for an empty one; inf
+    when a difference exceeds the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def _checked_hermitian(space, mat, ndim: int = 2) -> tuple[SpaceProduct, np.ndarray]:
     """`_checked_matrix`, then Hermitian within HERM_TOL: the read-only
-    symmetrized copy (M + M^dag) / 2 of every matrix of the stack."""
+    symmetrized copy M/2 + (M/2)^dag of every matrix of the stack. Halving
+    the float view first is exact above the subnormals, keeps signed zeros
+    (complex division by 2 does not) and cannot overflow, so the copy of an
+    exactly Hermitian M is M itself there, and a second symmetrization
+    returns its input bit for bit."""
     space, m = _checked_matrix(space, mat, ndim)
     dev = _hermitian_defect(m)
     if dev > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
-    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    half = (np.ascontiguousarray(m).view(float) / 2).view(complex)
+    m = half + half.conj().swapaxes(-1, -2)
     m.setflags(write=False)
     return space, m
 

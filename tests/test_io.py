@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import causalis as cs
 from causalis import io as cio
+from causalis import process
 from conftest import far_index_table, malformed_tables, mis_shaped_processes
 
 
@@ -14,17 +18,85 @@ def two_factor_space():
     return cs.SpaceProduct((cs.LabeledSpace("A", 2), cs.LabeledSpace("B", 3)))
 
 
+def json_trip(d):
+    return json.loads(json.dumps(d))
+
+
+# values a bit-exact round trip must keep: signed zeros, subnormals, the
+# smallest normal and the largest finite magnitudes, beside any finite float
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+LABELS = st.text("ABIOXYZ_ct", min_size=1, max_size=3)
+
+
+@st.composite
+def dims_under(draw, count, cap):
+    """count dims in 1..3, each drawn so that their product stays <= cap."""
+    dims, total = [], 1
+    for _ in range(count):
+        dims.append(draw(st.integers(1, max(1, min(3, cap // total)))))
+        total *= dims[-1]
+    return dims
+
+
+@st.composite
+def labelled_factors(draw):
+    """1 to 3 distinct labels in the order drawn (not sorted), with dims
+    1..3 and D <= 12."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    return [cs.LabeledSpace(lab, d) for lab, d in zip(labels, draw(dims_under(len(labels), 12)))]
+
+
+@st.composite
+def matrices(draw, dim, hermitian):
+    """A (dim, dim) complex matrix of FLOATS: exactly Hermitian (upper
+    triangle mirrored, real diagonal), or with an imaginary diagonal entry
+    of magnitude >= 1e-3, a defect far above HERM_TOL."""
+    m = draw(hnp.arrays(float, (dim, dim, 2), elements=FLOATS)).view(complex)[..., 0]
+    if hermitian:
+        upper = np.triu_indices(dim, 1)
+        m[upper[::-1]] = m[upper].conj()
+        m[np.diag_indices(dim)] = m.diagonal().real
+    else:
+        size = draw(st.floats(1e-3, 1e300))
+        m[0, 0] = complex(m[0, 0].real, draw(st.sampled_from([size, -size])))
+    return m
+
+
+def canonical(factors, m):
+    """m, built in factor order, permuted into sorted label order by
+    explicit index lists: the reference for io's canonicalisation."""
+    dims = [f.dim for f in factors]
+    order = sorted(range(len(factors)), key=lambda i: factors[i].label)
+    idx = [np.ravel_multi_index([multi[i] for i in order], [dims[i] for i in order])
+           for multi in np.ndindex(*dims)]
+    out = np.empty_like(m)
+    out[np.ix_(idx, idx)] = m
+    return out
+
+
 # ---------------------------------------------------------------------------
 # operators
 
-def test_operator_round_trip_bit_exact(rng):
-    space = two_factor_space()
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op = cs.Operator(space, m)
-    back = cio.operator_from_json(json.loads(json.dumps(cio.operator_to_json(op))))
-    assert back.space == op.space
-    assert np.array_equal(back.mat, op.mat)
-    assert type(back) is cs.Operator
+@settings(max_examples=60)
+@given(data=st.data(), hermitian=st.booleans())
+def test_operator_round_trip_bit_exact(data, hermitian):
+    # JSON written in the drawn factor order loads as the operator of the
+    # same matrix permuted into sorted label order; that operator goes
+    # through JSON and back with every bit kept, -0.0 against 0.0 included
+    factors = data.draw(labelled_factors())
+    m = data.draw(matrices(math.prod(f.dim for f in factors), hermitian))
+    loaded = cio.operator_from_json(json_trip({
+        "factors": [{"label": f.label, "dim": f.dim} for f in factors],
+        "entries": m.view(float).reshape(-1, 2).tolist()}))
+    want = (cs.HermitianOperator if hermitian else cs.Operator)(cs.SpaceProduct(factors),
+                                                                 canonical(factors, m))
+    assert type(loaded) is type(want) and loaded.space == want.space
+    assert loaded.mat.tobytes() == want.mat.tobytes()
+    back = cio.operator_from_json(json_trip(cio.operator_to_json(loaded)))
+    assert type(back) is type(loaded) and back.space == loaded.space
+    assert back.mat.tobytes() == loaded.mat.tobytes()
 
 
 def test_operator_entries_match_per_entry_floats(switch, rng):
@@ -92,16 +164,45 @@ def test_operator_entry_count_checked():
 # ---------------------------------------------------------------------------
 # processes
 
-def test_process_round_trip(switch):
-    d = json.loads(json.dumps(cio.process_to_json(switch)))
+@st.composite
+def processes(draw):
+    """1 to 3 parties of 1 or 2 inputs and 1 output (labels in any order,
+    dims 1..3, D <= 36), with a W drawn as an exactly Hermitian matrix of
+    FLOATS or, when its links fit, as a seeded random ordered process, which
+    is valid: (process, whether it is the ordered one)."""
+    n = draw(st.integers(1, 3))
+    counts = [draw(st.integers(1, 2)) + 1 for _ in range(n)]
+    labels = draw(st.lists(LABELS, min_size=sum(counts), max_size=sum(counts), unique=True))
+    dims = draw(dims_under(len(labels), 36))
+    factors = [cs.LabeledSpace(lab, d) for lab, d in zip(labels, dims)]
+    parties, k = [], 0
+    for i, c in enumerate(counts):
+        parties.append(cs.Party(f"P{i}", factors[k:k + c - 1], factors[k + c - 1]))
+        k += c
+    links_fit = all(b.input_dim * process.LINK_KRAUS >= a.output_dim
+                    for a, b in zip(parties, parties[1:]))
+    if links_fit and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 99)))
+        return cs.random_ordered_process(parties, rng), True
+    space = cs.parties_space(parties)
+    w = cs.HermitianOperator(space, draw(matrices(space.dim, True)))
+    return cs.ProcessMatrix(tuple(parties), w), False
+
+
+@settings(max_examples=40)
+@given(drawn=processes())
+def test_process_round_trip(drawn):
+    p, ordered = drawn
+    d = json_trip(cio.process_to_json(p))
     back = cio.process_from_json(d)
-    assert back.parties == switch.parties
-    assert np.array_equal(back.w.mat, switch.w.mat)
-    assert cs.validate_process(back).validity == "valid"
-    # multi-factor input survives as a list, single factors as bare objects
-    fiona = d["parties"][2]
-    assert isinstance(fiona["input"], list) and len(fiona["input"]) == 2
-    assert isinstance(fiona["output"], dict)
+    assert back.parties == p.parties
+    assert back.w.space == p.w.space and back.w.mat.tobytes() == p.w.mat.tobytes()
+    # a multi-factor input survives as a list, single factors as bare objects
+    for q, entry in zip(p.parties, d["parties"]):
+        for side, fs in (("input", q.inputs), ("output", q.outputs)):
+            assert isinstance(entry[side], list if len(fs) > 1 else dict)
+    if ordered:
+        assert cs.validate_process(back).validity == "valid"
 
 
 def test_process_requires_hermitian_w(switch):
@@ -194,17 +295,21 @@ def test_instrument_for_unknown_party_is_a_value_error(qubit_parties):
         cio.instrument_from_json(d, qubit_parties)
 
 
-def test_instrument_round_trip(qubit_parties):
-    a, b = qubit_parties
-    ins = cs.standard_instruments("measure_reprepare", a)
-    d = json.loads(json.dumps(cio.instrument_to_json(ins)))
-    for parties in ([a, b], qubit_parties):
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       dims=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_instrument_round_trip(qubit_parties, seed, counts, dims):
+    a = cs.Party("A", cs.LabeledSpace("A_I", dims[0]), cs.LabeledSpace("A_O", dims[1]))
+    _, b = qubit_parties
+    ins = cs.random_instrument(a, *counts, np.random.default_rng(seed))
+    d = json_trip(cio.instrument_to_json(ins))
+    for parties in ([a, b], [b, a]):
         back = cio.instrument_from_json(d, parties)
         assert back.party == a
-        assert (back.settings, back.outcomes) == (1, 2)
+        assert (back.settings, back.outcomes) == counts
         for x in range(back.settings):
             for o in range(back.outcomes):
-                assert np.array_equal(back.choi(x, o).mat, ins.choi(x, o).mat)
+                assert back.choi(x, o).mat.tobytes() == ins.choi(x, o).mat.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +320,36 @@ def make_table(rng, names="AB", settings=(2, 3), outcomes=(2, 2)):
     return cs.ProbabilityTable(tuple(names), vals.reshape(settings + outcomes))
 
 
-def test_table_csv_round_trip(rng):
-    # one, two and three parties; F has a single setting
-    for names, settings, outcomes in [("A", (3,), (2,)), ("AB", (2, 3), (2, 2)),
-                                      ("ABF", (2, 2, 1), (2, 3, 2))]:
-        t = make_table(rng, names, settings, outcomes)
-        text = cio.table_to_csv(t)
-        assert text.splitlines()[0] == ",".join(
-            [f"x_{q}" for q in names] + [f"a_{q}" for q in names] + ["p"])
-        back = cio.table_from_csv(text)
-        assert back.parties == t.parties == tuple(names)
-        assert (back.settings, back.outcomes) == (settings, outcomes)
-        assert np.array_equal(back.values, t.values)
+# cell weights before each row is normalised: signed zeros and subnormals
+# stay what they are, as a row keeps one weight of at least 1e-3
+WEIGHTS = st.sampled_from([-0.0, 0.0, 5e-324, 2.5e-310]) | st.floats(1e-3, 1.0)
+
+
+@st.composite
+def tables(draw):
+    """1 to 3 parties named in any order, with 1..3 settings and outcomes
+    each (at most 64 cells), every row a normalised draw of WEIGHTS."""
+    names = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    shape = tuple(draw(dims_under(2 * len(names), 64)))  # settings, then outcomes
+    cells = math.prod(shape[len(names):])
+    rows = []
+    for _ in range(math.prod(shape[:len(names)])):
+        w = np.array(draw(st.lists(WEIGHTS, min_size=cells, max_size=cells)))
+        w[-1] = draw(st.floats(1e-3, 1.0))
+        rows.append(w / w.sum())
+    return cs.ProbabilityTable(tuple(names), np.reshape(rows, shape))
+
+
+@settings(max_examples=40)
+@given(t=tables())
+def test_table_csv_round_trip(t):
+    text = cio.table_to_csv(t)
+    assert text.splitlines()[0] == ",".join(
+        [f"x_{q}" for q in t.parties] + [f"a_{q}" for q in t.parties] + ["p"])
+    back = cio.table_from_csv(text)
+    assert back.parties == t.parties
+    assert (back.settings, back.outcomes) == (t.settings, t.outcomes)
+    assert back.values.tobytes() == t.values.tobytes()
 
 
 def test_table_csv_errors(rng):

@@ -511,9 +511,9 @@ def test_runs_are_deterministic(qubit_parties):
     assert np.array_equal(c1.trace.residual_history, c2.trace.residual_history)
 
 
-def reference_dykstra(order_set, w, tol, max_iters, face=None):
-    """The Dykstra loop written plainly: b + p and a + q formed twice each,
-    the gap by np.linalg.norm, V† formed in every projection, one Cholesky
+def reference_dykstra(order_set, w, tol, max_iters, face=None, correction=False):
+    """The Dykstra loop written plainly: a + q formed twice, the gap by
+    np.linalg.norm, V† formed in every projection, one Cholesky
     per item for the gate and np.clip for the clipping. A face step runs
     through the library's face map (`_face_maps`) whenever the library
     builds one, from the first step on, as every other face step runs
@@ -525,12 +525,18 @@ def reference_dykstra(order_set, w, tol, max_iters, face=None):
     axis, takes the plain D x D step below instead, so that the library's
     grouped step is checked against code it does not share. Kept as the
     reference that `_dykstra` must match bit for bit; returns
-    (residual_history, summands or None, dual or None, eigh steps)."""
+    (residual_history, summands or None, dual or None, eigh steps).
+
+    With ``correction`` it is Dykstra's loop in its textbook form: the
+    affine step also carries a correction p (projecting b + p, then p = b +
+    p - a) and subtracts r = excess ⊙ m as t - r + r (1 - 1/n). p is normal
+    to the affine set, so it moves the run only by rounding."""
     basis, m = order_set.basis, order_set.masks
     n = m.sum(axis=0)
     wc = basis.to_coeffs(w)
     wpar = wc * (n > 0)
     perp = float(np.linalg.norm(wc - wpar))
+    share = m / np.maximum(n, 1)
     keep = 1 - 1 / np.maximum(n, 1)
     fwd = None if face is None else separability._face_maps(basis, face)
     reduced = []
@@ -540,6 +546,8 @@ def reference_dykstra(order_set, w, tol, max_iters, face=None):
 
     def proj_affine(y):
         t = y * m
+        if not correction:
+            return t - (t.sum(axis=0) - wpar) * share
         r = (t.sum(axis=0) - wpar) * m
         return t - r + r * keep
 
@@ -620,8 +628,9 @@ def reference_dykstra(order_set, w, tol, max_iters, face=None):
     clipped = None
     eigh_steps = 0
     for it in range(1, max_iters + 1):
-        a = proj_affine(b + p)
-        p = b + p - a
+        a = proj_affine(b + p if correction else b)
+        if correction:
+            p = b + p - a
         nb, clipped = project_psd(a + q, clipped)
         if clipped is not None:
             eigh_steps += 1
@@ -699,6 +708,48 @@ def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, 
     for mine, ref in ((got.summands, summands), (got.dual, dual)):
         assert (mine is None) == (ref is None)
         assert mine is None or np.array_equal(mine, ref)
+
+
+def equal_switch():
+    return cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+
+
+@pytest.mark.parametrize("make, orders, max_iters, runs", [
+    (cs.ocb_process, None, separability.MAX_ITERS, [("face", 500)]),
+    (lambda: noisy_ocb(), None, separability.MAX_ITERS, [("cone", 500)]),
+    (traced_switch, None, separability.MAX_ITERS, [("face", 9)]),
+    (lambda: unitary_channel_mixture(qubit_chain("AB"), np.random.default_rng(0)), None,
+     separability.MAX_ITERS, [("face", 12)]),
+    (baumeler_wolf, None, separability.MAX_ITERS, [("face", 550)]),
+    (baumeler_wolf, ("ABC", "BAC"), separability.MAX_ITERS, [("face", 550), ("cone", 600)]),
+    (equal_switch, None, 600, [("cone", 600)]),
+], ids=["ocb", "ocb_noisy", "traced_switch", "unitary_mixture", "baumeler_wolf",
+        "baumeler_wolf_ABC_BAC", "switch_cut_at_600"])
+def test_affine_correction_moves_runs_only_by_rounding(make, orders, max_iters, runs):
+    # Dykstra's correction for the affine set is normal to it, so it never
+    # changes that set's projection. The loop that carries it
+    # (`reference_dykstra` with correction) and `_dykstra`, which does not,
+    # run the same iterations and agree to rounding: residuals, final
+    # stacks and the witness overlap read off a failed run's dual
+    p = cs.validate_process(make())
+    ords = order_set(p.parties, orders)
+    wc = ords.basis.to_coeffs(p.w.mat)
+    for where, iterations in runs:
+        face = separability._face(p.w.mat) if where == "face" else None
+        assert (face is None) == (where == "cone")  # every face case is rank-deficient
+        got = separability._dykstra(ords, wc, separability.SEP_TOL, max_iters, face)
+        hist, summands, dual, steps = reference_dykstra(ords, p.w.mat, separability.SEP_TOL,
+                                                        max_iters, face, correction=True)
+        assert got.iterations == len(hist) == iterations
+        assert np.max(np.abs(got.residual_history - hist)) < 1e-12
+        mine, ref = (got.summands, summands) if got.converged else (got.dual, dual)
+        assert ref is not None and np.max(np.abs(mine - ref)) < 1e-10
+        if not got.converged:
+            ref_trace = dataclasses.replace(got, residual_history=hist, dual=dual,
+                                            eigh_steps=steps)
+            overlaps = [separability.extract_witness(p, t)[1]["witness_overlap"]
+                        for t in (got, ref_trace)]
+            assert abs(overlaps[0] - overlaps[1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1071,7 @@ def test_relabelled_noisy_ocb_keeps_its_whole_cone_verdict():
     # on the other party's output; the run and its witness agree to rounding
     p = noisy_ocb()
     want = cs.check_separability(p)
-    got = cs.check_separability(swap_two_parties(p))
+    got = cs.check_separability(permute_parties(p, (1, 0)))
     for cert in (want, got):
         assert cert.verdict == "nonseparable" and cert.trace.stalled
         assert cert.iterations == cert.trace.eigh_steps == 500
@@ -1097,7 +1148,7 @@ def test_pure_state_held_by_both_orders_splits_evenly():
     psi = cs.random_unitary(4, np.random.default_rng(5))[:, 0]
     w = cs.HermitianOperator(cs.parties_space((a, b)), np.outer(psi, psi.conj()))
     p = cs.validate_process(cs.ProcessMatrix((a, b), w))
-    for q in (p, swap_two_parties(p)):
+    for q in (p, permute_parties(p, (1, 0))):
         cert, runs = retried(q, orders=[("A", "B"), ("B", "A")])
         assert runs == [] and cert.iterations == 1
         assert cert.diagnostics["face_rank"] == 1
@@ -1130,14 +1181,15 @@ def test_verdict_invariant_under_local_unitaries(frame_bases, kind, seed):
     assert got.iterations == want.iterations
 
 
-def swap_two_parties(p):
-    """p with its two parties' names and factor labels exchanged (A_I <-> B_I,
-    A_O <-> B_O, ...): the same process read in another canonical label
-    order. Party k takes the other party's name and labels, and W's factors
-    are permuted into the new canonical order."""
-    a, b = p.parties
+def permute_parties(p, perm):
+    """p with party k renamed as party perm[k], factor labels included (A_I
+    -> B_I, A_O -> B_O, ... when perm[0] is B's index): the same process
+    read in another canonical label order. Party k keeps its factors and
+    their dims and takes party perm[k]'s name and labels, position by
+    position, and W's factors are permuted into the new canonical order."""
     relabel, parties = {}, []
-    for q, other in ((a, b), (b, a)):
+    for q, k in zip(p.parties, perm):
+        other = p.parties[k]
         relabel.update(zip(q.input_labels + q.output_labels,
                            other.input_labels + other.output_labels))
         parties.append(cs.Party(other.name,
@@ -1145,8 +1197,8 @@ def swap_two_parties(p):
                                 [cs.LabeledSpace(relabel[f.label], f.dim) for f in q.outputs]))
     factors = p.w.space.factors
     n = len(factors)
-    perm = sorted(range(n), key=lambda i: relabel[factors[i].label])
-    t = p.w.mat.reshape([f.dim for f in factors] * 2).transpose(perm + [n + i for i in perm])
+    order = sorted(range(n), key=lambda i: relabel[factors[i].label])
+    t = p.w.mat.reshape([f.dim for f in factors] * 2).transpose(order + [n + i for i in order])
     space = cs.SpaceProduct(cs.LabeledSpace(relabel[f.label], f.dim) for f in factors)
     return cs.ProcessMatrix(tuple(parties), cs.HermitianOperator(space, t.reshape(p.w.mat.shape)))
 
@@ -1163,7 +1215,7 @@ def test_verdict_invariant_under_party_relabelling(traced_switch_cert, seed, wei
     else:
         p = unitary_channel_mixture(qubit_chain("AB"), np.random.default_rng(seed), weight)
         want = cs.check_separability(p)
-    swapped = swap_two_parties(p)
+    swapped = permute_parties(p, (1, 0))
     for q in (p, swapped):
         assert cs.validate_process(q).validity == "valid"
     rep, rep_swapped = validity_report(p), validity_report(swapped)
@@ -1861,6 +1913,23 @@ def test_baumeler_wolf_witness_in_every_dual_cone(baumeler_wolf_cert):
     assert abs(overlap - cert.diagnostics["witness_overlap"]) < 1e-12
 
 
+def test_relabelled_baumeler_wolf_keeps_its_certified_verdict(baumeler_wolf_cert):
+    # A <-> B moves W's factors, where the cyclic relabelling A -> B -> C ->
+    # A leaves W bit for bit the same. The face run stalls at the same
+    # count with no eigh step, and its witness is certified with the same
+    # overlap up to rounding
+    p, want = baumeler_wolf_cert
+    assert np.array_equal(permute_parties(p, (1, 2, 0)).w.mat, p.w.mat)
+    swapped = permute_parties(p, (1, 0, 2))
+    assert not np.array_equal(swapped.w.mat, p.w.mat)
+    got = cs.check_separability(swapped)
+    for cert in (want, got):
+        assert cert.verdict == "nonseparable" and cert.witness_verified
+        assert cert.trace.stalled and cert.iterations == 550 and cert.trace.eigh_steps == 0
+        assert cert.diagnostics["face_rank"] == 8 and "face_iterations" not in cert.diagnostics
+    assert abs(got.diagnostics["witness_overlap"] - want.diagnostics["witness_overlap"]) < 1e-9
+
+
 def test_stall_without_witness_is_undecided(traced_switch_cert):
     # the traced switch is separable, so no witness exists; below rounding
     # the residual cannot reach tol = 1e-20, so the face run and the
@@ -1869,10 +1938,10 @@ def test_stall_without_witness_is_undecided(traced_switch_cert):
     p, separable = traced_switch_cert
     assert separable.verdict == "separable"
     cert = cs.check_separability(p, tol=1e-20)
-    # the retry's residual sits at rounding level (1.6e-16) from about
-    # iteration 500 on, so where it stalls is set by rounding alone
-    assert cert.trace.stalled and cert.iterations == 700
-    assert cert.diagnostics["face_iterations"] == 550
+    # both runs' residuals sit at rounding level (about 1e-15) long before
+    # they stall, so where each stalls is set by rounding alone
+    assert cert.trace.stalled and cert.iterations == 600
+    assert cert.diagnostics["face_iterations"] == 650
     assert cert.witness is None and "rejected" in cert.diagnostics
     assert cert.diagnostics["witness_overlap"] > 0
     assert cert.verdict == "undecided" and not cert.separable
