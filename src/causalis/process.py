@@ -642,7 +642,10 @@ def random_ordered_batch(
     n: int,
 ) -> OrderedBatch:
     """n ordered processes with Haar-random states and random CPTP links of
-    LINK_KRAUS Kraus operators each.
+    LINK_KRAUS Kraus operators each. A link from an output of dim d_out to
+    an input of dim d_in takes ceil(d_out / d_in) instead when that is
+    more, the fewest for which its (k d_in x d_out) isometry exists; every
+    other link draws as it does with LINK_KRAUS.
 
     One rng.normal call draws all of them and consumes the generator exactly
     as n sequential random_ordered_process calls do: per sample, the real
@@ -657,10 +660,9 @@ def random_ordered_batch(
     links = list(zip(order, order[1:]))
     d0 = order[0].input_dim
     shapes = [(d0, d0)]
-    for src, dst in links:
-        if dst.input_dim * LINK_KRAUS < src.output_dim:
-            raise ValueError("isometry needs d_to >= d_from")
-        shapes.append((dst.input_dim * LINK_KRAUS, src.output_dim))
+    kraus = [max(LINK_KRAUS, -(-src.output_dim // dst.input_dim)) for src, dst in links]
+    for (src, dst), k in zip(links, kraus):
+        shapes.append((dst.input_dim * k, src.output_dim))
     sizes = [math.prod(sh) for sh in shapes]
     x = rng.normal(size=(n, 2 * sum(sizes)))
     g, at = [], 0
@@ -670,10 +672,10 @@ def random_ordered_batch(
     states = _ginibre_density(g[0])
     channels = tuple(
         _choi_stack(
-            _haar_isometry(gk).reshape(n, LINK_KRAUS, dst.input_dim, src.output_dim),
+            _haar_isometry(gk).reshape(n, k, dst.input_dim, src.output_dim),
             src.output_space, dst.input_space,
         )
-        for gk, (src, dst) in zip(g[1:], links)
+        for gk, k, (src, dst) in zip(g[1:], kraus, links)
     )
     return OrderedBatch(order, states, channels)
 

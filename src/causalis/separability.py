@@ -27,8 +27,8 @@ per-party table validity uses), its projector is the mask ids == 0, the
 affine projection has a closed form on each coefficient, and an order
 cone's residual is the largest per-id norm, one bincount. The basis change
 is one GEMM per group of adjacent factors (two for balanced spaces), and
-Dykstra carries the summands as one (K, ...) stack. Its PSD step is one
-grouped step (`_project_groups`), so an iteration takes each group to
+Dykstra carries the summands as one flat (K, N) stack. Its PSD step
+(`_psd_step`) is built once per run, so an iteration takes each group to
 matrices and back once, with at most one batched eigh per group: one
 group on a face, and on the whole cone one per reduced size (each order's
 step runs on a D/d x D/d operator; see below). A group goes to matrices
@@ -50,12 +50,20 @@ The runs, the witness and the certificate's components and q all read
 that one object. Once per process: W's coefficients, the basis change
 its validation made (`process._validity_sweep`), shared by the closed
 form, the face run, its whole-cone retry and the witness of each failed
-run (`extract_witness`). Once per call: V; once per face run, V†, its
-face map and its one whole-stack group.
+run (`extract_witness`). Once per call: V. Once per run: its face map
+on a face, and the PSD step, which settles each group's path (map GEMM,
+basis change, or V's compression around it over FACE_MAP_CAP), its
+gather positions and its buffers, with the scatter target zeroed once;
+and the run's flat (K, N) stacks b, q, a and c, which every iteration
+reuses.
 Per iteration: the affine step, one masked subtraction on the last PSD
 stack (the affine set takes no Dykstra correction; see `_dykstra`), one
-GEMM or basis change each way around the PSD step (none back when that
-step leaves a whole-cone stack as it is), and the residual. The face map
+gather, GEMM or basis change each way around the Cholesky gate or eigh
+(none back when the step leaves a whole-cone stack as it is), one
+scatter, and the residual. The ufuncs and map GEMMs write into the
+buffers with out=, operation for operation as with new arrays, so no
+rounding moves; eigh, the gate and a basis change still allocate their
+results. The face map
 (`_face_maps`, built before a face run's first step from one basis
 change) is a real (N, 2r²) array fwd, N = D², with c @ fwd viewed as
 complex equal to V† M(c) V, and an r x r stack's float view times fwd.T
@@ -63,10 +71,10 @@ equal to the coefficients of V X V†, so a face step costs one GEMM each
 way around the (K, r, r) Cholesky gate or eigh, and nothing leaves the
 face's coordinates. A face whose map would hold more than FACE_MAP_CAP
 floats changes basis around each step instead, with four face products
-(V† M V, then V X V†). A whole-cone group's map is the same builder's
-array with V = 1, built once per order set for groups of at most 13 x
-13, where it beats the basis change; larger groups keep the basis
-change.
+(V† M V, then V X V†, or V U and (V U) e (V U)† after eigh). A
+whole-cone group's map is the same builder's array with V = 1, built
+once per order set for groups of at most 13 x 13, where it beats the
+basis change; larger groups keep the basis change.
 
 On the whole cone each order's step runs on a reduced operator
 (`_OrderSet.groups`). A process of a fixed total order
@@ -338,7 +346,7 @@ class FeasibilityTrace:
     is). ``converged`` is read off which one is
     kept, and ``residual`` and ``iterations`` are the last entry and the
     length of ``residual_history``. ``eigh_steps`` counts the iterations
-    whose PSD step ran eigh (`_psd_part`); the others found the stack
+    whose PSD step ran eigh (`_GroupPlan.clip`); the others found the stack
     positive definite, which clips nothing (0 for the closed form).
     ``psd_dims`` gives, per order, the size of the matrices that the PSD
     step diagonalised, read off its groups: r on a face, D/d on the whole
@@ -511,64 +519,123 @@ def _positive_definite(x: np.ndarray) -> bool:
     return True
 
 
-def _psd_part(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """P_psd of each item of a Hermitian (..., r, r) stack from one batched
-    eigh, its eigenvalues clipped at 0, and whether one was negative."""
-    e, v = np.linalg.eigh(x)
-    clipped = bool(e[..., 0].min() < 0)
-    np.maximum(e, 0, out=e)
-    return (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2), clipped
+class _GroupPlan:
+    """One group's fixed path through a run's PSD step (`_psd_step`), for
+    its n orders of s x s matrices, and the buffers that the path writes.
+    ``at`` holds the gather positions as (n, N_g) flat indices into the
+    (K, N) stack (None for the whole stack) and ``taken`` the gathered
+    rows. With a map, ``x`` holds the (n, s, s) matrices that the forward
+    GEMM writes into its float view ``xf``, the clipping overwrites with
+    P_psd and the back GEMM reads, and ``y`` the back GEMM's rows. ``u``
+    and ``p`` take the clipping's scaled eigenvectors U e and its product
+    (U e) U†. On a face over the cap, ``lift`` holds V, V† and the (n, s,
+    D) and (n, D, s) halves of the compression, U is V U and ``p`` is (n,
+    D, D)."""
+
+    def __init__(self, basis, orders, at, fwd, face):
+        n, d = len(orders), basis.dim
+        s = d if face is None else face.shape[1]
+        self.basis, self.fwd, self.lift = basis, fwd, None
+        self.at = None if at is None else at.reshape(n, -1)
+        self.taken = None if at is None else np.empty(self.at.shape)
+        if fwd is not None:
+            self.fwd_t = fwd.T
+            self.x = np.empty((n, s, s), dtype=complex)
+            self.xf = self.x.reshape(n, -1).view(float)
+            self.y = np.empty((n, fwd.shape[0]))
+            self.u, self.p = np.empty_like(self.x), self.x
+            return
+        if face is not None:
+            self.lift = (face, face.conj().T, np.empty((n, s, d), dtype=complex),
+                         np.empty((n, d, s), dtype=complex))
+            self.x = np.empty((n, s, s), dtype=complex)
+        self.u = np.empty((n, d, s), dtype=complex)
+        self.p = np.empty((n, d, d), dtype=complex)
+
+    def forward(self, c: np.ndarray) -> np.ndarray:
+        """The group's (n, s, s) matrices of the flat stack c."""
+        # the positions are in range; mode "clip" writes straight into
+        # ``taken``, where "raise" would go through a temporary
+        x = c if self.at is None else np.take(c, self.at, out=self.taken, mode="clip")
+        if self.fwd is not None:
+            np.matmul(x, self.fwd, out=self.xf)
+            return self.x
+        m = self.basis.from_coeffs(x.reshape((len(x),) + self.basis.shape))
+        if self.lift is None:
+            return m
+        v, vh, left, _ = self.lift
+        return np.matmul(np.matmul(vh, m, out=left), v, out=self.x)
+
+    def clip(self, x: np.ndarray) -> bool:
+        """P_psd of each item of x into ``p``, from one batched eigh with its
+        eigenvalues clipped at 0; whether one was negative."""
+        e, u = np.linalg.eigh(x)
+        clipped = bool(e[..., 0].min() < 0)
+        np.maximum(e, 0, out=e)
+        if self.lift is not None:
+            u = np.matmul(self.lift[0], u, out=self.lift[3])
+        np.multiply(u, e[..., None, :], out=self.u)
+        np.matmul(self.u, np.conjugate(u, out=u).swapaxes(-1, -2), out=self.p)
+        return clipped
+
+    def back(self, x: np.ndarray, clipped: bool) -> np.ndarray:
+        """The (n, N_g) coefficient rows of the step: of P_psd after
+        ``clip``, else of x, compressed to V x V† on a face."""
+        if self.fwd is not None:
+            return np.matmul(self.xf, self.fwd_t, out=self.y)
+        if clipped:
+            x = self.p
+        elif self.lift is not None:
+            v, vh, _, right = self.lift
+            x = np.matmul(np.matmul(v, x, out=right), vh, out=self.p)
+        return self.basis.to_coeffs(x).reshape(len(x), -1)
 
 
-def _project_groups(groups, c: np.ndarray, face=None,
-                    gate: bool = True) -> tuple[np.ndarray, bool | None]:
-    """Nearest point of the PSD cone, or of its face {V X V† : X ⪰ 0} when
-    ``face`` is (V, V†) (`_face`), to each operator of a coefficient stack,
-    with whether the step clipped: (projection, clipped).
+def _psd_step(groups, shape: tuple[int, int], face: np.ndarray | None = None):
+    """The PSD step of one run on flat (K, N) coefficient stacks, built
+    once before its first iteration: step(c, gate) -> (projection,
+    clipped), the nearest point of the PSD cone, or of its face {V X V† :
+    X ⪰ 0} when ``face`` is V (`_face`), to each operator of c.
 
-    Each group takes its stack, c.take(at) or the whole of c, to matrices
-    and back by one of two means: its map fwd when it has one (one GEMM
-    each way: `_face_maps`, with V = 1 on the whole cone and V on a face),
-    or else its basis change, compressed to V† M V on a face. On the whole
-    cone item i lies in S_i, and each group of `_OrderSet.groups` runs on
-    its reduced stack. P_psd(Y ⊗ 1_d) = P_psd(Y)
-    ⊗ 1_d, and P_psd is positively homogeneous, so the sqrt(d) in the
-    reduced coefficients needs no rescaling and the step is the exact
-    Frobenius projection. A face run has one group, the whole stack. When
-    the gate passes (`_positive_definite` on every group's stack), nothing
-    is clipped: ``c`` is returned as given, or on a face the compression V
-    (V† M V) V†, and clipped is None. Otherwise each group runs
-    `_psd_part` and goes back, on a face without a map as V P_psd(V† M V)
-    V†; a group with gather positions is put into zeros off S_i."""
-    xs = []
-    for basis, _, at, fwd in groups:
-        x = c if at is None else c.take(at)
-        if fwd is None:
-            xs.append(basis.from_coeffs(x))
+    Each group's path is settled here (`_GroupPlan`): its map fwd when it
+    has one (one GEMM each way: `_face_maps`, with V = 1 on the whole cone
+    and V on a face), else its basis change, compressed to V† M V on a
+    face. Its gather positions, its buffers and the scatter target, zeroed
+    once, are fixed too, so a call gathers, multiplies into the buffers,
+    runs the gate or eigh and scatters. On the whole cone item i lies in
+    S_i, and each group of `_OrderSet.groups` runs on its reduced stack.
+    P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d, and P_psd is positively homogeneous,
+    so the sqrt(d) in the reduced coefficients needs no rescaling and the
+    step is the exact Frobenius projection. A face run has one group, the
+    whole stack. When the gate passes (`_positive_definite` on every
+    group's stack, unless ``gate`` is False), nothing is clipped: c is
+    returned as given, or on a face the compression V (V† M V) V†, and
+    clipped is None. Otherwise each group runs one batched eigh, clips at
+    0 and goes back, on a face over the cap as (V U) e (V U)†; a group with
+    gather positions is put into the zeros off S_i.
+
+    The projection is one of the step's buffers, or c itself, so it is
+    overwritten by the next call. np.linalg.eigh and np.linalg.cholesky
+    are looked up at each call."""
+    plans = [_GroupPlan(basis, orders, at, fwd, face) for basis, orders, at, fwd in groups]
+    scatter = None if plans[0].at is None else np.zeros(shape)
+
+    def step(c: np.ndarray, gate: bool = True) -> tuple[np.ndarray, bool | None]:
+        xs = [plan.forward(c) for plan in plans]
+        clipped = None
+        if gate and all(map(_positive_definite, xs)):
+            if face is None:
+                return c, None
         else:
-            s = math.isqrt(fwd.shape[1] // 2)
-            xs.append((x.reshape(len(x), -1) @ fwd).view(complex).reshape(len(x), s, s))
-    lift = face is not None and groups[0][3] is None
-    if lift:
-        v, vh = face
-        xs = [vh @ xs[0] @ v]
-    clipped = None
-    if gate and all(map(_positive_definite, xs)):
-        if face is None:
-            return c, None
-    else:
-        xs, negs = zip(*map(_psd_part, xs))
-        clipped = any(negs)
-    if lift:
-        xs = [v @ xs[0] @ vh]
-    out = None if groups[0][2] is None else np.zeros_like(c)
-    for (basis, _, at, fwd), x in zip(groups, xs):
-        y = basis.to_coeffs(x) if fwd is None else x.reshape(len(x), -1).view(float) @ fwd.T
-        if at is None:
-            out = y.reshape(c.shape)
-        else:
-            out.put(at, y)
-    return out, clipped
+            clipped = any([plan.clip(x) for plan, x in zip(plans, xs)])
+        for plan, x in zip(plans, xs):
+            y = plan.back(x, clipped is not None)
+            if plan.at is None:
+                return y, clipped
+            scatter.put(plan.at, y)
+        return scatter, clipped
+
+    return step
 
 
 def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray | None:
@@ -605,7 +672,7 @@ def _face_maps(basis: _CoeffBasis, face: np.ndarray) -> np.ndarray | None:
 
 def _dykstra(order_set: _OrderSet, wc: np.ndarray, tol, max_iters, face=None):
     """Alternating projections on the summands x = (x_1, ..., x_K), held as
-    one (K, ...) coefficient stack, between the affine set {x_i in L_i,
+    one flat (K, N) coefficient stack, between the affine set {x_i in L_i,
     sum_i x_i = W_par} and the PSD product cone, or its face when ``face``
     is V (`_face`); returns the run's FeasibilityTrace. wc holds W's
     real coefficients, which `check_separability` expands once per call and
@@ -626,48 +693,63 @@ def _dykstra(order_set: _OrderSet, wc: np.ndarray, tol, max_iters, face=None):
     every STALL_CHECK_EVERY iterations, the residual has fallen by less
     than STALL_REL relative to its value STALL_WINDOW iterations back.
 
-    The PSD step is the grouped step (`_project_groups`). On the whole cone
-    each order's step runs on its reduced operator Y of S_i = {Y ⊗ 1_d}
-    (`_OrderSet.groups`; the affine step keeps the masks' exact zeros, q
-    starts at 0 and the step puts into zeros, so every PSD input lies in
-    S_i, where P_psd(Y ⊗ 1_d) = P_psd(Y) ⊗ 1_d makes the reduced step
-    exact), through the group's cached map where it has one. A face run is
-    one whole-stack group, which builds its face map (`_face_maps`) once,
-    before the first step, and takes every step through it; a face whose
-    map would exceed FACE_MAP_CAP is compressed by V around each basis
-    change instead. The step is gated: a Cholesky test comes first, and
-    eigh runs only when the stack is not positive definite. After a step
-    that clipped, the next one skips the test and goes straight to eigh,
-    so a run that clips on every step pays for one test in all;
-    ``eigh_steps`` counts the iterations that ran eigh, and ``psd_dims``
-    is read off the groups (r on a face)."""
-    basis, m, share = order_set.basis, order_set.masks, order_set.share
+    The PSD step (`_psd_step`) is built once, before the first iteration,
+    and the flat stacks b, q, a and c are allocated once. Each iteration
+    writes them with ufuncs given out=, operation for operation as
+    t = b ⊙ m, a = t - (t.sum(axis=0) - W_par) ⊙ share, c = a + q,
+    b = P(c), q = c - b and gap = ||a - b|| would with new arrays
+    (np.add.reduce with out= is sum bit for bit), so the buffers change no
+    rounding. The trace's summands or dual are new (K, ...) arrays, sharing
+    no memory with the buffers. On the whole cone each order's step runs on
+    its reduced operator Y of S_i = {Y ⊗ 1_d} (`_OrderSet.groups`; the
+    affine step keeps the masks' exact zeros, q starts at 0 and the step
+    puts into zeros, so every PSD input lies in S_i, where P_psd(Y ⊗ 1_d) =
+    P_psd(Y) ⊗ 1_d makes the reduced step exact), through the group's cached
+    map where it has one. A face run is one whole-stack group, which builds
+    its face map (`_face_maps`) once, before the first step, and takes every
+    step through it; a face whose map would exceed FACE_MAP_CAP is
+    compressed by V around each basis change instead. The step is gated: a
+    Cholesky test comes first, and eigh runs only when the stack is not
+    positive definite. After a step that clipped, the next one skips the
+    test and goes straight to eigh, so a run that clips on every step pays
+    for one test in all; ``eigh_steps`` counts the iterations that ran eigh,
+    and ``psd_dims`` is read off the groups (r on a face)."""
+    basis, shape = order_set.basis, order_set.masks.shape
+    k = len(order_set.cones)
+    m, share = order_set.masks.reshape(k, -1), order_set.share.reshape(k, -1)
+    wc = wc.reshape(-1)
     wpar = wc * share.any(axis=0)
     perp = float(np.linalg.norm(wc - wpar))
     if face is None:
-        groups, face_pair = order_set.groups, None
+        groups = order_set.groups
     else:
-        groups = ((basis, tuple(range(len(m))), None, _face_maps(basis, face)),)
-        face_pair = face, face.conj().T
-    b = np.stack([wpar / len(m)] * len(m))
+        groups = ((basis, tuple(range(k)), None, _face_maps(basis, face)),)
+    step = _psd_step(groups, m.shape, face)
+    b = np.stack([wpar / k] * k)
     q = np.zeros_like(b)
+    a, c, total = np.empty_like(b), np.empty_like(b), np.empty_like(wpar)
+    gap_vec = a.reshape(-1)
     hist = []
     res = np.inf
     stalled = False
     clipped = None
     eigh_steps = 0
     for it in range(1, max_iters + 1):
-        t = b * m
-        a = t - (t.sum(axis=0) - wpar) * share
-        c = a + q
-        nb, clipped = _project_groups(groups, c, face_pair, gate=not clipped)
+        # a = t - (t.sum(axis=0) - wpar) * share with t = b * m, c = a + q;
+        # b, the last projection, may be c or a buffer of the step, and is
+        # read before either is written
+        np.multiply(b, m, out=a)
+        np.add.reduce(a, axis=0, out=total)
+        np.subtract(total, wpar, out=total)
+        np.subtract(a, np.multiply(total, share, out=c), out=a)
+        np.add(a, q, out=c)
+        b, clipped = step(c, not clipped)
         eigh_steps += clipped is not None
-        q = c - nb
-        d = (a - nb).ravel()
-        gap = math.sqrt(d.dot(d))  # np.linalg.norm, bit for bit
+        np.subtract(c, b, out=q)
+        np.subtract(a, b, out=a)
+        gap = math.sqrt(gap_vec.dot(gap_vec))  # np.linalg.norm(a - b), bit for bit
         res = math.sqrt(gap ** 2 + perp ** 2)
         hist.append(res)
-        b = nb
         if res < tol:
             break
         if it >= STALL_WINDOW and it % STALL_CHECK_EVERY == 0:
@@ -679,9 +761,9 @@ def _dykstra(order_set: _OrderSet, wc: np.ndarray, tol, max_iters, face=None):
     dims = {i: g.dim if face is None else face.shape[1] for g, orders, *_ in groups for i in orders}
     return FeasibilityTrace(orders=order_set.cones, stalled=stalled,
                             residual_history=np.asarray(hist), perp=perp,
-                            summands=b * m if converged else None,
-                            dual=None if converged else -q, eigh_steps=eigh_steps,
-                            psd_dims=tuple(dims[i] for i in range(len(m))))
+                            summands=(b * m).reshape(shape) if converged else None,
+                            dual=None if converged else (-q).reshape(shape),
+                            eigh_steps=eigh_steps, psd_dims=tuple(dims[i] for i in range(k)))
 
 
 def _pure_decomposition(order_set: _OrderSet, wc: np.ndarray, tol):

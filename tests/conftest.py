@@ -59,15 +59,17 @@ def unitary_channel_mixture(parties, rng, weight=0.5):
 
 def sequential_ordered_process(order, rng):
     """An ordered process drawn one piece at a time from the tensor_core
-    samplers, with each link's Choi summed from the pure Choi vectors of two
-    Kraus operators: the reference for random_ordered_batch, which must
-    consume the generator in the same order."""
+    samplers, with each link's Choi summed from the pure Choi vectors of its
+    Kraus operators, two or ceil(d_out / d_in) if more: the reference for
+    random_ordered_batch, which must consume the generator in the same
+    order."""
     order = list(order)
     state = cs.HermitianOperator(order[0].input_space,
                                  cs.random_density(order[0].input_dim, rng))
     links = []
     for src, dst in zip(order, order[1:]):
-        kraus = cs.random_kraus(src.output_dim, dst.input_dim, 2, rng)
+        n_kraus = max(2, -(-src.output_dim // dst.input_dim))
+        kraus = cs.random_kraus(src.output_dim, dst.input_dim, n_kraus, rng)
         vecs = [cs.choi_vector(k, src.output_space, dst.input_space) for k in kraus]
         link = vecs[0].density()
         for v in vecs[1:]:

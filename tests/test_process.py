@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import causalis as cs
 from causalis import process as cp
-from causalis import tensor_core
+from causalis import separability, tensor_core
 from causalis.process import validity_report
 from causalis.tensor_core import _CoeffBasis
 from conftest import (
@@ -271,6 +271,13 @@ def qubit_qutrit_pair():
             cs.Party("Q", cs.LabeledSpace("Q_I", 3), cs.LabeledSpace("Q_O", 3))]
 
 
+def qutrit_then_preparation():
+    """Q: qutrit in and out; E: no input (dim 1) and a qubit output, so the
+    link Q -> E takes Q's three output dimensions to one."""
+    return [cs.Party("Q", cs.LabeledSpace("Q_I", 3), cs.LabeledSpace("Q_O", 3)),
+            cs.Party("E", cs.LabeledSpace("E_I", 1), cs.LabeledSpace("E_O", 2))]
+
+
 DRAW_ORDERS = {
     "A<B": (qubit_chain("AB"), (0, 1)),
     "B<A": (qubit_chain("AB"), (1, 0)),
@@ -279,6 +286,7 @@ DRAW_ORDERS = {
     "P<Q (2->3)": (qubit_qutrit_pair(), (0, 1)),
     "Q<P (3->2)": (qubit_qutrit_pair(), (1, 0)),
     "interleaved": (interleaved_parties(), (0, 1)),
+    "Q<E (3->1)": (qutrit_then_preparation(), (0, 1)),
 }
 
 
@@ -423,13 +431,31 @@ def test_batch_process_checks_only_the_product(key, monkeypatch):
 
 
 def test_batched_draw_rejects_bad_sizes(rng):
-    wide = cs.Party("W", cs.LabeledSpace("W_I", 2), cs.LabeledSpace("W_O", 4))
-    end = cs.Party("E", cs.LabeledSpace("E_I", 1), cs.LabeledSpace("E_O", 1))
-    with pytest.raises(ValueError, match="isometry"):
-        cs.random_ordered_batch([wide, end], rng, 3)
     for n in (0, 1.5, True, None):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             cs.random_ordered_batch(qubit_chain("AB"), rng, n)
+
+
+@pytest.mark.parametrize("out_dim", [3, 4])
+def test_links_into_a_small_input_take_enough_kraus_operators(out_dim):
+    # a link from an output of dim d_out into an input of dim d_in takes
+    # max(LINK_KRAUS, ceil(d_out / d_in)) Kraus operators, so an order whose
+    # next input is one-dimensional is drawn, valid, and has a witness
+    # battery. The one channel into a one-dimensional space is the trace,
+    # whose Choi is the identity
+    q = cs.Party("Q", cs.LabeledSpace("Q_I", 3), cs.LabeledSpace("Q_O", out_dim))
+    e = cs.Party("E", cs.LabeledSpace("E_I", 1), cs.LabeledSpace("E_O", 2))
+    rng = np.random.default_rng(5)
+    batch = cs.random_ordered_batch([q, e], rng, 4)
+    assert np.max(np.abs(batch.channels[0] - np.eye(out_dim))) < 1e-12
+    p = cs.validate_process(batch.process(2))
+    assert p.validity == "valid" and cs.order_cone_residual(p, cs.OrderCone("QE")) < 1e-12
+    assert cs.validate_process(cs.random_ordered_process([q, e], rng)).validity == "valid"
+    orders = separability._order_set((q, e), (cs.OrderCone("QE"), cs.OrderCone("EQ")))
+    batches, _, weights = orders.battery
+    assert [b.order for b in batches] == [(q, e), (e, q)]
+    assert [len(b) for b in batches] == [separability.BATTERY] * 2
+    assert weights.shape == (separability.BATTERY, 2)
 
 
 def test_ordered_draw_checks_its_pieces_once(qubit_parties, monkeypatch):

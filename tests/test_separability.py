@@ -258,10 +258,10 @@ def test_psd_step_runs_eigh_only_when_the_stack_is_not_positive_definite(
     # face
     basis = _CoeffBasis(labeled([2, 2, 2]))
     groups = ((basis, (0, 1), None, None),)
-    face = None
+    v = None
     if on_face:
         v = np.linalg.qr(rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))[0]
-        face = (v, v.conj().T)
+    step = separability._psd_step(groups, (2, 64), v)
     calls = []
     eigh = separability.np.linalg.eigh
 
@@ -270,23 +270,23 @@ def test_psd_step_runs_eigh_only_when_the_stack_is_not_positive_definite(
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
-    r = 8 if face is None else 4
-    pd = basis.to_coeffs(psd_stack("pd", 8, rng, (2,)))
-    indefinite = basis.to_coeffs(psd_stack("indefinite", 8, rng, (2,)))
-    got, clipped = separability._project_groups(groups, pd, face)
+    r = 8 if v is None else 4
+    pd = basis.to_coeffs(psd_stack("pd", 8, rng, (2,))).reshape(2, -1)
+    indefinite = basis.to_coeffs(psd_stack("indefinite", 8, rng, (2,))).reshape(2, -1)
+    got, clipped = step(pd)
     assert clipped is None and calls == []
     # the cone returns the stack as given, a face its compression
-    if face is None:
+    if v is None:
         assert got is pd
     else:
-        m = basis.from_coeffs(pd)
+        m = basis.from_coeffs(pd.reshape((2,) + basis.shape))
         want = v @ (v.conj().T @ m @ v) @ v.conj().T
-        assert np.max(np.abs(basis.from_coeffs(got) - want)) < 1e-12
-    assert separability._project_groups(groups, indefinite, face)[1] is True
+        assert np.max(np.abs(basis.from_coeffs(got.reshape((2,) + basis.shape)) - want)) < 1e-12
+    assert step(indefinite)[1] is True
     assert calls == [(2, r, r)]
     # without the gate, eigh runs on a positive-definite stack too and
     # reports that it clipped nothing
-    assert separability._project_groups(groups, pd, face, gate=False)[1] is False
+    assert step(pd, gate=False)[1] is False
     assert calls == [(2, r, r)] * 2
 
 
@@ -683,22 +683,46 @@ def interleaved_mixture():
     return cs.ProcessMatrix((p, q), w1 * 0.45 + w2 * 0.45 + cs.identity(w1.space) * (0.1 * 6 / 36))
 
 
-@pytest.mark.parametrize("make, rank, tol, max_iters, iterations, eigh_steps", [
-    (traced_switch, 4, separability.SEP_TOL, separability.MAX_ITERS, 9, 0),
-    (cs.ocb_process, 8, separability.SEP_TOL, separability.MAX_ITERS, 500, 0),
-    (lambda: noisy_ocb(), 16, separability.SEP_TOL, separability.MAX_ITERS, 500, 500),
-    (baumeler_wolf, 8, separability.SEP_TOL, 60, 60, 0),
-    (framed_unitary_mixture, 7, 1e-20, 300, 300, 300),
-    (noisy_baumeler_wolf, 64, separability.SEP_TOL, 60, 60, 60),
-    (interleaved_mixture, 36, separability.SEP_TOL, 60, 60, 60),
+def white_noise(parties):
+    """The white process 1 / prod(d_I) on ``parties``: full rank, in every
+    order's subspace, so a whole-cone run's first affine step is positive
+    definite."""
+    d_in = np.prod([q.input_dim for q in parties])
+    return cs.ProcessMatrix(tuple(parties), cs.identity(cs.parties_space(parties)) / d_in)
+
+
+def half_noisy_ocb():
+    """0.5 OCB + 0.5 white noise: full rank, and separable at once."""
+    ocb = cs.ocb_process()
+    return cs.ProcessMatrix(ocb.parties, ocb.w * 0.5 + white_noise(ocb.parties).w * 0.5)
+
+
+@pytest.mark.parametrize("make, rank, tol, max_iters, cap, iterations, eigh_steps", [
+    (traced_switch, 4, separability.SEP_TOL, separability.MAX_ITERS, None, 9, 0),
+    (cs.ocb_process, 8, separability.SEP_TOL, separability.MAX_ITERS, None, 500, 0),
+    (lambda: noisy_ocb(), 16, separability.SEP_TOL, separability.MAX_ITERS, None, 500, 500),
+    (baumeler_wolf, 8, separability.SEP_TOL, 60, None, 60, 0),
+    (framed_unitary_mixture, 7, 1e-20, 300, None, 300, 300),
+    (noisy_baumeler_wolf, 64, separability.SEP_TOL, 60, None, 60, 60),
+    (interleaved_mixture, 36, separability.SEP_TOL, 60, None, 60, 60),
+    (traced_switch, 4, separability.SEP_TOL, separability.MAX_ITERS, 0, 9, 0),
+    (framed_unitary_mixture, 7, 1e-20, 300, 0, 300, 300),
+    (lambda: white_noise(qubit_chain("ABC")), 64, separability.SEP_TOL, 60, None, 1, 0),
+    (half_noisy_ocb, 16, separability.SEP_TOL, 60, None, 1, 0),
 ], ids=["traced_switch", "ocb", "ocb_noisy", "baumeler_wolf", "framed_mixture_tol_1e-20",
-        "baumeler_wolf_noisy", "interleaved_mixture"])
-def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, iterations,
-                                                    eigh_steps):
+        "baumeler_wolf_noisy", "interleaved_mixture", "traced_switch_over_the_cap",
+        "framed_mixture_tol_1e-20_over_the_cap", "white_noise_ABC", "ocb_half_noisy"])
+def test_dykstra_matches_the_plain_loop_bit_for_bit(monkeypatch, make, rank, tol, max_iters, cap,
+                                                    iterations, eigh_steps):
+    # cap 0 puts every face over FACE_MAP_CAP, so the face runs change
+    # basis around each step; the last two whole-cone runs pass the gate
+    if cap is not None:
+        monkeypatch.setattr(separability, "FACE_MAP_CAP", cap)
     p = make()
     orders = order_set(p.parties)
     face = separability._face(p.w.mat)
     assert (p.w.dim if face is None else face.shape[1]) == rank
+    assert face is None or (separability._face_maps(orders.basis, face) is None) == (cap == 0)
     got = separability._dykstra(orders, orders.basis.to_coeffs(p.w.mat), tol, max_iters, face)
     hist, summands, dual, ref_eigh_steps = reference_dykstra(orders, p.w.mat, tol, max_iters,
                                                              face)
@@ -712,6 +736,46 @@ def test_dykstra_matches_the_plain_loop_bit_for_bit(make, rank, tol, max_iters, 
 
 def equal_switch():
     return cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
+
+
+@pytest.mark.parametrize("make, where, max_iters, converged", [
+    (traced_switch, "face", separability.MAX_ITERS, True),
+    (lambda: noisy_ocb(), "cone", 20, False),
+    (lambda: white_noise(qubit_chain("ABC")), "cone", 60, True),
+    (equal_switch, "cone", 3, False),
+], ids=["traced_switch_face_map", "ocb_noisy_scatter", "white_noise_gate_passes",
+        "switch_whole_stack"])
+def test_traces_share_no_memory_with_run_buffers(monkeypatch, make, where, max_iters, converged):
+    # the loop and its step reuse their buffers from one iteration to the
+    # next; a returned trace's stack is its own, shared with no buffer that
+    # the step was given or returned and with no other run's trace, and a
+    # second run leaves it as it was
+    p = make()
+    ords = order_set(p.parties)
+    face = separability._face(p.w.mat) if where == "face" else None
+    seen, psd_step = {}, separability._psd_step
+
+    def recording_step(*args):
+        step = psd_step(*args)
+
+        def run(c, gate):
+            out = step(c, gate)
+            seen.update({id(x): x for x in (c, out[0])})
+            return out
+
+        return run
+
+    monkeypatch.setattr(separability, "_psd_step", recording_step)
+    args = ords, ords.basis.to_coeffs(p.w.mat), separability.SEP_TOL, max_iters, face
+    first = separability._dykstra(*args)
+    kept = (first.summands if first.converged else first.dual).copy()
+    second = separability._dykstra(*args)
+    stacks = [t.summands if t.converged else t.dual for t in (first, second)]
+    assert first.converged == second.converged == converged
+    for x in stacks:
+        assert not any(np.shares_memory(x, buf) for buf in seen.values())
+    assert not np.shares_memory(*stacks)
+    assert np.array_equal(stacks[0], kept) and np.array_equal(stacks[0], stacks[1])
 
 
 @pytest.mark.parametrize("make, orders, max_iters, runs", [
@@ -802,16 +866,19 @@ def test_face_runs_switch_to_the_maps_when_they_fit(monkeypatch):
     # changes basis around every step instead
     w = noisy_ocb().w.mat
     near = np.linalg.eigh(w)[1][:, 1:]
-    events, face_maps, step = [], separability._face_maps, separability._project_groups
+    events, face_maps, psd_step = [], separability._face_maps, separability._psd_step
 
     def recording_maps(*args):
         fwd = face_maps(*args)
         events.append(None if fwd is None else fwd.shape)
         return fwd
 
+    def recording_step(*args):
+        step = psd_step(*args)
+        return lambda *args, **kwargs: events.append("step") or step(*args, **kwargs)
+
     monkeypatch.setattr(separability, "_face_maps", recording_maps)
-    monkeypatch.setattr(separability, "_project_groups",
-                        lambda *args, **kwargs: events.append("step") or step(*args, **kwargs))
+    monkeypatch.setattr(separability, "_psd_step", recording_step)
     args = order_set(p.parties, ("AB", "BA")), basis.to_coeffs(w), separability.SEP_TOL, 200, near
     run = separability._dykstra(*args)
     assert events == [(256, 450)] + ["step"] * 200 and run.iterations == 200
@@ -969,19 +1036,25 @@ def basis_map(rbasis):
     return np.ascontiguousarray(rows).reshape(n, -1).view(float)
 
 
+def fresh_step(groups, v=None):
+    """The library's step on flat (K, N) stacks, built afresh for each call
+    so that no call's projection is a buffer that a later call rewrites."""
+    return lambda c, gate: separability._psd_step(groups, c.shape, v)(c, gate)
+
+
 def step_case(rep, arg, rng):
     """One representation of the PSD step: (basis, step, draw, v, in_s).
     step(c, gate) is the library's step; draw(kind) gives a psd_stack of
-    that kind in coefficients, of a form the step takes exactly; v is the
-    face (None on the cone); in_s, on a reduced whole cone, is where each
-    order's stack may be nonzero."""
+    that kind as a flat (K, N) coefficient stack, of a form the step takes
+    exactly; v is the face (None on the cone); in_s, on a reduced whole
+    cone, is where each order's row may be nonzero."""
     if rep == "maps":
         basis, v, fwd = face_and_maps(*arg)
         d = basis.dim
         groups = ((basis, (0, 1, 2), None, fwd),)
-        return (basis,
-                lambda c, gate: separability._project_groups(groups, c, (v, v.conj().T), gate),
-                lambda kind: basis.to_coeffs(psd_stack(kind, d, rng, (3,)) / d), v, None)
+        return (basis, fresh_step(groups, v),
+                lambda kind: basis.to_coeffs(psd_stack(kind, d, rng, (3,)) / d).reshape(3, -1),
+                v, None)
     if rep == "reduced":
         # the groups as the library builds them (noisy OCB's 8 x 8 and the
         # qubit-qutrit mixture's 12 x 12 through their maps, the rest by
@@ -997,29 +1070,25 @@ def step_case(rep, arg, rng):
             for rbasis, _, at, _ in groups:
                 ys = psd_stack(kind, rbasis.dim, rng, (len(at),)) / rbasis.dim
                 c.put(at, rbasis.to_coeffs(ys))
-            return c
+            return c.reshape(len(c), -1)
 
-        return (basis, lambda c, gate: separability._project_groups(groups, c, gate=gate),
-                draw, None, in_s)
+        return basis, fresh_step(groups), draw, None, in_s.reshape(len(in_s), -1)
     # one whole-stack group: read off the switch's masks, or on a labelled
-    # space, where it is given (2, 3) stacks and may be compressed to a face
+    # space, where it is given six items and may be compressed to a face
     dims, on_face = arg
     if dims == "switch":
         p = cs.make_quantum_switch([1.0, 0.0], 1 / np.sqrt(2), 1 / np.sqrt(2)).to_matrix()
         basis = process._party_moves(p.parties)[0]
         groups = order_set(p.parties).groups
-        lead = (2,)
     else:
         basis = _CoeffBasis(labeled(dims))
-        groups = ((basis, (0, 1), None, None),)
-        lead = (2, 3)
-    d = basis.dim
-    v = face = None
+        groups = ((basis, tuple(range(6)), None, None),)
+    n, d = len(groups[0][1]), basis.dim
+    v = None
     if on_face:
         v = np.linalg.qr(rng.normal(size=(d, d // 2)) + 1j * rng.normal(size=(d, d // 2)))[0]
-        face = (v, v.conj().T)
-    return (basis, lambda c, gate: separability._project_groups(groups, c, face, gate),
-            lambda kind: basis.to_coeffs(psd_stack(kind, d, rng, lead)), v, None)
+    return (basis, fresh_step(groups, v),
+            lambda kind: basis.to_coeffs(psd_stack(kind, d, rng, (n,))).reshape(n, -1), v, None)
 
 
 @pytest.mark.parametrize("rep, arg", STEP_CASES, ids=STEP_IDS)
@@ -1045,14 +1114,15 @@ def test_psd_step_matches_dense_eigh(rep, arg, rng):
             assert step(c, False)[1] is False
         if in_s is not None:
             assert not got[~in_s].any()
-        ms = basis.from_coeffs(c)
-        for i in np.ndindex(*c.shape[:c.ndim - len(basis.shape)]):
+        ms = basis.from_coeffs(c.reshape((len(c),) + basis.shape))
+        for i in range(len(c)):
             e, u = np.linalg.eigh(ms[i] if v is None else v.conj().T @ ms[i] @ v)
             if kind == "singular_psd" and in_s is not None:
                 assert abs(e[0]) < 1e-12 and e[-1] > 0.1
             x = u if v is None else v @ u
             want = (x * np.clip(e, 0, None)) @ x.conj().T
-            assert np.max(np.abs(basis.from_coeffs(got[i]) - want)) < 1e-12, kind
+            got_i = basis.from_coeffs(got[i].reshape(basis.shape))
+            assert np.max(np.abs(got_i - want)) < 1e-12, kind
 
 
 @pytest.mark.parametrize("make, dims", REDUCED_CASES, ids=REDUCED_IDS)
@@ -1133,7 +1203,7 @@ def test_pure_process_takes_one_eigh_and_no_psd_step(monkeypatch):
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(separability.np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(separability, "_project_groups", lambda *args: steps.append(args))
+    monkeypatch.setattr(separability, "_psd_step", lambda *args: steps.append(args))
     cert = cs.check_separability(degenerate_switch())
     assert cert.separable and cert.iterations == 1
     assert calls == [(64, 64)] and steps == []
