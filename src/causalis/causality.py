@@ -7,21 +7,24 @@ strategies (the objective is linear, so the optimum sits at one).
 Membership is decided on the two-order split (Branciard et al., NJP 18,
 013008 (2016)): p is causal iff p = p1 + p2 with p1, p2 >= 0, p1 not
 signalling from B to A and summing to the same q for every (x, y), and p2
-not signalling from A to B. That is one non-negative least-squares fit on
-2 nx ny na nb unknowns (32 for GYNI, 64 for the OCB game), against a
-cached matrix per alphabet. A causal verdict rebuilds weights on the
-deterministic strategies from the split by the product rule; a non-causal
-one carries the fit's Farkas certificate, a causal inequality the table
-violates.
+not signalling from A to B. The split is linear in 2 nx ny na nb unknowns
+(32 for GYNI, 64 for the OCB game), against a cached matrix per alphabet.
+Its least-norm solution, one product with the matrix's cached
+pseudo-inverse, is tried first: when it is non-negative it is a split, and
+most interior tables (a Born table of the switch, say) are decided by it.
+Otherwise one non-negative least-squares fit decides. A causal verdict
+rebuilds weights on the deterministic strategies from the split by the
+product rule; a non-causal one always carries the fit's Farkas
+certificate, a causal inequality the table violates.
 
 The strategies themselves are every A<B one and the B<A ones whose answer
 a = g(x, y) depends on y, na^nx nb^(nx ny) + nb^ny (na^(nx ny) - na^nx) in
 all, built by index arithmetic as the columns of one cached matrix per
 alphabet; the tables `enumerate_strategies` returns are views of them.
 
-scipy.optimize is imported inside `is_causal`, the one place that calls
-it: loading it takes longer than importing the rest of causalis, and most
-commands never need it.
+scipy.optimize is imported only when that fit runs, the one place that
+calls it: loading it takes longer than importing the rest of causalis, and
+a table that the least-norm split decides never needs it.
 """
 from __future__ import annotations
 
@@ -118,11 +121,14 @@ class CausalityVerdict:
     """Outcome of the polytope-membership test; causal iff residual < tol.
 
     residual is the split fit's distance for a non-causal table, and for a
-    causal one the larger of that and |V weights - p|, V the vertex tables.
-    ``weights`` (causal only) are on the strategies in `enumerate_strategies`
-    order: the split's product decomposition, dense, not a sparse one.
-    q_A_before_B is their A<B weight (vertices shared by both orders count as
-    A<B), so q is unique only when the decomposition is.
+    causal one the larger of the split's distance and |V weights - p|, V the
+    vertex tables. ``weights`` (causal only) are on the strategies in
+    `enumerate_strategies` order: the split's product decomposition, dense,
+    not a sparse one. q_A_before_B is their A<B weight (vertices shared by
+    both orders count as A<B). They come from the least-norm split when it
+    is non-negative, so q is then fixed by the table, and otherwise from
+    the NNLS fit's split, so q is then unique only when the decomposition
+    is.
 
     ``inequality`` (non-causal only) is a read-only (x, y, a, b) array w with
     w . t <= inequality_bound for every causal table t, the bound recomputed
@@ -262,6 +268,30 @@ def _split_system(settings: tuple[int, int], outcomes: tuple[int, int]) -> np.nd
     return a
 
 
+@functools.lru_cache(maxsize=32)
+def _split_pinv(settings: tuple[int, int], outcomes: tuple[int, int]) -> np.ndarray:
+    """Read-only columns of `_split_system`'s pseudo-inverse that multiply
+    the table rows: the least-norm split of a table p is this matrix times
+    p flattened, since the target is 0 on every other row."""
+    n = settings[0] * settings[1] * outcomes[0] * outcomes[1]
+    pinv = np.ascontiguousarray(np.linalg.pinv(_split_system(settings, outcomes))[:, :n])
+    pinv.setflags(write=False)
+    return pinv
+
+
+def _splits(p: np.ndarray, target: np.ndarray, settings, outcomes):
+    """Splits z >= 0 of the table p for `is_causal` to try, in turn: the
+    least-norm one when none of its entries is negative, then the NNLS
+    fit's to target = (p, 0, ..., 0), computed only when asked for."""
+    z = _split_pinv(settings, outcomes) @ p
+    if z.min() >= 0.0:
+        yield z
+    import scipy.optimize  # looked up per call, so a wrapped nnls is seen
+
+    a = _split_system(settings, outcomes)
+    yield scipy.optimize.nnls(a, target, maxiter=30 * a.shape[1])[0]
+
+
 def _distribution(num: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of unknowns for the conditional probabilities that num describes:
     entry (..., o, :) lists the unknowns summed into outcome o, and the
@@ -338,36 +368,38 @@ def _vertex_weights(z: np.ndarray, settings, outcomes) -> np.ndarray:
 def is_causal(table, tol: float = CAUSAL_TOL) -> CausalityVerdict:
     """Membership of a bipartite table in the causal polytope.
 
-    Fits (p1, p2) >= 0 to `_split_system` by non-negative least squares, one
-    call on 2 nx ny na nb unknowns. Below tol, the split is turned into
-    weights on the deterministic strategies, and the verdict is causal iff
-    the larger of the fit's residual and the weights' reconstruction error is
-    still below tol. Otherwise the table block w of the fit's residual
-    vector is a causal inequality it violates: at the optimum the residual is
-    orthogonal to the fit and no column gains on it, so w . t <= 0 for every
-    causal t while w . p is the squared residual. See `CausalityVerdict`.
-    Tables past `ENUM_CAP` strategies per order are refused before solving.
-    tol must be finite and > 0.
+    Tries splits (p1, p2) >= 0 of `_split_system` in turn (`_splits`): the
+    least-norm solution, when it is non-negative, then the non-negative
+    least-squares fit, one call on 2 nx ny na nb unknowns. A split within tol
+    of the table is turned into weights on the deterministic strategies, and
+    the verdict is causal iff the larger of its distance and the weights'
+    reconstruction error is still below tol. Otherwise, once the fit has
+    run, the table block w of the fit's residual vector is a causal
+    inequality the table violates: at the optimum the residual is orthogonal
+    to the fit and no column gains on it, so w . t <= 0 for every causal t
+    while w . p is the squared residual. Only the fit's optimum gives that
+    inequality, so only the fit answers "not causal". See
+    `CausalityVerdict`. Tables past `ENUM_CAP` strategies per order are
+    refused before solving. tol must be finite and > 0.
     """
     _check_tol("tol", tol)
-    import scipy.optimize  # looked up per call, so a wrapped nnls is seen
-
     vals, settings, outcomes = _table_values(table)
     _check_enum_cap(settings, outcomes)
     a = _split_system(settings, outcomes)
     p = vals.reshape(-1)
     target = np.zeros(len(a))
     target[:p.size] = p
-    z, _ = scipy.optimize.nnls(a, target, maxiter=30 * a.shape[1])
-    r = target - a @ z
-    residual = float(np.linalg.norm(r))
-    if residual < tol:
-        lam = _vertex_weights(z, settings, outcomes)
-        v, a_first = _polytope(settings, outcomes)
-        residual = max(residual, float(np.linalg.norm(v @ lam - p)))
+    for z in _splits(p, target, settings, outcomes):
+        r = target - a @ z
+        residual = float(np.linalg.norm(r))
         if residual < tol:
-            lam.setflags(write=False)
-            return CausalityVerdict(True, residual, float(lam[a_first].sum()), lam)
+            lam = _vertex_weights(z, settings, outcomes)
+            v, a_first = _polytope(settings, outcomes)
+            residual = max(residual, float(np.linalg.norm(v @ lam - p)))
+            if residual < tol:
+                lam.setflags(write=False)
+                return CausalityVerdict(True, residual, float(lam[a_first].sum()), lam)
+    # the loop ends on the fit's split, so r is the fit's residual vector
     w = r[:p.size].reshape(vals.shape)
     w.setflags(write=False)
     return CausalityVerdict(False, residual, None, None, w, float(w.reshape(-1) @ p),

@@ -11,7 +11,8 @@ identical invocations apart from wall_time_s.
 
 `main` parses with one argparse tree per process (`_parser`), since building
 it costs more than most subcommands; `build_parser` returns a fresh tree.
-scipy is loaded only when a subcommand reaches `is_causal` (`ineq`).
+scipy is loaded only when `is_causal` (`ineq`) runs its NNLS fit, on a table
+whose least-norm split has a negative entry.
 """
 from __future__ import annotations
 

@@ -50,7 +50,9 @@ The runs, the witness and the certificate's components and q all read
 that one object. Once per process: W's coefficients, the basis change
 its validation made (`process._validity_sweep`), shared by the closed
 form, the face run, its whole-cone retry and the witness of each failed
-run (`extract_witness`). Once per call: V. Once per run: its face map
+run (`extract_witness`), and W's rank, read off the eigenvalues that
+validation computed. Once per call: V, from one eigh of W, only when
+1 < r < D. Once per run: its face map
 on a face, and the PSD step, which settles each group's path (map GEMM,
 basis change, or V's compression around it over FACE_MAP_CAP), its
 gather positions and its buffers, with the scatter target zeroed once;
@@ -487,13 +489,20 @@ def _default_orders(parties: tuple[Party, ...]) -> list[tuple[str, ...]]:
     return [order + last for order in itertools.permutations(movers)]
 
 
+def _ranked(e: np.ndarray) -> np.ndarray:
+    """Which of the ascending eigenvalues e of a D x D matrix count towards
+    its numerical rank: those above D ε_mach λ_max, the threshold of
+    `numpy.linalg.matrix_rank`."""
+    return e > len(e) * np.finfo(float).eps * e[-1]
+
+
 def _face(w: np.ndarray) -> np.ndarray | None:
     """Orthonormal basis V (D x r) of range(W), or None when r = D.
 
     Every PSD summand has W_i ⪯ W, so range(W_i) ⊆ range(W) and W_i =
     V X_i V† with X_i ⪰ 0: every decomposition lies on the face {V X V† :
-    X ⪰ 0} of the PSD cone. r counts the eigenvalues of W above D ε_mach
-    λ_max (the numerical-rank threshold of `numpy.linalg.matrix_rank`).
+    X ⪰ 0} of the PSD cone. r counts the eigenvalues of W that `_ranked`
+    keeps.
     The threshold sets speed, never soundness: a kept direction only
     enlarges the face, and a dropped one moves W off it by at most that
     eigenvalue, which the full-space residual still charges. Convergence
@@ -503,7 +512,7 @@ def _face(w: np.ndarray) -> np.ndarray | None:
     on the full W, so it charges a dropped eigenvalue too.
     """
     e, v = np.linalg.eigh(w)
-    keep = e > w.shape[0] * np.finfo(float).eps * e[-1]
+    keep = _ranked(e)
     return None if keep.all() else v[:, keep]
 
 
@@ -823,8 +832,10 @@ def check_separability(
     nonseparable with a witness and undecided without. max_iters must be
     an integer >= 1 and tol finite and > 0, both checked before any run.
     W is expanded in the coefficient basis once, by its validation, and
-    the closed form and every run share that expansion; a separable
-    verdict is checked on the stack of summands (see the module docstring).
+    the closed form and every run share that expansion; the rank r is read
+    off validation's eigenvalues too, so `_face`'s eigh runs only when
+    1 < r < D. A separable verdict is checked on the stack of summands (see
+    the module docstring).
     """
     _check_count("max_iters", max_iters, 1)
     _check_tol("tol", tol)
@@ -833,7 +844,7 @@ def check_separability(
         orders = _default_orders(p.parties)
     cones = tuple(o if isinstance(o, OrderCone) else OrderCone(o) for o in orders)
     order_set = _order_set(p.parties, cones)
-    wc = _validity_sweep(p)[2]  # the expansion made when p was validated
+    evals, _, wc = _validity_sweep(p)  # W's eigenvalues and expansion, made by validation
 
     def run(face):
         trace = _dykstra(order_set, wc, tol, max_iters, face)
@@ -841,8 +852,8 @@ def check_separability(
             return trace, None, {}
         return (trace, *extract_witness(p, trace))
 
-    face = _face(p.w.mat)
-    rank = p.w.dim if face is None else face.shape[1]
+    rank = int(np.count_nonzero(_ranked(evals)))
+    face = _face(p.w.mat) if 1 < rank < p.w.dim else None
     diagnostics = {"face_rank": rank}
     if rank == 1:
         trace, diagnostics["order_distances"] = _pure_decomposition(order_set, wc, tol)

@@ -402,7 +402,8 @@ def test_is_causal_rejects_bad_tol(tol):
 
 
 # ---------------------------------------------------------------------------
-# the vertex NNLS as the oracle for the split, the caches, the deferred scipy import
+# the vertex NNLS as the oracle for the split, the caches, the least-norm
+# split before the fit, the deferred scipy import
 
 @functools.lru_cache(maxsize=None)
 def reference_stack(settings, outcomes):
@@ -485,14 +486,17 @@ def test_cached_vertex_matrix_matches_per_call_stack(make, game):
     else:
         assert got.residual > 1e-3 and want.residual > 1e-3
         assert got.weights is None and got.q_A_before_B is None
-    for build in (causality._polytope, causality._split_system, causality._product_rule):
+    for build in (causality._polytope, causality._split_system, causality._split_pinv,
+                  causality._product_rule):
         cached = build(table.settings, table.outcomes)
         assert build(table.settings, table.outcomes) is cached
         assert not any(m.flags.writeable for m in
                        (cached if isinstance(cached, tuple) else (cached,)))
 
 
-def test_ocb_membership_is_one_small_nnls(monkeypatch):
+def count_nnls(monkeypatch):
+    """Route scipy.optimize.nnls through a counter: returns the list that
+    collects the shape of each matrix it fits."""
     shapes = []
     nnls = scipy.optimize.nnls
 
@@ -500,10 +504,16 @@ def test_ocb_membership_is_one_small_nnls(monkeypatch):
         shapes.append(a.shape)
         return nnls(a, b, **kwargs)
 
+    monkeypatch.setattr(scipy.optimize, "nnls", counted)
+    return shapes
+
+
+def test_ocb_membership_is_one_small_nnls(monkeypatch):
+    shapes = count_nnls(monkeypatch)
+
     def refuse(*args):
         raise AssertionError("a non-causal verdict built the vertex matrix")
 
-    monkeypatch.setattr(scipy.optimize, "nnls", counted)
     monkeypatch.setattr(causality, "_polytope", refuse)
     monkeypatch.setattr(causality, "_product_rule", refuse)
     verdict = cs.is_causal(ocb_table())
@@ -572,6 +582,84 @@ def test_inequality_values_of_the_named_tables():
     assert abs(guess.inequality_value - 2 / 3) < 1e-12
 
 
+def least_norm_split(p):
+    """The least-norm solution of the split system for the table p."""
+    vals = np.asarray(getattr(p, "values", p))
+    return causality._split_pinv(vals.shape[:2], vals.shape[2:]) @ vals.reshape(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4, 5, 6, 7])
+def test_least_norm_split_decides_switch_tables(monkeypatch, seed):
+    # the switch's Born tables are interior: their least-norm split is
+    # non-negative, so no fit runs and the weights come from that split
+    shapes = count_nnls(monkeypatch)
+    table = switch_table(seed)
+    assert least_norm_split(table).min() >= 0.0
+    verdict = cs.is_causal(table)
+    assert shapes == []
+    assert verdict.causal and verdict.residual < causality.CAUSAL_TOL
+    assert verdict.weights.min() >= 0.0 and abs(verdict.weights.sum() - 1.0) <= 1e-12
+    assert reconstruction(verdict.weights, table) < causality.CAUSAL_TOL
+    assert 0.0 <= verdict.q_A_before_B <= 1.0
+
+
+@pytest.mark.parametrize("make, least_norm_min, q", [
+    (lambda: switch_table(2), -0.0033, None),
+    (lambda: vertex_table("A<B", (0, 0), (0, 0, 1, 1)), -0.125, 1.0),
+    (lambda: vertex_table("B<A", (1, 1), (0, 1, 0, 1)), -0.125, 0.0),
+], ids=["switch-2", "vertex-A<B", "vertex-B<A"])
+def test_negative_least_norm_split_falls_back_to_one_nnls(monkeypatch, make, least_norm_min, q):
+    # a causal table whose least-norm split dips below 0 is still causal,
+    # through the fit
+    shapes = count_nnls(monkeypatch)
+    table = make()
+    assert abs(least_norm_split(table).min() - least_norm_min) < 1e-4
+    verdict = cs.is_causal(table)
+    assert shapes == [(25, 32)]
+    assert verdict.causal and reconstruction(verdict.weights, table) < causality.CAUSAL_TOL
+    assert q is None or verdict.q_A_before_B == q
+
+
+def nnls_only(p):
+    """The NNLS side of `is_causal` alone: (residual, w, w . p, bound) at
+    the fit's optimum on the split system."""
+    a = causality._split_system(p.shape[:2], p.shape[2:])
+    target = np.zeros(len(a))
+    target[:p.size] = p.reshape(-1)
+    z, _ = scipy.optimize.nnls(a, target, maxiter=30 * a.shape[1])
+    r = target - a @ z
+    w = r[:p.size].reshape(p.shape)
+    value = float(w.reshape(-1) @ p.reshape(-1))
+    return float(np.linalg.norm(r)), w, value, causality._causal_max(w)
+
+
+@pytest.mark.parametrize("p", [p for _, p in NONCAUSAL], ids=[name for name, _ in NONCAUSAL])
+def test_noncausal_verdict_is_one_nnls_bit_for_bit(monkeypatch, p):
+    want = nnls_only(p)
+    shapes = count_nnls(monkeypatch)
+    verdict = cs.is_causal(p)
+    assert len(shapes) == 1 and least_norm_split(p).min() < 0.0
+    assert verdict.residual == want[0]
+    assert np.array_equal(verdict.inequality, want[1])
+    assert (verdict.inequality_value, verdict.inequality_bound) == want[2:]
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 112))
+def test_vertex_mixtures_agree_with_the_vertex_oracle(seed, k):
+    # mixtures of a few vertices lie near the boundary, where the least-norm
+    # split dips below 0 and the fit decides; mixtures of many lie inside,
+    # where that split decides alone. Either way the verdict is the
+    # oracle's and the weights rebuild the table
+    rng = np.random.default_rng(seed)
+    v, _ = reference_stack((2, 2), (2, 2))
+    idx = rng.choice(v.shape[1], size=k, replace=False)
+    p = (v[:, idx] @ rng.dirichlet(np.ones(k))).reshape(2, 2, 2, 2)
+    got, want = cs.is_causal(p), is_causal_reference(p)
+    assert got.causal == want.causal
+    assert reconstruction(got.weights, p) < causality.CAUSAL_TOL
+
+
 def test_enumeration_cap_refuses_noncausal_tables(monkeypatch):
     # the cap is checked before solving, so the verdict does not matter
     monkeypatch.setattr(causality, "ENUM_CAP", 50)
@@ -597,6 +685,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         "table = causalis.born(p, ins).marginalize('F')\n"
         "print(causalis.score_inequality(table, causalis.gyni_game()).violated,\n"
         "      causalis.is_causal(table).causal)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded by is_causal'\n"
     )
     path = os.pathsep.join([str(SRC)] + [x for x in [os.environ.get("PYTHONPATH")] if x])
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -1192,9 +1192,9 @@ def test_closed_form_agrees_with_a_face_run():
         assert np.abs(c - want.mat).max() < 1e-6
 
 
-def test_pure_process_takes_one_eigh_and_no_psd_step(monkeypatch):
-    # the rank-1 path stays a closed form: _face's eigh of W and nothing
-    # iterative after it
+def test_pure_process_takes_no_eigh_and_no_psd_step(monkeypatch):
+    # the rank-1 path stays a closed form: its rank comes from validation's
+    # eigenvalues, so no eigh of W, and nothing iterative after it
     calls, steps = [], []
     eigh = separability.np.linalg.eigh
 
@@ -1206,7 +1206,37 @@ def test_pure_process_takes_one_eigh_and_no_psd_step(monkeypatch):
     monkeypatch.setattr(separability, "_psd_step", lambda *args: steps.append(args))
     cert = cs.check_separability(degenerate_switch())
     assert cert.separable and cert.iterations == 1
-    assert calls == [(64, 64)] and steps == []
+    assert calls == [] and steps == []
+
+
+def random_ordered_mixture(seed):
+    """q W(A<B) + (1 - q) W(B<A) on two qubit parties, q from the seed: rank
+    up to 16."""
+    rng = np.random.default_rng(seed)
+    a, b = qubit_chain("AB")
+    q = rng.uniform()
+    return cs.ProcessMatrix((a, b), cs.random_ordered_process([a, b], rng).w * q
+                            + cs.random_ordered_process([b, a], rng).w * (1 - q))
+
+
+@pytest.mark.parametrize("make, rank", [
+    (traced_switch, 4), (cs.ocb_process, 8), (lambda: noisy_ocb(), 16), (baumeler_wolf, 8),
+    (framed_unitary_mixture, 7), (noisy_baumeler_wolf, 64), (interleaved_mixture, 36),
+    (lambda: white_noise(qubit_chain("ABC")), 64), (half_noisy_ocb, 16), (degenerate_switch, 1),
+    (equal_switch, None), (ocb_with_discarded_outputs, None),
+] + [(lambda seed=seed: random_ordered_mixture(seed), None) for seed in range(6)],
+    ids=["traced_switch", "ocb", "ocb_noisy", "baumeler_wolf", "framed_mixture",
+         "baumeler_wolf_noisy", "interleaved_mixture", "white_noise_ABC", "ocb_half_noisy",
+         "degenerate_switch", "equal_switch", "ocb_discarded_outputs"]
+        + [f"ordered_mixture-{seed}" for seed in range(6)])
+def test_rank_from_validation_matches_the_face(make, rank):
+    # check_separability reads the rank off validation's eigvalsh of W and
+    # calls _face only between 1 and D; _face's eigh must count the same
+    p = cs.validate_process(make())
+    got = int(np.count_nonzero(separability._ranked(process._validity_sweep(p)[0])))
+    face = separability._face(p.w.mat)
+    assert got == (p.w.dim if face is None else face.shape[1])
+    assert rank is None or got == rank
 
 
 def test_pure_state_held_by_both_orders_splits_evenly():
